@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.bft.engine import PbftEngine
 from repro.bft.log import LogEntry, ReplicatedLog
@@ -57,7 +57,7 @@ from repro.core.prepared import PreparedBatches
 from repro.core.topology import ClusterTopology
 from repro.recovery.checkpoint import CheckpointCertificate, CheckpointManager
 from repro.recovery.messages import StateTransferReply, StateTransferRequest
-from repro.recovery.snapshot import SnapshotImage
+from repro.recovery.snapshot import PartitionGenesis, SnapshotImage
 from repro.recovery.transfer import RecoveryCoordinator
 from repro.simnet.messages import Message
 from repro.simnet.node import SimEnvironment, SimNode
@@ -329,8 +329,10 @@ class PartitionReplica(SimNode):
         env: SimEnvironment,
         topology: ClusterTopology,
         partitioner: HashPartitioner,
-        initial_data: Optional[Dict[Key, Value]] = None,
+        initial_data: Union[Mapping[Key, Value], PartitionGenesis, None] = None,
     ) -> None:
+        """``initial_data`` is the partition's preloaded items, or the
+        :class:`PartitionGenesis` a deployment built once for all members."""
         super().__init__(node_id, env)
         self.partition: PartitionId = node_id.partition
         self.config: SystemConfig = env.config
@@ -338,8 +340,11 @@ class PartitionReplica(SimNode):
         self.partitioner = partitioner
         self.counters = ReplicaCounters()
 
-        self.store = MultiVersionStore(initial_data or {})
-        self.merkle = self._make_merkle_store(initial_data or {})
+        genesis = initial_data
+        if not isinstance(genesis, PartitionGenesis):
+            genesis = PartitionGenesis.build(self.partition, initial_data or {})
+        self.store = MultiVersionStore(genesis.data)
+        self.merkle = self._make_merkle_store(genesis.data, tree=genesis.tree.clone())
         self.prepared_batches = PreparedBatches()
         self.log = ReplicatedLog()
         self.locks = LockTable()  # only used by the Augustus baseline
@@ -382,7 +387,7 @@ class PartitionReplica(SimNode):
         )
         self.leader_role = LeaderRole(self)
         self.checkpoints = CheckpointManager(self)
-        self.checkpoints.bootstrap(initial_data or {})
+        self.checkpoints.bootstrap(genesis.image)
         self.recovery = RecoveryCoordinator(self)
         self.progress_monitor = ViewProgressMonitor(self)
 
@@ -421,7 +426,10 @@ class PartitionReplica(SimNode):
         return ConflictChecker(self.partition, self.partitioner, self.store)
 
     def _make_merkle_store(
-        self, initial: Mapping[Key, Value], base_batch: BatchNumber = NO_BATCH
+        self,
+        initial: Mapping[Key, Value],
+        base_batch: BatchNumber = NO_BATCH,
+        tree: Optional[MerkleTree] = None,
     ) -> MerkleStore:
         """Build the per-partition Merkle store, archived per the perf config."""
         archive = None
@@ -429,7 +437,7 @@ class PartitionReplica(SimNode):
             archive = MerkleTreeArchive(
                 max_batches=self.config.perf.archive_max_batches
             )
-        return MerkleStore(initial, archive=archive, base_batch=base_batch)
+        return MerkleStore(initial, archive=archive, base_batch=base_batch, tree=tree)
 
     def current_cd_vector(self) -> CDVector:
         if self.last_header is not None:
@@ -853,7 +861,7 @@ class PartitionReplica(SimNode):
         )
         self.leader_role = LeaderRole(self)
         self.checkpoints = CheckpointManager(self)
-        self.checkpoints.adopt_genesis(genesis)
+        self.checkpoints.bootstrap(genesis)
         if not preserve_recovery:
             self.recovery = RecoveryCoordinator(self)
         # A fresh engine means fresh progress bookkeeping; the old monitor's

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import asdict, dataclass
+from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional
 
 from repro.common.config import SystemConfig
@@ -22,6 +23,7 @@ from repro.core.replica import PartitionReplica
 from repro.core.topology import ClusterTopology
 from repro.edge.proxy import EdgeProxy
 from repro.obs.monitor import Monitor
+from repro.recovery.snapshot import PartitionGenesis
 from repro.simnet.faults import FaultInjector
 from repro.simnet.latency import LatencyModel
 from repro.simnet.node import SimEnvironment
@@ -112,21 +114,27 @@ class TransEdgeSystem:
             self.env = SimEnvironment(self.config)
         self.partitioner = HashPartitioner(self.config.num_partitions)
         self.topology = ClusterTopology(self.config)
-        self.initial_data: Dict[Key, Value] = dict(
-            initial_data if initial_data is not None else generate_initial_data(self.config)
+        #: The preloaded key space (read-only: replicas alias its values).
+        self.initial_data: Mapping[Key, Value] = MappingProxyType(
+            dict(initial_data) if initial_data is not None else generate_initial_data(self.config)
         )
-        self._data_by_partition = self.partitioner.group_items(self.initial_data)
+        # Every member of a cluster starts from the same bytes: sort and hash
+        # each partition's share once and hand all 3f+1 replicas that genesis.
+        data_by_partition = self.partitioner.group_items(self.initial_data)
+        self._genesis: Dict[PartitionId, PartitionGenesis] = {
+            partition: PartitionGenesis.build(partition, data_by_partition.get(partition, {}))
+            for partition in self.topology.partitions()
+        }
 
         self.replicas: Dict[ReplicaId, PartitionReplica] = {}
-        for partition in self.topology.partitions():
-            partition_data = self._data_by_partition.get(partition, {})
+        for partition, genesis in self._genesis.items():
             for replica_id in self.topology.members(partition):
                 self.replicas[replica_id] = PartitionReplica(
                     node_id=replica_id,
                     env=self.env,
                     topology=self.topology,
                     partitioner=self.partitioner,
-                    initial_data=partition_data,
+                    initial_data=genesis,
                 )
 
         # Edge read-proxy tier (repro.edge): untrusted proxies between the
@@ -211,7 +219,8 @@ class TransEdgeSystem:
 
     def keys_of_partition(self, partition: PartitionId) -> List[Key]:
         """Preloaded keys owned by ``partition`` (sorted, deterministic)."""
-        return sorted(self._data_by_partition.get(partition, {}))
+        genesis = self._genesis.get(partition)
+        return list(genesis.tree.keys()) if genesis is not None else []
 
     # ------------------------------------------------------------------
     # crash faults and recovery (see repro.recovery)

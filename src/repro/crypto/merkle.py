@@ -9,14 +9,17 @@ verify returned values against the agreed root using membership proofs
 The tree is built over the partition's key/value map: leaves are
 ``H(key || H(value))`` in sorted key order, internal nodes are
 ``H(left || right)``.  An odd node at any level is promoted unchanged.  The
-implementation favours clarity over asymptotic cleverness; the store keeps a
-current tree and rebuilds it after applying a batch's write-sets, and can
-rebuild a *historical* tree for any previously committed batch when a
-read-only client asks for an older snapshot in round two.
+implementation favours clarity over asymptotic cleverness.  A partition's
+genesis tree is built once and every replica starts from a
+:meth:`MerkleTree.clone` of it; applying a batch's write-sets recomputes only
+the root paths of the written keys (a brand-new key shifts leaf positions
+and rebuilds the tree), and the store's archive answers for the tree of any
+recent batch when a read-only client asks for an older snapshot in round two.
 """
 
 from __future__ import annotations
 
+from collections import ChainMap
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
@@ -121,6 +124,19 @@ class MerkleTree:
     def from_items(cls, items: Mapping[Key, Value]) -> "MerkleTree":
         """Build a tree from a key/value mapping."""
         return cls(items)
+
+    def clone(self) -> "MerkleTree":
+        """An independent tree over the same leaves, without hashing anything.
+
+        The sorted key list and its index are shared (no method mutates them:
+        inserting a key replaces the whole tree object); only the digest
+        levels, which :meth:`update_values` overwrites in place, are copied.
+        """
+        twin = MerkleTree.__new__(MerkleTree)
+        twin._keys = self._keys
+        twin._index = self._index
+        twin._levels = [list(level) for level in self._levels]
+        return twin
 
     @property
     def root(self) -> Digest:
@@ -263,8 +279,12 @@ class MerkleStore:
     """A key/value map together with its current Merkle tree.
 
     Replicas keep one ``MerkleStore`` per partition; ``apply`` folds in a
-    batch's visible write-sets and rebuilds the tree, returning the new root
-    that is then agreed on through consensus.
+    batch's visible write-sets and updates the tree, returning the new root
+    that is then agreed on through consensus.  ``initial`` is only ever read
+    (writes land in an overlay in front of it), so the replicas of a cluster
+    can share one genesis mapping; ``tree`` is a prebuilt tree over exactly
+    ``initial`` for this store to own (a genesis :meth:`MerkleTree.clone`),
+    built here when omitted.
 
     When constructed with a :class:`~repro.crypto.archive.MerkleTreeArchive`,
     every batch-tagged ``apply`` first archives the superseded tree state, so
@@ -277,9 +297,13 @@ class MerkleStore:
         initial: Optional[Mapping[Key, Value]] = None,
         archive: Optional["MerkleTreeArchive"] = None,
         base_batch: BatchNumber = NO_BATCH,
+        tree: Optional[MerkleTree] = None,
     ) -> None:
-        self._items: Dict[Key, Value] = dict(initial or {})
-        self._tree = MerkleTree(self._items)
+        base = initial if initial is not None else {}
+        # Writes land in ``_written``; reads fall through to the shared base.
+        self._written: Dict[Key, Value] = {}
+        self._items: Mapping[Key, Value] = ChainMap(self._written, base)
+        self._tree = tree if tree is not None else MerkleTree(base)
         self._archive = archive
         if archive is not None:
             archive.reset(base_batch)
@@ -297,10 +321,10 @@ class MerkleStore:
         return self._archive
 
     def __len__(self) -> int:
-        return len(self._items)
+        return len(self._tree)
 
     def __contains__(self, key: Key) -> bool:
-        return key in self._items
+        return key in self._tree
 
     def get(self, key: Key) -> Optional[Value]:
         return self._items.get(key)
@@ -328,7 +352,7 @@ class MerkleStore:
                 self._archive.record_delta(batch, self._tree.capture_paths(updates))
             else:
                 self._archive.record_tree(batch, self._tree)
-        self._items.update(updates)
+        self._written.update(updates)
         if covered:
             return self._tree.update_values(updates)
         self._tree = MerkleTree(self._items)

@@ -95,16 +95,13 @@ class CheckpointManager:
 
     # -- bootstrap / adoption ------------------------------------------------
 
-    def bootstrap(self, initial_data) -> None:
-        """Record the genesis image of the preloaded data (never certified)."""
-        self.snapshots.set_genesis(
-            SnapshotImage.genesis(self._replica.partition, dict(initial_data))
-        )
+    def bootstrap(self, genesis: SnapshotImage) -> None:
+        """Hold the partition's genesis image of the preloaded data.
 
-    def adopt_genesis(self, genesis: Optional[SnapshotImage]) -> None:
-        """Carry the genesis image across a crash (the dataset is durable)."""
-        if genesis is not None:
-            self.snapshots.set_genesis(genesis)
+        The image is never certified, is shared by all cluster members, and
+        is carried across a crash (the dataset is durable).
+        """
+        self.snapshots.set_genesis(genesis)
 
     def adopt(self, image: SnapshotImage, certificate: CheckpointCertificate) -> None:
         """Install a verified checkpoint received through state transfer."""

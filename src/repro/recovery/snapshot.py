@@ -18,12 +18,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.common.ids import NO_BATCH, BatchNumber, PartitionId
 from repro.common.types import Key, Value
 from repro.core.batch import CertifiedHeader, CommitRecord, PreparedRecord
 from repro.crypto.hashing import Digest, digest_of
+from repro.crypto.merkle import MerkleTree
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checking only
     from repro.core.replica import PartitionReplica
@@ -142,15 +144,44 @@ class SnapshotImage:
         )
 
     @classmethod
-    def genesis(cls, partition: PartitionId, initial: Dict[Key, Value]) -> "SnapshotImage":
+    def genesis(
+        cls,
+        partition: PartitionId,
+        initial: Mapping[Key, Value],
+        sorted_keys: Optional[Sequence[Key]] = None,
+    ) -> "SnapshotImage":
         """The pre-history image: the preloaded data at the reserved version.
 
         The genesis image has no certificate — its authenticity is checked by
         replaying the log from batch 0, whose certified Merkle root covers
-        exactly the preloaded data.
+        exactly the preloaded data.  ``sorted_keys`` are ``initial``'s keys
+        in order, for a caller that already holds them.
         """
-        items = tuple((key, NO_BATCH, initial[key]) for key in sorted(initial))
+        keys = sorted(initial) if sorted_keys is None else sorted_keys
+        items = tuple((key, NO_BATCH, initial[key]) for key in keys)
         return cls(partition=partition, seq=NO_BATCH, items=items)
+
+
+@dataclass(frozen=True)
+class PartitionGenesis:
+    """What every replica of one partition starts from, built once and shared.
+
+    All 3f+1 members begin from the same bytes, so the deployment sorts and
+    hashes them once: ``data`` is a read-only view that stores layer their
+    writes over, ``tree`` is the prototype each member takes a
+    :meth:`~repro.crypto.merkle.MerkleTree.clone` of, and ``image`` is the
+    frozen genesis snapshot they all hold.
+    """
+
+    data: Mapping[Key, Value]
+    tree: MerkleTree
+    image: SnapshotImage
+
+    @classmethod
+    def build(cls, partition: PartitionId, initial: Mapping[Key, Value]) -> "PartitionGenesis":
+        data = MappingProxyType(dict(initial))
+        tree = MerkleTree(data)
+        return cls(data, tree, SnapshotImage.genesis(partition, data, tree.keys()))
 
 
 class SnapshotStore:

@@ -11,19 +11,22 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 from repro.common.errors import SimulationError
 
 
-@dataclass(order=True)
 class _ScheduledEvent:
-    time: float
-    sequence: int
-    callback: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
-    fired: bool = field(default=False, compare=False)
+    """One scheduled callback; the heap orders ``(time, sequence, event)``
+    tuples, so the record itself is never compared."""
+
+    __slots__ = ("time", "callback", "cancelled", "fired")
+
+    def __init__(self, time: float, callback: Callable[[], None]) -> None:
+        self.time = time
+        self.callback = callback
+        self.cancelled = False
+        self.fired = False
 
 
 class EventHandle:
@@ -54,7 +57,7 @@ class Simulator:
 
     def __init__(self) -> None:
         self._now = 0.0
-        self._queue: List[_ScheduledEvent] = []
+        self._queue: List[Tuple[float, int, _ScheduledEvent]] = []
         self._sequence = itertools.count()
         self._events_processed = 0
         self._pending = 0
@@ -86,8 +89,8 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at {time_ms}ms; simulated time is already {self._now}ms"
             )
-        event = _ScheduledEvent(time=time_ms, sequence=next(self._sequence), callback=callback)
-        heapq.heappush(self._queue, event)
+        event = _ScheduledEvent(time_ms, callback)
+        heapq.heappush(self._queue, (time_ms, next(self._sequence), event))
         self._pending += 1
         return EventHandle(event, self)
 
@@ -109,8 +112,8 @@ class Simulator:
         processed = 0
         try:
             while self._queue:
-                event = self._queue[0]
-                if until_ms is not None and event.time > until_ms:
+                time_ms, _, event = self._queue[0]
+                if until_ms is not None and time_ms > until_ms:
                     break
                 if max_events is not None and processed >= max_events:
                     break
@@ -119,7 +122,7 @@ class Simulator:
                     continue
                 event.fired = True
                 self._pending -= 1
-                self._now = event.time
+                self._now = time_ms
                 event.callback()
                 processed += 1
                 self._events_processed += 1

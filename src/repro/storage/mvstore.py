@@ -55,13 +55,19 @@ class _VersionChain:
 
 
 class MultiVersionStore:
-    """Versioned key/value storage for one partition."""
+    """Versioned key/value storage for one partition.
+
+    ``initial`` is kept as a shared base layer at version ``NO_BATCH`` and is
+    never written to: a key gets its own version chain on its first write,
+    so every replica of a cluster can start from one genesis mapping.  Keys
+    iterate in base order first, then in order of their first write.
+    """
 
     def __init__(self, initial: Optional[Mapping[Key, Value]] = None) -> None:
+        self._base: Mapping[Key, Value] = initial if initial is not None else {}
         self._chains: Dict[Key, _VersionChain] = {}
-        if initial:
-            for key, value in initial.items():
-                self._chains[key] = _VersionChain(versions=[NO_BATCH], values=[value])
+        # Number of base keys that own a chain (which shadows the base entry).
+        self._shadowed = 0
 
     # -- writes -------------------------------------------------------------
 
@@ -72,18 +78,34 @@ class MultiVersionStore:
         for key, value in writes.items():
             chain = self._chains.get(key)
             if chain is None:
-                chain = _VersionChain(versions=[], values=[])
+                if key in self._base:
+                    chain = _VersionChain(versions=[NO_BATCH], values=[self._base[key]])
+                    self._shadowed += 1
+                else:
+                    chain = _VersionChain(versions=[], values=[])
                 self._chains[key] = chain
             chain.append(batch, value)
 
     def preload(self, items: Mapping[Key, Value]) -> None:
         """Load initial data at the reserved pre-history version."""
         for key, value in items.items():
-            if key in self._chains:
+            if key in self:
                 raise StorageError(f"key {key!r} already preloaded")
             self._chains[key] = _VersionChain(versions=[NO_BATCH], values=[value])
 
     # -- checkpointing support ----------------------------------------------
+
+    def _iter_as_of(self, batch: BatchNumber) -> Iterator[Tuple[Key, BatchNumber, Value]]:
+        """``(key, version, value)`` of every key visible at ``batch``."""
+        chains = self._chains
+        for key in self.keys():
+            chain = chains.get(key)
+            if chain is not None:
+                versioned = chain.as_of(batch)
+                if versioned is not None:
+                    yield key, versioned.version, versioned.value
+            elif batch >= NO_BATCH:
+                yield key, NO_BATCH, self._base[key]
 
     def snapshot_image(self, batch: BatchNumber) -> Dict[Key, Tuple[BatchNumber, Value]]:
         """Latest ``(version, value)`` of every key visible at ``batch``.
@@ -93,16 +115,11 @@ class MultiVersionStore:
         replica restored from the image answers ``version_of``/``as_of``
         queries identically to one that processed the whole log.
         """
-        image: Dict[Key, Tuple[BatchNumber, Value]] = {}
-        for key, chain in self._chains.items():
-            versioned = chain.as_of(batch)
-            if versioned is not None:
-                image[key] = (versioned.version, versioned.value)
-        return image
+        return {key: (version, value) for key, version, value in self._iter_as_of(batch)}
 
     def restore_image(self, image: Mapping[Key, Tuple[BatchNumber, Value]]) -> None:
         """Rebuild an empty store from a checkpoint image (one version per key)."""
-        if self._chains:
+        if self._chains or self._base:
             raise StorageError("restore_image requires an empty store")
         for key, (version, value) in image.items():
             self._chains[key] = _VersionChain(versions=[version], values=[value])
@@ -125,34 +142,47 @@ class MultiVersionStore:
 
     def max_chain_length(self) -> int:
         """Length of the longest version chain (0 for an empty store)."""
-        return max((len(chain.versions) for chain in self._chains.values()), default=0)
+        # With no chain at all, every base key holds exactly its one version.
+        unwritten = 1 if self._base else 0
+        return max((len(chain.versions) for chain in self._chains.values()), default=unwritten)
 
     def total_versions(self) -> int:
         """Total number of stored versions across all keys."""
-        return sum(len(chain.versions) for chain in self._chains.values())
+        unwritten = len(self._base) - self._shadowed
+        return unwritten + sum(len(chain.versions) for chain in self._chains.values())
 
     # -- reads --------------------------------------------------------------
 
     def __contains__(self, key: Key) -> bool:
-        return key in self._chains
+        return key in self._chains or key in self._base
 
     def __len__(self) -> int:
-        return len(self._chains)
+        return len(self._base) - self._shadowed + len(self._chains)
 
     def keys(self) -> Iterable[Key]:
-        return self._chains.keys()
+        if not self._base:
+            return self._chains.keys()
+        if len(self._chains) == self._shadowed:
+            return self._base.keys()
+        base = self._base
+        return [*base, *(key for key in self._chains if key not in base)]
+
+    def _unwritten(self, key: Key) -> Optional[VersionedValue]:
+        """The base layer's answer for a key that owns no chain."""
+        if key in self._base:
+            return VersionedValue(value=self._base[key], version=NO_BATCH)
+        return None
 
     def latest(self, key: Key) -> VersionedValue:
         chain = self._chains.get(key)
-        if chain is None:
+        versioned = chain.latest() if chain is not None else self._unwritten(key)
+        if versioned is None:
             raise UnknownKeyError(key)
-        return chain.latest()
+        return versioned
 
     def get(self, key: Key) -> Optional[VersionedValue]:
         chain = self._chains.get(key)
-        if chain is None:
-            return None
-        return chain.latest()
+        return chain.latest() if chain is not None else self._unwritten(key)
 
     def version_of(self, key: Key) -> BatchNumber:
         """Latest visible version of ``key`` (``NO_BATCH`` for unknown keys)."""
@@ -164,13 +194,15 @@ class MultiVersionStore:
     def as_of(self, key: Key, batch: BatchNumber) -> Optional[VersionedValue]:
         """Value of ``key`` as of batch ``batch`` (inclusive)."""
         chain = self._chains.get(key)
-        if chain is None:
-            return None
-        return chain.as_of(batch)
+        if chain is not None:
+            return chain.as_of(batch)
+        return self._unwritten(key) if batch >= NO_BATCH else None
 
     def snapshot_latest(self) -> Dict[Key, Value]:
         """Materialise the latest visible value of every key."""
-        return {key: chain.values[-1] for key, chain in self._chains.items()}
+        latest = dict(self._base)
+        latest.update((key, chain.values[-1]) for key, chain in self._chains.items())
+        return latest
 
     def iter_items_as_of(self, batch: BatchNumber) -> Iterator[Tuple[Key, Value]]:
         """Iterate the ``(key, value)`` pairs visible at batch ``batch``.
@@ -178,10 +210,8 @@ class MultiVersionStore:
         The streaming primitive behind :meth:`snapshot_as_of`; use it
         directly when a single pass suffices and no dict is needed.
         """
-        for key, chain in self._chains.items():
-            versioned = chain.as_of(batch)
-            if versioned is not None:
-                yield key, versioned.value
+        for key, _, value in self._iter_as_of(batch):
+            yield key, value
 
     def snapshot_as_of(self, batch: BatchNumber) -> Dict[Key, Value]:
         """Materialise the state visible at batch ``batch``."""
@@ -190,6 +220,8 @@ class MultiVersionStore:
     def history(self, key: Key) -> Tuple[Tuple[BatchNumber, Value], ...]:
         """Full version history of ``key`` (oldest first)."""
         chain = self._chains.get(key)
-        if chain is None:
-            raise UnknownKeyError(key)
-        return tuple(zip(chain.versions, chain.values))
+        if chain is not None:
+            return tuple(zip(chain.versions, chain.values))
+        if key in self._base:
+            return ((NO_BATCH, self._base[key]),)
+        raise UnknownKeyError(key)

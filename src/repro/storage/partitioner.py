@@ -27,6 +27,9 @@ class HashPartitioner:
         if num_partitions < 1:
             raise ConfigurationError("num_partitions must be >= 1")
         self._num_partitions = num_partitions
+        # Placement is a pure function of the key: hash each key once
+        # (bounded by the key space).
+        self._placement: Dict[Key, PartitionId] = {}
 
     @property
     def num_partitions(self) -> int:
@@ -34,8 +37,12 @@ class HashPartitioner:
 
     def partition_of(self, key: Key) -> PartitionId:
         """Partition owning ``key``."""
-        digest = hashlib.blake2s(key.encode("utf-8"), digest_size=8).digest()
-        return int.from_bytes(digest, "big") % self._num_partitions
+        partition = self._placement.get(key)
+        if partition is None:
+            digest = hashlib.blake2s(key.encode("utf-8"), digest_size=8).digest()
+            partition = int.from_bytes(digest, "big") % self._num_partitions
+            self._placement[key] = partition
+        return partition
 
     def group_keys(self, keys: Iterable[Key]) -> Dict[PartitionId, Set[Key]]:
         """Group ``keys`` by owning partition."""

@@ -147,6 +147,48 @@ class TestMerkleProperties:
         assert MerkleTree(mutated).root != tree.root
 
 
+class TestSharedGenesis:
+    """Replicas of one cluster start from clones of one prototype tree."""
+
+    def test_clone_hashes_nothing_and_equals_its_prototype(self, monkeypatch):
+        prototype = MerkleTree(make_items(9))
+        builds = []
+        monkeypatch.setattr(MerkleTree, "__init__", lambda self, items: builds.append(items))
+        twin = prototype.clone()
+        assert builds == []  # a clone is not a build
+        assert twin.root == prototype.root and twin.keys() == prototype.keys()
+        assert twin.prove("key-004") == prototype.prove("key-004")
+
+    def test_update_on_one_clone_leaves_sibling_and_prototype_untouched(self):
+        items = make_items(9)
+        prototype = MerkleTree(items)
+        genesis_root, genesis_proof = prototype.root, prototype.prove("key-004")
+        left, right = prototype.clone(), prototype.clone()
+
+        left.update_values({"key-004": b"left"})
+        assert left.root == MerkleTree({**items, "key-004": b"left"}).root
+        for untouched in (right, prototype):
+            assert untouched.root == genesis_root
+            assert untouched.prove("key-004") == genesis_proof
+            assert verify_proof(genesis_root, "key-004", items["key-004"], genesis_proof)
+
+    def test_new_key_rebuilds_only_the_store_that_inserted_it(self):
+        items = make_items(6)
+        prototype = MerkleTree(items)
+        left = MerkleStore(items, tree=prototype.clone())
+        right = MerkleStore(items, tree=prototype.clone())
+        right_tree = right.tree
+
+        left.apply({"zzz-new": b"fresh"})
+        assert left.root == MerkleTree({**items, "zzz-new": b"fresh"}).root
+        assert "zzz-new" in left and len(left) == 7
+        # The sibling keeps its own tree object, still over the six shared leaves.
+        assert right.tree is right_tree and right.root == prototype.root
+        assert "zzz-new" not in right and len(right) == 6 and right.get("zzz-new") is None
+        assert prototype.keys() == tuple(sorted(items))
+        assert items == make_items(6)  # the shared base is never written through
+
+
 class TestIncrementalUpdates:
     def test_update_values_matches_rebuild(self):
         items = make_items(13)

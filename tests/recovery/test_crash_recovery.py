@@ -81,6 +81,11 @@ class TestCrashRecovery:
         assert recovered.log.first_seq == 0  # full replay, nothing truncated
         assert recovered.log.last_seq == leader.log.last_seq
         assert recovered.merkle.root == leader.merkle.root
+        # The cluster's one shared genesis image survived the wipe: every
+        # member (the restarted one included) still holds that same object.
+        images = [r.checkpoints.snapshots.genesis for r in system.cluster_replicas(0)]
+        assert all(image is images[0] for image in images)
+        assert {image.digest() for image in images} == {images[0].digest()}
 
     def test_recovered_replica_serves_verified_read_only_snapshots(self):
         system = make_system(interval=5)

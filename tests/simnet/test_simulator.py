@@ -26,6 +26,22 @@ class TestScheduling:
         sim.run_until_idle()
         assert order == [0, 1, 2, 3, 4]
 
+    def test_equal_time_events_from_every_entry_point_keep_insertion_order(self):
+        # Heap entries are (time, sequence, event) tuples: a tie on time must
+        # be settled by the sequence alone, never by comparing the events.
+        sim = Simulator()
+        order = []
+
+        def first():
+            order.append("first")
+            sim.schedule(0.0, lambda: order.append("child"))  # same instant, queued last
+
+        sim.schedule_at(1.0, first)
+        sim.schedule(1.0, lambda: order.append("second"))
+        sim.schedule_at(1.0, lambda: order.append("third"))
+        sim.run_until_idle()
+        assert order == ["first", "second", "third", "child"]
+
     def test_clock_advances_to_event_time(self):
         sim = Simulator()
         seen = []
@@ -77,6 +93,20 @@ class TestCancellation:
         sim.run_until_idle()
         assert hits == ["yes"]
         assert handle.cancelled
+
+    def test_cancelled_head_events_are_skipped_for_free(self):
+        sim = Simulator()
+        hits = []
+        heads = [sim.schedule(1.0, lambda: hits.append("dead")) for _ in range(3)]
+        sim.schedule(2.0, lambda: hits.append("live"))
+        for handle in heads:
+            handle.cancel()
+        # Skipped heads neither count against the budget nor move the clock.
+        assert sim.run(max_events=1) == 1
+        assert hits == ["live"]
+        assert sim.now == 2.0
+        assert sim.events_processed == 1
+        assert sim.pending_events == 0
 
     def test_cancel_after_fire_is_noop(self):
         sim = Simulator()
