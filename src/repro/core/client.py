@@ -149,8 +149,9 @@ class TransEdgeClient(ProcessNode):
                 policy=self.config.edge.routing,
             )
         # Proactive leader failover: requests in flight towards a partition's
-        # leader, re-sent to the successor the moment a view change lands in
-        # the topology (instead of waiting out the request timeout).
+        # leader (an entry leaves when its wait settles), re-sent to the
+        # successor the moment a view change lands in the topology (instead
+        # of waiting out the request timeout).
         self._pending_leader_requests: Dict[str, Tuple[PartitionId, RequestMessage]] = {}
         if self.config.failover.enabled:
             topology.subscribe_leader_changes(self._on_leader_change)
@@ -181,15 +182,11 @@ class TransEdgeClient(ProcessNode):
     ) -> Call:
         """A :class:`Call` to ``partition``'s leader, tracked for failover."""
         if self.config.failover.enabled:
-            if len(self._pending_leader_requests) > 64:
-                # Lazy GC: answered requests leave no wait behind.
-                self._pending_leader_requests = {
-                    request_id: entry
-                    for request_id, entry in self._pending_leader_requests.items()
-                    if request_id in self._waits_by_request
-                }
             self._pending_leader_requests[request.request_id] = (partition, request)
         return Call(self._leader_of(partition), request, timeout_ms=timeout_ms)
+
+    def on_request_settled(self, request_id: str) -> None:
+        self._pending_leader_requests.pop(request_id, None)
 
     def _on_leader_change(self, partition: PartitionId, leader: ReplicaId) -> None:
         """The cluster rotated: re-send pending requests to the new leader.
@@ -200,14 +197,7 @@ class TransEdgeClient(ProcessNode):
         decision records (see ``LeaderRole._answer_duplicate_commit_request``)
         rather than re-admitting them.
         """
-        finished = [
-            request_id
-            for request_id in self._pending_leader_requests
-            if request_id not in self._waits_by_request
-        ]
-        for request_id in finished:
-            del self._pending_leader_requests[request_id]
-        for request_id, (target, request) in list(self._pending_leader_requests.items()):
+        for target, request in list(self._pending_leader_requests.values()):
             if target == partition:
                 self.stats.leader_failovers += 1
                 self.send(leader, request)

@@ -290,7 +290,9 @@ class LeaderRole:
             self._reply_abort(txn, waiting, "coordinator partition not accessed by transaction")
             return
 
-        report = self._replica.conflict_checker().check(txn, self._admission_indexes())
+        checker = self._replica.conflict_checker()
+        footprint = checker.footprint(txn)
+        report = checker.check(txn, self._admission_indexes(), footprint=footprint)
         if not report.ok:
             self._reply_abort(txn, waiting, report.reason)
             return
@@ -300,7 +302,7 @@ class LeaderRole:
 
         self._waiting_clients[txn.txn_id] = waiting
         self._obs_admit(txn.txn_id, message)
-        self._in_progress_index.add(txn)
+        self._in_progress_index.add(txn, footprint)
         self._acquire_write_locks(txn)
         if len(accessed) == 1:
             self._in_progress_local.append(txn)
@@ -415,7 +417,9 @@ class LeaderRole:
         ):
             return
 
-        report = self._replica.conflict_checker().check(txn, self._admission_indexes())
+        checker = self._replica.conflict_checker()
+        footprint = checker.footprint(txn)
+        report = checker.check(txn, self._admission_indexes(), footprint=footprint)
         interference = self._lock_interference(txn)
         if not report.ok or interference:
             if interference:
@@ -432,7 +436,7 @@ class LeaderRole:
             txn=txn, coordinator=message.coordinator
         )
         self._obs_participant_admit(txn.txn_id, message)
-        self._in_progress_index.add(txn)
+        self._in_progress_index.add(txn, footprint)
         self._acquire_write_locks(txn)
         self._in_progress_prepared.append(
             PreparedRecord(txn=txn, coordinator=message.coordinator)
@@ -736,10 +740,11 @@ class LeaderRole:
 
         checker = replica.conflict_checker()
         for txn in self._in_progress_local:
-            report = checker.check(txn, seal_indexes)
+            footprint = checker.footprint(txn)
+            report = checker.check(txn, seal_indexes, footprint=footprint)
             if report.ok and not self._lock_interference(txn):
                 local_txns.append(txn)
-                accepted_index.add(txn)
+                accepted_index.add(txn, footprint)
                 self._obs_seal(txn.txn_id)
             else:
                 self._release_write_locks(txn.txn_id)
@@ -748,10 +753,11 @@ class LeaderRole:
                     reason = report.reason or "read-lock interference with a read-only transaction"
                     self._reply_abort(txn, waiting, reason)
         for record in self._in_progress_prepared:
-            report = checker.check(record.txn, seal_indexes)
+            footprint = checker.footprint(record.txn)
+            report = checker.check(record.txn, seal_indexes, footprint=footprint)
             if report.ok and not self._lock_interference(record.txn):
                 prepared_records.append(record)
-                accepted_index.add(record.txn)
+                accepted_index.add(record.txn, footprint)
                 self._obs_seal(record.txn.txn_id)
             else:
                 self._drop_prepared_record(record, report.reason)

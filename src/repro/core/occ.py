@@ -89,10 +89,13 @@ def stale_read_check(
     partition: PartitionId,
     partitioner: HashPartitioner,
     store: MultiVersionStore,
+    footprint: Optional[Footprint] = None,
 ) -> Optional[Key]:
     """Rule 1: return the first stale read key, or ``None`` when all are fresh."""
-    for key, version in txn.reads_in(partition, partitioner).items():
-        if store.version_of(key) != version:
+    if footprint is None:
+        footprint = Footprint.of(txn, partition, partitioner)
+    for key, version in txn.reads.items():  # the transaction's own order, not the set's
+        if key in footprint.reads and store.version_of(key) != version:
             return key
     return None
 
@@ -135,11 +138,16 @@ class KeyConflictIndex:
         self._writers.clear()
         self._footprints.clear()
 
-    def add(self, txn: TxnPayload) -> None:
-        """Index ``txn``'s local footprint (no-op when already present)."""
+    def add(self, txn: TxnPayload, footprint: Optional[Footprint] = None) -> None:
+        """Index ``txn``'s local footprint (no-op when already present).
+
+        ``footprint``, here and in :meth:`first_conflict`, is ``txn``'s
+        footprint in this index's partition when the caller already split it.
+        """
         if txn.txn_id in self._footprints:
             return
-        footprint = Footprint.of(txn, self._partition, self._partitioner)
+        if footprint is None:
+            footprint = Footprint.of(txn, self._partition, self._partitioner)
         self._footprints[txn.txn_id] = footprint
         for key in footprint.reads:
             self._readers.setdefault(key, set()).add(txn.txn_id)
@@ -163,9 +171,12 @@ class KeyConflictIndex:
                 if not owners:
                     del self._writers[key]
 
-    def first_conflict(self, txn: TxnPayload) -> Optional[str]:
+    def first_conflict(
+        self, txn: TxnPayload, footprint: Optional[Footprint] = None
+    ) -> Optional[str]:
         """Id of some indexed transaction conflicting with ``txn`` (or None)."""
-        footprint = Footprint.of(txn, self._partition, self._partitioner)
+        if footprint is None:
+            footprint = Footprint.of(txn, self._partition, self._partitioner)
         for key in footprint.writes:
             for owner in self._writers.get(key, ()):
                 if owner != txn.txn_id:
@@ -198,28 +209,38 @@ class ConflictChecker:
         self._partitioner = partitioner
         self._store = store
 
+    def footprint(self, txn: TxnPayload) -> Footprint:
+        """``txn``'s key sets in this partition: split once, then handed to
+        :meth:`check` and to :meth:`KeyConflictIndex.add`."""
+        return Footprint.of(txn, self._partition, self._partitioner)
+
     def check(
         self,
         txn: TxnPayload,
         indexes: Sequence[KeyConflictIndex] = (),
         pending: Iterable[Tuple[str, TxnPayload]] = (),
+        footprint: Optional[Footprint] = None,
     ) -> ConflictReport:
         """Validate ``txn``.
 
         ``indexes`` is the fast path; ``pending`` accepts explicit
         ``(origin, transaction)`` pairs for callers (and tests) that do not
-        maintain an index.
+        maintain an index.  ``footprint`` is :meth:`footprint` of ``txn``
+        when the caller already split it (computed here otherwise).
         """
-        stale_key = stale_read_check(txn, self._partition, self._partitioner, self._store)
+        if footprint is None:
+            footprint = self.footprint(txn)
+        stale_key = stale_read_check(
+            txn, self._partition, self._partitioner, self._store, footprint
+        )
         if stale_key is not None:
             return ConflictReport.reject(
                 reason=f"stale read of key {stale_key!r} (overwritten by a previous batch)"
             )
-        footprint = Footprint.of(txn, self._partition, self._partitioner)
         if footprint.is_empty():
             return ConflictReport.accept()
         for index in indexes:
-            conflicting = index.first_conflict(txn)
+            conflicting = index.first_conflict(txn, footprint)
             if conflicting is not None:
                 return ConflictReport.reject(
                     reason=f"conflicts with pending transaction {conflicting}",

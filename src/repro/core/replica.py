@@ -359,7 +359,9 @@ class PartitionReplica(SimNode):
         self._header_lces: List[BatchNumber] = []
         self._header_numbers: List[BatchNumber] = []
         self.last_header: Optional[CertifiedHeader] = None
-        self._expected_cache: Dict[bytes, Dict[Key, Value]] = {}
+        # Visible writes of every proposal validated and not yet delivered,
+        # by batch digest, with the proposal's sequence number.
+        self._expected_cache: Dict[bytes, Tuple[int, Dict[Key, Value]]] = {}
         self._deferred_snapshots: List[Tuple[SnapshotRequest, NodeId]] = []
         # Durable 2PC outcomes: every commit/abort record this replica has
         # delivered, keyed by transaction id (pruned with the checkpoint
@@ -553,14 +555,11 @@ class PartitionReplica(SimNode):
         checker = self.conflict_checker()
         batch_index = KeyConflictIndex(self.partition, self.partitioner)
         indexes = (batch_index, self.prepared_index)
-        for txn in batch.local_txns:
-            if not checker.check(txn, indexes).ok:
+        for txn in (*batch.local_txns, *(record.txn for record in batch.prepared)):
+            footprint = checker.footprint(txn)
+            if not checker.check(txn, indexes, footprint=footprint).ok:
                 return False
-            batch_index.add(txn)
-        for record in batch.prepared:
-            if not checker.check(record.txn, indexes).ok:
-                return False
-            batch_index.add(record.txn)
+            batch_index.add(txn, footprint)
 
         if not self._validate_committed_segment(batch):
             return False
@@ -575,7 +574,7 @@ class PartitionReplica(SimNode):
         expected_root = self._preview_root(updates)
         if batch.read_only.merkle_root != expected_root:
             return False
-        self._expected_cache[batch.digest()] = updates
+        self._expected_cache[batch.digest()] = (seq, updates)
         return True
 
     def _validate_committed_segment(self, batch: Batch) -> bool:
@@ -764,9 +763,13 @@ class PartitionReplica(SimNode):
         leader-role and deferred-snapshot reactions differ between the two.
         """
         self.log.append(seq, batch, certificate)
-        updates = self._expected_cache.pop(batch.digest(), None)
-        if updates is None:
-            updates = batch.visible_writes(self.partitioner)
+        validated = self._expected_cache.pop(batch.digest(), None)
+        updates = validated[1] if validated else batch.visible_writes(self.partitioner)
+        if self._expected_cache:
+            # Proposals a view change or re-proposal superseded never arrive.
+            self._expected_cache = {
+                digest: entry for digest, entry in self._expected_cache.items() if entry[0] > seq
+            }
         if updates:
             self.store.apply(updates, batch=seq)
         self.merkle.apply(updates, batch=seq)

@@ -246,7 +246,12 @@ class MerkleTreeArchive:
     # -- recording (called by MerkleStore before each mutation) ---------------
 
     def record_delta(self, new_batch: BatchNumber, delta: ReverseDelta) -> None:
-        """Archive the current state as a reverse delta, superseded by ``new_batch``."""
+        """Archive the current state as a reverse delta, superseded by ``new_batch``.
+
+        ``delta`` may be the path overlay that is about to be installed:
+        :meth:`MerkleTree.install` swaps its cells for the superseded ones in
+        place, and nothing reads a record between the two calls.
+        """
         if self._append(_Record(batch=self._current_batch, delta=delta), new_batch):
             self.deltas_recorded += 1
 

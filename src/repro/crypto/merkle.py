@@ -1,24 +1,28 @@
 """Merkle tree authenticated data structure (ADS).
 
 TransEdge certifies the integrity of committed data with a Merkle tree per
-partition: all replicas of a cluster recompute the tree while processing a
-batch, the root is agreed on through the BFT layer, and read-only clients
-verify returned values against the agreed root using membership proofs
-(Sections 3.4 and 4.1/4.2 of the paper).
+partition: every replica of a cluster computes the tree's new root while
+processing a batch — once per batch — the root is agreed on through the BFT
+layer, and read-only clients verify returned values against the agreed root
+using membership proofs (Sections 3.4 and 4.1/4.2 of the paper).
 
 The tree is built over the partition's key/value map: leaves are
 ``H(key || H(value))`` in sorted key order, internal nodes are
-``H(left || right)``.  An odd node at any level is promoted unchanged.  The
-implementation favours clarity over asymptotic cleverness.  A partition's
-genesis tree is built once and every replica starts from a
-:meth:`MerkleTree.clone` of it; applying a batch's write-sets recomputes only
-the root paths of the written keys (a brand-new key shifts leaf positions
-and rebuilds the tree), and the store's archive answers for the tree of any
-recent batch when a read-only client asks for an older snapshot in round two.
+``H(left || right)``.  An odd node at any level is promoted unchanged.  A
+partition's genesis tree is built once and every replica starts from a
+:meth:`MerkleTree.clone` of it.  A batch's write-sets change only the root
+paths of the written keys: :meth:`MerkleTree.path_overlay` hashes those paths
+without touching the tree (the root a replica checks before voting),
+:class:`MerkleStore` keeps that one result until the batch is delivered, and
+:meth:`MerkleTree.install` swaps it in; the cells swapped out are the reverse
+delta the store's archive keeps to answer for the tree of any recent batch
+when a read-only client asks for an older snapshot in round two.  A brand-new
+key shifts leaf positions and rebuilds the tree.
 """
 
 from __future__ import annotations
 
+import hashlib
 from collections import ChainMap
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -27,22 +31,29 @@ from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Seque
 from repro.common.errors import ProofError
 from repro.common.ids import NO_BATCH, BatchNumber
 from repro.common.types import Key, Value
-from repro.crypto.hashing import Digest, sha256
+from repro.crypto.hashing import Digest
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (archive imports merkle)
     from repro.crypto.archive import HistoricalTreeView, MerkleTreeArchive
 
+# Every node digest in this module goes straight to hashlib through this one
+# binding: a wrapper frame per node cost as much as the hash itself.
+_sha256 = hashlib.sha256
+
 #: Root value of a tree with no leaves.
-EMPTY_ROOT: Digest = sha256(b"transedge:empty-merkle-tree")
+EMPTY_ROOT: Digest = _sha256(b"transedge:empty-merkle-tree").digest()
+
+#: Cells of some root paths: per tree level (leaves first), node index -> digest.
+PathCells = List[Dict[int, Digest]]
 
 
 def leaf_digest(key: Key, value: Value) -> Digest:
     """Digest of one leaf: binds the key to a digest of its value."""
-    return sha256(b"L" + key.encode("utf-8") + b"\x00" + sha256(value))
+    return _sha256(b"L" + key.encode("utf-8") + b"\x00" + _sha256(value).digest()).digest()
 
 
 def _parent_digest(left: Digest, right: Digest) -> Digest:
-    return sha256(b"I" + left + right)
+    return _sha256(b"I" + left + right).digest()
 
 
 @dataclass(frozen=True)
@@ -96,12 +107,13 @@ def proof_steps(level_sizes, leaf_index, digest_at) -> Tuple[ProofStep, ...]:
 class MerkleTree:
     """A Merkle tree over a key/value mapping.
 
-    The tree supports two kinds of efficient updates for keys that are
-    *already present*: :meth:`update_values` recomputes only the affected
-    paths in place, and :meth:`root_with_updates` answers "what would the
-    root be if these values changed" without mutating anything — which is how
-    replicas validate the Merkle root a leader proposes before voting for it.
-    Inserting new keys changes leaf positions and requires a rebuild.
+    Updates to keys that are *already present* go through one kernel,
+    :meth:`path_overlay`, which hashes the affected root paths without
+    mutating anything, and one mutation, :meth:`install`.
+    :meth:`root_with_updates` is the kernel alone — how replicas validate the
+    Merkle root a leader proposes before voting for it — and
+    :meth:`update_values` is kernel plus install.  Inserting new keys changes
+    leaf positions and requires a rebuild.
     """
 
     def __init__(self, items: Mapping[Key, Value]) -> None:
@@ -147,91 +159,68 @@ class MerkleTree:
 
     def covers(self, keys: Iterable[Key]) -> bool:
         """True when every key in ``keys`` is already a leaf of this tree."""
-        return all(key in self._index for key in keys)
+        return all(map(self._index.__contains__, keys))
 
-    def _recompute_parents(self, level_index: int, dirty: "set[int]", overlay=None) -> "set[int]":
-        """Compute the dirty parent digests one level up.
+    def path_overlay(self, updates: Mapping[Key, Value]) -> PathCells:
+        """The digests the root paths of ``updates`` would take; nothing mutates.
 
-        When ``overlay`` is ``None`` the tree is mutated in place; otherwise
-        digests are read through/written to the overlay dictionaries and the
-        stored levels stay untouched.
+        ``updates`` must be non-empty and only name keys already in the tree.
+        The last level of the result holds the would-be root at index 0.
+        Cost is O(len(updates) · log K) hashes — the only place a batch's
+        Merkle delta is hashed.
         """
-        level = self._levels[level_index]
-        parent_level = self._levels[level_index + 1]
-        read_level = level if overlay is None else overlay[level_index]
-        parents_dirty: "set[int]" = set()
-        for index in dirty:
-            parent_index = index // 2
-            if parent_index in parents_dirty:
-                continue
-            left_index = parent_index * 2
-            right_index = left_index + 1
+        sha256 = _sha256
+        try:
+            cells = {self._index[key]: leaf_digest(key, value) for key, value in updates.items()}
+        except KeyError:
+            raise ProofError("only keys already in the tree can be updated in place") from None
+        overlay = [cells]
+        for level in self._levels[:-1]:
+            size = len(level)
+            parents: Dict[int, Digest] = {}
+            for index in cells:
+                parent = index >> 1
+                if parent in parents:
+                    continue
+                left = index & -2
+                right = left + 1
+                if right == size:  # odd node: promoted unchanged
+                    parents[parent] = cells[left]
+                    continue
+                parents[parent] = sha256(  # _parent_digest, inlined: one frame per node
+                    b"I"
+                    + (cells[left] if left in cells else level[left])
+                    + (cells[right] if right in cells else level[right])
+                ).digest()
+            overlay.append(parents)
+            cells = parents
+        return overlay
 
-            def digest_at(i: int) -> Digest:
-                if overlay is not None and i in overlay[level_index]:
-                    return overlay[level_index][i]
-                return level[i]
+    def install(self, overlay: PathCells) -> PathCells:
+        """Swap ``overlay``'s cells into the tree; return the superseded cells.
 
-            if right_index < len(level):
-                parent = _parent_digest(digest_at(left_index), digest_at(right_index))
-            else:
-                parent = digest_at(left_index)
-            if overlay is None:
-                parent_level[parent_index] = parent
-            else:
-                overlay[level_index + 1][parent_index] = parent
-            parents_dirty.add(parent_index)
-        return parents_dirty
+        The swap is in place on both sides: on return the dictionaries of
+        ``overlay`` (the same list is returned) hold the digests the tree had
+        before, i.e. the reverse delta that restores it — the raw material of
+        :class:`~repro.crypto.archive.MerkleTreeArchive`.
+        """
+        for level, cells in zip(self._levels, overlay):
+            for index, digest in cells.items():
+                cells[index] = level[index]
+                level[index] = digest
+        return overlay
 
     def update_values(self, updates: Mapping[Key, Value]) -> Digest:
         """Update the values of existing keys in place and return the new root."""
-        if not updates:
-            return self.root
-        if not self.covers(updates):
-            raise ProofError("update_values only handles keys already in the tree")
-        dirty = set()
-        for key, value in updates.items():
-            index = self._index[key]
-            self._levels[0][index] = leaf_digest(key, value)
-            dirty.add(index)
-        for level_index in range(len(self._levels) - 1):
-            dirty = self._recompute_parents(level_index, dirty)
+        if updates:
+            self.install(self.path_overlay(updates))
         return self.root
 
     def root_with_updates(self, updates: Mapping[Key, Value]) -> Digest:
         """Root the tree *would* have after ``updates``, without mutating it."""
         if not updates:
             return self.root
-        if not self.covers(updates):
-            raise ProofError("root_with_updates only handles keys already in the tree")
-        overlay: List[Dict[int, Digest]] = [dict() for _ in self._levels]
-        dirty = set()
-        for key, value in updates.items():
-            index = self._index[key]
-            overlay[0][index] = leaf_digest(key, value)
-            dirty.add(index)
-        for level_index in range(len(self._levels) - 1):
-            dirty = self._recompute_parents(level_index, dirty, overlay=overlay)
-        top = overlay[-1]
-        if 0 in top:
-            return top[0]
-        return self.root
-
-    def capture_paths(self, keys: Iterable[Key]) -> List[Dict[int, Digest]]:
-        """Snapshot the digests on the root paths of ``keys``, level by level.
-
-        This is exactly the cell set :meth:`update_values` overwrites for the
-        same keys, so the result is the reverse delta that restores this tree
-        after such an update — the raw material of
-        :class:`~repro.crypto.archive.MerkleTreeArchive`.  Cost is
-        O(len(keys) · log K).
-        """
-        dirty = {self._index[key] for key in keys}
-        snapshot: List[Dict[int, Digest]] = []
-        for level in self._levels:
-            snapshot.append({index: level[index] for index in dirty})
-            dirty = {index // 2 for index in dirty}
-        return snapshot
+        return self.path_overlay(updates)[-1][0]
 
     def __len__(self) -> int:
         return len(self._keys)
@@ -275,6 +264,23 @@ def verify_proof(root: Digest, key: Key, value: Value, proof: MerkleProof) -> bo
     return digest == root
 
 
+@dataclass(frozen=True)
+class _PreparedUpdate:
+    """What :meth:`MerkleStore.preview_root` computed, kept for the matching apply."""
+
+    updates: Dict[Key, Value]
+    #: The tree it was computed against and that tree's root at the time
+    #: (an in-place update keeps the object and moves the root).
+    base: "MerkleTree"
+    base_root: Digest
+    #: Root the store will have once ``updates`` are applied.
+    root: Digest
+    #: Existing keys only: the path cells to install into ``base``.
+    overlay: Optional[PathCells] = None
+    #: Some key is new: the rebuilt tree that replaces ``base``.
+    rebuilt: Optional["MerkleTree"] = None
+
+
 class MerkleStore:
     """A key/value map together with its current Merkle tree.
 
@@ -286,8 +292,17 @@ class MerkleStore:
     ``initial`` for this store to own (a genesis :meth:`MerkleTree.clone`),
     built here when omitted.
 
+    A replica previews a batch's root to validate it and applies the same
+    updates at delivery, so the store retains exactly one prepared update:
+    the last :meth:`preview_root`'s updates, its path overlay (or rebuilt
+    tree), and the tree object and root it was computed against.
+    :meth:`apply` installs it instead of hashing again when the updates are
+    equal and the live tree is still that object at that root, recomputes
+    otherwise, and drops it either way (a recovery reset or snapshot install
+    replaces the whole store), so at most one batch's overlay is ever held.
+
     When constructed with a :class:`~repro.crypto.archive.MerkleTreeArchive`,
-    every batch-tagged ``apply`` first archives the superseded tree state, so
+    every batch-tagged ``apply`` archives the superseded tree state, so
     :meth:`tree_at`/:meth:`prove_at` can answer round-2 snapshot reads for
     recent batches without materialising or rebuilding anything.
     """
@@ -304,6 +319,7 @@ class MerkleStore:
         self._written: Dict[Key, Value] = {}
         self._items: Mapping[Key, Value] = ChainMap(self._written, base)
         self._tree = tree if tree is not None else MerkleTree(base)
+        self._prepared: Optional[_PreparedUpdate] = None
         self._archive = archive
         if archive is not None:
             archive.reset(base_batch)
@@ -333,29 +349,65 @@ class MerkleStore:
         """Read-only live view of the store contents (no copy)."""
         return MappingProxyType(self._items)
 
+    def _prepare(self, updates: Mapping[Key, Value]) -> _PreparedUpdate:
+        """Non-empty ``updates`` hashed against the live tree — the retained
+        result when that is for equal updates on this tree at this root."""
+        tree, kept = self._tree, self._prepared
+        if (
+            kept is not None
+            and (kept.base is tree and kept.base_root == tree.root)  # still that tree, unmoved
+            and kept.updates == updates
+        ):
+            return kept
+        # ``updates`` is copied: the caller's mapping may change before the apply.
+        if tree.covers(updates):
+            overlay = tree.path_overlay(updates)
+            return _PreparedUpdate(dict(updates), tree, tree.root, overlay[-1][0], overlay=overlay)
+        rebuilt = MerkleTree({**self._items, **updates})
+        return _PreparedUpdate(dict(updates), tree, tree.root, rebuilt.root, rebuilt=rebuilt)
+
+    def preview_root(self, updates: Mapping[Key, Value]) -> Digest:
+        """Root the store would have after ``updates``, without applying them.
+
+        The result is retained (replacing any earlier preview's) for the
+        :meth:`apply` of equal updates; asking again for equal updates on an
+        unchanged tree — a leader validating its own proposal — hashes nothing.
+        """
+        if not updates:
+            return self._tree.root
+        self._prepared = self._prepare(updates)
+        return self._prepared.root
+
     def apply(self, updates: Mapping[Key, Value], batch: Optional[BatchNumber] = None) -> Digest:
         """Apply ``updates`` and return the new root.
 
         Updates to existing keys take the incremental path (only the affected
-        tree paths are recomputed); introducing a brand-new key rebuilds the
-        tree, since leaf positions shift.  ``batch`` tags the update for the
+        tree paths change); introducing a brand-new key rebuilds the tree,
+        since leaf positions shift.  A matching :meth:`preview_root`'s work
+        is installed rather than repeated.  ``batch`` tags the update for the
         archive; an untagged mutating apply clears the archive, since its
         deltas would no longer describe the live tree.
         """
         if not updates:
             return self._tree.root
-        covered = self._tree.covers(updates)
-        if self._archive is not None:
+        prepared = self._prepare(updates)
+        self._prepared = None
+        archive = self._archive
+        if archive is not None:
+            # The archive hears of a mutation before it happens (it may
+            # refuse the batch number).  It is handed the overlay itself:
+            # install() below turns those very cells into the reverse delta.
             if batch is None:
-                self._archive.invalidate()
-            elif covered:
-                self._archive.record_delta(batch, self._tree.capture_paths(updates))
+                archive.invalidate()
+            elif prepared.rebuilt is None:
+                archive.record_delta(batch, prepared.overlay)
             else:
-                self._archive.record_tree(batch, self._tree)
+                archive.record_tree(batch, self._tree)
         self._written.update(updates)
-        if covered:
-            return self._tree.update_values(updates)
-        self._tree = MerkleTree(self._items)
+        if prepared.rebuilt is None:
+            self._tree.install(prepared.overlay)
+        else:
+            self._tree = prepared.rebuilt
         return self._tree.root
 
     def tree_at(
@@ -389,16 +441,6 @@ class MerkleStore:
         if self._archive is None:
             return 0
         return self._archive.compact(keep)
-
-    def preview_root(self, updates: Mapping[Key, Value]) -> Digest:
-        """Root the store would have after ``updates``, without applying them."""
-        if not updates:
-            return self._tree.root
-        if self._tree.covers(updates):
-            return self._tree.root_with_updates(updates)
-        items = dict(self._items)
-        items.update(updates)
-        return MerkleTree(items).root
 
     def prove(self, key: Key) -> MerkleProof:
         return self._tree.prove(key)

@@ -145,6 +145,9 @@ class ProcessNode(SimNode):
     def on_process_finished(self, process: Process) -> None:
         """Hook for subclasses (e.g. workload drivers chaining transactions)."""
 
+    def on_request_settled(self, request_id: str) -> None:
+        """Hook: nothing waits on ``request_id`` any more (answered or given up)."""
+
     # -- operation execution ------------------------------------------------
 
     def _execute_operation(self, process: Process, operation: object) -> None:
@@ -195,6 +198,7 @@ class ProcessNode(SimNode):
         wait = self._waits_by_request.pop(message.request_id, None)
         if wait is None or wait.finished:
             return
+        self.on_request_settled(message.request_id)
         index = wait.remaining_ids.pop(message.request_id)
         wait.replies[index] = message
         if self._wait_satisfied(wait):
@@ -214,6 +218,7 @@ class ProcessNode(SimNode):
             wait.timer.cancel()
         for request_id in list(wait.remaining_ids):
             self._waits_by_request.pop(request_id, None)
+            self.on_request_settled(request_id)
         wait.remaining_ids.clear()
         if wait.single:
             wait.process._advance(wait.replies[0])

@@ -201,3 +201,44 @@ class TestDuplicateCommitRequests:
         keys = system.keys_of_partition(0)[:1]
         result = run_txn(client, lambda: client.read_write_txn([], {keys[0]: b"x"}))
         assert result.committed
+
+
+class TestPendingRequestTracking:
+    """``_pending_leader_requests`` holds exactly the unanswered requests."""
+
+    def test_an_entry_leaves_when_its_wait_settles(self):
+        # 100 closed-loop drivers on one client: the old lazy sweep (rebuild
+        # the whole dict on every call once it held more than 64 entries)
+        # never got it back under 64 here, and left answered requests behind.
+        system = make_system(batch=BatchConfig(max_size=50, timeout_ms=2.0), initial_keys=256)
+        client = system.create_client("many")
+        keys = system.keys_of_partition(0)[:100]
+        tracked = client._pending_leader_requests
+        committed = []
+        in_step = []
+
+        def body(key):
+            for round_number in range(2):
+                result = yield from client.read_write_txn([], {key: b"v%d" % round_number})
+                committed.append(result.committed)
+                in_step.append(set(tracked) == set(client._waits_by_request))
+
+        for key in keys:
+            client.spawn(body(key))
+        system.run_until_idle()
+
+        assert committed == [True] * 200
+        assert all(in_step)
+        assert client._pending_leader_requests is tracked  # never rebuilt
+        assert tracked == {}
+
+    def test_a_timed_out_request_leaves_too(self):
+        system = make_system()
+        client = system.create_client("w", commit_timeout_ms=300.0)
+        key = system.keys_of_partition(0)[0]
+        system.crash_replica(system.topology.leader(0))
+        # The first attempt times out against the dead leader; the complaint
+        # it raises rotates the cluster and a retry commits.
+        result = run_txn(client, lambda: client.read_write_txn([], {key: b"x"}))
+        assert result.committed and client.stats.timeouts >= 1
+        assert client._pending_leader_requests == {}

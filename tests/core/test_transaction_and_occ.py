@@ -230,3 +230,80 @@ class TestConflictChecker:
         index = KeyConflictIndex(0, partitioner)
         index.add(txn)
         assert checker.check(txn, indexes=[index]).ok
+
+
+class TestSharedFootprint:
+    """Splitting a transaction's key sets once changes no verdict.
+
+    ``check`` and ``add`` take the footprint the caller already split; the
+    reports must be those of the self-splitting calls (the parent commit's
+    only path), and the split must really happen once.
+    """
+
+    def _matrix(self, partitioner):
+        a, b, c = keys_for(partitioner, 0, 3)
+        remote = keys_for(partitioner, 1, 1)[0]
+        pending = make_transaction("pending", reads={a: NO_BATCH}, writes={b: b"1"})
+        probes = [
+            make_transaction("ww", writes={b: b"2"}),
+            make_transaction("rw", reads={b: NO_BATCH}, writes={c: b"2"}),
+            make_transaction("wr", writes={a: b"2"}),
+            make_transaction("rr", reads={a: NO_BATCH}),
+            make_transaction("disjoint", reads={c: NO_BATCH}, writes={c: b"2"}),
+            make_transaction("elsewhere", writes={remote: b"2"}),
+            make_transaction("stale", reads={c: 7, a: 7}, writes={c: b"2"}),
+            make_transaction("stale-remote-read", reads={remote: 7}, writes={c: b"2"}),
+        ]
+        return pending, probes, MultiVersionStore({key: b"v" for key in (a, b, c)})
+
+    def test_reports_match_the_self_splitting_path(self, partitioner):
+        pending, probes, store = self._matrix(partitioner)
+        checker = ConflictChecker(0, partitioner, store)
+        plain, shared = KeyConflictIndex(0, partitioner), KeyConflictIndex(0, partitioner)
+        plain.add(pending)
+        shared.add(pending, checker.footprint(pending))
+        reports = {}
+        for txn in probes:
+            footprint = checker.footprint(txn)
+            report = checker.check(txn, [shared], footprint=footprint)
+            assert report == checker.check(txn, [plain])
+            reports[txn.txn_id] = (report.ok, report.conflicting_txn)
+            if report.ok:
+                plain.add(txn)
+                shared.add(txn, footprint)
+        assert shared._footprints == plain._footprints
+        assert shared._readers == plain._readers and shared._writers == plain._writers
+        assert reports == {
+            "ww": (False, "pending"),
+            "rw": (False, "pending"),
+            "wr": (False, "pending"),
+            "rr": (True, ""),
+            "disjoint": (True, ""),
+            "elsewhere": (True, ""),
+            "stale": (False, ""),
+            "stale-remote-read": (False, "disjoint"),
+        }
+
+    def test_first_stale_key_follows_the_transactions_read_order(self, partitioner):
+        _, probes, store = self._matrix(partitioner)
+        checker = ConflictChecker(0, partitioner, store)
+        stale = next(txn for txn in probes if txn.txn_id == "stale")
+        first_read = next(iter(stale.reads))
+        assert repr(first_read) in checker.check(stale).reason
+        assert stale_read_check(stale, 0, partitioner, store) == first_read
+
+    def test_check_and_add_split_the_key_sets_once(self, partitioner, monkeypatch):
+        pending, probes, store = self._matrix(partitioner)
+        checker = ConflictChecker(0, partitioner, store)
+        batch_index, prepared_index = KeyConflictIndex(0, partitioner), KeyConflictIndex(0, partitioner)
+        prepared_index.add(pending)
+        txn = next(txn for txn in probes if txn.txn_id == "disjoint")
+        calls = []
+        real = HashPartitioner.partition_of
+        monkeypatch.setattr(
+            HashPartitioner, "partition_of", lambda self, key: (calls.append(key), real(self, key))[1]
+        )
+        footprint = checker.footprint(txn)
+        assert checker.check(txn, (batch_index, prepared_index), footprint=footprint).ok
+        batch_index.add(txn, footprint)
+        assert len(calls) == len(txn.reads) + len(txn.writes)  # over 4x that at the parent commit

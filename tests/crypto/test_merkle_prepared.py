@@ -1,0 +1,288 @@
+"""The Merkle path kernel and the store's retained prepared update.
+
+Two contracts.  The kernel (:meth:`MerkleTree.path_overlay` +
+:meth:`MerkleTree.install`) is equivalent to a rebuild, and the cells install
+swaps out are exactly the reverse delta the parent commit's separate
+``capture_paths`` walk produced.  And :class:`MerkleStore` may reuse what
+``preview_root`` computed only while that is still true of the live tree: a
+store that reuses must be indistinguishable — root, proofs, archived proofs,
+recorded deltas — from one that never does.
+"""
+
+from __future__ import annotations
+
+import pytest
+from hypothesis import settings, strategies as st
+from hypothesis.stateful import Bundle, RuleBasedStateMachine, invariant, precondition, rule
+
+from repro.common.errors import ProofError
+from repro.common.ids import NO_BATCH
+from repro.crypto.archive import MerkleTreeArchive
+from repro.crypto.merkle import MerkleStore, MerkleTree
+
+
+def make_items(n: int) -> dict:
+    return {f"key-{i:03d}": f"value-{i}".encode() for i in range(n)}
+
+
+def capture_paths(tree: MerkleTree, keys) -> list:
+    """The parent commit's reverse-delta walk, kept as the reference."""
+    dirty = {tree._index[key] for key in keys}
+    snapshot = []
+    for level in tree._levels:
+        snapshot.append({index: level[index] for index in dirty})
+        dirty = {index // 2 for index in dirty}
+    return snapshot
+
+
+class TestKernelEqualsRebuild:
+    # 1..9 leaves cover every mix of odd and even level sizes up to depth 4.
+    @pytest.mark.parametrize("size", range(1, 10))
+    def test_one_key_and_all_keys_updates(self, size):
+        items = make_items(size)
+        for keys in [[key] for key in items] + [list(items)]:
+            tree = MerkleTree(items)
+            updates = {key: b"new-" + key.encode() for key in keys}
+            rebuilt = MerkleTree({**items, **updates})
+            before = [list(level) for level in tree._levels]
+            overlay = tree.path_overlay(updates)
+            assert tree._levels == before  # the kernel mutates nothing
+            assert overlay[-1][0] == rebuilt.root == tree.root_with_updates(updates)
+            expected_delta = capture_paths(tree, keys)
+            assert tree.install(overlay) == expected_delta
+            assert tree._levels == rebuilt._levels
+
+    def test_installed_cells_are_the_parent_commits_reverse_delta(self):
+        # Pinned from ``capture_paths`` at the parent commit: five leaves, the
+        # last one an odd node promoted unchanged through two levels.
+        tree = MerkleTree(make_items(5))
+        superseded = tree.install(tree.path_overlay({"key-001": b"one", "key-004": b"four"}))
+        assert [{i: d.hex()[:16] for i, d in sorted(cells.items())} for cells in superseded] == [
+            {1: "4c0c1583e4ce8f78", 4: "1e86cd5144b22f3b"},
+            {0: "5ee764557512b645", 2: "1e86cd5144b22f3b"},
+            {0: "ad540c14b7f87b6f", 1: "1e86cd5144b22f3b"},
+            {0: "1ab13daa3abedb03"},
+        ]
+        assert tree.root.hex()[:16] == "b1b88a2b36c177ca"
+
+    def test_reinstalling_the_superseded_cells_restores_the_tree(self):
+        tree = MerkleTree(make_items(7))
+        before = [list(level) for level in tree._levels]
+        delta = tree.install(tree.path_overlay({"key-002": b"x", "key-006": b"y"}))
+        tree.install(delta)
+        assert tree._levels == before
+
+
+def count_kernel(monkeypatch) -> list:
+    calls = []
+    real = MerkleTree.path_overlay
+
+    def counting(self, updates):
+        calls.append(dict(updates))
+        return real(self, updates)
+
+    monkeypatch.setattr(MerkleTree, "path_overlay", counting)
+    return calls
+
+
+class TestPreparedUpdate:
+    U = {"key-001": b"u1", "key-005": b"u5"}
+    V = {"key-001": b"v1", "key-002": b"v2"}
+
+    def test_validated_preview_is_installed_not_rehashed(self, monkeypatch):
+        store = MerkleStore(make_items(8), archive=MerkleTreeArchive())
+        calls = count_kernel(monkeypatch)
+        root = store.preview_root(self.U)
+        assert store.preview_root(dict(self.U)) == root  # a leader's own proposal
+        assert store.apply(dict(self.U), batch=1) == root
+        assert len(calls) == 1
+        assert store.root == MerkleTree({**make_items(8), **self.U}).root
+        assert store._prepared is None  # never kept past the apply
+        assert store.tree_at(0).root == MerkleTree(make_items(8)).root
+
+    def test_preview_u_apply_v_apply_u(self):
+        store = MerkleStore(make_items(8), archive=MerkleTreeArchive())
+        store.preview_root(self.U)
+        store.apply(self.V, batch=1)
+        assert store._prepared is None
+        store.apply(self.U, batch=2)
+        assert store.root == MerkleTree({**make_items(8), **self.V, **self.U}).root
+        assert store.tree_at(1).root == MerkleTree({**make_items(8), **self.V}).root
+
+    def test_preview_u_rebuild_apply_u(self):
+        store = MerkleStore(make_items(8), archive=MerkleTreeArchive())
+        store.preview_root(self.U)
+        store.apply({"zzz-new": b"fresh"}, batch=1)  # leaf positions shift
+        store.apply(self.U, batch=2)
+        expected = MerkleTree({**make_items(8), "zzz-new": b"fresh", **self.U})
+        assert store.root == expected.root
+        assert store.prove("key-005") == expected.prove("key-005")
+
+    def test_live_tree_mutated_behind_the_stores_back(self):
+        # ``MerkleStore.tree`` hands out the mutable live tree; the store
+        # cannot see such a write, only that the root it prepared against is gone.
+        store = MerkleStore(make_items(8))
+        store.preview_root(self.U)
+        store.tree.update_values(self.V)
+        store.apply(self.U)
+        assert store.root == MerkleTree({**make_items(8), **self.V, **self.U}).root
+
+    def test_callers_mapping_changed_between_preview_and_apply(self):
+        store = MerkleStore(make_items(8))
+        updates = dict(self.U)
+        store.preview_root(updates)
+        updates["key-006"] = b"late"
+        store.apply(updates)
+        assert store.root == MerkleTree({**make_items(8), **updates}).root
+
+    def test_previewed_rebuild_is_adopted_for_new_keys(self, monkeypatch):
+        store = MerkleStore(make_items(6), archive=MerkleTreeArchive())
+        retired = store.tree
+        builds = []
+        real_init = MerkleTree.__init__
+        monkeypatch.setattr(
+            MerkleTree, "__init__", lambda self, items: (builds.append(1), real_init(self, items))[1]
+        )
+        updates = {"key-001": b"x", "zzz-new": b"fresh"}
+        root = store.preview_root(updates)
+        assert store.tree is retired and "zzz-new" not in store
+        assert store.apply(updates, batch=1) == root
+        assert len(builds) == 1  # previewed once, not rebuilt at delivery
+        assert store.root == MerkleTree({**make_items(6), **updates}).root
+        assert store.tree_at(0) is retired and store.get("zzz-new") == b"fresh"
+
+    def test_refused_batch_number_leaves_the_store_untouched(self):
+        store = MerkleStore(make_items(4), archive=MerkleTreeArchive())
+        store.apply({"key-001": b"x"}, batch=5)
+        root = store.root
+        with pytest.raises(ValueError):
+            store.apply({"key-002": b"y"}, batch=5)
+        assert store.root == root and store.get("key-002") == b"value-2"
+
+
+class ReferenceStore:
+    """The parent commit's ``MerkleStore`` semantics with nothing reused.
+
+    ``leaves`` is what the tree is over (it differs from ``items`` only after
+    a write behind the store's back); the tree is rebuilt from scratch after
+    every step and reverse deltas come from the reference walk above.
+    """
+
+    def __init__(self, items: dict) -> None:
+        self.items = dict(items)
+        self.leaves = dict(items)
+        self.tree = MerkleTree(self.leaves)
+        self.archive = MerkleTreeArchive()
+        self.archive.reset(NO_BATCH)
+
+    def preview_root(self, updates: dict) -> bytes:
+        base = self.leaves if self.tree.covers(updates) else self.items
+        return MerkleTree({**base, **updates}).root
+
+    def apply(self, updates: dict, batch=None) -> bytes:
+        covered = self.tree.covers(updates)
+        if batch is None:
+            self.archive.invalidate()
+        elif covered:
+            self.archive.record_delta(batch, capture_paths(self.tree, updates))
+        else:
+            self.archive.record_tree(batch, self.tree)
+        self.items.update(updates)
+        if covered:
+            self.leaves.update(updates)
+        else:
+            self.leaves = dict(self.items)
+        self.tree = MerkleTree(self.leaves)
+        return self.tree.root
+
+    def write_behind(self, updates: dict) -> None:
+        self.leaves.update(updates)
+        self.tree = MerkleTree(self.leaves)
+
+
+KEYS = sorted(make_items(11)) + ["new-a", "new-b", "new-c"]
+updates_strategy = st.dictionaries(
+    st.sampled_from(KEYS), st.binary(min_size=1, max_size=2), min_size=1, max_size=4
+)
+
+
+class PreparedUpdateMachine(RuleBasedStateMachine):
+    """Random preview / apply / untagged apply / insert / write-behind runs.
+
+    Update sets come from a bundle, so the same set is previewed, applied and
+    applied again in every order — *preview U, apply V, apply U* and
+    *preview U, insert, apply U* included.
+    """
+
+    update_sets = Bundle("update_sets")
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.store = MerkleStore(make_items(11), archive=MerkleTreeArchive())
+        self.reference = ReferenceStore(make_items(11))
+        self.batch = 0
+        self.previewed = None
+
+    @rule(target=update_sets, updates=updates_strategy)
+    def new_update_set(self, updates):
+        return updates
+
+    @rule(updates=update_sets)
+    def preview(self, updates):
+        assert self.store.preview_root(dict(updates)) == self.reference.preview_root(updates)
+        self.previewed = updates
+
+    @precondition(lambda self: self.previewed is not None)
+    @rule(tagged=st.booleans())
+    def apply_what_was_previewed(self, tagged):
+        # What a replica does at delivery — after anything else has happened.
+        self.apply(self.previewed, tagged)
+
+    @rule(updates=update_sets, tagged=st.booleans())
+    def apply(self, updates, tagged):
+        self.batch += 1
+        batch = self.batch if tagged else None
+        assert self.store.apply(dict(updates), batch=batch) == self.reference.apply(updates, batch)
+        assert self.store._prepared is None
+
+    @rule(updates=update_sets)
+    def write_behind_the_stores_back(self, updates):
+        existing = {key: value for key, value in updates.items() if key in self.store}
+        if existing:
+            self.store.tree.update_values(existing)
+            self.reference.write_behind(existing)
+
+    @invariant()
+    def indistinguishable_from_the_reference(self):
+        store, reference = self.store, self.reference
+        assert store.root == reference.tree.root
+        assert store.tree.keys() == reference.tree.keys()
+        for key in reference.tree.keys():
+            assert store.prove(key) == reference.tree.prove(key)
+        records = [(r.batch, r.delta, r.tree and r.tree.root) for r in store.archive._records]
+        assert records == [
+            (r.batch, r.delta, r.tree and r.tree.root) for r in reference.archive._records
+        ]
+        for batch in range(NO_BATCH, self.batch + 1):
+            for key in ("key-000", "key-010", "new-a"):
+                assert self._prove_at(store, key, batch) == reference_prove_at(reference, key, batch)
+
+    @staticmethod
+    def _prove_at(store, key, batch):
+        try:
+            return store.prove_at(key, batch)
+        except ProofError:
+            return None
+
+
+def reference_prove_at(reference: ReferenceStore, key: str, batch: int):
+    try:
+        return reference.archive.prove_at(key, batch, reference.tree)
+    except ProofError:
+        return None
+
+
+PreparedUpdateMachine.TestCase.settings = settings(
+    max_examples=200, stateful_step_count=14, deadline=None, derandomize=True
+)
+TestPreparedUpdateMachine = PreparedUpdateMachine.TestCase
