@@ -12,6 +12,7 @@ to a client that the data it returns was agreed on by its cluster
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Iterable, Optional, Tuple
 
 from repro.common.ids import PartitionId, ReplicaId
@@ -104,17 +105,52 @@ class CommitCertificate:
     def signers(self) -> Tuple[str, ...]:
         return tuple(signature.signer for signature in self.signatures)
 
+    @cached_property
+    def _verified_fields(self) -> Optional[tuple]:
+        """Every field :meth:`verify` reads, as one flat tuple of primitives:
+        the certificate's share of the verdict-memo key, built once so that a
+        probe walks no signatures.  ``None`` for a certificate (outside input)
+        that is not well-formed: a non-tuple ``signatures``, a non-``Signature``
+        entry, a field not exactly ``int``/``str``/``bytes`` (``True == 1`` as
+        a key but not under a signature; a ``list`` is no key at all).
+        """
+        if not isinstance(self.signatures, tuple):
+            return None
+        fields = [self.partition, self.view, self.seq, self.digest]
+        for signature in self.signatures:
+            if not isinstance(signature, Signature):
+                return None
+            fields += (signature.signer, signature.scheme, signature.value)
+        if not all(type(field) in (int, str, bytes) for field in fields):
+            return None
+        return tuple(fields)
+
     def verify(
         self,
         registry: KeyRegistry,
         cluster_members: Iterable[ReplicaId],
         required: int,
     ) -> bool:
-        """Check the certificate carries ``required`` valid member signatures."""
-        allowed = {str(member) for member in cluster_members}
-        return registry.verify_quorum(
+        """Check the certificate carries ``required`` valid member signatures.
+
+        Only a certificate ``registry``'s cache has not seen pass against these
+        members and this threshold pays for ``verify_quorum``.
+        """
+        fields = self._verified_fields
+        if fields is None:
+            return False
+        members = tuple(cluster_members)
+        cache = registry.cache
+        key = (fields, members, required)
+        if cache.probe(key):
+            return True
+        allowed = {str(member) for member in members}
+        valid = registry.verify_quorum(
             self.payload(), self.signatures, required=required, allowed_signers=allowed
         )
+        if valid and cache.enabled:
+            cache.store(key, True)
+        return valid
 
 
 class VoteTracker:

@@ -60,9 +60,11 @@ class CDVector:
             raise InvalidTransactionError(
                 f"cannot combine CD vectors of lengths {len(self)} and {len(other)}"
             )
-        return CDVector(
-            entries=tuple(max(a, b) for a, b in zip(self.entries, other.entries))
-        )
+        entries = tuple(map(max, self.entries, other.entries))
+        # One prepare group's votes share a header: most folds change nothing.
+        if entries == self.entries:
+            return self
+        return CDVector(entries=entries)
 
     def dominates(self, other: "CDVector") -> bool:
         """True when every entry of ``self`` is >= the matching entry of ``other``."""

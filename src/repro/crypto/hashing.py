@@ -40,6 +40,11 @@ def stable_encode(value: Encodable) -> bytes:
     * sequences (``list``/``tuple``) encode their items in order;
     * mappings encode their items sorted by key, so two dictionaries with the
       same contents always encode identically regardless of insertion order.
+
+    :func:`_encode_into` dispatches the exact builtins that make up nearly
+    every payload node on ``type(value)`` (the cost was an ``isinstance``
+    ladder walked per node, not building the bytes); ``None``, ``bool``,
+    ``float`` and subclasses fall through to what is left of that ladder.
     """
     out = bytearray()
     _encode_into(value, out)
@@ -60,7 +65,30 @@ def combine_digests(digests: Iterable[Digest]) -> Digest:
 
 
 def _encode_into(value: Encodable, out: bytearray) -> None:
-    if value is None:
+    # Exact builtins first; the format is pinned by a copy of the pre-dispatch
+    # ladder in tests/crypto/test_stable_encode_properties.py.
+    kind = type(value)
+    if kind is str:
+        encoded = value.encode("utf-8")
+        out += b"S" + len(encoded).to_bytes(4, "big") + encoded
+    elif kind is int:
+        encoded = str(value).encode("ascii")
+        out += b"I" + len(encoded).to_bytes(4, "big") + encoded
+    elif kind is bytes:
+        out += b"B" + len(value).to_bytes(4, "big") + value
+    elif kind is list or kind is tuple:
+        out += b"L" + len(value).to_bytes(4, "big")
+        for item in value:
+            _encode_into(item, out)
+    elif kind is dict:
+        out += b"M" + len(value).to_bytes(4, "big")
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(f"mapping keys must be str, got {type(key).__name__}")
+            encoded = key.encode("utf-8")
+            out += b"S" + len(encoded).to_bytes(4, "big") + encoded
+            _encode_into(value[key], out)
+    elif value is None:
         out += b"N"
     elif isinstance(value, bool):
         out += b"T" if value else b"F"
@@ -76,16 +104,8 @@ def _encode_into(value: Encodable, out: bytearray) -> None:
     elif isinstance(value, bytes):
         out += b"B" + len(value).to_bytes(4, "big") + value
     elif isinstance(value, (list, tuple)):
-        out += b"L" + len(value).to_bytes(4, "big")
-        for item in value:
-            _encode_into(item, out)
+        _encode_into(list(value), out)
     elif isinstance(value, Mapping):
-        items = sorted(value.items(), key=lambda kv: kv[0])
-        out += b"M" + len(items).to_bytes(4, "big")
-        for key, item in items:
-            if not isinstance(key, str):
-                raise TypeError(f"mapping keys must be str, got {type(key).__name__}")
-            _encode_into(key, out)
-            _encode_into(item, out)
+        _encode_into(dict(value), out)
     else:
         raise TypeError(f"cannot stably encode values of type {type(value).__name__}")

@@ -24,7 +24,7 @@ import hmac
 import random
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, Hashable, Iterable, List, Mapping, Optional
 
 from repro.common.errors import SignatureError
 from repro.crypto import rsa
@@ -114,11 +114,17 @@ class HmacSigner(Signer):
 
 
 class VerifyCache:
-    """One LRU memo of signature-verification verdicts.
+    """One LRU memo of verification verdicts, holding two kinds of entry.
 
-    Keys are ``(signer, scheme, payload digest, signature bytes)``; see
-    :class:`KeyRegistry` for why memoization on that key is sound.  Each
-    simulated node owns its *own* cache (sized by
+    *Signature entries* ``(signer, scheme, payload digest, signature bytes)
+    -> bool`` and *certificate entries* (written by
+    :meth:`repro.bft.quorum.CommitCertificate.verify`, only ever ``True``);
+    :class:`KeyRegistry` gives the soundness argument for each.  Both share
+    the one LRU bound and :meth:`clear`, and are written only through
+    :meth:`store`.  ``hits``/``misses`` count signature :meth:`lookup` calls
+    — checks the node actually ran; a certificate :meth:`probe` is neither.
+
+    Each simulated node owns its *own* cache (sized by
     ``PerfConfig.verify_cache_size``) so that simulated memory and hit rates
     are modeled per replica rather than pooled deployment-wide; the registry
     keeps one more for callers that verify outside any node (offline
@@ -127,7 +133,7 @@ class VerifyCache:
 
     def __init__(self, size: int) -> None:
         self._size = size
-        self._entries: "OrderedDict[Tuple[str, str, Digest, bytes], bool]" = OrderedDict()
+        self._entries: "OrderedDict[Hashable, bool]" = OrderedDict()
         self.hits = 0
         self.misses = 0
 
@@ -135,7 +141,7 @@ class VerifyCache:
     def enabled(self) -> bool:
         return self._size > 0
 
-    def lookup(self, key: Tuple[str, str, Digest, bytes]) -> Optional[bool]:
+    def lookup(self, key: Hashable) -> Optional[bool]:
         cached = self._entries.get(key)
         if cached is None:
             self.misses += 1
@@ -144,7 +150,14 @@ class VerifyCache:
         self.hits += 1
         return cached
 
-    def store(self, key: Tuple[str, str, Digest, bytes], valid: bool) -> None:
+    def probe(self, key: Hashable) -> Optional[bool]:
+        """The verdict stored under ``key``, counted as neither hit nor miss."""
+        cached = self._entries.get(key)
+        if cached is not None:
+            self._entries.move_to_end(key)
+        return cached
+
+    def store(self, key: Hashable, valid: bool) -> None:
         self._entries[key] = valid
         if len(self._entries) > self._size:
             self._entries.popitem(last=False)
@@ -169,19 +182,30 @@ class KeyRegistry:
     populated once during system setup, before any byzantine behaviour can
     occur, and is consulted by verifiers.  It never holds RSA private keys.
 
-    Verification results are memoized in a :class:`VerifyCache` keyed on
-    ``(signer, scheme, payload digest, signature bytes)``: the signatures a
-    BFT quorum exchanges are verified by every one of the ``3f + 1`` cluster
-    members and certificates are re-verified per response, but the expensive
-    work (the MAC/RSA check) only depends on the key.  Correctness does not:
-    a tampered payload, signature or claimed signer changes the key and
-    misses the cache, so memoization can never turn an invalid signature
-    valid — *provided the cache key is computed from the verified payload
-    itself*.  ``payload_digest`` exists so a caller verifying many signatures
-    over one payload (:meth:`verify_quorum`) canonicalises it once; it MUST
-    be ``digest_of(payload)`` computed locally from the very payload passed
-    in, never a value carried inside a network message (a byzantine sender
-    could alias it to another payload and poison the cache).
+    Verdicts are memoized in a :class:`VerifyCache`, in two kinds of entry.
+
+    *Signature entries*, keyed ``(signer, scheme, payload digest, signature
+    bytes)``: every one of the ``3f + 1`` cluster members verifies the
+    signatures a quorum exchanges, but the expensive work (the MAC/RSA
+    check) only depends on the key.  A tampered payload, signature or
+    claimed signer changes the key and misses the cache, so memoization can
+    never turn an invalid signature valid — *provided the key is computed
+    from the verified payload itself*.  ``payload_digest`` exists so a caller
+    verifying many signatures over one payload (:meth:`verify_quorum`)
+    canonicalises it once; it MUST be ``digest_of(payload)`` computed locally
+    from the very payload passed in, never a value carried inside a network
+    message (a byzantine sender could alias it to another payload and poison
+    the cache).
+
+    *Certificate entries*, one per commit certificate that passed
+    :meth:`verify_quorum`: the same certificate rides on every 2PC vote and
+    read-only response, and its verdict is a pure function of the key —
+    every certificate field the check reads, the member identities and the
+    threshold, never anything a message says *about* the certificate — and
+    of the registered material.  Only ``True`` is kept: registering a further
+    identity can only add valid signers and replacing one clears the cache,
+    so it cannot go stale, whereas a ``False`` may rest on a signer not known
+    *yet* (which is also why unknown signers get no signature entry).
     ``verify_cache_size=0`` disables caching.
 
     Verification is usually performed *through a node*: each
@@ -194,7 +218,8 @@ class KeyRegistry:
     def __init__(self, verify_cache_size: int = 4096) -> None:
         self._materials: Dict[str, object] = {}
         self._schemes: Dict[str, str] = {}
-        self._cache = VerifyCache(verify_cache_size)
+        #: Public like ``NodeVerifier.cache``; ``_cache`` is the older name.
+        self.cache = self._cache = VerifyCache(verify_cache_size)
         self._attached_caches: List[VerifyCache] = []
 
     @property

@@ -8,16 +8,27 @@ its contract gets fuzzed directly with plain seeded generators:
 * the format is *self-delimiting*: a reference decoder reconstructs every
   nested structure exactly (types included) and knows where each value
   ends, so concatenated encodings split unambiguously;
-* unsupported types fail with a clear ``TypeError``.
+* unsupported types fail with a clear ``TypeError``;
+* the type-dispatched fast path is byte-identical to the ``isinstance``
+  ladder it sits in front of (kept here as ``ladder_encode``), hands every
+  non-exact type back to that ladder, and three literal digests pin the
+  format itself.
 """
 
 from __future__ import annotations
 
+import enum
+import hashlib
 import random
+from collections import OrderedDict, defaultdict, namedtuple
+from collections.abc import Mapping
+from types import MappingProxyType
 from typing import Any, Tuple
 
 import pytest
 
+from repro.bft.quorum import certificate_payload
+from repro.core.transaction import make_transaction
 from repro.crypto.hashing import stable_encode
 
 
@@ -218,3 +229,139 @@ class TestUnsupportedTypes:
             stable_encode({1: "x"})
         with pytest.raises(TypeError, match="mapping keys must be str"):
             stable_encode({"ok": {b"bad": 1}})
+
+
+# ---------------------------------------------------------------------------
+# fast path vs the ladder
+# ---------------------------------------------------------------------------
+
+
+def ladder_encode(value: Any) -> bytes:
+    """The encoder as it was before the type dispatch: the format's reference."""
+    out = bytearray()
+    _ladder_into(value, out)
+    return bytes(out)
+
+
+def _ladder_into(value: Any, out: bytearray) -> None:
+    if value is None:
+        out += b"N"
+    elif isinstance(value, bool):
+        out += b"T" if value else b"F"
+    elif isinstance(value, int):
+        encoded = str(value).encode("ascii")
+        out += b"I" + len(encoded).to_bytes(4, "big") + encoded
+    elif isinstance(value, float):
+        encoded = repr(value).encode("ascii")
+        out += b"D" + len(encoded).to_bytes(4, "big") + encoded
+    elif isinstance(value, str):
+        encoded = value.encode("utf-8")
+        out += b"S" + len(encoded).to_bytes(4, "big") + encoded
+    elif isinstance(value, bytes):
+        out += b"B" + len(value).to_bytes(4, "big") + value
+    elif isinstance(value, (list, tuple)):
+        out += b"L" + len(value).to_bytes(4, "big")
+        for item in value:
+            _ladder_into(item, out)
+    elif isinstance(value, Mapping):
+        items = sorted(value.items(), key=lambda kv: kv[0])
+        out += b"M" + len(items).to_bytes(4, "big")
+        for key, item in items:
+            if not isinstance(key, str):
+                raise TypeError(f"mapping keys must be str, got {type(key).__name__}")
+            _ladder_into(key, out)
+            _ladder_into(item, out)
+    else:
+        raise TypeError(f"cannot stably encode values of type {type(value).__name__}")
+
+
+class Colour(enum.IntEnum):
+    RED = 1
+    BLUE = 7
+
+
+class Label(str):
+    """A ``str`` subclass: exact-type dispatch must not claim it."""
+
+
+class Stack(list):
+    """A ``list`` subclass."""
+
+
+class TestFastPathMatchesTheLadder:
+    @pytest.mark.parametrize("seed", [0xD0, 0xD1, 0xD2, 0xD3, 0xD4])
+    def test_generated_values_encode_byte_for_byte(self, seed):
+        rng = random.Random(seed)
+        for _ in range(300):
+            value = random_value(rng)
+            assert stable_encode(value) == ladder_encode(value)
+            shuffled = reorder_mappings(value, rng)
+            assert stable_encode(shuffled) == ladder_encode(value)
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            [True, False, 1, 0],
+            {"flag": True, "count": 1, "nothing": None, "ratio": 0.5},
+            [Colour.RED, {"colour": Colour.BLUE}],
+            [Label("x"), {Label("key"): Label("value")}, {"a": 1, Label("b"): 2}],
+            OrderedDict([("b", 1), ("a", [2, (3, b"4")])]),
+            MappingProxyType({"z": "ø", "a": {"nested": ()}}),
+            defaultdict(list, {"b": [1], "a": []}),
+            [namedtuple("Pair", "left right")(1, b"r"), Stack([3, "4"])],
+            (1, (2, [3, ("4", b"5")])),
+            2**200,
+            -(2**200),
+            {"é": 1, "e": 2, "z": 3, "🦀": 4},
+        ],
+        ids=[
+            "bools-beside-ints", "scalars-in-a-dict", "int-enum", "str-subclass",
+            "ordered-dict", "mapping-proxy", "default-dict", "sequence-subclasses",
+            "nested-tuples", "big-int",
+            "big-negative-int", "non-ascii-keys",
+        ],
+    )
+    def test_values_the_fast_path_hands_to_the_fallback(self, value):
+        assert stable_encode(value) == ladder_encode(value)
+
+    def test_bool_and_int_stay_distinct_inside_int_typed_slots(self):
+        assert stable_encode(["commit", True, 0]) != stable_encode(["commit", 1, False])
+        assert stable_encode({"view": True}) == b"M\x00\x00\x00\x01S\x00\x00\x00\x04viewT"
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            ({1: "x"}, "mapping keys must be str, got int"),
+            ({"ok": {b"bad": 1}}, "mapping keys must be str, got bytes"),
+            ({None: 1}, "mapping keys must be str, got NoneType"),
+            (MappingProxyType({1: "x"}), "mapping keys must be str, got int"),
+            ({"a": 1, 2: "b"}, "not supported between instances"),
+        ],
+        ids=["int-key", "nested-bytes-key", "none-key", "proxy-int-key", "mixed-keys"],
+    )
+    def test_bad_keys_raise_the_same_type_error(self, value, message):
+        with pytest.raises(TypeError, match=message):
+            ladder_encode(value)
+        with pytest.raises(TypeError, match=message):
+            stable_encode(value)
+
+    def test_pinned_digests(self):
+        def digest(value):
+            return hashlib.sha256(stable_encode(value)).hexdigest()
+
+        assert digest(certificate_payload(3, 1234, bytes(range(32)))) == (
+            "add855f7054f43243137d0c336759683b5f21d9d6f9c87e6bd189c1eb542ce76"
+        )
+        txn = make_transaction(
+            "client-7#42",
+            reads={"key-0001": 5, "key-0002": -1},
+            writes={"key-0003": b"value", "clé-ø": b"\x00\xff"},
+            client="client-7",
+        )
+        assert digest(txn.payload()) == (
+            "6369d56156f2b9a77b48f34094dbbe8cd162b6b6c9db90d8613e5992fc6b3723"
+        )
+        nested = {"ø": {"🦀": [1, None, True, 2.5], "é": {"b": b"", "a": ""}}, "a": [-1, [], {}]}
+        assert digest(nested) == (
+            "e7d4504db10c0a2153c90df7e9ded1fed91eeebc6984b6693037b76ffd33d51a"
+        )
