@@ -7,7 +7,7 @@ Two acceptance checks, both printed so the CI log is the evidence:
    digests for every seed.
 2. **Coverage beyond uniform seeds** — a coverage-guided session grown from
    the sweep corpus must reach at least one rare counter
-   (``catchup_recoveries``, ``snapshot_refused`` or
+   (``catchup_recoveries``, ``snapshot_rebuilds`` or
    ``transport_retransmits_abandoned``) that uniform seeds 0..24 never hit.
    The session seed is pinned: session 0 is verified clean (no oracle
    failures) and reaches ``transport_retransmits_abandoned`` via the
@@ -39,7 +39,7 @@ SWEEP_SEEDS = range(25)
 #: baseline demonstrates coverage-guided search paying off.
 DEMO_COUNTERS = {
     "counter:catchup_recoveries",
-    "counter:snapshot_refused",
+    "counter:snapshot_rebuilds",
     "counter:transport_retransmits_abandoned",
 }
 

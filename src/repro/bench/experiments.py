@@ -740,15 +740,14 @@ def fig16_crash_recovery(txns_per_point: Optional[int] = None) -> FigureResult:
         "recovery events: "
         + ", ".join(f"{name}={count}" for name, count in sorted(events.events().items()))
     )
+    # The crash windows are where the reliable channel earns its keep:
+    # retransmissions towards the dead node until the per-link cap
+    # abandons its window, duplicate-drops as redeliveries race restarts.
     transport = events.transport_counters()
-    if transport:
-        # The crash windows are where the reliable channel earns its keep:
-        # retransmissions towards the dead node until the per-link cap
-        # abandons its window, duplicate-drops as redeliveries race restarts.
-        figure.notes.append(
-            "reliable channel: "
-            + ", ".join(f"{name}={count}" for name, count in sorted(transport.items()))
-        )
+    figure.notes.append(
+        "reliable channel: "
+        + ", ".join(f"{name}={count}" for name, count in sorted(transport.items()))
+    )
     return figure
 
 

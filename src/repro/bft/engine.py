@@ -125,11 +125,10 @@ class PbftEngine:
         # Certificate-rebroadcast fallback (ReliabilityConfig): while this
         # replica is stalled behind a delivery gap it periodically gossips
         # its highest decided certificate; peers that are ahead answer with
-        # the instance it needs next.  Disabled (timer never armed) when the
-        # owner has no environment or reliability is off.
-        env = getattr(owner, "env", None)
-        env_config = getattr(env, "config", None)
-        self._reliability = getattr(env_config, "reliability", None)
+        # the instance it needs next.
+        self._rebroadcast_interval_ms = (
+            owner.env.config.reliability.rebroadcast_interval_ms
+        )
         self._rebroadcast_timer = None
         self._rebroadcast_rounds = 0
         self._rebroadcast_marker = -1
@@ -435,15 +434,10 @@ class PbftEngine:
         return bool(self._buffered_pre_prepares or self._pending_deliveries) or self.is_behind()
 
     def _maybe_arm_rebroadcast(self) -> None:
-        if self._reliability is None or not self._reliability.enabled:
-            return
         if self._rebroadcast_timer is not None or not self._stalled_behind_gap():
             return
-        schedule = getattr(self._owner, "schedule", None)
-        if schedule is None:
-            return
-        self._rebroadcast_timer = schedule(
-            self._reliability.rebroadcast_interval_ms, self._on_rebroadcast_timer
+        self._rebroadcast_timer = self._owner.schedule(
+            self._rebroadcast_interval_ms, self._on_rebroadcast_timer
         )
 
     def _on_rebroadcast_timer(self) -> None:

@@ -292,7 +292,7 @@ def main(argv: "List[str] | None" = None) -> int:
 
     if args.replay:
         document = load_artifact(args.replay)
-        plan = ChaosPlan.from_dict(document["plan"])
+        plan = ChaosPlan.from_dict(document["plan"], args.replay)
         recorded_bug = document.get("bug")
         if args.inject_bug and recorded_bug and args.inject_bug != recorded_bug:
             parser.error(

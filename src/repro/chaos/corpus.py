@@ -25,10 +25,12 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.chaos.plan import ChaosPlan
+from repro.common.errors import ConfigurationError
 from repro.crypto.hashing import sha256_hex, stable_encode
 
-#: Bumped when an entry field is added/renamed.
-ENTRY_VERSION = 1
+#: Bumped when an entry field — or the plan schema inside it — changes
+#: (v2: the plan's ``ConfigPoint`` lost the five behaviour toggles).
+ENTRY_VERSION = 2
 
 _ENTRY_PREFIX = "entry-"
 _METADATA_FILE = "metadata.json"
@@ -64,10 +66,19 @@ class CorpusEntry:
         }
 
     @classmethod
-    def from_dict(cls, data: dict) -> "CorpusEntry":
+    def from_dict(cls, data: dict, source: str = "corpus entry") -> "CorpusEntry":
+        version = data.get("version")
+        if version != ENTRY_VERSION:
+            raise ConfigurationError(
+                f"{source}: corpus entry version {version!r}, this version "
+                f"reads {ENTRY_VERSION}"
+            )
+        missing = sorted({"entry_id", "plan"} - set(data))
+        if missing:
+            raise ConfigurationError(f"{source}: corpus entry is missing {missing}")
         return cls(
             entry_id=str(data["entry_id"]),
-            plan=ChaosPlan.from_dict(data["plan"]),
+            plan=ChaosPlan.from_dict(data["plan"], source),
             signature=tuple(data.get("signature") or ()),
             fingerprint=str(data.get("fingerprint", "")),
             trace_digest=str(data.get("trace_digest", "")),
@@ -92,8 +103,9 @@ class Corpus:
         for name in sorted(os.listdir(self.directory)):
             if not (name.startswith(_ENTRY_PREFIX) and name.endswith(".json")):
                 continue
-            with open(os.path.join(self.directory, name), "r", encoding="utf-8") as handle:
-                entry = CorpusEntry.from_dict(json.load(handle))
+            path = os.path.join(self.directory, name)
+            with open(path, "r", encoding="utf-8") as handle:
+                entry = CorpusEntry.from_dict(json.load(handle), path)
             self.entries[entry.entry_id] = entry
 
     def __len__(self) -> int:

@@ -2,7 +2,7 @@
 
 A finished chaos run is summarised into a *coverage signature*: the sorted
 tuple of rare features it exhibited — rare counters that fired
-(``catchup_recoveries``, ``snapshot_refused``,
+(``catchup_recoveries``, ``snapshot_rebuilds``,
 ``transport_retransmits_abandoned``, ...), non-healthy health states the
 monitor recorded, oracles that failed, and performance near-misses (a
 commit-latency ratio vs the fault-free twin in [1.2, 2.0): too small to trip
@@ -16,10 +16,9 @@ a selection weight that favours plans whose features are globally rare —
 the AFL-style scheduling heuristic.  :func:`mutate_plan` then derives a new
 plan from a chosen corpus entry by perturbing its ``ConfigPoint`` and fault
 plan inside the planner's legality envelope (at most the planner's own
-fault severities scaled up, never an unsurvivable scenario: no new crashes,
-core drops only under reliability, refusing archives only when the archive
-exists).  Several mutated dimensions are *unreachable* by the uniform
-planner — a refusing archive (``snapshot_refused``), an armed client
+fault severities scaled up, never an unsurvivable scenario: no new
+crashes).  Several mutated dimensions are *unreachable* by the uniform
+planner — a tiny archive (``snapshot_rebuilds``), an armed client
 staleness bound — which is exactly the point: mutation opens config
 regions uniform seeds 0..N can never visit.
 
@@ -58,7 +57,7 @@ from repro.chaos.plan import ChaosPlan, FaultEvent
 #: Counters whose firing marks a rare protocol path worth biasing toward.
 RARE_COUNTERS = (
     "catchup_recoveries",
-    "snapshot_refused",
+    "snapshot_rebuilds",
     "two_pc_unresumable",
     "transport_retransmits_abandoned",
     "transport_links_abandoned",
@@ -141,7 +140,7 @@ def signature_weight(signature: Sequence[str], coverage: CoverageMap) -> float:
 #: retired ``low-retransmit-cap`` operator is documented in the module
 #: docstring; do not re-add it without re-validating the envelope.
 MUTATION_OPS = (
-    "refusing-archive",
+    "tiny-archive",
     "arm-staleness-bound",
     "tight-checkpoints",
     "harshen-drop",
@@ -173,36 +172,32 @@ def _extendable_crash_indices(plan: ChaosPlan) -> List[int]:
 
 
 def _applicable_ops(plan: ChaosPlan) -> List[str]:
-    ops = ["tight-checkpoints", "add-delay-storm", "reroll-system-seed"]
-    if plan.config.archive_enabled:
-        ops.append("refusing-archive")
-    if plan.config.reliability_enabled:
-        ops.append("add-core-blackout")
+    ops = [
+        "tiny-archive",
+        "tight-checkpoints",
+        "add-core-blackout",
+        "add-delay-storm",
+        "reroll-system-seed",
+    ]
     if plan.config.edge_enabled:
         ops.append("arm-staleness-bound")
     if any(fault.kind == "drop" for fault in plan.faults):
         ops.append("harshen-drop")
     if _extendable_crash_indices(plan):
         ops.append("extend-crash")
-        if plan.config.reliability_enabled:
-            ops.append("long-crash")
+        ops.append("long-crash")
     return sorted(ops, key=MUTATION_OPS.index)
 
 
 def _apply_op(plan: ChaosPlan, op: str, rng: random.Random) -> ChaosPlan:
     config = plan.config
-    if op == "refusing-archive":
-        # A tiny archive that *refuses* instead of rebuilding: round-2
-        # snapshot requests for batches past the window hit the
-        # ``snapshot_refused`` path (reads fall back unverified — a
-        # liveness-safe degradation the uniform planner can never draw).
+    if op == "tiny-archive":
+        # Round-2 snapshot requests for batches past a 1–3 batch window
+        # take the ``snapshot_rebuilds`` path, which the uniform planner's
+        # 512-batch archive never leaves uncovered.
         return replace(
             plan,
-            config=replace(
-                config,
-                archive_max_batches=rng.choice((1, 2, 3)),
-                snapshot_rebuild_fallback=False,
-            ),
+            config=replace(config, archive_max_batches=rng.choice((1, 2, 3))),
         )
     if op == "arm-staleness-bound":
         return replace(

@@ -12,13 +12,9 @@ protocol promises to survive, so every oracle failure is a real bug:
 
 * at most ``f`` replicas of a partition are crashed at any moment, and every
   crash schedules a restart (the oracles judge the *recovered* system);
-* leader kills are only planned when automatic failover is enabled —
-  without it, a dead leader is a liveness loss by design, not a bug;
-* drop windows cover client↔core links and — now that the reliable channel
-  (:mod:`repro.simnet.reliable`) retransmits intra-cluster traffic —
-  core-to-core links inside a partition; core-link drops are only planned
-  when reliability is enabled, since raw core loss without retransmission
-  is a liveness loss by design (delays are allowed anywhere);
+* drop windows cover client↔core links and core-to-core links inside a
+  partition, which the reliable channel (:mod:`repro.simnet.reliable`)
+  retransmits (delays are allowed anywhere);
 * byzantine proxies are only planned when the edge tier is enabled.
 
 Core-link drop targets are drawn from a *side-stream* generator (seeded from
@@ -30,7 +26,7 @@ drop faults — is unchanged by the planner learning the new fault target.
 from __future__ import annotations
 
 import random
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Dict, List, Optional, Sequence
 
 from repro.common.config import (
@@ -46,6 +42,7 @@ from repro.common.config import (
     ReliabilityConfig,
     SystemConfig,
 )
+from repro.common.errors import ConfigurationError
 from repro.storage.partitioner import HashPartitioner
 
 #: Fault kinds understood by the runner.
@@ -53,6 +50,29 @@ FAULT_KINDS = ("crash", "leader-kill", "drop", "delay", "byzantine-proxy")
 
 #: Workload segment kinds understood by the runner.
 SEGMENT_KINDS = ("mixed", "read-only", "group-write", "group-read")
+
+
+def _check_keys(cls, entry: object, source: str) -> None:
+    """Fail closed, by name, unless ``entry``'s keys are exactly ``cls``'s fields.
+
+    A plan is replayed, never interpreted: a key this version does not know
+    (or one it needs and does not find) means another version wrote the
+    file, and defaulting or dropping it would silently run a different
+    scenario under the same name.
+    """
+    names = {f.name for f in fields(cls)}
+    keys = set(entry) if isinstance(entry, dict) else set()
+    if keys != names:
+        raise ConfigurationError(
+            f"{source}: {cls.__name__} does not match this version's plan "
+            f"schema (unknown keys: {sorted(keys - names) or 'none'}; "
+            f"missing keys: {sorted(names - keys) or 'none'})"
+        )
+
+
+def _from_keys(cls, entry: object, source: str):
+    _check_keys(cls, entry, source)
+    return cls(**entry)
 
 
 @dataclass(frozen=True)
@@ -68,14 +88,10 @@ class ConfigPoint:
     checkpoint_enabled: bool = True
     checkpoint_interval: int = 8
     retention_batches: int = 6
-    archive_enabled: bool = True
-    archive_compaction: bool = True
     edge_enabled: bool = False
     edge_num_proxies: int = 2
     edge_max_header_lag: int = 4
     edge_cache_ttl_ms: Optional[float] = None
-    failover_enabled: bool = True
-    reliability_enabled: bool = True
     progress_timeout_ms: float = 60.0
     jitter_fraction: float = 0.0
     commit_timeout_ms: float = 800.0
@@ -99,14 +115,12 @@ class ConfigPoint:
     #: — which reproduce the historical behaviour byte-for-byte — and only
     #: the coverage-guided mutator (:mod:`repro.chaos.coverage`) moves them,
     #: opening config regions uniform seeds can never reach (e.g. a tiny
-    #: refusing archive is the only road to ``snapshot_refused``).
+    #: archive is the only road to ``snapshot_rebuilds``).
     #: Client staleness bound on verified reads (None = unbounded, the
     #: pre-fleet behaviour); arming it also arms the edge-freshness oracle.
     client_staleness_bound_ms: Optional[float] = None
-    #: Merkle-archive retention and what happens past it: rebuild (True,
-    #: default) or refuse the round-2 snapshot (``snapshot_refused``).
+    #: Merkle-archive retention; round-2 snapshots past it are rebuilt.
     archive_max_batches: int = 512
-    snapshot_rebuild_fallback: bool = True
     #: Retransmission-round cap per core link (None = library default);
     #: lowering it makes ``transport_retransmits_abandoned`` reachable
     #: within a survivable drop window.
@@ -129,17 +143,11 @@ class ConfigPoint:
                 interval_batches=self.checkpoint_interval,
                 retention_batches=self.retention_batches,
             ),
-            failover=FailoverConfig(
-                enabled=self.failover_enabled,
-                progress_timeout_ms=self.progress_timeout_ms,
-            ),
+            failover=FailoverConfig(progress_timeout_ms=self.progress_timeout_ms),
             reliability=(
-                ReliabilityConfig(enabled=self.reliability_enabled)
+                ReliabilityConfig()
                 if self.max_retransmits is None
-                else ReliabilityConfig(
-                    enabled=self.reliability_enabled,
-                    max_retransmits=self.max_retransmits,
-                )
+                else ReliabilityConfig(max_retransmits=self.max_retransmits)
             ),
             costs=CostConfig(
                 verify_cache_miss_penalty_ms=self.verify_cache_miss_penalty_ms
@@ -148,12 +156,7 @@ class ConfigPoint:
             freshness=FreshnessConfig(
                 client_staleness_bound_ms=self.client_staleness_bound_ms
             ),
-            perf=PerfConfig(
-                archive_enabled=self.archive_enabled,
-                archive_compaction=self.archive_compaction,
-                archive_max_batches=self.archive_max_batches,
-                snapshot_rebuild_fallback=self.snapshot_rebuild_fallback,
-            ),
+            perf=PerfConfig(archive_max_batches=self.archive_max_batches),
             edge=EdgeConfig(
                 enabled=self.edge_enabled,
                 num_proxies=self.edge_num_proxies,
@@ -206,8 +209,7 @@ class FaultEvent:
     client: int = 0
     direction: str = "to-core"
     #: Drop scope: ``"client"`` (client↔core links) or ``"core"``
-    #: (replica↔replica links of ``partition``).  Defaults to ``"client"``
-    #: so serialised pre-reliability plans replay unchanged.
+    #: (replica↔replica links of ``partition``).
     target: str = "client"
     probability: float = 0.25
     extra_ms: float = 4.0
@@ -239,14 +241,20 @@ class ChaosPlan:
         }
 
     @classmethod
-    def from_dict(cls, data: dict) -> "ChaosPlan":
+    def from_dict(cls, data: dict, source: str = "plan") -> "ChaosPlan":
+        """Rebuild a plan; ``source`` (a file name) prefixes schema errors."""
+        _check_keys(cls, data, source)
         return cls(
             seed=int(data["seed"]),
-            config=ConfigPoint(**data["config"]),
+            config=_from_keys(ConfigPoint, data["config"], source),
             num_clients=int(data["num_clients"]),
             groups=tuple(tuple(group) for group in data["groups"]),
-            segments=tuple(WorkloadSegment(**entry) for entry in data["segments"]),
-            faults=tuple(FaultEvent(**entry) for entry in data["faults"]),
+            segments=tuple(
+                _from_keys(WorkloadSegment, entry, source) for entry in data["segments"]
+            ),
+            faults=tuple(
+                _from_keys(FaultEvent, entry, source) for entry in data["faults"]
+            ),
         )
 
     # -- structural edits (used by the shrinker) ---------------------------
@@ -292,22 +300,29 @@ def plan_from_seed(seed: int) -> ChaosPlan:
     # docstring): consuming it never perturbs the main stream's draws.
     side = random.Random((seed << 4) ^ 0xC0DE)
 
+    # Every main-stream draw stays in its historical order, so each seed
+    # keeps its segments, faults and groups: the second draw (once the
+    # failover toggle) now only decides whether this scenario plans leader
+    # kills, and the two after ``retention_batches`` (once the archive
+    # toggles) are consumed.
     edge_enabled = rng.random() < 0.4
-    failover_enabled = rng.random() < 0.8
-    config = ConfigPoint(
+    plans_leader_kills = rng.random() < 0.8
+    first_draws = dict(
         num_partitions=rng.choice((2, 3)),
         initial_keys=rng.choice((36, 48, 64)),
         batch_max_size=rng.choice((4, 6, 8)),
         checkpoint_enabled=rng.random() < 0.8,
         checkpoint_interval=rng.choice((5, 8, 12)),
         retention_batches=rng.choice((4, 8)),
-        archive_enabled=rng.random() < 0.8,
-        archive_compaction=rng.random() < 0.5,
+    )
+    rng.random()
+    rng.random()
+    config = ConfigPoint(
+        **first_draws,
         edge_enabled=edge_enabled,
         edge_num_proxies=rng.choice((1, 2)),
         edge_max_header_lag=rng.choice((2, 4, 8)),
         edge_cache_ttl_ms=rng.choice((None, 40.0)),
-        failover_enabled=failover_enabled,
         progress_timeout_ms=rng.choice((40.0, 60.0)),
         jitter_fraction=rng.choice((0.0, 0.05)),
         commit_timeout_ms=rng.choice((400.0, 800.0)),
@@ -361,7 +376,7 @@ def plan_from_seed(seed: int) -> ChaosPlan:
     for _ in range(rng.randint(1, 4)):
         kinds = ["crash", "drop", "delay"]
         weights = [0.4, 0.25, 0.15]
-        if failover_enabled:
+        if plans_leader_kills:
             kinds.append("leader-kill")
             weights.append(0.3)
         if edge_enabled:
@@ -392,7 +407,7 @@ def plan_from_seed(seed: int) -> ChaosPlan:
             direction = rng.choice(("to-core", "from-core"))
             probability = round(rng.uniform(0.1, 0.35), 3)
             duration_ms = round(rng.uniform(10.0, 30.0), 3)
-            if config.reliability_enabled and side.random() < 0.5:
+            if side.random() < 0.5:
                 faults.append(
                     FaultEvent(
                         at_ms=at_ms,

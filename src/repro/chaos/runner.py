@@ -657,13 +657,12 @@ def _run(
     counters = {
         name: int(value) for name, value in asdict(system.counters()).items()
     }
-    # Transport counters exist only when the reliable channel is on, so
-    # reports from reliability-disabled plans fingerprint exactly as before.
-    transport = system.env.reliability
-    if transport is not None:
-        counters.update(
-            {f"transport_{name}": int(value) for name, value in transport.counters.items()}
-        )
+    counters.update(
+        {
+            f"transport_{name}": int(value)
+            for name, value in system.env.reliability.counters.items()
+        }
+    )
     return ChaosReport(
         plan=plan,
         failures=failures,

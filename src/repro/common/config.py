@@ -81,7 +81,6 @@ class CostConfig:
     conflict_check_ms: float = 0.002
     batch_base_ms: float = 0.05
     message_handling_ms: float = 0.01
-    client_think_ms: float = 0.0
 
     def merkle_proof_cost_ms(self, tree_keys: int) -> float:
         """Cost of one membership proof over a tree of ``tree_keys`` leaves.
@@ -133,7 +132,6 @@ class BatchConfig:
 class FreshnessConfig:
     """Freshness window parameters (Section 4.4.2 of the paper)."""
 
-    enabled: bool = True
     acceptance_window_ms: float = 30_000.0
     client_staleness_bound_ms: Optional[float] = None
 
@@ -187,25 +185,19 @@ class FailoverConfig:
     without us (``DecisionQuery``) — with at most ``two_pc_max_retries``
     attempts per transaction.  Timers are armed lazily (only while matching
     work is pending), so an idle or healthy deployment schedules nothing.
-    ``enabled=False`` restores the PR-1 behaviour: crashes of a leader need a
-    manual ``suspect_leader`` nudge and stranded 2PC participants stay
-    stranded.
 
-    ``replica_commit_replies`` makes every replica of the coordinator
-    cluster report each client-visible outcome it applies from a delivered
-    batch (:class:`repro.core.messages.ReplicaCommitReply`); a client
-    accepts a commit once ``f + 1`` replicas agree, so a leader that dies
-    immediately after its cluster certifies the outcome cannot strand the
-    client until timeout.  Classic PBFT client behaviour; independent of
-    ``enabled`` (it needs no failure detector).
+    Independently of the failure detector, every replica of the coordinator
+    cluster reports each client-visible outcome it applies from a delivered
+    batch (:class:`repro.core.messages.ReplicaCommitReply`) and a client
+    accepts a commit once ``f + 1`` replicas agree — classic PBFT client
+    behaviour, so a leader that dies immediately after its cluster certifies
+    the outcome cannot strand the client until timeout.
     """
 
-    enabled: bool = True
     progress_timeout_ms: float = 60.0
     max_suspect_rounds: int = 8
     two_pc_retry_ms: float = 40.0
     two_pc_max_retries: int = 10
-    replica_commit_replies: bool = True
 
     def validate(self) -> None:
         if self.progress_timeout_ms <= 0:
@@ -220,47 +212,36 @@ class FailoverConfig:
 
 @dataclass(frozen=True)
 class PerfConfig:
-    """Hot-path performance knobs: Merkle tree archive and verify caching.
+    """Hot-path sizing: Merkle tree archive window and verify cache.
 
-    ``archive_enabled`` keeps a copy-on-write archive of recent committed
-    Merkle trees per partition, so round-2 snapshot reads are served in
-    O(read · log K) instead of rebuilding an O(K) tree per request;
-    ``archive_max_batches`` bounds its memory when checkpoint-driven pruning
-    is off.  ``snapshot_rebuild_fallback`` controls what happens for batches
-    older than the archive: rebuild the historical tree from the
-    multi-version store (the pre-archive behaviour, default), or refuse the
-    request (the client times out and retries another replica) — refusing is
-    strictly O(read) service but trades liveness; serving any *other*
-    snapshot would be unsound, since only the earliest dependency-satisfying
-    header is covered by the protocol's two-round consistency argument.
+    Every partition keeps a copy-on-write archive of recent committed Merkle
+    trees, so round-2 snapshot reads are served in O(read · log K) instead
+    of rebuilding an O(K) tree per request; ``archive_max_batches`` bounds
+    its memory when checkpoint-driven pruning is off.  A request for a batch
+    older than the archive is answered by rebuilding the historical tree
+    from the multi-version store — serving any *other* snapshot would be
+    unsound, since only the earliest dependency-satisfying header is covered
+    by the protocol's two-round consistency argument.  At checkpoint time
+    adjacent archive deltas are merged for batches that no round-2 snapshot
+    request can ever name (only the earliest header of each LCE run is
+    reachable through the dependency lookup), which extends the retained
+    window at equal memory; see
+    :meth:`~repro.crypto.archive.MerkleTreeArchive.compact`.
+
     ``verify_cache_size`` sizes the LRU signature-verification cache shared
     through the :class:`~repro.crypto.signatures.KeyRegistry`, so a quorum of
     identical votes is canonicalised and verified once, not ``3f + 1`` times
     (0 disables the cache).
-
-    ``archive_compaction`` merges adjacent archive deltas at checkpoint time
-    for batches that no round-2 snapshot request can ever name (only the
-    earliest header of each LCE run is reachable through the dependency
-    lookup), which extends the retained window at equal memory; see
-    :meth:`~repro.crypto.archive.MerkleTreeArchive.compact`.
     """
 
-    archive_enabled: bool = True
     archive_max_batches: int = 512
-    snapshot_rebuild_fallback: bool = True
     verify_cache_size: int = 4096
-    archive_compaction: bool = True
 
     def validate(self) -> None:
         if self.archive_max_batches < 1:
             raise ConfigurationError("archive_max_batches must be >= 1")
         if self.verify_cache_size < 0:
             raise ConfigurationError("verify_cache_size must be >= 0")
-        if not self.archive_enabled and not self.snapshot_rebuild_fallback:
-            raise ConfigurationError(
-                "archive_enabled=False with snapshot_rebuild_fallback=False "
-                "would refuse every round-2 snapshot read"
-            )
 
 
 @dataclass(frozen=True)
@@ -328,8 +309,8 @@ class EdgeConfig:
 class ReliabilityConfig:
     """Reliable delivery over lossy core links (:mod:`repro.simnet.reliable`).
 
-    When ``enabled``, every replica-to-replica message travels through a
-    :class:`~repro.simnet.reliable.ReliableChannel`: per-link sequence
+    Every replica-to-replica message travels through a
+    :class:`~repro.simnet.reliable.ReliableTransport`: per-link sequence
     numbers, cumulative acks piggybacked on reverse traffic (with a
     standalone ack after ``ack_delay_ms`` of silence), retransmission on a
     jittered exponential backoff starting at ``retransmit_base_ms`` and
@@ -348,12 +329,8 @@ class ReliabilityConfig:
     ``commit_retry_attempts``/``commit_retry_backoff_ms`` govern the client
     side: a commit reply timeout is retried against the coordinator (which
     answers duplicates from its decision log) instead of aborting outright.
-
-    ``enabled=False`` restores the fire-and-forget seed behaviour
-    byte-for-byte: no envelopes, no timers, no extra randomness drawn.
     """
 
-    enabled: bool = True
     ack_delay_ms: float = 4.0
     retransmit_base_ms: float = 12.0
     retransmit_cap_ms: float = 120.0
@@ -398,17 +375,16 @@ class ObsConfig:
     same trace digest.  Off by default: the hot path then pays only a
     boolean check per message.
 
-    ``events_enabled`` turns on the flight recorder: bounded per-node rings
+    The flight recorder is always on: bounded per-node rings
     (``ring_capacity`` events each) of typed protocol events (view changes,
-    checkpoints, recoveries, fault injections, cache refreshes).  On by
-    default — the sites are rare and the memory is bounded.
+    checkpoints, recoveries, fault injections, cache refreshes) — the sites
+    are rare and the memory is bounded.
 
     ``max_traces`` bounds trace retention: completed traces past the window
     are evicted oldest-first (the streaming digest already covers them).
     """
 
     tracing_enabled: bool = False
-    events_enabled: bool = True
     ring_capacity: int = 256
     max_traces: int = 2048
 
@@ -494,7 +470,6 @@ class SystemConfig:
     seed: int = 7
     initial_keys: int = 1_000
     value_size: int = 256
-    key_size: int = 4
 
     @property
     def cluster_size(self) -> int:
@@ -523,8 +498,8 @@ class SystemConfig:
             )
         if self.initial_keys < 1:
             raise ConfigurationError("initial_keys must be >= 1")
-        if self.value_size < 1 or self.key_size < 1:
-            raise ConfigurationError("key/value sizes must be >= 1")
+        if self.value_size < 1:
+            raise ConfigurationError("value_size must be >= 1")
         self.batch.validate()
         self.latency.validate()
         self.costs.validate()

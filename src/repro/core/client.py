@@ -153,8 +153,7 @@ class TransEdgeClient(ProcessNode):
         # successor the moment a view change lands in the topology (instead
         # of waiting out the request timeout).
         self._pending_leader_requests: Dict[str, Tuple[PartitionId, RequestMessage]] = {}
-        if self.config.failover.enabled:
-            topology.subscribe_leader_changes(self._on_leader_change)
+        topology.subscribe_leader_changes(self._on_leader_change)
         # f+1 replica commit-reply quorum (classic PBFT client acceptance):
         # per in-flight transaction, the coordinator partition and the
         # current attempt's request id; per-outcome voter sets; and outcomes
@@ -164,8 +163,7 @@ class TransEdgeClient(ProcessNode):
             str, Dict[Tuple[TxnStatus, BatchNumber, str], set]
         ] = {}
         self._commit_quorum_outcomes: Dict[str, Tuple[TxnStatus, BatchNumber, str]] = {}
-        if self.config.failover.replica_commit_replies:
-            self.register_handler(ReplicaCommitReply, self._on_replica_commit_reply)
+        self.register_handler(ReplicaCommitReply, self._on_replica_commit_reply)
 
     # ------------------------------------------------------------------
     # routing helpers
@@ -181,8 +179,7 @@ class TransEdgeClient(ProcessNode):
         timeout_ms: Optional[float] = None,
     ) -> Call:
         """A :class:`Call` to ``partition``'s leader, tracked for failover."""
-        if self.config.failover.enabled:
-            self._pending_leader_requests[request.request_id] = (partition, request)
+        self._pending_leader_requests[request.request_id] = (partition, request)
         return Call(self._leader_of(partition), request, timeout_ms=timeout_ms)
 
     def on_request_settled(self, request_id: str) -> None:
@@ -367,13 +364,12 @@ class TransEdgeClient(ProcessNode):
     ) -> Generator[object, object, Optional[CommitReply]]:
         """Submit ``txn`` for commitment, retrying timed-out attempts.
 
-        With the reliable channel enabled the flat commit timeout degrades
-        gracefully: each timed-out attempt backs off and resubmits a fresh
-        :class:`CommitRequest` (request ids are single-use at the process
-        layer).  Resubmission is duplicate-safe — the coordinator's leader
-        answers repeats of an already-decided transaction from its replicated
-        ``decided``/``local_decided`` records instead of re-admitting them.
-        With reliability disabled this is exactly the old single attempt.
+        The flat commit timeout degrades gracefully: each timed-out attempt
+        backs off and resubmits a fresh :class:`CommitRequest` (request ids
+        are single-use at the process layer).  Resubmission is duplicate-safe
+        — the coordinator's leader answers repeats of an already-decided
+        transaction from its replicated ``decided``/``local_decided`` records
+        instead of re-admitting them.
 
         Positional refusals (``POSITIONAL_REFUSALS``: not-leader,
         mid-recovery) are retried like timeouts rather than surfaced as
@@ -399,28 +395,22 @@ class TransEdgeClient(ProcessNode):
         strand this client until the timeout.
         """
         reliability = self.config.reliability
-        attempts = max(1, reliability.commit_retry_attempts) if reliability.enabled else 1
-        quorum = self.config.failover.replica_commit_replies
         reply: Optional[CommitReply] = None
-        unanswered = False  # a timed-out attempt may sit admitted somewhere
         try:
-            for attempt in range(attempts):
+            for attempt in range(reliability.commit_retry_attempts):
                 if attempt:
                     self.stats.commit_retries += 1
                     yield Sleep(reliability.commit_retry_backoff_ms * attempt)
                 request = CommitRequest(txn=txn)
-                if quorum:
-                    self._commit_quorum_waits[txn.txn_id] = (
-                        coordinator,
-                        request.request_id,
-                    )
-                    if txn.txn_id in self._commit_quorum_outcomes:
-                        # The quorum completed while no attempt was waiting
-                        # (e.g. during backoff): consume it, skip the send.
-                        reply = self._quorum_commit_reply(
-                            txn.txn_id, request.request_id
-                        )
-                        break
+                self._commit_quorum_waits[txn.txn_id] = (
+                    coordinator,
+                    request.request_id,
+                )
+                if txn.txn_id in self._commit_quorum_outcomes:
+                    # The quorum completed while no attempt was waiting
+                    # (e.g. during backoff): consume it, skip the send.
+                    reply = self._quorum_commit_reply(txn.txn_id, request.request_id)
+                    break
                 reply = yield self._leader_call(
                     coordinator, request, timeout_ms=self._commit_timeout_ms
                 )
@@ -430,24 +420,17 @@ class TransEdgeClient(ProcessNode):
                     and reply.abort_reason in POSITIONAL_REFUSALS
                 ):
                     # A positional refusal decides nothing (see
-                    # POSITIONAL_REFUSALS): only surface it as the final
-                    # abort when nothing could have been admitted — no
-                    # failover re-sends, no unanswered earlier attempt, no
-                    # retries left to learn the real outcome.
+                    # POSITIONAL_REFUSALS) and a failover re-send may have
+                    # been admitted elsewhere, so it is never surfaced as
+                    # the final abort.  Retry without complaining: a live
+                    # replica answered, so this is routing staleness, not a
+                    # silent leader.
                     self.stats.commit_leader_refusals += 1
-                    if (
-                        self.config.failover.enabled
-                        or unanswered
-                        or attempt + 1 < attempts
-                    ):
-                        # Retry without complaining: a live replica answered,
-                        # so this is routing staleness, not a silent leader.
-                        reply = None
-                        continue
+                    reply = None
+                    continue
                 if reply is not None:
                     break
-                unanswered = True
-                if quorum and txn.txn_id in self._commit_quorum_outcomes:
+                if txn.txn_id in self._commit_quorum_outcomes:
                     reply = self._quorum_commit_reply(txn.txn_id, request.request_id)
                     break
                 if complain:
@@ -455,10 +438,9 @@ class TransEdgeClient(ProcessNode):
                     for member in self.topology.members(coordinator):
                         self.send(member, LeaderComplaint(partition=coordinator, txn=txn))
         finally:
-            if quorum:
-                self._commit_quorum_waits.pop(txn.txn_id, None)
-                self._commit_quorum_votes.pop(txn.txn_id, None)
-                self._commit_quorum_outcomes.pop(txn.txn_id, None)
+            self._commit_quorum_waits.pop(txn.txn_id, None)
+            self._commit_quorum_votes.pop(txn.txn_id, None)
+            self._commit_quorum_outcomes.pop(txn.txn_id, None)
         return reply
 
     # ------------------------------------------------------------------

@@ -275,12 +275,10 @@ class LeaderRole:
         if not self._replica.is_leader:
             self._reply_abort(txn, waiting, "not the current leader of this partition")
             return
-        if self._replica.recovery.in_progress and self._replica.config.failover.enabled:
+        if self._replica.recovery.in_progress:
             # Mid-state-transfer this replica's state is not authoritative;
-            # admitting work now could propose against a stale prefix.  Only
-            # refused when failover is on — with it off there is no retry
-            # machinery, and refusing would regress the PR-1 behaviour the
-            # flag exists to restore.
+            # admitting work now could propose against a stale prefix.  The
+            # client retries (see POSITIONAL_REFUSALS).
             self._reply_abort(txn, waiting, "replica is recovering, retry later")
             return
         if self._answer_duplicate_commit_request(txn, waiting):
@@ -381,11 +379,9 @@ class LeaderRole:
         txn = message.txn
         if txn is None or not self._replica.is_leader:
             return
-        if self._replica.recovery.in_progress and self._replica.config.failover.enabled:
+        if self._replica.recovery.in_progress:
             # State not authoritative yet; the coordinator's 2PC retry timer
-            # re-sends the prepare.  (Without failover there are no retries,
-            # so dropping here would strand the transaction — fall through
-            # to the PR-1 behaviour instead.)
+            # re-sends the prepare.
             return
         if txn.txn_id in self._participant_states:
             # Duplicate from a retrying (or freshly elected) coordinator
@@ -463,19 +459,12 @@ class LeaderRole:
                 self._replica.config.certificate_size,
             )
             if not valid:
-                if self._replica.config.reliability.enabled:
-                    # An unverifiable vote is *no* vote: this coordinator
-                    # cannot sign a negative vote on the participant's
-                    # behalf (abort records now require the voting
-                    # cluster's signature), so it waits and re-solicits
-                    # through the 2PC retry timer instead of fabricating
-                    # an abort it could never justify.
-                    return
-                # Legacy behaviour (pre-signed-abort): downgrade to an
-                # unsigned negative vote.
-                vote = PreparedVote(
-                    txn_id=vote.txn_id, partition=vote.partition, vote=False
-                )
+                # An unverifiable vote is *no* vote: this coordinator cannot
+                # sign a negative vote on the participant's behalf (abort
+                # records require the voting cluster's signature), so it
+                # waits and re-solicits through the 2PC retry timer instead
+                # of fabricating an abort it could never justify.
+                return
         state.votes[vote.partition] = vote
         self._maybe_decide(state)
 
@@ -522,7 +511,7 @@ class LeaderRole:
     def _ensure_twopc_timer(self) -> None:
         replica = self._replica
         config = replica.config.failover
-        if not config.enabled or not replica.is_leader or self._twopc_timer is not None:
+        if not replica.is_leader or self._twopc_timer is not None:
             return
         if not replica.prepared_batches.has_undecided():
             return
@@ -533,8 +522,7 @@ class LeaderRole:
         replica = self._replica
         config = replica.config.failover
         if (
-            not config.enabled
-            or not replica.is_leader
+            not replica.is_leader
             or replica.crashed
             or replica.leader_role is not self
             or replica.recovery.in_progress
@@ -1027,8 +1015,6 @@ class LeaderRole:
     def _resume_pending_two_pc(self) -> None:
         """Newly elected leader: immediately re-drive every undecided 2PC txn."""
         replica = self._replica
-        if not replica.config.failover.enabled:
-            return
         for txn_id, record in list(replica.prepared_batches.pending_transactions()):
             if record.coordinator == self._partition:
                 self._redrive_coordinated(txn_id, record)

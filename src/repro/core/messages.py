@@ -166,11 +166,11 @@ class LeaderComplaint(Message):
     consensus instance to betray it — is still suspected and replaced.
 
     ``txn`` is the complaint's evidence: the transaction whose commit
-    request went unanswered.  With the reliability layer enabled followers
-    refuse to act on a complaint without it, and corroborate the rest by
-    forwarding the transaction to the leader as a :class:`ComplaintProbe`
-    — the complaint only sustains suspicion while that forwarded request
-    goes unanswered, so a lying client cannot vote out a healthy leader.
+    request went unanswered.  Followers refuse to act on a complaint
+    without it, and corroborate the rest by forwarding the transaction to
+    the leader as a :class:`ComplaintProbe` — the complaint only sustains
+    suspicion while that forwarded request goes unanswered, so a lying
+    client cannot vote out a healthy leader.
     """
 
     partition: PartitionId = 0

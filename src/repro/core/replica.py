@@ -80,7 +80,6 @@ class ReplicaCounters:
     snapshot_requests_served: int = 0
     snapshot_fast_path: int = 0
     snapshot_rebuilds: int = 0
-    snapshot_refused: int = 0
     validation_failures: int = 0
     checkpoints_taken: int = 0
     checkpoints_stable: int = 0
@@ -152,7 +151,7 @@ class ViewProgressMonitor:
         #: view-change vote instead of withholding it forever.
         self._catchup_attempted = False
 
-    def note_complaint(self, complainant, probe_txn_id: Optional[str] = None) -> None:
+    def note_complaint(self, complainant, probe_txn_id: str) -> None:
         """A client reported the leader unresponsive (``LeaderComplaint``).
 
         Complainants are deduplicated (the simulated network stamps the true
@@ -163,18 +162,17 @@ class ViewProgressMonitor:
         revival is driven by an actual client message, so a finite workload
         still yields a finite number of monitoring rounds.
 
-        With the reliability layer enabled the caller corroborates first:
-        the complaint must carry the unanswered transaction, which the
-        replica forwards to the leader as a ``ComplaintProbe``
-        (``probe_txn_id`` records the probe).  The leader's ack arrives as
-        :meth:`note_probe_ack` and refutes the complaint, so a byzantine
+        The caller corroborates first: the complaint must carry the
+        unanswered transaction, which the replica forwards to the leader as
+        a ``ComplaintProbe`` (``probe_txn_id`` records the probe).  The
+        leader's ack arrives as :meth:`note_probe_ack` and refutes the
+        complaint, so a byzantine
         client fabricating complaints against a live leader cannot churn an
         otherwise idle cluster's leadership; only a leader that leaves the
         forwarded request unanswered is voted out.
         """
         self._complainants.add(complainant)
-        if probe_txn_id is not None:
-            self._probes.add(probe_txn_id)
+        self._probes.add(probe_txn_id)
         if self._gave_up:
             self._gave_up = False
             self._suspect_rounds = 0
@@ -209,7 +207,7 @@ class ViewProgressMonitor:
 
     def poke(self) -> None:
         """Re-evaluate after any event that could create or resolve evidence."""
-        if not self._config.enabled or self._replica.crashed:
+        if self._replica.crashed:
             return
         if self._replica.progress_monitor is not self:
             return  # replaced by a crash-reset; stale timers must not act
@@ -246,7 +244,7 @@ class ViewProgressMonitor:
     def _fire(self) -> None:
         self._timer = None
         replica = self._replica
-        if replica.crashed or not self._config.enabled:
+        if replica.crashed:
             return
         if replica.progress_monitor is not self:
             return  # replaced by a crash-reset; stale timers must not act
@@ -433,12 +431,8 @@ class PartitionReplica(SimNode):
         base_batch: BatchNumber = NO_BATCH,
         tree: Optional[MerkleTree] = None,
     ) -> MerkleStore:
-        """Build the per-partition Merkle store, archived per the perf config."""
-        archive = None
-        if self.config.perf.archive_enabled:
-            archive = MerkleTreeArchive(
-                max_batches=self.config.perf.archive_max_batches
-            )
+        """Build the per-partition Merkle store and its tree archive."""
+        archive = MerkleTreeArchive(max_batches=self.config.perf.archive_max_batches)
         return MerkleStore(initial, archive=archive, base_batch=base_batch, tree=tree)
 
     def current_cd_vector(self) -> CDVector:
@@ -545,10 +539,9 @@ class PartitionReplica(SimNode):
 
         # Freshness window (Section 4.4.2): the leader's timestamp must be
         # close to this replica's clock.
-        if self.config.freshness.enabled:
-            drift = abs(batch.read_only.timestamp_ms - self.now)
-            if drift > self.config.freshness.acceptance_window_ms:
-                return False
+        drift = abs(batch.read_only.timestamp_ms - self.now)
+        if drift > self.config.freshness.acceptance_window_ms:
+            return False
 
         # Conflict rules (Definition 3.1) for every transaction the batch
         # admits, checked against this replica's own state.
@@ -631,28 +624,27 @@ class PartitionReplica(SimNode):
             negatives = [vote for vote in record.votes.values() if not vote.vote]
             if not negatives:
                 return False
-            if self.config.reliability.enabled:
-                # An abort must be justified by an *authentic* negative vote:
-                # each one carries a signature by a member of the cluster it
-                # claims voted no (see PreparedVote.abort_signing_payload),
-                # which stops a byzantine coordinator from fabricating a
-                # participant's refusal and unilaterally aborting a
-                # fully-prepared transaction.
-                for vote in negatives:
-                    if vote.partition not in accessed:
-                        return False
-                    if vote.signature is None:
-                        return False
-                    members = {
-                        str(member)
-                        for member in self.topology.members(vote.partition)
-                    }
-                    if vote.signature.signer not in members:
-                        return False
-                    if not self.verifier.verify(
-                        vote.abort_signing_payload(), vote.signature
-                    ):
-                        return False
+            # An abort must be justified by an *authentic* negative vote:
+            # each one carries a signature by a member of the cluster it
+            # claims voted no (see PreparedVote.abort_signing_payload),
+            # which stops a byzantine coordinator from fabricating a
+            # participant's refusal and unilaterally aborting a
+            # fully-prepared transaction.
+            for vote in negatives:
+                if vote.partition not in accessed:
+                    return False
+                if vote.signature is None:
+                    return False
+                members = {
+                    str(member)
+                    for member in self.topology.members(vote.partition)
+                }
+                if vote.signature.signer not in members:
+                    return False
+                if not self.verifier.verify(
+                    vote.abort_signing_payload(), vote.signature
+                ):
+                    return False
         return True
 
     def _derive_read_only_metadata(self, batch: Batch) -> Tuple[CDVector, BatchNumber]:
@@ -697,8 +689,6 @@ class PartitionReplica(SimNode):
         state-transfer replay goes through :meth:`_apply_batch` directly and
         must not re-answer long-finished transactions.
         """
-        if not self.config.failover.replica_commit_replies:
-            return
         network = self.env.network
         for txn in batch.local_txns:
             # Unit harnesses apply batches whose clients are not simulated
@@ -1051,18 +1041,15 @@ class PartitionReplica(SimNode):
         tree = self.merkle.tree_at(header.number)
         if tree is not None:
             self.counters.snapshot_fast_path += 1
-        elif self.config.perf.snapshot_rebuild_fallback:
+        else:
+            # Past the archive window: rebuild this header's tree rather
+            # than serve a different snapshot.  Only the *earliest*
+            # dependency-satisfying header is covered by the two-round
+            # consistency argument (Theorem 4.6); substituting a newer one
+            # could carry fresh cross-partition dependencies the client
+            # never rechecks.
             tree = MerkleTree(self.store.snapshot_as_of(header.number))
             self.counters.snapshot_rebuilds += 1
-        else:
-            # The archive cannot answer and rebuilds are disabled: refuse
-            # (the client times out and retries elsewhere) rather than serve
-            # a different snapshot.  Only the *earliest* dependency-
-            # satisfying header is covered by the two-round consistency
-            # argument (Theorem 4.6); substituting a newer one could carry
-            # fresh cross-partition dependencies the client never rechecks.
-            self.counters.snapshot_refused += 1
-            return
         self.counters.snapshot_requests_served += 1
         values, versions, proofs = self._collect_reads(
             message.keys, tree, as_of=header.number
@@ -1273,10 +1260,6 @@ class PartitionReplica(SimNode):
     def _on_leader_complaint(self, message: Message, src: NodeId) -> None:
         assert isinstance(message, LeaderComplaint)
         if message.partition != self.partition or self.is_leader:
-            return
-        if not self.config.reliability.enabled:
-            # Legacy behaviour: any complaint counts as evidence.
-            self.progress_monitor.note_complaint(src)
             return
         txn = message.txn
         if txn is None:

@@ -61,7 +61,6 @@ class SystemCounters:
     snapshot_requests_served: int = 0
     snapshot_fast_path: int = 0
     snapshot_rebuilds: int = 0
-    snapshot_refused: int = 0
     validation_failures: int = 0
     checkpoints_taken: int = 0
     checkpoints_stable: int = 0
@@ -232,9 +231,7 @@ class TransEdgeSystem:
         Crashing the current leader of a cluster is detected automatically:
         survivors' progress monitors (armed by in-flight instances, undecided
         2PC groups or client complaints) vote the dead leader out and the
-        cluster rotates to the next view without operator action (set
-        ``FailoverConfig.enabled=False`` to require a manual
-        ``suspect_leader`` nudge instead).
+        cluster rotates to the next view without operator action.
         """
         replica = self.replicas[replica_id]
         if not replica.crashed:
@@ -321,12 +318,11 @@ class TransEdgeSystem:
         # Reliable-channel counters ride along: not a cache, but the same
         # "one unified accounting point" contract — the benchmark harness and
         # chaos reports read retransmit/duplicate-drop totals from here.
-        transport = self.env.reliability
         snapshot: Dict[str, object] = {
             "verify_replicas": verify_replicas,
             "verify_clients": verify_clients,
             "edge": edge,
-            "transport": dict(transport.counters) if transport is not None else {},
+            "transport": dict(self.env.reliability.counters),
             "totals": {
                 "verify_replicas": totals(verify_replicas),
                 "verify_clients": totals(verify_clients),
@@ -424,7 +420,6 @@ class TransEdgeSystem:
             total.snapshot_requests_served += counters.snapshot_requests_served
             total.snapshot_fast_path += counters.snapshot_fast_path
             total.snapshot_rebuilds += counters.snapshot_rebuilds
-            total.snapshot_refused += counters.snapshot_refused
             total.validation_failures += counters.validation_failures
             total.checkpoints_taken += counters.checkpoints_taken
             total.checkpoints_stable += counters.checkpoints_stable

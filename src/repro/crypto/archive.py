@@ -311,7 +311,7 @@ class MerkleTreeArchive:
         del self._batches[:cut]
         return cut
 
-    # -- compaction (checkpoint-time, see PerfConfig.archive_compaction) ------
+    # -- compaction (checkpoint-time, see PerfConfig) ---------------------------
 
     def compact(self, keep: Collection[BatchNumber]) -> int:
         """Merge records whose exact state no request can name any more.

@@ -21,6 +21,7 @@ from repro.lint.rules.protocol import (
 from repro.lint.rules.purity import SimBlockingRule, SimFilesystemRule
 from repro.lint.rules.accounting import CounterAggregationRule, CounterIncrementRule
 from repro.lint.rules.coverage import BugSelfTestCoverageRule
+from repro.lint.rules.knobs import DeadConfigKnobRule
 
 
 def all_rules() -> List[Rule]:
@@ -40,6 +41,7 @@ def all_rules() -> List[Rule]:
         CounterIncrementRule(),
         CounterAggregationRule(),
         BugSelfTestCoverageRule(),
+        DeadConfigKnobRule(),
     ]
 
 

@@ -330,12 +330,7 @@ class MetricsCollector:
         return hits, misses
 
     def transport_counters(self) -> Dict[str, int]:
-        """Reliable-channel counters from the last recorded cache snapshot.
-
-        Empty when the reliable channel is disabled (the snapshot's
-        ``transport`` section is empty then), so callers can gate their
-        bench notes on truthiness.
-        """
+        """Reliable-channel counters from the last recorded cache snapshot."""
         return dict(self._transport)
 
     def record_edge_cache(self, proxy: str, hits: int, misses: int) -> None:

@@ -2,11 +2,11 @@
 
 One :class:`Observability` object is created by every
 :class:`~repro.simnet.node.SimEnvironment` and shared by all of its nodes:
-it owns the tracer, the flight recorder and the enablement flags, all
-driven by :class:`~repro.common.config.ObsConfig`.  Instrumentation call
-sites guard on the cheap ``tracing`` / ``events`` booleans, so a deployment
-with observability off (the default) pays a couple of attribute reads per
-message and nothing else.
+it owns the tracer and the flight recorder, both sized by
+:class:`~repro.common.config.ObsConfig`.  Instrumentation call sites guard
+on the cheap ``tracing`` boolean, so a deployment with tracing off (the
+default) pays an attribute read per message and nothing else; the flight
+recorder's sites are rare and always record.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from repro.obs.trace import Tracer
 
 
 class Observability:
-    """Tracer + flight recorder behind one pair of enablement flags."""
+    """Tracer (behind the ``tracing`` flag) + always-on flight recorder."""
 
     def __init__(self, config: ObsConfig, clock: Callable[[], float]) -> None:
         self.config = config
@@ -29,7 +29,6 @@ class Observability:
         # whose config left it off — safe because tracing never changes what
         # a run does, only what it records.
         self.tracing = config.tracing_enabled or runtime.trace_mode()
-        self.events = config.events_enabled
         self.tracer = Tracer(clock, max_traces=config.max_traces)
         self.recorder = FlightRecorder(clock, capacity=config.ring_capacity)
         #: Live monitor (repro.obs.monitor) when one is attached: receives
@@ -56,11 +55,10 @@ class Observability:
         severity: str = "info",
         detail: Optional[Dict[str, object]] = None,
     ) -> None:
-        """Record a flight-recorder event (no-op when events are disabled)."""
-        if self.events:
-            recorded = self.recorder.record(node, kind, severity, detail)
-            if self.monitor is not None:
-                self.monitor.on_obs_event(recorded)
+        """Record a flight-recorder event."""
+        recorded = self.recorder.record(node, kind, severity, detail)
+        if self.monitor is not None:
+            self.monitor.on_obs_event(recorded)
 
     def phase_aggregate(self) -> PhaseAggregate:
         """Phase attribution over every completed trace still retained."""

@@ -196,12 +196,11 @@ class CheckpointManager:
         replica.prune_headers_below(retain_from)
         replica.prune_decisions_below(retain_from)
         replica.merkle.prune_archive(retain_from)
-        if replica.config.perf.archive_compaction:
-            # Merge archive deltas for batches no round-2 request can name:
-            # only the earliest header of each LCE run is reachable through
-            # ``_earliest_header_with_lce``, so the other batches' exact
-            # trees are dead weight the compaction folds together.
-            replica.counters.archive_records_compacted += (
-                replica.merkle.compact_archive(replica.requestable_header_batches())
-            )
+        # Merge archive deltas for batches no round-2 request can name:
+        # only the earliest header of each LCE run is reachable through
+        # ``_earliest_header_with_lce``, so the other batches' exact
+        # trees are dead weight the compaction folds together.
+        replica.counters.archive_records_compacted += (
+            replica.merkle.compact_archive(replica.requestable_header_batches())
+        )
         replica.engine.compact_below(image.seq + 1)

@@ -165,10 +165,3 @@ class Network:
             destination.receive(message_to_deliver, src)
 
         self._simulator.schedule(delay, _deliver)
-
-    def broadcast(self, src: NodeId, dsts: Iterable[NodeId], message: Message) -> None:
-        """Send ``message`` to every destination in ``dsts`` (excluding ``src``)."""
-        for dst in dsts:
-            if dst == src:
-                continue
-            self.send(src, dst, message)

@@ -63,19 +63,16 @@ class SimEnvironment:
         #: every dispatch so timeline windows close on sim-time without any
         #: extra simulator events.
         self.monitor = None
-        #: Reliable delivery for core links (repro.simnet.reliable), or
-        #: ``None`` when disabled — the fire-and-forget seed behaviour.
-        #: Its jitter generator is dedicated (``seed + 3``) so enabling the
-        #: channel never perturbs the env/network/fault draw sequences.
-        self.reliability: Optional[ReliableTransport] = None
-        if self.config.reliability.enabled:
-            self.reliability = ReliableTransport(
-                self.config.reliability,
-                self.network,
-                self.simulator,
-                random.Random(config.seed + 3),
-                obs=self.obs,
-            )
+        #: Reliable delivery for core links (repro.simnet.reliable).  Its
+        #: jitter generator is dedicated (``seed + 3``) so retransmission
+        #: never perturbs the env/network/fault draw sequences.
+        self.reliability = ReliableTransport(
+            self.config.reliability,
+            self.network,
+            self.simulator,
+            random.Random(config.seed + 3),
+            obs=self.obs,
+        )
 
     @property
     def now(self) -> float:
@@ -131,14 +128,13 @@ class SimNode:
     def send(self, dst: NodeId, message: Message) -> None:
         """Send ``message`` to ``dst`` over the simulated network.
 
-        Replica-to-replica traffic goes through the reliable channel when one
-        is configured (ack/retransmit/dedup; :mod:`repro.simnet.reliable`);
-        everything else — and every link when reliability is disabled — is
-        fire-and-forget exactly as before.
+        Replica-to-replica traffic goes through the reliable channel
+        (ack/retransmit/dedup; :mod:`repro.simnet.reliable`); every other
+        link is fire-and-forget.
         """
         self._stamp_trace(message)
         transport = self.env.reliability
-        if transport is not None and transport.covers(self.node_id, dst):
+        if transport.covers(self.node_id, dst):
             transport.send(self.node_id, dst, message)
         else:
             self.env.network.send(self.node_id, dst, message)
@@ -146,11 +142,8 @@ class SimNode:
     def broadcast(self, dsts, message: Message) -> None:
         self._stamp_trace(message)
         transport = self.env.reliability
-        if transport is None:
-            self.env.network.broadcast(self.node_id, dsts, message)
-            return
         # Per-destination envelopes (each link has its own sequence space)
-        # around the one shared payload object, mirroring Network.broadcast.
+        # around the one shared payload object.
         for dst in dsts:
             if dst == self.node_id:
                 continue
@@ -207,11 +200,7 @@ class SimNode:
             # (before the busy queue — ack processing models NIC work, not
             # protocol work), and the protocol layer sees only fresh
             # payloads, never envelopes or duplicates.
-            transport = self.env.reliability
-            if transport is not None:
-                payload = transport.on_receive(self.node_id, src, message)
-            else:
-                payload = message.payload if isinstance(message, ReliableEnvelope) else None
+            payload = self.env.reliability.on_receive(self.node_id, src, message)
             if payload is None:
                 return
             message = payload

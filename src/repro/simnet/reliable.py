@@ -21,8 +21,8 @@ replica-to-replica link and implements the classic ack/retransmit recipe:
   modelled link RTT (otherwise the paper's 70 ms ``inter_cluster_extra_ms``
   sweeps would spuriously retransmit everything), then doubles per fruitless
   round up to ``retransmit_cap_ms`` with a jitter drawn from a generator
-  dedicated to this module (``seed + 3``) so enabling reliability never
-  perturbs the latency or fault draw sequences.  After ``max_retransmits``
+  dedicated to this module (``seed + 3``) so retransmission never perturbs
+  the latency or fault draw sequences.  After ``max_retransmits``
   consecutive rounds with no ack progress the *link* is declared stalled and
   its whole outstanding window is abandoned (``base`` advances past it) —
   the cap bounds simulation work against permanently dead peers at one
@@ -37,10 +37,6 @@ replica-to-replica link and implements the classic ack/retransmit recipe:
 Retransmissions and standalone acks re-enter the *filtered*
 :meth:`Network.send <repro.simnet.network.Network.send>` path on purpose: an
 open drop window applies to them exactly as it does to first transmissions.
-
-With ``ReliabilityConfig.enabled=False`` the transport is never constructed:
-no envelopes, no timers, no randomness, byte-for-byte the fire-and-forget
-seed behaviour.
 """
 
 from __future__ import annotations

@@ -270,8 +270,6 @@ class CheckpointArchiveCoherenceOracle(Oracle):
     def check(self, observation: RunObservation) -> List[OracleFailure]:
         failures: List[OracleFailure] = []
         system = observation.system
-        if not system.config.perf.archive_enabled:
-            return failures
         for partition in system.topology.partitions():
             replica = system.leader_replica(partition)
             candidates = sorted(
@@ -403,8 +401,7 @@ class EdgeFreshnessBoundOracle(Oracle):
     header age at that exact moment, must all sit within the bound.  One
     outside it means the declared staleness SLO is silently unenforced:
     the check regressed, or the edge tier pinned an aged context past the
-    refresh machinery.  No-op when the bound is unset or events are off,
-    and zero false positives by construction: the oracle re-applies the
+    refresh machinery.  No-op when the bound is unset, and zero false positives by construction: the oracle re-applies the
     same strict-``>`` comparison the client's own acceptance path uses.
     """
 
@@ -418,7 +415,7 @@ class EdgeFreshnessBoundOracle(Oracle):
         system = observation.system
         bound = system.config.freshness.client_staleness_bound_ms
         obs = getattr(getattr(system, "env", None), "obs", None)
-        if bound is None or obs is None or not obs.events:
+        if bound is None or obs is None:
             return []
         failures: List[OracleFailure] = []
         overflow = 0

@@ -8,25 +8,12 @@ failure in this file and a failure in CI point at the same scenario.
 from __future__ import annotations
 
 import json
-from dataclasses import replace
 
 import pytest
 
 from repro.chaos import plan_from_seed, run_plan, run_seed, shrink_plan
 from repro.chaos.cli import load_artifact, main as chaos_main, write_artifact
 from repro.chaos.plan import ChaosPlan
-
-
-def _without_reliability(plan: ChaosPlan) -> ChaosPlan:
-    """The plan with the reliable channel (and client retries) turned off.
-
-    Some injected bugs — lost replies most notably — are *tolerated* by the
-    reliability layer rather than detected: the client's resubmission gets a
-    duplicate-safe answer and the run passes every oracle, which is exactly
-    the robustness the layer exists to provide.  Tests that verify an oracle
-    catches such a bug pin the pre-reliability configuration.
-    """
-    return replace(plan, config=replace(plan.config, reliability_enabled=False))
 
 #: Seeds exercised by the tier-1 suite (kept small; CI sweeps more).
 SMOKE_SEEDS = (0, 3, 21)
@@ -103,11 +90,10 @@ class TestInjectedBugs:
         # The bug swallows every 2nd commit reply at the leader.  Nothing is
         # torn and nothing deadlocks immediately, so only the causal traces
         # expose it: a CommitRequest span that reached a healthy leader but
-        # never produced a CommitReply span.  With the reliable channel on,
-        # the client's retry would mask the loss (see _without_reliability).
-        report = run_plan(
-            _without_reliability(plan_from_seed(1)), bug="drop-commit-replies"
-        )
+        # never produced a CommitReply span.  The client itself is fine —
+        # f+1 replica outcome reports settle its commit — which is exactly
+        # why nothing but the trace shows the leader's missing reply.
+        report = run_plan(plan_from_seed(1), bug="drop-commit-replies")
         oracles = {failure.oracle for failure in report.failures}
         assert "trace-completeness" in oracles
         # The flight recorder dumped its black box and the failing
@@ -152,7 +138,7 @@ class TestArtifacts:
         json.dumps(document)
 
     def test_artifact_carries_the_flight_recorder(self, tmp_path):
-        plan = _without_reliability(plan_from_seed(1))
+        plan = plan_from_seed(1)
         report = run_plan(plan, bug="drop-commit-replies")
         assert report.failures
         path = write_artifact(

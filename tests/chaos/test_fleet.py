@@ -25,6 +25,8 @@ from __future__ import annotations
 
 import json
 import os
+import random
+from dataclasses import replace
 
 import pytest
 
@@ -43,6 +45,8 @@ from repro.chaos import (
     seed_corpus,
 )
 from repro.chaos.bugs import get_bug
+from repro.chaos.coverage import _apply_op
+from repro.chaos.fleet import run_fleet
 from repro.chaos.shrink import shrink_plan
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
@@ -54,7 +58,7 @@ FAST = FleetSettings(perf_oracle=False, shrink=False, artifact_dir=None)
 
 def load_pinned_plan(name: str) -> ChaosPlan:
     with open(os.path.join(DATA_DIR, name), "r", encoding="utf-8") as handle:
-        return ChaosPlan.from_dict(json.load(handle))
+        return ChaosPlan.from_dict(json.load(handle), name)
 
 
 class TestFleetDeterminism:
@@ -72,17 +76,17 @@ class TestFleetDeterminism:
         assert [r.trace_digest for r in parallel] == [r.trace_digest for r in serial]
         assert [r.counters for r in parallel] == [r.counters for r in serial]
 
-    def test_fleet_matches_the_serial_runner(self, serial):
+    def test_fleet_matches_the_serial_runner(self, serial, untwinned_run):
         # The fleet is a wrapper, not a fork: its results are the runner's.
         for result in serial:
-            report = run_plan(plan_from_seed(result.seed), perf_oracle=False)
+            report = untwinned_run(result.seed)
             assert result.fingerprint == report.fingerprint()
             assert result.trace_digest == report.trace_digest
 
 
 class TestCoverageSignature:
     def test_signature_is_pure_and_sorted(self):
-        counters = {"catchup_recoveries": 2, "snapshot_refused": 0}
+        counters = {"catchup_recoveries": 2, "snapshot_rebuilds": 0}
         health = {"transitions": [{"to": "crashed"}, {"to": "healthy"}]}
         signature = coverage_signature(counters, health, ["liveness"], 1.5)
         assert signature == (
@@ -110,6 +114,19 @@ class TestCoverageSignature:
         # crash/recovery health states must be visible to the planner.
         assert "counter:catchup_recoveries" in result.signature
         assert "health:crashed" in result.signature
+
+    def test_tiny_archive_mutation_reaches_the_rebuild_path(self):
+        # No uniform seed asks for a batch outside the 512-batch archive;
+        # seed 27 under the ``tiny-archive`` mutation's smallest window
+        # does, and the rebuilt answers keep every oracle green.
+        base = plan_from_seed(27)
+        drawn = _apply_op(base, "tiny-archive", random.Random(0)).config
+        assert drawn.archive_max_batches in (1, 2, 3)
+        assert replace(drawn, archive_max_batches=512) == base.config
+        mutant = replace(base, config=replace(base.config, archive_max_batches=1))
+        (result,) = run_fleet([mutant], FAST)
+        assert result.ok, result.failures
+        assert "counter:snapshot_rebuilds" in result.signature
 
 
 class TestCorpus:
@@ -219,10 +236,16 @@ class TestFuzzerFindRegressions:
     def test_behind_leader_reproposal_is_unwedged_by_state_transfer(self):
         # Variant two: the behind leader re-proposed an already-delivered
         # sequence; followers ignored it as stale and the leader's
-        # in-flight flag wedged sealing forever.
+        # in-flight flag wedged sealing forever.  The fuzzer's plan ran with
+        # the archive off; on the one remaining system its timing no longer
+        # elected a behind leader, so the pin is that plan under a rerolled
+        # ``system_seed`` (a legal mutation) chosen because it fails
+        # quiescent-liveness again once the leader's last-resort catch-up
+        # is taken out of ``ViewProgressMonitor._fire``.
         plan = load_pinned_plan("regress-behind-leader-reproposal.json")
         report = run_plan(plan, perf_oracle=False)
         assert report.ok, [f.description for f in report.failures]
+        assert report.counters["catchup_recoveries"] > 0
 
 
 class TestShrinkSettingsForwarding:

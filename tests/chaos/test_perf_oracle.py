@@ -68,8 +68,8 @@ class TestMonitorNeutrality:
 
 class TestTimelineUnderChaos:
     @pytest.mark.parametrize("seed", [2, 6, 21])
-    def test_window_deltas_reconcile_exactly(self, seed):
-        report = run_seed(seed, perf_oracle=False)
+    def test_window_deltas_reconcile_exactly(self, seed, untwinned_run):
+        report = untwinned_run(seed)
         timeline = report.monitor.timeline
         totals = timeline.totals()
         final = report.observation.system.monitor_snapshot()
@@ -82,8 +82,8 @@ class TestTimelineUnderChaos:
             }
             assert totals[section] == expected, section
 
-    def test_fault_windows_recorded_per_fault_event(self):
-        report = run_seed(21, perf_oracle=False)
+    def test_fault_windows_recorded_per_fault_event(self, untwinned_run):
+        report = untwinned_run(21)
         plan = plan_from_seed(21)
         assert len(report.fault_windows) == len(plan.faults)
         for window in report.fault_windows:
@@ -92,10 +92,10 @@ class TestTimelineUnderChaos:
 
 
 class TestHealthUnderChaos:
-    def test_crash_restart_failover_transitions_are_pinned(self):
+    def test_crash_restart_failover_transitions_are_pinned(self, untwinned_run):
         # Seed 21 crashes two replicas (restart + recovery) and rotates
         # leaders late in the run; the tracker must see the whole story.
-        report = run_seed(21, perf_oracle=False)
+        report = untwinned_run(21)
         transitions = report.health["transitions"]
         crashed = [t["node"] for t in transitions if t["to"] == "crashed"]
         assert len(crashed) == 2
@@ -113,8 +113,8 @@ class TestHealthUnderChaos:
         assert not any(t["to"] == "suspected" for t in transitions)
         assert any(t["reason"] == "quiet" for t in transitions)
 
-    def test_health_reaches_the_cache_snapshot(self):
-        report = run_seed(21, perf_oracle=False)
+    def test_health_reaches_the_cache_snapshot(self, untwinned_run):
+        report = untwinned_run(21)
         snapshot = report.observation.system.cache_snapshot()
         assert snapshot["health"] == report.monitor.health.snapshot()
 

@@ -128,10 +128,3 @@ class TestNestedConfigs:
         with pytest.raises(ConfigurationError):
             FailoverConfig(two_pc_max_retries=0).validate()
         FailoverConfig().validate()  # defaults are sane
-
-    def test_perf_rejects_no_archive_and_no_fallback(self):
-        # This combination would refuse every round-2 snapshot read.
-        with pytest.raises(ConfigurationError):
-            PerfConfig(archive_enabled=False, snapshot_rebuild_fallback=False).validate()
-        PerfConfig(archive_enabled=False, snapshot_rebuild_fallback=True).validate()
-        PerfConfig(archive_enabled=True, snapshot_rebuild_fallback=False).validate()

@@ -13,7 +13,6 @@ from __future__ import annotations
 from repro.common.config import (
     BatchConfig,
     CheckpointConfig,
-    FailoverConfig,
     LatencyConfig,
     SystemConfig,
 )
@@ -125,21 +124,6 @@ class TestLeaderCrashAutoRecovery:
         counters = system.counters()
         assert counters.leader_suspicions == 0
         assert counters.view_changes == 0
-
-    def test_failover_disabled_restores_manual_behaviour(self):
-        system = make_system(failover=FailoverConfig(enabled=False))
-        client = system.create_client("w", commit_timeout_ms=200.0)
-        keys = system.keys_of_partition(0)[:4]
-        old_leader = system.topology.leader(0)
-        system.crash_replica(old_leader)
-        results = []
-        spawn_writes(system, client, 3, keys, results)
-        system.run_until_idle()
-        # All attempts time out; nobody rotates the view automatically.
-        assert len(results) == 3
-        assert not any(r.committed for r in results)
-        assert system.topology.leader(0) == old_leader
-        assert system.counters().view_changes == 0
 
     def test_futile_catchup_does_not_withhold_view_change_votes(self):
         # "Behind" evidence can be fake: a byzantine leader may send a

@@ -13,7 +13,6 @@ from __future__ import annotations
 from repro.common.config import (
     BatchConfig,
     CheckpointConfig,
-    FailoverConfig,
     LatencyConfig,
     SystemConfig,
 )
@@ -125,21 +124,6 @@ class TestProactiveCommitFailover:
         assert reader.stats.leader_failovers >= 1
         # Far below the reader's own 60 s request timeout.
         assert system.now < 10_000.0
-
-    def test_failover_disabled_keeps_clients_waiting(self):
-        system = make_system(failover=FailoverConfig(enabled=False))
-        client = system.create_client("w", commit_timeout_ms=200.0)
-        keys = system.keys_of_partition(0)[:2]
-        system.crash_replica(system.topology.leader(0))
-        result = run_txn(client, lambda: client.read_write_txn([], {keys[0]: b"x"}))
-        assert not result.committed
-        assert client.stats.leader_failovers == 0
-        # Every commit attempt (the first plus each reliability-layer retry)
-        # times out against the dead leader with failover disabled.
-        attempts = system.config.reliability.commit_retry_attempts
-        assert client.stats.timeouts == attempts
-        assert client.stats.commit_retries == attempts - 1
-
 
 class TestDuplicateCommitRequests:
     def _client_and_leader(self, system):

@@ -14,7 +14,6 @@ from __future__ import annotations
 from repro.common.config import (
     BatchConfig,
     CheckpointConfig,
-    FailoverConfig,
     LatencyConfig,
     SystemConfig,
 )
@@ -57,12 +56,10 @@ def crash_leader_before_reply(system, partition=0):
 
 
 class TestCommitReplyQuorum:
-    def test_commit_survives_leader_death_without_failover(self):
-        # Failure detection off: nothing rotates the dead leader out, so
-        # only the f+1 replica reports can save the client from a timeout.
-        system = make_system(
-            failover=FailoverConfig(enabled=False, replica_commit_replies=True)
-        )
+    def test_commit_survives_leader_death_before_reply(self):
+        # The dead leader never answers and the client never times out: only
+        # the f+1 replica reports can have produced the commit it sees.
+        system = make_system()
         client = system.create_client("c", commit_timeout_ms=60_000.0)
         key = system.keys_of_partition(0)[0]
         crash_leader_before_reply(system)
@@ -84,31 +81,6 @@ class TestCommitReplyQuorum:
         assert results[0].latency_ms < 1_000.0
         # Followers reported the outcome (f+1 needed 2 of the 3 survivors).
         assert system.counters().replica_replies_sent >= 2
-
-    def test_without_replica_replies_the_client_times_out(self):
-        # Control: the pre-fix protocol.  Same crash, no outcome reports,
-        # no failover — the client can only wait out its commit timeout.
-        system = make_system(
-            failover=FailoverConfig(enabled=False, replica_commit_replies=False)
-        )
-        client = system.create_client("c", commit_timeout_ms=300.0)
-        key = system.keys_of_partition(0)[0]
-        crash_leader_before_reply(system)
-
-        results = []
-
-        def body():
-            result = yield from client.read_write_txn([], {key: b"v"})
-            results.append(result)
-
-        client.spawn(body())
-        system.run_until_idle()
-
-        assert len(results) == 1
-        assert results[0].status is TxnStatus.ABORTED
-        assert client.stats.timeouts >= 1
-        assert client.stats.replica_quorum_commits == 0
-        assert system.counters().replica_replies_sent == 0
 
     def test_quorum_ignores_reports_from_other_clusters(self):
         # A single report from the wrong partition (or a minority of one)
@@ -153,9 +125,7 @@ class TestCommitReplyQuorum:
     def test_distributed_commit_also_accepted_by_quorum(self):
         # A cross-partition transaction: the coordinator cluster's replicas
         # report the 2PC outcome once the commit record lands in a batch.
-        system = make_system(
-            failover=FailoverConfig(enabled=False, replica_commit_replies=True)
-        )
+        system = make_system()
         client = system.create_client("c", commit_timeout_ms=60_000.0)
         key0 = system.keys_of_partition(0)[0]
         key1 = system.keys_of_partition(1)[0]

@@ -4,12 +4,12 @@
 "the leader is not answering" and followers would arm the progress monitor
 on its word alone, so a byzantine *client* could churn an otherwise idle
 healthy cluster's leadership (the residual risk the progress monitor's
-docstring used to carry).  With the reliability layer enabled, complaints
-must carry the unanswered transaction and followers corroborate them the
-classic PBFT way: forward the request to the leader (``ComplaintProbe``)
-and only sustain suspicion while the forwarded request goes unanswered.  A
-live leader acks the probe and the complaint evaporates; a dead one stays
-silent and is voted out exactly as before.
+docstring used to carry).  Now complaints must carry the unanswered
+transaction and followers corroborate them the classic PBFT way: forward
+the request to the leader (``ComplaintProbe``) and only sustain suspicion
+while the forwarded request goes unanswered.  A live leader acks the probe
+and the complaint evaporates; a dead one stays silent and is voted out
+exactly as before.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from repro.common.config import (
     BatchConfig,
     CheckpointConfig,
     LatencyConfig,
-    ReliabilityConfig,
     SystemConfig,
 )
 from repro.core.messages import LeaderComplaint
@@ -78,17 +77,6 @@ class TestLyingClientCannotChurnLeadership:
             monitor = system.replicas[member].progress_monitor
             assert monitor._complainants == set()
             assert monitor._probes == set()
-
-    def test_legacy_mode_still_believes_bare_complaints(self):
-        # The pre-reliability behaviour (and its documented weakness) is
-        # preserved byte-for-byte when the layer is off: complaints count
-        # uncorroborated and a lying client can buy a rotation.
-        system = make_system(reliability=ReliabilityConfig(enabled=False))
-        liar = system.create_client("liar")
-        complain_to_cluster(system, liar, LeaderComplaint(partition=0))
-        system.run_until_idle()
-        assert system.counters().view_changes >= 1
-
 
 class TestDismissedComplaints:
     def test_evidence_free_complaint_is_dismissed(self):

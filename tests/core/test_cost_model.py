@@ -90,11 +90,8 @@ class TestReplicaCosts:
         assert replica.merkle.archive_covers(recent)
         assert fast_cost < replica.config.costs.tree_rebuild_cost_ms(len(replica.merkle))
 
-    def test_snapshot_without_archive_pays_rebuild(self):
-        system = make_system(
-            256,
-            perf=PerfConfig(archive_enabled=False, snapshot_rebuild_fallback=True),
-        )
+    def test_snapshot_past_the_archive_window_pays_rebuild(self):
+        system = make_system(256, perf=PerfConfig(archive_max_batches=1))
         client = system.create_client("w")
         keys = system.keys_of_partition(0)[:4]
 
@@ -108,17 +105,16 @@ class TestReplicaCosts:
         request = SnapshotRequest(keys=(keys[0],), required_prepare_batch=NO_BATCH)
         cost = replica.processing_cost_ms(request)
         rebuild = replica.config.costs.tree_rebuild_cost_ms(len(replica.merkle))
+        # The earliest satisfying header is long out of a one-batch archive.
+        assert not replica.merkle.archive_covers(replica.headers[0].number)
         assert cost >= rebuild
 
     def test_archive_vs_rebuild_cost_gap_mirrors_perf_baseline(self):
-        # The same deployment, same request: disabling the archive must make
-        # the modelled service time strictly larger (that is the whole point
-        # of charging the rebuild).
+        # The same deployment, same request: an archive too small to cover
+        # the requested batch must make the modelled service time strictly
+        # larger (that is the whole point of charging the rebuild).
         archived = make_system(1_024)
-        bare = make_system(
-            1_024,
-            perf=PerfConfig(archive_enabled=False, snapshot_rebuild_fallback=True),
-        )
+        bare = make_system(1_024, perf=PerfConfig(archive_max_batches=1))
         for system in (archived, bare):
             client = system.create_client("w")
             keys = system.keys_of_partition(0)[:4]

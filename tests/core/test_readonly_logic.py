@@ -225,7 +225,7 @@ class TestVerifySnapshot:
         config, topology, registry, signers = setup
         config = config.with_updates(
             freshness=config.freshness.__class__(
-                enabled=True, acceptance_window_ms=30_000.0, client_staleness_bound_ms=50.0
+                acceptance_window_ms=30_000.0, client_staleness_bound_ms=50.0
             )
         )
         items = {"k1": b"v1", "k2": b"v2"}

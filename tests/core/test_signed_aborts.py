@@ -16,7 +16,6 @@ import dataclasses
 from repro.common.config import (
     BatchConfig,
     LatencyConfig,
-    ReliabilityConfig,
     SystemConfig,
 )
 from repro.core.batch import PreparedVote, CommitRecord
@@ -130,15 +129,6 @@ class TestForgedAbortsRejected:
         vote = system.leader_replica(1).leader_role._abort_vote("forged-txn")
         assert validator._validate_commit_record(self._record_with(system, vote))
 
-    def test_legacy_mode_accepts_unsigned_aborts(self):
-        # With the reliability layer off the pre-PR validation applies
-        # byte-for-byte: any negative vote justifies an abort.
-        system = make_system(reliability=ReliabilityConfig(enabled=False))
-        validator = system.leader_replica(0)
-        forged = PreparedVote(txn_id="forged-txn", partition=1, vote=False)
-        assert validator._validate_commit_record(self._record_with(system, forged))
-
-
 class TestUnverifiablePositiveVotes:
     def _coordinator_with_pending_state(self, system: TransEdgeSystem):
         leader = system.leader_replica(0)
@@ -158,12 +148,3 @@ class TestUnverifiablePositiveVotes:
         )
         leader.leader_role.on_participant_prepared(bogus, src=None)
         assert state.votes == {}
-
-    def test_legacy_mode_still_downgrades_to_negative(self):
-        system = make_system(reliability=ReliabilityConfig(enabled=False))
-        leader, state = self._coordinator_with_pending_state(system)
-        bogus = ParticipantPrepared(
-            vote=PreparedVote(txn_id="pending-txn", partition=1, vote=True)
-        )
-        leader.leader_role.on_participant_prepared(bogus, src=None)
-        assert 1 in state.votes and not state.votes[1].vote

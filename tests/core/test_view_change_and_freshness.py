@@ -93,7 +93,6 @@ class TestFreshnessBound:
         # unless another replica has something fresher.
         system = make_system(
             freshness=FreshnessConfig(
-                enabled=True,
                 acceptance_window_ms=30_000.0,
                 client_staleness_bound_ms=1.0,
             )

@@ -337,10 +337,10 @@ class TestReplicaFastPath:
                 assert view.root == header.merkle_root
         assert swallowed_seen > 0
 
-    def test_archive_miss_without_fallback_refuses_instead_of_substituting(self):
+    def test_archive_miss_rebuilds_the_requested_header_not_a_substitute(self):
         """Serving any snapshot other than the earliest satisfying one is
         unsound (the client never rechecks dependencies after round 2), so a
-        miss with rebuilds disabled must refuse, not answer."""
+        miss must rebuild that header's tree, not answer from a newer one."""
         from repro.common.config import CheckpointConfig, PerfConfig
         from repro.common.ids import ClientId
         from repro.core.messages import SnapshotRequest
@@ -348,7 +348,7 @@ class TestReplicaFastPath:
 
         system = self._make_system(
             checkpoint=CheckpointConfig(enabled=False),
-            perf=PerfConfig(archive_max_batches=2, snapshot_rebuild_fallback=False),
+            perf=PerfConfig(archive_max_batches=2),
         )
         self._commit_writes(system, 12)
         replica = system.leader_replica(0)
@@ -360,19 +360,20 @@ class TestReplicaFastPath:
             def on_unhandled(self, message, src):
                 served.append(message)
 
-        sink = Sink(ClientId("refusal-sink"), system.env)
+        sink = Sink(ClientId("rebuild-sink"), system.env)
         key = system.keys_of_partition(0)[0]
         request = SnapshotRequest(keys=(key,), required_prepare_batch=NO_BATCH)
         replica._answer_snapshot(request, sink.node_id, old_header)
         _drain(system)
-        assert served == []
-        counters = replica.counters
-        assert counters.snapshot_refused == 1
-        assert counters.snapshot_requests_served == 0
-        assert (
-            counters.snapshot_fast_path + counters.snapshot_rebuilds
-            == counters.snapshot_requests_served
+        (reply,) = served
+        assert reply.header is old_header
+        assert verify_proof(
+            old_header.merkle_root, key, reply.values[key], reply.proofs[key]
         )
+        counters = replica.counters
+        assert counters.snapshot_rebuilds == 1
+        assert counters.snapshot_fast_path == 0
+        assert counters.snapshot_requests_served == 1
 
     def test_headers_bisect_matches_linear_scan(self):
         system = self._make_system()
@@ -393,7 +394,7 @@ class TestReplicaFastPath:
 
 
 class TestCompaction:
-    """Checkpoint-time delta compaction (PerfConfig.archive_compaction)."""
+    """Checkpoint-time delta compaction (see PerfConfig)."""
 
     def _mirror_with_batches(self, batches: int = 8) -> _Mirror:
         mirror = _Mirror(make_items(16))

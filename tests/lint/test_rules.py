@@ -84,6 +84,11 @@ class TestFindingContent:
         assert len(findings) == 1
         assert "stalls" in findings[0].message
 
+    def test_k601_names_the_dead_field_and_spares_helper_read_ones(self):
+        findings = findings_for("K601", os.path.join(CORPUS, "K601", "bad"))
+        assert len(findings) == 1
+        assert "CostConfig.think_ms" in findings[0].message
+
     def test_rule_selection_rejects_unknown_ids(self):
         with pytest.raises(KeyError):
             select_rules(["Z999"])

@@ -75,16 +75,6 @@ class TestNetwork:
         with pytest.raises(NetworkError):
             network.register(RecordingNode(ReplicaId(0, 0)))
 
-    def test_broadcast_skips_sender(self):
-        sim, network = make_network()
-        nodes = [RecordingNode(ReplicaId(0, i)) for i in range(4)]
-        for node in nodes:
-            network.register(node)
-        network.broadcast(nodes[0].node_id, [n.node_id for n in nodes], Ping())
-        sim.run_until_idle()
-        assert len(nodes[0].received) == 0
-        assert all(len(n.received) == 1 for n in nodes[1:])
-
     def test_stats_count_sent_and_delivered(self):
         sim, network = make_network()
         a, b = RecordingNode(ReplicaId(0, 0)), RecordingNode(ReplicaId(0, 1))

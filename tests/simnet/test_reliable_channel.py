@@ -51,7 +51,6 @@ class ReliableSink:
 
 def make_link(**config_overrides):
     defaults = dict(
-        enabled=True,
         ack_delay_ms=1.0,
         retransmit_base_ms=8.0,
         retransmit_cap_ms=64.0,
