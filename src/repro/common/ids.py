@@ -4,13 +4,22 @@ The simulated system addresses every participant with a small, hashable,
 immutable identifier.  Replica identifiers carry their partition so that the
 latency model can distinguish intra-cluster from inter-cluster links without
 a lookup table.
+
+Node identifiers are ``typing.NamedTuple``s: every message hashes and
+compares a handful of them (link keys, routing tables, quorum and member
+sets, memo keys), and a tuple does that in C where a frozen dataclass runs a
+generated ``__hash__``/``__eq__`` in bytecode.  A node id hashes as the plain
+tuple of its fields — the value the dataclass form had — so set and dict
+iteration orders, and with them every run fingerprint, do not depend on the
+representation.  The price is that an id also *is* a tuple: it equals a bare
+tuple of the same fields, and code that treats tuples as sequences must
+refuse ids by name (``stable_encode`` does).
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union, get_args
 
 #: Partition index (``0 .. num_partitions - 1``).
 PartitionId = int
@@ -22,8 +31,7 @@ BatchNumber = int
 NO_BATCH: BatchNumber = -1
 
 
-@dataclass(frozen=True, order=True)
-class ReplicaId:
+class ReplicaId(NamedTuple):
     """Address of one replica inside one partition's cluster."""
 
     partition: PartitionId
@@ -33,8 +41,7 @@ class ReplicaId:
         return f"P{self.partition}/R{self.index}"
 
 
-@dataclass(frozen=True, order=True)
-class ClientId:
+class ClientId(NamedTuple):
     """Address of a client process."""
 
     name: str
@@ -43,8 +50,7 @@ class ClientId:
         return f"client:{self.name}"
 
 
-@dataclass(frozen=True, order=True)
-class EdgeProxyId:
+class EdgeProxyId(NamedTuple):
     """Address of one untrusted edge read-proxy node (``repro.edge``)."""
 
     index: int
@@ -55,6 +61,8 @@ class EdgeProxyId:
 
 #: Anything that can send or receive messages on the simulated network.
 NodeId = Union[ReplicaId, ClientId, EdgeProxyId]
+#: The same, for ``isinstance``.
+NODE_ID_TYPES = get_args(NodeId)
 
 
 class TxnIdGenerator:

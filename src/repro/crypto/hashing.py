@@ -12,6 +12,8 @@ from __future__ import annotations
 import hashlib
 from typing import Iterable, Mapping, Sequence, Union
 
+from repro.common.ids import NODE_ID_TYPES
+
 Digest = bytes
 
 #: Types that ``stable_encode`` understands.
@@ -103,7 +105,9 @@ def _encode_into(value: Encodable, out: bytearray) -> None:
         out += b"S" + len(encoded).to_bytes(4, "big") + encoded
     elif isinstance(value, bytes):
         out += b"B" + len(value).to_bytes(4, "big") + value
-    elif isinstance(value, (list, tuple)):
+    elif isinstance(value, (list, tuple)) and not isinstance(value, NODE_ID_TYPES):
+        # A node id is a tuple only for speed; a signed payload names it by
+        # ``str`` and must never swallow one as a two-element sequence.
         _encode_into(list(value), out)
     elif isinstance(value, Mapping):
         _encode_into(dict(value), out)

@@ -19,7 +19,7 @@ The GEDM setting of the paper has three qualitatively different link types:
 from __future__ import annotations
 
 import random
-from typing import Optional, Protocol
+from typing import Dict, Optional, Protocol, Tuple
 
 from repro.common.config import LatencyConfig
 from repro.common.ids import ClientId, EdgeProxyId, NodeId, PartitionId, ReplicaId
@@ -49,17 +49,17 @@ def proxy_region(proxy: EdgeProxyId, num_partitions: int) -> PartitionId:
 
 
 class EdgeLatencyModel:
-    """Latency model matching the deployment described in Section 5.1."""
+    """Latency model matching the deployment described in Section 5.1.
+
+    A link's base delay depends only on the kinds and regions of its two
+    endpoints and on the (frozen) config, so it is worked out once per
+    ``(src, dst)`` pair; each call then draws its one jitter sample.
+    """
 
     def __init__(self, config: LatencyConfig, num_partitions: int) -> None:
         self._config = config
         self._num_partitions = num_partitions
-
-    def _jitter(self, base: float, rng: random.Random) -> float:
-        fraction = self._config.jitter_fraction
-        if fraction <= 0 or base <= 0:
-            return base
-        return base * (1.0 + rng.uniform(-fraction, fraction))
+        self._base_ms: Dict[Tuple[NodeId, NodeId], float] = {}
 
     def _partition_of(self, node: NodeId) -> PartitionId:
         if isinstance(node, ReplicaId):
@@ -68,37 +68,32 @@ class EdgeLatencyModel:
             return proxy_region(node, self._num_partitions)
         return client_home_partition(node, self._num_partitions)
 
-    def _is_client(self, node: NodeId) -> bool:
-        return isinstance(node, (ClientId, EdgeProxyId))
+    def _link_base_ms(self, src: NodeId, dst: NodeId) -> float:
+        config = self._config
+        same_partition = self._partition_of(src) == self._partition_of(dst)
+        wan = config.inter_cluster_ms + config.inter_cluster_extra_ms
+        endpoints = {type(src), type(dst)}
+        if endpoints == {ReplicaId}:
+            return config.intra_cluster_ms if same_partition else wan
+        if endpoints == {ClientId, EdgeProxyId}:
+            # Client <-> edge proxy: the near-edge link.  A same-region proxy
+            # is one short hop away; one in another region still costs the WAN.
+            base = config.client_to_edge_ms
+        else:
+            # Clients and proxies pay the client-to-cluster cost towards the
+            # core; a proxy is "a client of the core" as far as links go.
+            base = config.client_to_cluster_ms
+        return base if same_partition else base + wan
 
     def delay_ms(self, src: NodeId, dst: NodeId, rng: random.Random) -> float:
-        src_partition = self._partition_of(src)
-        dst_partition = self._partition_of(dst)
-        same_partition = src_partition == dst_partition
-        crosses_wan = not same_partition
-        config = self._config
-
-        # Client <-> edge proxy: the near-edge link.  A same-region proxy is
-        # one short hop away; a proxy in another region still costs the WAN.
-        endpoints = {type(src), type(dst)}
-        if endpoints == {ClientId, EdgeProxyId}:
-            base = config.client_to_edge_ms
-            if crosses_wan:
-                base += config.inter_cluster_ms + config.inter_cluster_extra_ms
-            return self._jitter(base, rng)
-
-        # Clients and proxies pay the client-to-cluster cost towards the
-        # core; a proxy is "a client of the core" as far as links go.
-        if self._is_client(src) or self._is_client(dst):
-            base = config.client_to_cluster_ms
-            if crosses_wan:
-                base += config.inter_cluster_ms + config.inter_cluster_extra_ms
-            return self._jitter(base, rng)
-
-        if same_partition:
-            return self._jitter(config.intra_cluster_ms, rng)
-        base = config.inter_cluster_ms + config.inter_cluster_extra_ms
-        return self._jitter(base, rng)
+        link = (src, dst)
+        base = self._base_ms.get(link)
+        if base is None:
+            base = self._base_ms[link] = self._link_base_ms(src, dst)
+        fraction = self._config.jitter_fraction
+        if fraction <= 0 or base <= 0:
+            return base
+        return base * (1.0 + rng.uniform(-fraction, fraction))
 
 
 class FixedLatencyModel:

@@ -105,7 +105,8 @@ class Network:
 
     def send(self, src: NodeId, dst: NodeId, message: Message) -> None:
         """Send ``message`` from ``src`` to ``dst`` with modelled latency."""
-        if dst not in self._nodes:
+        destination = self._nodes.get(dst)
+        if destination is None:
             raise NetworkError(f"message to unknown node {dst}")
         self.stats.messages_sent += 1
         self.stats.by_type[message.type_name] += 1
@@ -118,7 +119,7 @@ class Network:
                 return
             delivered = filtered
 
-        self._schedule_delivery(src, dst, delivered)
+        self._schedule_delivery(src, dst, destination, delivered)
 
     def send_unfiltered(self, src: NodeId, dst: NodeId, message: Message) -> None:
         """Deliver ``message`` with modelled latency, bypassing fault filters.
@@ -131,13 +132,15 @@ class Network:
         path carries no hidden counter coupling (see
         :meth:`~repro.simnet.faults.FaultInjector.delay`).
         """
-        if dst not in self._nodes:
+        destination = self._nodes.get(dst)
+        if destination is None:
             raise NetworkError(f"message to unknown node {dst}")
-        self._schedule_delivery(src, dst, message)
+        self._schedule_delivery(src, dst, destination, message)
 
-    def _schedule_delivery(self, src: NodeId, dst: NodeId, message: Message) -> None:
+    def _schedule_delivery(
+        self, src: NodeId, dst: NodeId, destination: MessageSink, message: Message
+    ) -> None:
         delay = self._latency_model.delay_ms(src, dst, self._rng)
-        destination = self._nodes[dst]
 
         net_span = None
         obs = self.obs
@@ -156,12 +159,15 @@ class Network:
                 now + delay,
             )
 
-        def _deliver(message_to_deliver: Message = message) -> None:
-            self.stats.messages_delivered += 1
-            if net_span is not None:
-                # Hand the net span to the receiver (consumed synchronously
-                # in receive()) so its queue/handle spans chain under it.
-                destination._obs_net_hint = net_span
-            destination.receive(message_to_deliver, src)
+        simulator = self._simulator
+        simulator.schedule_call(
+            simulator.now + delay, self._deliver, destination, message, src, net_span
+        )
 
-        self._simulator.schedule(delay, _deliver)
+    def _deliver(self, destination: MessageSink, message: Message, src: NodeId, net_span) -> None:
+        self.stats.messages_delivered += 1
+        if net_span is not None:
+            # Hand the net span to the receiver (consumed synchronously
+            # in receive()) so its queue/handle spans chain under it.
+            destination._obs_net_hint = net_span
+        destination.receive(message, src)

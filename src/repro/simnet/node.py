@@ -167,9 +167,9 @@ class SimNode:
         ):
             message.trace = self._current_span.context()
 
-    def schedule(self, delay_ms: float, callback: Callable[[], None]):
+    def schedule(self, delay_ms: float, fn: Callable[..., None], *args: object):
         """Schedule a local timer on the shared event loop."""
-        return self.env.simulator.schedule(delay_ms, callback)
+        return self.env.simulator.schedule(delay_ms, fn, *args)
 
     @property
     def now(self) -> float:
@@ -195,7 +195,8 @@ class SimNode:
         self._obs_net_hint = None
         if self.crashed:
             return
-        if isinstance(message, (ReliableEnvelope, ReliableAck)):
+        kind = type(message)
+        if kind is ReliableEnvelope or kind is ReliableAck:
             # Transport layer: acks and dedup are handled at arrival time
             # (before the busy queue — ack processing models NIC work, not
             # protocol work), and the protocol layer sees only fresh
@@ -230,13 +231,10 @@ class SimNode:
                 self.phase_of(message), start, completion,
             )
         if handle_span is None:
-            self.env.simulator.schedule_at(
-                completion, lambda: self._dispatch(message, src)
-            )
+            self.env.simulator.schedule_call(completion, self._dispatch, message, src)
         else:
-            self.env.simulator.schedule_at(
-                completion,
-                lambda: self._dispatch_in_span(message, src, handle_span),
+            self.env.simulator.schedule_call(
+                completion, self._dispatch_in_span, message, src, handle_span
             )
 
     def _dispatch_in_span(self, message: Message, src: NodeId, span: Span) -> None:

@@ -156,7 +156,7 @@ class ProcessNode(SimNode):
         elif isinstance(operation, Gather):
             self._execute_gather(process, operation, single=False)
         elif isinstance(operation, Sleep):
-            self.schedule(operation.delay_ms, lambda: process._advance(None))
+            self.schedule(operation.delay_ms, process._advance, None)
         else:
             raise SimulationError(
                 f"process {process.name} yielded unsupported operation {operation!r}"
@@ -187,11 +187,11 @@ class ProcessNode(SimNode):
                 call.request.trace = process.span.context()
             self.send(call.dst, call.request)
         if gather.timeout_ms is not None:
-            wait.timer = self.schedule(gather.timeout_ms, lambda: self._finish_wait(wait))
+            wait.timer = self.schedule(gather.timeout_ms, self._finish_wait, wait)
         # Per-call timeouts inside a Gather use the smallest timeout provided.
         per_call_timeouts = [c.timeout_ms for c in calls if c.timeout_ms is not None]
         if per_call_timeouts and gather.timeout_ms is None:
-            wait.timer = self.schedule(min(per_call_timeouts), lambda: self._finish_wait(wait))
+            wait.timer = self.schedule(min(per_call_timeouts), self._finish_wait, wait)
 
     def _on_reply(self, message: Message, src: NodeId) -> None:
         assert isinstance(message, ReplyMessage)

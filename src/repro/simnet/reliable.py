@@ -34,15 +34,23 @@ replica-to-replica link and implements the classic ack/retransmit recipe:
   delivered immediately — the underlying network already reorders freely via
   jittered latency, so the protocol layers tolerate reordering by design.
 
+* **Fields fail closed.**  An ack for a sequence never sent, or a
+  ``seq``/``ack``/``base``/``payload`` of the wrong type or range, voids the
+  whole message with one ``malformed-transport-field`` flight-recorder event:
+  a forged ack must not retire (or wedge) what it never saw.
+
 Retransmissions and standalone acks re-enter the *filtered*
 :meth:`Network.send <repro.simnet.network.Network.send>` path on purpose: an
 open drop window applies to them exactly as it does to first transmissions.
+
+State is one :class:`_Link` record per ``(local, peer)`` pair — send half,
+receive half and RTT floor together, because every envelope reads both
+halves — found with one dict probe per send and per arrival.
 """
 
 from __future__ import annotations
 
 import random
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Set, Tuple
 
@@ -50,7 +58,7 @@ from repro.common.config import ReliabilityConfig
 from repro.common.ids import NodeId, ReplicaId
 from repro.simnet.messages import Message
 from repro.simnet.network import Network
-from repro.simnet.simulator import Simulator
+from repro.simnet.simulator import EventHandle, Simulator
 
 
 @dataclass
@@ -87,33 +95,32 @@ class ReliableAck(Message):
 
 
 @dataclass
-class _SendLink:
-    """Sender-side state of one directed link."""
+class _Link:
+    """Both directions of one ``(local, peer)`` pair, as ``local`` sees them.
 
+    The send half tracks what ``local`` sent to ``peer``, the receive half
+    what it got back; one record serves both because every envelope touches
+    both (it piggybacks the receive half's watermark as its ack).
+    """
+
+    #: Deterministic RTT-derived floor for the first retransmit timeout.
+    rtt_floor_ms: float
     next_seq: int = 1
     #: seq -> payload; insertion order == sequence order.
-    unacked: "OrderedDict[int, Message]" = field(default_factory=OrderedDict)
+    unacked: Dict[int, Message] = field(default_factory=dict)
     #: Lowest seq not yet acked/abandoned (== envelope ``base``).
     base: int = 1
-    timer: Optional[object] = None
+    timer: Optional[EventHandle] = None
     #: Consecutive retransmit-timer fires without any ack progress.  The
     #: abandon cap applies to this *link stall*, not per message: a dead
     #: peer costs one backoff sequence for the whole outstanding window
     #: instead of one per queued message.
     stall_count: int = 0
-    #: Deterministic RTT-derived floor for the first retransmit timeout.
-    rtt_floor_ms: float = 0.0
-
-
-@dataclass
-class _RecvLink:
-    """Receiver-side state of one directed link."""
-
     #: Highest contiguously received sequence (cumulative ack value).
     watermark: int = 0
     #: Received sequences above the watermark (holes pending).
     above: Set[int] = field(default_factory=set)
-    ack_timer: Optional[object] = None
+    ack_timer: Optional[EventHandle] = None
 
 
 class _ZeroJitterRng:
@@ -155,8 +162,8 @@ class ReliableTransport:
         self._simulator = simulator
         self._rng = rng
         self._obs = obs
-        self._send_links: Dict[Tuple[NodeId, NodeId], _SendLink] = {}
-        self._recv_links: Dict[Tuple[NodeId, NodeId], _RecvLink] = {}
+        #: ``(local, peer)`` -> record, created by the first send or arrival.
+        self._links: Dict[Tuple[NodeId, NodeId], _Link] = {}
         self.counters: Dict[str, int] = {
             "messages_retransmitted": 0,
             "duplicates_dropped": 0,
@@ -175,18 +182,15 @@ class ReliableTransport:
         (request retry against a duplicate-answering leader), which is the
         right layer for nodes that may legitimately give up.
         """
-        return isinstance(src, ReplicaId) and isinstance(dst, ReplicaId) and src != dst
+        return type(src) is ReplicaId and type(dst) is ReplicaId and src != dst
 
     # -- sender path --------------------------------------------------------
 
     def send(self, src: NodeId, dst: NodeId, message: Message) -> None:
         """Wrap ``message`` in an envelope and transmit it with tracking."""
-        key = (src, dst)
-        link = self._send_links.get(key)
+        link = self._links.get((src, dst))
         if link is None:
-            link = self._send_links[key] = _SendLink(
-                rtt_floor_ms=self._probe_rtt_ms(src, dst)
-            )
+            link = self._open_link(src, dst)
         seq = link.next_seq
         link.next_seq += 1
         link.unacked[seq] = message
@@ -194,17 +198,20 @@ class ReliableTransport:
         if link.timer is None:
             self._arm_retransmit(src, dst, link)
 
+    def _open_link(self, local: NodeId, peer: NodeId) -> _Link:
+        link = self._links[(local, peer)] = _Link(self._probe_rtt_ms(local, peer))
+        return link
+
     def _transmit(
-        self, src: NodeId, dst: NodeId, link: _SendLink, seq: int, payload: Message
+        self, src: NodeId, dst: NodeId, link: _Link, seq: int, payload: Message
     ) -> None:
         envelope = ReliableEnvelope(
-            payload=payload,
-            seq=seq,
-            ack=self._recv_links.setdefault((src, dst), _RecvLink()).watermark,
-            base=link.base,
-            trace=payload.trace,
+            payload=payload, seq=seq, ack=link.watermark, base=link.base, trace=payload.trace
         )
-        self._cancel_ack_timer((src, dst))
+        if link.ack_timer is not None:
+            # The envelope piggybacks the ack the timer would have sent.
+            link.ack_timer.cancel()
+            link.ack_timer = None
         self._network.send(src, dst, envelope)
 
     def _probe_rtt_ms(self, src: NodeId, dst: NodeId) -> float:
@@ -215,7 +222,7 @@ class ReliableTransport:
         probe = _ZeroJitterRng()
         return model.delay_ms(src, dst, probe) + model.delay_ms(dst, src, probe)
 
-    def _timeout_ms(self, link: _SendLink) -> float:
+    def _timeout_ms(self, link: _Link) -> float:
         cfg = self.config
         floor = link.rtt_floor_ms * 1.25 + cfg.ack_delay_ms
         base = max(cfg.retransmit_base_ms, floor)
@@ -226,15 +233,15 @@ class ReliableTransport:
             timeout *= 1.0 + self._rng.uniform(0.0, jitter)
         return timeout
 
-    def _arm_retransmit(self, src: NodeId, dst: NodeId, link: _SendLink) -> None:
+    def _arm_retransmit(self, src: NodeId, dst: NodeId, link: _Link) -> None:
         if not link.unacked:
             link.timer = None
             return
         link.timer = self._simulator.schedule(
-            self._timeout_ms(link), lambda: self._on_retransmit_timer(src, dst, link)
+            self._timeout_ms(link), self._on_retransmit_timer, src, dst, link
         )
 
-    def _on_retransmit_timer(self, src: NodeId, dst: NodeId, link: _SendLink) -> None:
+    def _on_retransmit_timer(self, src: NodeId, dst: NodeId, link: _Link) -> None:
         link.timer = None
         if not link.unacked:
             return
@@ -279,17 +286,15 @@ class ReliableTransport:
             self._transmit(src, dst, link, seq, payload)
         self._arm_retransmit(src, dst, link)
 
-    def _on_ack(self, src: NodeId, dst: NodeId, ack: int) -> None:
+    def _on_ack(self, src: NodeId, dst: NodeId, link: _Link, ack: int) -> None:
         """Process a cumulative ack for the ``src -> dst`` direction."""
-        link = self._send_links.get((src, dst))
-        if link is None:
-            return
+        unacked = link.unacked
         advanced = False
-        while link.unacked:
-            seq = next(iter(link.unacked))
+        while unacked:
+            seq = next(iter(unacked))
             if seq > ack:
                 break
-            del link.unacked[seq]
+            del unacked[seq]
             advanced = True
         if ack + 1 > link.base:
             link.base = ack + 1
@@ -307,21 +312,35 @@ class ReliableTransport:
         """Transport entry at the receiving node.
 
         Returns the payload to hand to the protocol layer, or ``None`` when
-        the message was transport-internal (an ack) or a duplicate.
+        the message was transport-internal (an ack), a duplicate, or carried
+        a field no honest peer sends (dropped whole: a forged ack must not
+        retire messages that were never delivered, or never sent).
         """
-        if isinstance(message, ReliableAck):
-            self._on_ack(node, src, message.ack)
+        link = self._links.get((node, src))
+        ack = message.ack
+        # The (piggybacked) ack covers our sends on the reverse link.
+        if type(ack) is not int or not 0 <= ack < (link.next_seq if link is not None else 1):
+            return self._malformed(node, src, message)
+        if type(message) is ReliableAck:
+            if link is not None:
+                self._on_ack(node, src, link, ack)
             return None
-        assert isinstance(message, ReliableEnvelope)
-        # The piggybacked ack covers our sends on the reverse link.
-        self._on_ack(node, src, message.ack)
-        link = self._recv_links.setdefault((node, src), _RecvLink())
-        if message.base - 1 > link.watermark:
+        seq, base = message.seq, message.base
+        if (
+            type(seq) is not int
+            or type(base) is not int
+            or not 1 <= base <= seq
+            or not isinstance(message.payload, Message)
+        ):
+            return self._malformed(node, src, message)
+        if link is None:
+            link = self._open_link(node, src)
+        self._on_ack(node, src, link, ack)
+        if base - 1 > link.watermark:
             # The sender abandoned everything below ``base``; stop waiting
             # for those holes so the cumulative ack can advance.
-            link.watermark = message.base - 1
+            link.watermark = base - 1
             self._drain_above(link)
-        seq = message.seq
         duplicate = seq <= link.watermark or seq in link.above
         if not duplicate:
             if seq == link.watermark + 1:
@@ -335,39 +354,40 @@ class ReliableTransport:
         # Every envelope arrival (duplicates included — the ack that would
         # have silenced this retransmission was evidently lost) owes the
         # sender an ack unless reverse traffic piggybacks one first.
-        self._arm_ack_timer(node, src, link)
+        if link.ack_timer is None:
+            link.ack_timer = self._simulator.schedule(
+                self.config.ack_delay_ms, self._send_ack, node, src, link
+            )
         return None if duplicate else message.payload
 
+    def _malformed(self, node: NodeId, src: NodeId, message: Message) -> None:
+        if self._obs is not None:
+            self._obs.event(
+                "network",
+                "malformed-transport-field",
+                "warn",
+                {"src": str(src), "dst": str(node), "type": type(message).__name__},
+            )
+
     @staticmethod
-    def _drain_above(link: _RecvLink) -> None:
-        while link.watermark + 1 in link.above:
-            link.above.discard(link.watermark + 1)
-            link.watermark += 1
-        link.above = {seq for seq in link.above if seq > link.watermark}
-
-    def _arm_ack_timer(self, node: NodeId, src: NodeId, link: _RecvLink) -> None:
-        if link.ack_timer is not None:
+    def _drain_above(link: _Link) -> None:
+        above = link.above
+        if not above:
             return
-        link.ack_timer = self._simulator.schedule(
-            self.config.ack_delay_ms, lambda: self._send_ack(node, src, link)
-        )
+        while link.watermark + 1 in above:
+            link.watermark += 1
+        link.above = {seq for seq in above if seq > link.watermark}
 
-    def _send_ack(self, node: NodeId, src: NodeId, link: _RecvLink) -> None:
+    def _send_ack(self, node: NodeId, src: NodeId, link: _Link) -> None:
         link.ack_timer = None
         self.counters["acks_sent"] += 1
         self._network.send(node, src, ReliableAck(ack=link.watermark))
-
-    def _cancel_ack_timer(self, key: Tuple[NodeId, NodeId]) -> None:
-        link = self._recv_links.get(key)
-        if link is not None and link.ack_timer is not None:
-            link.ack_timer.cancel()
-            link.ack_timer = None
 
     # -- introspection ------------------------------------------------------
 
     def in_flight(self) -> int:
         """Unacked messages across all links (tests and debugging)."""
-        return sum(len(link.unacked) for link in self._send_links.values())
+        return sum(len(link.unacked) for link in self._links.values())
 
     def _obs_event(self, kind: str, src: NodeId, dst: NodeId, payload: Message) -> None:
         if self._obs is None:

@@ -5,6 +5,14 @@ between them — runs on a single event loop driven by simulated time.  Time is
 a float number of milliseconds.  Events are callbacks scheduled at absolute
 times; ties are broken by insertion order so executions are deterministic for
 a fixed seed.
+
+An event is one heap tuple ``(time, sequence, fn, args)`` and fires as
+``fn(*args)``: callers pass a bound method and its arguments, not a closure.
+Most events are never cancelled (message deliveries and dispatches), so
+:meth:`Simulator.schedule_call` pushes just that tuple;
+:meth:`Simulator.schedule` / :meth:`Simulator.schedule_at` also allocate the
+one :class:`EventHandle` a timer needs to be withdrawn.  Cancellation is
+lazy: the entry stays in the heap and is skipped, uncounted, when popped.
 """
 
 from __future__ import annotations
@@ -16,39 +24,28 @@ from typing import Callable, List, Optional, Tuple
 from repro.common.errors import SimulationError
 
 
-class _ScheduledEvent:
-    """One scheduled callback; the heap orders ``(time, sequence, event)``
-    tuples, so the record itself is never compared."""
-
-    __slots__ = ("time", "callback", "cancelled", "fired")
-
-    def __init__(self, time: float, callback: Callable[[], None]) -> None:
-        self.time = time
-        self.callback = callback
-        self.cancelled = False
-        self.fired = False
-
-
 class EventHandle:
-    """Handle returned by :meth:`Simulator.schedule`; allows cancellation."""
+    """A cancellable event, returned by :meth:`Simulator.schedule`.
 
-    def __init__(self, event: _ScheduledEvent, simulator: "Simulator") -> None:
-        self._event = event
+    ``time`` and ``cancelled`` are for reading; :meth:`cancel` is the only
+    way to withdraw the event.
+    """
+
+    __slots__ = ("time", "cancelled", "_fired", "_fn", "_args", "_simulator")
+
+    def __init__(self, time: float, fn: Callable[..., None], args: tuple, simulator: "Simulator") -> None:
+        self.time = time
+        self.cancelled = False
+        self._fired = False
+        self._fn = fn
+        self._args = args
         self._simulator = simulator
-
-    @property
-    def time(self) -> float:
-        return self._event.time
-
-    @property
-    def cancelled(self) -> bool:
-        return self._event.cancelled
 
     def cancel(self) -> None:
         """Prevent the event from firing (no-op if it already fired)."""
-        if self._event.cancelled or self._event.fired:
+        if self.cancelled or self._fired:
             return
-        self._event.cancelled = True
+        self.cancelled = True
         self._simulator._pending -= 1
 
 
@@ -57,7 +54,9 @@ class Simulator:
 
     def __init__(self) -> None:
         self._now = 0.0
-        self._queue: List[Tuple[float, int, _ScheduledEvent]] = []
+        #: ``(time, sequence, fn, args)``; a cancellable event has ``fn``
+        #: ``None`` and its :class:`EventHandle` in place of ``args``.
+        self._queue: List[Tuple[float, int, Optional[Callable[..., None]], object]] = []
         self._sequence = itertools.count()
         self._events_processed = 0
         self._pending = 0
@@ -77,22 +76,31 @@ class Simulator:
         """Live events still scheduled — a counter, not an O(n) heap scan."""
         return self._pending
 
-    def schedule(self, delay_ms: float, callback: Callable[[], None]) -> EventHandle:
-        """Schedule ``callback`` to run ``delay_ms`` from now."""
-        if delay_ms < 0:
+    def schedule(self, delay_ms: float, fn: Callable[..., None], *args: object) -> EventHandle:
+        """Schedule ``fn(*args)`` to run ``delay_ms`` from now."""
+        if not (delay_ms >= 0):  # also refuses NaN
             raise SimulationError(f"cannot schedule an event {delay_ms}ms in the past")
-        return self.schedule_at(self._now + delay_ms, callback)
+        return self.schedule_at(self._now + delay_ms, fn, *args)
 
-    def schedule_at(self, time_ms: float, callback: Callable[[], None]) -> EventHandle:
-        """Schedule ``callback`` to run at absolute time ``time_ms``."""
-        if time_ms < self._now:
+    def schedule_at(self, time_ms: float, fn: Callable[..., None], *args: object) -> EventHandle:
+        """Schedule ``fn(*args)`` to run at absolute time ``time_ms``."""
+        if not (time_ms >= self._now):  # also refuses NaN, which would corrupt heap order
             raise SimulationError(
                 f"cannot schedule at {time_ms}ms; simulated time is already {self._now}ms"
             )
-        event = _ScheduledEvent(time_ms, callback)
-        heapq.heappush(self._queue, (time_ms, next(self._sequence), event))
+        handle = EventHandle(time_ms, fn, args, self)
+        heapq.heappush(self._queue, (time_ms, next(self._sequence), None, handle))
         self._pending += 1
-        return EventHandle(event, self)
+        return handle
+
+    def schedule_call(self, time_ms: float, fn: Callable[..., None], *args: object) -> None:
+        """:meth:`schedule_at` for an event nobody will cancel: no handle."""
+        if not (time_ms >= self._now):
+            raise SimulationError(
+                f"cannot schedule at {time_ms}ms; simulated time is already {self._now}ms"
+            )
+        heapq.heappush(self._queue, (time_ms, next(self._sequence), fn, args))
+        self._pending += 1
 
     def run(
         self,
@@ -110,20 +118,24 @@ class Simulator:
             raise SimulationError("Simulator.run is not re-entrant")
         self._running = True
         processed = 0
+        queue, heappop = self._queue, heapq.heappop
         try:
-            while self._queue:
-                time_ms, _, event = self._queue[0]
+            while queue:
+                time_ms, _, fn, args = queue[0]
                 if until_ms is not None and time_ms > until_ms:
                     break
                 if max_events is not None and processed >= max_events:
                     break
-                heapq.heappop(self._queue)
-                if event.cancelled:
-                    continue
-                event.fired = True
+                heappop(queue)
+                if fn is None:
+                    handle = args
+                    if handle.cancelled:
+                        continue
+                    handle._fired = True
+                    fn, args = handle._fn, handle._args
                 self._pending -= 1
                 self._now = time_ms
-                event.callback()
+                fn(*args)
                 processed += 1
                 self._events_processed += 1
         finally:
@@ -135,7 +147,7 @@ class Simulator:
     def run_until_idle(self, max_events: int = 10_000_000) -> int:
         """Run until no events remain (bounded by ``max_events`` as a backstop)."""
         processed = self.run(max_events=max_events)
-        if self._queue and processed >= max_events:
+        if self._pending and processed >= max_events:
             raise SimulationError(
                 f"simulation did not become idle within {max_events} events"
             )

@@ -248,6 +248,40 @@ class TestFuzzerFindRegressions:
         assert report.counters["catchup_recoveries"] > 0
 
 
+class TestOpenFuzzerFind:
+    """ROADMAP "Carried over / Open fuzzer find": still failing, on purpose.
+
+    ``regress-behind-leader-reproposal.json`` under ``system_seed`` 19795 (a
+    legal ``reroll-system-seed`` mutant: checkpointing off, two core drop
+    windows, no crash): ``P0/R0`` is behind, takes the monitor's catch-up
+    branch three times 200 ms apart and never closes the gap.
+    """
+
+    @pytest.fixture(scope="class")
+    def report(self):
+        plan = load_pinned_plan("regress-behind-leader-reproposal.json")
+        plan = replace(plan, config=replace(plan.config, system_seed=19795))
+        return run_plan(plan, perf_oracle=False)
+
+    def test_the_find_is_neither_fixed_nor_worse(self, report):
+        # Exactly the two known oracles.  (No fingerprint pin: the
+        # atomic-visibility message prints a set of writer ids, so a failing
+        # run's fingerprint follows PYTHONHASHSEED.)
+        assert sorted({f.oracle for f in report.failures}) == [
+            "atomic-visibility", "quiescent-liveness",
+        ]
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="open fuzzer find (ROADMAP 'Carried over'): the behind leader's catch-up "
+        "loop never closes the gap; fails quiescent-liveness and atomic-visibility",
+    )
+    def test_behind_leader_catch_up_closes_the_gap(self, report):
+        # Whoever fixes the catch-up loop: drop the xfail, delete the test
+        # above, and fold this plan into TestFuzzerFindRegressions.
+        assert report.ok, [f.description for f in report.failures]
+
+
 class TestShrinkSettingsForwarding:
     """Regression pin: shrink re-runs must honor the CLI's run settings."""
 

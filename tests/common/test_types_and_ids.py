@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
+
 import pytest
 
 from repro.common.ids import (
     NO_BATCH,
     ClientId,
+    EdgeProxyId,
     ReplicaId,
     TxnIdGenerator,
     leader_of,
@@ -36,6 +40,62 @@ class TestIds:
 
     def test_client_id_str(self):
         assert str(ClientId("w1")) == "client:w1"
+
+    def test_hashes_are_the_field_tuple_hashes(self):
+        # Load-bearing: set/dict iteration order over ids — and therefore
+        # every run fingerprint — follows from these values.
+        assert hash(ReplicaId(3, 5)) == hash((3, 5))
+        assert hash(ClientId("w1")) == hash(("w1",))
+        assert hash(EdgeProxyId(2)) == hash((2,))
+
+    def test_ids_of_different_kinds_are_distinct_keys(self):
+        ids = [ReplicaId(0, 0), ReplicaId(0, 1), ClientId("0"), ClientId("c"), EdgeProxyId(0), EdgeProxyId(1)]
+        assert len(set(ids)) == len(ids)
+        table = {node_id: position for position, node_id in enumerate(ids)}
+        assert [table[node_id] for node_id in ids] == list(range(len(ids)))
+        for position, node_id in enumerate(ids):
+            assert all(node_id != other for other in ids[:position] + ids[position + 1:])
+
+    def test_ordering_follows_the_fields(self):
+        replicas = [ReplicaId(1, 0), ReplicaId(0, 2), ReplicaId(0, 1)]
+        assert sorted(replicas) == [ReplicaId(0, 1), ReplicaId(0, 2), ReplicaId(1, 0)]
+        assert sorted([ClientId("b"), ClientId("a")]) == [ClientId("a"), ClientId("b")]
+        assert max(EdgeProxyId(2), EdgeProxyId(10)) == EdgeProxyId(10)
+        with pytest.raises(TypeError):
+            sorted([ClientId("a"), ReplicaId(0, 0)])
+
+    def test_str_and_repr(self):
+        assert str(EdgeProxyId(4)) == "edge:4"
+        assert f"{ReplicaId(2, 3)}|{ClientId('w1')}" == "P2/R3|client:w1"
+        assert repr(ReplicaId(2, 3)) == "ReplicaId(partition=2, index=3)"
+        assert repr(ClientId("w1")) == "ClientId(name='w1')"
+        assert repr(EdgeProxyId(4)) == "EdgeProxyId(index=4)"
+
+    def test_ids_are_immutable(self):
+        for node_id, name in ((ReplicaId(0, 1), "index"), (ClientId("c"), "name"), (EdgeProxyId(0), "index")):
+            with pytest.raises(AttributeError):
+                setattr(node_id, name, 9)
+            with pytest.raises(AttributeError):
+                node_id.extra = 1
+
+    @pytest.mark.parametrize("node_id", [ReplicaId(4, 6), ClientId("reader-1"), EdgeProxyId(3)])
+    def test_ids_survive_pickle_and_deepcopy(self, node_id):
+        # Fleet workers receive plans and return reports through pickle.
+        for clone in (pickle.loads(pickle.dumps(node_id)), copy.deepcopy(node_id), copy.copy(node_id)):
+            assert clone == node_id
+            assert type(clone) is type(node_id)
+            assert hash(clone) == hash(node_id)
+            assert str(clone) == str(node_id)
+
+    @pytest.mark.parametrize("node_id", [ReplicaId(0, 1), ClientId("c"), EdgeProxyId(0)])
+    def test_stable_encode_refuses_node_ids(self, node_id):
+        # An id is a tuple subclass; it must not be signed as a bare sequence.
+        from repro.crypto.hashing import stable_encode
+
+        with pytest.raises(TypeError):
+            stable_encode(node_id)
+        with pytest.raises(TypeError):
+            stable_encode({"from": [node_id]})
 
     def test_txn_id_generator_unique_and_prefixed(self):
         gen = TxnIdGenerator("clientA")

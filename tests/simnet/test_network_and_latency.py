@@ -9,13 +9,14 @@ import pytest
 
 from repro.common.config import LatencyConfig
 from repro.common.errors import NetworkError
-from repro.common.ids import ClientId, ReplicaId
+from repro.common.ids import ClientId, EdgeProxyId, ReplicaId
 from repro.simnet.faults import FaultInjector, FaultRule
 from repro.simnet.latency import (
     EdgeLatencyModel,
     FixedLatencyModel,
     ZeroLatencyModel,
     client_home_partition,
+    proxy_region,
 )
 from repro.simnet.messages import Message
 from repro.simnet.network import Network
@@ -207,3 +208,87 @@ class TestLatencyModels:
         assert client_home_partition(ClientId("abc"), 5) == client_home_partition(
             ClientId("abc"), 5
         )
+
+
+def _closed_form_delay(config, num_partitions, src, dst, rng):
+    """The per-message classification ``EdgeLatencyModel`` memoises, in full."""
+
+    def region(node):
+        if isinstance(node, ReplicaId):
+            return node.partition
+        if isinstance(node, EdgeProxyId):
+            return proxy_region(node, num_partitions)
+        return client_home_partition(node, num_partitions)
+
+    wan = config.inter_cluster_ms + config.inter_cluster_extra_ms
+    crosses_wan = region(src) != region(dst)
+    kinds = {type(src), type(dst)}
+    if kinds == {ClientId, EdgeProxyId}:
+        base = config.client_to_edge_ms + (wan if crosses_wan else 0.0)
+    elif kinds != {ReplicaId}:
+        base = config.client_to_cluster_ms + (wan if crosses_wan else 0.0)
+    else:
+        base = wan if crosses_wan else config.intra_cluster_ms
+    if config.jitter_fraction <= 0 or base <= 0:
+        return base
+    return base * (1.0 + rng.uniform(-config.jitter_fraction, config.jitter_fraction))
+
+
+#: Two nodes of every kind in region 0 and one in region 1 (of three).
+_NODES = [
+    ReplicaId(0, 0), ReplicaId(0, 1), ReplicaId(1, 0),
+    EdgeProxyId(0), EdgeProxyId(3), EdgeProxyId(1),
+    ClientId("\x00"), ClientId("\x03"), ClientId("\x01"),
+]
+
+
+_LINKS = [(src, dst) for src in _NODES for dst in _NODES if src != dst]
+
+
+class TestLinkClassMemo:
+    PARTITIONS = 3
+
+    def test_the_nodes_sit_where_the_table_says(self):
+        regions = [0, 0, 1]
+        for node, region in zip(_NODES[3:6], regions):
+            assert proxy_region(node, self.PARTITIONS) == region
+        for node, region in zip(_NODES[6:], regions):
+            assert client_home_partition(node, self.PARTITIONS) == region
+
+    @pytest.mark.parametrize("config", [
+        LatencyConfig(jitter_fraction=0.0),
+        LatencyConfig(),
+        LatencyConfig(intra_cluster_ms=0.0, client_to_edge_ms=0.0, inter_cluster_extra_ms=70.0, jitter_fraction=0.2),
+    ])
+    def test_every_link_class_matches_the_closed_form_draw_for_draw(self, config):
+        model = EdgeLatencyModel(config, self.PARTITIONS)
+        rng, reference_rng = random.Random(11), random.Random(11)
+        untouched = reference_rng.getstate()
+        # Three passes: the first fills the memo, the others are served by it.
+        for src, dst in _LINKS * 3:
+            assert model.delay_ms(src, dst, rng) == _closed_form_delay(
+                config, self.PARTITIONS, src, dst, reference_rng
+            ), (src, dst)
+            assert rng.getstate() == reference_rng.getstate(), (src, dst)
+        assert (rng.getstate() == untouched) == (config.jitter_fraction == 0.0)
+
+    def test_base_delays_by_link_class(self):
+        config = LatencyConfig(jitter_fraction=0.0, inter_cluster_extra_ms=70.0)
+        model = EdgeLatencyModel(config, self.PARTITIONS)
+        r0, r0b, r1, e0, _, e1, c0, _, c1 = _NODES
+        wan = config.inter_cluster_ms + config.inter_cluster_extra_ms
+        expected = {
+            (r0, r0b): config.intra_cluster_ms,
+            (r0, r1): wan,
+            (c0, r0): config.client_to_cluster_ms,
+            (r1, c0): config.client_to_cluster_ms + wan,
+            (e0, r0): config.client_to_cluster_ms,
+            (r0, e1): config.client_to_cluster_ms + wan,
+            (c0, e0): config.client_to_edge_ms,
+            (e1, c0): config.client_to_edge_ms + wan,
+            (c0, c1): config.client_to_cluster_ms + wan,
+            (e0, e1): config.client_to_cluster_ms + wan,
+        }
+        for (src, dst), base in expected.items():
+            assert model.delay_ms(src, dst, None) == base, (src, dst)
+            assert model.delay_ms(dst, src, None) == base, (dst, src)

@@ -131,6 +131,30 @@ class TestSimNodeDispatch:
         assert env.simulator.now >= 50.0
         assert taker.notes == ["queued"]
 
+    def test_forged_transport_fields_never_escape_the_event_loop(self):
+        # Boundary robustness: a byzantine peer controls every field of the
+        # transport messages it sends; none may raise out of Simulator.run
+        # or reach a protocol handler.
+        from repro.simnet.reliable import ReliableAck, ReliableEnvelope
+
+        env = fast_env()
+        taker = NoteTaker(ReplicaId(0, 0), env)
+        peer = NoteTaker(ReplicaId(0, 1), env)
+        taker.send(peer.node_id, Note(text="real"))
+        forgeries = [
+            ReliableAck(ack=10**9),
+            ReliableAck(ack="x"),
+            ReliableEnvelope(payload=Note(text="forged"), seq="1"),
+            ReliableEnvelope(payload=None, seq=1),
+        ]
+        for forged in forgeries:
+            env.simulator.schedule_call(0.1, taker.receive, forged, peer.node_id)
+        env.simulator.run_until_idle()
+        assert (taker.notes, peer.notes) == ([], ["real"])
+        assert len(env.obs.recorder.events_of_kind("malformed-transport-field")) == len(forgeries)
+        assert env.reliability.in_flight() == 0
+        assert env.reliability.counters["messages_retransmitted"] == 0
+
     def test_each_node_registers_a_signer(self):
         env = fast_env()
         node = SimNode(ReplicaId(1, 2), env)

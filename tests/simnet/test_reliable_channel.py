@@ -15,13 +15,14 @@ from dataclasses import dataclass
 
 import pytest
 
-from repro.common.config import ReliabilityConfig
+from repro.common.config import ObsConfig, ReliabilityConfig
 from repro.common.ids import ReplicaId
+from repro.obs.hub import Observability
 from repro.simnet.faults import FaultInjector, FaultRule
 from repro.simnet.latency import FixedLatencyModel
 from repro.simnet.messages import Message
 from repro.simnet.network import Network
-from repro.simnet.reliable import ReliableAck, ReliableTransport
+from repro.simnet.reliable import ReliableAck, ReliableEnvelope, ReliableTransport
 from repro.simnet.simulator import Simulator
 
 
@@ -62,7 +63,8 @@ def make_link(**config_overrides):
     config.validate()
     simulator = Simulator()
     network = Network(simulator, FixedLatencyModel(1.0), random.Random(1))
-    transport = ReliableTransport(config, network, simulator, random.Random(7))
+    obs = Observability(ObsConfig(), lambda: simulator.now)
+    transport = ReliableTransport(config, network, simulator, random.Random(7), obs=obs)
     a = ReliableSink(ReplicaId(0, 0), transport)
     b = ReliableSink(ReplicaId(0, 1), transport)
     network.register(a)
@@ -191,3 +193,105 @@ class TestAckStarvation:
         gaps = [b - a for a, b in zip(fire_times, fire_times[1:])]
         assert gaps == sorted(gaps)  # monotone non-decreasing
         assert gaps and gaps[-1] >= 2 * gaps[0]  # genuinely exponential
+
+
+def malformed_events(transport):
+    return transport._obs.recorder.events_of_kind("malformed-transport-field")
+
+
+class TestLinkRecords:
+    def test_a_link_record_exists_only_once_traffic_touched_the_pair(self):
+        simulator, _, transport, _, a, b = make_link()
+        assert transport._links == {}
+        # An ack for a pair that never sent is a no-op: nothing to retire,
+        # and not worth a record.
+        assert transport.on_receive(a.node_id, b.node_id, ReliableAck(ack=0)) is None
+        assert transport._links == {}
+        transport.send(a.node_id, b.node_id, Ping(n=0))
+        assert list(transport._links) == [(a.node_id, b.node_id)]
+        assert transport.in_flight() == 1
+        simulator.run_until_idle()
+        # The arrival opened b's side of the pair; one record per side holds
+        # both its send half and its receive half.
+        assert set(transport._links) == {(a.node_id, b.node_id), (b.node_id, a.node_id)}
+        assert transport.in_flight() == 0
+        assert malformed_events(transport) == []
+
+    def test_in_flight_counts_unacked_messages_of_every_link(self):
+        simulator, _, transport, _, a, b = make_link()
+        for n in range(3):
+            transport.send(a.node_id, b.node_id, Ping(n=n))
+        transport.send(b.node_id, a.node_id, Ping(n=9))
+        assert transport.in_flight() == 4
+        simulator.run_until_idle()
+        assert transport.in_flight() == 0
+        assert (b.numbers(), a.numbers()) == ([0, 1, 2], [9])
+
+
+class TestMalformedTransportFields:
+    """A forged or byzantine transport field is dropped whole, with one event."""
+
+    def test_an_ack_for_sequences_never_sent_retires_nothing(self):
+        simulator, _, transport, _, a, b = make_link()
+        for n in range(3):
+            transport.send(a.node_id, b.node_id, Ping(n=n))
+        counters = dict(transport.counters)
+        assert transport.on_receive(a.node_id, b.node_id, ReliableAck(ack=10**9)) is None
+        assert transport.on_receive(a.node_id, b.node_id, ReliableAck(ack=4)) is None
+        link = transport._links[(a.node_id, b.node_id)]
+        assert (transport.in_flight(), link.base, link.next_seq) == (3, 1, 4)
+        assert link.timer is not None and not link.timer.cancelled
+        assert len(malformed_events(transport)) == 2
+        assert transport.counters == counters  # no new key, nothing counted
+        simulator.run_until_idle()
+        # The window was not cleared and ``base`` did not jump past
+        # ``next_seq``: these and later payloads still get through.
+        transport.send(a.node_id, b.node_id, Ping(n=3))
+        simulator.run_until_idle()
+        assert b.numbers() == [0, 1, 2, 3]
+        assert transport.in_flight() == 0
+        assert transport.counters["messages_retransmitted"] == 0
+
+    def test_a_forged_piggybacked_ack_voids_the_whole_envelope(self):
+        simulator, _, transport, _, a, b = make_link()
+        transport.send(a.node_id, b.node_id, Ping(n=0))
+        forged = ReliableEnvelope(payload=Ping(n=66), seq=1, ack=7, base=1)
+        assert transport.on_receive(a.node_id, b.node_id, forged) is None
+        link = transport._links[(a.node_id, b.node_id)]
+        assert (transport.in_flight(), link.watermark, link.ack_timer) == (1, 0, None)
+        assert len(malformed_events(transport)) == 1
+
+    @pytest.mark.parametrize("forged", [
+        ReliableAck(ack="x"),
+        ReliableAck(ack=None),
+        ReliableAck(ack=-1),
+        ReliableAck(ack=True),
+        ReliableAck(ack=0.0),
+        ReliableEnvelope(payload=Ping(), seq="1"),
+        ReliableEnvelope(payload=Ping(), seq=0),
+        ReliableEnvelope(payload=Ping(), seq=1.0),
+        ReliableEnvelope(payload=Ping(), seq=2, base=3),
+        ReliableEnvelope(payload=Ping(), seq=1, base=0),
+        ReliableEnvelope(payload=Ping(), seq=1, base=None),
+        ReliableEnvelope(payload=Ping(), seq=1, ack="0"),
+        ReliableEnvelope(payload=None, seq=1),
+        ReliableEnvelope(payload="ping", seq=1),
+    ], ids=repr)
+    def test_ill_typed_or_out_of_range_fields_fail_closed(self, forged):
+        simulator, _, transport, _, a, b = make_link()
+        transport.send(b.node_id, a.node_id, Ping(n=0))  # b has sent: acks 0 and 1 are legal
+        counters = dict(transport.counters)
+        assert transport.on_receive(b.node_id, a.node_id, forged) is None
+        assert transport.counters == counters
+        assert transport.in_flight() == 1
+        assert [event.detail["type"] for event in malformed_events(transport)] == [type(forged).__name__]
+        simulator.run_until_idle()
+        assert a.numbers() == [0]
+        assert transport.in_flight() == 0
+
+    def test_the_counter_keys_are_the_fingerprinted_five(self):
+        _, _, transport, _, _, _ = make_link()
+        assert sorted(transport.counters) == [
+            "acks_sent", "duplicates_dropped", "links_abandoned",
+            "messages_retransmitted", "retransmits_abandoned",
+        ]

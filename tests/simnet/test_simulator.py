@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import SimulationError
 from repro.simnet.simulator import Simulator
@@ -27,8 +28,8 @@ class TestScheduling:
         assert order == [0, 1, 2, 3, 4]
 
     def test_equal_time_events_from_every_entry_point_keep_insertion_order(self):
-        # Heap entries are (time, sequence, event) tuples: a tie on time must
-        # be settled by the sequence alone, never by comparing the events.
+        # Heap entries are (time, sequence, fn, args) tuples: a tie on time
+        # must be settled by the sequence alone, never by comparing callables.
         sim = Simulator()
         order = []
 
@@ -68,6 +69,27 @@ class TestScheduling:
         sim.run_until_idle()
         with pytest.raises(SimulationError):
             sim.schedule_at(5.0, lambda: None)
+
+    def test_nan_times_are_rejected_by_every_entry_point(self):
+        # Both ``<`` guards are false for NaN, and a NaN key corrupts heap order.
+        sim = Simulator()
+        nan = float("nan")
+        for schedule in (sim.schedule, sim.schedule_at, sim.schedule_call):
+            with pytest.raises(SimulationError):
+                schedule(nan, lambda: None)
+        with pytest.raises(SimulationError):
+            sim.schedule_call(-1.0, lambda: None)
+        assert sim.pending_events == 0
+        assert sim.run_until_idle() == 0
+
+    def test_arguments_are_passed_to_the_callback(self):
+        sim = Simulator()
+        seen = []
+        sim.schedule(2.0, seen.append, "timer")
+        sim.schedule_at(3.0, lambda *args: seen.append(args), 1, 2)
+        assert sim.schedule_call(1.0, seen.append, "call") is None
+        sim.run_until_idle()
+        assert seen == ["call", "timer", (1, 2)]
 
     def test_events_can_schedule_more_events(self):
         sim = Simulator()
@@ -195,6 +217,16 @@ class TestRunLimits:
         sim.schedule(1.0, reenter)
         sim.run_until_idle()
 
+    def test_run_until_idle_is_idle_when_only_cancelled_entries_remain(self):
+        # Exactly ``max_events`` fired and the heap still holds a cancelled
+        # entry: idleness is judged by live events, not by heap length.
+        sim = Simulator()
+        sim.schedule(1.0, lambda: None)
+        sim.schedule(2.0, lambda: None)
+        sim.schedule(3.0, lambda: None).cancel()
+        assert sim.run_until_idle(max_events=2) == 2
+        assert sim.pending_events == 0
+
     def test_run_until_idle_backstop(self):
         sim = Simulator()
 
@@ -204,3 +236,73 @@ class TestRunLimits:
         sim.schedule(1.0, forever)
         with pytest.raises(SimulationError):
             sim.run_until_idle(max_events=100)
+
+
+# One scheduler operation: (kind, number).  ``number`` is a delay or time
+# offset in half-milliseconds (so equal-time ties are common), the index of
+# the handle to cancel, a run horizon or an event budget, by kind.
+_operations = st.lists(
+    st.tuples(
+        st.sampled_from(["schedule", "schedule_at", "schedule_call", "cancel", "run_until", "run_max"]),
+        st.integers(min_value=0, max_value=8),
+    ),
+    max_size=40,
+)
+
+
+class TestAgainstAReferenceModel:
+    @settings(max_examples=200, deadline=None)
+    @given(_operations)
+    def test_events_fire_in_time_then_insertion_order(self, operations):
+        """The heap is a list sorted by ``(time, insertion index)``."""
+        sim = Simulator()
+        fired = []  # insertion indexes, in firing order
+        handles = []  # (insertion index, handle)
+        model = []  # live (time, insertion index)
+        model_fired = []
+        model_now = 0.0
+        inserted = 0
+
+        def fire_model(budget=None, horizon=None):
+            nonlocal model_now
+            count = 0
+            for entry in sorted(model):
+                if (horizon is not None and entry[0] > horizon) or count == budget:
+                    break
+                model.remove(entry)
+                model_fired.append(entry[1])
+                model_now = entry[0]
+                count += 1
+            if horizon is not None:
+                model_now = max(model_now, horizon)
+            return count
+
+        for kind, number in operations:
+            if kind in ("schedule", "schedule_at", "schedule_call"):
+                time_ms = sim.now + number / 2.0
+                if kind == "schedule":
+                    handles.append((inserted, sim.schedule(number / 2.0, fired.append, inserted)))
+                elif kind == "schedule_at":
+                    handles.append((inserted, sim.schedule_at(time_ms, fired.append, inserted)))
+                else:
+                    sim.schedule_call(time_ms, fired.append, inserted)
+                model.append((time_ms, inserted))
+                inserted += 1
+            elif kind == "cancel":
+                if handles:
+                    index, handle = handles[number % len(handles)]
+                    handle.cancel()  # may already have fired or been cancelled
+                    model[:] = [entry for entry in model if entry[1] != index]
+                    assert handle.cancelled == (index not in model_fired)
+            elif kind == "run_until":
+                horizon = sim.now + number / 2.0
+                assert sim.run(until_ms=horizon) == fire_model(horizon=horizon)
+            else:
+                assert sim.run(max_events=number) == fire_model(budget=number)
+            assert fired == model_fired
+            assert sim.pending_events == len(model)
+            assert sim.events_processed == len(fired)
+            assert sim.now == model_now
+        assert sim.run_until_idle() == fire_model()
+        assert fired == model_fired
+        assert sim.pending_events == 0
