@@ -15,7 +15,7 @@ size experiments are reproduced.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Optional
 
 from repro.baselines.protocols import ReadOnlyProtocol, protocol_by_name
@@ -23,6 +23,7 @@ from repro.common.types import TxnKind
 from repro.core.client import TransEdgeClient
 from repro.core.system import SystemCounters, TransEdgeSystem
 from repro.metrics.collector import MetricsCollector
+from repro.simnet.proc import Sleep
 from repro.workload.generator import TxnSpec
 
 
@@ -54,6 +55,80 @@ class WorkloadRunResult:
         return self.metrics.operation(label).abort_rate()
 
 
+def _protocol(protocol: "str | ReadOnlyProtocol") -> ReadOnlyProtocol:
+    return protocol_by_name(protocol) if isinstance(protocol, str) else protocol
+
+
+@dataclass
+class _Run:
+    """One workload execution in progress: what its driver processes share."""
+
+    system: TransEdgeSystem
+    metrics: MetricsCollector
+    executed: int = 0
+
+    def _closed_loop(
+        self,
+        client: TransEdgeClient,
+        specs: Iterator[TxnSpec],
+        protocol: ReadOnlyProtocol,
+        pacing_ms: float,
+    ):
+        """One driver process: take the next specification, execute it, record it."""
+        metrics = self.metrics
+        for spec in specs:
+            if pacing_ms > 0:
+                yield Sleep(pacing_ms)
+            label = OPERATION_LABELS[spec.kind]
+            metrics.mark_start(client.now)
+            if spec.kind is TxnKind.READ_ONLY:
+                result = yield from protocol.run(client, list(spec.read_keys))
+                metrics.record_read_only(
+                    label,
+                    result.latency_ms,
+                    rounds=result.rounds,
+                    round2_latency_ms=result.round2_latency_ms,
+                    served_by_edge=result.served_by_edge,
+                )
+            else:
+                result = yield from client.read_write_txn(
+                    list(spec.read_keys), dict(spec.writes)
+                )
+                if result.committed:
+                    metrics.record_commit(label, result.latency_ms)
+                else:
+                    metrics.record_abort(label, result.latency_ms, reason=result.abort_reason)
+            self.executed += 1
+            metrics.mark_end(client.now)
+
+    def spawn(
+        self,
+        clients: List[TransEdgeClient],
+        concurrency: int,
+        specs: Iterable[TxnSpec],
+        protocol: ReadOnlyProtocol,
+        pacing_ms: float = 0.0,
+        name_prefix: str = "",
+    ) -> None:
+        """Spread ``concurrency`` driver processes over ``clients``, sharing ``specs``."""
+        stream = iter(specs)
+        for index in range(max(1, concurrency)):
+            client = clients[index % len(clients)]
+            client.spawn(
+                self._closed_loop(client, stream, protocol, pacing_ms),
+                name=f"{name_prefix}-proc-{index}" if name_prefix else "",
+            )
+
+    def finish(self) -> WorkloadRunResult:
+        self.system.run_until_idle()
+        return WorkloadRunResult(
+            metrics=self.metrics,
+            counters=self.system.counters(),
+            elapsed_ms=self.metrics.elapsed_ms,
+            executed=self.executed,
+        )
+
+
 def execute_workload(
     system: TransEdgeSystem,
     specs: Iterable[TxnSpec],
@@ -70,56 +145,15 @@ def execute_workload(
     read-write specifications always use the TransEdge commit path (the
     2PC/BFT baseline shares it, per Section 3.5 of the paper).
     """
-    if isinstance(read_only_protocol, str):
-        protocol = protocol_by_name(read_only_protocol)
-    else:
-        protocol = read_only_protocol
-    metrics = metrics if metrics is not None else MetricsCollector()
-    spec_iterator: Iterator[TxnSpec] = iter(specs)
-    executed = {"count": 0}
-
-    clients: List[TransEdgeClient] = [
+    run = _Run(system, metrics if metrics is not None else MetricsCollector())
+    clients = [
         system.create_client(f"{client_prefix}-{index}", **(client_kwargs or {}))
         for index in range(max(1, num_clients))
     ]
-
-    def driver_body(client: TransEdgeClient):
-        while True:
-            try:
-                spec = next(spec_iterator)
-            except StopIteration:
-                return
-            label = OPERATION_LABELS[spec.kind]
-            metrics.mark_start(client.now)
-            if spec.kind is TxnKind.READ_ONLY:
-                result = yield from protocol.run(client, list(spec.read_keys))
-                metrics.record_read_only(
-                    label,
-                    result.latency_ms,
-                    rounds=result.rounds,
-                    round2_latency_ms=result.round2_latency_ms,
-                    served_by_edge=result.served_by_edge,
-                )
-            else:
-                result = yield from client.read_write_txn(list(spec.read_keys), dict(spec.writes))
-                if result.committed:
-                    metrics.record_commit(label, result.latency_ms)
-                else:
-                    metrics.record_abort(label, result.latency_ms, reason=result.abort_reason)
-            executed["count"] += 1
-            metrics.mark_end(client.now)
-
-    for index in range(max(1, concurrency)):
-        client = clients[index % len(clients)]
-        client.spawn(driver_body(client), name=f"{client_prefix}-proc-{index}")
-
-    system.run_until_idle()
-    return WorkloadRunResult(
-        metrics=metrics,
-        counters=system.counters(),
-        elapsed_ms=metrics.elapsed_ms,
-        executed=executed["count"],
+    run.spawn(
+        clients, concurrency, specs, _protocol(read_only_protocol), name_prefix=client_prefix
     )
+    return run.finish()
 
 
 def execute_concurrent_workloads(
@@ -146,66 +180,12 @@ def execute_concurrent_workloads(
     distributed commits, so without pacing they would never observe the
     concurrency being studied.
     """
-    metrics = MetricsCollector()
-    if isinstance(foreground_protocol, str):
-        protocol = protocol_by_name(foreground_protocol)
-    else:
-        protocol = foreground_protocol
-
-    foreground_iter = iter(foreground)
-    background_iter = iter(background)
-    executed = {"count": 0}
-
+    run = _Run(system, MetricsCollector())
     fg_clients = [system.create_client(f"fg-{index}") for index in range(2)]
     bg_clients = [system.create_client(f"bg-{index}") for index in range(2)]
-
-    from repro.simnet.proc import Sleep
-
-    def make_body(client, iterator, is_foreground):
-        def body():
-            while True:
-                try:
-                    spec = next(iterator)
-                except StopIteration:
-                    return
-                if is_foreground and foreground_pacing_ms > 0:
-                    yield Sleep(foreground_pacing_ms)
-                label = OPERATION_LABELS[spec.kind]
-                metrics.mark_start(client.now)
-                if spec.kind is TxnKind.READ_ONLY:
-                    runner = protocol if is_foreground else protocol_by_name("transedge")
-                    result = yield from runner.run(client, list(spec.read_keys))
-                    metrics.record_read_only(
-                        label,
-                        result.latency_ms,
-                        rounds=result.rounds,
-                        round2_latency_ms=result.round2_latency_ms,
-                        served_by_edge=result.served_by_edge,
-                    )
-                else:
-                    result = yield from client.read_write_txn(
-                        list(spec.read_keys), dict(spec.writes)
-                    )
-                    if result.committed:
-                        metrics.record_commit(label, result.latency_ms)
-                    else:
-                        metrics.record_abort(label, result.latency_ms, reason=result.abort_reason)
-                executed["count"] += 1
-                metrics.mark_end(client.now)
-
-        return body
-
-    for index in range(max(1, foreground_concurrency)):
-        client = fg_clients[index % len(fg_clients)]
-        client.spawn(make_body(client, foreground_iter, True)())
-    for index in range(max(1, background_concurrency)):
-        client = bg_clients[index % len(bg_clients)]
-        client.spawn(make_body(client, background_iter, False)())
-
-    system.run_until_idle()
-    return WorkloadRunResult(
-        metrics=metrics,
-        counters=system.counters(),
-        elapsed_ms=metrics.elapsed_ms,
-        executed=executed["count"],
+    run.spawn(
+        fg_clients, foreground_concurrency, foreground, _protocol(foreground_protocol),
+        pacing_ms=foreground_pacing_ms,
     )
+    run.spawn(bg_clients, background_concurrency, background, protocol_by_name("transedge"))
+    return run.finish()

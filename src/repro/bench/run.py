@@ -4,26 +4,31 @@ Usage::
 
     python -m repro.bench.run --list
     python -m repro.bench.run fig4 fig6
-    python -m repro.bench.run all --json BENCH_results.json
+    python -m repro.bench.run all --json BENCH_results.json --results benchmark_results
     REPRO_BENCH_SCALE=4 python -m repro.bench.run table1
 
-Each experiment prints the reproduced rows/series as an aligned text table.
-With ``--json <path>`` the results are additionally written as a
-machine-readable JSON document (one entry per experiment, with wall-clock
-times and the scale factor), which is how the perf trajectory collects
-``BENCH_*.json`` files across runs.
+Each experiment prints the reproduced rows/series as an aligned text table,
+then one line per gate of its registry row — ``fig9: <claim> — observed …`` —
+and the run exits 1 if any gate failed (2 is a usage error).  ``--results
+DIR`` also writes each rendered table to ``DIR/<id>.txt``: at scale 1 those
+are the committed ``benchmark_results/``, so ``git diff`` is the comparison.
+``--json PATH`` writes a machine-readable document (one entry per experiment,
+with wall-clock times and the scale factor).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from typing import List
 
 from repro.bench.experiments import EXPERIMENTS
+from repro.bench.harness import Harness
 from repro.bench.scale import scale_factor
+from repro.obs.export import chrome_trace_document, write_json
 
 
 def main(argv: "List[str] | None" = None) -> int:
@@ -44,6 +49,12 @@ def main(argv: "List[str] | None" = None) -> int:
         help="also write results as machine-readable JSON to PATH",
     )
     parser.add_argument(
+        "--results",
+        metavar="DIR",
+        default=None,
+        help="also write each rendered table to DIR/<id>.txt",
+    )
+    parser.add_argument(
         "--trace",
         metavar="PATH",
         default=None,
@@ -55,9 +66,9 @@ def main(argv: "List[str] | None" = None) -> int:
     args = parser.parse_args(argv)
 
     if args.list or not args.experiments:
-        print("available experiments (pass ids or 'all'):")
-        for name in EXPERIMENTS:
-            print(f"  {name}")
+        print("available experiments (pass ids or 'all'): id, gates, what it reproduces")
+        for row in EXPERIMENTS.values():
+            print(f"  {row.id:<20}{len(row.gates):>2}  {row.paper}")
         return 0
 
     requested = list(EXPERIMENTS) if args.experiments == ["all"] else args.experiments
@@ -65,37 +76,45 @@ def main(argv: "List[str] | None" = None) -> int:
     if unknown:
         print(f"unknown experiments: {', '.join(unknown)}", file=sys.stderr)
         return 2
-    if args.json:
-        # Fail fast on an unwritable path instead of after the experiments.
-        try:
+    try:
+        # Fail fast on a bad scale or an unwritable path, not after the experiments.
+        scale = scale_factor()
+        if args.json:
             with open(args.json, "a", encoding="utf-8"):
                 pass
-        except OSError as error:
-            print(f"cannot write JSON results to {args.json}: {error}", file=sys.stderr)
-            return 2
+        if args.results:
+            os.makedirs(args.results, exist_ok=True)
+    except (ValueError, OSError) as error:
+        print(f"transedge-bench: {error}", file=sys.stderr)
+        return 2
 
-    if args.trace:
-        from repro.obs import runtime
-
-        runtime.enable_trace_mode(True)
-
-    print(f"scale factor: {scale_factor()} (set REPRO_BENCH_SCALE to change)")
-    document = {
-        "scale_factor": scale_factor(),
-        "unix_time": time.time(),
-        "experiments": {},
-    }
+    print(f"scale factor: {scale} (set REPRO_BENCH_SCALE to change)")
+    document = {"scale_factor": scale, "unix_time": time.time(), "experiments": {}}
+    harness = Harness(trace=bool(args.trace))
+    evaluated, failed = 0, []
     for name in requested:
+        row = EXPERIMENTS[name]
         started = time.time()
-        result = EXPERIMENTS[name]()
+        result = row.produce(harness)
         elapsed = time.time() - started
+        text = result.render()
         print()
-        print(result.render())
+        print(text)
         print(f"[{name} completed in {elapsed:.1f}s wall clock]")
+        for gate in row.gates:
+            held, observed = gate.evaluate(result)
+            evaluated += 1
+            line = f"{name}: {gate.claim} — observed {observed}"
+            print(f"  {'ok  ' if held else 'FAIL'} {line}")
+            if not held:
+                failed.append(line)
         document["experiments"][name] = {
             "elapsed_s": round(elapsed, 3),
             "result": result.to_dict(),
         }
+        if args.results:
+            with open(os.path.join(args.results, f"{name}.txt"), "w", encoding="utf-8") as handle:
+                handle.write(text + "\n")
 
     if args.json:
         with open(args.json, "w", encoding="utf-8") as handle:
@@ -104,21 +123,20 @@ def main(argv: "List[str] | None" = None) -> int:
         print(f"\nwrote JSON results to {args.json}")
 
     if args.trace:
-        from repro.obs import runtime
-        from repro.obs.export import chrome_trace_document, write_json
-
-        obs = runtime.last_observability()
-        if obs is None:
+        if harness.traced is None:
             print("--trace: no experiment built a traced deployment", file=sys.stderr)
         else:
-            chrome = chrome_trace_document(obs)
+            chrome = chrome_trace_document(harness.traced)
             write_json(chrome, args.trace)
             print(
                 f"wrote Chrome trace ({len(chrome['traceEvents'])} events, "
-                f"digest {obs.tracer.digest()[:16]}…) to {args.trace}"
+                f"digest {harness.traced.tracer.digest()[:16]}…) to {args.trace}"
             )
-        runtime.reset()  # don't leak trace mode into later in-process calls
-    return 0
+
+    print(f"\n{evaluated} gates evaluated, {len(failed)} failed")
+    for line in failed:
+        print(f"FAILED GATE {line}", file=sys.stderr)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via CLI

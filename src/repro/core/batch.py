@@ -191,9 +191,10 @@ class Batch:
 
         Local transactions become visible in their own batch; distributed
         transactions become visible in the batch carrying their (positive)
-        commit record.  Prepared-but-undecided writes are *not* visible — see
-        DESIGN.md for why this interpretation keeps the certified Merkle root
-        consistent with the values served to read-only clients.
+        commit record.  Prepared-but-undecided writes are *not* visible: the
+        Merkle root a batch certifies then covers exactly the values a
+        read-only client can be served at that batch, so a proof against the
+        root never vouches for a write that may still abort.
         """
         updates: Dict[Key, Value] = {}
         for txn in self.local_txns:

@@ -476,7 +476,7 @@ class PartitionReplica(SimNode):
             # When the archive cannot resolve the historical tree the replica
             # materialises the snapshot and rebuilds an O(K) tree — charge
             # for it, so simulated throughput also reflects the archive fast
-            # path (the wall-clock win BENCH_perf.json records).
+            # path (the wall-clock win the ``perf`` experiment measures).
             header = self._earliest_header_with_lce(message.required_prepare_batch)
             if header is not None and not self.merkle.archive_covers(header.number):
                 base += costs.tree_rebuild_cost_ms(len(self.merkle))

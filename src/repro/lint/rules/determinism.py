@@ -129,20 +129,23 @@ class WallClockRule(FileRule):
 
 
 class BareSetIterationRule(FileRule):
-    """D103: iterating a bare set leaks PYTHONHASHSEED into the schedule."""
+    """D103: iterating or formatting a bare set leaks PYTHONHASHSEED."""
 
     id = "D103"
     name = "set-iteration"
     rationale = (
         "iteration order of str-keyed sets is randomised per process "
         "(PYTHONHASHSEED); anything ordered by it — send order, returned "
-        "lists, dict builds — diverges across processes under the same seed. "
+        "lists, dict builds, and the text of a set put through an f-string, "
+        "str() or repr() (the atomic-visibility message hashed into chaos "
+        "fingerprints) — diverges across processes under the same seed. "
         "Wrap in sorted(...) or keep draw order (the PR 6 key-chooser bug)"
     )
 
     _SET_BUILTINS = {"set", "frozenset"}
     _SET_METHODS = {"union", "intersection", "difference", "symmetric_difference"}
-    _ITERATING_CALLS = {"list", "tuple", "iter", "enumerate"}
+    #: str()/repr() of a set print it in iteration order, like an f-string.
+    _ITERATING_CALLS = {"list", "tuple", "iter", "enumerate", "str", "repr"}
 
     def applies_to(self, path: str) -> bool:
         return not _in_repro_lint(path) and "repro/bench" not in path
@@ -203,6 +206,8 @@ class BareSetIterationRule(FileRule):
             elif isinstance(node, ast.Call) and call_name(node) in self._ITERATING_CALLS:
                 if node.args:
                     yield node.args[0], node.lineno, f"{call_name(node)}()"
+            elif isinstance(node, ast.FormattedValue):
+                yield node.value, node.lineno, "f-string"
             elif isinstance(node, ast.Starred):
                 yield node.value, getattr(node, "lineno", 0), "unpacking"
 

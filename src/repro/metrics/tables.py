@@ -28,6 +28,13 @@ def format_number(value: Union[Number, str], precision: int = 2) -> str:
     return f"{value:.{precision}f}"
 
 
+def _trailer(notes: Sequence[str], facts: Mapping[str, Number]) -> List[str]:
+    """The note and fact lines that close a rendered figure or table."""
+    return [f"note: {note}" for note in notes] + [
+        f"fact: {name} = {value}" for name, value in facts.items()
+    ]
+
+
 @dataclass
 class Series:
     """One plotted line: a name and y-values indexed by x-values."""
@@ -55,12 +62,20 @@ class FigureResult:
     y_label: str
     series: List[Series] = field(default_factory=list)
     notes: List[str] = field(default_factory=list)
+    #: Named counters the experiment measured beside its series; gates read
+    #: these, never a note.
+    facts: Dict[str, Number] = field(default_factory=dict)
 
     def series_by_name(self, name: str) -> Series:
         for series in self.series:
             if series.name == name:
                 return series
         raise KeyError(f"no series named {name!r} in {self.figure_id}")
+
+    @property
+    def rows(self) -> Dict[str, Dict[Number, Number]]:
+        """The series as ``{name: {x: y}}`` — the shape of :attr:`TableResult.rows`."""
+        return {series.name: series.points for series in self.series}
 
     def add_series(self, name: str) -> Series:
         series = Series(name=name)
@@ -80,6 +95,7 @@ class FigureResult:
                 for series in self.series
             ],
             "notes": list(self.notes),
+            "facts": dict(self.facts),
         }
 
     def render(self) -> str:
@@ -100,9 +116,7 @@ class FigureResult:
             lines.append(line)
             if index == 0:
                 lines.append("  ".join("-" * width for width in widths))
-        for note in self.notes:
-            lines.append(f"note: {note}")
-        return "\n".join(lines)
+        return "\n".join(lines + _trailer(self.notes, self.facts))
 
 
 @dataclass
@@ -114,6 +128,7 @@ class TableResult:
     columns: Sequence[Number]
     rows: Dict[str, Dict[Number, Number]] = field(default_factory=dict)
     notes: List[str] = field(default_factory=list)
+    facts: Dict[str, Number] = field(default_factory=dict)
 
     def set(self, row: str, column: Number, value: Number) -> None:
         self.rows.setdefault(row, {})[column] = value
@@ -133,6 +148,7 @@ class TableResult:
                 for name, cells in self.rows.items()
             },
             "notes": list(self.notes),
+            "facts": dict(self.facts),
         }
 
     def render(self) -> str:
@@ -150,9 +166,7 @@ class TableResult:
             lines.append("  ".join(cell.rjust(width) for cell, width in zip(row, widths)))
             if index == 0:
                 lines.append("  ".join("-" * width for width in widths))
-        for note in self.notes:
-            lines.append(f"note: {note}")
-        return "\n".join(lines)
+        return "\n".join(lines + _trailer(self.notes, self.facts))
 
 
 def render_mapping(title: str, mapping: Mapping[str, Number]) -> str:

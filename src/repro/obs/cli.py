@@ -12,8 +12,8 @@ observability layer captured::
     python -m repro.obs --timeline            # monitor windows + health + SLOs
 
 The run is deterministic: the same ``--txns``/``--seed`` always produce the
-same spans and therefore the same digest — which is exactly what the CI
-``obs-smoke`` job asserts by running this twice and comparing.
+same spans and therefore the same digest, in any process and under any
+``PYTHONHASHSEED``.
 """
 
 from __future__ import annotations

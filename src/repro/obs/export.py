@@ -8,8 +8,7 @@ Three consumers, three formats:
   Format (``ph: "X"`` complete events, microsecond timestamps) so any run
   can be dropped into ``ui.perfetto.dev``;
 * machines — :func:`run_document` bundles the digest, every retained trace
-  and the flight-recorder timeline into one JSON document (the artifact the
-  ``obs-smoke`` CI job uploads and validates).
+  and the flight-recorder timeline into one JSON document.
 """
 
 from __future__ import annotations

@@ -14,7 +14,6 @@ from __future__ import annotations
 from typing import Callable, Dict, Optional
 
 from repro.common.config import ObsConfig
-from repro.obs import runtime
 from repro.obs.attribution import PhaseAggregate
 from repro.obs.recorder import FlightRecorder
 from repro.obs.trace import Tracer
@@ -25,18 +24,13 @@ class Observability:
 
     def __init__(self, config: ObsConfig, clock: Callable[[], float]) -> None:
         self.config = config
-        # ``--trace`` (repro.obs.runtime) turns tracing on for deployments
-        # whose config left it off — safe because tracing never changes what
-        # a run does, only what it records.
-        self.tracing = config.tracing_enabled or runtime.trace_mode()
+        self.tracing = config.tracing_enabled
         self.tracer = Tracer(clock, max_traces=config.max_traces)
         self.recorder = FlightRecorder(clock, capacity=config.ring_capacity)
         #: Live monitor (repro.obs.monitor) when one is attached: receives
         #: every flight-recorder event and every closed span.  ``None`` —
         #: the default — keeps the hub byte-for-byte the passive recorder.
         self.monitor = None
-        if self.tracing:
-            runtime.note_observability(self)
 
     def attach_monitor(self, monitor) -> None:
         """Wire ``monitor`` into the event and span-close streams.

@@ -20,8 +20,8 @@ are noticed lazily on existing dispatches, the way ``_dispatch_in_span``
 piggybacks on dispatch), draws no randomness, and only ever *reads*
 counters.  Enabling monitoring therefore cannot change what a run does —
 chaos fingerprints and trace digests are byte-identical with monitoring on
-or off, which ``tests/obs/test_monitor.py`` and the CI ``monitor-smoke``
-job pin.
+or off, which ``tests/obs/test_monitor.py`` and
+``tests/chaos/test_perf_oracle.py`` pin.
 
 The timeline's accounting discipline mirrors PR 6's phase attribution:
 windowed deltas *telescope*.  Each closed window's delta is the cumulative

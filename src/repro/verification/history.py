@@ -213,9 +213,12 @@ class ExecutionHistory:
                     else:
                         writers.add(writer_of_value.get((key, value)))
                 if len(writers) > 1:
+                    # Sorted (initial state first): the message is hashed into
+                    # chaos fingerprints, so it may not follow PYTHONHASHSEED.
+                    ordered = sorted(writers, key=lambda writer: (writer is not None, writer or ""))
                     raise VerificationError(
                         f"read-only transaction {observation.txn_id} observed a mixed "
-                        f"snapshot across co-written keys {sorted(group)}: writers {writers}"
+                        f"snapshot across co-written keys {sorted(group)}: writers {ordered}"
                     )
 
     def check_all(

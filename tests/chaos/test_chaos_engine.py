@@ -12,7 +12,7 @@ import json
 import pytest
 
 from repro.chaos import plan_from_seed, run_plan, run_seed, shrink_plan
-from repro.chaos.cli import load_artifact, main as chaos_main, write_artifact
+from repro.chaos.cli import ARTIFACT_VERSION, load_artifact, main as chaos_main, write_artifact
 from repro.chaos.plan import ChaosPlan
 
 #: Seeds exercised by the tier-1 suite (kept small; CI sweeps more).
@@ -145,7 +145,8 @@ class TestArtifacts:
             str(tmp_path), plan, report, "drop-commit-replies", shrink_runs=0
         )
         document = load_artifact(path)
-        assert document["version"] >= 2
+        assert document["version"] == ARTIFACT_VERSION
+        assert "health" in document
         assert document["flight_recorder"]
         assert document["failing_traces"]
         events = document["flight_recorder"]

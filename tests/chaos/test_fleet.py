@@ -264,12 +264,15 @@ class TestOpenFuzzerFind:
         return run_plan(plan, perf_oracle=False)
 
     def test_the_find_is_neither_fixed_nor_worse(self, report):
-        # Exactly the two known oracles.  (No fingerprint pin: the
-        # atomic-visibility message prints a set of writer ids, so a failing
-        # run's fingerprint follows PYTHONHASHSEED.)
+        # Exactly the two known oracles, and — a failing run is
+        # byte-reproducible too, the atomic-visibility message prints its
+        # writers sorted — the same fingerprint under any PYTHONHASHSEED.
         assert sorted({f.oracle for f in report.failures}) == [
             "atomic-visibility", "quiescent-liveness",
         ]
+        assert report.fingerprint() == (
+            "39230cdb09d07f791b0e93bc1f68b74ad14753e466df47eca7fc62b4d0670578"
+        )
 
     @pytest.mark.xfail(
         strict=True,

@@ -5,7 +5,7 @@ simulated service time blind to both the partition size and the archive fast
 path.  Now proofs cost O(log K) (one root path) and a round-2 snapshot
 request that the archive cannot answer additionally pays the O(K) tree
 rebuild — so simulated throughput reflects the same asymmetry the wall-clock
-perf baseline (BENCH_perf.json) records.
+``perf`` experiment measures.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""D103 bad: iterating bare sets leaks PYTHONHASHSEED into behaviour."""
+"""D103 bad: iterating or formatting bare sets leaks PYTHONHASHSEED into behaviour."""
 
 
 def notify(listeners, extra):
@@ -6,3 +6,8 @@ def notify(listeners, extra):
     for listener in pending:
         listener.poke()
     return [name.upper() for name in {"a", "b", "c"}]
+
+
+def describe(observed):
+    writers = {writer for writer in observed}
+    return f"mixed snapshot: writers {writers}" + str(writers)

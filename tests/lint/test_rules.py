@@ -59,9 +59,11 @@ class TestFindingContent:
         assert any("random.random" in finding.message for finding in findings)
         assert all(finding.severity == "error" for finding in findings)
 
-    def test_d103_flags_for_loop_and_comprehension(self):
+    def test_d103_flags_iteration_and_formatting(self):
         findings = findings_for("D103", os.path.join(CORPUS, "D103", "bad.py"))
-        assert len(findings) == 2
+        assert [finding.message.split(" iterates")[0] for finding in findings] == [
+            "for loop", "comprehension", "f-string", "str()",
+        ]
 
     def test_p301_reports_both_lifecycle_halves(self):
         findings = findings_for("P301", os.path.join(CORPUS, "P301", "bad"))

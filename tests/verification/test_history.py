@@ -52,6 +52,16 @@ class TestAtomicVisibility:
         with pytest.raises(VerificationError):
             history.check_atomic_visibility([{"x", "y"}])
 
+    def test_mixed_snapshot_message_lists_writers_sorted_initial_state_first(self):
+        # The message is hashed into chaos fingerprints and written into repro
+        # artifacts: it must not follow set order (PYTHONHASHSEED).
+        history = ExecutionHistory(initial_data={"x": b"x0", "y": b"y0", "z": b"z0"})
+        history.record_commit("t9", {}, {"x": b"a"})
+        history.record_commit("t10", {}, {"y": b"b"})
+        history.record_read_only("bad", {"x": b"a", "y": b"b", "z": b"z0"}, {})
+        with pytest.raises(VerificationError, match=r"writers \[None, 't10', 't9'\]$"):
+            history.check_atomic_visibility([{"x", "y", "z"}])
+
     def test_partial_snapshot_of_group_is_ignored(self):
         history = ExecutionHistory()
         history.record_commit("t1", {}, {"x": b"a", "y": b"a"})
