@@ -16,6 +16,7 @@ from functools import cached_property
 from typing import Dict, Iterable, Optional, Tuple
 
 from repro.common.ids import PartitionId, ReplicaId
+from repro.common.types import MemoisedValue
 from repro.crypto.signatures import KeyRegistry, Signature
 
 
@@ -90,7 +91,7 @@ class ViewChangeCertificate:
 
 
 @dataclass(frozen=True)
-class CommitCertificate:
+class CommitCertificate(MemoisedValue):
     """Proof that a cluster decided ``digest`` at sequence ``seq``."""
 
     partition: PartitionId

@@ -21,6 +21,25 @@ Key = str
 Value = bytes
 
 
+class MemoisedValue:
+    """Base of the frozen dataclasses that memoise derived facts on the instance.
+
+    A ``cached_property`` lives in the instance ``__dict__`` beside the
+    dataclass fields, so a plain ``copy.copy``/``copy.deepcopy``/``pickle``
+    round-trip would carry it along — and a byzantine sender is modelled as
+    "deep-copy the honest object, then mutate the copy".  A copy made through
+    this state holds the dataclass fields and nothing else: whatever was
+    derived from them is derived again.  (``dataclasses.replace`` goes through
+    ``__init__`` and never saw the memos.)
+    """
+
+    __slots__ = ()
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__
+        return {name: state[name] for name in self.__dataclass_fields__}
+
+
 def as_value(data: "bytes | str") -> Value:
     """Coerce ``data`` to the canonical value representation (``bytes``)."""
     if isinstance(data, bytes):

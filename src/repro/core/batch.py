@@ -25,10 +25,10 @@ from typing import Dict, Mapping, Optional, Tuple
 
 from repro.bft.quorum import CommitCertificate
 from repro.common.ids import NO_BATCH, BatchNumber, PartitionId
-from repro.common.types import Key, Value
-from repro.crypto.hashing import Digest, digest_of
+from repro.common.types import Key, MemoisedValue, Value
+from repro.crypto.hashing import Digest, Encoded, digest_of
 from repro.crypto.signatures import KeyRegistry, Signature
-from repro.core.cdvector import CDVector
+from repro.core.cdvector import CDVector, combine_all
 from repro.core.transaction import TxnPayload
 from repro.storage.partitioner import HashPartitioner
 
@@ -42,6 +42,10 @@ class PreparedRecord:
 
     def payload(self) -> dict:
         return {"txn": self.txn.payload(), "coordinator": self.coordinator}
+
+    def spliced(self) -> dict:
+        """:meth:`payload` around the transaction's kept encoding: same bytes."""
+        return {"txn": self.txn.encoded, "coordinator": self.coordinator}
 
 
 @dataclass(frozen=True)
@@ -86,8 +90,15 @@ class PreparedVote:
 
 
 @dataclass(frozen=True)
-class CommitRecord:
-    """The decision for a distributed transaction, with the collected votes."""
+class CommitRecord(MemoisedValue):
+    """The decision for a distributed transaction, with the collected votes.
+
+    One record object is embedded in the batch of every cluster the
+    transaction touched and validated by every replica of each, so the two
+    things they all derive from it are kept on it (and dropped by every copy,
+    see :class:`MemoisedValue`): its canonical encoding and the entry-wise
+    maximum of the CD vectors its positive votes report.
+    """
 
     txn: TxnPayload
     coordinator: PartitionId
@@ -108,6 +119,11 @@ class CommitRecord:
             "votes": {str(p): vote.payload() for p, vote in sorted(self.votes.items())},
         }
 
+    @cached_property
+    def encoded(self) -> Encoded:
+        """:meth:`payload`, canonicalised once around the transaction's own fragment."""
+        return Encoded.of({**self.payload(), "txn": self.txn.encoded})
+
     def reported_vectors(self) -> Tuple[CDVector, ...]:
         """CD vectors reported by positive votes (input to Algorithm 1)."""
         return tuple(
@@ -115,6 +131,17 @@ class CommitRecord:
             for _, vote in sorted(self.votes.items())
             if vote.vote and vote.cd_vector is not None
         )
+
+    @cached_property
+    def reported_max(self) -> Optional[CDVector]:
+        """Entry-wise maximum of :meth:`reported_vectors`, ``None`` when there are none.
+
+        Algorithm 1 folds every reported vector into the batch's CD vector;
+        the maximum is associative and commutative, so folding this one
+        vector gives the same result.
+        """
+        vectors = self.reported_vectors()
+        return combine_all(vectors[0], vectors[1:]) if vectors else None
 
 
 @dataclass(frozen=True)
@@ -136,7 +163,7 @@ class ReadOnlySegment:
 
 
 @dataclass(frozen=True)
-class Batch:
+class Batch(MemoisedValue):
     """One entry of a partition's SMR log."""
 
     partition: PartitionId
@@ -150,14 +177,16 @@ class Batch:
     #
     # Digests are cached: batches are immutable and the digest of a large
     # batch is recomputed many times (consensus, validation, delivery).
+    # Distributed transactions and commit records recur in other batches and
+    # bring their encoding with them; a local transaction appears only here.
 
     @cached_property
     def _content_digest(self) -> Digest:
         return digest_of(
             {
                 "local": [txn.payload() for txn in self.local_txns],
-                "prepared": [record.payload() for record in self.prepared],
-                "committed": [record.payload() for record in self.committed],
+                "prepared": [record.spliced() for record in self.prepared],
+                "committed": [record.encoded for record in self.committed],
             }
         )
 
@@ -216,7 +245,7 @@ class Batch:
 
 
 @dataclass(frozen=True)
-class CertifiedHeader:
+class CertifiedHeader(MemoisedValue):
     """A batch header plus the consensus certificate proving agreement on it.
 
     This is what leaders attach to read-only responses and to 2PC messages:

@@ -26,7 +26,6 @@ from repro.core.batch import (
     PreparedVote,
     ReadOnlySegment,
 )
-from repro.core.cdvector import combine_all
 from repro.core.messages import (
     CommitReply,
     CommitRequest,
@@ -289,8 +288,7 @@ class LeaderRole:
             return
 
         checker = self._replica.conflict_checker()
-        footprint = checker.footprint(txn)
-        report = checker.check(txn, self._admission_indexes(), footprint=footprint)
+        report = checker.check(txn, self._admission_indexes())
         if not report.ok:
             self._reply_abort(txn, waiting, report.reason)
             return
@@ -300,7 +298,7 @@ class LeaderRole:
 
         self._waiting_clients[txn.txn_id] = waiting
         self._obs_admit(txn.txn_id, message)
-        self._in_progress_index.add(txn, footprint)
+        self._in_progress_index.add(txn)
         self._acquire_write_locks(txn)
         if len(accessed) == 1:
             self._in_progress_local.append(txn)
@@ -414,8 +412,7 @@ class LeaderRole:
             return
 
         checker = self._replica.conflict_checker()
-        footprint = checker.footprint(txn)
-        report = checker.check(txn, self._admission_indexes(), footprint=footprint)
+        report = checker.check(txn, self._admission_indexes())
         interference = self._lock_interference(txn)
         if not report.ok or interference:
             if interference:
@@ -432,7 +429,7 @@ class LeaderRole:
             txn=txn, coordinator=message.coordinator
         )
         self._obs_participant_admit(txn.txn_id, message)
-        self._in_progress_index.add(txn, footprint)
+        self._in_progress_index.add(txn)
         self._acquire_write_locks(txn)
         self._in_progress_prepared.append(
             PreparedRecord(txn=txn, coordinator=message.coordinator)
@@ -728,11 +725,10 @@ class LeaderRole:
 
         checker = replica.conflict_checker()
         for txn in self._in_progress_local:
-            footprint = checker.footprint(txn)
-            report = checker.check(txn, seal_indexes, footprint=footprint)
+            report = checker.check(txn, seal_indexes)
             if report.ok and not self._lock_interference(txn):
                 local_txns.append(txn)
-                accepted_index.add(txn, footprint)
+                accepted_index.add(txn)
                 self._obs_seal(txn.txn_id)
             else:
                 self._release_write_locks(txn.txn_id)
@@ -741,11 +737,10 @@ class LeaderRole:
                     reason = report.reason or "read-lock interference with a read-only transaction"
                     self._reply_abort(txn, waiting, reason)
         for record in self._in_progress_prepared:
-            footprint = checker.footprint(record.txn)
-            report = checker.check(record.txn, seal_indexes, footprint=footprint)
+            report = checker.check(record.txn, seal_indexes)
             if report.ok and not self._lock_interference(record.txn):
                 prepared_records.append(record)
-                accepted_index.add(record.txn, footprint)
+                accepted_index.add(record.txn)
                 self._obs_seal(record.txn.txn_id)
             else:
                 self._drop_prepared_record(record, report.reason)
@@ -765,8 +760,8 @@ class LeaderRole:
             lce = max(lce, max(group.batch_number for group in ready_groups))
         cd = replica.current_cd_vector().with_entry(self._partition, batch_number)
         for record in committed_records:
-            if record.decision:
-                cd = combine_all(cd, record.reported_vectors())
+            if record.decision and record.reported_max is not None:
+                cd = cd.pairwise_max(record.reported_max)
         cd = cd.with_entry(self._partition, batch_number)
 
         updates = {}

@@ -28,43 +28,13 @@ number of pending transactions — essential for the paper's large batch sizes
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Set, Tuple
 
 from repro.common.ids import PartitionId
 from repro.common.types import Key
-from repro.core.transaction import TxnPayload
+from repro.core.transaction import Footprint, TxnPayload
 from repro.storage.mvstore import MultiVersionStore
 from repro.storage.partitioner import HashPartitioner
-
-
-@dataclass(frozen=True)
-class Footprint:
-    """A transaction's read/write keys restricted to one partition."""
-
-    reads: FrozenSet[Key]
-    writes: FrozenSet[Key]
-
-    @classmethod
-    def of(
-        cls, txn: TxnPayload, partition: PartitionId, partitioner: HashPartitioner
-    ) -> "Footprint":
-        return cls(
-            reads=txn.read_keys_in(partition, partitioner),
-            writes=txn.write_keys_in(partition, partitioner),
-        )
-
-    def conflicts_with(self, other: "Footprint") -> bool:
-        """rw / wr / ww intersection test."""
-        if self.writes & other.writes:
-            return True
-        if self.writes & other.reads:
-            return True
-        if self.reads & other.writes:
-            return True
-        return False
-
-    def is_empty(self) -> bool:
-        return not self.reads and not self.writes
 
 
 @dataclass(frozen=True)
@@ -89,13 +59,10 @@ def stale_read_check(
     partition: PartitionId,
     partitioner: HashPartitioner,
     store: MultiVersionStore,
-    footprint: Optional[Footprint] = None,
 ) -> Optional[Key]:
     """Rule 1: return the first stale read key, or ``None`` when all are fresh."""
-    if footprint is None:
-        footprint = Footprint.of(txn, partition, partitioner)
-    for key, version in txn.reads.items():  # the transaction's own order, not the set's
-        if key in footprint.reads and store.version_of(key) != version:
+    for key, version in txn.reads_in(partition, partitioner).items():
+        if store.version_of(key) != version:
             return key
     return None
 
@@ -138,16 +105,11 @@ class KeyConflictIndex:
         self._writers.clear()
         self._footprints.clear()
 
-    def add(self, txn: TxnPayload, footprint: Optional[Footprint] = None) -> None:
-        """Index ``txn``'s local footprint (no-op when already present).
-
-        ``footprint``, here and in :meth:`first_conflict`, is ``txn``'s
-        footprint in this index's partition when the caller already split it.
-        """
+    def add(self, txn: TxnPayload) -> None:
+        """Index ``txn``'s local footprint (no-op when already present)."""
         if txn.txn_id in self._footprints:
             return
-        if footprint is None:
-            footprint = Footprint.of(txn, self._partition, self._partitioner)
+        footprint = Footprint.of(txn, self._partition, self._partitioner)
         self._footprints[txn.txn_id] = footprint
         for key in footprint.reads:
             self._readers.setdefault(key, set()).add(txn.txn_id)
@@ -171,12 +133,9 @@ class KeyConflictIndex:
                 if not owners:
                     del self._writers[key]
 
-    def first_conflict(
-        self, txn: TxnPayload, footprint: Optional[Footprint] = None
-    ) -> Optional[str]:
+    def first_conflict(self, txn: TxnPayload) -> Optional[str]:
         """Id of some indexed transaction conflicting with ``txn`` (or None)."""
-        if footprint is None:
-            footprint = Footprint.of(txn, self._partition, self._partitioner)
+        footprint = Footprint.of(txn, self._partition, self._partitioner)
         for key in footprint.writes:
             for owner in self._writers.get(key, ()):
                 if owner != txn.txn_id:
@@ -209,38 +168,28 @@ class ConflictChecker:
         self._partitioner = partitioner
         self._store = store
 
-    def footprint(self, txn: TxnPayload) -> Footprint:
-        """``txn``'s key sets in this partition: split once, then handed to
-        :meth:`check` and to :meth:`KeyConflictIndex.add`."""
-        return Footprint.of(txn, self._partition, self._partitioner)
-
     def check(
         self,
         txn: TxnPayload,
         indexes: Sequence[KeyConflictIndex] = (),
         pending: Iterable[Tuple[str, TxnPayload]] = (),
-        footprint: Optional[Footprint] = None,
     ) -> ConflictReport:
         """Validate ``txn``.
 
         ``indexes`` is the fast path; ``pending`` accepts explicit
         ``(origin, transaction)`` pairs for callers (and tests) that do not
-        maintain an index.  ``footprint`` is :meth:`footprint` of ``txn``
-        when the caller already split it (computed here otherwise).
+        maintain an index.
         """
-        if footprint is None:
-            footprint = self.footprint(txn)
-        stale_key = stale_read_check(
-            txn, self._partition, self._partitioner, self._store, footprint
-        )
+        stale_key = stale_read_check(txn, self._partition, self._partitioner, self._store)
         if stale_key is not None:
             return ConflictReport.reject(
                 reason=f"stale read of key {stale_key!r} (overwritten by a previous batch)"
             )
+        footprint = Footprint.of(txn, self._partition, self._partitioner)
         if footprint.is_empty():
             return ConflictReport.accept()
         for index in indexes:
-            conflicting = index.first_conflict(txn, footprint)
+            conflicting = index.first_conflict(txn)
             if conflicting is not None:
                 return ConflictReport.reject(
                     reason=f"conflicts with pending transaction {conflicting}",

@@ -29,7 +29,7 @@ from repro.crypto.archive import MerkleTreeArchive
 from repro.crypto.hashing import Digest
 from repro.crypto.merkle import MerkleStore, MerkleTree
 from repro.core.batch import Batch, CertifiedHeader, CommitRecord, PreparedRecord
-from repro.core.cdvector import CDVector, combine_all
+from repro.core.cdvector import CDVector
 from repro.core.leader import LeaderRole
 from repro.core.messages import (
     CommitRequest,
@@ -549,10 +549,9 @@ class PartitionReplica(SimNode):
         batch_index = KeyConflictIndex(self.partition, self.partitioner)
         indexes = (batch_index, self.prepared_index)
         for txn in (*batch.local_txns, *(record.txn for record in batch.prepared)):
-            footprint = checker.footprint(txn)
-            if not checker.check(txn, indexes, footprint=footprint).ok:
+            if not checker.check(txn, indexes).ok:
                 return False
-            batch_index.add(txn, footprint)
+            batch_index.add(txn)
 
         if not self._validate_committed_segment(batch):
             return False
@@ -656,8 +655,8 @@ class PartitionReplica(SimNode):
             group = self.prepared_batches.group_of_txn(record.txn.txn_id)
             if group is not None:
                 committed_group_numbers.add(group.batch_number)
-            if record.decision:
-                cd = combine_all(cd, record.reported_vectors())
+            if record.decision and record.reported_max is not None:
+                cd = cd.pairwise_max(record.reported_max)
         if committed_group_numbers:
             lce = max(max(committed_group_numbers), lce)
         # The self entry always reflects this batch.

@@ -16,9 +16,33 @@ from repro.common.ids import NODE_ID_TYPES
 
 Digest = bytes
 
+
+class Encoded:
+    """The :func:`stable_encode` bytes of one value, spliced in where it recurs.
+
+    The format is context-free and self-delimiting: a value's encoding is the
+    same bytes at every position of every enclosing structure, so an immutable
+    value embedded in several digested structures (a 2PC transaction in each
+    cluster's prepared and commit records) is canonicalised once and its bytes
+    copied.  Build one with :meth:`of`; only ``stable_encode`` output may be
+    wrapped, and only an exact ``Encoded`` is spliced.
+    """
+
+    __slots__ = ("data",)
+
+    def __init__(self, data: bytes) -> None:
+        if type(data) is not bytes:
+            raise TypeError(f"a fragment wraps bytes, got {type(data).__name__}")
+        self.data = data
+
+    @classmethod
+    def of(cls, value: "Encodable") -> "Encoded":
+        return cls(stable_encode(value))
+
+
 #: Types that ``stable_encode`` understands.
 Encodable = Union[
-    None, bool, int, float, str, bytes, Sequence["Encodable"], Mapping[str, "Encodable"]
+    None, bool, int, float, str, bytes, Encoded, Sequence["Encodable"], Mapping[str, "Encodable"]
 ]
 
 
@@ -41,7 +65,9 @@ def stable_encode(value: Encodable) -> bytes:
       literals.
     * sequences (``list``/``tuple``) encode their items in order;
     * mappings encode their items sorted by key, so two dictionaries with the
-      same contents always encode identically regardless of insertion order.
+      same contents always encode identically regardless of insertion order;
+    * an :class:`Encoded` fragment contributes the bytes it holds, which are
+      the bytes the value it was built from would produce here.
 
     :func:`_encode_into` dispatches the exact builtins that make up nearly
     every payload node on ``type(value)`` (the cost was an ``isinstance``
@@ -90,6 +116,8 @@ def _encode_into(value: Encodable, out: bytearray) -> None:
             encoded = key.encode("utf-8")
             out += b"S" + len(encoded).to_bytes(4, "big") + encoded
             _encode_into(value[key], out)
+    elif kind is Encoded:
+        out += value.data
     elif value is None:
         out += b"N"
     elif isinstance(value, bool):

@@ -180,6 +180,14 @@ def call_name(node: ast.Call) -> str:
     return dotted_name(node.func)
 
 
+def is_dataclass(node: ast.ClassDef) -> bool:
+    """True for a class decorated ``@dataclass`` / ``@dataclass(...)``."""
+    return any(
+        dotted_name(d.func if isinstance(d, ast.Call) else d).endswith("dataclass")
+        for d in node.decorator_list
+    )
+
+
 def functions_in(tree: ast.AST) -> Iterator[ast.AST]:
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):

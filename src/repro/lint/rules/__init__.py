@@ -22,6 +22,7 @@ from repro.lint.rules.purity import SimBlockingRule, SimFilesystemRule
 from repro.lint.rules.accounting import CounterAggregationRule, CounterIncrementRule
 from repro.lint.rules.coverage import BugSelfTestCoverageRule
 from repro.lint.rules.knobs import DeadConfigKnobRule
+from repro.lint.rules.memos import CopyUnsafeMemoRule
 
 
 def all_rules() -> List[Rule]:
@@ -42,6 +43,7 @@ def all_rules() -> List[Rule]:
         CounterAggregationRule(),
         BugSelfTestCoverageRule(),
         DeadConfigKnobRule(),
+        CopyUnsafeMemoRule(),
     ]
 
 

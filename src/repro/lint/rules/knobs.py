@@ -11,17 +11,10 @@ from __future__ import annotations
 import ast
 from typing import Iterator, Sequence, Set
 
-from repro.lint.engine import ProjectRule, SourceFile, dotted_name
+from repro.lint.engine import ProjectRule, SourceFile, is_dataclass
 from repro.lint.findings import Finding
 
 _CONFIG_MODULE = "common/config.py"
-
-
-def _is_dataclass(node: ast.ClassDef) -> bool:
-    return any(
-        dotted_name(d.func if isinstance(d, ast.Call) else d).endswith("dataclass")
-        for d in node.decorator_list
-    )
 
 
 def _loaded_attributes(tree: ast.AST) -> Set[str]:
@@ -69,7 +62,7 @@ class DeadConfigKnobRule(ProjectRule):
                     grew = True
         for file in config_files:
             for node in ast.walk(file.tree):
-                if not (isinstance(node, ast.ClassDef) and _is_dataclass(node)):
+                if not (isinstance(node, ast.ClassDef) and is_dataclass(node)):
                     continue
                 for statement in node.body:
                     if (

@@ -22,7 +22,7 @@ from types import MappingProxyType
 from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.common.ids import NO_BATCH, BatchNumber, PartitionId
-from repro.common.types import Key, Value
+from repro.common.types import Key, MemoisedValue, Value
 from repro.core.batch import CertifiedHeader, CommitRecord, PreparedRecord
 from repro.crypto.hashing import Digest, digest_of
 from repro.crypto.merkle import MerkleTree
@@ -32,7 +32,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checking onl
 
 
 @dataclass(frozen=True)
-class SnapshotImage:
+class SnapshotImage(MemoisedValue):
     """A restorable image of one partition's state at batch ``seq``.
 
     ``items`` holds ``(key, version, value)`` triples sorted by key;

@@ -216,6 +216,7 @@ class ProcessNode(SimNode):
         wait.finished = True
         if wait.timer is not None:
             wait.timer.cancel()
+            wait.timer = None
         for request_id in list(wait.remaining_ids):
             self._waits_by_request.pop(request_id, None)
             self.on_request_settled(request_id)

@@ -28,7 +28,11 @@ class EventHandle:
     """A cancellable event, returned by :meth:`Simulator.schedule`.
 
     ``time`` and ``cancelled`` are for reading; :meth:`cancel` is the only
-    way to withdraw the event.
+    way to withdraw the event.  A handle holds its callback and arguments
+    only while it can still fire: a cancelled entry stays in the heap until
+    its original time (cancellation is lazy), and must not keep a finished
+    wait's replies alive until then — nor for ever, through the cycle
+    ``wait.timer → handle → args → wait``.
     """
 
     __slots__ = ("time", "cancelled", "_fired", "_fn", "_args", "_simulator")
@@ -46,6 +50,7 @@ class EventHandle:
         if self.cancelled or self._fired:
             return
         self.cancelled = True
+        self._fn = self._args = None
         self._simulator._pending -= 1
 
 
@@ -133,6 +138,7 @@ class Simulator:
                         continue
                     handle._fired = True
                     fn, args = handle._fn, handle._args
+                    handle._fn = handle._args = None
                 self._pending -= 1
                 self._now = time_ms
                 fn(*args)

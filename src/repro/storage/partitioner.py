@@ -11,7 +11,7 @@ local or distributed.
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, FrozenSet, Iterable, Mapping, Set, TypeVar
+from typing import Dict, Iterable, Mapping, Set, TypeVar
 
 from repro.common.errors import ConfigurationError
 from repro.common.ids import PartitionId
@@ -59,15 +59,3 @@ class HashPartitioner:
         for key, value in items.items():
             grouped.setdefault(self.partition_of(key), {})[key] = value
         return grouped
-
-    def partitions_of(self, keys: Iterable[Key]) -> FrozenSet[PartitionId]:
-        """Set of partitions touched by ``keys``."""
-        return frozenset(self.partition_of(key) for key in keys)
-
-    def is_local(self, keys: Iterable[Key]) -> bool:
-        """True when every key lives in a single partition."""
-        return len(self.partitions_of(keys)) <= 1
-
-    def local_keys(self, keys: Iterable[Key], partition: PartitionId) -> Set[Key]:
-        """Subset of ``keys`` owned by ``partition``."""
-        return {key for key in keys if self.partition_of(key) == partition}

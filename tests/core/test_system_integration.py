@@ -10,6 +10,8 @@ observed histories.
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from repro.common.config import BatchConfig, LatencyConfig, SystemConfig
@@ -342,6 +344,47 @@ class TestReadOnlyTransactions:
 
         run_transactions(system, client, [body()])
         assert results[0].values[keys[0]] == system.initial_data[keys[0]]
+
+
+class TestNoCyclicGarbage:
+    def test_a_run_to_idle_leaves_nothing_for_the_cyclic_collector(self):
+        """Finished waits, fired and cancelled timers release what they hold.
+
+        Snapshot reads beside 2PC commits (the ``ro_snapshot`` shape): every
+        reply, proof and process the run is done with must die by reference
+        counting, so a collection over the idle deployment finds no
+        unreachable ``repro`` object.
+        """
+        gc.collect()
+        gc.disable()
+        try:
+            system = make_system(num_partitions=3)
+            client = system.create_client("c1")
+            keys = [system.keys_of_partition(partition)[:4] for partition in range(3)]
+
+            def reader(index):
+                yield from client.read_only_txn([keys[p][index] for p in range(3)])
+
+            def writer(index):
+                yield from client.read_write_txn(
+                    [keys[0][index]], {keys[1][index]: b"w", keys[2][index]: b"w"}
+                )
+
+            results = run_transactions(
+                system, client, [body(i) for i in range(4) for body in (reader, writer)]
+            )
+            assert len(results) == 8
+            del results
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            gc.collect()
+            unreachable = sorted(
+                {type(found).__qualname__ for found in gc.garbage if type(found).__module__.startswith("repro.")}
+            )
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+        assert unreachable == []
 
 
 class TestBaselineProtocols:

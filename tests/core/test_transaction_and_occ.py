@@ -67,6 +67,26 @@ class TestTxnPayload:
         assert txn.read_keys_in(0, partitioner) == frozenset({p0})
         assert txn.write_keys_in(0, partitioner) == frozenset()
 
+    def test_a_transaction_is_local_when_its_keys_share_a_partition(self):
+        # Moved from ``HashPartitioner.is_local`` (deleted: the split answers it).
+        partitioner = HashPartitioner(4)
+        keys = [f"key-{i}" for i in range(100)]
+        local = [k for k in keys if partitioner.partition_of(k) == 0][:3]
+        assert not make_transaction("t", writes={k: b"v" for k in local}).is_distributed(partitioner)
+        assert make_transaction("t", reads={k: 0 for k in keys[:20]}).is_distributed(partitioner)
+
+    def test_key_sets_filter_by_partition(self):
+        # Moved from ``HashPartitioner.local_keys`` (deleted: the split answers it).
+        partitioner = HashPartitioner(3)
+        keys = [f"key-{i}" for i in range(60)]
+        txn = make_transaction("t", reads={k: 0 for k in keys[:30]}, writes={k: b"v" for k in keys[30:]})
+        for partition in range(3):
+            reads = txn.read_keys_in(partition, partitioner)
+            writes = txn.write_keys_in(partition, partitioner)
+            assert all(partitioner.partition_of(k) == partition for k in reads | writes)
+        assert sum(len(txn.read_keys_in(p, partitioner)) for p in range(3)) == 30
+        assert sum(len(txn.write_keys_in(p, partitioner)) for p in range(3)) == 30
+
     def test_write_only_detection(self):
         assert make_transaction("t", writes={"a": b"1"}).is_write_only()
         assert not make_transaction("t", reads={"a": 1}, writes={"b": b"1"}).is_write_only()
@@ -233,11 +253,11 @@ class TestConflictChecker:
 
 
 class TestSharedFootprint:
-    """Splitting a transaction's key sets once changes no verdict.
+    """Every caller reads the one split the transaction keeps of its key sets.
 
-    ``check`` and ``add`` take the footprint the caller already split; the
-    reports must be those of the self-splitting calls (the parent commit's
-    only path), and the split must really happen once.
+    The reports must be those of the closed-form footprint (what the parent
+    commit computed at every call), and the split must really happen once per
+    transaction object — not once per check, index or node.
     """
 
     def _matrix(self, partitioner):
@@ -256,23 +276,32 @@ class TestSharedFootprint:
         ]
         return pending, probes, MultiVersionStore({key: b"v" for key in (a, b, c)})
 
-    def test_reports_match_the_self_splitting_path(self, partitioner):
+    @staticmethod
+    def _closed_form(txn, partition, partitioner):
+        return Footprint(
+            reads=frozenset(k for k in txn.reads if partitioner.partition_of(k) == partition),
+            writes=frozenset(k for k in txn.writes if partitioner.partition_of(k) == partition),
+        )
+
+    def test_reports_match_the_closed_form_footprints(self, partitioner):
         pending, probes, store = self._matrix(partitioner)
         checker = ConflictChecker(0, partitioner, store)
-        plain, shared = KeyConflictIndex(0, partitioner), KeyConflictIndex(0, partitioner)
-        plain.add(pending)
-        shared.add(pending, checker.footprint(pending))
+        index = KeyConflictIndex(0, partitioner)
+        index.add(pending)
         reports = {}
         for txn in probes:
-            footprint = checker.footprint(txn)
-            report = checker.check(txn, [shared], footprint=footprint)
-            assert report == checker.check(txn, [plain])
+            assert Footprint.of(txn, 0, partitioner) == self._closed_form(txn, 0, partitioner)
+            report = checker.check(txn, [index])
+            indexed = [("pending", other) for other in (pending, *probes) if other.txn_id in index]
+            assert report == checker.check(txn, pending=indexed)  # the index-free path
             reports[txn.txn_id] = (report.ok, report.conflicting_txn)
             if report.ok:
-                plain.add(txn)
-                shared.add(txn, footprint)
-        assert shared._footprints == plain._footprints
-        assert shared._readers == plain._readers and shared._writers == plain._writers
+                index.add(txn)
+        assert index._footprints == {
+            txn.txn_id: self._closed_form(txn, 0, partitioner)
+            for txn in (pending, *probes)
+            if txn.txn_id in index
+        }
         assert reports == {
             "ww": (False, "pending"),
             "rw": (False, "pending"),
@@ -292,10 +321,9 @@ class TestSharedFootprint:
         assert repr(first_read) in checker.check(stale).reason
         assert stale_read_check(stale, 0, partitioner, store) == first_read
 
-    def test_check_and_add_split_the_key_sets_once(self, partitioner, monkeypatch):
+    def test_check_and_add_split_the_key_sets_once_per_transaction_object(self, partitioner, monkeypatch):
         pending, probes, store = self._matrix(partitioner)
-        checker = ConflictChecker(0, partitioner, store)
-        batch_index, prepared_index = KeyConflictIndex(0, partitioner), KeyConflictIndex(0, partitioner)
+        prepared_index = KeyConflictIndex(0, partitioner)
         prepared_index.add(pending)
         txn = next(txn for txn in probes if txn.txn_id == "disjoint")
         calls = []
@@ -303,7 +331,13 @@ class TestSharedFootprint:
         monkeypatch.setattr(
             HashPartitioner, "partition_of", lambda self, key: (calls.append(key), real(self, key))[1]
         )
-        footprint = checker.footprint(txn)
-        assert checker.check(txn, (batch_index, prepared_index), footprint=footprint).ok
-        batch_index.add(txn, footprint)
-        assert len(calls) == len(txn.reads) + len(txn.writes)  # over 4x that at the parent commit
+        # Admit, seal and validate on one node, then validate on another: the
+        # stages that each re-split at the parent commit.
+        for _node in range(2):
+            for _stage in range(3):
+                checker = ConflictChecker(0, partitioner, store)
+                batch_index = KeyConflictIndex(0, partitioner)
+                assert checker.check(txn, (batch_index, prepared_index)).ok
+                batch_index.add(txn)
+                assert txn.writes_in(0, partitioner) == txn.writes
+        assert sorted(calls) == sorted(txn.keys())

@@ -9,6 +9,8 @@ its contract gets fuzzed directly with plain seeded generators:
   nested structure exactly (types included) and knows where each value
   ends, so concatenated encodings split unambiguously;
 * unsupported types fail with a clear ``TypeError``;
+* a pre-encoded fragment (``Encoded``) at any position contributes exactly
+  the bytes of the value it was built from;
 * the type-dispatched fast path is byte-identical to the ``isinstance``
   ladder it sits in front of (kept here as ``ladder_encode``), hands every
   non-exact type back to that ladder, and three literal digests pin the
@@ -29,7 +31,7 @@ import pytest
 
 from repro.bft.quorum import certificate_payload
 from repro.core.transaction import make_transaction
-from repro.crypto.hashing import stable_encode
+from repro.crypto.hashing import Encoded, stable_encode
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +231,55 @@ class TestUnsupportedTypes:
             stable_encode({1: "x"})
         with pytest.raises(TypeError, match="mapping keys must be str"):
             stable_encode({"ok": {b"bad": 1}})
+
+
+# ---------------------------------------------------------------------------
+# pre-encoded fragments
+# ---------------------------------------------------------------------------
+
+
+def with_fragments(value: Any, rng: random.Random) -> Any:
+    """``value`` with sub-values at random positions replaced by their fragment."""
+    if rng.random() < 0.3:
+        return Encoded.of(value)
+    if isinstance(value, dict):
+        return {key: with_fragments(item, rng) for key, item in value.items()}
+    if isinstance(value, list):
+        return [with_fragments(item, rng) for item in value]
+    return value
+
+
+class TestFragments:
+    def test_a_fragment_encodes_as_the_value_it_was_built_from(self):
+        rng = random.Random(0xF0)
+        for _ in range(300):
+            value = random_value(rng)
+            spliced = stable_encode(with_fragments(value, rng))
+            assert spliced == stable_encode(value)
+            decoded, consumed = decode(spliced)
+            assert consumed == len(spliced)
+            assert canonical(decoded) == canonical(value)
+
+    def test_fragments_nest(self):
+        inner = Encoded.of({"k": [1, b"x"]})
+        outer = Encoded.of({"inner": inner, "n": None})
+        assert stable_encode([outer]) == stable_encode([{"inner": {"k": [1, b"x"]}, "n": None}])
+
+    @pytest.mark.parametrize("data", ["S", bytearray(b"N"), None, 7, [78]], ids=repr)
+    def test_only_bytes_can_be_wrapped(self, data):
+        with pytest.raises(TypeError, match="a fragment wraps bytes"):
+            Encoded(data)
+
+    def test_only_the_exact_fragment_type_is_spliced(self):
+        class Lookalike:
+            data = b"N"
+
+        class Subclass(Encoded):
+            pass
+
+        for value in (Lookalike(), Subclass(b"N")):
+            with pytest.raises(TypeError, match="cannot stably encode"):
+                stable_encode([value])
 
 
 # ---------------------------------------------------------------------------

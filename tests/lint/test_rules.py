@@ -91,6 +91,12 @@ class TestFindingContent:
         assert len(findings) == 1
         assert "CostConfig.think_ms" in findings[0].message
 
+    def test_m701_names_both_kinds_of_memo(self):
+        findings = findings_for("M701", os.path.join(CORPUS, "M701", "bad.py"))
+        assert [finding.message.split(" is memoised")[0] for finding in findings] == [
+            "Batch._digest", "Header._size",
+        ]
+
     def test_rule_selection_rejects_unknown_ids(self):
         with pytest.raises(KeyError):
             select_rules(["Z999"])

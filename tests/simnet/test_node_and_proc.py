@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
 from dataclasses import dataclass, field
 from typing import List
 
@@ -176,6 +178,32 @@ class TestProcesses:
         client.spawn(body())
         env.simulator.run_until_idle()
         assert results == ["HI"]
+
+    def test_an_answered_call_releases_its_reply_when_the_process_moves_on(self):
+        # The wait's timeout timer is cancelled lazily: its heap entry stays
+        # until the original 500 ms, and ``wait.timer -> handle -> args ->
+        # wait`` was a cycle.  Neither may keep the reply alive — by reference
+        # counting alone, the cyclic collector is off.
+        env = fast_env()
+        server = EchoServer(ReplicaId(0, 0), env)
+        client = ProcessNode(ClientId("c1"), env)
+        seen = []
+
+        def body():
+            reply = yield Call(server.node_id, Echo(text="hi"), timeout_ms=500.0)
+            seen.append(weakref.ref(reply))
+            del reply
+            yield Sleep(1.0)  # back on the event loop: the resuming frames are gone
+            seen.append((seen[0]() is None, env.simulator.now < 500.0))
+
+        gc.collect()
+        gc.disable()
+        try:
+            client.spawn(body())
+            env.simulator.run_until_idle()
+        finally:
+            gc.enable()
+        assert seen[1] == (True, True)
 
     def test_call_timeout_returns_none(self):
         env = fast_env()

@@ -30,7 +30,7 @@ class TestHashPartitioner:
 
     def test_single_partition_maps_everything_to_zero(self):
         partitioner = HashPartitioner(1)
-        assert partitioner.partitions_of(f"k{i}" for i in range(50)) == frozenset({0})
+        assert set(partitioner.group_keys(f"k{i}" for i in range(50))) == {0}
 
     def test_rejects_zero_partitions(self):
         with pytest.raises(ConfigurationError):
@@ -44,22 +44,6 @@ class TestHashPartitioner:
         assert set(grouped_keys) == set(grouped_items)
         for partition, members in grouped_keys.items():
             assert set(grouped_items[partition]) == members
-
-    def test_is_local(self):
-        partitioner = HashPartitioner(4)
-        keys = [f"key-{i}" for i in range(100)]
-        local = [k for k in keys if partitioner.partition_of(k) == 0][:3]
-        assert partitioner.is_local(local)
-        assert partitioner.is_local([])
-        spread = keys[:20]
-        assert not partitioner.is_local(spread)
-
-    def test_local_keys_filters_by_partition(self):
-        partitioner = HashPartitioner(3)
-        keys = [f"key-{i}" for i in range(60)]
-        for partition in range(3):
-            subset = partitioner.local_keys(keys, partition)
-            assert all(partitioner.partition_of(k) == partition for k in subset)
 
     @settings(max_examples=30, deadline=None)
     @given(st.sets(st.text(min_size=1, max_size=10), max_size=30), st.integers(2, 8))

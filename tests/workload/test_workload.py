@@ -89,7 +89,7 @@ class TestGenerator:
     def test_local_transactions_stay_in_one_partition(self, generator, partitioner):
         for _ in range(20):
             spec = generator.local_read_write()
-            touched = partitioner.partitions_of(list(spec.read_keys) + list(spec.writes))
+            touched = partitioner.group_keys(list(spec.read_keys) + list(spec.writes))
             assert len(touched) == 1
             assert spec.kind is TxnKind.LOCAL_READ_WRITE
 
@@ -103,7 +103,7 @@ class TestGenerator:
         spec = generator.distributed_read_write()
         assert spec.kind is TxnKind.DISTRIBUTED_READ_WRITE
         assert len(spec.read_keys) == 5 and len(spec.writes) == 3
-        touched = partitioner.partitions_of(list(spec.read_keys) + list(spec.writes))
+        touched = partitioner.group_keys(list(spec.read_keys) + list(spec.writes))
         assert len(touched) > 1
 
     def test_distributed_read_write_skew_override(self, generator):
@@ -115,11 +115,11 @@ class TestGenerator:
         assert spec.kind is TxnKind.READ_ONLY
         assert not spec.writes
         assert len(spec.read_keys) == 5
-        assert len(partitioner.partitions_of(spec.read_keys)) == 5
+        assert len(partitioner.group_keys(spec.read_keys)) == 5
 
     def test_read_only_cluster_count_clamped(self, generator, partitioner):
         spec = generator.read_only(clusters=50)
-        assert len(partitioner.partitions_of(spec.read_keys)) == 5
+        assert len(partitioner.group_keys(spec.read_keys)) == 5
 
     def test_long_running_read_only(self, generator):
         spec = generator.read_only(clusters=5, ops=250)
