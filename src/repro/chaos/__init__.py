@@ -50,7 +50,7 @@ from repro.chaos.plan import (
     WorkloadSegment,
     plan_from_seed,
 )
-from repro.chaos.runner import ChaosReport, run_plan, run_seed
+from repro.chaos.runner import ChaosReport, forget_twins, run_plan, run_seed
 from repro.chaos.shrink import shrink_plan
 
 __all__ = [
@@ -69,6 +69,7 @@ __all__ = [
     "WorkloadSegment",
     "coverage_session",
     "coverage_signature",
+    "forget_twins",
     "mutate_plan",
     "plan_from_seed",
     "plan_id",

@@ -35,6 +35,7 @@ import json
 import os
 import sys
 import time
+from collections import Counter
 from typing import List, Optional
 
 from repro.chaos.bugs import BUGS, get_bug
@@ -122,6 +123,26 @@ def _print_fleet_failures(result: FleetResult) -> None:
         print(f"  replay: python -m repro.chaos --replay {result.artifact}")
 
 
+def _twin_label(outcome: "ChaosReport | FleetResult") -> str:
+    if outcome.twin != "graded":
+        return outcome.twin
+    return "reused" if outcome.twin_reused else "simulated"
+
+
+def _print_twins(labels: "Counter[str]") -> None:
+    """What became of the runs' fault-free twins, on the progress stream.
+
+    stderr, not stdout: simulated vs reused depends on which process ran
+    what before, and stdout is the same at every worker count.
+    """
+    print(
+        f"twins: {labels['simulated'] + labels['reused']} graded "
+        f"({labels['simulated']} simulated, {labels['reused']} reused), "
+        f"{labels['unjudgeable']} unjudgeable, {labels['not-needed']} not needed",
+        file=sys.stderr,
+    )
+
+
 def _fleet_settings(args: argparse.Namespace) -> FleetSettings:
     return FleetSettings(
         bug_name=args.inject_bug,
@@ -154,6 +175,7 @@ def _run_corpus_replay(args: argparse.Namespace) -> int:
         + ("y" if len(results) == 1 else "ies")
         + f", {len(failing)} failing, {len(drift)} digest drift(s)"
     )
+    _print_twins(Counter(map(_twin_label, results)))
     return 1 if failing or drift else 0
 
 
@@ -225,6 +247,7 @@ def _run_fleet_sweep(args: argparse.Namespace, seeds: List[int]) -> int:
         f"fleet: {len(results)} seed(s) on {args.workers} worker(s) "
         f"in {elapsed:.1f}s wall"
     )
+    _print_twins(Counter(map(_twin_label, results)))
     if failures:
         print(f"{failures}/{len(results)} seed(s) failed")
         return 1
@@ -346,6 +369,7 @@ def main(argv: "List[str] | None" = None) -> int:
         return _run_fleet_sweep(args, seeds)
 
     failures = 0
+    twins: "Counter[str]" = Counter()
     for seed in seeds:
         plan = plan_from_seed(seed)
         started = time.time()
@@ -358,6 +382,7 @@ def main(argv: "List[str] | None" = None) -> int:
         )
         elapsed = time.time() - started
         print(report.summary_line() + f"  [{elapsed:.1f}s wall]")
+        twins[_twin_label(report)] += 1
         if report.ok:
             continue
         failures += 1
@@ -386,6 +411,7 @@ def main(argv: "List[str] | None" = None) -> int:
         print(f"  wrote {path}")
         print(f"  replay: python -m repro.chaos --replay {path}")
 
+    _print_twins(twins)
     if failures:
         print(f"{failures}/{len(seeds)} seed(s) failed")
         return 1

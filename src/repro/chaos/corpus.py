@@ -26,7 +26,6 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.chaos.plan import ChaosPlan
 from repro.common.errors import ConfigurationError
-from repro.crypto.hashing import sha256_hex, stable_encode
 
 #: Bumped when an entry field — or the plan schema inside it — changes
 #: (v2: the plan's ``ConfigPoint`` lost the five behaviour toggles).
@@ -37,8 +36,8 @@ _METADATA_FILE = "metadata.json"
 
 
 def plan_id(plan: ChaosPlan) -> str:
-    """Stable identity of a plan: digest of its canonical encoding."""
-    return sha256_hex(stable_encode(plan.to_dict()))[:16]
+    """Stable identity of a plan: the head of :meth:`ChaosPlan.digest`."""
+    return plan.digest()[:16]
 
 
 @dataclass

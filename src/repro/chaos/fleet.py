@@ -11,7 +11,8 @@ never crosses the process boundary.  Results are merged by plan index, so
 the output is byte-identical for any worker count and any completion
 order: parallelism changes wall-clock only, never fingerprints or trace
 digests.  (Every run is deterministic in its plan and runs in its own
-process with its own RNGs; nothing is shared.)
+process with its own RNGs; the one thing a worker keeps between plans is
+the runner's fault-free twin memo, which saves simulations, not answers.)
 
 **Coverage-guided search.**  :func:`coverage_session` grows a persisted
 corpus (:mod:`repro.chaos.corpus`) AFL-style: corpus entries are weighted
@@ -88,6 +89,9 @@ class FleetResult:
     counters: Dict[str, int] = field(default_factory=dict)
     health: Dict[str, object] = field(default_factory=dict)
     perf_ratio: Optional[float] = None
+    #: As on the report; ``twin_reused`` depends on which worker ran what.
+    twin: str = "not-needed"
+    twin_reused: bool = False
     signature: Tuple[str, ...] = ()
     summary: str = ""
     events_processed: int = 0
@@ -125,6 +129,8 @@ def _execute(task: Tuple[int, dict, FleetSettings]) -> FleetResult:
         counters=dict(report.counters),
         health=dict(report.health),
         perf_ratio=report.perf_ratio,
+        twin=report.twin,
+        twin_reused=report.twin_reused,
         signature=coverage_signature(
             report.counters,
             report.health,

@@ -43,6 +43,7 @@ from repro.common.config import (
     SystemConfig,
 )
 from repro.common.errors import ConfigurationError
+from repro.crypto.hashing import sha256_hex, stable_encode
 from repro.storage.partitioner import HashPartitioner
 
 #: Fault kinds understood by the runner.
@@ -256,6 +257,14 @@ class ChaosPlan:
                 _from_keys(FaultEvent, entry, source) for entry in data["faults"]
             ),
         )
+
+    def digest(self) -> str:
+        """Identity of the plan: digest of its canonical encoding.
+
+        Corpus entry ids are a prefix of it; the runner keys fault-free twin
+        baselines on it in full.
+        """
+        return sha256_hex(stable_encode(self.to_dict()))
 
     # -- structural edits (used by the shrinker) ---------------------------
 

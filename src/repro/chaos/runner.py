@@ -30,6 +30,7 @@ Two bookkeeping subtleties keep the oracles sound under faults:
 from __future__ import annotations
 
 import contextlib
+from collections import OrderedDict, namedtuple
 from dataclasses import asdict, dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -54,6 +55,7 @@ from repro.simnet.faults import FaultRule, FaultSchedule
 from repro.simnet.proc import Sleep
 from repro.verification.history import ExecutionHistory
 from repro.verification.oracles import (
+    LatencyPool,
     OracleFailure,
     PhaseLatencyAnomalyOracle,
     RunObservation,
@@ -113,10 +115,16 @@ class ChaosReport:
     #: Like ``trace_digest``, deliberately outside :meth:`fingerprint`.
     health: Dict[str, object] = field(default_factory=dict)
     #: Worst commit-latency ratio vs the fault-free twin outside fault
-    #: windows (``PhaseLatencyAnomalyOracle.measure``), when a twin ran.
-    #: A coverage signal (near-misses in [1.2, 2.0) are rare-path evidence
-    #: for the fleet), deliberately outside :meth:`fingerprint`.
+    #: windows (``PhaseLatencyAnomalyOracle.measure``), when the run was
+    #: graded.  A coverage signal (near-misses in [1.2, 2.0) are rare-path
+    #: evidence for the fleet), deliberately outside :meth:`fingerprint`.
     perf_ratio: Optional[float] = None
+    #: What became of the fault-free twin: ``"not-needed"``, ``"unjudgeable"``
+    #: or ``"graded"`` (see :func:`run_plan`).  Outside :meth:`fingerprint`.
+    twin: str = "not-needed"
+    #: Whether a graded run's baseline was reused, not simulated.  Depends on
+    #: what this process ran before: printed, never compared.
+    twin_reused: bool = False
     #: Transient handles (not serialised): the run's live monitor and the
     #: oracle observation, kept so :func:`run_plan` can grade the run
     #: against its fault-free twin after ``_run`` returns.
@@ -442,6 +450,62 @@ def _schedule_faults(
     return windows
 
 
+#: Fault-free twin baselines one process keeps (LRU); each is a dozen floats.
+TWIN_MEMO_SIZE = 64
+
+
+TwinCacheInfo = namedtuple("TwinCacheInfo", "hits misses maxsize currsize")
+
+
+class _TwinBaselines:
+    """``twin_baseline(plan, max_events)``: simulated once per twin plan.
+
+    Returns the pooled latency baseline of ``plan``'s fault-free twin
+    (:meth:`PhaseLatencyAnomalyOracle.pool` of its whole timeline), or
+    ``None`` when the twin stalled: a truncated timeline is no baseline and
+    is never kept.  The memo is sound because of what it may hold — a pure
+    function of ``replace(plan, faults=())`` and the event budget, computed
+    by the *unpatched* system, reduced to numbers that pin no deployment (a
+    ``Monitor`` reaches its whole system through ``snapshot_fn``).
+    """
+
+    def __init__(self) -> None:
+        self._kept: "OrderedDict[Tuple[str, int], LatencyPool]" = OrderedDict()
+        self._hits = self._misses = 0
+
+    def __call__(self, plan: ChaosPlan, max_events: int) -> Optional[LatencyPool]:
+        twin_plan = replace(plan, faults=())
+        key = (twin_plan.digest(), max_events)
+        baseline = self._kept.get(key)
+        if baseline is not None:
+            self._hits += 1
+            self._kept.move_to_end(key)
+            return baseline
+        self._misses += 1
+        twin = _run(twin_plan, None, max_events)
+        if twin.observation.simulation_stalled:
+            return None
+        baseline = self._kept[key] = PhaseLatencyAnomalyOracle.pool(twin.monitor)
+        if len(self._kept) > TWIN_MEMO_SIZE:
+            self._kept.popitem(last=False)
+        return baseline
+
+    def cache_info(self) -> TwinCacheInfo:
+        return TwinCacheInfo(self._hits, self._misses, TWIN_MEMO_SIZE, len(self._kept))
+
+    def cache_clear(self) -> None:
+        self._kept.clear()
+        self._hits = self._misses = 0
+
+
+twin_baseline = _TwinBaselines()
+
+#: Empty the twin memo — for code that patches the *honest* system between
+#: two ``run_plan`` calls (a bug patch never reaches the twin; a
+#: ``monkeypatch`` of the system itself does).
+forget_twins = twin_baseline.cache_clear
+
+
 def run_plan(
     plan: ChaosPlan,
     bug: "InjectedBug | str | None" = None,
@@ -454,8 +518,17 @@ def run_plan(
     With ``perf_oracle`` (and monitoring on), the run is additionally graded
     by the phase-latency anomaly oracle against its *fault-free twin*: the
     same plan with the fault schedule stripped, executed **outside** the
-    injected-bug patch.  The twin is skipped when the run is already its own
-    twin (no faults, no bug) or when latency is meaningless (stalled run).
+    injected-bug patch.  ``report.twin`` says what became of it:
+
+    * ``"not-needed"`` — the run is already its own twin (no faults, no
+      bug), the oracle is off, or latency is meaningless (stalled run);
+    * ``"unjudgeable"`` — *judgeable first*: the run's own windows are
+      pooled before anything else, and with fewer than ``min_commits``
+      commits outside its fault windows the oracle is silent whatever a
+      twin shows, so none is simulated (also: the twin itself stalled);
+    * ``"graded"`` — *one baseline per twin plan*: against the baseline
+      from :data:`twin_baseline`, which simulates each twin plan once.
+
     ``monitor=False`` disables the live monitor only — the cost model is
     untouched, which is exactly the configuration the neutrality tests
     compare against.
@@ -466,30 +539,30 @@ def run_plan(
     with patch:
         report = _run(plan, bug, max_events, monitor=monitor)
     observation = report.observation
-    needs_twin = (
+    if not (
         perf_oracle
         and report.monitor is not None
         and (plan.faults or bug is not None)
         and not observation.simulation_stalled
-    )
-    if needs_twin:
-        twin = _run(replace(plan, faults=()), None, max_events, monitor=True)
-        graded = replace(
-            observation,
-            monitor=report.monitor,
-            twin_monitor=twin.monitor,
-            fault_windows=tuple(report.fault_windows),
-        )
-        oracle = PhaseLatencyAnomalyOracle()
-        report.perf_ratio = oracle.measure(graded)
-        perf_failures = oracle.check(graded)
-        if perf_failures:
-            had_failures = bool(report.failures)
-            report.failures.extend(perf_failures)
-            if not had_failures:
-                # Late failure: attach the black box _run skipped.
-                obs = observation.system.env.obs
-                report.flight_recorder = obs.recorder.as_dicts(last_n=200)
+    ):
+        return report
+    oracle = PhaseLatencyAnomalyOracle()
+    run_pool = oracle.run_pool(observation)
+    hits = twin_baseline.cache_info().hits
+    baseline = twin_baseline(plan, max_events) if run_pool is not None else None
+    if baseline is None:
+        report.twin = "unjudgeable"
+        return report
+    report.twin = "graded"
+    report.twin_reused = twin_baseline.cache_info().hits > hits
+    report.perf_ratio, perf_failures = oracle.grade(run_pool, baseline)
+    if perf_failures:
+        had_failures = bool(report.failures)
+        report.failures.extend(perf_failures)
+        if not had_failures:
+            # Late failure: attach the black box _run skipped.
+            obs = observation.system.env.obs
+            report.flight_recorder = obs.recorder.as_dicts(last_n=200)
     return report
 
 
@@ -637,6 +710,8 @@ def _run(
         simulation_stalled=stalled,
         probe_submitted=probe_submitted,
         probe_committed=probe_committed,
+        monitor=system.monitor,
+        fault_windows=tuple(fault_windows),
     )
     failures = run_suite(observation)
 

@@ -48,9 +48,11 @@ def shrink_plan(
     ``monitor``/``perf_oracle`` mirror :func:`run_plan`'s flags and must be
     the settings the failing run used: re-running candidates with monitoring
     re-enabled would judge them under a different oracle set than the one
-    being minimised.  The fault-free twin is only replayed when the
+    being minimised.  The fault-free twin is only consulted when the
     phase-latency oracle is actually among the target oracles — every other
-    failure shrinks on single runs.
+    failure shrinks on single runs — and then every fault-removal candidate
+    has the *same* twin (the plan with its faults stripped does not change),
+    which :func:`run_plan` simulates once; segment edits cost one twin each.
     """
     target_oracles: Set[str] = {failure.oracle for failure in failing_report.failures}
     perf = perf_oracle and "phase-latency-anomaly" in target_oracles

@@ -52,6 +52,11 @@ from repro.crypto.merkle import MerkleTree
 from repro.verification.history import ExecutionHistory, version_order_from_system
 
 
+#: Pooled commit-latency statistics of a run's timeline windows (``commits``,
+#: ``mean``, ``p95``, ``phase_per_commit``): plain numbers, no monitor.
+LatencyPool = Dict[str, object]
+
+
 @dataclass(frozen=True)
 class OracleFailure:
     """One invariant violation, attributed to the oracle that found it."""
@@ -85,9 +90,10 @@ class RunObservation:
     #: Live monitor of this run (:class:`repro.obs.monitor.Monitor`), when
     #: one was installed; performance oracles read its timeline.
     monitor: object = None
-    #: Monitor of the same seed's *fault-free twin* run (same plan with the
-    #: fault schedule stripped), when the driver produced one.
-    twin_monitor: object = None
+    #: Pooled latency baseline of the same plan's *fault-free twin* (the plan
+    #: with the fault schedule stripped), when the driver produced one:
+    #: :meth:`PhaseLatencyAnomalyOracle.pool` of the twin's whole timeline.
+    twin_baseline: Optional[LatencyPool] = None
     #: ``(start_ms, end_ms)`` intervals during which faults were active;
     #: ``end_ms`` of ``None`` means active until the end of the run.
     fault_windows: Sequence[Tuple[float, Optional[float]]] = ()
@@ -472,6 +478,12 @@ class PhaseLatencyAnomalyOracle(Oracle):
     a faulted run and its twin — retries landing in different batches —
     stays well below them; the CI chaos sweep runs 25 seeds with this oracle
     armed to keep that true.
+
+    Grading is two steps so a driver can stop after the first:
+    :meth:`run_pool` pools the faulted run alone (``None`` is already the
+    verdict, whatever the twin would show), :meth:`grade` compares it with
+    the twin's *baseline* — :meth:`pool` of its whole timeline, plain numbers
+    a driver may keep — and returns ratio and failures from the one pass.
     """
 
     name = "phase-latency-anomaly"
@@ -488,73 +500,75 @@ class PhaseLatencyAnomalyOracle(Oracle):
         self._grace_ms = grace_ms
         self._min_commits = min_commits
 
-    def _pools(
-        self, observation: RunObservation
-    ) -> "Optional[Tuple[Dict[str, object], Dict[str, object]]]":
-        """(run pool, twin pool) outside fault windows, or None if unjudgeable."""
+    def run_pool(self, observation: RunObservation) -> Optional[LatencyPool]:
+        """The run's own pool outside its fault windows, or None.
+
+        None means the oracle stays silent *whatever the twin shows* — no
+        monitor, a stalled run, or fewer than ``min_commits`` commits
+        survive the exclusion — so a driver need not produce a twin at all.
+        """
         monitor = observation.monitor
-        twin = observation.twin_monitor
-        if monitor is None or twin is None or observation.simulation_stalled:
+        if monitor is None or observation.simulation_stalled:
             return None
         lead_ms = monitor.config.window_ms
         excluded = [
             (start - lead_ms, (float("inf") if end is None else end + self._grace_ms))
             for start, end in observation.fault_windows
         ]
-        run_pool = self._pool(monitor, excluded)
-        twin_pool = self._pool(twin, [])
-        if (
-            run_pool["commits"] < self._min_commits
-            or twin_pool["commits"] < self._min_commits
-        ):
-            return None
-        return run_pool, twin_pool
+        pool = self.pool(monitor, excluded)
+        return pool if pool["commits"] >= self._min_commits else None
 
-    def measure(self, observation: RunObservation) -> Optional[float]:
-        """Worst run/twin ratio over pooled commit mean and p95, or None.
+    def grade(
+        self, run_pool: Optional[LatencyPool], baseline: Optional[LatencyPool]
+    ) -> Tuple[Optional[float], List[OracleFailure]]:
+        """``(measure, check)`` of one :meth:`run_pool` against a twin baseline.
 
-        The chaos fleet records this on every report: a ratio below the
-        failure threshold but above ~1.2 is an oracle *near-miss* — a
-        coverage signal worth mutating toward even though nothing failed.
+        The ratio is the worst run/twin ratio over pooled commit mean and
+        p95.  The chaos fleet records it on every report: below the failure
+        threshold but above ~1.2 it is an oracle *near-miss* — a coverage
+        signal worth mutating toward even though nothing failed.
         """
-        pools = self._pools(observation)
-        if pools is None:
-            return None
-        run_pool, twin_pool = pools
-        ratios = [
-            run_pool[stat] / twin_pool[stat]
-            for stat in ("mean", "p95")
-            if twin_pool[stat] > 0
-        ]
-        return max(ratios) if ratios else None
-
-    def check(self, observation: RunObservation) -> List[OracleFailure]:
-        pools = self._pools(observation)
-        if pools is None:
-            return []
-        run_pool, twin_pool = pools
-
-        failures: List[OracleFailure] = []
+        if (
+            run_pool is None
+            or baseline is None
+            or baseline["commits"] < self._min_commits
+        ):
+            return None, []
+        ratios: List[float] = []
         anomalies: List[str] = []
         for stat in ("mean", "p95"):
             run_value = run_pool[stat]
-            twin_value = twin_pool[stat]
+            twin_value = baseline[stat]
+            if twin_value > 0:
+                ratios.append(run_value / twin_value)
             if run_value > max(twin_value * self._ratio, twin_value + self._floor_ms):
                 anomalies.append(
                     f"commit {stat} {run_value:.2f}ms vs twin {twin_value:.2f}ms"
                 )
+        failures: List[OracleFailure] = []
         if anomalies:
             failures.append(
                 self._failure(
                     "latency regression outside fault windows: "
                     + ", ".join(anomalies)
-                    + self._worst_phase_note(run_pool, twin_pool)
+                    + self._worst_phase_note(run_pool, baseline)
                 )
             )
-        return failures
+        return (max(ratios) if ratios else None), failures
 
-    def _pool(self, monitor, excluded) -> Dict[str, object]:
+    def measure(self, observation: RunObservation) -> Optional[float]:
+        """Worst run/twin ratio over pooled commit mean and p95, or None."""
+        return self.grade(self.run_pool(observation), observation.twin_baseline)[0]
+
+    def check(self, observation: RunObservation) -> List[OracleFailure]:
+        return self.grade(self.run_pool(observation), observation.twin_baseline)[1]
+
+    @staticmethod
+    def pool(monitor, excluded=()) -> LatencyPool:
         """Pooled latency/phase stats over a monitor's non-excluded windows.
+
+        With nothing excluded this is a fault-free twin's *baseline*: plain
+        numbers that hold no reference to the monitor or its deployment.
 
         A window's reach extends back to the *start* of the earliest
         transaction that finished in it: a commit stuck behind a crashed

@@ -25,8 +25,8 @@ BUGGY_SEED = 4
 
 class TestHonestRuns:
     @pytest.mark.parametrize("seed", SMOKE_SEEDS)
-    def test_seed_passes_every_oracle(self, seed):
-        report = run_seed(seed)
+    def test_seed_passes_every_oracle(self, seed, twinned_run):
+        report = twinned_run(seed)
         assert report.failures == []
         # The run actually exercised the system: work happened, the probe
         # committed on every partition, and read-only traffic was recorded.
@@ -35,19 +35,19 @@ class TestHonestRuns:
         assert report.probe_committed == report.probe_submitted
         assert report.read_only_recorded > 0
 
-    def test_core_link_drops_are_survived_by_the_reliable_channel(self):
+    def test_core_link_drops_are_survived_by_the_reliable_channel(self, twinned_run):
         # Seed 2's plan opens core-link drop windows — traffic the planner
         # was historically forbidden from touching because one lost Commit
         # vote wedged consensus forever.  The run must both pass every
         # oracle and show the reliable channel actually working for it.
-        report = run_seed(2)
+        report = twinned_run(2)
         assert report.failures == []
         assert report.counters["transport_messages_retransmitted"] > 0
 
-    def test_crash_faults_really_crash_and_restart(self):
+    def test_crash_faults_really_crash_and_restart(self, twinned_run):
         # Seed 21's plan contains a crash; the report must show the crash
         # and the restart (the honest runner always rejoins replicas).
-        report = run_seed(21)
+        report = twinned_run(21)
         assert report.crashes > 0
         assert report.restarts >= report.crashes
 
@@ -109,8 +109,8 @@ class TestInjectedBugs:
         assert all("net:CommitReply" not in names for names in span_names)
         assert any("net:CommitRequest" in names for names in span_names)
 
-    def test_honest_run_carries_digest_but_no_black_box(self):
-        report = run_seed(0)
+    def test_honest_run_carries_digest_but_no_black_box(self, twinned_run):
+        report = twinned_run(0)
         assert report.failures == []
         # Every chaos run records a trace digest (the determinism oracle for
         # replays), but the crash payloads stay empty on clean runs.
@@ -166,6 +166,11 @@ class TestArtifacts:
 
     def test_cli_seed_run_exits_clean(self, capsys):
         exit_code = chaos_main(["--seed", "0"])
-        out = capsys.readouterr().out
+        out, err = capsys.readouterr()
         assert exit_code == 0
         assert "passed every oracle" in out
+        # What became of the twin goes to the progress stream: whether its
+        # baseline was simulated or reused depends on what ran before.
+        assert "twins" not in out
+        assert err.startswith("twins: 1 graded (")
+        assert err.endswith("0 unjudgeable, 0 not needed\n")

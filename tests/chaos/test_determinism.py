@@ -10,7 +10,6 @@ where unseeded randomness or iteration-order leaks would show up first.
 
 from __future__ import annotations
 
-import functools
 import json
 import os
 
@@ -33,17 +32,14 @@ with open(
     PARENT_RUNS = json.load(_handle)["same_system"]
 
 
-@functools.lru_cache(maxsize=None)
-def reference_run(seed):
-    """One run per seed, computed once: every test below compares a fresh
-    run (or another seed's reference) against it, never it against itself."""
-    return run_seed(seed)
-
-
 class TestReplayDeterminism:
+    """``twinned_run`` is the reference: one run per seed and session, which
+    every test here compares a fresh run (or another seed's reference)
+    against, never against itself."""
+
     @pytest.mark.parametrize("seed", DETERMINISM_SEEDS)
-    def test_same_seed_is_bit_identical(self, seed):
-        first = reference_run(seed)
+    def test_same_seed_is_bit_identical(self, seed, twinned_run, parent_perf_ratios):
+        first = twinned_run(seed)
         second = run_seed(seed)
         # Histories: every commit and every read-only observation, values
         # and versions included.
@@ -55,17 +51,22 @@ class TestReplayDeterminism:
         assert first.elapsed_sim_ms == second.elapsed_sim_ms
         # The one-line fingerprint ties it all together.
         assert first.fingerprint() == second.fingerprint()
+        # Outside the fingerprint, and the one answer that reads the twin:
+        # the same whether its baseline was simulated or reused.
+        assert first.twin == second.twin
+        pinned = parent_perf_ratios["honest"][str(seed)]
+        assert first.perf_ratio == second.perf_ratio == pinned
 
-    def test_plan_replay_equals_seed_run(self):
+    def test_plan_replay_equals_seed_run(self, twinned_run):
         # Running a serialised plan reproduces the seed run exactly — the
         # property artifacts rely on.
         seed = DETERMINISM_SEEDS[0]
-        via_seed = reference_run(seed)
+        via_seed = twinned_run(seed)
         via_plan = run_plan(plan_from_seed(seed))
         assert via_seed.fingerprint() == via_plan.fingerprint()
 
-    def test_fingerprint_distinguishes_different_seeds(self):
-        assert reference_run(1).fingerprint() != reference_run(2).fingerprint()
+    def test_fingerprint_distinguishes_different_seeds(self, twinned_run):
+        assert twinned_run(1).fingerprint() != twinned_run(2).fingerprint()
 
 
 class TestSameSystemAsTheParent:

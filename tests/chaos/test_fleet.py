@@ -82,6 +82,12 @@ class TestFleetDeterminism:
             report = untwinned_run(result.seed)
             assert result.fingerprint == report.fingerprint()
             assert result.trace_digest == report.trace_digest
+            assert result.twin == report.twin == "not-needed"
+
+    def test_what_became_of_the_twin_crosses_the_process_boundary(self):
+        results = run_seed_fleet([1, 20], replace(FAST, perf_oracle=True), workers=2)
+        assert [r.twin for r in results] == ["unjudgeable", "graded"]
+        assert [r.perf_ratio is None for r in results] == [True, False]
 
 
 class TestCoverageSignature:

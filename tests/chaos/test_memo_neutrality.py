@@ -11,14 +11,20 @@ from __future__ import annotations
 
 import pytest
 
-from repro.chaos import run_seed
+from repro.chaos import forget_twins, run_seed
 from repro.crypto.signatures import VerifyCache
 
 
 @pytest.mark.parametrize("seed", [1, 6])
-def test_forcing_the_memo_to_miss_changes_only_the_hit_count(seed, monkeypatch):
+def test_forcing_the_memo_to_miss_changes_only_the_hit_count(
+    seed, monkeypatch, cold_twins
+):
     with_memo = run_seed(seed)
     monkeypatch.setattr(VerifyCache, "probe", lambda self, key: None)
+    # The honest system itself is patched from here on: a twin baseline the
+    # unpatched one left behind is not this system's (``cold_twins`` forgets
+    # the patched system's again afterwards).
+    forget_twins()
     without_memo = run_seed(seed)
 
     assert with_memo.ok and without_memo.ok
@@ -36,5 +42,8 @@ def test_forcing_the_memo_to_miss_changes_only_the_hit_count(seed, monkeypatch):
         "events_processed",
         "elapsed_sim_ms",
         "trace_digest",
+        "twin",
+        "perf_ratio",
     ):
         assert getattr(with_memo, field) == getattr(without_memo, field), field
+    assert not with_memo.twin_reused and not without_memo.twin_reused

@@ -27,16 +27,28 @@ WEDGED_SEED = 11
 
 
 class TestWedgedCacheDetection:
-    def test_wedged_cache_fails_only_the_perf_oracle(self):
+    @pytest.mark.parametrize("memo", ["cold", "warm"])
+    def test_wedged_cache_fails_only_the_perf_oracle(
+        self, memo, cold_twins, parent_perf_ratios
+    ):
+        # The one case where the twin *is* needed.  Warm, its baseline is the
+        # one an honest run of the same seed left behind: the memo is filled
+        # outside the bug patch and read inside no patch either, so the
+        # wedged run is judged against the honest system both ways.
+        if memo == "warm":
+            assert run_seed(WEDGED_SEED).twin == "graded"
         report = run_seed(WEDGED_SEED, bug=get_bug("verify-cache-wedged"))
+        assert report.twin_reused == (memo == "warm")
         assert not report.ok
         assert {f.oracle for f in report.failures} == {"phase-latency-anomaly"}
         description = report.failures[0].description
         assert "twin" in description
         assert "worst phase" in description
+        pinned = parent_perf_ratios["verify-cache-wedged"][str(WEDGED_SEED)]
+        assert report.perf_ratio == pinned
 
-    def test_clean_seed_passes_with_perf_oracle_armed(self):
-        report = run_seed(WEDGED_SEED)
+    def test_clean_seed_passes_with_perf_oracle_armed(self, twinned_run):
+        report = twinned_run(WEDGED_SEED)
         assert report.ok, [f.description for f in report.failures]
 
     def test_perf_oracle_can_be_disabled(self):
@@ -48,21 +60,19 @@ class TestWedgedCacheDetection:
 
 class TestMonitorNeutrality:
     @pytest.mark.parametrize("seed", [2, 21])
-    def test_fingerprint_and_digest_identical_monitor_on_off(self, seed):
-        plan = plan_from_seed(seed)
-        on = run_plan(plan, perf_oracle=False)
-        off = run_plan(plan, monitor=False, perf_oracle=False)
+    def test_fingerprint_and_digest_identical_monitor_on_off(self, seed, untwinned_run):
+        on = untwinned_run(seed)
+        off = run_plan(plan_from_seed(seed), monitor=False, perf_oracle=False)
         assert on.fingerprint() == off.fingerprint()
         assert on.trace_digest == off.trace_digest
         assert on.counters == off.counters
         assert on.monitor is not None and off.monitor is None
 
-    def test_twin_does_not_perturb_the_graded_run(self):
-        # perf_oracle=True runs a second (twin) simulation; the report of
-        # the primary run must not change because of it.
-        plan = plan_from_seed(2)
-        with_twin = run_plan(plan, perf_oracle=True)
-        without = run_plan(plan, perf_oracle=False)
+    def test_twin_does_not_perturb_the_graded_run(self, twinned_run, untwinned_run):
+        # perf_oracle=True grades against a second (twin) simulation; the
+        # report of the primary run must not change because of it.
+        with_twin, without = twinned_run(2), untwinned_run(2)
+        assert (with_twin.twin, without.twin) == ("graded", "not-needed")
         assert with_twin.fingerprint() == without.fingerprint()
 
 
