@@ -106,9 +106,8 @@ def main() -> None:
         f"{reader.stats.edge_fallbacks} fallbacks, "
         f"{len(reader.edge_router.blacklisted())} proxy blacklisted"
     )
-    stats = system.edge_cache_stats()
-    for proxy, (hits, misses) in sorted(stats.items()):
-        print(f"{proxy}: cache hits={hits} misses={misses}")
+    for proxy, entry in sorted(system.cache_snapshot()["edge"].items()):
+        print(f"{proxy}: cache hits={entry['hits']} misses={entry['misses']}")
 
 
 if __name__ == "__main__":

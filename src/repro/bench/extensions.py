@@ -179,8 +179,10 @@ def fig16_crash_recovery(harness: Harness) -> FigureResult:
     events.record_event("leader-crash-views-adopted", counters.views_adopted)
     events.record_event("leader-crash-decision-queries", counters.decision_queries_served)
     events.record_event("stranded-prepared", stranded)
-    events.record_cache_snapshot(system.cache_snapshot(record_event=True))
-    cache_hits, cache_misses = events.verify_cache_totals()
+    caches = system.cache_snapshot(record_event=True)
+    verify_nodes = {**caches["verify_replicas"], **caches["verify_clients"]}
+    cache_hits = sum(entry["hits"] for entry in verify_nodes.values())
+    cache_misses = sum(entry["misses"] for entry in verify_nodes.values())
     leader_series.add(0, ex_leader.counters.recoveries_completed)
     leader_series.add(1, counters.view_changes)
     leader_series.add(2, stranded)
@@ -197,13 +199,13 @@ def fig16_crash_recovery(harness: Harness) -> FigureResult:
     )
     figure.notes.append(
         f"per-node verify caches: {100.0 * cache_hits / max(1, cache_hits + cache_misses):.1f}% "
-        f"aggregate hit rate over {len(events.verify_cache_stats())} nodes"
+        f"aggregate hit rate over {len(verify_nodes)} nodes"
     )
     figure.facts.update(sorted(events.events().items()))
     # The crash windows are where the reliable channel earns its keep:
     # retransmissions towards the dead node until the per-link cap
     # abandons its window, duplicate-drops as redeliveries race restarts.
-    transport = events.transport_counters()
+    transport = caches["transport"]
     figure.notes.append(
         "reliable channel: "
         + ", ".join(f"{name}={count}" for name, count in sorted(transport.items()))
@@ -368,8 +370,8 @@ def fig_edge(harness: Harness) -> FigureResult:
         if core_count:
             core_latency.add(num_proxies, round(core_mean, 3))
         counters = result.counters
-        result.metrics.record_cache_snapshot(system.cache_snapshot(record_event=True))
-        hits, misses = result.metrics.edge_cache_totals()
+        edge_totals = system.cache_snapshot(record_event=True)["totals"]["edge"]
+        hits, misses = edge_totals["hits"], edge_totals["misses"]
         lookups = hits + misses
         if num_proxies > 0:
             hit_rate_series.add(
@@ -390,8 +392,8 @@ def fig_edge(harness: Harness) -> FigureResult:
         )
         specs = generator.mixed_stream(txns)
         result = execute_workload(system, specs, concurrency=8, num_clients=4)
-        result.metrics.record_cache_snapshot(system.cache_snapshot(record_event=True))
-        hits, misses = result.metrics.edge_cache_totals()
+        edge_totals = system.cache_snapshot(record_event=True)["totals"]["edge"]
+        hits, misses = edge_totals["hits"], edge_totals["misses"]
         fraction_hits.add(
             round(100 * read_fraction),
             round(100.0 * hits / max(1, hits + misses), 2),

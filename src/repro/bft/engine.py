@@ -52,6 +52,11 @@ from repro.bft.quorum import CommitCertificate, ViewChangeCertificate, VoteTrack
 #: genuinely lost liveness; view change and state transfer take over).
 _REBROADCAST_ROUND_LIMIT = 10
 
+#: Cadence (simulated ms) at which an engine stalled behind a delivery gap
+#: re-broadcasts its highest decided certificate, so a replica that missed an
+#: entire instance converges without a full state transfer.
+_REBROADCAST_INTERVAL_MS = 50.0
+
 
 class ConsensusApplication(Protocol):
     """Callbacks the owning replica provides to the engine."""
@@ -122,13 +127,10 @@ class PbftEngine:
         self.view_certificate: Optional[ViewChangeCertificate] = None
         self.decided_count = 0
 
-        # Certificate-rebroadcast fallback (ReliabilityConfig): while this
-        # replica is stalled behind a delivery gap it periodically gossips
-        # its highest decided certificate; peers that are ahead answer with
-        # the instance it needs next.
-        self._rebroadcast_interval_ms = (
-            owner.env.config.reliability.rebroadcast_interval_ms
-        )
+        # Certificate-rebroadcast fallback: while this replica is stalled
+        # behind a delivery gap it periodically gossips its highest decided
+        # certificate; peers that are ahead answer with the instance it
+        # needs next.
         self._rebroadcast_timer = None
         self._rebroadcast_rounds = 0
         self._rebroadcast_marker = -1
@@ -437,7 +439,7 @@ class PbftEngine:
         if self._rebroadcast_timer is not None or not self._stalled_behind_gap():
             return
         self._rebroadcast_timer = self._owner.schedule(
-            self._rebroadcast_interval_ms, self._on_rebroadcast_timer
+            _REBROADCAST_INTERVAL_MS, self._on_rebroadcast_timer
         )
 
     def _on_rebroadcast_timer(self) -> None:

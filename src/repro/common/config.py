@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import ClassVar, Optional
 
 from repro.common.errors import ConfigurationError
 
@@ -62,25 +62,26 @@ class CostConfig:
     ratios matter for reproducing the shape of the paper's figures.
     """
 
-    signature_sign_ms: float = 0.02
-    signature_verify_ms: float = 0.02
     #: Extra occupancy charged per signature-verify *cache miss*, on top of
     #: the flat ``signature_verify_ms``.  The default 0.0 keeps the seed cost
     #: model byte-for-byte (hits and misses cost the same); setting it makes
     #: simulated latency sensitive to verify-cache health, which is what lets
     #: the chaos performance oracle see a wedged cache.
     verify_cache_miss_penalty_ms: float = 0.0
-    hash_ms: float = 0.001
-    read_op_ms: float = 0.002
-    write_op_ms: float = 0.003
+
+    # Constants of the cost model, not options (read as ``costs.x``).
+    signature_sign_ms: ClassVar[float] = 0.02
+    signature_verify_ms: ClassVar[float] = 0.02
+    hash_ms: ClassVar[float] = 0.001
+    read_op_ms: ClassVar[float] = 0.002
+    write_op_ms: ClassVar[float] = 0.003
     #: Cost of producing one Merkle proof *per tree level*; the total charge
-    #: is O(log K) in the partition size (see :meth:`merkle_proof_cost_ms`).
-    #: The default reproduces the old flat 0.004 ms charge at K = 1000 keys
-    #: (a 10-level tree).
-    merkle_proof_per_level_ms: float = 0.0004
-    conflict_check_ms: float = 0.002
-    batch_base_ms: float = 0.05
-    message_handling_ms: float = 0.01
+    #: is O(log K) in the partition size (see :meth:`merkle_proof_cost_ms`):
+    #: 0.004 ms at K = 1000 keys (a 10-level tree).
+    merkle_proof_per_level_ms: ClassVar[float] = 0.0004
+    conflict_check_ms: ClassVar[float] = 0.002
+    batch_base_ms: ClassVar[float] = 0.05
+    message_handling_ms: ClassVar[float] = 0.01
 
     def merkle_proof_cost_ms(self, tree_keys: int) -> float:
         """Cost of one membership proof over a tree of ``tree_keys`` leaves.
@@ -104,9 +105,8 @@ class CostConfig:
         return self.hash_ms * 2 * max(1, tree_keys)
 
     def validate(self) -> None:
-        for name, value in self.__dict__.items():
-            if value < 0:
-                raise ConfigurationError(f"{name} must be non-negative")
+        if self.verify_cache_miss_penalty_ms < 0:
+            raise ConfigurationError("verify_cache_miss_penalty_ms must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -170,21 +170,14 @@ class CheckpointConfig:
 
 @dataclass(frozen=True)
 class FailoverConfig:
-    """Automatic failure detection and 2PC resumption (``repro.recovery`` PR 3).
+    """Automatic failure detection (``repro.recovery`` PR 3).
 
     ``progress_timeout_ms`` is how long a replica tolerates *pending work
     without progress* (an in-flight consensus instance, a gap in deliveries,
     an undecided prepare group, or a client complaint) before voting to
-    replace its leader; each further round of silence casts another vote, up
-    to ``max_suspect_rounds`` consecutive rounds (the monitor then stands
-    down until progress resumes, which bounds simulation work when a cluster
-    has genuinely lost liveness).  ``two_pc_retry_ms`` is the cadence at
-    which a leader re-drives unfinished Two-Phase-Commit work — re-sending
-    coordinator prepares for missing votes, re-sending participant votes,
-    and querying the coordinator cluster for decisions it may have certified
-    without us (``DecisionQuery``) — with at most ``two_pc_max_retries``
-    attempts per transaction.  Timers are armed lazily (only while matching
-    work is pending), so an idle or healthy deployment schedules nothing.
+    replace its leader; each further round of silence casts another vote.
+    The timer is armed lazily (only while matching work is pending), so an
+    idle or healthy deployment schedules nothing.
 
     Independently of the failure detector, every replica of the coordinator
     cluster reports each client-visible outcome it applies from a delivered
@@ -195,24 +188,15 @@ class FailoverConfig:
     """
 
     progress_timeout_ms: float = 60.0
-    max_suspect_rounds: int = 8
-    two_pc_retry_ms: float = 40.0
-    two_pc_max_retries: int = 10
 
     def validate(self) -> None:
         if self.progress_timeout_ms <= 0:
             raise ConfigurationError("progress_timeout_ms must be > 0")
-        if self.max_suspect_rounds < 1:
-            raise ConfigurationError("max_suspect_rounds must be >= 1")
-        if self.two_pc_retry_ms <= 0:
-            raise ConfigurationError("two_pc_retry_ms must be > 0")
-        if self.two_pc_max_retries < 1:
-            raise ConfigurationError("two_pc_max_retries must be >= 1")
 
 
 @dataclass(frozen=True)
 class PerfConfig:
-    """Hot-path sizing: Merkle tree archive window and verify cache.
+    """Hot-path sizing: the Merkle tree archive window.
 
     Every partition keeps a copy-on-write archive of recent committed Merkle
     trees, so round-2 snapshot reads are served in O(read · log K) instead
@@ -227,21 +211,13 @@ class PerfConfig:
     reachable through the dependency lookup), which extends the retained
     window at equal memory; see
     :meth:`~repro.crypto.archive.MerkleTreeArchive.compact`.
-
-    ``verify_cache_size`` sizes the LRU signature-verification cache shared
-    through the :class:`~repro.crypto.signatures.KeyRegistry`, so a quorum of
-    identical votes is canonicalised and verified once, not ``3f + 1`` times
-    (0 disables the cache).
     """
 
     archive_max_batches: int = 512
-    verify_cache_size: int = 4096
 
     def validate(self) -> None:
         if self.archive_max_batches < 1:
             raise ConfigurationError("archive_max_batches must be >= 1")
-        if self.verify_cache_size < 0:
-            raise ConfigurationError("verify_cache_size must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -259,50 +235,30 @@ class EdgeConfig:
     believed.  ``enabled=False`` (the default) spawns nothing and leaves the
     client read path byte-for-byte unchanged.
 
-    * ``cache_capacity`` — cached entries per partition per proxy (LRU).
     * ``cache_ttl_ms`` — entries older than this are refreshed from the core
       (``None`` disables the time bound).
     * ``max_header_lag_batches`` — a cached partition context whose header
       trails the newest announced header by more than this many batches is
       refreshed, bounding edge staleness in batches.
-    * ``announce_interval_batches`` — core leaders announce every Nth
-      certified header to the proxies.
-    * ``routing`` — how clients pick a proxy: ``"nearest"`` prefers a proxy
-      in the client's own region, ``"round-robin"`` spreads load evenly.
     * ``read_timeout_ms`` — how long a client waits for a proxy before
       falling back to the core cluster.
-    * ``fetch_timeout_ms`` — how long a proxy waits for a core replica when
-      filling a cache miss.
     """
 
     enabled: bool = False
     num_proxies: int = 2
-    cache_capacity: int = 256
     cache_ttl_ms: Optional[float] = None
     max_header_lag_batches: int = 8
-    announce_interval_batches: int = 1
-    routing: str = "nearest"
     read_timeout_ms: float = 20_000.0
-    fetch_timeout_ms: float = 20_000.0
 
     def validate(self) -> None:
         if self.num_proxies < 1:
             raise ConfigurationError("edge num_proxies must be >= 1")
-        if self.cache_capacity < 1:
-            raise ConfigurationError("edge cache_capacity must be >= 1")
         if self.cache_ttl_ms is not None and self.cache_ttl_ms <= 0:
             raise ConfigurationError("edge cache_ttl_ms must be > 0 when set")
         if self.max_header_lag_batches < 0:
             raise ConfigurationError("edge max_header_lag_batches must be >= 0")
-        if self.announce_interval_batches < 1:
-            raise ConfigurationError("edge announce_interval_batches must be >= 1")
-        if self.routing not in ("nearest", "round-robin"):
-            raise ConfigurationError(
-                f"unknown edge routing policy {self.routing!r}; "
-                "expected 'nearest' or 'round-robin'"
-            )
-        if self.read_timeout_ms <= 0 or self.fetch_timeout_ms <= 0:
-            raise ConfigurationError("edge timeouts must be > 0")
+        if self.read_timeout_ms <= 0:
+            raise ConfigurationError("edge read_timeout_ms must be > 0")
 
 
 @dataclass(frozen=True)
@@ -320,15 +276,6 @@ class ReliabilityConfig:
     outstanding window is abandoned (the chaos planner only opens *finite*
     loss windows, so the cap exists to bound simulation work against
     genuinely dead peers, not for correctness).
-
-    ``rebroadcast_interval_ms`` is the cadence at which a
-    :class:`~repro.bft.engine.PbftEngine` with stalled undelivered instances
-    re-broadcasts its highest decided certificate, so a replica that missed
-    an entire instance converges without a full state transfer.
-
-    ``commit_retry_attempts``/``commit_retry_backoff_ms`` govern the client
-    side: a commit reply timeout is retried against the coordinator (which
-    answers duplicates from its decision log) instead of aborting outright.
     """
 
     ack_delay_ms: float = 4.0
@@ -336,9 +283,6 @@ class ReliabilityConfig:
     retransmit_cap_ms: float = 120.0
     retransmit_jitter_fraction: float = 0.2
     max_retransmits: int = 12
-    rebroadcast_interval_ms: float = 50.0
-    commit_retry_attempts: int = 3
-    commit_retry_backoff_ms: float = 30.0
 
     def validate(self) -> None:
         if self.ack_delay_ms <= 0:
@@ -355,12 +299,6 @@ class ReliabilityConfig:
             )
         if self.max_retransmits < 1:
             raise ConfigurationError("reliability max_retransmits must be >= 1")
-        if self.rebroadcast_interval_ms <= 0:
-            raise ConfigurationError("reliability rebroadcast_interval_ms must be > 0")
-        if self.commit_retry_attempts < 1:
-            raise ConfigurationError("reliability commit_retry_attempts must be >= 1")
-        if self.commit_retry_backoff_ms <= 0:
-            raise ConfigurationError("reliability commit_retry_backoff_ms must be > 0")
 
 
 @dataclass(frozen=True)
@@ -445,8 +383,8 @@ class MonitorConfig:
 class SystemConfig:
     """Top-level description of a simulated TransEdge deployment.
 
-    ``perf`` collects the hot-path optimisation knobs (Merkle tree archive
-    for snapshot reads, signature verify cache); see :class:`PerfConfig`.
+    ``perf`` sizes the Merkle tree archive behind snapshot reads; see
+    :class:`PerfConfig`.
     ``edge`` describes the optional untrusted edge read-proxy tier; see
     :class:`EdgeConfig`.  ``obs`` configures tracing and the flight
     recorder; see :class:`ObsConfig`.  ``monitor`` configures the live

@@ -80,6 +80,12 @@ POSITIONAL_REFUSALS = frozenset(
     }
 )
 
+#: A commit reply timeout is retried against the coordinator (which answers
+#: duplicates from its decision log) instead of aborting outright: this many
+#: attempts in all, sleeping ``attempt × backoff`` simulated ms between them.
+COMMIT_RETRY_ATTEMPTS = 3
+COMMIT_RETRY_BACKOFF_MS = 30.0
+
 
 @dataclass
 class ClientStats:
@@ -146,7 +152,6 @@ class TransEdgeClient(ProcessNode):
                 edge_proxies,
                 home_partition=self.home_partition,
                 num_partitions=self.config.num_partitions,
-                policy=self.config.edge.routing,
             )
         # Proactive leader failover: requests in flight towards a partition's
         # leader (an entry leaves when its wait settles), re-sent to the
@@ -394,13 +399,12 @@ class TransEdgeClient(ProcessNode):
         that dies right after its cluster certifies the outcome cannot
         strand this client until the timeout.
         """
-        reliability = self.config.reliability
         reply: Optional[CommitReply] = None
         try:
-            for attempt in range(reliability.commit_retry_attempts):
+            for attempt in range(COMMIT_RETRY_ATTEMPTS):
                 if attempt:
                     self.stats.commit_retries += 1
-                    yield Sleep(reliability.commit_retry_backoff_ms * attempt)
+                    yield Sleep(COMMIT_RETRY_BACKOFF_MS * attempt)
                 request = CommitRequest(txn=txn)
                 self._commit_quorum_waits[txn.txn_id] = (
                     coordinator,

@@ -43,6 +43,12 @@ from repro.storage.locks import LockMode
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checking only
     from repro.core.replica import PartitionReplica
 
+#: Cadence (simulated ms) at which a leader re-drives unfinished 2PC work —
+#: re-sending coordinator prepares for missing votes, participant votes, and
+#: ``DecisionQuery`` — and the attempt budget per transaction.
+_TWO_PC_RETRY_MS = 40.0
+_TWO_PC_MAX_RETRIES = 10
+
 
 @dataclass
 class _WaitingClient:
@@ -507,17 +513,15 @@ class LeaderRole:
 
     def _ensure_twopc_timer(self) -> None:
         replica = self._replica
-        config = replica.config.failover
         if not replica.is_leader or self._twopc_timer is not None:
             return
         if not replica.prepared_batches.has_undecided():
             return
-        self._twopc_timer = replica.schedule(config.two_pc_retry_ms, self._on_twopc_timer)
+        self._twopc_timer = replica.schedule(_TWO_PC_RETRY_MS, self._on_twopc_timer)
 
     def _on_twopc_timer(self) -> None:
         self._twopc_timer = None
         replica = self._replica
-        config = replica.config.failover
         if (
             not replica.is_leader
             or replica.crashed
@@ -528,7 +532,7 @@ class LeaderRole:
         retriable = False
         for txn_id, record in list(replica.prepared_batches.pending_transactions()):
             attempts = self._twopc_attempts.get(txn_id, 0)
-            if attempts >= config.two_pc_max_retries:
+            if attempts >= _TWO_PC_MAX_RETRIES:
                 continue  # stranded past the budget; DecisionQuery may still land
             self._twopc_attempts[txn_id] = attempts + 1
             retriable = True

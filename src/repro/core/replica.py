@@ -107,6 +107,11 @@ class ReplicaCounters:
     replica_replies_sent: int = 0
 
 
+#: Consecutive silent progress-timeout rounds after which a replica's
+#: :class:`ViewProgressMonitor` stands down until progress resumes.
+_MAX_SUSPECT_ROUNDS = 8
+
+
 class ViewProgressMonitor:
     """Detects a dead or stalled leader and votes it out automatically.
 
@@ -119,7 +124,7 @@ class ViewProgressMonitor:
     (``suspect_leader``) and re-arms; votes spread through the cluster (and
     prepare/commit traffic spreads the evidence), so ``2f + 1`` suspicions
     accumulate and the view rotates without any operator nudge.  Progress
-    resets the round counter; ``max_suspect_rounds`` silent rounds make the
+    resets the round counter; ``_MAX_SUSPECT_ROUNDS`` silent rounds make the
     monitor stand down until progress resumes, which keeps the simulation
     finite when a cluster has genuinely lost liveness (e.g. more than ``f``
     members crashed).  A healthy or idle replica schedules nothing.
@@ -259,7 +264,7 @@ class ViewProgressMonitor:
         if not self._has_evidence():
             return
         self._suspect_rounds += 1
-        if self._suspect_rounds > self._config.max_suspect_rounds:
+        if self._suspect_rounds > _MAX_SUSPECT_ROUNDS:
             self._gave_up = True
             return
         # A replica mid-recovery cannot judge the leader (it is the one
@@ -495,7 +500,7 @@ class PartitionReplica(SimNode):
                 + self.config.certificate_size * costs.signature_verify_ms
                 + costs.conflict_check_ms
             )
-        if isinstance(message, StateTransferReply):
+        if isinstance(message, StateTransferReply) and message.well_formed():
             # Installing an image writes every item; replaying a batch costs
             # what delivering it would have.
             items = len(message.image) if message.image is not None else 0
@@ -732,8 +737,6 @@ class PartitionReplica(SimNode):
         values always come with proofs).
         """
         if not self.edge_announce_targets or not self.is_leader:
-            return
-        if header.number % self.config.edge.announce_interval_batches != 0:
             return
         from repro.edge.messages import HeaderAnnouncement
 

@@ -11,7 +11,7 @@ over this class.
 from __future__ import annotations
 
 import random
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional
 
@@ -19,7 +19,7 @@ from repro.common.config import SystemConfig
 from repro.common.ids import EdgeProxyId, PartitionId, ReplicaId
 from repro.common.types import Key, Value
 from repro.core.client import TransEdgeClient
-from repro.core.replica import PartitionReplica
+from repro.core.replica import PartitionReplica, ReplicaCounters
 from repro.core.topology import ClusterTopology
 from repro.edge.proxy import EdgeProxy
 from repro.obs.monitor import Monitor
@@ -48,41 +48,12 @@ def generate_initial_data(config: SystemConfig) -> Dict[Key, Value]:
 
 
 @dataclass
-class SystemCounters:
-    """Aggregated replica counters (see :class:`ReplicaCounters`)."""
+class SystemCounters(ReplicaCounters):
+    """Deployment-wide counters: every :class:`ReplicaCounters` field summed
+    over the replicas, plus the cache and edge-tier totals."""
 
-    batches_delivered: int = 0
-    local_committed: int = 0
-    distributed_committed: int = 0
-    distributed_aborted: int = 0
-    conflict_aborts: int = 0
-    lock_interference_aborts: int = 0
-    read_only_served: int = 0
-    snapshot_requests_served: int = 0
-    snapshot_fast_path: int = 0
-    snapshot_rebuilds: int = 0
-    validation_failures: int = 0
-    checkpoints_taken: int = 0
-    checkpoints_stable: int = 0
-    log_entries_truncated: int = 0
-    versions_pruned: int = 0
-    state_transfers_served: int = 0
-    state_transfers_rejected: int = 0
-    recoveries_started: int = 0
-    recoveries_completed: int = 0
-    catchup_recoveries: int = 0
-    views_adopted: int = 0
-    view_changes: int = 0
-    leader_suspicions: int = 0
-    two_pc_retries: int = 0
-    two_pc_unresumable: int = 0
-    decision_queries_served: int = 0
-    decisions_resolved_remotely: int = 0
     verify_cache_hits: int = 0
     verify_cache_misses: int = 0
-    archive_records_compacted: int = 0
-    headers_announced: int = 0
-    replica_replies_sent: int = 0
     # Edge read-proxy tier (summed over the deployment's proxies).
     edge_reads_served: int = 0
     edge_cache_hits: int = 0
@@ -90,6 +61,9 @@ class SystemCounters:
     edge_core_fetches: int = 0
     edge_refresh_rounds: int = 0
     edge_announcements_received: int = 0
+
+
+_REPLICA_COUNTER_NAMES = tuple(field.name for field in fields(ReplicaCounters))
 
 
 class TransEdgeSystem:
@@ -285,11 +259,11 @@ class TransEdgeSystem:
     def cache_snapshot(self, record_event: bool = False) -> Dict[str, object]:
         """One unified point-in-time view of every cache in the deployment.
 
-        This is the single source of cache accounting:
-        :meth:`verify_cache_stats`, :meth:`edge_cache_stats` and the cache
-        fields of :meth:`counters` all derive from it instead of walking the
-        nodes themselves, and the benchmark harness feeds it straight into
-        :meth:`~repro.metrics.collector.MetricsCollector.record_cache_snapshot`.
+        This is the single source of cache accounting: the cache fields of
+        :meth:`counters`, the monitor's sampling and the benchmark harness's
+        notes all read it instead of walking the nodes themselves.  Per-node
+        ``{"hits", "misses"}`` entries sit under ``verify_replicas``,
+        ``verify_clients`` and ``edge``, their sums under ``totals``.
         With ``record_event`` the totals are also written to the
         observability flight recorder (one ``cache-snapshot`` event).
         """
@@ -364,13 +338,6 @@ class TransEdgeSystem:
             "node_handled": node_handled,
         }
 
-    def verify_cache_stats(self) -> Dict[str, "tuple[int, int]"]:
-        """Per-node signature verify-cache ``(hits, misses)``, replicas and clients."""
-        snapshot = self.cache_snapshot()
-        merged = dict(snapshot["verify_replicas"])
-        merged.update(snapshot["verify_clients"])
-        return {name: (entry["hits"], entry["misses"]) for name, entry in merged.items()}
-
     def max_log_length(self) -> int:
         """Longest SMR log across all replicas (bounded by checkpointing)."""
         return max(len(replica.log) for replica in self.replicas.values())
@@ -407,39 +374,13 @@ class TransEdgeSystem:
         dominated by leaders; follower contributions are included because a
         view change can move the leader mid-experiment.
         """
-        total = SystemCounters()
-        for replica in self.replicas.values():
-            counters = replica.counters
-            total.batches_delivered += counters.batches_delivered
-            total.local_committed += counters.local_committed
-            total.distributed_committed += counters.distributed_committed
-            total.distributed_aborted += counters.distributed_aborted
-            total.conflict_aborts += counters.conflict_aborts
-            total.lock_interference_aborts += counters.lock_interference_aborts
-            total.read_only_served += counters.read_only_served
-            total.snapshot_requests_served += counters.snapshot_requests_served
-            total.snapshot_fast_path += counters.snapshot_fast_path
-            total.snapshot_rebuilds += counters.snapshot_rebuilds
-            total.validation_failures += counters.validation_failures
-            total.checkpoints_taken += counters.checkpoints_taken
-            total.checkpoints_stable += counters.checkpoints_stable
-            total.log_entries_truncated += counters.log_entries_truncated
-            total.versions_pruned += counters.versions_pruned
-            total.state_transfers_served += counters.state_transfers_served
-            total.state_transfers_rejected += counters.state_transfers_rejected
-            total.recoveries_started += counters.recoveries_started
-            total.recoveries_completed += counters.recoveries_completed
-            total.catchup_recoveries += counters.catchup_recoveries
-            total.views_adopted += counters.views_adopted
-            total.view_changes += counters.view_changes
-            total.leader_suspicions += counters.leader_suspicions
-            total.two_pc_retries += counters.two_pc_retries
-            total.two_pc_unresumable += counters.two_pc_unresumable
-            total.decision_queries_served += counters.decision_queries_served
-            total.decisions_resolved_remotely += counters.decisions_resolved_remotely
-            total.archive_records_compacted += counters.archive_records_compacted
-            total.headers_announced += counters.headers_announced
-            total.replica_replies_sent += counters.replica_replies_sent
+        per_replica = [replica.counters for replica in self.replicas.values()]
+        total = SystemCounters(
+            **{
+                name: sum(getattr(counters, name) for counters in per_replica)
+                for name in _REPLICA_COUNTER_NAMES
+            }
+        )
         for proxy in self.proxies:
             total.edge_reads_served += proxy.counters.reads_served
             total.edge_core_fetches += proxy.counters.core_fetches
@@ -454,13 +395,6 @@ class TransEdgeSystem:
         total.edge_cache_hits = cache_totals["edge"]["hits"]
         total.edge_cache_misses = cache_totals["edge"]["misses"]
         return total
-
-    def edge_cache_stats(self) -> Dict[str, "tuple[int, int]"]:
-        """Per-proxy edge-cache ``(hits, misses)`` (empty without an edge tier)."""
-        return {
-            name: (entry["hits"], entry["misses"])
-            for name, entry in self.cache_snapshot()["edge"].items()
-        }
 
     def committed_read_write(self) -> int:
         """Distinct committed read-write transactions (local + distributed).

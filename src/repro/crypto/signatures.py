@@ -124,9 +124,9 @@ class VerifyCache:
     :meth:`store`.  ``hits``/``misses`` count signature :meth:`lookup` calls
     — checks the node actually ran; a certificate :meth:`probe` is neither.
 
-    Each simulated node owns its *own* cache (sized by
-    ``PerfConfig.verify_cache_size``) so that simulated memory and hit rates
-    are modeled per replica rather than pooled deployment-wide; the registry
+    Each simulated node owns its *own* cache so that simulated memory and
+    hit rates are modeled per replica rather than pooled deployment-wide
+    (``repro.simnet.node.VERIFY_CACHE_SIZE`` entries each); the registry
     keeps one more for callers that verify outside any node (offline
     auditors, unit tests).  ``size=0`` disables the cache.
     """

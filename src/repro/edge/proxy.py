@@ -50,6 +50,11 @@ from repro.simnet.node import SimEnvironment
 from repro.simnet.proc import Call, Gather, ProcessNode
 from repro.storage.partitioner import HashPartitioner
 
+#: Cached entries per partition per proxy (LRU).
+_CACHE_CAPACITY = 256
+#: How long (simulated ms) a proxy waits for a core replica on a cache miss.
+_FETCH_TIMEOUT_MS = 20_000.0
+
 
 @dataclass
 class ProxyCounters:
@@ -102,7 +107,7 @@ class EdgeProxy(ProcessNode):
         self.behaviour = behaviour or ProxyBehaviour()
         edge = self.config.edge
         self.cache = EdgeCache(
-            capacity_per_partition=edge.cache_capacity,
+            capacity_per_partition=_CACHE_CAPACITY,
             ttl_ms=edge.cache_ttl_ms,
             max_header_lag_batches=edge.max_header_lag_batches,
         )
@@ -236,7 +241,7 @@ class EdgeProxy(ProcessNode):
         calls = []
         for partition in partitions:
             fetch_keys = set(grouped[partition])
-            budget = self.config.edge.cache_capacity - len(fetch_keys)
+            budget = _CACHE_CAPACITY - len(fetch_keys)
             if budget > 0:
                 fetch_keys.update(self.cache.cached_keys(partition)[:budget])
             calls.append(
@@ -245,7 +250,7 @@ class EdgeProxy(ProcessNode):
                     ReadOnlyRequest(keys=tuple(sorted(fetch_keys))),
                 )
             )
-        replies = yield Gather(calls, timeout_ms=self.config.edge.fetch_timeout_ms)
+        replies = yield Gather(calls, timeout_ms=_FETCH_TIMEOUT_MS)
         sections: Dict[PartitionId, PartitionSection] = {}
         for partition, reply in zip(partitions, replies):
             section = self._admit_reply(

@@ -1,12 +1,10 @@
 """Client-side proxy selection and blacklisting.
 
 Every client owns one :class:`EdgeRouter`.  The router knows the deployment's
-proxy ids and picks one per read-only transaction:
-
-* ``"nearest"`` — prefer proxies placed in the client's own region (the
-  near-edge link, see :func:`~repro.simnet.latency.proxy_region`), falling
-  back to round-robin over the remaining proxies;
-* ``"round-robin"`` — spread reads over all proxies evenly.
+proxy ids and picks one per read-only transaction: it rotates over the
+proxies placed in the client's own region (the near-edge link, see
+:func:`~repro.simnet.latency.proxy_region`) and widens to the remaining
+proxies only when no near one is usable.
 
 Blacklisting is *client-local* knowledge: a proxy whose response failed
 verification is never asked again by this client (a byzantine proxy can
@@ -31,12 +29,10 @@ class EdgeRouter:
         proxies: Sequence[EdgeProxyId],
         home_partition: PartitionId,
         num_partitions: int,
-        policy: str = "nearest",
     ) -> None:
         self._proxies: List[EdgeProxyId] = list(proxies)
-        self._policy = policy
         self._blacklisted: Set[EdgeProxyId] = set()
-        self._round_robin = 0
+        self._picks = 0
         self._near: List[EdgeProxyId] = [
             proxy
             for proxy in self._proxies
@@ -46,19 +42,16 @@ class EdgeRouter:
     def pick(self) -> Optional[EdgeProxyId]:
         """The proxy to use for the next read (None when none is usable).
 
-        ``nearest`` round-robins over the usable same-region proxies and only
-        widens to the remaining proxies when no near one is usable;
-        ``round-robin`` spreads over all usable proxies regardless of region.
+        Rotates over the usable same-region proxies and only widens to the
+        remaining proxies when no near one is usable.
         """
-        candidates = [p for p in self._proxies if p not in self._blacklisted]
+        candidates = [p for p in self._near if p not in self._blacklisted] or [
+            p for p in self._proxies if p not in self._blacklisted
+        ]
         if not candidates:
             return None
-        if self._policy == "nearest":
-            near = [p for p in self._near if p not in self._blacklisted]
-            if near:
-                candidates = near
-        choice = candidates[self._round_robin % len(candidates)]
-        self._round_robin += 1
+        choice = candidates[self._picks % len(candidates)]
+        self._picks += 1
         return choice
 
     def blacklist(self, proxy: EdgeProxyId) -> None:
@@ -67,6 +60,3 @@ class EdgeRouter:
 
     def blacklisted(self) -> frozenset:
         return frozenset(self._blacklisted)
-
-    def usable_count(self) -> int:
-        return len(self._proxies) - len(self._blacklisted)

@@ -18,10 +18,8 @@ determinism claim structural rather than empirical.  Four rule families:
 * **S — simulation purity**: no filesystem, subprocess, threading or
   blocking-I/O access inside ``simnet``/``bft``/``core`` event handlers —
   real I/O belongs in the bench/CLI layers.
-* **A — accounting**: every counter field is actually incremented somewhere,
-  and every ``ReplicaCounters`` field is folded into the ``SystemCounters``
-  aggregate (a forgotten field silently vanishes from chaos fingerprints
-  and benchmark notes).
+* **A — accounting**: every counter field is actually incremented somewhere
+  (a permanently-zero counter reads as "nothing happened" forever).
 
 Vetted exceptions live in ``lint-baseline.toml``; every entry must carry a
 written justification.  ``--self-test`` runs each rule against its violation

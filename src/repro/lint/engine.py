@@ -6,7 +6,7 @@ Two rule shapes:
   and purity rules).
 * :class:`ProjectRule` — sees every parsed module at once, for cross-file
   facts ("this message class is never dispatched", "this counter field is
-  never aggregated").
+  never incremented").
 
 Each rule owns a path predicate (:meth:`Rule.applies_to`) so e.g. wall-clock
 rules skip the bench/CLI layers by construction rather than by baseline.

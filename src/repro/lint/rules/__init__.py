@@ -19,7 +19,7 @@ from repro.lint.rules.protocol import (
     VerifyBeforeReadRule,
 )
 from repro.lint.rules.purity import SimBlockingRule, SimFilesystemRule
-from repro.lint.rules.accounting import CounterAggregationRule, CounterIncrementRule
+from repro.lint.rules.accounting import CounterIncrementRule
 from repro.lint.rules.coverage import BugSelfTestCoverageRule
 from repro.lint.rules.knobs import DeadConfigKnobRule
 from repro.lint.rules.memos import CopyUnsafeMemoRule
@@ -40,7 +40,6 @@ def all_rules() -> List[Rule]:
         TransportBypassRule(),
         HandlerTargetRule(),
         CounterIncrementRule(),
-        CounterAggregationRule(),
         BugSelfTestCoverageRule(),
         DeadConfigKnobRule(),
         CopyUnsafeMemoRule(),

@@ -2,10 +2,10 @@
 
 The chaos fingerprint and every benchmark note are built from counters; a
 counter that is declared but never incremented reads as a permanently-zero
-signal, and a per-replica counter that is never folded into the system-wide
-aggregate silently vanishes from fingerprints, oracle evidence and CI
-gates.  Both defects are invisible at runtime — zero looks like "nothing
-happened" — which is exactly what a static pass can prove absent.
+signal.  The defect is invisible at runtime — zero looks like "nothing
+happened" — which is exactly what a static pass can prove absent.  (That
+every per-replica counter reaches the system-wide aggregate needs no rule:
+``SystemCounters`` extends ``ReplicaCounters`` and folds over its fields.)
 """
 
 from __future__ import annotations
@@ -69,59 +69,3 @@ class CounterIncrementRule(ProjectRule):
                         f"counter field {class_name}.{field} is never "
                         f"incremented or assigned anywhere in the scanned tree",
                     )
-
-
-class CounterAggregationRule(ProjectRule):
-    """A402: every ReplicaCounters field is folded into SystemCounters."""
-
-    id = "A402"
-    name = "counter-aggregated"
-    rationale = (
-        "TransEdgeSystem.counters() folds per-replica counters into the "
-        "system aggregate field by field; a field missing from that rollup "
-        "is collected but never surfaced in fingerprints or bench notes"
-    )
-
-    def check_project(self, files: Sequence[SourceFile]) -> Iterator[Finding]:
-        replica_fields = _counter_fields(files, "ReplicaCounters")
-        if not replica_fields:
-            return
-        # Aggregation functions: any function that constructs SystemCounters.
-        aggregated: Set[str] = set()
-        found_aggregator = False
-        aggregator_sites: List[Tuple[SourceFile, int]] = []
-        for file in files:
-            for node in ast.walk(file.tree):
-                if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    continue
-                constructs = any(
-                    isinstance(call, ast.Call)
-                    and isinstance(call.func, ast.Name)
-                    and call.func.id == "SystemCounters"
-                    for call in ast.walk(node)
-                )
-                if not constructs:
-                    continue
-                found_aggregator = True
-                aggregator_sites.append((file, node.lineno))
-                for attr in ast.walk(node):
-                    if isinstance(attr, ast.Attribute):
-                        aggregated.add(attr.attr)
-        if not found_aggregator:
-            file, _field, line = replica_fields[0]
-            yield self.finding(
-                file,
-                line,
-                "ReplicaCounters is defined but no function constructs a "
-                "SystemCounters aggregate from it",
-            )
-            return
-        for file, field, line in replica_fields:
-            if field not in aggregated:
-                yield self.finding(
-                    file,
-                    line,
-                    f"ReplicaCounters.{field} is never read by the "
-                    f"SystemCounters aggregation (it will be missing from "
-                    f"chaos fingerprints and bench notes)",
-                )

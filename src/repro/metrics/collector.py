@@ -224,9 +224,6 @@ class MetricsCollector:
     def __init__(self) -> None:
         self._operations: Dict[str, OperationMetrics] = {}
         self._events: Dict[str, int] = {}
-        self._verify_caches: Dict[str, "tuple[int, int]"] = {}
-        self._edge_caches: Dict[str, "tuple[int, int]"] = {}
-        self._transport: Dict[str, int] = {}
         self._phases: Dict[str, LatencyReservoir] = {}
         self._start_ms: Optional[float] = None
         self._end_ms: Optional[float] = None
@@ -294,58 +291,6 @@ class MetricsCollector:
     def phase_summaries(self) -> Dict[str, LatencySummary]:
         """Per-phase latency summaries, in recording order."""
         return {phase: reservoir.summary() for phase, reservoir in self._phases.items()}
-
-    def record_cache_snapshot(self, snapshot: Dict[str, object]) -> None:
-        """Feed a :meth:`TransEdgeSystem.cache_snapshot` into the collector.
-
-        One call replaces the per-node ``record_verify_cache`` /
-        ``record_edge_cache`` loops the experiments used to carry — the
-        snapshot is the single source for all cache accounting.
-        """
-        for section in ("verify_replicas", "verify_clients"):
-            for node, entry in snapshot.get(section, {}).items():
-                self.record_verify_cache(node, entry["hits"], entry["misses"])
-        for proxy, entry in snapshot.get("edge", {}).items():
-            self.record_edge_cache(proxy, entry["hits"], entry["misses"])
-        for name, value in snapshot.get("transport", {}).items():
-            self._transport[name] = int(value)
-
-    def record_verify_cache(self, node: str, hits: int, misses: int) -> None:
-        """Record one node's signature verify-cache counters.
-
-        Caches are per node (``PerfConfig.verify_cache_size`` sizes each), so
-        the collector keeps them per node too; re-recording a node overwrites
-        its entry (counters are cumulative on the node).
-        """
-        self._verify_caches[node] = (hits, misses)
-
-    def verify_cache_stats(self) -> Dict[str, "tuple[int, int]"]:
-        """Per-node verify-cache ``(hits, misses)`` recorded so far."""
-        return dict(self._verify_caches)
-
-    def verify_cache_totals(self) -> "tuple[int, int]":
-        """Deployment-wide ``(hits, misses)`` summed over recorded nodes."""
-        hits = sum(h for h, _ in self._verify_caches.values())
-        misses = sum(m for _, m in self._verify_caches.values())
-        return hits, misses
-
-    def transport_counters(self) -> Dict[str, int]:
-        """Reliable-channel counters from the last recorded cache snapshot."""
-        return dict(self._transport)
-
-    def record_edge_cache(self, proxy: str, hits: int, misses: int) -> None:
-        """Record one edge proxy's cache counters (cumulative; overwrites)."""
-        self._edge_caches[proxy] = (hits, misses)
-
-    def edge_cache_stats(self) -> Dict[str, "tuple[int, int]"]:
-        """Per-proxy edge-cache ``(hits, misses)`` recorded so far."""
-        return dict(self._edge_caches)
-
-    def edge_cache_totals(self) -> "tuple[int, int]":
-        """Deployment-wide edge-cache ``(hits, misses)``."""
-        hits = sum(h for h, _ in self._edge_caches.values())
-        misses = sum(m for _, m in self._edge_caches.values())
-        return hits, misses
 
     def mark_start(self, now_ms: float) -> None:
         if self._start_ms is None or now_ms < self._start_ms:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro.bft.log import LogEntry
-from repro.bft.quorum import ViewChangeCertificate
+from repro.bft.quorum import CommitCertificate, ViewChangeCertificate
 from repro.common.ids import NO_BATCH, BatchNumber, PartitionId
 from repro.recovery.checkpoint import CheckpointCertificate
 from repro.recovery.snapshot import SnapshotImage
@@ -57,3 +57,29 @@ class StateTransferReply(Message):
     view: int = 0
     view_certificate: Optional[ViewChangeCertificate] = None
     responder_tip: BatchNumber = NO_BATCH
+
+    def well_formed(self) -> bool:
+        """Do the fields have the declared shape?
+
+        Any cluster member can send a reply, so the receiver checks this
+        before its cost model or recovery session reads a field; what the
+        fields *claim* is verified afterwards, against certificates.
+        """
+
+        def optional(value: object, kind: type) -> bool:
+            return value is None or isinstance(value, kind)
+
+        return (
+            isinstance(self.view, int)
+            and isinstance(self.responder_tip, int)
+            and optional(self.image, SnapshotImage)
+            and optional(self.certificate, CheckpointCertificate)
+            and optional(self.view_certificate, ViewChangeCertificate)
+            and isinstance(self.entries, tuple)
+            and all(
+                isinstance(entry, LogEntry)
+                and isinstance(entry.seq, int)
+                and isinstance(entry.certificate, CommitCertificate)
+                for entry in self.entries
+            )
+        )

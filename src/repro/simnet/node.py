@@ -25,6 +25,11 @@ from repro.simnet.network import Network
 from repro.simnet.reliable import ReliableAck, ReliableEnvelope, ReliableTransport
 from repro.simnet.simulator import Simulator
 
+#: Entries in each signature verify cache (one per node, plus the shared
+#: registry's), so a quorum of identical votes is canonicalised and verified
+#: once per node, not ``3f + 1`` times.
+VERIFY_CACHE_SIZE = 4096
+
 
 class SimEnvironment:
     """Everything a node needs to participate in the simulation.
@@ -51,9 +56,7 @@ class SimEnvironment:
             latency_model = build_latency_model(config.latency, config.num_partitions)
             network = Network(self.simulator, latency_model, random.Random(config.seed + 1))
         self.network = network
-        self.registry = registry or KeyRegistry(
-            verify_cache_size=self.config.perf.verify_cache_size
-        )
+        self.registry = registry or KeyRegistry(VERIFY_CACHE_SIZE)
         #: Shared observability hub (repro.obs): tracer + flight recorder.
         #: The network gets a handle so deliveries can record ``net`` spans.
         self.obs = Observability(self.config.obs, lambda: self.simulator.now)
@@ -98,10 +101,8 @@ class SimNode:
         self.signer = env.new_signer(str(node_id))
         #: Per-node signature verification: the shared PKI registry behind a
         #: cache private to this node, so verify-memo memory and hit rates
-        #: are modeled per replica (``PerfConfig.verify_cache_size``).
-        self.verifier = NodeVerifier(
-            env.registry, env.config.perf.verify_cache_size
-        )
+        #: are modeled per replica.
+        self.verifier = NodeVerifier(env.registry, VERIFY_CACHE_SIZE)
         if env.config.costs.verify_cache_miss_penalty_ms > 0.0:
             self.verifier.on_miss = self._on_verify_cache_miss
         self._handlers: Dict[Type[Message], MessageHandler] = {}

@@ -2,14 +2,20 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
+from repro.common import config as config_module
 from repro.common.config import (
     BatchConfig,
     CostConfig,
+    EdgeConfig,
+    FailoverConfig,
     FreshnessConfig,
     LatencyConfig,
     PerfConfig,
+    ReliabilityConfig,
     SystemConfig,
     paper_scale_config,
     small_test_config,
@@ -87,7 +93,7 @@ class TestNestedConfigs:
 
     def test_cost_rejects_negative(self):
         with pytest.raises(ConfigurationError):
-            CostConfig(signature_verify_ms=-0.1).validate()
+            CostConfig(verify_cache_miss_penalty_ms=-0.1).validate()
 
     def test_batch_rejects_zero_size(self):
         with pytest.raises(ConfigurationError):
@@ -113,18 +119,55 @@ class TestNestedConfigs:
     def test_perf_rejects_bad_archive_bounds(self):
         with pytest.raises(ConfigurationError):
             PerfConfig(archive_max_batches=0).validate()
-        with pytest.raises(ConfigurationError):
-            PerfConfig(verify_cache_size=-1).validate()
 
     def test_failover_rejects_bad_bounds(self):
-        from repro.common.config import FailoverConfig
-
         with pytest.raises(ConfigurationError):
             FailoverConfig(progress_timeout_ms=0).validate()
-        with pytest.raises(ConfigurationError):
-            FailoverConfig(max_suspect_rounds=0).validate()
-        with pytest.raises(ConfigurationError):
-            FailoverConfig(two_pc_retry_ms=0).validate()
-        with pytest.raises(ConfigurationError):
-            FailoverConfig(two_pc_max_retries=0).validate()
         FailoverConfig().validate()  # defaults are sane
+
+
+#: Fields retired because nothing ever gave them a second value (PR 22):
+#: constants now, so the constructors refuse the names outright.
+RETIRED = {
+    CostConfig: (
+        "signature_sign_ms", "signature_verify_ms", "hash_ms", "read_op_ms",
+        "write_op_ms", "merkle_proof_per_level_ms", "conflict_check_ms",
+        "batch_base_ms", "message_handling_ms",
+    ),
+    FailoverConfig: ("max_suspect_rounds", "two_pc_retry_ms", "two_pc_max_retries"),
+    PerfConfig: ("verify_cache_size",),
+    EdgeConfig: (
+        "cache_capacity", "announce_interval_batches", "routing", "fetch_timeout_ms",
+    ),
+    ReliabilityConfig: (
+        "rebroadcast_interval_ms", "commit_retry_attempts", "commit_retry_backoff_ms",
+    ),
+}
+
+
+class TestOptionSurface:
+    @pytest.mark.parametrize(
+        "cls, name",
+        [(cls, name) for cls, names in RETIRED.items() for name in names],
+        ids=lambda value: getattr(value, "__name__", value),
+    )
+    def test_retired_names_fail_closed(self, cls, name):
+        with pytest.raises(TypeError):
+            cls(**{name: 1})
+
+    def test_option_count_is_pinned(self):
+        classes = [
+            value
+            for value in vars(config_module).values()
+            if dataclasses.is_dataclass(value)
+        ]
+        assert sum(len(dataclasses.fields(cls)) for cls in classes) == 52
+
+    def test_cost_constants_are_not_options(self):
+        assert [f.name for f in dataclasses.fields(CostConfig)] == [
+            "verify_cache_miss_penalty_ms"
+        ]
+        # ... but still one readable block the cost model reads through.
+        assert CostConfig().hash_ms == CostConfig.hash_ms == 0.001
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            CostConfig().hash_ms = 0.5

@@ -61,21 +61,28 @@ class TestCacheSnapshot:
         system = make_edge_system()
         run_some_reads(system)
         snapshot = system.cache_snapshot()
-        verify_stats = system.verify_cache_stats()
-        merged = {**snapshot["verify_replicas"], **snapshot["verify_clients"]}
-        assert verify_stats == {
-            name: (entry["hits"], entry["misses"]) for name, entry in merged.items()
+        # Every section reports the nodes' own counters, by node name.
+        assert snapshot["verify_replicas"] == {
+            str(replica.node_id): {
+                "hits": replica.verifier.cache_hits,
+                "misses": replica.verifier.cache_misses,
+            }
+            for replica in system.replicas.values()
         }
-        edge_stats = system.edge_cache_stats()
-        assert edge_stats == {
-            name: (entry["hits"], entry["misses"])
-            for name, entry in snapshot["edge"].items()
+        assert snapshot["edge"] == {
+            str(proxy.node_id): {
+                "hits": proxy.counters.cache_hits,
+                "misses": proxy.counters.cache_misses,
+            }
+            for proxy in system.proxies
         }
         # The system counters' cache fields are the replica-only totals.
         counters = system.counters()
         replica_totals = snapshot["totals"]["verify_replicas"]
         assert counters.verify_cache_hits == replica_totals["hits"]
         assert counters.verify_cache_misses == replica_totals["misses"]
+        assert counters.edge_cache_hits == snapshot["totals"]["edge"]["hits"]
+        assert counters.edge_cache_misses == snapshot["totals"]["edge"]["misses"]
 
     def test_record_event_writes_to_the_flight_recorder(self):
         system = make_edge_system()

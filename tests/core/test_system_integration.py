@@ -144,6 +144,29 @@ class TestDistributedTransactions:
         counters = system.counters()
         assert counters.distributed_committed >= 1
 
+    def test_a_deployment_on_rsa_signatures_commits_and_serves_verified_reads(self):
+        # ``crypto_backend`` is a capability, not an estimate: the same
+        # protocol over real asymmetric signatures instead of the HMAC stand-in.
+        system = make_system(crypto_backend="rsa", initial_keys=32)
+        assert all(
+            replica.signer.scheme == "rsa" for replica in system.replicas.values()
+        )
+        client = system.create_client("c1")
+        key0 = system.keys_of_partition(0)[0]
+        key1 = system.keys_of_partition(1)[0]
+        results = []
+
+        def body():
+            results.append(
+                (yield from client.read_write_txn([], {key0: b"d0", key1: b"d1"}))
+            )
+            results.append((yield from client.read_only_txn([key0, key1])))
+
+        run_transactions(system, client, [body()])
+        assert results[0].committed
+        assert results[1].verified
+        assert results[1].values == {key0: b"d0", key1: b"d1"}
+
     def test_conflicting_concurrent_distributed_transactions_one_aborts(self):
         system = make_system()
         client_a = system.create_client("alice")

@@ -8,7 +8,7 @@ per-node memory nor per-node hit rates.  PR 3 gives every node its own
 independence of those caches, their soundness (a verdict can never leak
 between tampered payloads), key-rotation invalidation across all attached
 caches, and the per-node counters surfaced through the system counters and
-the metrics collector.
+``cache_snapshot()``.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from __future__ import annotations
 from repro.common.config import BatchConfig, LatencyConfig, SystemConfig
 from repro.core.system import TransEdgeSystem
 from repro.crypto.signatures import HmacSigner, KeyRegistry, NodeVerifier
-from repro.metrics.collector import MetricsCollector
 
 
 def make_registry():
@@ -114,26 +113,17 @@ class TestPerNodeCacheMetrics:
         client.spawn(body())
         system.run_until_idle()
 
-        stats = system.verify_cache_stats()
+        snapshot = system.cache_snapshot()
         # One entry per replica (and the client), each with real traffic.
-        assert len(stats) == len(system.replicas) + 1
+        assert len(snapshot["verify_replicas"]) == len(system.replicas)
+        assert len(snapshot["verify_clients"]) == 1
         replica_stats = [
-            stats[str(rid)] for rid in system.replicas
+            snapshot["verify_replicas"][str(rid)] for rid in system.replicas
         ]
-        assert all(hits + misses > 0 for hits, misses in replica_stats)
+        assert all(entry["hits"] + entry["misses"] > 0 for entry in replica_stats)
         counters = system.counters()
-        assert counters.verify_cache_hits == sum(h for h, _ in replica_stats)
-        assert counters.verify_cache_misses == sum(m for _, m in replica_stats)
+        assert counters.verify_cache_hits == sum(e["hits"] for e in replica_stats)
+        assert counters.verify_cache_misses == sum(e["misses"] for e in replica_stats)
         # Consensus votes are re-verified across the quorum: caching pays.
         assert counters.verify_cache_hits > 0
 
-    def test_collector_records_per_node_counters(self):
-        collector = MetricsCollector()
-        collector.record_verify_cache("P0/R0", hits=10, misses=5)
-        collector.record_verify_cache("P0/R1", hits=2, misses=1)
-        collector.record_verify_cache("P0/R0", hits=12, misses=6)  # overwrite
-        assert collector.verify_cache_stats() == {
-            "P0/R0": (12, 6),
-            "P0/R1": (2, 1),
-        }
-        assert collector.verify_cache_totals() == (14, 7)

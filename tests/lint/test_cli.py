@@ -85,7 +85,7 @@ class TestLiveTree:
         monkeypatch.chdir(REPO_ROOT)
         assert main(["--self-test"]) == 0
         output = capsys.readouterr().out
-        assert "16/16 checks passed" in output
+        assert "15/15 checks passed" in output
 
 
 class TestRegressionPins:

@@ -107,14 +107,3 @@ class TestCollectorIntegration:
         assert set(summaries) == {"net", "consensus"}
         assert summaries["net"].count == 2
         assert summaries["net"].mean_ms == pytest.approx(5.0)
-
-    def test_cache_snapshot_feed(self):
-        collector = MetricsCollector()
-        collector.record_cache_snapshot({
-            "verify_replicas": {"P0/R0": {"hits": 4, "misses": 1}},
-            "verify_clients": {"c0": {"hits": 2, "misses": 3}},
-            "edge": {"E0": {"hits": 7, "misses": 3}},
-            "totals": {},
-        })
-        assert collector.verify_cache_totals() == (6, 4)
-        assert collector.edge_cache_totals() == (7, 3)

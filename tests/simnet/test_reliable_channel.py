@@ -11,7 +11,7 @@ the chaos suite.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import pytest
 
@@ -51,15 +51,16 @@ class ReliableSink:
 
 
 def make_link(**config_overrides):
-    defaults = dict(
-        ack_delay_ms=1.0,
-        retransmit_base_ms=8.0,
-        retransmit_cap_ms=64.0,
-        retransmit_jitter_fraction=0.0,
-        max_retransmits=4,
+    config = replace(
+        ReliabilityConfig(
+            ack_delay_ms=1.0,
+            retransmit_base_ms=8.0,
+            retransmit_cap_ms=64.0,
+            retransmit_jitter_fraction=0.0,
+            max_retransmits=4,
+        ),
+        **config_overrides,
     )
-    defaults.update(config_overrides)
-    config = ReliabilityConfig(**defaults)
     config.validate()
     simulator = Simulator()
     network = Network(simulator, FixedLatencyModel(1.0), random.Random(1))
