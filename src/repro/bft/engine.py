@@ -431,12 +431,8 @@ class PbftEngine:
 
     # -- certificate rebroadcast (reliable-delivery fallback) -----------------------
 
-    def _stalled_behind_gap(self) -> bool:
-        """True while deliveries are wedged on an instance this replica missed."""
-        return bool(self._buffered_pre_prepares or self._pending_deliveries) or self.is_behind()
-
     def _maybe_arm_rebroadcast(self) -> None:
-        if self._rebroadcast_timer is not None or not self._stalled_behind_gap():
+        if self._rebroadcast_timer is not None or not self.is_behind():
             return
         self._rebroadcast_timer = self._owner.schedule(
             _REBROADCAST_INTERVAL_MS, self._on_rebroadcast_timer
@@ -444,7 +440,7 @@ class PbftEngine:
 
     def _on_rebroadcast_timer(self) -> None:
         self._rebroadcast_timer = None
-        if not self._stalled_behind_gap():
+        if not self.is_behind():
             self._rebroadcast_rounds = 0
             return
         if self._next_deliver_seq > self._rebroadcast_marker:

@@ -11,16 +11,16 @@ probed, and judged by the invariant oracle suite of
 minimal reproduction and is written as a replayable JSON artifact::
 
     python -m repro.chaos --seeds 25            # fuzz seeds 0..24
-    python -m repro.chaos --seed 7              # one seed, verbose
+    python -m repro.chaos --seed 7              # one seed
     python -m repro.chaos --replay chaos-repro-7.json
 
 Everything is derived from the seed and the plan alone — no wall clock, no
 unseeded randomness — so two runs of the same seed are bit-identical, and a
 ``chaos-repro-<seed>.json`` artifact reproduces on any machine.
 
-On top of the serial runner sits the *fleet* (:mod:`repro.chaos.fleet`):
-worker-pool parallel sweeps whose merged results are byte-identical to the
-serial ones, and coverage-guided mutation sessions that grow a persisted
+Every sweep goes through the *fleet* (:mod:`repro.chaos.fleet`): in-process
+or worker-pool execution whose merged results are byte-identical at any
+worker count, and coverage-guided mutation sessions that grow a persisted
 corpus (:mod:`repro.chaos.corpus`) of rare-path plans, each entry doubling
 as a standing determinism oracle.
 """

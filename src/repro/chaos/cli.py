@@ -2,8 +2,8 @@
 
 Fuzzing loop, bug self-tests and artifact replay::
 
-    python -m repro.chaos --seeds 25                   # seeds 0..24, serial
-    python -m repro.chaos --fleet --workers 4 --seeds 25   # same sweep, pooled
+    python -m repro.chaos --seeds 25                   # seeds 0..24, in-process
+    python -m repro.chaos --seeds 25 --workers 4       # same sweep, pooled
     python -m repro.chaos --seed 7                     # one seed
     python -m repro.chaos --seeds 10 --inject-bug no-dependency-repair
     python -m repro.chaos --replay chaos-repro-7.json  # re-run an artifact
@@ -48,9 +48,8 @@ from repro.chaos.fleet import (
     run_seed_fleet,
     seed_corpus,
 )
-from repro.chaos.plan import ChaosPlan, plan_from_seed
+from repro.chaos.plan import ChaosPlan
 from repro.chaos.runner import ChaosReport, run_plan
-from repro.chaos.shrink import shrink_plan
 
 ARTIFACT_VERSION = 3  # v3: health summary + fault windows (v2 added black box)
 
@@ -282,13 +281,9 @@ def main(argv: "List[str] | None" = None) -> int:
                         help="per-run simulator event budget")
     parser.add_argument("--max-shrink-runs", type=int, default=80,
                         help="re-run budget for the shrinker")
-    parser.add_argument("--verbose", action="store_true",
-                        help="print shrink progress")
-    parser.add_argument("--fleet", action="store_true",
-                        help="run the sweep through the worker-pool fleet "
-                             "(fingerprints identical to the serial sweep)")
     parser.add_argument("--workers", type=int, default=1, metavar="N",
-                        help="fleet worker processes (default: 1)")
+                        help="fleet worker processes (default: 1, in-process; "
+                             "results are identical at any count)")
     parser.add_argument("--corpus", metavar="DIR", default=".chaos-corpus",
                         help="coverage corpus directory (default: .chaos-corpus)")
     parser.add_argument("--corpus-replay", action="store_true",
@@ -311,7 +306,8 @@ def main(argv: "List[str] | None" = None) -> int:
             print(f"  {name}: {BUGS[name].description}")
         return 0
 
-    bug = get_bug(args.inject_bug) if args.inject_bug else None
+    if args.inject_bug:
+        get_bug(args.inject_bug)  # an unknown name fails here, not in a worker
 
     if args.replay:
         document = load_artifact(args.replay)
@@ -365,58 +361,7 @@ def main(argv: "List[str] | None" = None) -> int:
     if not seeds:
         parser.error("nothing to do: pass --seeds N, --seed S or --replay PATH")
 
-    if args.fleet or args.workers > 1:
-        return _run_fleet_sweep(args, seeds)
-
-    failures = 0
-    twins: "Counter[str]" = Counter()
-    for seed in seeds:
-        plan = plan_from_seed(seed)
-        started = time.time()
-        report = run_plan(
-            plan,
-            bug=bug,
-            max_events=args.max_events,
-            monitor=not args.no_monitor,
-            perf_oracle=not args.no_monitor,
-        )
-        elapsed = time.time() - started
-        print(report.summary_line() + f"  [{elapsed:.1f}s wall]")
-        twins[_twin_label(report)] += 1
-        if report.ok:
-            continue
-        failures += 1
-        _print_failures(report)
-        shrink_runs = 0
-        if not args.no_shrink:
-            log = print if args.verbose else None
-            result = shrink_plan(
-                plan,
-                report,
-                bug=bug,
-                max_runs=args.max_shrink_runs,
-                max_events=args.max_events,
-                monitor=not args.no_monitor,
-                perf_oracle=not args.no_monitor,
-                log=log,
-            )
-            plan, report, shrink_runs = result.plan, result.report, result.runs
-            print(
-                f"  shrunk to {len(plan.faults)} fault event(s), "
-                f"{len(plan.segments)} segment(s) in {result.runs} runs"
-            )
-        path = write_artifact(
-            args.artifact_dir, plan, report, args.inject_bug, shrink_runs
-        )
-        print(f"  wrote {path}")
-        print(f"  replay: python -m repro.chaos --replay {path}")
-
-    _print_twins(twins)
-    if failures:
-        print(f"{failures}/{len(seeds)} seed(s) failed")
-        return 1
-    print(f"all {len(seeds)} seed(s) passed every oracle")
-    return 0
+    return _run_fleet_sweep(args, seeds)
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via CLI

@@ -40,6 +40,10 @@ class MemoisedValue:
         return {name: state[name] for name in self.__dataclass_fields__}
 
 
+#: For ``isinstance(field, (Kind, NoneType))`` in the ``well_formed()`` checks.
+NoneType = type(None)
+
+
 def as_value(data: "bytes | str") -> Value:
     """Coerce ``data`` to the canonical value representation (``bytes``)."""
     if isinstance(data, bytes):

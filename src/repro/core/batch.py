@@ -25,7 +25,7 @@ from typing import Dict, Mapping, Optional, Tuple
 
 from repro.bft.quorum import CommitCertificate
 from repro.common.ids import NO_BATCH, BatchNumber, PartitionId
-from repro.common.types import Key, MemoisedValue, Value
+from repro.common.types import Key, MemoisedValue, NoneType, Value
 from repro.crypto.hashing import Digest, Encoded, digest_of
 from repro.crypto.signatures import KeyRegistry, Signature
 from repro.core.cdvector import CDVector, combine_all
@@ -88,6 +88,18 @@ class PreparedVote:
         """Canonical payload a negative vote's signature covers."""
         return ["abort-vote", self.txn_id, int(self.partition)]
 
+    def well_formed(self) -> bool:
+        """Do the fields have the declared shape?  (What they claim is verified after.)"""
+        return (
+            isinstance(self.txn_id, str)
+            and isinstance(self.partition, int)
+            and isinstance(self.vote, bool)
+            and isinstance(self.prepare_batch, int)
+            and isinstance(self.cd_vector, (CDVector, NoneType))
+            and isinstance(self.header, (CertifiedHeader, NoneType))
+            and isinstance(self.signature, (Signature, NoneType))
+        )
+
 
 @dataclass(frozen=True)
 class CommitRecord(MemoisedValue):
@@ -109,6 +121,25 @@ class CommitRecord(MemoisedValue):
     @property
     def committed(self) -> bool:
         return self.decision
+
+    def well_formed(self) -> bool:
+        """Do the record and every vote in it have the declared shape?"""
+        return self._well_formed
+
+    @cached_property
+    def _well_formed(self) -> bool:
+        # Asked by every cluster the record is sent to, answered once.
+        return (
+            isinstance(self.txn, TxnPayload)
+            and isinstance(self.coordinator, int)
+            and isinstance(self.decision, bool)
+            and isinstance(self.prepare_batch, int)
+            and isinstance(self.votes, Mapping)
+            and all(
+                isinstance(partition, int) and isinstance(vote, PreparedVote) and vote.well_formed()
+                for partition, vote in self.votes.items()
+            )
+        )
 
     def payload(self) -> dict:
         return {

@@ -516,7 +516,12 @@ class TransEdgeClient(ProcessNode):
                         },
                     )
         if snapshots is None:
-            snapshots, verified = yield from self._direct_round1(grouped)
+            # A partition nobody answers verifiably keeps its empty snapshot.
+            snapshots = {
+                partition: PartitionSnapshot(partition, tuple(sorted(grouped[partition])))
+                for partition in sorted(grouped)
+            }
+            verified = yield from self._core_round(grouped, snapshots)
             if stale_suspicion is not None:
                 self._judge_stale_suspicion(stale_suspicion, snapshots)
 
@@ -536,9 +541,7 @@ class TransEdgeClient(ProcessNode):
                 self.stats.read_only_second_rounds += 1
             else:
                 self.stats.read_only_extra_repair_rounds += 1
-            repaired = yield from self._dependency_repair_round(
-                grouped, snapshots, required
-            )
+            repaired = yield from self._core_round(grouped, snapshots, required)
             verified = verified and repaired
             if not repaired:
                 break
@@ -560,32 +563,44 @@ class TransEdgeClient(ProcessNode):
             served_by_edge=served_by_edge,
         )
 
-    def _direct_round1(
-        self, grouped: Mapping[PartitionId, Sequence[Key]]
-    ) -> Generator[object, object, Tuple[Dict[PartitionId, PartitionSnapshot], bool]]:
-        """Round 1 against the core: one request per accessed partition."""
-        ordered_partitions = sorted(grouped)
+    def _core_round(
+        self,
+        grouped: Mapping[PartitionId, Sequence[Key]],
+        snapshots: Dict[PartitionId, PartitionSnapshot],
+        required: Optional[Mapping[PartitionId, BatchNumber]] = None,
+    ) -> Generator[object, object, bool]:
+        """One round against the core: a request per partition, each reply verified.
+
+        Round 1 (``required`` is None) asks every accessed partition for its
+        current snapshot; a dependency-repair round asks only the lagging
+        partitions for the snapshot naming their dependency.  Verified
+        snapshots replace the partition's entry in ``snapshots``; returns
+        whether every asked partition produced one.
+        """
+        needs = dict.fromkeys(grouped) if required is None else required
+        asked = [(p, tuple(sorted(grouped[p])), needs[p]) for p in sorted(needs)]
         calls = [
-            self._leader_call(
-                partition, ReadOnlyRequest(keys=tuple(sorted(grouped[partition])))
-            )
-            for partition in ordered_partitions
+            self._leader_call(partition, self._snapshot_request(keys, need))
+            for partition, keys, need in asked
         ]
         replies = yield Gather(calls, timeout_ms=self._request_timeout_ms)
-
-        snapshots: Dict[PartitionId, PartitionSnapshot] = {}
         verified = True
-        for partition, reply in zip(ordered_partitions, replies):
-            snapshot = yield from self._verified_snapshot(
-                partition, tuple(sorted(grouped[partition])), reply, is_round_two=False
-            )
+        for (partition, keys, need), reply in zip(asked, replies):
+            snapshot = yield from self._verified_snapshot(partition, keys, reply, need)
             if snapshot is None:
                 verified = False
-                snapshot = PartitionSnapshot(
-                    partition=partition, keys=tuple(sorted(grouped[partition]))
-                )
-            snapshots[partition] = snapshot
-        return snapshots, verified
+            else:
+                snapshots[partition] = snapshot
+        return verified
+
+    @staticmethod
+    def _snapshot_request(
+        keys: Tuple[Key, ...], required: Optional[BatchNumber]
+    ) -> RequestMessage:
+        """Round 1's request, or the repair round's when a dependency is named."""
+        if required is None:
+            return ReadOnlyRequest(keys=keys)
+        return SnapshotRequest(keys=keys, required_prepare_batch=required)
 
     def _edge_round1(
         self, proxy: EdgeProxyId, grouped: Mapping[PartitionId, Sequence[Key]]
@@ -678,48 +693,12 @@ class TransEdgeClient(ProcessNode):
         if direct.batch_number > served_batch + self.config.edge.max_header_lag_batches:
             self._blacklist_proxy(proxy)
 
-    def _dependency_repair_round(
-        self,
-        grouped: Mapping[PartitionId, Sequence[Key]],
-        snapshots: Dict[PartitionId, PartitionSnapshot],
-        required: Mapping[PartitionId, BatchNumber],
-    ) -> Generator[object, object, bool]:
-        """Round 2: ask lagging partitions for the dependency-naming snapshot."""
-        round2_calls = []
-        round2_partitions = sorted(required)
-        for partition in round2_partitions:
-            round2_calls.append(
-                self._leader_call(
-                    partition,
-                    SnapshotRequest(
-                        keys=tuple(sorted(grouped[partition])),
-                        required_prepare_batch=required[partition],
-                    ),
-                )
-            )
-        round2_replies = yield Gather(round2_calls, timeout_ms=self._request_timeout_ms)
-        verified = True
-        for partition, reply in zip(round2_partitions, round2_replies):
-            snapshot = yield from self._verified_snapshot(
-                partition,
-                tuple(sorted(grouped[partition])),
-                reply,
-                is_round_two=True,
-                required=required[partition],
-            )
-            if snapshot is None:
-                verified = False
-            else:
-                snapshots[partition] = snapshot
-        return verified
-
     def _verified_snapshot(
         self,
         partition: PartitionId,
         keys: Tuple[Key, ...],
         reply: object,
-        is_round_two: bool,
-        required: BatchNumber = NO_BATCH,
+        required: Optional[BatchNumber],
     ) -> Generator[object, object, Optional[PartitionSnapshot]]:
         """Turn a reply into a verified snapshot, retrying other replicas on failure.
 
@@ -727,7 +706,7 @@ class TransEdgeClient(ProcessNode):
         (bad proof, forged header) the client simply asks another member of
         the same cluster.
         """
-        reply_type = SnapshotReply if is_round_two else ReadOnlyReply
+        reply_type = ReadOnlyReply if required is None else SnapshotReply
         candidates = [
             member
             for member in self.topology.members(partition)
@@ -754,11 +733,11 @@ class TransEdgeClient(ProcessNode):
                 return None
             replica = candidates[attempt]
             attempt += 1
-            if is_round_two:
-                request = SnapshotRequest(keys=keys, required_prepare_batch=required)
-            else:
-                request = ReadOnlyRequest(keys=keys)
-            reply = yield Call(replica, request, timeout_ms=self._request_timeout_ms)
+            reply = yield Call(
+                replica,
+                self._snapshot_request(keys, required),
+                timeout_ms=self._request_timeout_ms,
+            )
 
     # ------------------------------------------------------------------
     # Baseline 1: read-only transactions as regular 2PC/BFT transactions

@@ -13,8 +13,8 @@ cannot lie about a step it never persisted (Section 3.3).
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 from repro.common.ids import NO_BATCH, BatchNumber, NodeId, PartitionId, ReplicaId
 from repro.common.types import TxnStatus
@@ -35,6 +35,7 @@ from repro.core.messages import (
     ParticipantPrepared,
 )
 from repro.core.occ import KeyConflictIndex
+from repro.core.prepared import PrepareGroup
 from repro.core.transaction import TxnPayload
 from repro.obs.trace import Span, TraceContext
 from repro.simnet.messages import Message
@@ -58,27 +59,6 @@ class _WaitingClient:
     request_id: str
 
 
-@dataclass
-class _CoordinatorState:
-    """Coordinator-side 2PC bookkeeping for one distributed transaction."""
-
-    txn: TxnPayload
-    participants: FrozenSet[PartitionId]
-    votes: Dict[PartitionId, PreparedVote] = field(default_factory=dict)
-    own_vote: Optional[PreparedVote] = None
-    prepare_batch: BatchNumber = NO_BATCH
-    decided: bool = False
-
-
-@dataclass
-class _ParticipantState:
-    """Participant-side 2PC bookkeeping for one distributed transaction."""
-
-    txn: TxnPayload
-    coordinator: PartitionId
-    prepare_batch: BatchNumber = NO_BATCH
-
-
 class LeaderRole:
     """Batch building and 2PC coordination for one partition's leader."""
 
@@ -88,8 +68,15 @@ class LeaderRole:
         self._in_progress_prepared: List[PreparedRecord] = []
         self._in_progress_index = KeyConflictIndex(replica.partition, replica.partitioner)
         self._waiting_clients: Dict[str, _WaitingClient] = {}
-        self._coordinator_states: Dict[str, _CoordinatorState] = {}
-        self._participant_states: Dict[str, _ParticipantState] = {}
+        #: All the 2PC state a leader holds that is not in the SMR log: the
+        #: votes collected so far for each transaction it coordinates, and
+        #: the prepares it admitted as participant and has not seen decided.
+        #: Every other 2PC fact — this cluster's own vote, the participants,
+        #: "decided" — is derived where it is used from the replicated
+        #: prepare group and its certified header, so the leader that wrote
+        #: a prepare and a successor resuming it run the same code.
+        self._votes: Dict[str, Dict[PartitionId, PreparedVote]] = {}
+        self._participating: Set[str] = set()
         self._consensus_in_flight = False
         self._seal_timer = None
         self._twopc_timer = None
@@ -166,6 +153,49 @@ class LeaderRole:
         vote = PreparedVote(txn_id=txn_id, partition=self._partition, vote=False)
         return dataclasses.replace(
             vote, signature=self._replica.signer.sign(vote.abort_signing_payload())
+        )
+
+    def _participants(self, txn: TxnPayload) -> List[PartitionId]:
+        """The other clusters a transaction coordinated here touches, in order."""
+        return sorted(txn.partitions(self._partitioner) - {self._partition})
+
+    def _own_vote(self, txn_id: str, group: PrepareGroup) -> Optional[PreparedVote]:
+        """This cluster's positive vote for a prepare written in ``group``.
+
+        The vote's proof is the certified header of the batch that wrote the
+        prepare, so the vote is a function of the replicated state alone:
+        whoever leads the cluster builds the same one.  ``None`` when that
+        header is genuinely absent (see :attr:`unresumable`).
+        """
+        header = self._replica.header_at(group.batch_number)
+        if header is None:
+            return None
+        return PreparedVote(
+            txn_id=txn_id,
+            partition=self._partition,
+            vote=True,
+            prepare_batch=group.batch_number,
+            cd_vector=header.cd_vector,
+            header=header,
+        )
+
+    def _reply_outcome(
+        self, waiting: _WaitingClient, txn_id: str, batch: BatchNumber, committed: bool = True
+    ) -> None:
+        """Answer a client from its transaction's replicated outcome.
+
+        ``batch`` delivered the outcome: a local transaction (always
+        committed) or a distributed one's commit record and its decision.
+        """
+        self._send_commit_reply(
+            waiting.client,
+            CommitReply(
+                request_id=waiting.request_id,
+                txn_id=txn_id,
+                status=TxnStatus.COMMITTED if committed else TxnStatus.ABORTED,
+                commit_batch=batch if committed else NO_BATCH,
+                abort_reason="" if committed else "a participant voted to abort",
+            ),
         )
 
     def _reply_abort(self, txn: TxnPayload, waiting: _WaitingClient, reason: str) -> None:
@@ -275,7 +305,7 @@ class LeaderRole:
     def on_commit_request(self, message: CommitRequest, src: NodeId) -> None:
         txn = message.txn
         waiting = _WaitingClient(client=src, request_id=message.request_id)
-        if txn is None:
+        if self._replica.rejects_malformed(message, src) or txn is None:
             return
         if not self._replica.is_leader:
             self._reply_abort(txn, waiting, "not the current leader of this partition")
@@ -309,10 +339,7 @@ class LeaderRole:
         if len(accessed) == 1:
             self._in_progress_local.append(txn)
         else:
-            participants = frozenset(accessed - {self._partition})
-            self._coordinator_states[txn.txn_id] = _CoordinatorState(
-                txn=txn, participants=participants
-            )
+            self._votes[txn.txn_id] = {}
             self._in_progress_prepared.append(
                 PreparedRecord(txn=txn, coordinator=self._partition)
             )
@@ -337,29 +364,11 @@ class LeaderRole:
         decided = replica.decided.get(txn_id)
         if decided is not None:
             commit_batch, record = decided
-            status = TxnStatus.COMMITTED if record.decision else TxnStatus.ABORTED
-            self._send_commit_reply(
-                waiting.client,
-                CommitReply(
-                    request_id=waiting.request_id,
-                    txn_id=txn_id,
-                    status=status,
-                    commit_batch=commit_batch if record.decision else NO_BATCH,
-                    abort_reason="" if record.decision else "a participant voted to abort",
-                ),
-            )
+            self._reply_outcome(waiting, txn_id, commit_batch, record.decision)
             return True
         local_batch = replica.local_decided.get(txn_id)
         if local_batch is not None:
-            self._send_commit_reply(
-                waiting.client,
-                CommitReply(
-                    request_id=waiting.request_id,
-                    txn_id=txn_id,
-                    status=TxnStatus.COMMITTED,
-                    commit_batch=local_batch,
-                ),
-            )
+            self._reply_outcome(waiting, txn_id, local_batch)
             return True
         if txn_id in self._waiting_clients:
             # Already admitted here and still in flight: answer the newest
@@ -380,18 +389,23 @@ class LeaderRole:
     # ------------------------------------------------------------------
 
     def on_coordinator_prepare(self, message: CoordinatorPrepare, src: NodeId) -> None:
-        txn = message.txn
-        if txn is None or not self._replica.is_leader:
+        txn, replica = message.txn, self._replica
+        if replica.rejects_malformed(message, src) or txn is None or not replica.is_leader:
             return
-        if self._replica.recovery.in_progress:
+        if message.coordinator not in txn.partitions(self._partitioner):
+            return  # names no cluster that could be coordinating this transaction
+        if replica.recovery.in_progress:
             # State not authoritative yet; the coordinator's 2PC retry timer
             # re-sends the prepare.
             return
-        if txn.txn_id in self._participant_states:
+        group = replica.prepared_batches.group_of_txn(txn.txn_id)
+        if group is not None or txn.txn_id in self._participating:
             # Duplicate from a retrying (or freshly elected) coordinator
-            # leader whose predecessor lost our vote: re-send it once the
-            # prepare has been written, instead of staying silent forever.
-            self._resend_participant_vote(txn.txn_id)
+            # leader whose predecessor lost our vote — admitted here, or
+            # prepared under a previous leader of *this* cluster (the group
+            # is replicated state): send the vote the written prepare stands
+            # for rather than re-admit or stay silent forever.
+            self._send_vote(txn.txn_id)
             return
         decided = self._replica.decided.get(txn.txn_id)
         if decided is not None:
@@ -402,12 +416,6 @@ class LeaderRole:
                 self._leader_of(message.coordinator),
                 DecisionMessage(record=record, commit_batch=commit_batch),
             )
-            return
-        group = self._replica.prepared_batches.group_of_txn(txn.txn_id)
-        if group is not None:
-            # Prepared under a previous leader of *this* cluster (the group
-            # is replicated state); rebuild the vote rather than re-admit.
-            self._resend_recovered_vote(txn.txn_id, group.batch_number, message.coordinator)
             return
         # Verify the prepare really went through the coordinator cluster's consensus.
         if message.header is None or not message.header.verify(
@@ -431,9 +439,7 @@ class LeaderRole:
             )
             return
 
-        self._participant_states[txn.txn_id] = _ParticipantState(
-            txn=txn, coordinator=message.coordinator
-        )
+        self._participating.add(txn.txn_id)
         self._obs_participant_admit(txn.txn_id, message)
         self._in_progress_index.add(txn)
         self._acquire_write_locks(txn)
@@ -447,60 +453,70 @@ class LeaderRole:
     # ------------------------------------------------------------------
 
     def on_participant_prepared(self, message: ParticipantPrepared, src: NodeId) -> None:
-        vote = message.vote
-        if vote is None or not self._replica.is_leader:
+        vote, replica = message.vote, self._replica
+        if replica.rejects_malformed(message, src) or vote is None or not replica.is_leader:
             return
-        state = self._coordinator_states.get(vote.txn_id)
-        if state is None or state.decided:
+        votes = self._votes.get(vote.txn_id)
+        group = replica.prepared_batches.group_of_txn(vote.txn_id)
+        if votes is None or group is None or vote.txn_id in group.decisions:
             return
+        if vote.partition not in self._participants(group.records[vote.txn_id].txn):
+            return
+        members = replica.topology.members(vote.partition)
         if vote.vote:
             # A positive vote must prove the prepare went through the
             # participant cluster's consensus.
             valid = vote.header is not None and vote.header.verify(
-                self._replica.verifier,
-                self._replica.topology.members(vote.partition),
-                self._replica.config.certificate_size,
+                replica.verifier, members, replica.config.certificate_size
             )
-            if not valid:
-                # An unverifiable vote is *no* vote: this coordinator cannot
-                # sign a negative vote on the participant's behalf (abort
-                # records require the voting cluster's signature), so it
-                # waits and re-solicits through the 2PC retry timer instead
-                # of fabricating an abort it could never justify.
-                return
-        state.votes[vote.partition] = vote
-        self._maybe_decide(state)
+        else:
+            # A negative one must be attributable to the cluster it names:
+            # the structural half of what every validator demands of an abort
+            # record (``_validate_commit_record``), or sealing it gets this
+            # leader voted out over a forgery anyone could have sent it.
+            valid = vote.signature is not None and vote.signature.signer in map(str, members)
+        if not valid:
+            # An unverifiable vote is *no* vote: this coordinator cannot
+            # sign a negative vote on the participant's behalf (abort
+            # records require the voting cluster's signature), so it
+            # waits and re-solicits through the 2PC retry timer instead
+            # of fabricating an abort it could never justify.
+            return
+        votes[vote.partition] = vote
+        self._maybe_decide(vote.txn_id, group)
 
-    def _maybe_decide(self, state: _CoordinatorState) -> None:
-        if state.decided or state.own_vote is None:
+    def _maybe_decide(self, txn_id: str, group: PrepareGroup) -> None:
+        """Record the decision once every participant's vote is in."""
+        if txn_id in group.decisions:
             return
-        if not state.participants <= set(state.votes):
+        votes = self._votes[txn_id]
+        txn = group.records[txn_id].txn
+        if not votes.keys() >= set(self._participants(txn)):
             return
-        decision = all(vote.vote for vote in state.votes.values())
-        all_votes = dict(state.votes)
-        all_votes[self._partition] = state.own_vote
+        own_vote = self._own_vote(txn_id, group)
+        if own_vote is None:
+            return
         record = CommitRecord(
-            txn=state.txn,
+            txn=txn,
             coordinator=self._partition,
-            decision=decision,
-            prepare_batch=state.prepare_batch,
-            votes=all_votes,
+            decision=all(vote.vote for vote in votes.values()),
+            prepare_batch=group.batch_number,
+            votes={**votes, self._partition: own_vote},
         )
-        state.decided = True
         self._replica.prepared_batches.record_decision(record)
         self._ensure_seal_scheduled()
 
     def on_decision(self, message: DecisionMessage, src: NodeId) -> None:
-        record = message.record
-        if record is None or not self._replica.is_leader:
+        record, replica = message.record, self._replica
+        if replica.rejects_malformed(message, src) or record is None or not replica.is_leader:
             return
-        group = self._replica.prepared_batches.group_of_txn(record.txn.txn_id)
+        group = replica.prepared_batches.group_of_txn(record.txn.txn_id)
         if group is None:
             return  # we never prepared it (e.g. we voted no), nothing to do
         if record.txn.txn_id in group.decisions:
             return  # duplicate decision
         self._replica.prepared_batches.record_decision(record)
-        self._participant_states.pop(record.txn.txn_id, None)
+        self._participating.discard(record.txn.txn_id)
         self._ensure_seal_scheduled()
 
     # ------------------------------------------------------------------
@@ -544,74 +560,54 @@ class LeaderRole:
         if retriable:
             self._ensure_twopc_timer()
 
-    def _redrive_coordinated(self, txn_id: str, record: PreparedRecord) -> None:
-        """Coordinator side: re-solicit the votes we are missing.
+    def _redrive_coordinated(
+        self, txn_id: str, record: PreparedRecord, first: bool = False
+    ) -> None:
+        """Coordinator side: send the written prepare to every participant yet to vote.
 
-        The vote collection is leader-volatile by design; a leader elected
-        after a crash rebuilds it from the replicated prepare group and the
-        retained certified header of the prepare batch, then re-sends
-        ``CoordinatorPrepare`` to every participant without a recorded vote
+        The one path for a 2PC prepare, whether this leader just delivered
+        the batch that wrote it (``first``), is re-soliciting votes it is
+        still missing, or was elected after its predecessor crashed: the
+        message is built from the replicated prepare group and the retained
+        certified header of the prepare batch, never from leader memory
         (participants answer duplicates by re-sending their vote).
         """
-        replica = self._replica
-        state = self._coordinator_states.get(txn_id)
-        if state is None:
-            group = replica.prepared_batches.group_of_txn(txn_id)
-            if group is None:
-                return
-            header = replica.header_at(group.batch_number)
-            if header is None:
-                # The coordinator-side vote's proof is the prepare batch's
-                # certified header, and it is gone.  Checkpoint GC pins
-                # headers of undecided prepare batches past the retention
-                # window and the checkpoint image carries them across
-                # restores, so an honest replica never lands here; report it
-                # loudly — the participants' own DecisionQuery path remains
-                # their only way out.
-                self._note_unresumable(
-                    txn_id,
+        group = self._replica.prepared_batches.group_of_txn(txn_id)
+        if group is None:
+            return
+        own_vote = self._own_vote(txn_id, group)
+        if own_vote is None:
+            # The coordinator-side vote's proof is the prepare batch's
+            # certified header, and it is gone.  Checkpoint GC pins
+            # headers of undecided prepare batches past the retention
+            # window and the checkpoint image carries them across
+            # restores, so an honest replica never lands here; report it
+            # loudly — the participants' own DecisionQuery path remains
+            # their only way out.
+            if txn_id not in self.unresumable:
+                self.unresumable[txn_id] = (
                     f"prepare batch {group.batch_number} header not retained "
                     f"(pruned past the retention window and absent from the "
-                    f"checkpoint image); coordination cannot be resumed",
+                    f"checkpoint image); coordination cannot be resumed"
                 )
-                return
-            state = _CoordinatorState(
+                self._replica.counters.two_pc_unresumable += 1
+            return
+        votes = self._votes.setdefault(txn_id, {})
+        for participant in self._participants(record.txn):
+            if participant in votes:
+                continue
+            prepare = CoordinatorPrepare(
                 txn=record.txn,
-                participants=frozenset(
-                    record.txn.partitions(self._partitioner) - {self._partition}
-                ),
+                coordinator=self._partition,
                 prepare_batch=group.batch_number,
+                header=own_vote.header,
             )
-            state.own_vote = PreparedVote(
-                txn_id=txn_id,
-                partition=self._partition,
-                vote=True,
-                prepare_batch=group.batch_number,
-                cd_vector=header.cd_vector,
-                header=header,
-            )
-            self._coordinator_states[txn_id] = state
-        if state.decided or state.own_vote is None:
-            return
-        header = state.own_vote.header
-        for participant in sorted(state.participants - set(state.votes)):
-            self._replica.send(
-                self._leader_of(participant),
-                CoordinatorPrepare(
-                    txn=state.txn,
-                    coordinator=self._partition,
-                    prepare_batch=state.prepare_batch,
-                    header=header,
-                ),
-            )
-        self._maybe_decide(state)
-
-    def _note_unresumable(self, txn_id: str, reason: str) -> None:
-        """Record (once per transaction) that a coordination cannot resume."""
-        if txn_id in self.unresumable:
-            return
-        self.unresumable[txn_id] = reason
-        self._replica.counters.two_pc_unresumable += 1
+            if first:
+                # Only the first solicitation joins the transaction's trace;
+                # a re-sent prepare is untraced protocol traffic.
+                self._obs_stamp(txn_id, prepare)
+            self._replica.send(self._leader_of(participant), prepare)
+        self._maybe_decide(txn_id, group)
 
     def _redrive_participated(self, txn_id: str, record: PreparedRecord) -> None:
         """Participant side: re-send our vote and ask anyone for the decision.
@@ -623,40 +619,27 @@ class LeaderRole:
         that delivered the commit record answers.
         """
         replica = self._replica
-        group = replica.prepared_batches.group_of_txn(txn_id)
-        if group is not None:
-            self._resend_recovered_vote(txn_id, group.batch_number, record.coordinator)
+        self._send_vote(txn_id)
         for member in replica.topology.members(record.coordinator):
             replica.send(
                 member, DecisionQuery(txn_id=txn_id, partition=record.coordinator)
             )
 
-    def _resend_participant_vote(self, txn_id: str) -> None:
-        """Answer a duplicate ``CoordinatorPrepare`` with our existing vote."""
-        state = self._participant_states.get(txn_id)
-        if state is None or state.prepare_batch == NO_BATCH:
-            return  # prepare not written yet; the vote follows delivery
-        self._resend_recovered_vote(txn_id, state.prepare_batch, state.coordinator)
+    def _send_vote(self, txn_id: str) -> None:
+        """Participant side: send this cluster's vote, first time or again.
 
-    def _resend_recovered_vote(
-        self, txn_id: str, prepare_batch: BatchNumber, coordinator: PartitionId
-    ) -> None:
-        """Rebuild and send the positive vote written in ``prepare_batch``."""
-        replica = self._replica
-        header = replica.header_at(prepare_batch)
-        if header is None:
-            return  # pruned past retention; the coordinator must query decisions
-        vote = PreparedVote(
-            txn_id=txn_id,
-            partition=self._partition,
-            vote=True,
-            prepare_batch=prepare_batch,
-            cd_vector=header.cd_vector,
-            header=header,
-        )
-        replica.send(
-            self._leader_of(coordinator), ParticipantPrepared(vote=vote, header=header)
-        )
+        Nothing is sent until the prepare is written (the vote follows its
+        delivery) or when its header is gone (pruned past retention; the
+        coordinator must query decisions).
+        """
+        group = self._replica.prepared_batches.group_of_txn(txn_id)
+        vote = self._own_vote(txn_id, group) if group is not None else None
+        if vote is None:
+            return
+        prepared = ParticipantPrepared(vote=vote, header=vote.header)
+        self._obs_stamp(txn_id, prepared)
+        self._obs_ctx.pop(txn_id, None)
+        self._replica.send(self._leader_of(group.records[txn_id].coordinator), prepared)
 
     # ------------------------------------------------------------------
     # batch sealing
@@ -817,12 +800,12 @@ class LeaderRole:
         reason = reason or "conflict discovered while sealing the batch"
         self._release_write_locks(txn_id)
         if record.coordinator == self._partition:
-            self._coordinator_states.pop(txn_id, None)
+            self._votes.pop(txn_id, None)
             waiting = self._waiting_clients.pop(txn_id, None)
             if waiting is not None:
                 self._reply_abort(record.txn, waiting, reason)
         else:
-            self._participant_states.pop(txn_id, None)
+            self._participating.discard(txn_id)
             prepared = ParticipantPrepared(vote=self._abort_vote(txn_id))
             self._obs_stamp(txn_id, prepared)
             self._obs_ctx.pop(txn_id, None)
@@ -864,22 +847,18 @@ class LeaderRole:
             self._release_write_locks(txn.txn_id)
             waiting = self._waiting_clients.pop(txn.txn_id, None)
             if waiting is not None:
-                self._send_commit_reply(
-                    waiting.client,
-                    CommitReply(
-                        request_id=waiting.request_id,
-                        txn_id=txn.txn_id,
-                        status=TxnStatus.COMMITTED,
-                        commit_batch=seq,
-                    ),
-                )
+                self._reply_outcome(waiting, txn.txn_id, seq)
 
         # Newly prepared distributed transactions: drive the next 2PC step.
+        # Only for prepares admitted here, as ever: one a predecessor sealed
+        # waits for the 2PC retry timer like every other resumed coordination.
         for record in batch.prepared:
-            if record.coordinator == self._partition:
-                self._after_coordinator_prepare_written(record, seq, header)
-            else:
-                self._after_participant_prepare_written(record, seq, header)
+            txn_id = record.txn.txn_id
+            if record.coordinator != self._partition:
+                if txn_id in self._participating:
+                    self._send_vote(txn_id)
+            elif txn_id in self._votes:
+                self._redrive_coordinated(txn_id, record, first=True)
 
         # Commit records written in this batch: inform participants and clients.
         for record in batch.committed:
@@ -893,79 +872,17 @@ class LeaderRole:
         # retry timer will notice if its decisions stop arriving.
         self._ensure_twopc_timer()
 
-    def _after_coordinator_prepare_written(
-        self, record: PreparedRecord, seq: BatchNumber, header: CertifiedHeader
-    ) -> None:
-        state = self._coordinator_states.get(record.txn.txn_id)
-        if state is None:
-            return
-        state.prepare_batch = seq
-        state.own_vote = PreparedVote(
-            txn_id=record.txn.txn_id,
-            partition=self._partition,
-            vote=True,
-            prepare_batch=seq,
-            cd_vector=header.cd_vector,
-            header=header,
-        )
-        for participant in state.participants:
-            prepare = CoordinatorPrepare(
-                txn=record.txn,
-                coordinator=self._partition,
-                prepare_batch=seq,
-                header=header,
-            )
-            self._obs_stamp(record.txn.txn_id, prepare)
-            self._replica.send(self._leader_of(participant), prepare)
-        self._maybe_decide(state)
-
-    def _after_participant_prepare_written(
-        self, record: PreparedRecord, seq: BatchNumber, header: CertifiedHeader
-    ) -> None:
-        state = self._participant_states.get(record.txn.txn_id)
-        if state is None:
-            return
-        state.prepare_batch = seq
-        vote = PreparedVote(
-            txn_id=record.txn.txn_id,
-            partition=self._partition,
-            vote=True,
-            prepare_batch=seq,
-            cd_vector=header.cd_vector,
-            header=header,
-        )
-        prepared = ParticipantPrepared(vote=vote, header=header)
-        self._obs_stamp(record.txn.txn_id, prepared)
-        self._obs_ctx.pop(record.txn.txn_id, None)
-        self._replica.send(self._leader_of(record.coordinator), prepared)
-
     def _after_decision_written(
         self, record: CommitRecord, seq: BatchNumber, header: CertifiedHeader
     ) -> None:
-        state = self._coordinator_states.pop(record.txn.txn_id, None)
-        participants = (
-            state.participants
-            if state is not None
-            else frozenset(record.txn.partitions(self._partitioner) - {self._partition})
-        )
-        for participant in participants:
+        self._votes.pop(record.txn.txn_id, None)
+        for participant in self._participants(record.txn):
             decision = DecisionMessage(record=record, commit_batch=seq, header=header)
             self._obs_stamp(record.txn.txn_id, decision)
             self._replica.send(self._leader_of(participant), decision)
         waiting = self._waiting_clients.pop(record.txn.txn_id, None)
         if waiting is not None:
-            status = TxnStatus.COMMITTED if record.decision else TxnStatus.ABORTED
-            reason = "" if record.decision else "a participant voted to abort"
-            self._send_commit_reply(
-                waiting.client,
-                CommitReply(
-                    request_id=waiting.request_id,
-                    txn_id=record.txn.txn_id,
-                    status=status,
-                    commit_batch=seq if record.decision else NO_BATCH,
-                    abort_reason=reason,
-                ),
-            )
+            self._reply_outcome(waiting, record.txn.txn_id, seq, record.decision)
 
     # ------------------------------------------------------------------
     # view changes
@@ -1005,8 +922,8 @@ class LeaderRole:
             self._in_progress_local = []
             self._in_progress_prepared = []
             self._in_progress_index.clear()
-            self._coordinator_states.clear()
-            self._participant_states.clear()
+            self._votes.clear()
+            self._participating.clear()
         else:
             self._ensure_seal_scheduled()
             self._resume_pending_two_pc()

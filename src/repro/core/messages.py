@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional, Tuple
 
 from repro.common.ids import NO_BATCH, BatchNumber, PartitionId
-from repro.common.types import Key, TxnStatus, Value
+from repro.common.types import Key, NoneType, TxnStatus, Value
 from repro.crypto.merkle import MerkleProof
 from repro.core.batch import CertifiedHeader, CommitRecord, PreparedVote
 from repro.core.transaction import TxnPayload
@@ -55,6 +55,10 @@ class CommitRequest(RequestMessage):
     """Client → coordinator cluster: please commit this transaction."""
 
     txn: Optional[TxnPayload] = None
+
+    def well_formed(self) -> bool:
+        """Do the fields have the declared shape?  Asked before a handler reads one."""
+        return isinstance(self.txn, (TxnPayload, NoneType))
 
 
 @dataclass
@@ -108,6 +112,13 @@ class CoordinatorPrepare(Message):
     prepare_batch: BatchNumber = NO_BATCH
     header: Optional[CertifiedHeader] = None
 
+    def well_formed(self) -> bool:
+        return (
+            isinstance(self.txn, (TxnPayload, NoneType))
+            and isinstance(self.coordinator, int)
+            and isinstance(self.header, (CertifiedHeader, NoneType))
+        )
+
 
 @dataclass
 class ParticipantPrepared(Message):
@@ -115,6 +126,9 @@ class ParticipantPrepared(Message):
 
     vote: Optional[PreparedVote] = None
     header: Optional[CertifiedHeader] = None
+
+    def well_formed(self) -> bool:
+        return self.vote is None or (isinstance(self.vote, PreparedVote) and self.vote.well_formed())
 
 
 @dataclass
@@ -124,6 +138,10 @@ class DecisionMessage(Message):
     record: Optional[CommitRecord] = None
     commit_batch: BatchNumber = NO_BATCH
     header: Optional[CertifiedHeader] = None
+
+    def well_formed(self) -> bool:
+        record = self.record
+        return record is None or (isinstance(record, CommitRecord) and record.well_formed())
 
 
 @dataclass
@@ -153,6 +171,8 @@ class DecisionReply(Message):
 
     record: Optional[CommitRecord] = None
     commit_batch: BatchNumber = NO_BATCH
+
+    well_formed = DecisionMessage.well_formed
 
 
 @dataclass

@@ -107,6 +107,11 @@ class ReplicaCounters:
     replica_replies_sent: int = 0
 
 
+#: The 2PC messages (the cost model charges them alike), and every message
+#: whose ``well_formed()`` is asked before anything reads one of its fields.
+_TWO_PC = (CoordinatorPrepare, ParticipantPrepared, DecisionMessage, DecisionReply)
+_SHAPE_CHECKED = (CommitRequest, StateTransferReply) + _TWO_PC
+
 #: Consecutive silent progress-timeout rounds after which a replica's
 #: :class:`ViewProgressMonitor` stands down until progress resumes.
 _MAX_SUSPECT_ROUNDS = 8
@@ -343,58 +348,16 @@ class PartitionReplica(SimNode):
         self.partitioner = partitioner
         self.counters = ReplicaCounters()
 
-        genesis = initial_data
-        if not isinstance(genesis, PartitionGenesis):
-            genesis = PartitionGenesis.build(self.partition, initial_data or {})
-        self.store = MultiVersionStore(genesis.data)
-        self.merkle = self._make_merkle_store(genesis.data, tree=genesis.tree.clone())
-        self.prepared_batches = PreparedBatches()
-        self.log = ReplicatedLog()
         self.locks = LockTable()  # only used by the Augustus baseline
-        # Footprints of every in-flight prepared transaction (rule 3 of
-        # Definition 3.1), maintained as batches are delivered.
-        self.prepared_index = KeyConflictIndex(self.partition, partitioner)
-
-        self.headers: List[CertifiedHeader] = []
-        # LCEs and batch numbers of self.headers, kept parallel so both the
-        # round-2 header lookup and header_at() are bisects (LCEs are
-        # non-decreasing and numbers strictly increasing across batches).
-        self._header_lces: List[BatchNumber] = []
-        self._header_numbers: List[BatchNumber] = []
-        self.last_header: Optional[CertifiedHeader] = None
-        # Visible writes of every proposal validated and not yet delivered,
-        # by batch digest, with the proposal's sequence number.
-        self._expected_cache: Dict[bytes, Tuple[int, Dict[Key, Value]]] = {}
-        self._deferred_snapshots: List[Tuple[SnapshotRequest, NodeId]] = []
-        # Durable 2PC outcomes: every commit/abort record this replica has
-        # delivered, keyed by transaction id (pruned with the checkpoint
-        # retention window; recent entries also ride in checkpoint images).
-        # Any replica holding the record can answer a ``DecisionQuery`` from
-        # a participant stranded by a coordinator crash.
-        self.decided: Dict[str, Tuple[BatchNumber, CommitRecord]] = {}
-        # Local-transaction outcomes (txn id -> commit batch), kept for the
-        # same retention window.  A client that proactively fails over to a
-        # freshly elected leader re-sends its CommitRequest; this map lets
-        # the new leader answer COMMITTED for a transaction its predecessor
-        # already committed instead of re-admitting (and double-applying) it.
-        self.local_decided: Dict[str, BatchNumber] = {}
         # Edge read-proxy tier (repro.edge): node ids the leader announces
         # freshly certified headers to (empty when the edge tier is off).
         self.edge_announce_targets: Tuple[NodeId, ...] = ()
 
-        self.engine = PbftEngine(
-            owner=self,
-            partition=self.partition,
-            members=topology.members(self.partition),
-            fault_tolerance=self.config.fault_tolerance,
-            application=self,
-            digest_fn=lambda batch: batch.digest(),
-        )
-        self.leader_role = LeaderRole(self)
-        self.checkpoints = CheckpointManager(self)
-        self.checkpoints.bootstrap(genesis.image)
+        genesis = initial_data
+        if not isinstance(genesis, PartitionGenesis):
+            genesis = PartitionGenesis.build(self.partition, initial_data or {})
+        self._start_volatile_state(genesis.data, genesis.tree.clone(), genesis.image)
         self.recovery = RecoveryCoordinator(self)
-        self.progress_monitor = ViewProgressMonitor(self)
 
         self.register_handler(BftMessage, self._on_bft_message)
         self.register_handler(CheckpointVote, self._on_checkpoint_vote)
@@ -488,19 +451,20 @@ class PartitionReplica(SimNode):
             return base
         if isinstance(message, LockReadRequest):
             return costs.message_handling_ms + len(message.keys) * (costs.read_op_ms + costs.conflict_check_ms)
+        if isinstance(message, _SHAPE_CHECKED) and not message.well_formed():
+            # Refused before a field is read (``SimNode.rejects_malformed``,
+            # ``RecoveryCoordinator.on_reply``): charge the flat cost only.
+            return costs.message_handling_ms
         if isinstance(message, CommitRequest) and message.txn is not None:
             ops = len(message.txn.reads) + len(message.txn.writes)
             return costs.message_handling_ms + ops * costs.conflict_check_ms
-        if isinstance(
-            message,
-            (CoordinatorPrepare, ParticipantPrepared, DecisionMessage, DecisionReply),
-        ):
+        if isinstance(message, _TWO_PC):
             return (
                 costs.message_handling_ms
                 + self.config.certificate_size * costs.signature_verify_ms
                 + costs.conflict_check_ms
             )
-        if isinstance(message, StateTransferReply) and message.well_formed():
+        if isinstance(message, StateTransferReply):
             # Installing an image writes every item; replaying a batch costs
             # what delivering it would have.
             items = len(message.image) if message.image is not None else 0
@@ -694,7 +658,13 @@ class PartitionReplica(SimNode):
         must not re-answer long-finished transactions.
         """
         network = self.env.network
-        for txn in batch.local_txns:
+        outcomes = [(txn, True) for txn in batch.local_txns]
+        outcomes += [
+            (record.txn, record.decision)
+            for record in batch.committed
+            if record.coordinator == self.partition
+        ]
+        for txn, committed in outcomes:
             # Unit harnesses apply batches whose clients are not simulated
             # nodes; outcomes for them have nowhere to go.
             if not network.knows(ClientId(txn.client)):
@@ -705,24 +675,9 @@ class PartitionReplica(SimNode):
                 ReplicaCommitReply(
                     txn_id=txn.txn_id,
                     partition=self.partition,
-                    status=TxnStatus.COMMITTED,
-                    commit_batch=seq,
-                ),
-            )
-        for record in batch.committed:
-            if record.coordinator != self.partition:
-                continue
-            if not network.knows(ClientId(record.txn.client)):
-                continue
-            self.counters.replica_replies_sent += 1
-            self.send(
-                ClientId(record.txn.client),
-                ReplicaCommitReply(
-                    txn_id=record.txn.txn_id,
-                    partition=self.partition,
-                    status=TxnStatus.COMMITTED if record.decision else TxnStatus.ABORTED,
-                    commit_batch=seq if record.decision else NO_BATCH,
-                    abort_reason="" if record.decision else "a participant voted to abort",
+                    status=TxnStatus.COMMITTED if committed else TxnStatus.ABORTED,
+                    commit_batch=seq if committed else NO_BATCH,
+                    abort_reason="" if committed else "a participant voted to abort",
                 ),
             )
 
@@ -832,20 +787,51 @@ class PartitionReplica(SimNode):
         ``preserve_recovery`` keeps the in-flight recovery coordinator so a
         mid-transfer wipe does not lose the recovery session itself.
         """
-        genesis = self.checkpoints.snapshots.genesis
-        self.store = MultiVersionStore()
-        self.merkle = self._make_merkle_store({})
+        self._start_volatile_state({}, None, self.checkpoints.snapshots.genesis)
+        if not preserve_recovery:
+            self.recovery = RecoveryCoordinator(self)
+
+    def _start_volatile_state(
+        self, data: Mapping[Key, Value], tree: Optional[MerkleTree], genesis: SnapshotImage
+    ) -> None:
+        """Build everything a crash loses, over the items ``data`` (with their ``tree``).
+
+        The one constructor of a replica's volatile state — ``__init__`` passes
+        the preloaded dataset, :meth:`reset_for_recovery` nothing — so a fresh
+        replica and a wiped one cannot differ in what they hold.
+        """
+        self.store = MultiVersionStore(data)
+        self.merkle = self._make_merkle_store(data, tree=tree)
         self.prepared_batches = PreparedBatches()
         self.log = ReplicatedLog()
+        # Footprints of every in-flight prepared transaction (rule 3 of
+        # Definition 3.1), maintained as batches are delivered.
         self.prepared_index = KeyConflictIndex(self.partition, self.partitioner)
-        self.headers = []
-        self._header_lces = []
-        self._header_numbers = []
-        self.last_header = None
-        self._expected_cache = {}
-        self._deferred_snapshots = []
-        self.decided = {}
-        self.local_decided = {}
+
+        self.headers: List[CertifiedHeader] = []
+        # LCEs and batch numbers of self.headers, kept parallel so both the
+        # round-2 header lookup and header_at() are bisects (LCEs are
+        # non-decreasing and numbers strictly increasing across batches).
+        self._header_lces: List[BatchNumber] = []
+        self._header_numbers: List[BatchNumber] = []
+        self.last_header: Optional[CertifiedHeader] = None
+        # Visible writes of every proposal validated and not yet delivered,
+        # by batch digest, with the proposal's sequence number.
+        self._expected_cache: Dict[bytes, Tuple[int, Dict[Key, Value]]] = {}
+        self._deferred_snapshots: List[Tuple[SnapshotRequest, NodeId]] = []
+        # Durable 2PC outcomes: every commit/abort record this replica has
+        # delivered, keyed by transaction id (pruned with the checkpoint
+        # retention window; recent entries also ride in checkpoint images).
+        # Any replica holding the record can answer a ``DecisionQuery`` from
+        # a participant stranded by a coordinator crash.
+        self.decided: Dict[str, Tuple[BatchNumber, CommitRecord]] = {}
+        # Local-transaction outcomes (txn id -> commit batch), kept for the
+        # same retention window.  A client that proactively fails over to a
+        # freshly elected leader re-sends its CommitRequest; this map lets
+        # the new leader answer COMMITTED for a transaction its predecessor
+        # already committed instead of re-admitting (and double-applying) it.
+        self.local_decided: Dict[str, BatchNumber] = {}
+
         self.engine = PbftEngine(
             owner=self,
             partition=self.partition,
@@ -857,10 +843,8 @@ class PartitionReplica(SimNode):
         self.leader_role = LeaderRole(self)
         self.checkpoints = CheckpointManager(self)
         self.checkpoints.bootstrap(genesis)
-        if not preserve_recovery:
-            self.recovery = RecoveryCoordinator(self)
-        # A fresh engine means fresh progress bookkeeping; the old monitor's
-        # timers notice the swap (stale callbacks check identity) and die.
+        # A fresh engine means fresh progress bookkeeping; a wiped replica's
+        # old monitor notices the swap (stale callbacks check identity) and dies.
         self.progress_monitor = ViewProgressMonitor(self)
 
     def begin_recovery(self) -> None:
@@ -990,14 +974,7 @@ class PartitionReplica(SimNode):
 
     def _on_read_request(self, message: Message, src: NodeId) -> None:
         assert isinstance(message, ReadRequest)
-        values: Dict[Key, Value] = {}
-        versions: Dict[Key, BatchNumber] = {}
-        for key in message.keys:
-            versioned = self.store.get(key)
-            if versioned is None:
-                continue
-            values[key] = versioned.value
-            versions[key] = versioned.version
+        values, versions, _ = self._collect_reads(message.keys, (), as_of=None)
         self.send(
             src,
             ReadReply(
@@ -1080,8 +1057,8 @@ class PartitionReplica(SimNode):
         """Checkpoint GC: drop certified headers (and their parallel indexes) below the window.
 
         Headers of still-undecided prepare batches are pinned past the
-        window: a coordinator rebuilds its 2PC vote from exactly that header
-        (see ``LeaderRole._redrive_coordinated``), and they are what
+        window: a cluster's 2PC vote is derived from exactly that header
+        (see ``LeaderRole._own_vote``), and they are what
         ``SnapshotImage.capture`` carries so a restored successor can do the
         same.
         """
@@ -1125,7 +1102,7 @@ class PartitionReplica(SimNode):
         """The retained certified header of batch ``number`` (None if pruned).
 
         Headers are appended in batch order, so this is a bisect over the
-        parallel number index; the leader role uses it to rebuild 2PC votes
+        parallel number index; the leader role derives 2PC votes from it
         (the vote's proof is the header of the batch that wrote the prepare).
         """
         index = bisect.bisect_left(self._header_numbers, number)
@@ -1150,9 +1127,10 @@ class PartitionReplica(SimNode):
 
         ``tree`` is anything with ``__contains__``/``prove`` — the live
         :class:`MerkleTree`, an archived
-        :class:`~repro.crypto.archive.HistoricalTreeView`, or a rebuilt
-        historical tree.  ``as_of`` bounds the store lookup to the tree's
-        batch (None reads the latest version).
+        :class:`~repro.crypto.archive.HistoricalTreeView`, a rebuilt
+        historical tree, or ``()`` for a plain read that wants no proofs.
+        ``as_of`` bounds the store lookup to the tree's batch (None reads
+        the latest version).
         """
         values: Dict[Key, Value] = {}
         versions: Dict[Key, BatchNumber] = {}
@@ -1177,14 +1155,7 @@ class PartitionReplica(SimNode):
         assert isinstance(message, LockReadRequest)
         local_keys = [key for key in message.keys if key in self.store]
         granted = self.locks.try_acquire(message.txn_id, local_keys, LockMode.SHARED)
-        values: Dict[Key, Value] = {}
-        versions: Dict[Key, BatchNumber] = {}
-        if granted:
-            for key in local_keys:
-                versioned = self.store.get(key)
-                if versioned is not None:
-                    values[key] = versioned.value
-                    versions[key] = versioned.version
+        values, versions, _ = self._collect_reads(local_keys if granted else (), (), as_of=None)
         self.send(
             src,
             LockReadReply(
@@ -1244,7 +1215,7 @@ class PartitionReplica(SimNode):
     def _on_decision_reply(self, message: Message, src: NodeId) -> None:
         assert isinstance(message, DecisionReply)
         record = message.record
-        if record is None or not self.is_leader:
+        if self.rejects_malformed(message, src) or record is None or not self.is_leader:
             return
         group = self.prepared_batches.group_of_txn(record.txn.txn_id)
         if group is None or record.txn.txn_id in group.decisions:

@@ -18,6 +18,7 @@ from typing import Optional, Tuple
 from repro.bft.log import LogEntry
 from repro.bft.quorum import CommitCertificate, ViewChangeCertificate
 from repro.common.ids import NO_BATCH, BatchNumber, PartitionId
+from repro.common.types import NoneType
 from repro.recovery.checkpoint import CheckpointCertificate
 from repro.recovery.snapshot import SnapshotImage
 from repro.simnet.messages import Message
@@ -65,16 +66,12 @@ class StateTransferReply(Message):
         before its cost model or recovery session reads a field; what the
         fields *claim* is verified afterwards, against certificates.
         """
-
-        def optional(value: object, kind: type) -> bool:
-            return value is None or isinstance(value, kind)
-
         return (
             isinstance(self.view, int)
             and isinstance(self.responder_tip, int)
-            and optional(self.image, SnapshotImage)
-            and optional(self.certificate, CheckpointCertificate)
-            and optional(self.view_certificate, ViewChangeCertificate)
+            and isinstance(self.image, (SnapshotImage, NoneType))
+            and isinstance(self.certificate, (CheckpointCertificate, NoneType))
+            and isinstance(self.view_certificate, (ViewChangeCertificate, NoneType))
             and isinstance(self.entries, tuple)
             and all(
                 isinstance(entry, LogEntry)

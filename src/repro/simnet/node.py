@@ -247,6 +247,21 @@ class SimNode:
         finally:
             self._current_span = previous
 
+    def rejects_malformed(self, message: Message, src: NodeId) -> bool:
+        """Fail closed at a handler boundary: is ``message`` not even well formed?
+
+        Any node can send any node anything; a handler asks this before it
+        reads a field, so a malformed message leaves one event and no trace
+        in protocol state instead of an exception out of the run.
+        """
+        if message.well_formed():
+            return False
+        self.env.obs.event(
+            str(self.node_id), "malformed-message", "warn",
+            {"type": message.type_name, "from": str(src)},
+        )
+        return True
+
     def occupy(self, cost_ms: float) -> None:
         """Account for locally initiated work (e.g. sealing a batch)."""
         now = self.env.simulator.now

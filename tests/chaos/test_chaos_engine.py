@@ -60,7 +60,11 @@ class TestInjectedBugs:
         # Torn snapshots violate serializability and/or atomic visibility.
         assert oracles & {"serializability", "atomic-visibility"}
 
-        result = shrink_plan(plan, report, bug="no-dependency-repair", max_runs=40)
+        # A bounded shrink budget: six runs already take this plan from 3
+        # faults to 0 and from 7 segments to 5.  The full-budget shrink of the
+        # same bug on the same seed runs on every PR as the first step of CI's
+        # ``chaos-smoke`` job (``--seed 4 --inject-bug no-dependency-repair``).
+        result = shrink_plan(plan, report, bug="no-dependency-repair", max_runs=6)
         assert result.report.failures
         # Acceptance bound: the minimal schedule carries at most 10 fault
         # events (these shrink to 0-1 — the anomaly needs no faults at all).

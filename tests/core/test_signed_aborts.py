@@ -18,8 +18,7 @@ from repro.common.config import (
     LatencyConfig,
     SystemConfig,
 )
-from repro.core.batch import PreparedVote, CommitRecord
-from repro.core.leader import _CoordinatorState
+from repro.core.batch import CommitRecord, PreparedRecord, PreparedVote
 from repro.core.messages import ParticipantPrepared
 from repro.core.system import TransEdgeSystem
 from repro.core.transaction import TxnPayload
@@ -130,21 +129,34 @@ class TestForgedAbortsRejected:
         assert validator._validate_commit_record(self._record_with(system, vote))
 
 class TestUnverifiablePositiveVotes:
-    def _coordinator_with_pending_state(self, system: TransEdgeSystem):
+    def _coordinator_with_pending_votes(self, system: TransEdgeSystem):
+        # A written prepare (the replicated group) whose vote collection is
+        # open on the leader — the only 2PC state a leader keeps.
         leader = system.leader_replica(0)
         txn = cross_partition_txn(system, "pending-txn")
-        state = _CoordinatorState(txn=txn, participants=frozenset({1}))
-        leader.leader_role._coordinator_states["pending-txn"] = state
-        return leader, state
+        leader.prepared_batches.add_group(1, [PreparedRecord(txn=txn, coordinator=0)])
+        votes = leader.leader_role._votes["pending-txn"] = {}
+        return leader, votes
 
     def test_unverifiable_positive_vote_is_ignored_not_downgraded(self):
         # The coordinator cannot sign a negative vote on the participant's
         # behalf, so a positive vote with a bogus proof is treated as no
         # vote at all — the retry timer re-solicits a verifiable one.
         system = make_system()
-        leader, state = self._coordinator_with_pending_state(system)
+        leader, votes = self._coordinator_with_pending_votes(system)
         bogus = ParticipantPrepared(
             vote=PreparedVote(txn_id="pending-txn", partition=1, vote=True)
         )
         leader.leader_role.on_participant_prepared(bogus, src=None)
-        assert state.votes == {}
+        assert votes == {}
+
+    def test_signed_negative_vote_is_recorded(self):
+        # The control: the same planted coordination does record a vote that
+        # proves itself, so the one above was refused for its proof.
+        system = make_system()
+        leader, votes = self._coordinator_with_pending_votes(system)
+        signed = system.leader_replica(1).leader_role._abort_vote("pending-txn")
+        leader.leader_role.on_participant_prepared(
+            ParticipantPrepared(vote=signed), src=None
+        )
+        assert votes == {1: signed}

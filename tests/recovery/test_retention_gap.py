@@ -223,8 +223,12 @@ class TestRetentionGapClosed:
         leader.leader_role._redrive_coordinated("carried-txn", record)
         assert leader.counters.two_pc_unresumable == 0
         assert leader.leader_role.unresumable == {}
-        state = leader.leader_role._coordinator_states["carried-txn"]
-        assert state.own_vote is not None and state.own_vote.vote
+        # Resumed: vote collection open, and the own vote — derived from the
+        # carried header, never stored — is positive.
+        assert leader.leader_role._votes["carried-txn"] == {}
+        group = leader.prepared_batches.group_of_txn("carried-txn")
+        own_vote = leader.leader_role._own_vote("carried-txn", group)
+        assert own_vote is not None and own_vote.vote
 
     def test_tampered_carried_header_is_rejected(self):
         # The carried headers are digest-excluded, so install must verify
