@@ -130,14 +130,11 @@ class BatchConfig:
 
 @dataclass(frozen=True)
 class FreshnessConfig:
-    """Freshness window parameters (Section 4.4.2 of the paper)."""
+    """Client-side staleness bound on verified reads (Section 4.4.2 of the paper)."""
 
-    acceptance_window_ms: float = 30_000.0
     client_staleness_bound_ms: Optional[float] = None
 
     def validate(self) -> None:
-        if self.acceptance_window_ms <= 0:
-            raise ConfigurationError("acceptance_window_ms must be > 0")
         if (
             self.client_staleness_bound_ms is not None
             and self.client_staleness_bound_ms <= 0
@@ -240,15 +237,12 @@ class EdgeConfig:
     * ``max_header_lag_batches`` — a cached partition context whose header
       trails the newest announced header by more than this many batches is
       refreshed, bounding edge staleness in batches.
-    * ``read_timeout_ms`` — how long a client waits for a proxy before
-      falling back to the core cluster.
     """
 
     enabled: bool = False
     num_proxies: int = 2
     cache_ttl_ms: Optional[float] = None
     max_header_lag_batches: int = 8
-    read_timeout_ms: float = 20_000.0
 
     def validate(self) -> None:
         if self.num_proxies < 1:
@@ -257,8 +251,6 @@ class EdgeConfig:
             raise ConfigurationError("edge cache_ttl_ms must be > 0 when set")
         if self.max_header_lag_batches < 0:
             raise ConfigurationError("edge max_header_lag_batches must be >= 0")
-        if self.read_timeout_ms <= 0:
-            raise ConfigurationError("edge read_timeout_ms must be > 0")
 
 
 @dataclass(frozen=True)
@@ -266,37 +258,17 @@ class ReliabilityConfig:
     """Reliable delivery over lossy core links (:mod:`repro.simnet.reliable`).
 
     Every replica-to-replica message travels through a
-    :class:`~repro.simnet.reliable.ReliableTransport`: per-link sequence
-    numbers, cumulative acks piggybacked on reverse traffic (with a
-    standalone ack after ``ack_delay_ms`` of silence), retransmission on a
-    jittered exponential backoff starting at ``retransmit_base_ms`` and
-    capped at ``retransmit_cap_ms``, and receiver-side dedup so protocol
-    layers never observe a duplicate.  ``max_retransmits`` bounds the
+    :class:`~repro.simnet.reliable.ReliableTransport` (its ack delay and
+    backoff are constants of that module).  ``max_retransmits`` bounds the
     consecutive no-progress retransmission rounds per link before the
     outstanding window is abandoned (the chaos planner only opens *finite*
     loss windows, so the cap exists to bound simulation work against
     genuinely dead peers, not for correctness).
     """
 
-    ack_delay_ms: float = 4.0
-    retransmit_base_ms: float = 12.0
-    retransmit_cap_ms: float = 120.0
-    retransmit_jitter_fraction: float = 0.2
     max_retransmits: int = 12
 
     def validate(self) -> None:
-        if self.ack_delay_ms <= 0:
-            raise ConfigurationError("reliability ack_delay_ms must be > 0")
-        if self.retransmit_base_ms <= 0:
-            raise ConfigurationError("reliability retransmit_base_ms must be > 0")
-        if self.retransmit_cap_ms < self.retransmit_base_ms:
-            raise ConfigurationError(
-                "reliability retransmit_cap_ms must be >= retransmit_base_ms"
-            )
-        if not 0 <= self.retransmit_jitter_fraction < 1:
-            raise ConfigurationError(
-                "reliability retransmit_jitter_fraction must be in [0, 1)"
-            )
         if self.max_retransmits < 1:
             raise ConfigurationError("reliability max_retransmits must be >= 1")
 
@@ -345,38 +317,15 @@ class MonitorConfig:
     run does — chaos fingerprints and trace digests are byte-identical with
     monitoring on or off.
 
-    * ``window_ms`` — nominal width of one timeline window.
-    * ``max_windows`` — retained window ring; older windows fold into the
-      evicted-totals accumulator (deltas stay exact in aggregate).
-    * ``latency_samples_per_window`` — per-window cap on retained raw
-      end-to-end latency samples (counts stay exact past the cap).
-    * ``healthy_after_quiet_windows`` — degraded/suspected nodes decay back
-      to healthy after this many windows without a new degrading signal.
-    * ``max_health_transitions`` — bounded health transition log.
+    ``window_ms`` is the nominal width of one timeline window.
     """
 
     enabled: bool = False
     window_ms: float = 50.0
-    max_windows: int = 256
-    latency_samples_per_window: int = 512
-    healthy_after_quiet_windows: int = 3
-    max_health_transitions: int = 1024
 
     def validate(self) -> None:
         if self.window_ms <= 0:
             raise ConfigurationError("monitor window_ms must be > 0")
-        if self.max_windows < 1:
-            raise ConfigurationError("monitor max_windows must be >= 1")
-        if self.latency_samples_per_window < 1:
-            raise ConfigurationError(
-                "monitor latency_samples_per_window must be >= 1"
-            )
-        if self.healthy_after_quiet_windows < 1:
-            raise ConfigurationError(
-                "monitor healthy_after_quiet_windows must be >= 1"
-            )
-        if self.max_health_transitions < 1:
-            raise ConfigurationError("monitor max_health_transitions must be >= 1")
 
 
 @dataclass(frozen=True)

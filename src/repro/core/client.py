@@ -86,6 +86,10 @@ POSITIONAL_REFUSALS = frozenset(
 COMMIT_RETRY_ATTEMPTS = 3
 COMMIT_RETRY_BACKOFF_MS = 30.0
 
+#: How long (simulated ms) a client waits for an edge proxy before falling
+#: back to the core cluster.
+EDGE_READ_TIMEOUT_MS = 20_000.0
+
 
 @dataclass
 class ClientStats:
@@ -631,7 +635,7 @@ class TransEdgeClient(ProcessNode):
         reply = yield Call(
             proxy,
             EdgeReadRequest(keys=all_keys),
-            timeout_ms=self.config.edge.read_timeout_ms,
+            timeout_ms=EDGE_READ_TIMEOUT_MS,
         )
         if reply is None or not isinstance(reply, EdgeReadReply):
             return None, None

@@ -24,6 +24,12 @@ from repro.core.transaction import TxnPayload
 from repro.simnet.messages import Message, ReplyMessage, RequestMessage
 
 
+def _keys_well_formed(request: "ReadRequest") -> bool:
+    """``well_formed()`` of the read-side requests: is ``keys`` a tuple of keys?"""
+    keys = request.keys
+    return isinstance(keys, tuple) and all(isinstance(key, Key) for key in keys)
+
+
 # ---------------------------------------------------------------------------
 # Client reads (used while building read-write transactions)
 # ---------------------------------------------------------------------------
@@ -34,6 +40,8 @@ class ReadRequest(RequestMessage):
     """Read current committed values of ``keys`` from one partition."""
 
     keys: Tuple[Key, ...] = ()
+
+    well_formed = _keys_well_formed
 
 
 @dataclass
@@ -232,6 +240,8 @@ class ReadOnlyRequest(RequestMessage):
 
     keys: Tuple[Key, ...] = ()
 
+    well_formed = _keys_well_formed
+
 
 @dataclass
 class ReadOnlyReply(ReplyMessage):
@@ -257,6 +267,9 @@ class SnapshotRequest(RequestMessage):
     keys: Tuple[Key, ...] = ()
     required_prepare_batch: BatchNumber = NO_BATCH
 
+    def well_formed(self) -> bool:
+        return isinstance(self.required_prepare_batch, int) and _keys_well_formed(self)
+
 
 @dataclass
 class SnapshotReply(ReplyMessage):
@@ -280,6 +293,9 @@ class LockReadRequest(RequestMessage):
 
     txn_id: str = ""
     keys: Tuple[Key, ...] = ()
+
+    def well_formed(self) -> bool:
+        return isinstance(self.txn_id, str) and _keys_well_formed(self)
 
 
 @dataclass

@@ -110,7 +110,12 @@ class ReplicaCounters:
 #: The 2PC messages (the cost model charges them alike), and every message
 #: whose ``well_formed()`` is asked before anything reads one of its fields.
 _TWO_PC = (CoordinatorPrepare, ParticipantPrepared, DecisionMessage, DecisionReply)
-_SHAPE_CHECKED = (CommitRequest, StateTransferReply) + _TWO_PC
+_READS = (ReadRequest, ReadOnlyRequest, SnapshotRequest, LockReadRequest)
+_SHAPE_CHECKED = _READS + (CommitRequest, StateTransferReply) + _TWO_PC
+
+#: How far (simulated ms) a proposed batch's timestamp may drift from a
+#: validating replica's clock: the leader's clock must be close to its own.
+_ACCEPTANCE_WINDOW_MS = 30_000.0
 
 #: Consecutive silent progress-timeout rounds after which a replica's
 #: :class:`ViewProgressMonitor` stands down until progress resumes.
@@ -429,6 +434,10 @@ class PartitionReplica(SimNode):
                     + costs.signature_verify_ms
                 )
             return costs.signature_verify_ms
+        if isinstance(message, _SHAPE_CHECKED) and not message.well_formed():
+            # Refused before a field is read (``SimNode.rejects_malformed``,
+            # ``RecoveryCoordinator.on_reply``): charge the flat cost only.
+            return costs.message_handling_ms
         if isinstance(message, ReadRequest):
             return costs.message_handling_ms + len(message.keys) * costs.read_op_ms
         # Merkle proof work scales with the tree depth, O(log K) in the
@@ -451,10 +460,6 @@ class PartitionReplica(SimNode):
             return base
         if isinstance(message, LockReadRequest):
             return costs.message_handling_ms + len(message.keys) * (costs.read_op_ms + costs.conflict_check_ms)
-        if isinstance(message, _SHAPE_CHECKED) and not message.well_formed():
-            # Refused before a field is read (``SimNode.rejects_malformed``,
-            # ``RecoveryCoordinator.on_reply``): charge the flat cost only.
-            return costs.message_handling_ms
         if isinstance(message, CommitRequest) and message.txn is not None:
             ops = len(message.txn.reads) + len(message.txn.writes)
             return costs.message_handling_ms + ops * costs.conflict_check_ms
@@ -506,10 +511,8 @@ class PartitionReplica(SimNode):
         if batch.read_only is None:
             return False
 
-        # Freshness window (Section 4.4.2): the leader's timestamp must be
-        # close to this replica's clock.
-        drift = abs(batch.read_only.timestamp_ms - self.now)
-        if drift > self.config.freshness.acceptance_window_ms:
+        # Freshness window (Section 4.4.2).
+        if abs(batch.read_only.timestamp_ms - self.now) > _ACCEPTANCE_WINDOW_MS:
             return False
 
         # Conflict rules (Definition 3.1) for every transaction the batch
@@ -974,6 +977,8 @@ class PartitionReplica(SimNode):
 
     def _on_read_request(self, message: Message, src: NodeId) -> None:
         assert isinstance(message, ReadRequest)
+        if self.rejects_malformed(message, src):
+            return
         values, versions, _ = self._collect_reads(message.keys, (), as_of=None)
         self.send(
             src,
@@ -987,6 +992,8 @@ class PartitionReplica(SimNode):
 
     def _on_read_only_request(self, message: Message, src: NodeId) -> None:
         assert isinstance(message, ReadOnlyRequest)
+        if self.rejects_malformed(message, src):
+            return
         self.counters.read_only_served += 1
         values, versions, proofs = self._collect_reads(
             message.keys, self.merkle.tree, as_of=None
@@ -1005,6 +1012,8 @@ class PartitionReplica(SimNode):
 
     def _on_snapshot_request(self, message: Message, src: NodeId) -> None:
         assert isinstance(message, SnapshotRequest)
+        if self.rejects_malformed(message, src):
+            return
         header = self._earliest_header_with_lce(message.required_prepare_batch)
         if header is None:
             # The required dependency has not committed locally yet; park the
@@ -1153,6 +1162,8 @@ class PartitionReplica(SimNode):
 
     def _on_lock_read_request(self, message: Message, src: NodeId) -> None:
         assert isinstance(message, LockReadRequest)
+        if self.rejects_malformed(message, src):
+            return
         local_keys = [key for key in message.keys if key in self.store]
         granted = self.locks.try_acquire(message.txn_id, local_keys, LockMode.SHARED)
         values, versions, _ = self._collect_reads(local_keys if granted else (), (), as_of=None)

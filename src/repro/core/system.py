@@ -332,7 +332,7 @@ class TransEdgeSystem:
         for client in self.clients:
             node_handled[str(client.node_id)] = client.messages_handled
         return {
-            "counters": asdict(self.counters()),
+            "counters": asdict(self._counters(caches["totals"])),
             "transport": dict(caches["transport"]),
             "client_verify": dict(caches["totals"]["verify_clients"]),
             "node_handled": node_handled,
@@ -374,6 +374,10 @@ class TransEdgeSystem:
         dominated by leaders; follower contributions are included because a
         view change can move the leader mid-experiment.
         """
+        return self._counters(self.cache_snapshot()["totals"])
+
+    def _counters(self, cache_totals: Dict[str, Dict[str, int]]) -> SystemCounters:
+        """:meth:`counters`, given the ``totals`` of a cache snapshot already built."""
         per_replica = [replica.counters for replica in self.replicas.values()]
         total = SystemCounters(
             **{
@@ -389,7 +393,6 @@ class TransEdgeSystem:
         # Cache accounting derives from the one unified snapshot (clients'
         # verify caches are reported separately, so only the replica total
         # lands here — unchanged semantics).
-        cache_totals = self.cache_snapshot()["totals"]
         total.verify_cache_hits = cache_totals["verify_replicas"]["hits"]
         total.verify_cache_misses = cache_totals["verify_replicas"]["misses"]
         total.edge_cache_hits = cache_totals["edge"]["hits"]

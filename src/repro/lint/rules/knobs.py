@@ -51,7 +51,7 @@ def _keywords_passed(
 
     ``None`` where the class is not visible: a copy call, or a *forwarder* —
     a function (matched by bare name) that splats ``**kwargs`` into a config
-    call, such as ``section51_config`` or a test's ``make_system``.
+    call, such as ``section51_config``.
     """
     splats: Dict[str, Set[str]] = {}  # function -> callees it ``**``-splats into
     for tree in trees:
@@ -94,18 +94,22 @@ class DeadConfigKnobRule(ProjectRule):
     )
 
     #: Evidence of use swept outside the linted tree, relative to the working
-    #: directory: a test, example or benchmark workload that sets a field is
-    #: a second value in use.  The config module's own unit test is not —
-    #: validating a value is not using it — and neither is a lint fixture.
-    external_dirs = ("tests", "examples", "perfbench")
-    not_evidence = ("tests/common/test_config.py", "tests/lint/corpus/")
+    #: directory: an example or benchmark workload that sets a field is a
+    #: second value in use.  A unit test is not, here or in the linted tree
+    #: (``test_*.py``): one that shrinks a ring or a timer reaches the same
+    #: path at the shipped value, simulated time being free.
+    external_dirs = ("examples", "perfbench")
+    #: Options only a test sets, kept all the same: ``crypto_backend`` is a
+    #: capability (a deployment on real RSA signatures), not an estimate.
+    test_only = frozenset({"crypto_backend"})
 
-    def _external_trees(self, scanned: Set[str]) -> List[ast.AST]:
+    def _setter_trees(self, scanned: Sequence[SourceFile]) -> List[ast.AST]:
         roots = [root for root in self.external_dirs if os.path.isdir(root)]
+        by_path = {file.path: file for file in [*collect_files(roots), *scanned]}
         return [
             file.tree
-            for file in collect_files(roots)
-            if file.path not in scanned and not file.path.startswith(self.not_evidence)
+            for path, file in by_path.items()
+            if not os.path.basename(path).startswith("test_")
         ]
 
     def check_project(self, files: Sequence[SourceFile]) -> Iterator[Finding]:
@@ -140,8 +144,7 @@ class DeadConfigKnobRule(ProjectRule):
         ]
         class_names = {node.name for _file, node in config_classes}
         passed = _keywords_passed(
-            [file.tree for file in others]
-            + self._external_trees({file.path for file in files})
+            self._setter_trees(others)
             # Like reads: what a config helper sets is set when the helper
             # itself is used outside (``with_tracing`` sets ``obs``).
             + [helper for helper in helpers if helper.name in read],
@@ -167,6 +170,7 @@ class DeadConfigKnobRule(ProjectRule):
                     "ClassVar" not in ast.unparse(statement.annotation)
                     and (node.name, field) not in passed
                     and (None, field) not in passed
+                    and field not in self.test_only
                 ):
                     yield self.finding(
                         file,

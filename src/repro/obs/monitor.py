@@ -54,6 +54,16 @@ _HEALTH_RANK = {state: rank for rank, state in enumerate(HEALTH_STATES)}
 #: as degraded (the peer is not acking / not receiving).
 _DEGRADING_KINDS = ("message-retransmit", "retransmit-abandoned", "link-abandoned")
 
+#: Bounds: the retained window ring (older windows fold into the evicted
+#: totals, so aggregate deltas stay exact), the raw latency samples kept per
+#: window (counts stay exact past the cap), the windows without a degrading
+#: signal after which a degraded/suspected node is healthy again, and the
+#: health transition log.
+MAX_WINDOWS = 256
+LATENCY_SAMPLES_PER_WINDOW = 512
+HEALTHY_AFTER_QUIET_WINDOWS = 3
+MAX_HEALTH_TRANSITIONS = 1024
+
 
 @dataclass
 class WindowSample:
@@ -85,7 +95,7 @@ class WindowSample:
     commits: int = 0
     aborts: int = 0
     #: Raw end-to-end latencies of the window's commits, capped at
-    #: ``latency_samples_per_window`` (``commits`` stays exact past the cap).
+    #: ``LATENCY_SAMPLES_PER_WINDOW`` (``commits`` stays exact past the cap).
     latencies: List[float] = field(default_factory=list)
     samples_dropped: int = 0
     #: Earliest root-span *start* among the transactions that finished in
@@ -177,7 +187,6 @@ class MetricsTimeline:
     def __init__(
         self, config: MonitorConfig, snapshot_fn: Callable[[], Dict[str, Dict[str, int]]]
     ) -> None:
-        self.config = config
         self._snapshot_fn = snapshot_fn
         self._window_ms = config.window_ms
         #: Cumulative counters at construction: the exactness invariant's
@@ -231,7 +240,7 @@ class MetricsTimeline:
             pending.earliest_start = start_ms
         if ok:
             pending.commits += 1
-            if len(pending.latencies) < self.config.latency_samples_per_window:
+            if len(pending.latencies) < LATENCY_SAMPLES_PER_WINDOW:
                 pending.latencies.append(duration_ms)
             else:
                 pending.dropped += 1
@@ -319,7 +328,7 @@ class MetricsTimeline:
                 or pending.earliest_start < sample.earliest_root_start_ms
             ):
                 sample.earliest_root_start_ms = pending.earliest_start
-            room = self.config.latency_samples_per_window - len(sample.latencies)
+            room = LATENCY_SAMPLES_PER_WINDOW - len(sample.latencies)
             sample.latencies.extend(pending.latencies[: max(0, room)])
             sample.samples_dropped += pending.dropped + max(
                 0, len(pending.latencies) - max(0, room)
@@ -329,7 +338,7 @@ class MetricsTimeline:
         if self._has_content(sample):
             self._samples.append(sample)
             self.windows_closed += 1
-            while len(self._samples) > self.config.max_windows:
+            while len(self._samples) > MAX_WINDOWS:
                 self._evict(self._samples.popleft())
 
     @staticmethod
@@ -369,7 +378,7 @@ class HealthTracker:
       ``leader_of`` at event time, i.e. before the view rotates) becomes
       **suspected**
     * retransmit-family events → the destination node becomes **degraded**
-    * ``healthy_after_quiet_windows`` windows without a new degrading
+    * ``HEALTHY_AFTER_QUIET_WINDOWS`` windows without a new degrading
       signal decay degraded/suspected nodes back to **healthy**
       (crashed/recovering only leave through restart/recovery events).
 
@@ -383,14 +392,11 @@ class HealthTracker:
         config: MonitorConfig,
         leader_of: Optional[Callable[[int], str]] = None,
     ) -> None:
-        self.config = config
         self._leader_of = leader_of
-        self._quiet_ms = config.healthy_after_quiet_windows * config.window_ms
+        self._quiet_ms = HEALTHY_AFTER_QUIET_WINDOWS * config.window_ms
         self._states: Dict[str, str] = {}
         self._last_signal_ms: Dict[str, float] = {}
-        self.transitions: "deque[Dict[str, object]]" = deque(
-            maxlen=config.max_health_transitions
-        )
+        self.transitions: "deque[Dict[str, object]]" = deque(maxlen=MAX_HEALTH_TRANSITIONS)
 
     # -- event feed --------------------------------------------------------
 

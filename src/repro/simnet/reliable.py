@@ -12,7 +12,7 @@ replica-to-replica link and implements the classic ack/retransmit recipe:
   :class:`ReliableEnvelope`.
 * **Cumulative acks.**  The receiver tracks the highest contiguously received
   sequence per link and piggybacks it on every reverse envelope; after
-  ``ack_delay_ms`` of reverse silence a standalone :class:`ReliableAck` is
+  ``ACK_DELAY_MS`` of reverse silence a standalone :class:`ReliableAck` is
   sent instead (acks themselves are fire-and-forget — a lost ack provokes a
   retransmission, whose arrival re-arms the ack timer, so finite loss windows
   always converge).
@@ -20,7 +20,7 @@ replica-to-replica link and implements the classic ack/retransmit recipe:
   timer on its oldest unacked message.  The timeout floor adapts to the
   modelled link RTT (otherwise the paper's 70 ms ``inter_cluster_extra_ms``
   sweeps would spuriously retransmit everything), then doubles per fruitless
-  round up to ``retransmit_cap_ms`` with a jitter drawn from a generator
+  round up to ``RETRANSMIT_CAP_MS`` with a jitter drawn from a generator
   dedicated to this module (``seed + 3``) so retransmission never perturbs
   the latency or fault draw sequences.  After ``max_retransmits``
   consecutive rounds with no ack progress the *link* is declared stalled and
@@ -60,6 +60,15 @@ from repro.simnet.messages import Message
 from repro.simnet.network import Network
 from repro.simnet.simulator import EventHandle, Simulator
 
+#: Reverse silence (simulated ms) after which a standalone ack is sent.
+ACK_DELAY_MS = 4.0
+#: First retransmit timeout (raised to the link's RTT floor when that is
+#: longer); it doubles per fruitless round up to the cap, and every timeout
+#: is stretched by a uniform draw from ``[0, RETRANSMIT_JITTER_FRACTION]``.
+RETRANSMIT_BASE_MS = 12.0
+RETRANSMIT_CAP_MS = 120.0
+RETRANSMIT_JITTER_FRACTION = 0.2
+
 
 @dataclass
 class ReliableEnvelope(Message):
@@ -89,7 +98,7 @@ class ReliableEnvelope(Message):
 
 @dataclass
 class ReliableAck(Message):
-    """Standalone cumulative ack, sent after ``ack_delay_ms`` of silence."""
+    """Standalone cumulative ack, sent after ``ACK_DELAY_MS`` of silence."""
 
     ack: int = 0
 
@@ -223,15 +232,10 @@ class ReliableTransport:
         return model.delay_ms(src, dst, probe) + model.delay_ms(dst, src, probe)
 
     def _timeout_ms(self, link: _Link) -> float:
-        cfg = self.config
-        floor = link.rtt_floor_ms * 1.25 + cfg.ack_delay_ms
-        base = max(cfg.retransmit_base_ms, floor)
-        cap = max(cfg.retransmit_cap_ms, base)
+        base = max(RETRANSMIT_BASE_MS, link.rtt_floor_ms * 1.25 + ACK_DELAY_MS)
+        cap = max(RETRANSMIT_CAP_MS, base)
         timeout = min(cap, base * (2.0 ** link.stall_count))
-        jitter = cfg.retransmit_jitter_fraction
-        if jitter > 0:
-            timeout *= 1.0 + self._rng.uniform(0.0, jitter)
-        return timeout
+        return timeout * (1.0 + self._rng.uniform(0.0, RETRANSMIT_JITTER_FRACTION))
 
     def _arm_retransmit(self, src: NodeId, dst: NodeId, link: _Link) -> None:
         if not link.unacked:
@@ -355,9 +359,7 @@ class ReliableTransport:
         # have silenced this retransmission was evidently lost) owes the
         # sender an ack unless reverse traffic piggybacks one first.
         if link.ack_timer is None:
-            link.ack_timer = self._simulator.schedule(
-                self.config.ack_delay_ms, self._send_ack, node, src, link
-            )
+            link.ack_timer = self._simulator.schedule(ACK_DELAY_MS, self._send_ack, node, src, link)
         return None if duplicate else message.payload
 
     def _malformed(self, node: NodeId, src: NodeId, message: Message) -> None:

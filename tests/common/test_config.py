@@ -14,6 +14,7 @@ from repro.common.config import (
     FailoverConfig,
     FreshnessConfig,
     LatencyConfig,
+    MonitorConfig,
     PerfConfig,
     ReliabilityConfig,
     SystemConfig,
@@ -103,10 +104,6 @@ class TestNestedConfigs:
         with pytest.raises(ConfigurationError):
             BatchConfig(timeout_ms=0).validate()
 
-    def test_freshness_rejects_nonpositive_window(self):
-        with pytest.raises(ConfigurationError):
-            FreshnessConfig(acceptance_window_ms=0).validate()
-
     def test_freshness_rejects_nonpositive_bound(self):
         with pytest.raises(ConfigurationError):
             FreshnessConfig(client_staleness_bound_ms=0).validate()
@@ -126,8 +123,9 @@ class TestNestedConfigs:
         FailoverConfig().validate()  # defaults are sane
 
 
-#: Fields retired because nothing ever gave them a second value (PR 22):
-#: constants now, so the constructors refuse the names outright.
+#: Fields retired because nothing ever gave them a second value (PR 22), or
+#: nothing but a unit test shrinking a ring or a timer did (PR 24): constants
+#: now, so the constructors refuse the names outright.
 RETIRED = {
     CostConfig: (
         "signature_sign_ms", "signature_verify_ms", "hash_ms", "read_op_ms",
@@ -138,10 +136,18 @@ RETIRED = {
     PerfConfig: ("verify_cache_size",),
     EdgeConfig: (
         "cache_capacity", "announce_interval_batches", "routing", "fetch_timeout_ms",
+        "read_timeout_ms",
     ),
     ReliabilityConfig: (
         "rebroadcast_interval_ms", "commit_retry_attempts", "commit_retry_backoff_ms",
+        "ack_delay_ms", "retransmit_base_ms", "retransmit_cap_ms",
+        "retransmit_jitter_fraction",
     ),
+    MonitorConfig: (
+        "max_windows", "latency_samples_per_window", "healthy_after_quiet_windows",
+        "max_health_transitions",
+    ),
+    FreshnessConfig: ("acceptance_window_ms",),
 }
 
 
@@ -161,7 +167,7 @@ class TestOptionSurface:
             for value in vars(config_module).values()
             if dataclasses.is_dataclass(value)
         ]
-        assert sum(len(dataclasses.fields(cls)) for cls in classes) == 52
+        assert sum(len(dataclasses.fields(cls)) for cls in classes) == 42
 
     def test_cost_constants_are_not_options(self):
         assert [f.name for f in dataclasses.fields(CostConfig)] == [

@@ -9,6 +9,9 @@ import pytest
 from repro.common.config import SystemConfig, small_test_config
 from repro.simnet.node import SimEnvironment
 
+#: Lint fixtures, not tests (K601's corpus holds a ``test_*.py`` on purpose).
+collect_ignore = ["lint/corpus"]
+
 
 @pytest.fixture
 def rng() -> random.Random:

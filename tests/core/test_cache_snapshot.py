@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 from repro.common.config import BatchConfig, EdgeConfig, LatencyConfig, SystemConfig
 from repro.core.system import TransEdgeSystem
 from repro.workload.generator import WorkloadGenerator, WorkloadProfile
@@ -99,3 +101,17 @@ class TestCacheSnapshot:
         if snapshot["transport"]:
             expected["transport"] = snapshot["transport"]
         assert events[-1].detail == expected
+
+    def test_a_monitor_sample_builds_the_snapshot_once(self, monkeypatch):
+        system = make_edge_system()
+        run_some_reads(system)
+        built = []
+        build = system.cache_snapshot
+        monkeypatch.setattr(
+            system, "cache_snapshot", lambda *args, **kw: built.append(1) or build(*args, **kw)
+        )
+        sample = system.monitor_snapshot()
+        assert len(built) == 1
+        # ... and its counters are still the ones ``counters()`` reports.
+        assert sample["counters"] == dataclasses.asdict(system.counters())
+        assert sample["client_verify"] == build()["totals"]["verify_clients"]

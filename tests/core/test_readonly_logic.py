@@ -224,9 +224,7 @@ class TestVerifySnapshot:
     def test_stale_snapshot_rejected_when_bound_configured(self, setup):
         config, topology, registry, signers = setup
         config = config.with_updates(
-            freshness=config.freshness.__class__(
-                acceptance_window_ms=30_000.0, client_staleness_bound_ms=50.0
-            )
+            freshness=config.freshness.__class__(client_staleness_bound_ms=50.0)
         )
         items = {"k1": b"v1", "k2": b"v2"}
         snapshot = self._certified_snapshot(0, items, ["k1"], config, topology, signers)

@@ -195,17 +195,24 @@ class TestProposalValidation:
     def test_stale_timestamp_rejected_by_freshness_window(self, setup):
         env, replica, partitioner, data = setup
         honest = honest_batch(replica, partitioner, data, number=0)
-        old = Batch(
-            partition=honest.partition,
-            number=honest.number,
-            read_only=ReadOnlySegment(
-                cd_vector=honest.read_only.cd_vector,
-                lce=honest.read_only.lce,
-                merkle_root=honest.read_only.merkle_root,
-                timestamp_ms=-(env.config.freshness.acceptance_window_ms + 1_000.0),
-            ),
-        )
-        assert not replica.validate_proposal(0, old)
+
+        def stamped(timestamp_ms):
+            return Batch(
+                partition=honest.partition,
+                number=honest.number,
+                read_only=ReadOnlySegment(
+                    cd_vector=honest.read_only.cd_vector,
+                    lce=honest.read_only.lce,
+                    merkle_root=honest.read_only.merkle_root,
+                    timestamp_ms=timestamp_ms,
+                ),
+            )
+
+        # The replica's clock reads 0: the window is the shipped 30 s, and a
+        # timestamp on its edge is still fresh.
+        assert not replica.validate_proposal(0, stamped(-31_000.0))
+        assert not replica.validate_proposal(0, stamped(30_000.5))
+        assert replica.validate_proposal(0, stamped(-30_000.0))
 
     def test_prepared_segment_tracked_after_delivery(self, setup):
         _, replica, partitioner, data = setup

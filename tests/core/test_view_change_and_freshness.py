@@ -92,10 +92,7 @@ class TestFreshnessBound:
         # snapshots unacceptable: verification fails and the value is refused
         # unless another replica has something fresher.
         system = make_system(
-            freshness=FreshnessConfig(
-                acceptance_window_ms=30_000.0,
-                client_staleness_bound_ms=1.0,
-            )
+            freshness=FreshnessConfig(client_staleness_bound_ms=1.0)
         )
         client = system.create_client("strict-reader")
         keys = system.keys_of_partition(0)[:1]

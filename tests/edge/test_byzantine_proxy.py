@@ -35,7 +35,7 @@ def run_scenario(behaviour_name: str, reads: int = 20):
         batch=BatchConfig(max_size=8, timeout_ms=2.0),
         latency=LatencyConfig(jitter_fraction=0.0),
         freshness=FreshnessConfig(client_staleness_bound_ms=40.0),
-        edge=EdgeConfig(enabled=True, num_proxies=1, read_timeout_ms=100.0),
+        edge=EdgeConfig(enabled=True, num_proxies=1),
     )
     system = TransEdgeSystem(config)
     behaviour = install_byzantine(system.proxies[0], behaviour_name)

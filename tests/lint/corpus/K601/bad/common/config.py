@@ -1,4 +1,4 @@
-"""K601 bad: `think_ms` is validated but never read; `spare_ms` is read but never set."""
+"""K601 bad: `think_ms` is validated but never read; `spare_ms` and `trial_ms` are read but never set."""
 
 from dataclasses import dataclass
 
@@ -9,6 +9,7 @@ class CostConfig:
     per_level_ms: float = 0.0004
     think_ms: float = 0.0
     spare_ms: float = 0.01
+    trial_ms: float = 0.5
 
     def proof_cost_ms(self, levels: int) -> float:
         return self.per_level_ms * levels

@@ -30,7 +30,7 @@ def findings_for(rule_id, path, ignore_scopes=True):
 
 @pytest.fixture(scope="module")
 def selftest_results():
-    """One corpus self-test for the module (K601's sweeps the test tree)."""
+    """One corpus self-test for the module (K601's sweeps examples/ and perfbench/)."""
     return run_selftest(CORPUS)
 
 
@@ -100,9 +100,11 @@ class TestFindingContent:
     def test_k601_names_the_field_nothing_ever_sets(self, k601_bad):
         # ``spare_ms`` is read, and the config module itself constructs it
         # with a second value — but no call outside does, so it is a constant.
+        # ``trial_ms`` is read too, and only ``test_node.py`` shrinks it.
         unset = [f for f in k601_bad if "set by no call" in f.message]
-        assert len(unset) == 1 and len(k601_bad) == 2
+        assert len(unset) == 2 and len(k601_bad) == 3
         assert "CostConfig.spare_ms" in unset[0].message
+        assert "CostConfig.trial_ms" in unset[1].message
 
     def test_m701_names_both_kinds_of_memo(self):
         findings = findings_for("M701", os.path.join(CORPUS, "M701", "bad.py"))

@@ -73,31 +73,36 @@ class TestTimelineExactness:
                 "node_handled": {},
             }
 
-        config = MonitorConfig(enabled=True, window_ms=10.0, max_windows=4)
+        config = MonitorConfig(enabled=True, window_ms=10.0)
         timeline = MetricsTimeline(config, snapshot)
-        for step in range(1, 41):
+        # 300 windows of three ticks each through the 256-window ring: the
+        # 257th closed window evicts the first, and 44 are folded in the end.
+        for step in range(1, 301):
             state["n"] = step * 3
             timeline.note_time(step * 10.0 + 0.5)
-        timeline.flush(1000.0)
-        assert len(timeline.samples()) <= 4
-        assert timeline.evicted["windows"] > 0
+            assert timeline.evicted["windows"] == max(0, step - 256)
+        timeline.flush(10_000.0)
+        assert timeline.windows_closed == 300
+        assert len(timeline.samples()) == 256
+        assert timeline.samples()[0].index == 44
+        assert timeline.evicted["windows"] == 44
+        assert timeline.evicted["counters"] == {"ticks": 44 * 3}
         assert timeline.totals()["counters"] == {"ticks": state["n"]}
 
     def test_latency_cap_counts_drops(self):
-        config = MonitorConfig(
-            enabled=True, window_ms=10.0, latency_samples_per_window=2
-        )
+        config = MonitorConfig(enabled=True, window_ms=10.0)
         timeline = MetricsTimeline(config, lambda: {
             "counters": {}, "transport": {},
             "client_verify": {}, "node_handled": {},
         })
-        for i in range(5):
-            timeline.record_root(5.0 + i * 0.1, 1.0, True, {"queue": 1.0})
+        # 520 commits in one window: the 513th is the first sample not kept.
+        for i in range(520):
+            timeline.record_root(5.0 + i * 0.001, 1.0 + i, True, {"queue": 1.0})
         timeline.flush(20.0)
         (sample,) = timeline.samples()
-        assert len(sample.latencies) == 2
-        assert sample.samples_dropped == 3
-        assert sample.commits == 5
+        assert sample.latencies == [1.0 + i for i in range(512)]
+        assert sample.samples_dropped == 8
+        assert sample.commits == 520
 
 
 class TestNeutrality:
@@ -112,8 +117,8 @@ class TestNeutrality:
 
 
 class TestHealthTracker:
-    def _tracker(self, leader_of=None, **overrides):
-        config = MonitorConfig(enabled=True, window_ms=50.0, **overrides)
+    def _tracker(self, leader_of=None):
+        config = MonitorConfig(enabled=True, window_ms=50.0)
         return HealthTracker(config, leader_of=leader_of)
 
     def test_crash_restart_recovery_cycle(self):
@@ -146,30 +151,33 @@ class TestHealthTracker:
         assert tracker.state("p0-r0") == "crashed"
 
     def test_degraded_decays_after_quiet_windows(self):
-        tracker = self._tracker(healthy_after_quiet_windows=2)  # 100ms quiet
+        tracker = self._tracker()  # three quiet 50 ms windows: 150 ms
         tracker.on_event(
             _event("message-retransmit", node="src", time_ms=100.0, dst="p0-r1")
         )
         assert tracker.state("p0-r1") == "degraded"
-        tracker.decay(150.0)
-        assert tracker.state("p0-r1") == "degraded"
         tracker.decay(200.0)
+        assert tracker.state("p0-r1") == "degraded"
+        tracker.decay(250.0)
         assert tracker.state("p0-r1") == "healthy"
 
     def test_crashed_does_not_decay(self):
-        tracker = self._tracker(healthy_after_quiet_windows=1)
+        tracker = self._tracker()
         tracker.on_event(_event("replica-crash", time_ms=100.0))
         tracker.decay(10_000.0)
         assert tracker.state("p0-r0") == "crashed"
 
     def test_transitions_log_is_bounded(self):
-        tracker = self._tracker(max_health_transitions=4)
-        for step in range(10):
+        tracker = self._tracker()
+        for step in range(1030):
             node = f"n{step}"
             tracker.on_event(
                 _event("message-retransmit", node="src", time_ms=float(step), dst=node)
             )
-        assert len(tracker.transitions) == 4
+            assert len(tracker.transitions) == min(step + 1, 1024)
+        # The 1 025th transition pushed the first out; the newest 1 024 stay.
+        assert tracker.transitions[0]["node"] == "n6"
+        assert tracker.transitions[-1]["node"] == "n1029"
 
 
 class TestSlos:

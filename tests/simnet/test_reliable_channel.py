@@ -11,7 +11,7 @@ the chaos suite.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import pytest
 
@@ -50,22 +50,26 @@ class ReliableSink:
         return [message.n for message in self.received]
 
 
-def make_link(**config_overrides):
-    config = replace(
-        ReliabilityConfig(
-            ack_delay_ms=1.0,
-            retransmit_base_ms=8.0,
-            retransmit_cap_ms=64.0,
-            retransmit_jitter_fraction=0.0,
-            max_retransmits=4,
-        ),
-        **config_overrides,
-    )
+class NoJitter:
+    """Stands in for the transport's ``random.Random``: every draw is the low end.
+
+    The retransmit timeouts are then exactly the shipped backoff sequence
+    (12, 24, 48, 96, 120, 120, ... ms on these 1 ms links), so the tests
+    below name simulated times instead of ranges.
+    """
+
+    @staticmethod
+    def uniform(low, high):
+        return low
+
+
+def make_link(rng=NoJitter, **config_overrides):
+    config = ReliabilityConfig(**config_overrides)
     config.validate()
     simulator = Simulator()
     network = Network(simulator, FixedLatencyModel(1.0), random.Random(1))
     obs = Observability(ObsConfig(), lambda: simulator.now)
-    transport = ReliableTransport(config, network, simulator, random.Random(7), obs=obs)
+    transport = ReliableTransport(config, network, simulator, rng, obs=obs)
     a = ReliableSink(ReplicaId(0, 0), transport)
     b = ReliableSink(ReplicaId(0, 1), transport)
     network.register(a)
@@ -88,16 +92,17 @@ class TestLossRecovery:
     def test_dropped_messages_are_retransmitted_until_delivered(self):
         simulator, _, transport, injector, a, b = make_link()
         # Open a total drop window, send into it, then close the window
-        # before the (backed-off) retransmissions fire.
+        # between the second retransmission round (t = 36) and the third.
         window = injector.drop(FaultRule(src=a.node_id, dst=b.node_id))
         for n in range(3):
             transport.send(a.node_id, b.node_id, Ping(n=n))
-        simulator.run(until_ms=5.0)
+        simulator.run(until_ms=40.0)
         assert b.numbers() == []
+        assert transport.counters["messages_retransmitted"] == 6
         injector.remove(window)
         simulator.run_until_idle()
         assert b.numbers() == [0, 1, 2]
-        assert transport.counters["messages_retransmitted"] >= 3
+        assert transport.counters["messages_retransmitted"] == 9
         assert transport.in_flight() == 0
 
     def test_lost_ack_only_costs_a_duplicate_not_a_loss(self):
@@ -108,10 +113,13 @@ class TestLossRecovery:
             FaultRule(src=b.node_id, dst=a.node_id, message_type=ReliableAck)
         )
         transport.send(a.node_id, b.node_id, Ping(n=1))
+        # Original at t = 1, its ack (t = 5) lost; retransmission at t = 12
+        # arrives as a duplicate at t = 13, whose ack (t = 17) is lost too.
         simulator.run(until_ms=20.0)
         assert b.numbers() == [1]
-        assert transport.counters["messages_retransmitted"] >= 1
-        assert transport.counters["duplicates_dropped"] >= 1
+        assert transport.counters["messages_retransmitted"] == 1
+        assert transport.counters["duplicates_dropped"] == 1
+        assert transport.counters["acks_sent"] == 2
         injector.remove(ack_drop)
         simulator.run_until_idle()
         # Once an ack gets through, the window empties and the link quiesces.
@@ -139,10 +147,11 @@ class TestDedupAndOrdering:
     def test_duplicate_arrivals_are_dropped_at_the_transport(self):
         simulator, _, transport, injector, a, b = make_link()
         # Slow the first copy down so the retransmission races it: both
-        # copies arrive, the protocol layer sees the payload once.
+        # copies arrive, the protocol layer sees the payload once.  (The
+        # retransmission fires at t = 12, the slowed original lands at 16.)
         delay = injector.delay(FaultRule(message_type=Ping), extra_ms=15.0)
         transport.send(a.node_id, b.node_id, Ping(n=7))
-        simulator.run(until_ms=12.0)
+        simulator.run(until_ms=14.0)
         injector.remove(delay)
         simulator.run_until_idle()
         assert b.numbers() == [7]
@@ -151,11 +160,15 @@ class TestDedupAndOrdering:
 
 class TestAckStarvation:
     def test_dead_peer_window_is_abandoned_after_backoff_sequence(self):
-        simulator, _, transport, injector, a, b = make_link(max_retransmits=3)
+        simulator, _, transport, injector, a, b = make_link()
         injector.drop(FaultRule(src=a.node_id, dst=b.node_id))
         for n in range(4):
             transport.send(a.node_id, b.node_id, Ping(n=n))
         simulator.run_until_idle()
+        # Twelve fruitless rounds (the default cap), then the thirteenth fire
+        # gives up: 12 + 24 + 48 + 96 + nine times the 120 ms cap.
+        assert simulator.now == 1260.0
+        assert transport.counters["messages_retransmitted"] == 12 * 4
         # The link gave up: nothing delivered, nothing still queued, and the
         # abandonment is visible in the counters.
         assert b.numbers() == []
@@ -177,11 +190,8 @@ class TestAckStarvation:
         assert transport.in_flight() == 0
 
     def test_backoff_doubles_between_fruitless_rounds(self):
-        simulator, _, transport, injector, a, b = make_link(
-            retransmit_base_ms=8.0, retransmit_cap_ms=64.0, max_retransmits=4
-        )
+        simulator, _, transport, injector, a, b = make_link(max_retransmits=4)
         injector.drop(FaultRule(src=a.node_id, dst=b.node_id))
-        transport.send(a.node_id, b.node_id, Ping(n=0))
         fire_times = []
         original = transport._on_retransmit_timer
 
@@ -190,10 +200,25 @@ class TestAckStarvation:
             original(src, dst, link)
 
         transport._on_retransmit_timer = spy
+        transport.send(a.node_id, b.node_id, Ping(n=0))
         simulator.run_until_idle()
         gaps = [b - a for a, b in zip(fire_times, fire_times[1:])]
         assert gaps == sorted(gaps)  # monotone non-decreasing
         assert gaps and gaps[-1] >= 2 * gaps[0]  # genuinely exponential
+        # Base 12 ms doubling up to the 120 ms cap; the fifth fire abandons.
+        assert fire_times == [12.0, 36.0, 84.0, 180.0, 300.0]
+        assert transport.counters["links_abandoned"] == 1
+
+    def test_jitter_stretches_each_timeout_by_at_most_a_fifth(self):
+        simulator, _, transport, injector, a, b = make_link(
+            rng=random.Random(7), max_retransmits=1
+        )
+        injector.drop(FaultRule(src=a.node_id, dst=b.node_id))
+        transport.send(a.node_id, b.node_id, Ping(n=0))
+        simulator.run_until_idle()
+        (retransmit,) = transport._obs.recorder.events_of_kind("message-retransmit")
+        assert 12.0 < retransmit.time_ms <= 12.0 * 1.2
+        assert 24.0 < simulator.now - retransmit.time_ms <= 24.0 * 1.2
 
 
 def malformed_events(transport):
