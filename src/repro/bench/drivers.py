@@ -135,7 +135,6 @@ def execute_workload(
     concurrency: int = 8,
     num_clients: int = 2,
     read_only_protocol: "str | ReadOnlyProtocol" = "transedge",
-    metrics: Optional[MetricsCollector] = None,
     client_prefix: str = "driver",
     client_kwargs: Optional[dict] = None,
 ) -> WorkloadRunResult:
@@ -145,7 +144,7 @@ def execute_workload(
     read-write specifications always use the TransEdge commit path (the
     2PC/BFT baseline shares it, per Section 3.5 of the paper).
     """
-    run = _Run(system, metrics if metrics is not None else MetricsCollector())
+    run = _Run(system, MetricsCollector())
     clients = [
         system.create_client(f"{client_prefix}-{index}", **(client_kwargs or {}))
         for index in range(max(1, num_clients))

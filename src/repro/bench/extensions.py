@@ -17,7 +17,8 @@ import itertools
 import random
 import tempfile
 import time
-from typing import Callable, Dict, List
+from collections import Counter
+from typing import Callable, Dict
 
 from repro.bench.drivers import execute_concurrent_workloads, execute_workload
 from repro.bench.harness import Harness, latency_config, make_generator, section51_config
@@ -37,9 +38,8 @@ from repro.crypto.archive import MerkleTreeArchive
 from repro.crypto.merkle import MerkleStore, MerkleTree
 from repro.crypto.signatures import HmacSigner, KeyRegistry, RsaSigner
 from repro.edge.byzantine import BEHAVIOURS, install_byzantine
-from repro.metrics.collector import MetricsCollector, summarize_latencies
+from repro.metrics.collector import summarize_latencies
 from repro.metrics.tables import FigureResult, TableResult
-from repro.obs.attribution import PhaseAggregate, phase_breakdown, reconciliation_error
 from repro.obs.slo import default_slos, evaluate_slos, render_slo_table
 from repro.simnet.proc import Sleep
 from repro.storage.mvstore import MultiVersionStore
@@ -95,7 +95,7 @@ def fig16_crash_recovery(harness: Harness) -> FigureResult:
     unbounded_log = figure.add_series("max SMR log length (disabled)")
     chains = figure.add_series("max version-chain length (checkpointing)")
     lag = figure.add_series("restarted replica lag (batches)")
-    events = MetricsCollector()
+    events = Counter()
     intervals = (5, 10, 20)
     baseline_length = None
     for interval in intervals:
@@ -113,18 +113,14 @@ def fig16_crash_recovery(harness: Harness) -> FigureResult:
                 system.env.simulator.schedule(
                     70.0, lambda s=system, v=victim: s.restart_replica(v)
                 )
-            execute_workload(
-                system, specs, concurrency=16, num_clients=4, metrics=events
-            )
+            execute_workload(system, specs, concurrency=16, num_clients=4)
             if enabled:
                 counters = system.counters()
-                events.record_event("checkpoints-stable", counters.checkpoints_stable)
-                events.record_event("log-entries-truncated", counters.log_entries_truncated)
-                events.record_event("versions-pruned", counters.versions_pruned)
                 victim_replica = system.replicas[victim]
-                events.record_event(
-                    "recoveries-completed", victim_replica.counters.recoveries_completed
-                )
+                events["checkpoints-stable"] += counters.checkpoints_stable
+                events["log-entries-truncated"] += counters.log_entries_truncated
+                events["versions-pruned"] += counters.versions_pruned
+                events["recoveries-completed"] += victim_replica.counters.recoveries_completed
                 bounded_log.add(interval, system.max_log_length())
                 chains.add(interval, system.max_version_chain_length())
                 lag.add(
@@ -163,7 +159,6 @@ def fig16_crash_recovery(harness: Harness) -> FigureResult:
         mixed,
         concurrency=16,
         num_clients=4,
-        metrics=events,
         client_prefix="leadercrash",
         # Short commit timeout: clients stuck on the dead leader complain
         # (and their aborted attempts terminate) quickly instead of at the
@@ -173,12 +168,11 @@ def fig16_crash_recovery(harness: Harness) -> FigureResult:
     counters = system.counters()
     ex_leader = system.replicas[victim]
     stranded = system.stranded_prepared_transactions()
-    events.record_event("leader-crash-recoveries-completed",
-                        ex_leader.counters.recoveries_completed)
-    events.record_event("leader-crash-view-changes", counters.view_changes)
-    events.record_event("leader-crash-views-adopted", counters.views_adopted)
-    events.record_event("leader-crash-decision-queries", counters.decision_queries_served)
-    events.record_event("stranded-prepared", stranded)
+    events["leader-crash-recoveries-completed"] = ex_leader.counters.recoveries_completed
+    events["leader-crash-view-changes"] = counters.view_changes
+    events["leader-crash-views-adopted"] = counters.views_adopted
+    events["leader-crash-decision-queries"] = counters.decision_queries_served
+    events["stranded-prepared"] = stranded
     caches = system.cache_snapshot(record_event=True)
     verify_nodes = {**caches["verify_replicas"], **caches["verify_clients"]}
     cache_hits = sum(entry["hits"] for entry in verify_nodes.values())
@@ -201,7 +195,7 @@ def fig16_crash_recovery(harness: Harness) -> FigureResult:
         f"per-node verify caches: {100.0 * cache_hits / max(1, cache_hits + cache_misses):.1f}% "
         f"aggregate hit rate over {len(verify_nodes)} nodes"
     )
-    figure.facts.update(sorted(events.events().items()))
+    figure.facts.update(sorted(events.items()))
     # The crash windows are where the reliable channel earns its keep:
     # retransmissions towards the dead node until the per-link cap
     # abandons its window, duplicate-drops as redeliveries race restarts.
@@ -460,20 +454,10 @@ def obs_phase_attribution(harness: Harness) -> TableResult:
     system = harness.build(_traced_config(batch_timeout_ms=10.0))
     generator = make_generator(system)
     specs = [generator.distributed_read_write() for _ in range(txns)]
-    result = execute_workload(system, specs, concurrency=16, num_clients=4)
+    execute_workload(system, specs, concurrency=16, num_clients=4)
 
     obs = system.env.obs
-    aggregate = PhaseAggregate()
-    root_durations: List[float] = []
-    worst_error = 0.0
-    for trace in obs.tracer.completed_traces():
-        aggregate.add_trace(trace)
-        worst_error = max(worst_error, reconciliation_error(trace))
-        root = trace.root
-        if root is not None and root.closed:
-            root_durations.append(root.duration_ms)
-            for phase, ms in phase_breakdown(trace).items():
-                result.metrics.record_phase_sample(phase, ms)
+    aggregate = obs.phase_aggregate()
 
     table = TableResult(
         table_id="Obs",
@@ -488,9 +472,10 @@ def obs_phase_attribution(harness: Harness) -> TableResult:
         table.set(phase, "p50 ms", round(summary.p50_ms, 3))
         table.set(phase, "p95 ms", round(summary.p95_ms, 3))
         table.set(phase, "p99 ms", round(summary.p99_ms, 3))
-    end_to_end = summarize_latencies(root_durations)
+    end_to_end = summarize_latencies(aggregate.end_to_end_ms)
+    end_to_end_total = sum(aggregate.end_to_end_ms)
     table.set("end-to-end", "count", end_to_end.count)
-    table.set("end-to-end", "total ms", round(sum(root_durations), 2))
+    table.set("end-to-end", "total ms", round(end_to_end_total, 2))
     table.set("end-to-end", "share %", 100.0)
     table.set("end-to-end", "p50 ms", round(end_to_end.p50_ms, 3))
     table.set("end-to-end", "p95 ms", round(end_to_end.p95_ms, 3))
@@ -499,14 +484,14 @@ def obs_phase_attribution(harness: Harness) -> TableResult:
     attributed = sum(aggregate.total_ms(phase) for phase in aggregate.phases())
     table.notes.append(
         f"{txns} distributed read-write txns, {aggregate.traces} complete traces; "
-        f"attributed {attributed:.2f} ms vs end-to-end {sum(root_durations):.2f} ms "
-        f"(worst per-trace reconciliation error {100.0 * worst_error:.4f}%)"
+        f"attributed {attributed:.2f} ms vs end-to-end {end_to_end_total:.2f} ms "
+        f"(worst per-trace reconciliation error {100.0 * aggregate.worst_error:.4f}%)"
     )
     table.notes.append(
         f"{obs.tracer.spans_recorded} spans recorded; trace digest {obs.tracer.digest()}"
     )
     table.facts["complete_traces"] = aggregate.traces
-    table.facts["worst_reconciliation_error"] = worst_error
+    table.facts["worst_reconciliation_error"] = aggregate.worst_error
     return table
 
 

@@ -187,11 +187,6 @@ class PbftEngine:
         self._accept_pre_prepare(message, self._owner.node_id)
         return seq
 
-    def re_propose_after_view_change(self, proposal: object) -> int:
-        """Propose again in the new view (used after a leader change)."""
-        self._next_proposal_seq = max(self._next_proposal_seq, self._next_deliver_seq)
-        return self.propose(proposal)
-
     # -- message handling -------------------------------------------------------
 
     def handle(self, message: BftMessage, src) -> bool:

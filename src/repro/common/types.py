@@ -174,9 +174,6 @@ class ReadOnlyResult:
     verified: bool = True
     served_by_edge: bool = False
 
-    def value_of(self, key: Key) -> Optional[Value]:
-        return self.values.get(key)
-
 
 @dataclass(frozen=True)
 class CommitResult:

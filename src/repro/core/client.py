@@ -95,24 +95,17 @@ EDGE_READ_TIMEOUT_MS = 20_000.0
 class ClientStats:
     """Per-client counters, aggregated by the benchmark harness."""
 
-    committed: int = 0
-    aborted: int = 0
     timeouts: int = 0
     read_only_completed: int = 0
     read_only_second_rounds: int = 0
-    read_only_extra_repair_rounds: int = 0
     read_only_verification_failures: int = 0
     edge_reads_attempted: int = 0
     edge_reads_served: int = 0
     edge_relays: int = 0
     edge_fallbacks: int = 0
     edge_verification_failures: int = 0
-    proxies_blacklisted: int = 0
     leader_failovers: int = 0
     commit_retries: int = 0
-    #: Positional refusals (not-leader / mid-recovery) retried instead of
-    #: being surfaced as authoritative aborts.
-    commit_leader_refusals: int = 0
     #: Commits accepted from f+1 matching ReplicaCommitReply messages
     #: (instead of, or before, the leader's own CommitReply).
     replica_quorum_commits: int = 0
@@ -353,10 +346,6 @@ class TransEdgeClient(ProcessNode):
                 latency_ms=latency,
             )
         assert isinstance(reply, CommitReply)
-        if reply.status is TxnStatus.COMMITTED:
-            self.stats.committed += 1
-        else:
-            self.stats.aborted += 1
         return CommitResult(
             txn_id=txn_id,
             status=reply.status,
@@ -433,7 +422,6 @@ class TransEdgeClient(ProcessNode):
                     # the final abort.  Retry without complaining: a live
                     # replica answered, so this is routing staleness, not a
                     # silent leader.
-                    self.stats.commit_leader_refusals += 1
                     reply = None
                     continue
                 if reply is not None:
@@ -543,8 +531,6 @@ class TransEdgeClient(ProcessNode):
             rounds += 1
             if rounds == 2:
                 self.stats.read_only_second_rounds += 1
-            else:
-                self.stats.read_only_extra_repair_rounds += 1
             repaired = yield from self._core_round(grouped, snapshots, required)
             verified = verified and repaired
             if not repaired:
@@ -622,14 +608,15 @@ class TransEdgeClient(ProcessNode):
         back to the core, else the verified snapshots plus whether every
         partition came from the proxy's cache (a cache-served read) rather
         than being relayed.  Every section is re-verified here — the proxy is
-        untrusted, so a bad proof or forged header blacklists it, and a
-        section omitting a *requested* key is never believed (values carry
-        membership proofs; absence carries none, so a withheld key falls
-        back to the core for the authoritative answer).  A section that is
-        authentic but fails only the freshness bound is not immediate proof
-        of misbehaviour — an idle partition's newest header ages past any
-        bound — so it is returned as a *suspicion* the caller settles against
-        the direct read's header (see :meth:`_judge_stale_suspicion`).
+        untrusted, so a malformed reply, bad proof or forged header
+        blacklists it, and a section omitting a *requested* key is never
+        believed (values carry membership proofs; absence carries none, so a
+        withheld key falls back to the core for the authoritative answer).
+        A section that is authentic but fails only the freshness bound is not
+        immediate proof of misbehaviour — an idle partition's newest header
+        ages past any bound — so it is returned as a *suspicion* the caller
+        settles against the direct read's header (see
+        :meth:`_judge_stale_suspicion`).
         """
         all_keys = tuple(sorted(key for keys in grouped.values() for key in keys))
         reply = yield Call(
@@ -637,7 +624,11 @@ class TransEdgeClient(ProcessNode):
             EdgeReadRequest(keys=all_keys),
             timeout_ms=EDGE_READ_TIMEOUT_MS,
         )
-        if reply is None or not isinstance(reply, EdgeReadReply):
+        if not isinstance(reply, EdgeReadReply):
+            return None, None
+        if not reply.well_formed():
+            self.stats.edge_verification_failures += 1
+            self.edge_router.blacklist(proxy)
             return None, None
         snapshots: Dict[PartitionId, PartitionSnapshot] = {}
         for partition in sorted(grouped):
@@ -648,14 +639,7 @@ class TransEdgeClient(ProcessNode):
                 # (there are no non-membership proofs), so it is simply
                 # never accepted — the direct read answers instead.
                 return None, None
-            snapshot = PartitionSnapshot(
-                partition=partition,
-                keys=keys,
-                values=dict(section.values),
-                versions=dict(section.versions),
-                proofs=dict(section.proofs),
-                header=section.header,
-            )
+            snapshot = PartitionSnapshot.of(partition, keys, section)
             if not verify_snapshot(
                 snapshot, self.verifier, self.topology, self.config, now_ms=self.now
             ):
@@ -666,15 +650,11 @@ class TransEdgeClient(ProcessNode):
                     # Authentic but stale: withhold judgement until the
                     # direct read reveals whether fresher state existed.
                     return None, (proxy, partition, snapshot.batch_number)
-                self._blacklist_proxy(proxy)
+                self.edge_router.blacklist(proxy)
                 return None, None
             snapshots[partition] = snapshot
         from_cache = set(grouped) <= set(reply.from_cache)
         return (snapshots, from_cache), None
-
-    def _blacklist_proxy(self, proxy: EdgeProxyId) -> None:
-        self.edge_router.blacklist(proxy)
-        self.stats.proxies_blacklisted = len(self.edge_router.blacklisted())
 
     def _judge_stale_suspicion(
         self,
@@ -695,7 +675,7 @@ class TransEdgeClient(ProcessNode):
         if direct is None or direct.header is None:
             return  # no authoritative comparison; leave the proxy alone
         if direct.batch_number > served_batch + self.config.edge.max_header_lag_batches:
-            self._blacklist_proxy(proxy)
+            self.edge_router.blacklist(proxy)
 
     def _verified_snapshot(
         self,
@@ -707,8 +687,8 @@ class TransEdgeClient(ProcessNode):
         """Turn a reply into a verified snapshot, retrying other replicas on failure.
 
         Commit-freedom means a single node answers; if that node is byzantine
-        (bad proof, forged header) the client simply asks another member of
-        the same cluster.
+        (malformed reply, bad proof, forged header) the client simply asks
+        another member of the same cluster.
         """
         reply_type = ReadOnlyReply if required is None else SnapshotReply
         candidates = [
@@ -718,17 +698,11 @@ class TransEdgeClient(ProcessNode):
         ]
         attempt = 0
         while True:
-            snapshot: Optional[PartitionSnapshot] = None
-            if reply is not None and isinstance(reply, reply_type):
-                snapshot = PartitionSnapshot(
-                    partition=partition,
-                    keys=keys,
-                    values=dict(reply.values),
-                    versions=dict(reply.versions),
-                    proofs=dict(reply.proofs),
-                    header=reply.header,
+            if isinstance(reply, reply_type):
+                snapshot = (
+                    PartitionSnapshot.of(partition, keys, reply) if reply.well_formed() else None
                 )
-                if verify_snapshot(
+                if snapshot is not None and verify_snapshot(
                     snapshot, self.verifier, self.topology, self.config, now_ms=self.now
                 ):
                     return snapshot
@@ -786,8 +760,6 @@ class TransEdgeClient(ProcessNode):
         committed = reply is not None and reply.status is TxnStatus.COMMITTED
         if committed:
             self.stats.read_only_completed += 1
-        else:
-            self.stats.aborted += 1
         return ReadOnlyResult(
             txn_id=txn_id,
             values=values,

@@ -14,7 +14,7 @@ Three groups of messages:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.common.ids import NO_BATCH, BatchNumber, PartitionId
 from repro.common.types import Key, NoneType, TxnStatus, Value
@@ -28,6 +28,25 @@ def _keys_well_formed(request: "ReadRequest") -> bool:
     """``well_formed()`` of the read-side requests: is ``keys`` a tuple of keys?"""
     keys = request.keys
     return isinstance(keys, tuple) and all(isinstance(key, Key) for key in keys)
+
+
+def _keyed(mapping: object, kind: type) -> bool:
+    """Is ``mapping`` a dict from keys to ``kind``?"""
+    return isinstance(mapping, dict) and all(
+        isinstance(key, Key) and isinstance(value, kind) for key, value in mapping.items()
+    )
+
+
+def _snapshot_well_formed(reply: "ReadOnlyReply") -> bool:
+    """``well_formed()`` of a snapshot read's answer: keyed values, versions and
+    proofs under an optional header.  What they claim is verified after."""
+    return (
+        isinstance(reply.partition, int)
+        and isinstance(reply.header, (CertifiedHeader, NoneType))
+        and _keyed(reply.values, Value)
+        and _keyed(reply.versions, int)
+        and _keyed(reply.proofs, MerkleProof)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +272,8 @@ class ReadOnlyReply(ReplyMessage):
     proofs: Dict[Key, MerkleProof] = field(default_factory=dict)
     header: Optional[CertifiedHeader] = None
 
+    well_formed = _snapshot_well_formed
+
 
 @dataclass
 class SnapshotRequest(RequestMessage):
@@ -280,6 +301,8 @@ class SnapshotReply(ReplyMessage):
     versions: Dict[Key, BatchNumber] = field(default_factory=dict)
     proofs: Dict[Key, MerkleProof] = field(default_factory=dict)
     header: Optional[CertifiedHeader] = None
+
+    well_formed = _snapshot_well_formed
 
 
 # ---------------------------------------------------------------------------

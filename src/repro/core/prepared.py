@@ -119,11 +119,6 @@ class PreparedBatches:
         """True while any prepared transaction still awaits its 2PC decision."""
         return any(not group.is_ready() for group in self._groups.values())
 
-    def oldest_group_number(self) -> Optional[BatchNumber]:
-        if not self._groups:
-            return None
-        return min(self._groups)
-
     def group_numbers(self) -> List[BatchNumber]:
         """All in-flight prepare-group batch numbers, oldest first."""
         return sorted(self._groups)

@@ -48,6 +48,20 @@ class PartitionSnapshot:
     proofs: Dict[Key, MerkleProof] = field(default_factory=dict)
     header: Optional[CertifiedHeader] = None
 
+    @classmethod
+    def of(cls, partition: PartitionId, keys: Tuple[Key, ...], answer) -> "PartitionSnapshot":
+        """What ``answer`` — a read reply or an edge section — claims for
+        ``partition``'s ``keys``; nothing in it is believed before
+        :func:`verify_snapshot`."""
+        return cls(
+            partition=partition,
+            keys=keys,
+            values=dict(answer.values),
+            versions=dict(answer.versions),
+            proofs=dict(answer.proofs),
+            header=answer.header,
+        )
+
     @property
     def lce(self) -> BatchNumber:
         if self.header is None:

@@ -15,7 +15,7 @@ drives 2PC across clusters.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.bft.engine import PbftEngine
@@ -28,7 +28,7 @@ from repro.common.types import Key, TxnStatus, Value
 from repro.crypto.archive import MerkleTreeArchive
 from repro.crypto.hashing import Digest
 from repro.crypto.merkle import MerkleStore, MerkleTree
-from repro.core.batch import Batch, CertifiedHeader, CommitRecord, PreparedRecord
+from repro.core.batch import Batch, CertifiedHeader, CommitRecord
 from repro.core.cdvector import CDVector
 from repro.core.leader import LeaderRole
 from repro.core.messages import (
@@ -152,7 +152,6 @@ class ViewProgressMonitor:
         self._armed_baseline = self._snapshot()
         self._suspect_rounds = 0
         self._gave_up = False
-        self._complainants: set = set()
         #: Transaction ids of forwarded-request probes (``ComplaintProbe``)
         #: currently outstanding against the leader.  An ack is only honoured
         #: for a transaction this replica actually probed, so a byzantine
@@ -166,12 +165,10 @@ class ViewProgressMonitor:
         #: view-change vote instead of withholding it forever.
         self._catchup_attempted = False
 
-    def note_complaint(self, complainant, probe_txn_id: str) -> None:
+    def note_complaint(self, probe_txn_id: str) -> None:
         """A client reported the leader unresponsive (``LeaderComplaint``).
 
-        Complainants are deduplicated (the simulated network stamps the true
-        sender, so one node flooding complaints counts once per window).  A
-        complaint is also fresh external evidence: it revives a monitor that
+        A complaint is fresh external evidence: it revives a monitor that
         stood down during an earlier stall (otherwise a leader crash on an
         idle, previously-stalled cluster would never be detected).  Each
         revival is driven by an actual client message, so a finite workload
@@ -186,7 +183,6 @@ class ViewProgressMonitor:
         otherwise idle cluster's leadership; only a leader that leaves the
         forwarded request unanswered is voted out.
         """
-        self._complainants.add(complainant)
         self._probes.add(probe_txn_id)
         if self._gave_up:
             self._gave_up = False
@@ -217,7 +213,6 @@ class ViewProgressMonitor:
         self._clear_complaints()
 
     def _clear_complaints(self) -> None:
-        self._complainants.clear()
         self._probes.clear()
 
     def poke(self) -> None:
@@ -250,7 +245,7 @@ class ViewProgressMonitor:
 
     def _has_evidence(self) -> bool:
         replica = self._replica
-        if self._complainants:
+        if self._probes:
             return True
         if replica.engine.has_pending_work():
             return True
@@ -279,23 +274,32 @@ class ViewProgressMonitor:
             return
         # A replica mid-recovery cannot judge the leader (it is the one
         # behind).  The current leader never votes against itself either —
-        # but it MAY take the catch-up branch below.
+        # but it MAY catch up.
         if not replica.recovery.in_progress:
-            if replica.engine.is_behind() and not self._catchup_attempted:
-                # The quorum apparently moved past us (instances were
-                # decided while we were crashed or mid-recovery, and with
-                # checkpointing off nothing else would ever re-sync us).
-                # The leader is not the problem — we are: catch up through
-                # state transfer instead of voting the leader out.  At most
-                # once per stall: if the fetch brings nothing (the evidence
-                # was fake — a byzantine leader's future pre-prepare), the
-                # next round votes normally rather than abstaining forever.
-                # This branch deliberately includes the *leader*: a leader
-                # whose quorum moved past it while it was crashed cannot
-                # vote against itself, so without the catch-up path it
-                # would stand here forever while every follower's probe
-                # keeps refuting their complaints — the "quorum ahead of
-                # its leader" stall the coverage fleet surfaced.
+            if not self._catchup_attempted and (
+                replica.engine.is_behind()
+                or (
+                    replica.is_leader
+                    and self._suspect_rounds >= 2
+                    and replica.engine.has_pending_work()
+                )
+            ):
+                # This replica is the one behind: catch up through state
+                # transfer instead of voting anyone out.  Either the quorum
+                # demonstrably moved past it (instances decided while it was
+                # crashed or mid-recovery; with checkpointing off nothing
+                # else would ever re-sync it), or — the leader's
+                # last resort — its own proposal made zero progress for two
+                # full windows while the followers keep acking its probes: a
+                # view change can elect a replica that missed decisions, and
+                # its re-proposal of an already-delivered sequence is
+                # silently ignored as stale.  A leader cannot vote against
+                # itself, so without this path it would stand here forever —
+                # the "quorum ahead of its leader" stall the coverage fleet
+                # surfaced.  At most once per stall: if the fetch brings
+                # nothing (the evidence was fake — a byzantine leader's
+                # future pre-prepare), the next round votes normally rather
+                # than abstaining forever; state transfer only ever extends.
                 self._catchup_attempted = True
                 replica.counters.catchup_recoveries += 1
                 replica.begin_recovery()
@@ -311,25 +315,6 @@ class ViewProgressMonitor:
                     },
                 )
                 replica.engine.suspect_leader()
-            elif (
-                self._suspect_rounds >= 2
-                and not self._catchup_attempted
-                and replica.engine.has_pending_work()
-            ):
-                # Leader last resort.  A leader whose own proposal has made
-                # zero progress for two full windows — while the followers
-                # keep acking its probes — is almost certainly the one
-                # behind, with no local evidence to show for it: a view
-                # change can elect a replica that missed decisions while it
-                # was crashed or partitioned, and its re-proposal of an
-                # already-delivered sequence is silently ignored by peers
-                # as stale.  A follower votes every round; the leader's
-                # only move is one catch-up recovery, which either closes
-                # the gap (progress resets the monitor) or installs
-                # nothing, harmlessly (state transfer only ever extends).
-                self._catchup_attempted = True
-                replica.counters.catchup_recoveries += 1
-                replica.begin_recovery()
         self._arm()
 
 
@@ -1265,7 +1250,7 @@ class PartitionReplica(SimNode):
                 {"partition": int(self.partition), "reason": "already decided"},
             )
             return
-        self.progress_monitor.note_complaint(src, probe_txn_id=txn.txn_id)
+        self.progress_monitor.note_complaint(probe_txn_id=txn.txn_id)
         self.send(
             self.engine.current_leader,
             ComplaintProbe(partition=self.partition, txn=txn),

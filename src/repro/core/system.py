@@ -323,7 +323,6 @@ class TransEdgeSystem:
         the nodes, so windowed deltas telescope exactly (the timeline's sum
         of window deltas always equals final minus initial).
         """
-        caches = self.cache_snapshot()
         node_handled: Dict[str, int] = {}
         for replica in self.replicas.values():
             node_handled[str(replica.node_id)] = replica.messages_handled
@@ -332,9 +331,8 @@ class TransEdgeSystem:
         for client in self.clients:
             node_handled[str(client.node_id)] = client.messages_handled
         return {
-            "counters": asdict(self._counters(caches["totals"])),
-            "transport": dict(caches["transport"]),
-            "client_verify": dict(caches["totals"]["verify_clients"]),
+            "counters": asdict(self.counters()),
+            "transport": dict(self.env.reliability.counters),
             "node_handled": node_handled,
         }
 
@@ -374,10 +372,7 @@ class TransEdgeSystem:
         dominated by leaders; follower contributions are included because a
         view change can move the leader mid-experiment.
         """
-        return self._counters(self.cache_snapshot()["totals"])
-
-    def _counters(self, cache_totals: Dict[str, Dict[str, int]]) -> SystemCounters:
-        """:meth:`counters`, given the ``totals`` of a cache snapshot already built."""
+        cache_totals = self.cache_snapshot()["totals"]
         per_replica = [replica.counters for replica in self.replicas.values()]
         total = SystemCounters(
             **{

@@ -132,11 +132,6 @@ class MerkleTree:
             self._levels.append(nxt)
             current = nxt
 
-    @classmethod
-    def from_items(cls, items: Mapping[Key, Value]) -> "MerkleTree":
-        """Build a tree from a key/value mapping."""
-        return cls(items)
-
     def clone(self) -> "MerkleTree":
         """An independent tree over the same leaves, without hashing anything.
 
@@ -444,8 +439,3 @@ class MerkleStore:
 
     def prove(self, key: Key) -> MerkleProof:
         return self._tree.prove(key)
-
-
-def proof_payload(proof: MerkleProof) -> list:
-    """Encode a proof as a ``stable_encode``-compatible payload (for signing)."""
-    return [proof.key, [[step.sibling, step.sibling_is_left] for step in proof.steps]]

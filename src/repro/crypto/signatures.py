@@ -77,10 +77,6 @@ class RsaSigner(Signer):
             rng = random.Random(seed)
         self._keypair = rsa.generate_keypair(bits=bits, rng=rng)
 
-    @property
-    def public_key(self) -> rsa.RsaPublicKey:
-        return self._keypair.public
-
     def sign(self, payload: Encodable) -> Signature:
         message = stable_encode(payload)
         return Signature(

@@ -94,10 +94,6 @@ class EdgeCache:
     def latest_number(self, partition: PartitionId) -> Optional[BatchNumber]:
         return self._latest_numbers.get(partition)
 
-    def context_header(self, partition: PartitionId) -> Optional[CertifiedHeader]:
-        context = self._contexts.get(partition)
-        return context.header if context is not None else None
-
     # -- lookups ---------------------------------------------------------------
 
     def lookup(
@@ -194,9 +190,6 @@ class EdgeCache:
         self.note_header(partition, header)
 
     # -- maintenance --------------------------------------------------------------
-
-    def invalidate_partition(self, partition: PartitionId) -> None:
-        self._contexts.pop(partition, None)
 
     def clear(self) -> None:
         self._contexts.clear()

@@ -54,6 +54,9 @@ from repro.storage.partitioner import HashPartitioner
 _CACHE_CAPACITY = 256
 #: How long (simulated ms) a proxy waits for a core replica on a cache miss.
 _FETCH_TIMEOUT_MS = 20_000.0
+#: Every message whose ``well_formed()`` is asked before anything reads one
+#: of its fields.
+_SHAPE_CHECKED = (EdgeReadRequest, HeaderAnnouncement, ReadOnlyReply)
 
 
 @dataclass
@@ -66,8 +69,6 @@ class ProxyCounters:
     core_fetches: int = 0
     refresh_rounds: int = 0
     announcements_received: int = 0
-    announcements_rejected: int = 0
-    rejected_core_replies: int = 0
 
 
 class ProxyBehaviour:
@@ -120,6 +121,8 @@ class EdgeProxy(ProcessNode):
 
     def processing_cost_ms(self, message: Message) -> float:
         costs = self.config.costs
+        if isinstance(message, _SHAPE_CHECKED) and not message.well_formed():
+            return costs.message_handling_ms
         if isinstance(message, EdgeReadRequest):
             # Serving from cache is a plain lookup per key; proofs are stored,
             # not recomputed, so no per-level Merkle charge applies.
@@ -136,10 +139,14 @@ class EdgeProxy(ProcessNode):
 
     def _on_edge_read(self, message: Message, src: NodeId) -> None:
         assert isinstance(message, EdgeReadRequest)
+        if self.rejects_malformed(message, src):
+            return
         self.spawn(self._serve(message, src), name=f"serve-{message.request_id}")
 
     def _on_announcement(self, message: Message, src: NodeId) -> None:
         assert isinstance(message, HeaderAnnouncement)
+        if self.rejects_malformed(message, src):
+            return
         header = message.header
         if header is None or header.partition != message.partition:
             return
@@ -151,7 +158,6 @@ class EdgeProxy(ProcessNode):
             self.topology.members(header.partition),
             self.config.certificate_size,
         ):
-            self.counters.announcements_rejected += 1
             self.env.obs.event(
                 str(self.node_id),
                 "edge-announcement-rejected",
@@ -264,20 +270,18 @@ class EdgeProxy(ProcessNode):
         self, partition: PartitionId, requested: Tuple[Key, ...], reply: object
     ) -> Optional[PartitionSection]:
         """Verify a core reply, cache it, and cut the requested-keys section."""
-        if reply is None or not isinstance(reply, ReadOnlyReply) or reply.header is None:
+        if not isinstance(reply, ReadOnlyReply) or reply.header is None:
             return None
         self.counters.core_fetches += 1
-        snapshot = PartitionSnapshot(
-            partition=partition,
-            keys=tuple(sorted(reply.values)),
-            values=dict(reply.values),
-            versions=dict(reply.versions),
-            proofs=dict(reply.proofs),
-            header=reply.header,
-        )
+        well_formed = reply.well_formed()
         # No staleness bound here (now_ms=None): freshness is the *client's*
         # policy; the proxy only refuses responses that are provably forged.
-        if verify_snapshot(snapshot, self.verifier, self.topology, self.config):
+        if well_formed and verify_snapshot(
+            PartitionSnapshot.of(partition, tuple(sorted(reply.values)), reply),
+            self.verifier,
+            self.topology,
+            self.config,
+        ):
             self.cache.admit(
                 partition,
                 reply.header,
@@ -287,13 +291,14 @@ class EdgeProxy(ProcessNode):
                 now_ms=self.now,
             )
         else:
-            self.counters.rejected_core_replies += 1
             self.env.obs.event(
                 str(self.node_id),
                 "edge-reply-rejected",
                 "warn",
                 {"partition": int(partition)},
             )
+        if not well_formed:
+            return None  # no section can be cut from it
         return PartitionSection(
             partition=partition,
             values={key: reply.values[key] for key in requested if key in reply.values},
@@ -308,14 +313,7 @@ class EdgeProxy(ProcessNode):
         sections: Dict[PartitionId, PartitionSection],
     ) -> Dict[PartitionId, int]:
         snapshots = {
-            partition: PartitionSnapshot(
-                partition=partition,
-                keys=tuple(sorted(grouped[partition])),
-                values=section.values,
-                versions=section.versions,
-                proofs=section.proofs,
-                header=section.header,
-            )
+            partition: PartitionSnapshot.of(partition, tuple(sorted(grouped[partition])), section)
             for partition, section in sections.items()
         }
         return find_unsatisfied_dependencies(snapshots)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.lint.engine import Rule
 from repro.lint.rules.determinism import (
@@ -44,10 +44,6 @@ def all_rules() -> List[Rule]:
         DeadConfigKnobRule(),
         CopyUnsafeMemoRule(),
     ]
-
-
-def rules_by_id() -> Dict[str, Rule]:
-    return {rule.id: rule for rule in all_rules()}
 
 
 def select_rules(ids: Optional[Sequence[str]]) -> List[Rule]:

@@ -202,10 +202,6 @@ class OperationMetrics:
     core_latencies_ms: LatencyReservoir = field(default_factory=LatencyReservoir)
 
     @property
-    def edge_served(self) -> int:
-        return len(self.edge_latencies_ms)
-
-    @property
     def total(self) -> int:
         return self.committed + self.aborted
 
@@ -223,8 +219,6 @@ class MetricsCollector:
 
     def __init__(self) -> None:
         self._operations: Dict[str, OperationMetrics] = {}
-        self._events: Dict[str, int] = {}
-        self._phases: Dict[str, LatencyReservoir] = {}
         self._start_ms: Optional[float] = None
         self._end_ms: Optional[float] = None
 
@@ -263,34 +257,6 @@ class MetricsCollector:
         if rounds >= 2:
             metrics.second_rounds += 1
             metrics.round2_latencies_ms.append(round2_latency_ms)
-
-    def record_event(self, name: str, count: int = 1) -> None:
-        """Count a protocol event (checkpoint stabilised, replica recovered, ...).
-
-        Events are plain named counters; the recovery experiment (Figure 16)
-        accumulates checkpoint/recovery activity here and reports the totals
-        in its result notes.
-        """
-        self._events[name] = self._events.get(name, 0) + count
-
-    def event_count(self, name: str) -> int:
-        return self._events.get(name, 0)
-
-    def events(self) -> Dict[str, int]:
-        return dict(self._events)
-
-    def record_phase_sample(self, phase: str, latency_ms: float) -> None:
-        """Record one transaction's attributed time in ``phase``.
-
-        Fed from the causal tracer's per-trace phase breakdowns
-        (:func:`repro.obs.attribution.phase_breakdown`); summaries become the
-        phase-latency tables of traced bench runs.
-        """
-        self._phases.setdefault(phase, LatencyReservoir()).append(latency_ms)
-
-    def phase_summaries(self) -> Dict[str, LatencySummary]:
-        """Per-phase latency summaries, in recording order."""
-        return {phase: reservoir.summary() for phase, reservoir in self._phases.items()}
 
     def mark_start(self, now_ms: float) -> None:
         if self._start_ms is None or now_ms < self._start_ms:

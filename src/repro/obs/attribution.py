@@ -91,21 +91,33 @@ def phase_breakdown(trace: TraceData) -> Dict[str, float]:
     return totals
 
 
+def _error(breakdown: Dict[str, float], duration_ms: float) -> float:
+    if duration_ms <= 0:
+        return 0.0
+    return abs(sum(breakdown.values()) - duration_ms) / duration_ms
+
+
 def reconciliation_error(trace: TraceData) -> float:
     """|sum of phases − end-to-end| as a fraction of end-to-end latency."""
     root = trace.root
-    if root is None or not root.closed or root.duration_ms <= 0:
+    if root is None or not root.closed:
         return 0.0
-    total = sum(phase_breakdown(trace).values())
-    return abs(total - root.duration_ms) / root.duration_ms
+    return _error(phase_breakdown(trace), root.duration_ms)
 
 
 class PhaseAggregate:
-    """Per-phase latency distributions accumulated over many traces."""
+    """Per-phase latency distributions accumulated over many traces.
+
+    Besides the per-phase samples it keeps each trace's end-to-end latency
+    and the worst :func:`reconciliation_error` seen, both taken from the one
+    breakdown :meth:`add_trace` computes.
+    """
 
     def __init__(self) -> None:
         self._samples: Dict[str, List[float]] = {}
         self.traces = 0
+        self.end_to_end_ms: List[float] = []
+        self.worst_error = 0.0
 
     def add_trace(self, trace: TraceData) -> None:
         breakdown = phase_breakdown(trace)
@@ -114,6 +126,9 @@ class PhaseAggregate:
         self.traces += 1
         for phase, ms in breakdown.items():
             self._samples.setdefault(phase, []).append(ms)
+        duration_ms = trace.root.duration_ms
+        self.end_to_end_ms.append(duration_ms)
+        self.worst_error = max(self.worst_error, _error(breakdown, duration_ms))
 
     def phases(self) -> List[str]:
         ordered = [phase for phase in PHASES if phase in self._samples]

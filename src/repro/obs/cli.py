@@ -23,7 +23,6 @@ import sys
 from typing import List
 
 from repro.common.config import BatchConfig, MonitorConfig, SystemConfig
-from repro.obs.attribution import PhaseAggregate, reconciliation_error
 from repro.obs.export import (
     chrome_trace_document,
     render_trace_tree,
@@ -74,11 +73,7 @@ def _run_workload(txns: int, seed: int, monitor: bool, window_ms: float = 25.0):
 
 def render_phase_table(obs: Observability) -> str:
     """The per-phase attribution table over every completed trace."""
-    aggregate = PhaseAggregate()
-    worst = 0.0
-    for trace in obs.tracer.completed_traces():
-        aggregate.add_trace(trace)
-        worst = max(worst, reconciliation_error(trace))
+    aggregate = obs.phase_aggregate()
     if not aggregate.traces:
         return "no completed traces"
     header = f"{'phase':<14}{'total ms':>10}{'share %':>9}{'p50 ms':>9}{'p95 ms':>9}"
@@ -92,7 +87,7 @@ def render_phase_table(obs: Observability) -> str:
         )
     lines.append(
         f"({aggregate.traces} traces; worst reconciliation error "
-        f"{100.0 * worst:.4f}%)"
+        f"{100.0 * aggregate.worst_error:.4f}%)"
     )
     return "\n".join(lines)
 

@@ -4,10 +4,10 @@ PR 6's observability is *post-hoc*: traces and flight-recorder rings are
 read once the run is over.  This module watches the system *while it runs*:
 
 * :class:`MetricsTimeline` — windowed deltas of the deployment's cumulative
-  counters (system counters, per-node handled counts, transport stats,
-  client verify caches) sampled every ``MonitorConfig.window_ms`` of
-  *simulated* time, plus per-window phase attribution and end-to-end
-  latency samples folded in from the causal tracer's span-close stream.
+  counters (system counters, transport stats, per-node handled counts)
+  sampled every ``MonitorConfig.window_ms`` of *simulated* time, plus
+  per-window phase attribution and end-to-end latency samples folded in
+  from the causal tracer's span-close stream.
 * :class:`HealthTracker` — per-node timestamped health states (healthy /
   degraded / suspected / recovering / crashed) derived from the flight
   recorder's typed events, with quiet-window decay back to healthy.
@@ -84,13 +84,10 @@ class WindowSample:
     counters: Dict[str, int] = field(default_factory=dict)
     #: Reliable-transport counter deltas (empty when the channel is off).
     transport: Dict[str, int] = field(default_factory=dict)
-    #: Client verify-cache ``hits``/``misses`` deltas.
-    client_verify: Dict[str, int] = field(default_factory=dict)
     #: Per-node ``messages_handled`` deltas.
     node_handled: Dict[str, int] = field(default_factory=dict)
     #: Exclusive per-phase attribution (ms) of transactions finishing here.
     phase_ms: Dict[str, float] = field(default_factory=dict)
-    phase_counts: Dict[str, int] = field(default_factory=dict)
     #: Transactions whose root span closed in this window, by outcome.
     commits: int = 0
     aborts: int = 0
@@ -109,42 +106,23 @@ class WindowSample:
     def duration_ms(self) -> float:
         return self.end_ms - self.start_ms
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "index": self.index,
-            "start_ms": self.start_ms,
-            "end_ms": self.end_ms,
-            "closed_at_ms": self.closed_at_ms,
-            "counters": dict(self.counters),
-            "transport": dict(self.transport),
-            "client_verify": dict(self.client_verify),
-            "node_handled": dict(self.node_handled),
-            "phase_ms": {k: self.phase_ms[k] for k in sorted(self.phase_ms)},
-            "phase_counts": dict(self.phase_counts),
-            "commits": self.commits,
-            "aborts": self.aborts,
-            "latencies": list(self.latencies),
-            "samples_dropped": self.samples_dropped,
-            "earliest_root_start_ms": self.earliest_root_start_ms,
-        }
+
+#: The sections of a cumulative snapshot, each ``{name: int}``; a
+#: :class:`WindowSample` holds each one's deltas under the same name.
+SECTIONS = ("counters", "transport", "node_handled")
+
+#: What the evicted accumulator and :meth:`MetricsTimeline.totals` sum
+#: key by key: the snapshot sections plus the phase attribution.
+_SUMMED = SECTIONS + ("phase_ms",)
 
 
 class _PendingWindow:
     """Span-derived data accumulated for a window that has not closed yet."""
 
-    __slots__ = (
-        "phase_ms",
-        "phase_counts",
-        "commits",
-        "aborts",
-        "latencies",
-        "dropped",
-        "earliest_start",
-    )
+    __slots__ = ("phase_ms", "commits", "aborts", "latencies", "dropped", "earliest_start")
 
     def __init__(self) -> None:
         self.phase_ms: Dict[str, float] = {}
-        self.phase_counts: Dict[str, int] = {}
         self.commits = 0
         self.aborts = 0
         self.latencies: List[float] = []
@@ -162,23 +140,16 @@ def _delta(new: Dict[str, int], old: Dict[str, int]) -> Dict[str, int]:
     return out
 
 
-def _merge_int(total: Dict[str, int], part: Dict[str, int]) -> None:
+def _merge(total: Dict[str, float], part: Dict[str, float]) -> None:
     for key in sorted(part):
         total[key] = total.get(key, 0) + part[key]
-
-
-def _merge_float(total: Dict[str, float], part: Dict[str, float]) -> None:
-    for key in sorted(part):
-        total[key] = total.get(key, 0.0) + part[key]
 
 
 class MetricsTimeline:
     """Ring-bounded windowed counter deltas on simulated time.
 
-    ``snapshot_fn`` returns the deployment's *cumulative* counters as::
-
-        {"counters": {...}, "transport": {...},
-         "client_verify": {"hits": h, "misses": m}, "node_handled": {...}}
+    ``snapshot_fn`` returns the deployment's *cumulative* counters as
+    ``{section: {name: int}}`` over :data:`SECTIONS`.
 
     The timeline never calls it outside :meth:`note_time`/:meth:`flush`, and
     those only read — sampling is free of simulation side effects.
@@ -201,12 +172,7 @@ class MetricsTimeline:
         #: aggregate accounting stays exact forever.
         self.evicted: Dict[str, object] = {
             "windows": 0,
-            "counters": {},
-            "transport": {},
-            "client_verify": {},
-            "node_handled": {},
-            "phase_ms": {},
-            "phase_counts": {},
+            **{name: {} for name in _SUMMED},
             "commits": 0,
             "aborts": 0,
             "samples_dropped": 0,
@@ -246,7 +212,6 @@ class MetricsTimeline:
                 pending.dropped += 1
             for phase in sorted(breakdown):
                 pending.phase_ms[phase] = pending.phase_ms.get(phase, 0.0) + breakdown[phase]
-                pending.phase_counts[phase] = pending.phase_counts.get(phase, 0) + 1
         else:
             pending.aborts += 1
 
@@ -263,31 +228,18 @@ class MetricsTimeline:
         """Retained windows, oldest first."""
         return list(self._samples)
 
-    def current_snapshot(self) -> Dict[str, Dict[str, int]]:
-        """The cumulative counters right now (reads only, samples nothing)."""
-        return self._snapshot_fn()
-
     def totals(self) -> Dict[str, object]:
         """Aggregate deltas over evicted plus retained windows.
 
         After :meth:`flush`, every section equals the cumulative snapshot
         minus :attr:`initial` — the exactness invariant the tests pin.
         """
-        totals: Dict[str, object] = {
-            "counters": dict(self.evicted["counters"]),
-            "transport": dict(self.evicted["transport"]),
-            "client_verify": dict(self.evicted["client_verify"]),
-            "node_handled": dict(self.evicted["node_handled"]),
-            "phase_ms": dict(self.evicted["phase_ms"]),
-            "commits": self.evicted["commits"],
-            "aborts": self.evicted["aborts"],
-        }
+        totals: Dict[str, object] = {name: dict(self.evicted[name]) for name in _SUMMED}
+        totals["commits"] = self.evicted["commits"]
+        totals["aborts"] = self.evicted["aborts"]
         for sample in self._samples:
-            _merge_int(totals["counters"], sample.counters)
-            _merge_int(totals["transport"], sample.transport)
-            _merge_int(totals["client_verify"], sample.client_verify)
-            _merge_int(totals["node_handled"], sample.node_handled)
-            _merge_float(totals["phase_ms"], sample.phase_ms)
+            for name in _SUMMED:
+                _merge(totals[name], getattr(sample, name))
             totals["commits"] += sample.commits
             totals["aborts"] += sample.aborts
         return totals
@@ -308,19 +260,11 @@ class MetricsTimeline:
             start_ms=self._current_index * self._window_ms,
             end_ms=index * self._window_ms,
             closed_at_ms=now_ms,
-            counters=_delta(snapshot["counters"], self._baseline["counters"]),
-            transport=_delta(snapshot["transport"], self._baseline["transport"]),
-            client_verify=_delta(
-                snapshot["client_verify"], self._baseline["client_verify"]
-            ),
-            node_handled=_delta(
-                snapshot["node_handled"], self._baseline["node_handled"]
-            ),
+            **{name: _delta(snapshot[name], self._baseline[name]) for name in SECTIONS},
         )
         for key in sorted(k for k in self._pending if k < index):
             pending = self._pending.pop(key)
-            _merge_float(sample.phase_ms, pending.phase_ms)
-            _merge_int(sample.phase_counts, pending.phase_counts)
+            _merge(sample.phase_ms, pending.phase_ms)
             sample.commits += pending.commits
             sample.aborts += pending.aborts
             if pending.earliest_start is not None and (
@@ -344,22 +288,13 @@ class MetricsTimeline:
     @staticmethod
     def _has_content(sample: WindowSample) -> bool:
         return bool(
-            sample.counters
-            or sample.transport
-            or sample.client_verify
-            or sample.node_handled
-            or sample.commits
-            or sample.aborts
+            sample.commits or sample.aborts or any(getattr(sample, name) for name in SECTIONS)
         )
 
     def _evict(self, sample: WindowSample) -> None:
         self.evicted["windows"] += 1
-        _merge_int(self.evicted["counters"], sample.counters)
-        _merge_int(self.evicted["transport"], sample.transport)
-        _merge_int(self.evicted["client_verify"], sample.client_verify)
-        _merge_int(self.evicted["node_handled"], sample.node_handled)
-        _merge_float(self.evicted["phase_ms"], sample.phase_ms)
-        _merge_int(self.evicted["phase_counts"], sample.phase_counts)
+        for name in _SUMMED:
+            _merge(self.evicted[name], getattr(sample, name))
         self.evicted["commits"] += sample.commits
         self.evicted["aborts"] += sample.aborts
         self.evicted["samples_dropped"] += sample.samples_dropped + len(sample.latencies)
@@ -542,11 +477,3 @@ class Monitor:
     def flush(self, now_ms: float) -> None:
         """Close the tail window (call once at collection time)."""
         self.timeline.flush(now_ms)
-
-    def summary(self) -> Dict[str, object]:
-        """Compact monitor digest for artifacts and bench notes."""
-        return {
-            "windows": self.timeline.windows_closed,
-            "evicted_windows": self.timeline.evicted["windows"],
-            "health": self.health.summary(),
-        }

@@ -154,11 +154,6 @@ _METRICS = {
 }
 
 
-def metric_names() -> List[str]:
-    """The metrics an :class:`SloSpec` may reference."""
-    return sorted(_METRICS)
-
-
 def default_slos() -> List[SloSpec]:
     """The stock objective set bench experiments grade against.
 

@@ -205,8 +205,5 @@ class SnapshotStore:
         """Keep only the image at ``seq`` (it became the stable checkpoint)."""
         self._images = {s: img for s, img in self._images.items() if s == seq}
 
-    def seqs(self) -> List[BatchNumber]:
-        return sorted(self._images)
-
     def __len__(self) -> int:
         return len(self._images)

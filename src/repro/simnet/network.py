@@ -84,9 +84,6 @@ class Network:
             raise NetworkError(f"node {node.node_id} is already registered")
         self._nodes[node.node_id] = node
 
-    def unregister(self, node_id: NodeId) -> None:
-        self._nodes.pop(node_id, None)
-
     def knows(self, node_id: NodeId) -> bool:
         return node_id in self._nodes
 
@@ -96,12 +93,6 @@ class Network:
     def add_filter(self, message_filter: MessageFilter) -> None:
         """Install a fault-injection filter applied to every sent message."""
         self._filters.append(message_filter)
-
-    def remove_filter(self, message_filter: MessageFilter) -> None:
-        self._filters.remove(message_filter)
-
-    def clear_filters(self) -> None:
-        self._filters.clear()
 
     def send(self, src: NodeId, dst: NodeId, message: Message) -> None:
         """Send ``message`` from ``src`` to ``dst`` with modelled latency."""

@@ -57,10 +57,6 @@ class LockTable:
         state = self._locks.get(key)
         return bool(state and state.shared_holders)
 
-    def is_exclusive_locked(self, key: Key) -> bool:
-        state = self._locks.get(key)
-        return bool(state and state.exclusive_holder)
-
     def can_acquire(self, owner: str, key: Key, mode: LockMode) -> bool:
         state = self._locks.get(key)
         if state is None or state.is_free():

@@ -27,7 +27,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 import networkx as nx
 
-from repro.common.ids import NO_BATCH, BatchNumber
+from repro.common.ids import BatchNumber
 from repro.common.types import Key, Value
 from repro.common.errors import VerificationError
 
@@ -96,13 +96,6 @@ class ExecutionHistory:
             for key, value in txn.writes.items():
                 writers[(key, value)] = txn.txn_id
         return writers
-
-    def writers_by_key(self) -> Dict[Key, List[str]]:
-        by_key: Dict[Key, List[str]] = {}
-        for txn in self.committed:
-            for key in txn.writes:
-                by_key.setdefault(key, []).append(txn.txn_id)
-        return by_key
 
     # -- checks -----------------------------------------------------------------
 

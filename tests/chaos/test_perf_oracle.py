@@ -84,7 +84,7 @@ class TestTimelineUnderChaos:
         totals = timeline.totals()
         final = report.observation.system.monitor_snapshot()
         initial = timeline.initial
-        for section in ("counters", "transport", "client_verify", "node_handled"):
+        for section in final:
             expected = {
                 key: final[section][key] - initial[section].get(key, 0)
                 for key in final[section]

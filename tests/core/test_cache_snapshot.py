@@ -114,4 +114,4 @@ class TestCacheSnapshot:
         assert len(built) == 1
         # ... and its counters are still the ones ``counters()`` reports.
         assert sample["counters"] == dataclasses.asdict(system.counters())
-        assert sample["client_verify"] == build()["totals"]["verify_clients"]
+        assert sample["transport"] == build()["transport"]

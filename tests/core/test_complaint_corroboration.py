@@ -75,7 +75,6 @@ class TestLyingClientCannotChurnLeadership:
         # probes were cleared by acks on every follower.
         for member in system.topology.members(0):
             monitor = system.replicas[member].progress_monitor
-            assert monitor._complainants == set()
             assert monitor._probes == set()
 
 class TestDismissedComplaints:
@@ -88,7 +87,7 @@ class TestDismissedComplaints:
         assert counters.leader_suspicions == 0
         assert counters.view_changes == 0
         for member in system.topology.members(0):
-            assert system.replicas[member].progress_monitor._complainants == set()
+            assert system.replicas[member].progress_monitor._probes == set()
 
     def test_complaint_about_a_decided_txn_is_dismissed(self):
         system = make_system()

@@ -147,19 +147,6 @@ class TestRendering:
         assert "summary" in text and "throughput" in text and "1,234" in text
 
 
-class TestEventCounters:
-    def test_record_event_accumulates(self):
-        from repro.metrics.collector import MetricsCollector
-
-        collector = MetricsCollector()
-        collector.record_event("checkpoints-stable")
-        collector.record_event("checkpoints-stable", 3)
-        collector.record_event("recoveries-completed", 0)
-        assert collector.event_count("checkpoints-stable") == 4
-        assert collector.event_count("never-recorded") == 0
-        assert collector.events() == {"checkpoints-stable": 4, "recoveries-completed": 0}
-
-
 class TestSerialisation:
     def test_figure_to_dict_roundtrips_through_json(self):
         import json

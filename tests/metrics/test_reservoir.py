@@ -97,13 +97,3 @@ class TestCollectorIntegration:
         metrics = collector.operation("rw")
         assert isinstance(metrics.latencies_ms, LatencyReservoir)
         assert metrics.summary().count == 3
-
-    def test_phase_samples(self):
-        collector = MetricsCollector()
-        collector.record_phase_sample("net", 4.0)
-        collector.record_phase_sample("net", 6.0)
-        collector.record_phase_sample("consensus", 10.0)
-        summaries = collector.phase_summaries()
-        assert set(summaries) == {"net", "consensus"}
-        assert summaries["net"].count == 2
-        assert summaries["net"].mean_ms == pytest.approx(5.0)

@@ -21,7 +21,7 @@ import pytest
 from repro.common.config import MonitorConfig
 from repro.common.errors import ConfigurationError
 from repro.obs.cli import monitored_workload, traced_workload
-from repro.obs.monitor import HealthTracker, MetricsTimeline, WindowSample
+from repro.obs.monitor import SECTIONS, HealthTracker, MetricsTimeline, WindowSample
 from repro.obs.recorder import ObsEvent
 from repro.obs.slo import SloSpec, default_slos, evaluate_slos, render_slo_table
 
@@ -40,7 +40,8 @@ class TestTimelineExactness:
         totals = monitor.timeline.totals()
         final = system.monitor_snapshot()
         initial = monitor.timeline.initial
-        for section in ("counters", "transport", "client_verify", "node_handled"):
+        assert set(final) == set(SECTIONS)
+        for section in final:
             expected = {
                 key: final[section][key] - initial[section].get(key, 0)
                 for key in final[section]
@@ -66,12 +67,7 @@ class TestTimelineExactness:
         state = {"n": 0}
 
         def snapshot():
-            return {
-                "counters": {"ticks": state["n"]},
-                "transport": {},
-                "client_verify": {},
-                "node_handled": {},
-            }
+            return {"counters": {"ticks": state["n"]}, "transport": {}, "node_handled": {}}
 
         config = MonitorConfig(enabled=True, window_ms=10.0)
         timeline = MetricsTimeline(config, snapshot)
@@ -91,10 +87,7 @@ class TestTimelineExactness:
 
     def test_latency_cap_counts_drops(self):
         config = MonitorConfig(enabled=True, window_ms=10.0)
-        timeline = MetricsTimeline(config, lambda: {
-            "counters": {}, "transport": {},
-            "client_verify": {}, "node_handled": {},
-        })
+        timeline = MetricsTimeline(config, lambda: {name: {} for name in SECTIONS})
         # 520 commits in one window: the 513th is the first sample not kept.
         for i in range(520):
             timeline.record_root(5.0 + i * 0.001, 1.0 + i, True, {"queue": 1.0})
