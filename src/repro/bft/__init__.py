@@ -3,7 +3,6 @@
 from repro.bft.byzantine import (
     ByzantineBehaviour,
     make_equivocating_leader,
-    make_receive_blind,
     make_silent,
     make_value_tamperer,
     make_vote_forger,
@@ -44,7 +43,6 @@ __all__ = [
     "certificate_payload",
     "view_change_payload",
     "make_equivocating_leader",
-    "make_receive_blind",
     "make_silent",
     "make_value_tamperer",
     "make_vote_forger",

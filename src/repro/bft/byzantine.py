@@ -43,12 +43,6 @@ def make_silent(injector: FaultInjector, node: NodeId) -> ByzantineBehaviour:
     return ByzantineBehaviour(description="silent", node=node, injector=injector)
 
 
-def make_receive_blind(injector: FaultInjector, node: NodeId) -> ByzantineBehaviour:
-    """Make ``node`` deaf: it never receives anything (network partition)."""
-    injector.drop(FaultRule(dst=node))
-    return ByzantineBehaviour(description="receive-blind", node=node, injector=injector)
-
-
 def make_equivocating_leader(
     injector: FaultInjector,
     leader: ReplicaId,

@@ -528,9 +528,9 @@ class PbftEngine:
             return
         if not certificate.verify(self._registry, self._members, self.quorum):
             return
+        # A decided instance is delivered or pending delivery, both refused
+        # above: this one is undecided.
         instance = self._instances.get(seq)
-        if instance is not None and instance.decided:
-            return
         if instance is None:
             instance = _Instance(seq=seq, view=certificate.view)
             self._instances[seq] = instance

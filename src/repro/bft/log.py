@@ -16,7 +16,7 @@ numbers after compaction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.common.errors import ConsensusError
 from repro.bft.quorum import CommitCertificate
@@ -48,18 +48,6 @@ class ReplicatedLog:
         entry = LogEntry(seq=seq, value=value, certificate=certificate)
         self._entries.append(entry)
         return entry
-
-    def get(self, seq: int) -> LogEntry:
-        entry = self.try_get(seq)
-        if entry is None:
-            raise ConsensusError(f"no log entry at seq {seq}")
-        return entry
-
-    def try_get(self, seq: int) -> Optional[LogEntry]:
-        index = seq - self._base
-        if 0 <= index < len(self._entries):
-            return self._entries[index]
-        return None
 
     @property
     def first_seq(self) -> int:
@@ -110,5 +98,3 @@ class ReplicatedLog:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def __iter__(self) -> Iterator[LogEntry]:
-        return iter(self._entries)

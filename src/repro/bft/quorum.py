@@ -67,9 +67,6 @@ class ViewChangeCertificate:
     view: int
     votes: Tuple[Tuple[int, Signature], ...]
 
-    def signers(self) -> Tuple[str, ...]:
-        return tuple(signature.signer for _, signature in self.votes)
-
     def verify(
         self,
         registry: KeyRegistry,

@@ -104,12 +104,6 @@ class CoverageMap:
             self.counts[feature] = self.counts.get(feature, 0) + 1
         return fresh
 
-    def novel_features(self, signature: Sequence[str]) -> List[str]:
-        return [feature for feature in signature if feature not in self.counts]
-
-    def to_dict(self) -> Dict[str, int]:
-        return {feature: self.counts[feature] for feature in sorted(self.counts)}
-
     @classmethod
     def from_signatures(cls, signatures: Iterable[Sequence[str]]) -> "CoverageMap":
         coverage = cls()

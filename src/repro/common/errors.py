@@ -61,20 +61,6 @@ class TransactionError(TransEdgeError):
     """Base class for transaction-processing protocol errors."""
 
 
-class TransactionAborted(TransactionError):
-    """A transaction was aborted.
-
-    The abort reason distinguishes conflict aborts (optimistic concurrency
-    control validation failed) from interference aborts (the Augustus
-    baseline aborts read-write transactions that hit shared read locks).
-    """
-
-    def __init__(self, txn_id: str, reason: str = "conflict") -> None:
-        super().__init__(f"transaction {txn_id} aborted: {reason}")
-        self.txn_id = txn_id
-        self.reason = reason
-
-
 class InvalidTransactionError(TransactionError):
     """A transaction object violates the protocol interface."""
 

@@ -9,10 +9,10 @@ paper) and by the snapshot read-only protocol.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Mapping, Optional
+from dataclasses import dataclass
+from typing import Mapping, Optional
 
-from repro.common.ids import NO_BATCH, BatchNumber, PartitionId
+from repro.common.ids import NO_BATCH, BatchNumber
 
 #: Database key.  Keys are opaque strings; the partitioner hashes them.
 Key = str
@@ -79,77 +79,6 @@ class VersionedValue:
     def is_initial(self) -> bool:
         """True when the value pre-dates every batch (database preload)."""
         return self.version == NO_BATCH
-
-
-@dataclass(frozen=True)
-class ReadRecord:
-    """One entry of a transaction's read set.
-
-    ``version`` is the batch number the value was read from; commit-time
-    validation checks that the key has not been overwritten by a later batch
-    (conflict-detection rule 1 in Definition 3.1).
-    """
-
-    key: Key
-    value: Value
-    version: BatchNumber
-    partition: PartitionId
-
-
-@dataclass(frozen=True)
-class WriteRecord:
-    """One entry of a transaction's write set."""
-
-    key: Key
-    value: Value
-    partition: PartitionId
-
-
-@dataclass
-class ReadSet:
-    """Mutable collection of read records keyed by key."""
-
-    records: Dict[Key, ReadRecord] = field(default_factory=dict)
-
-    def add(self, record: ReadRecord) -> None:
-        self.records[record.key] = record
-
-    def keys(self) -> FrozenSet[Key]:
-        return frozenset(self.records)
-
-    def partitions(self) -> FrozenSet[PartitionId]:
-        return frozenset(r.partition for r in self.records.values())
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def __contains__(self, key: Key) -> bool:
-        return key in self.records
-
-
-@dataclass
-class WriteSet:
-    """Mutable collection of write records keyed by key (last write wins)."""
-
-    records: Dict[Key, WriteRecord] = field(default_factory=dict)
-
-    def add(self, record: WriteRecord) -> None:
-        self.records[record.key] = record
-
-    def keys(self) -> FrozenSet[Key]:
-        return frozenset(self.records)
-
-    def partitions(self) -> FrozenSet[PartitionId]:
-        return frozenset(r.partition for r in self.records.values())
-
-    def as_mapping(self) -> Mapping[Key, Value]:
-        return {k: r.value for k, r in self.records.items()}
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def __contains__(self, key: Key) -> bool:
-        return key in self.records
 
 
 @dataclass(frozen=True)

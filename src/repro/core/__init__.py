@@ -33,7 +33,6 @@ from repro.core.occ import (
     Footprint,
     KeyConflictIndex,
     stale_read_check,
-    transactions_conflict,
 )
 from repro.core.prepared import PreparedBatches, PrepareGroup
 from repro.core.readonly import (
@@ -45,7 +44,7 @@ from repro.core.readonly import (
 from repro.core.replica import PartitionReplica, ReplicaCounters
 from repro.core.system import SystemCounters, TransEdgeSystem, generate_initial_data
 from repro.core.topology import ClusterTopology
-from repro.core.transaction import TxnPayload, make_transaction
+from repro.core.transaction import TxnPayload
 
 __all__ = [
     "Batch",
@@ -89,8 +88,6 @@ __all__ = [
     "combine_all",
     "find_unsatisfied_dependencies",
     "generate_initial_data",
-    "make_transaction",
     "stale_read_check",
-    "transactions_conflict",
     "verify_snapshot",
 ]

@@ -28,7 +28,7 @@ number of pending transactions — essential for the paper's large batch sizes
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Sequence, Set, Tuple
+from typing import Dict, Optional, Sequence, Set
 
 from repro.common.ids import PartitionId
 from repro.common.types import Key
@@ -65,18 +65,6 @@ def stale_read_check(
         if store.version_of(key) != version:
             return key
     return None
-
-
-def transactions_conflict(
-    a: TxnPayload,
-    b: TxnPayload,
-    partition: PartitionId,
-    partitioner: HashPartitioner,
-) -> bool:
-    """Conflict test between two transactions, restricted to ``partition``."""
-    return Footprint.of(a, partition, partitioner).conflicts_with(
-        Footprint.of(b, partition, partitioner)
-    )
 
 
 class KeyConflictIndex:
@@ -169,24 +157,15 @@ class ConflictChecker:
         self._store = store
 
     def check(
-        self,
-        txn: TxnPayload,
-        indexes: Sequence[KeyConflictIndex] = (),
-        pending: Iterable[Tuple[str, TxnPayload]] = (),
+        self, txn: TxnPayload, indexes: Sequence[KeyConflictIndex] = ()
     ) -> ConflictReport:
-        """Validate ``txn``.
-
-        ``indexes`` is the fast path; ``pending`` accepts explicit
-        ``(origin, transaction)`` pairs for callers (and tests) that do not
-        maintain an index.
-        """
+        """Validate ``txn`` against the store and the pending ``indexes``."""
         stale_key = stale_read_check(txn, self._partition, self._partitioner, self._store)
         if stale_key is not None:
             return ConflictReport.reject(
                 reason=f"stale read of key {stale_key!r} (overwritten by a previous batch)"
             )
-        footprint = Footprint.of(txn, self._partition, self._partitioner)
-        if footprint.is_empty():
+        if Footprint.of(txn, self._partition, self._partitioner).is_empty():
             return ConflictReport.accept()
         for index in indexes:
             conflicting = index.first_conflict(txn)
@@ -194,13 +173,5 @@ class ConflictChecker:
                 return ConflictReport.reject(
                     reason=f"conflicts with pending transaction {conflicting}",
                     conflicting_txn=conflicting,
-                )
-        for origin, other in pending:
-            if other.txn_id == txn.txn_id:
-                continue
-            if footprint.conflicts_with(Footprint.of(other, self._partition, self._partitioner)):
-                return ConflictReport.reject(
-                    reason=f"conflicts with {origin} transaction {other.txn_id}",
-                    conflicting_txn=other.txn_id,
                 )
         return ConflictReport.accept()

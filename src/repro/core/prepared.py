@@ -9,8 +9,8 @@ decisions received so far.
 Definition 4.1 (the TransEdge ordering constraint) requires prepare groups to
 commit or abort **in order**: the group prepared in batch ``i`` must be fully
 decided and placed in a committed segment before any group prepared in a
-batch ``j > i`` may be.  :meth:`PreparedBatches.pop_ready_in_order` is the
-only way groups leave the structure and enforces exactly that.
+batch ``j > i`` may be.  :meth:`PreparedBatches.ready_prefix` is how a
+sealing leader picks decided groups, and it enforces exactly that.
 """
 
 from __future__ import annotations
@@ -52,10 +52,6 @@ class PrepareGroup:
     def ordered_decisions(self) -> Tuple[CommitRecord, ...]:
         """Decisions in a deterministic order (by transaction id)."""
         return tuple(self.decisions[txn_id] for txn_id in sorted(self.decisions))
-
-    def __len__(self) -> int:
-        return len(self.records)
-
 
 class PreparedBatches:
     """Ordered collection of in-flight prepare groups for one partition."""
@@ -139,22 +135,6 @@ class PreparedBatches:
                 break
             ready.append(group)
         return ready
-
-    def pop_ready_in_order(self) -> List[PrepareGroup]:
-        """Remove and return the maximal ready prefix of prepare groups.
-
-        Groups are only released from the front (smallest batch number), so
-        commit records always enter committed segments respecting
-        Definition 4.1; a ready group behind a not-yet-ready one stays put.
-        """
-        popped: List[PrepareGroup] = []
-        for batch_number in sorted(self._groups):
-            group = self._groups[batch_number]
-            if not group.is_ready():
-                break
-            popped.append(group)
-            del self._groups[batch_number]
-        return popped
 
     def remove_group(self, batch_number: BatchNumber) -> None:
         """Drop a group wholesale (used by replicas mirroring a delivered batch)."""

@@ -25,7 +25,6 @@ from repro.edge.proxy import EdgeProxy
 from repro.obs.monitor import Monitor
 from repro.recovery.snapshot import PartitionGenesis
 from repro.simnet.faults import FaultInjector
-from repro.simnet.latency import LatencyModel
 from repro.simnet.node import SimEnvironment
 from repro.storage.partitioner import HashPartitioner
 
@@ -73,18 +72,9 @@ class TransEdgeSystem:
         self,
         config: Optional[SystemConfig] = None,
         initial_data: Optional[Mapping[Key, Value]] = None,
-        latency_model: Optional[LatencyModel] = None,
     ) -> None:
         self.config = (config or SystemConfig()).validate()
-        if latency_model is not None:
-            from repro.simnet.network import Network
-            from repro.simnet.simulator import Simulator
-
-            simulator = Simulator()
-            network = Network(simulator, latency_model, random.Random(self.config.seed + 1))
-            self.env = SimEnvironment(self.config, simulator=simulator, network=network)
-        else:
-            self.env = SimEnvironment(self.config)
+        self.env = SimEnvironment(self.config)
         self.partitioner = HashPartitioner(self.config.num_partitions)
         self.topology = ClusterTopology(self.config)
         #: The preloaded key space (read-only: replicas alias its values).
@@ -179,10 +169,6 @@ class TransEdgeSystem:
         )
         self.clients.append(client)
         return client
-
-    def proxy(self, index: int) -> EdgeProxy:
-        """The edge proxy with the given index (edge tier must be enabled)."""
-        return self.proxies[index]
 
     def leader_replica(self, partition: PartitionId) -> PartitionReplica:
         return self.replicas[self.topology.leader(partition)]

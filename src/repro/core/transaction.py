@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
-from typing import Dict, FrozenSet, Mapping, Optional
+from typing import Dict, FrozenSet, Mapping
 
 from repro.common.errors import InvalidTransactionError
 from repro.common.ids import BatchNumber, PartitionId
@@ -37,16 +37,6 @@ class Footprint:
     ) -> "Footprint":
         """A lookup: the transaction keeps its own split."""
         return txn._split(partitioner).footprints.get(partition, _NO_FOOTPRINT)
-
-    def conflicts_with(self, other: "Footprint") -> bool:
-        """rw / wr / ww intersection test."""
-        if self.writes & other.writes:
-            return True
-        if self.writes & other.reads:
-            return True
-        if self.reads & other.writes:
-            return True
-        return False
 
     def is_empty(self) -> bool:
         return not self.reads and not self.writes
@@ -178,14 +168,3 @@ class TxnPayload(MemoisedValue):
         """
         return Encoded.of(self.payload())
 
-
-def make_transaction(
-    txn_id: str,
-    reads: Optional[Mapping[Key, BatchNumber]] = None,
-    writes: Optional[Mapping[Key, Value]] = None,
-    client: str = "",
-) -> TxnPayload:
-    """Convenience constructor used by tests and the workload generator."""
-    return TxnPayload(
-        txn_id=txn_id, reads=dict(reads or {}), writes=dict(writes or {}), client=client
-    )

@@ -27,7 +27,6 @@ from repro.crypto.signatures import (
     Signature,
     Signer,
     VerifyCache,
-    build_registry,
     make_signer,
 )
 
@@ -50,7 +49,6 @@ __all__ = [
     "Signature",
     "Signer",
     "VerifyCache",
-    "build_registry",
     "combine_digests",
     "digest_of",
     "generate_keypair",

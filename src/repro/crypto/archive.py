@@ -89,12 +89,6 @@ class HistoricalTreeView:
     def __contains__(self, key: Key) -> bool:
         return key in self._base._index
 
-    def __len__(self) -> int:
-        return len(self._base)
-
-    def keys(self) -> Sequence[Key]:
-        return self._base.keys()
-
     def prove(self, key: Key) -> MerkleProof:
         """Membership proof for ``key`` against this historical root.
 
@@ -164,11 +158,6 @@ class MerkleTreeArchive:
         self.records_compacted = 0
 
     # -- queries -------------------------------------------------------------
-
-    @property
-    def current_batch(self) -> BatchNumber:
-        """Batch number of the live tree (the last mutating apply)."""
-        return self._current_batch
 
     @property
     def oldest_batch(self) -> Optional[BatchNumber]:

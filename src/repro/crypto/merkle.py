@@ -25,7 +25,6 @@ from __future__ import annotations
 import hashlib
 from collections import ChainMap
 from dataclasses import dataclass
-from types import MappingProxyType
 from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.common.errors import ProofError
@@ -246,16 +245,21 @@ def verify_proof(root: Digest, key: Key, value: Value, proof: MerkleProof) -> bo
 
     Returns True when replaying the proof over ``H(key, value)`` reproduces
     ``root``; the caller decides how to react to a failure (a read-only
-    client treats it as a byzantine response and retries elsewhere).
+    client treats it as a byzantine response and retries elsewhere).  A proof
+    whose steps do not have the declared shape is one more failure, never an
+    exception: it arrives from an untrusted replica.
     """
     if proof.key != key:
         return False
     digest = leaf_digest(key, value)
-    for step in proof.steps:
-        if step.sibling_is_left:
-            digest = _parent_digest(step.sibling, digest)
-        else:
-            digest = _parent_digest(digest, step.sibling)
+    try:
+        for step in proof.steps:
+            if step.sibling_is_left:
+                digest = _parent_digest(step.sibling, digest)
+            else:
+                digest = _parent_digest(digest, step.sibling)
+    except (TypeError, AttributeError):
+        return False
     return digest == root
 
 
@@ -336,13 +340,6 @@ class MerkleStore:
 
     def __contains__(self, key: Key) -> bool:
         return key in self._tree
-
-    def get(self, key: Key) -> Optional[Value]:
-        return self._items.get(key)
-
-    def items(self) -> Mapping[Key, Value]:
-        """Read-only live view of the store contents (no copy)."""
-        return MappingProxyType(self._items)
 
     def _prepare(self, updates: Mapping[Key, Value]) -> _PreparedUpdate:
         """Non-empty ``updates`` hashed against the live tree — the retained
@@ -436,6 +433,3 @@ class MerkleStore:
         if self._archive is None:
             return 0
         return self._archive.compact(keep)
-
-    def prove(self, key: Key) -> MerkleProof:
-        return self._tree.prove(key)

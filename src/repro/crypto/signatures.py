@@ -24,7 +24,7 @@ import hmac
 import random
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Dict, Hashable, Iterable, List, Mapping, Optional
+from typing import Callable, Dict, Hashable, Iterable, List, Optional
 
 from repro.common.errors import SignatureError
 from repro.crypto import rsa
@@ -161,12 +161,6 @@ class VerifyCache:
     def clear(self) -> None:
         self._entries.clear()
 
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        if total == 0:
-            return 0.0
-        return self.hits / total
-
     def __len__(self) -> int:
         return len(self._entries)
 
@@ -244,12 +238,6 @@ class KeyRegistry:
         self._materials[signer.identity] = signer.verification_material()
         self._schemes[signer.identity] = signer.scheme
 
-    def knows(self, identity: str) -> bool:
-        return identity in self._materials
-
-    def identities(self) -> Iterable[str]:
-        return self._materials.keys()
-
     def verify(
         self,
         payload: Encodable,
@@ -315,17 +303,6 @@ class KeyRegistry:
             return hmac.compare_digest(expected, signature.value)
         return False
 
-    def cache_hit_rate(self) -> float:
-        """Fraction of verifications answered from the registry's own cache."""
-        return self._cache.hit_rate()
-
-    def require_valid(self, payload: Encodable, signature: Signature) -> None:
-        """Raise :class:`SignatureError` unless the signature verifies."""
-        if not self.verify(payload, signature):
-            raise SignatureError(
-                f"invalid {signature.scheme} signature from {signature.signer}"
-            )
-
     def verify_quorum(
         self,
         payload: Encodable,
@@ -363,10 +340,9 @@ class NodeVerifier:
     """One node's view of the PKI: the shared registry plus a private cache.
 
     Drop-in for :class:`KeyRegistry` everywhere verification happens (it
-    exposes the same ``verify`` / ``verify_quorum`` / ``require_valid``
-    surface), but memoizes verdicts in a cache owned by the node, so each
-    simulated replica pays for — and benefits from — exactly its own
-    verification history.  Certificates and headers accept either object.
+    exposes the same ``verify`` / ``verify_quorum`` surface), but memoizes
+    verdicts in a cache owned by the node, so each simulated replica pays
+    for — and benefits from — exactly its own verification history.  Certificates and headers accept either object.
     """
 
     def __init__(self, registry: KeyRegistry, cache_size: int) -> None:
@@ -387,12 +363,6 @@ class NodeVerifier:
     @property
     def cache_misses(self) -> int:
         return self.cache.misses
-
-    def cache_hit_rate(self) -> float:
-        return self.cache.hit_rate()
-
-    def knows(self, identity: str) -> bool:
-        return self._registry.knows(identity)
 
     def verify(
         self,
@@ -432,13 +402,6 @@ class NodeVerifier:
         if delta > 0:
             self.on_miss(delta)
 
-    def require_valid(self, payload: Encodable, signature: Signature) -> None:
-        if not self.verify(payload, signature):
-            raise SignatureError(
-                f"invalid {signature.scheme} signature from {signature.signer}"
-            )
-
-
 def make_signer(
     backend: str,
     identity: str,
@@ -451,11 +414,3 @@ def make_signer(
     if backend == "rsa":
         return RsaSigner(identity, bits=rsa_bits, rng=rng)
     raise SignatureError(f"unknown signature backend {backend!r}")
-
-
-def build_registry(signers: Mapping[str, Signer]) -> KeyRegistry:
-    """Build a registry holding the verification material of ``signers``."""
-    registry = KeyRegistry()
-    for signer in signers.values():
-        registry.register(signer)
-    return registry

@@ -191,9 +191,6 @@ class EdgeCache:
 
     # -- maintenance --------------------------------------------------------------
 
-    def clear(self) -> None:
-        self._contexts.clear()
-
     def cached_keys(self, partition: PartitionId) -> Tuple[Key, ...]:
         """Keys currently cached for ``partition`` (the proxy's working set).
 

@@ -268,9 +268,6 @@ class MetricsCollector:
 
     # -- queries ----------------------------------------------------------------
 
-    def operations(self) -> Dict[str, OperationMetrics]:
-        return dict(self._operations)
-
     @property
     def elapsed_ms(self) -> float:
         if self._start_ms is None or self._end_ms is None:

@@ -116,29 +116,3 @@ def write_json(document: Dict[str, object], path: str) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(document, handle, indent=2, sort_keys=True)
         handle.write("\n")
-
-
-def load_run_document(path: str) -> Dict[str, object]:
-    with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
-
-
-def trace_from_dict(data: Dict[str, object]) -> TraceData:
-    """Rebuild a :class:`TraceData` from a :func:`run_document` entry."""
-    trace = TraceData(str(data["trace_id"]))
-    trace.complete = bool(data.get("complete", False))
-    for entry in data.get("spans", []):
-        span = Span(
-            span_id=int(entry["span_id"]),
-            trace_id=str(entry["trace_id"]),
-            parent_id=entry.get("parent_id"),
-            name=str(entry["name"]),
-            node=str(entry["node"]),
-            phase=str(entry["phase"]),
-            start_ms=float(entry["start_ms"]),
-        )
-        if entry.get("end_ms") is not None:
-            span.end_ms = float(entry["end_ms"])
-            span.status = str(entry.get("status", "ok"))
-        trace.spans.append(span)
-    return trace

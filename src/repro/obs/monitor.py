@@ -102,10 +102,6 @@ class WindowSample:
     #: a window's latencies reach.
     earliest_root_start_ms: Optional[float] = None
 
-    @property
-    def duration_ms(self) -> float:
-        return self.end_ms - self.start_ms
-
 
 #: The sections of a cumulative snapshot, each ``{name: int}``; a
 #: :class:`WindowSample` holds each one's deltas under the same name.

@@ -31,7 +31,7 @@ objective rather than graded — an idle window is not an SLO violation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.common.errors import ConfigurationError
 from repro.metrics.collector import percentile
@@ -105,21 +105,6 @@ class SloResult:
     @property
     def ok(self) -> bool:
         return self.burn_rate <= 1.0
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "name": self.spec.name,
-            "metric": self.spec.metric,
-            "op": self.spec.op,
-            "target": self.spec.target,
-            "budget_fraction": self.spec.budget_fraction,
-            "windows_evaluated": self.windows_evaluated,
-            "violations": self.violations,
-            "violation_fraction": self.violation_fraction,
-            "burn_rate": self.burn_rate,
-            "worst_value": self.worst_value,
-            "ok": self.ok,
-        }
 
 
 def _metric_commit_p99(window: WindowSample) -> Optional[float]:

@@ -204,6 +204,3 @@ class SnapshotStore:
     def retain_only(self, seq: BatchNumber) -> None:
         """Keep only the image at ``seq`` (it became the stable checkpoint)."""
         self._images = {s: img for s, img in self._images.items() if s == seq}
-
-    def __len__(self) -> int:
-        return len(self._images)

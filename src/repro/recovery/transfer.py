@@ -195,8 +195,8 @@ class RecoveryCoordinator:
     def _verify_image(self, reply: StateTransferReply) -> None:
         replica = self._replica
         image = reply.image
-        if image is None or image.partition != replica.partition:
-            raise StateTransferError("image missing or for the wrong partition")
+        if image.partition != replica.partition:
+            raise StateTransferError("image for the wrong partition")
         if reply.certificate is None:
             # Only the pre-history genesis image may arrive uncertified; its
             # content is validated by replaying batch 0, whose certified

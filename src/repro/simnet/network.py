@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from typing import Callable, Dict, Iterable, List, Optional, Protocol
+from typing import Callable, Dict, List, Optional, Protocol
 
 from repro.common.errors import NetworkError
 from repro.common.ids import NodeId
@@ -86,9 +86,6 @@ class Network:
 
     def knows(self, node_id: NodeId) -> bool:
         return node_id in self._nodes
-
-    def nodes(self) -> Iterable[NodeId]:
-        return self._nodes.keys()
 
     def add_filter(self, message_filter: MessageFilter) -> None:
         """Install a fault-injection filter applied to every sent message."""

@@ -19,7 +19,7 @@ from repro.common.ids import NodeId
 from repro.crypto.signatures import KeyRegistry, NodeVerifier, Signer, make_signer
 from repro.obs.hub import Observability
 from repro.obs.phases import phase_for
-from repro.obs.trace import Span, TraceContext
+from repro.obs.trace import Span
 from repro.simnet.messages import Message
 from repro.simnet.network import Network
 from repro.simnet.reliable import ReliableAck, ReliableEnvelope, ReliableTransport
@@ -39,24 +39,15 @@ class SimEnvironment:
     random generator (so whole-system runs are reproducible).
     """
 
-    def __init__(
-        self,
-        config: SystemConfig,
-        simulator: Optional[Simulator] = None,
-        network: Optional[Network] = None,
-        registry: Optional[KeyRegistry] = None,
-        rng: Optional[random.Random] = None,
-    ) -> None:
+    def __init__(self, config: SystemConfig) -> None:
         from repro.simnet.latency import build_latency_model
 
         self.config = config.validate()
-        self.simulator = simulator or Simulator()
-        self.rng = rng or random.Random(config.seed)
-        if network is None:
-            latency_model = build_latency_model(config.latency, config.num_partitions)
-            network = Network(self.simulator, latency_model, random.Random(config.seed + 1))
-        self.network = network
-        self.registry = registry or KeyRegistry(VERIFY_CACHE_SIZE)
+        self.simulator = Simulator()
+        self.rng = random.Random(config.seed)
+        latency_model = build_latency_model(config.latency, config.num_partitions)
+        self.network = Network(self.simulator, latency_model, random.Random(config.seed + 1))
+        self.registry = KeyRegistry(VERIFY_CACHE_SIZE)
         #: Shared observability hub (repro.obs): tracer + flight recorder.
         #: The network gets a handle so deliveries can record ``net`` spans.
         self.obs = Observability(self.config.obs, lambda: self.simulator.now)
@@ -256,11 +247,15 @@ class SimNode:
         """
         if message.well_formed():
             return False
+        self.report_malformed(message, src)
+        return True
+
+    def report_malformed(self, message: Message, src: NodeId) -> None:
+        """The one ``malformed-message`` event of a refused message."""
         self.env.obs.event(
             str(self.node_id), "malformed-message", "warn",
             {"type": message.type_name, "from": str(src)},
         )
-        return True
 
     def occupy(self, cost_ms: float) -> None:
         """Account for locally initiated work (e.g. sealing a batch)."""
@@ -277,10 +272,6 @@ class SimNode:
         time on subsequent messages — exactly how a busier CPU would.
         """
         self.occupy(misses * self.env.config.costs.verify_cache_miss_penalty_ms)
-
-    @property
-    def busy_until(self) -> float:
-        return self._busy_until
 
     # -- dispatch ----------------------------------------------------------
 

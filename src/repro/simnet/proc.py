@@ -195,6 +195,11 @@ class ProcessNode(SimNode):
 
     def _on_reply(self, message: Message, src: NodeId) -> None:
         assert isinstance(message, ReplyMessage)
+        if type(message.request_id) is not str:
+            # Any node can send anything: an unhashable id would raise out of
+            # the lookup below, and no wait is keyed by a non-string anyway.
+            self.report_malformed(message, src)
+            return
         wait = self._waits_by_request.pop(message.request_id, None)
         if wait is None or wait.finished:
             return

@@ -135,19 +135,13 @@ class _Link:
 class _ZeroJitterRng:
     """Stands in for ``random.Random`` to probe a latency model's base delay.
 
-    ``uniform`` returns the midpoint and ``random`` one half, so jittered
-    models report their central value and no real generator state is
-    consumed — the probe is deterministic and side-effect free.
+    ``uniform`` returns the midpoint, so jittered models report their
+    central value and no real generator state is consumed — the probe is deterministic and side-effect free.
     """
 
     @staticmethod
     def uniform(a: float, b: float) -> float:
         return (a + b) / 2.0
-
-    @staticmethod
-    def random() -> float:
-        return 0.5
-
 
 class ReliableTransport:
     """Ack/retransmit/backoff shim shared by every replica of a deployment.

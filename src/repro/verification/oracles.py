@@ -43,7 +43,7 @@ name.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.common.errors import VerificationError
@@ -63,10 +63,6 @@ class OracleFailure:
 
     oracle: str
     description: str
-
-    def __str__(self) -> str:  # pragma: no cover - display helper
-        return f"[{self.oracle}] {self.description}"
-
 
 @dataclass
 class RunObservation:

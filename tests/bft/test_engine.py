@@ -7,6 +7,7 @@ TransEdge's partition replicas use it for batches.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Dict, List
 
 import pytest
@@ -18,7 +19,7 @@ from repro.bft.byzantine import (
 )
 from repro.bft.engine import PbftEngine
 from repro.bft.log import ReplicatedLog
-from repro.bft.messages import BftMessage
+from repro.bft.messages import BftMessage, CertificateRebroadcast
 from repro.common.config import LatencyConfig, SystemConfig
 from repro.common.errors import ConsensusError, NotLeaderError
 from repro.common.ids import ReplicaId
@@ -105,7 +106,7 @@ class TestHappyPath:
         leader.engine.propose("certified")
         env.simulator.run_until_idle()
         for replica in replicas:
-            certificate = replica.log.get(0).certificate
+            certificate = replica.log.entries_from(0)[0].certificate
             assert certificate.verify(
                 env.registry, leader.engine.members, required=config.certificate_size
             )
@@ -262,3 +263,91 @@ class TestViewChange:
         env.simulator.run_until_idle()
         for replica in replicas[1:]:
             assert replica.delivered == ["before", "after"]
+
+
+def _forged_signatures(certificate):
+    return tuple(
+        dataclasses.replace(sig, value=b"\x00" * len(sig.value)) for sig in certificate.signatures
+    )
+
+
+#: (id, what a byzantine gossiper changes in an honest rebroadcast, who sends it)
+FORGED_REBROADCASTS = [
+    ("sender-not-a-member", {}, "outsider"),
+    ("outer-signature-forged", {"signature": "forged"}, "member"),
+    ("certificate-of-another-seq", {"certificate": lambda c: dataclasses.replace(c, seq=1)}, "member"),
+    ("certificate-of-another-partition",
+     {"certificate": lambda c: dataclasses.replace(c, partition=1)}, "member"),
+    ("proposal-not-the-certified-one", {"proposal": "forged"}, "member"),
+    ("certificate-signatures-forged",
+     {"certificate": lambda c: dataclasses.replace(c, signatures=_forged_signatures(c))}, "member"),
+    ("no-certificate", {"certificate": lambda c: None}, "member"),
+]
+
+
+class TestForgedCertificateRebroadcast:
+    """A replica that missed an instance adopts a gossiped decision only from a
+    member, under the member's signature, with a certificate for exactly that
+    instance and proposal; anything else leaves it where it was."""
+
+    def _behind(self):
+        env, replicas = build_cluster()
+        injector = FaultInjector(env.network)
+        cut = injector.isolate(replicas[3].node_id)
+        replicas[0].engine.propose("value-0")
+        env.simulator.run_until_idle()
+        for fault in cut:
+            injector.remove(fault)
+        (entry,) = replicas[0].log.entries_from(0)
+        assert replicas[3].delivered == []
+        return env, replicas, entry
+
+    def _send(self, env, sender, victim, entry, forge):
+        certificate = forge.get("certificate", lambda c: c)(entry.certificate)
+        message = CertificateRebroadcast(
+            view=0, seq=0, digest=certificate.digest if certificate else b"",
+            proposal=forge.get("proposal", entry.value),
+            certificate=certificate, last_delivered=0,
+        )
+        message.signature = sender.signer.sign(message.signing_payload())
+        if forge.get("signature") == "forged":
+            message.signature = dataclasses.replace(
+                message.signature, value=b"\x00" * len(message.signature.value)
+            )
+        sender.send(victim.node_id, message)
+        env.simulator.run_until_idle()
+
+    @pytest.mark.parametrize(
+        "forge, sender",
+        [case[1:] for case in FORGED_REBROADCASTS],
+        ids=[case[0] for case in FORGED_REBROADCASTS],
+    )
+    def test_forged_rebroadcast_is_not_adopted(self, forge, sender):
+        env, replicas, entry = self._behind()
+        victim = replicas[3]
+        gossiper = replicas[1]
+        if sender == "outsider":
+            gossiper = ListReplica(ReplicaId(0, 4), env, victim.engine.members, 1)
+        decided = victim.engine.decided_count
+
+        self._send(env, gossiper, victim, entry, forge)
+
+        assert victim.delivered == []
+        assert victim.engine.decided_count == decided
+        assert victim.engine.last_delivered_seq == -1
+
+        # The honest rebroadcast, from a member, is adopted.
+        self._send(env, replicas[1], victim, entry, {})
+        assert victim.delivered == ["value-0"]
+
+    def test_rebroadcast_of_a_delivered_instance_is_not_adopted_again(self):
+        env, replicas, entry = self._behind()
+        victim = replicas[3]
+        self._send(env, replicas[1], victim, entry, {})
+        decided = victim.engine.decided_count
+
+        self._send(env, replicas[2], victim, entry, {})
+
+        assert victim.delivered == ["value-0"]
+        assert victim.engine.decided_count == decided
+        assert victim.engine._pending_deliveries == {}

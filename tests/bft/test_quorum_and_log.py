@@ -95,11 +95,11 @@ class TestReplicatedLog:
         log = ReplicatedLog()
         log.append(0, "a", self._certificate(0))
         entry = log.append(1, "b", self._certificate(1))
-        assert log.get(1) is entry
+        assert log.entries_from(1) == (entry,)
         assert log.last_seq == 1
         assert log.next_seq == 2
         assert len(log) == 2
-        assert [e.value for e in log] == ["a", "b"]
+        assert [e.value for e in log.entries_from(0)] == ["a", "b"]
 
     def test_out_of_order_append_rejected(self):
         log = ReplicatedLog()
@@ -112,11 +112,9 @@ class TestReplicatedLog:
         with pytest.raises(ConsensusError):
             log.append(0, "again", self._certificate(0))
 
-    def test_get_missing_raises_try_get_returns_none(self):
+    def test_an_empty_log_holds_nothing(self):
         log = ReplicatedLog()
-        with pytest.raises(ConsensusError):
-            log.get(0)
-        assert log.try_get(0) is None
+        assert log.entries_from(0) == ()
         assert log.last_seq == -1
 
 
@@ -140,15 +138,12 @@ class TestLogTruncation:
         assert log.first_seq == 7
         assert log.last_seq == 9
         assert len(log) == 3
-        assert [entry.seq for entry in log] == [7, 8, 9]
+        assert [entry.seq for entry in log.entries_from(0)] == [7, 8, 9]
 
     def test_global_numbering_survives_truncation(self):
         log = self._filled(5)
         log.truncate_prefix(3)
-        assert log.try_get(2) is None
-        with pytest.raises(ConsensusError):
-            log.get(2)
-        assert log.get(3).value == "v3"
+        assert [entry.value for entry in log.entries_from(2)] == ["v3", "v4"]
         # Appends still speak global sequence numbers.
         assert log.next_seq == 5
         with pytest.raises(ConsensusError):
@@ -185,7 +180,7 @@ class TestLogTruncation:
         with pytest.raises(ConsensusError):
             log.append(0, "old", CommitCertificate(partition=0, view=0, seq=0, digest=b"", signatures=()))
         log.append(12, "v12", CommitCertificate(partition=0, view=0, seq=12, digest=b"", signatures=()))
-        assert log.get(12).value == "v12"
+        assert [entry.value for entry in log.entries_from(12)] == ["v12"]
 
     def test_reset_base_requires_empty_log(self):
         log = self._filled(2)

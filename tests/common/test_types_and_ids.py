@@ -17,12 +17,8 @@ from repro.common.ids import (
 )
 from repro.common.types import (
     CommitResult,
-    ReadRecord,
-    ReadSet,
     TxnStatus,
     VersionedValue,
-    WriteRecord,
-    WriteSet,
     as_value,
 )
 
@@ -123,30 +119,6 @@ class TestValueTypes:
     def test_versioned_value_initial(self):
         assert VersionedValue(b"v").is_initial()
         assert not VersionedValue(b"v", version=3).is_initial()
-
-    def test_read_set_tracks_keys_and_partitions(self):
-        reads = ReadSet()
-        reads.add(ReadRecord(key="k1", value=b"a", version=1, partition=0))
-        reads.add(ReadRecord(key="k2", value=b"b", version=2, partition=1))
-        assert reads.keys() == frozenset({"k1", "k2"})
-        assert reads.partitions() == frozenset({0, 1})
-        assert "k1" in reads
-        assert len(reads) == 2
-
-    def test_read_set_last_read_wins(self):
-        reads = ReadSet()
-        reads.add(ReadRecord(key="k", value=b"a", version=1, partition=0))
-        reads.add(ReadRecord(key="k", value=b"b", version=5, partition=0))
-        assert len(reads) == 1
-        assert reads.records["k"].version == 5
-
-    def test_write_set_mapping_and_last_write_wins(self):
-        writes = WriteSet()
-        writes.add(WriteRecord(key="k", value=b"1", partition=0))
-        writes.add(WriteRecord(key="k", value=b"2", partition=0))
-        writes.add(WriteRecord(key="j", value=b"3", partition=1))
-        assert writes.as_mapping() == {"k": b"2", "j": b"3"}
-        assert writes.partitions() == frozenset({0, 1})
 
     def test_commit_result_committed_property(self):
         ok = CommitResult(txn_id="t", status=TxnStatus.COMMITTED, commit_batch=4)

@@ -16,7 +16,7 @@ from repro.core.batch import (
 )
 from repro.core.cdvector import CDVector
 from repro.core.prepared import PreparedBatches
-from repro.core.transaction import make_transaction
+from repro.core.transaction import TxnPayload
 from repro.crypto.hashing import sha256
 from repro.crypto.signatures import HmacSigner, KeyRegistry
 from repro.storage.partitioner import HashPartitioner
@@ -44,7 +44,7 @@ def make_batch(partition=0, number=0, local=(), prepared=(), committed=(), ro=No
 
 class TestBatchDigests:
     def test_digest_changes_with_content(self):
-        txn = make_transaction("t1", writes={"a": b"1"})
+        txn = TxnPayload("t1", writes={"a": b"1"})
         empty = make_batch()
         with_txn = make_batch(local=[txn])
         assert empty.digest() != with_txn.digest()
@@ -55,15 +55,15 @@ class TestBatchDigests:
         assert base.digest() != other.digest()
 
     def test_digest_is_stable_and_cached(self):
-        batch = make_batch(local=[make_transaction("t", writes={"a": b"1"})])
+        batch = make_batch(local=[TxnPayload("t", writes={"a": b"1"})])
         assert batch.digest() == batch.digest()
         assert batch.content_digest() == batch.content_digest()
 
     def test_size_counts_all_segments(self):
-        txn = make_transaction("t", writes={"a": b"1"})
-        record = PreparedRecord(txn=make_transaction("p", writes={"b": b"1"}), coordinator=0)
+        txn = TxnPayload("t", writes={"a": b"1"})
+        record = PreparedRecord(txn=TxnPayload("p", writes={"b": b"1"}), coordinator=0)
         commit = CommitRecord(
-            txn=make_transaction("c", writes={"c": b"1"}),
+            txn=TxnPayload("c", writes={"c": b"1"}),
             coordinator=1,
             decision=True,
             prepare_batch=0,
@@ -75,18 +75,18 @@ class TestBatchDigests:
 class TestVisibleWrites:
     def test_local_and_committed_writes_visible_prepared_not(self):
         partitioner = HashPartitioner(1)
-        local = make_transaction("l", writes={"a": b"local"})
+        local = TxnPayload("l", writes={"a": b"local"})
         prepared = PreparedRecord(
-            txn=make_transaction("p", writes={"b": b"dirty"}), coordinator=0
+            txn=TxnPayload("p", writes={"b": b"dirty"}), coordinator=0
         )
         committed = CommitRecord(
-            txn=make_transaction("c", writes={"c": b"committed"}),
+            txn=TxnPayload("c", writes={"c": b"committed"}),
             coordinator=0,
             decision=True,
             prepare_batch=0,
         )
         aborted = CommitRecord(
-            txn=make_transaction("x", writes={"d": b"aborted"}),
+            txn=TxnPayload("x", writes={"d": b"aborted"}),
             coordinator=0,
             decision=False,
             prepare_batch=0,
@@ -100,7 +100,7 @@ class TestVisibleWrites:
         keys = ["k0", "k1", "k2", "k3", "k4"]
         by_partition = {p: [k for k in keys if partitioner.partition_of(k) == p] for p in (0, 1)}
         assert by_partition[0] and by_partition[1]
-        txn = make_transaction("t", writes={k: b"v" for k in keys})
+        txn = TxnPayload("t", writes={k: b"v" for k in keys})
         batch = make_batch(partition=0, local=[txn])
         writes = batch.visible_writes(partitioner)
         assert set(writes) == set(by_partition[0])
@@ -130,7 +130,7 @@ class TestCertifiedHeader:
 
     def test_valid_header_verifies(self, cluster):
         registry, members, signers = cluster
-        batch = make_batch(local=[make_transaction("t", writes={"a": b"1"})])
+        batch = make_batch(local=[TxnPayload("t", writes={"a": b"1"})])
         header = self._make_certified(batch, members, signers, registry)
         assert header.verify(registry, members, required=2)
         assert header.merkle_root == batch.read_only.merkle_root
@@ -171,7 +171,7 @@ class TestCertifiedHeader:
 
 class TestCommitRecord:
     def test_reported_vectors_only_from_positive_votes(self):
-        txn = make_transaction("t", writes={"a": b"1", "b": b"2"})
+        txn = TxnPayload("t", writes={"a": b"1", "b": b"2"})
         yes = PreparedVote(
             txn_id="t", partition=1, vote=True, prepare_batch=4,
             cd_vector=CDVector.from_entries([1, 4]),
@@ -187,7 +187,7 @@ class TestCommitRecord:
 
 class TestPreparedBatches:
     def _record(self, txn_id, keys=("a",), decision=True):
-        txn = make_transaction(txn_id, writes={k: b"v" for k in keys})
+        txn = TxnPayload(txn_id, writes={k: b"v" for k in keys})
         return PreparedRecord(txn=txn, coordinator=0), CommitRecord(
             txn=txn, coordinator=0, decision=decision, prepare_batch=0
         )
@@ -220,7 +220,7 @@ class TestPreparedBatches:
         with pytest.raises(TransactionError):
             prepared.record_decision(decision)
 
-    def test_ordering_constraint_pop_and_prefix(self):
+    def test_ordering_constraint_prefix(self):
         prepared = PreparedBatches()
         record_a, decision_a = self._record("a", keys=("ka",))
         record_b, decision_b = self._record("b", keys=("kb",))
@@ -232,16 +232,13 @@ class TestPreparedBatches:
         # Deciding a later group first must not release anything.
         prepared.record_decision(decision_c)
         assert prepared.ready_prefix() == []
-        assert prepared.pop_ready_in_order() == []
 
         prepared.record_decision(decision_a)
         ready = prepared.ready_prefix()
         assert [group.batch_number for group in ready] == [0]
 
         prepared.record_decision(decision_b)
-        popped = prepared.pop_ready_in_order()
-        assert [group.batch_number for group in popped] == [0, 1, 2]
-        assert len(prepared) == 0
+        assert [group.batch_number for group in prepared.ready_prefix()] == [0, 1, 2]
 
     def test_pending_transactions_lists_undecided_only(self):
         prepared = PreparedBatches()

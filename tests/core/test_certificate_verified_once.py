@@ -54,7 +54,7 @@ def test_one_quorum_check_per_distinct_vote_header_per_replica(monkeypatch):
     for partition in (0, 1):
         for replica in system.cluster_replicas(partition):
             # Batch 1 prepared all 40, batch 2 carries their 40 commit records.
-            batch = replica.log.get(2).value
+            batch = replica.log.entries_from(2)[0].value
             assert len(batch.committed) == TXNS
             headers = {
                 vote.header.certificate

@@ -30,7 +30,7 @@ from repro.core.batch import (
 from repro.core.cdvector import CDVector
 from repro.core.replica import PartitionReplica
 from repro.core.system import TransEdgeSystem
-from repro.core.transaction import make_transaction
+from repro.core.transaction import TxnPayload
 from repro.crypto.signatures import Signature
 from repro.recovery.snapshot import SnapshotImage
 from repro.storage.partitioner import HashPartitioner
@@ -39,7 +39,7 @@ PARTITIONER = HashPartitioner(2)
 
 
 def _txn(txn_id="t1"):
-    return make_transaction(txn_id, reads={"a": 1}, writes={"k": b"v", "z": b"w"}, client="c")
+    return TxnPayload(txn_id, reads={"a": 1}, writes={"k": b"v", "z": b"w"}, client="c")
 
 
 def _certificate():

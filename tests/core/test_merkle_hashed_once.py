@@ -52,7 +52,7 @@ def test_one_batch_hashes_its_dirty_paths_once_per_replica(monkeypatch):
     assert outcomes == [True] * WRITES
     live = [leader, *followers[:-1]]
     assert [replica.log.last_seq for replica in live] == [1, 1, 1]
-    assert len(leader.log.get(1).value.local_txns) == WRITES  # all in one batch
+    assert len(leader.log.entries_from(1)[0].value.local_txns) == WRITES  # all in one batch
     # Seal + self-validation + delivery on the leader, validation + delivery
     # on a follower: one kernel call each, over the whole 50-key delta.
     assert [hashed.get(id(replica.merkle.tree)) for replica in live] == [[WRITES]] * 3

@@ -18,7 +18,7 @@ from repro.core.readonly import (
     verify_snapshot,
 )
 from repro.core.topology import ClusterTopology
-from repro.core.transaction import make_transaction
+from repro.core.transaction import TxnPayload
 from repro.crypto.merkle import MerkleTree
 from repro.crypto.signatures import HmacSigner, KeyRegistry
 

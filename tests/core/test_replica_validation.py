@@ -17,7 +17,7 @@ from repro.core.batch import Batch, PreparedRecord, ReadOnlySegment
 from repro.core.cdvector import CDVector
 from repro.core.replica import PartitionReplica
 from repro.core.topology import ClusterTopology
-from repro.core.transaction import make_transaction
+from repro.core.transaction import TxnPayload
 from repro.simnet.node import SimEnvironment
 from repro.storage.partitioner import HashPartitioner
 
@@ -81,7 +81,7 @@ class TestProposalValidation:
     def test_honest_batch_is_accepted_and_applied(self, setup):
         env, replica, partitioner, data = setup
         keys = local_keys(partitioner, data, 2)
-        txn = make_transaction("t1", writes={keys[0]: b"new"})
+        txn = TxnPayload("t1", writes={keys[0]: b"new"})
         batch = honest_batch(replica, partitioner, data, number=0, txns=[txn])
         assert replica.validate_proposal(0, batch)
         replica.deliver(0, batch, certify(replica, batch))
@@ -108,7 +108,7 @@ class TestProposalValidation:
     def test_forged_merkle_root_rejected(self, setup):
         _, replica, partitioner, data = setup
         keys = local_keys(partitioner, data, 1)
-        txn = make_transaction("t1", writes={keys[0]: b"new"})
+        txn = TxnPayload("t1", writes={keys[0]: b"new"})
         honest = honest_batch(replica, partitioner, data, number=0, txns=[txn])
         forged = Batch(
             partition=honest.partition,
@@ -157,19 +157,19 @@ class TestProposalValidation:
     def test_conflicting_transactions_in_one_batch_rejected(self, setup):
         _, replica, partitioner, data = setup
         keys = local_keys(partitioner, data, 1)
-        txn_a = make_transaction("a", writes={keys[0]: b"1"})
-        txn_b = make_transaction("b", writes={keys[0]: b"2"})
+        txn_a = TxnPayload("a", writes={keys[0]: b"1"})
+        txn_b = TxnPayload("b", writes={keys[0]: b"2"})
         batch = honest_batch(replica, partitioner, data, number=0, txns=[txn_a, txn_b])
         assert not replica.validate_proposal(0, batch)
 
     def test_stale_read_in_proposed_transaction_rejected(self, setup):
         _, replica, partitioner, data = setup
         keys = local_keys(partitioner, data, 1)
-        first = make_transaction("first", writes={keys[0]: b"1"})
+        first = TxnPayload("first", writes={keys[0]: b"1"})
         batch0 = honest_batch(replica, partitioner, data, number=0, txns=[first])
         assert replica.validate_proposal(0, batch0)
         replica.deliver(0, batch0, certify(replica, batch0))
-        stale = make_transaction("stale", reads={keys[0]: NO_BATCH}, writes={keys[0]: b"2"})
+        stale = TxnPayload("stale", reads={keys[0]: NO_BATCH}, writes={keys[0]: b"2"})
         batch1 = honest_batch(replica, partitioner, data, number=1, txns=[stale])
         assert not replica.validate_proposal(1, batch1)
 
@@ -179,7 +179,7 @@ class TestProposalValidation:
 
         keys = local_keys(partitioner, data, 1)
         ghost = CommitRecord(
-            txn=make_transaction("ghost", writes={keys[0]: b"x"}),
+            txn=TxnPayload("ghost", writes={keys[0]: b"x"}),
             coordinator=0,
             decision=True,
             prepare_batch=0,
@@ -218,7 +218,7 @@ class TestProposalValidation:
         _, replica, partitioner, data = setup
         keys = local_keys(partitioner, data, 2)
         remote_key = "remote-key-for-partition-1"
-        txn = make_transaction("d1", writes={keys[0]: b"x", remote_key: b"y"})
+        txn = TxnPayload("d1", writes={keys[0]: b"x", remote_key: b"y"})
         record = PreparedRecord(txn=txn, coordinator=0)
         ro = honest_batch(replica, partitioner, data, number=0).read_only
         batch = Batch(partition=0, number=0, prepared=(record,), read_only=ro)
@@ -226,7 +226,7 @@ class TestProposalValidation:
         replica.deliver(0, batch, certify(replica, batch))
         assert replica.prepared_batches.group_of_txn("d1") is not None
         # A conflicting local transaction is now rejected (rule 3).
-        conflicting = make_transaction("c", writes={keys[0]: b"z"})
+        conflicting = TxnPayload("c", writes={keys[0]: b"z"})
         next_batch = honest_batch(replica, partitioner, data, number=1, txns=[conflicting])
         assert not replica.validate_proposal(1, next_batch)
 
@@ -238,10 +238,10 @@ class TestExpectedCacheEviction:
         _, replica, partitioner, data = setup
         keys = local_keys(partitioner, data, 2)
         first = honest_batch(
-            replica, partitioner, data, txns=[make_transaction("a", writes={keys[0]: b"1"})]
+            replica, partitioner, data, txns=[TxnPayload("a", writes={keys[0]: b"1"})]
         )
         second = honest_batch(
-            replica, partitioner, data, txns=[make_transaction("b", writes={keys[1]: b"2"})]
+            replica, partitioner, data, txns=[TxnPayload("b", writes={keys[1]: b"2"})]
         )
         assert replica.validate_proposal(0, second)
         assert replica.validate_proposal(0, first)
@@ -260,7 +260,7 @@ class TestExpectedCacheEviction:
         batch0 = honest_batch(replica, partitioner, data, number=0)
         later = honest_batch(
             replica, partitioner, data, number=1,
-            txns=[make_transaction("a", writes={keys[0]: b"1"})],
+            txns=[TxnPayload("a", writes={keys[0]: b"1"})],
         )
         assert replica.validate_proposal(0, batch0)
         assert replica.validate_proposal(1, later)

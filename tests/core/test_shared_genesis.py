@@ -75,7 +75,7 @@ def test_members_share_the_genesis_but_not_their_state():
     assert leader.store.latest(key).value == b"moved-on"
     assert bystander.merkle.root == genesis_root
     assert bystander.store.latest(key).value == system.initial_data[key]
-    assert verify_proof(genesis_root, key, system.initial_data[key], bystander.merkle.prove(key))
+    assert verify_proof(genesis_root, key, system.initial_data[key], bystander.merkle.tree.prove(key))
     # Nor did the write reach the shared genesis itself.
     assert MerkleTree(dict(bystander.checkpoints.snapshots.genesis.values())).root == genesis_root
 

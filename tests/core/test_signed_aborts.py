@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import dataclasses
 
+import pytest
+
 from repro.common.config import (
     BatchConfig,
     LatencyConfig,
@@ -160,3 +162,104 @@ class TestUnverifiablePositiveVotes:
             ParticipantPrepared(vote=signed), src=None
         )
         assert votes == {1: signed}
+
+
+def certified_votes(system: TransEdgeSystem, txn_id: str):
+    """One honest positive vote per partition: its leader's latest header."""
+    client = system.create_client("w")
+    partitions = range(system.config.num_partitions)
+    keys = [system.keys_of_partition(p)[1] for p in partitions]
+
+    def body():
+        for key in keys:
+            yield from client.read_write_txn([], {key: b"w"})
+
+    client.spawn(body())
+    system.run_until_idle()
+    return {
+        p: PreparedVote(
+            txn_id=txn_id, partition=p, vote=True, header=system.leader_replica(p).last_header
+        )
+        for p in partitions
+    }
+
+
+def abort_vote(system: TransEdgeSystem, partition: int) -> PreparedVote:
+    """``partition``'s leader's signed negative vote on the forged transaction."""
+    return system.leader_replica(partition).leader_role._abort_vote("forged-txn")
+
+
+def _forge_vote(change):
+    return lambda system, votes: {0: votes[0], 1: dataclasses.replace(votes[1], **change(votes))}
+
+
+#: (id, the votes a byzantine coordinator seals into a commit decision) — the
+#: transaction touches partitions 0 and 1; each forgery trips one check.
+FORGED_COMMITS = [
+    ("a-partition-never-voted", lambda system, votes: {0: votes[0]}),
+    ("an-extra-negative-vote", lambda system, votes: {
+        0: votes[0], 1: votes[1], 2: dataclasses.replace(votes[2], vote=False)}),
+    ("vote-without-header", _forge_vote(lambda votes: {"header": None})),
+    ("header-of-another-partition", _forge_vote(lambda votes: {"header": votes[0].header})),
+    ("header-not-certified", _forge_vote(lambda votes: {
+        "header": dataclasses.replace(votes[1].header, content_digest=b"\x00" * 32)})),
+]
+
+
+def _signed_by_a_non_member(system):
+    vote = PreparedVote(txn_id="forged-txn", partition=1, vote=False)
+    outsider = system.leader_replica(2).signer
+    return dataclasses.replace(vote, signature=outsider.sign(vote.abort_signing_payload()))
+
+
+#: (id, the votes a byzantine coordinator seals into an abort decision)
+FORGED_ABORTS = [
+    ("no-negative-vote", lambda system, votes: {0: votes[0], 1: votes[1]}),
+    ("negative-vote-of-an-unaccessed-partition", lambda system, votes: {
+        2: abort_vote(system, 2)}),
+    ("unsigned-negative-vote", lambda system, votes: {
+        1: PreparedVote(txn_id="forged-txn", partition=1, vote=False)}),
+    ("negative-vote-signed-by-a-non-member", lambda system, votes: {
+        1: _signed_by_a_non_member(system)}),
+    ("member-signature-with-wrong-bytes", lambda system, votes: {
+        1: dataclasses.replace(abort_vote(system, 1), signature=dataclasses.replace(
+            abort_vote(system, 1).signature, value=b"\x00" * 32))}),
+]
+
+
+class TestForgedDecisionsRejected:
+    """Every refusal of ``_validate_commit_record``: a forged record is
+    refused, and the same record with honest votes passes."""
+
+    def _record(self, system, decision, votes):
+        return CommitRecord(
+            txn=cross_partition_txn(system, "forged-txn"), coordinator=0,
+            decision=decision, prepare_batch=1, votes=votes,
+        )
+
+    def _validator_and_votes(self):
+        system = make_system(num_partitions=3)
+        validator = system.replicas[system.topology.members(0)[2]]
+        return system, validator, certified_votes(system, "forged-txn")
+
+    @pytest.mark.parametrize(
+        "forge", [case[1] for case in FORGED_COMMITS], ids=[case[0] for case in FORGED_COMMITS]
+    )
+    def test_forged_commit_fails_validation(self, forge):
+        system, validator, votes = self._validator_and_votes()
+        honest = {0: votes[0], 1: votes[1]}
+        assert validator._validate_commit_record(self._record(system, True, honest))
+        assert not validator._validate_commit_record(
+            self._record(system, True, forge(system, votes))
+        )
+
+    @pytest.mark.parametrize(
+        "forge", [case[1] for case in FORGED_ABORTS], ids=[case[0] for case in FORGED_ABORTS]
+    )
+    def test_forged_abort_fails_validation(self, forge):
+        system, validator, votes = self._validator_and_votes()
+        honest = {1: abort_vote(system, 1)}
+        assert validator._validate_commit_record(self._record(system, False, honest))
+        assert not validator._validate_commit_record(
+            self._record(system, False, forge(system, votes))
+        )

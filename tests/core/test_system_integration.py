@@ -20,6 +20,7 @@ from repro.common.types import TxnStatus
 from repro.core.messages import ReadOnlyReply
 from repro.core.system import TransEdgeSystem
 from repro.bft.byzantine import make_value_tamperer
+from repro.crypto.merkle import MerkleProof, ProofStep
 from repro.simnet.faults import FaultRule
 from repro.verification.history import ExecutionHistory, version_order_from_system
 
@@ -354,6 +355,36 @@ class TestReadOnlyTransactions:
         assert result.verified
         for key in keys:
             assert result.values[key] != b"forged-by-byzantine-node"
+
+    @pytest.mark.parametrize(
+        "steps",
+        [5, (3,), (ProofStep(sibling=None, sibling_is_left=True),)],
+        ids=["steps-an-int", "step-an-int", "sibling-none"],
+    )
+    def test_malformed_proof_is_one_failed_verification(self, steps):
+        """A proof of the right class with insides of the wrong shape used to
+        raise out of ``verify_proof``; now the client asks the next member."""
+        system = make_system()
+        client = system.create_client("c1")
+        keys = system.keys_of_partition(0)[:2]
+
+        def corrupt(message):
+            for key, proof in message.proofs.items():
+                message.proofs[key] = MerkleProof(key=proof.key, steps=steps)
+            return message
+
+        make_value_tamperer(
+            system.fault_injector, system.topology.leader(0), ReadOnlyReply, corrupt
+        )
+        results = []
+
+        def body():
+            results.append((yield from client.read_only_txn(keys)))
+
+        run_transactions(system, client, [body()])
+        assert client.stats.read_only_verification_failures >= 1
+        assert results[0].verified
+        assert all(results[0].values[key] == system.initial_data[key] for key in keys)
 
     def test_read_only_with_unwritten_keys_is_handled(self):
         system = make_system()

@@ -11,9 +11,8 @@ from repro.core.occ import (
     Footprint,
     KeyConflictIndex,
     stale_read_check,
-    transactions_conflict,
 )
-from repro.core.transaction import TxnPayload, make_transaction
+from repro.core.transaction import TxnPayload
 from repro.storage.mvstore import MultiVersionStore
 from repro.storage.partitioner import HashPartitioner
 
@@ -43,14 +42,14 @@ class TestTxnPayload:
             TxnPayload(txn_id="t", reads={}, writes={})
 
     def test_keys_union(self):
-        txn = make_transaction("t", reads={"a": 1}, writes={"b": b"x"})
+        txn = TxnPayload("t", reads={"a": 1}, writes={"b": b"x"})
         assert txn.keys() == frozenset({"a", "b"})
 
     def test_partitions_and_distribution(self, partitioner):
         p0_keys = keys_for(partitioner, 0, 2)
         p1_keys = keys_for(partitioner, 1, 1)
-        local = make_transaction("t1", writes={k: b"v" for k in p0_keys})
-        distributed = make_transaction(
+        local = TxnPayload("t1", writes={k: b"v" for k in p0_keys})
+        distributed = TxnPayload(
             "t2", reads={p0_keys[0]: 0}, writes={p1_keys[0]: b"v"}
         )
         assert not local.is_distributed(partitioner)
@@ -60,7 +59,7 @@ class TestTxnPayload:
     def test_per_partition_projections(self, partitioner):
         p0 = keys_for(partitioner, 0, 1)[0]
         p1 = keys_for(partitioner, 1, 1)[0]
-        txn = make_transaction("t", reads={p0: 3}, writes={p1: b"v"})
+        txn = TxnPayload("t", reads={p0: 3}, writes={p1: b"v"})
         assert txn.reads_in(0, partitioner) == {p0: 3}
         assert txn.reads_in(1, partitioner) == {}
         assert txn.writes_in(1, partitioner) == {p1: b"v"}
@@ -72,14 +71,14 @@ class TestTxnPayload:
         partitioner = HashPartitioner(4)
         keys = [f"key-{i}" for i in range(100)]
         local = [k for k in keys if partitioner.partition_of(k) == 0][:3]
-        assert not make_transaction("t", writes={k: b"v" for k in local}).is_distributed(partitioner)
-        assert make_transaction("t", reads={k: 0 for k in keys[:20]}).is_distributed(partitioner)
+        assert not TxnPayload("t", writes={k: b"v" for k in local}).is_distributed(partitioner)
+        assert TxnPayload("t", reads={k: 0 for k in keys[:20]}).is_distributed(partitioner)
 
     def test_key_sets_filter_by_partition(self):
         # Moved from ``HashPartitioner.local_keys`` (deleted: the split answers it).
         partitioner = HashPartitioner(3)
         keys = [f"key-{i}" for i in range(60)]
-        txn = make_transaction("t", reads={k: 0 for k in keys[:30]}, writes={k: b"v" for k in keys[30:]})
+        txn = TxnPayload("t", reads={k: 0 for k in keys[:30]}, writes={k: b"v" for k in keys[30:]})
         for partition in range(3):
             reads = txn.read_keys_in(partition, partitioner)
             writes = txn.write_keys_in(partition, partitioner)
@@ -88,60 +87,33 @@ class TestTxnPayload:
         assert sum(len(txn.write_keys_in(p, partitioner)) for p in range(3)) == 30
 
     def test_write_only_detection(self):
-        assert make_transaction("t", writes={"a": b"1"}).is_write_only()
-        assert not make_transaction("t", reads={"a": 1}, writes={"b": b"1"}).is_write_only()
+        assert TxnPayload("t", writes={"a": b"1"}).is_write_only()
+        assert not TxnPayload("t", reads={"a": 1}, writes={"b": b"1"}).is_write_only()
 
     def test_payload_is_canonical(self):
-        a = make_transaction("t", reads={"a": 1, "b": 2}, writes={"c": b"x"})
-        b = make_transaction("t", reads={"b": 2, "a": 1}, writes={"c": b"x"})
+        a = TxnPayload("t", reads={"a": 1, "b": 2}, writes={"c": b"x"})
+        b = TxnPayload("t", reads={"b": 2, "a": 1}, writes={"c": b"x"})
         assert a.payload() == b.payload()
-
-
-class TestFootprintConflicts:
-    def test_ww_wr_rw_conflicts(self):
-        ww = Footprint(reads=frozenset(), writes=frozenset({"k"}))
-        assert ww.conflicts_with(Footprint(reads=frozenset(), writes=frozenset({"k"})))
-        wr = Footprint(reads=frozenset({"k"}), writes=frozenset())
-        assert wr.conflicts_with(Footprint(reads=frozenset(), writes=frozenset({"k"})))
-        assert Footprint(reads=frozenset(), writes=frozenset({"k"})).conflicts_with(wr)
-
-    def test_read_read_is_not_a_conflict(self):
-        a = Footprint(reads=frozenset({"k"}), writes=frozenset())
-        b = Footprint(reads=frozenset({"k"}), writes=frozenset())
-        assert not a.conflicts_with(b)
-
-    def test_disjoint_footprints_do_not_conflict(self):
-        a = Footprint(reads=frozenset({"a"}), writes=frozenset({"b"}))
-        b = Footprint(reads=frozenset({"c"}), writes=frozenset({"d"}))
-        assert not a.conflicts_with(b)
-
-    def test_transactions_conflict_respects_partition(self, partitioner):
-        p0 = keys_for(partitioner, 0, 1)[0]
-        p1 = keys_for(partitioner, 1, 1)[0]
-        a = make_transaction("a", writes={p0: b"1", p1: b"1"})
-        b = make_transaction("b", writes={p1: b"2"})
-        assert not transactions_conflict(a, b, 0, partitioner)
-        assert transactions_conflict(a, b, 1, partitioner)
 
 
 class TestStaleReads:
     def test_fresh_read_passes(self, partitioner):
         key = keys_for(partitioner, 0, 1)[0]
         store = MultiVersionStore({key: b"v"})
-        txn = make_transaction("t", reads={key: NO_BATCH}, writes={key: b"n"})
+        txn = TxnPayload("t", reads={key: NO_BATCH}, writes={key: b"n"})
         assert stale_read_check(txn, 0, partitioner, store) is None
 
     def test_stale_read_detected(self, partitioner):
         key = keys_for(partitioner, 0, 1)[0]
         store = MultiVersionStore({key: b"v"})
         store.apply({key: b"newer"}, batch=3)
-        txn = make_transaction("t", reads={key: NO_BATCH}, writes={key: b"n"})
+        txn = TxnPayload("t", reads={key: NO_BATCH}, writes={key: b"n"})
         assert stale_read_check(txn, 0, partitioner, store) == key
 
     def test_reads_of_other_partitions_are_ignored(self, partitioner):
         p1_key = keys_for(partitioner, 1, 1)[0]
         store = MultiVersionStore()
-        txn = make_transaction("t", reads={p1_key: 7}, writes={p1_key: b"n"})
+        txn = TxnPayload("t", reads={p1_key: 7}, writes={p1_key: b"n"})
         assert stale_read_check(txn, 0, partitioner, store) is None
 
 
@@ -149,34 +121,34 @@ class TestKeyConflictIndex:
     def test_detects_conflicts_through_index(self, partitioner):
         keys = keys_for(partitioner, 0, 3)
         index = KeyConflictIndex(0, partitioner)
-        index.add(make_transaction("t1", writes={keys[0]: b"1"}))
-        index.add(make_transaction("t2", reads={keys[1]: 0}, writes={keys[2]: b"2"}))
+        index.add(TxnPayload("t1", writes={keys[0]: b"1"}))
+        index.add(TxnPayload("t2", reads={keys[1]: 0}, writes={keys[2]: b"2"}))
         # write-write with t1
-        assert index.first_conflict(make_transaction("x", writes={keys[0]: b"9"})) == "t1"
+        assert index.first_conflict(TxnPayload("x", writes={keys[0]: b"9"})) == "t1"
         # write-read with t2's read
-        assert index.first_conflict(make_transaction("y", writes={keys[1]: b"9"})) == "t2"
+        assert index.first_conflict(TxnPayload("y", writes={keys[1]: b"9"})) == "t2"
         # read-write with t2's write
-        assert index.first_conflict(make_transaction("z", reads={keys[2]: 0}, writes={"other": b"1"})) == "t2"
+        assert index.first_conflict(TxnPayload("z", reads={keys[2]: 0}, writes={"other": b"1"})) == "t2"
 
     def test_no_conflict_for_disjoint_or_read_read(self, partitioner):
         keys = keys_for(partitioner, 0, 3)
         index = KeyConflictIndex(0, partitioner)
-        index.add(make_transaction("t1", reads={keys[0]: 0}, writes={keys[1]: b"1"}))
-        probe = make_transaction("p", reads={keys[0]: 0}, writes={keys[2]: b"2"})
+        index.add(TxnPayload("t1", reads={keys[0]: 0}, writes={keys[1]: b"1"}))
+        probe = TxnPayload("p", reads={keys[0]: 0}, writes={keys[2]: b"2"})
         assert index.first_conflict(probe) is None
 
     def test_remove_clears_footprint(self, partitioner):
         keys = keys_for(partitioner, 0, 2)
         index = KeyConflictIndex(0, partitioner)
-        index.add(make_transaction("t1", writes={keys[0]: b"1"}))
+        index.add(TxnPayload("t1", writes={keys[0]: b"1"}))
         index.remove("t1")
-        assert index.first_conflict(make_transaction("x", writes={keys[0]: b"9"})) is None
+        assert index.first_conflict(TxnPayload("x", writes={keys[0]: b"9"})) is None
         assert len(index) == 0
 
     def test_duplicate_add_is_idempotent(self, partitioner):
         keys = keys_for(partitioner, 0, 1)
         index = KeyConflictIndex(0, partitioner)
-        txn = make_transaction("t1", writes={keys[0]: b"1"})
+        txn = TxnPayload("t1", writes={keys[0]: b"1"})
         index.add(txn)
         index.add(txn)
         index.remove("t1")
@@ -185,13 +157,13 @@ class TestKeyConflictIndex:
     def test_ignores_keys_of_other_partitions(self, partitioner):
         p1_key = keys_for(partitioner, 1, 1)[0]
         index = KeyConflictIndex(0, partitioner)
-        index.add(make_transaction("t1", writes={p1_key: b"1"}))
-        assert index.first_conflict(make_transaction("x", writes={p1_key: b"2"})) is None
+        index.add(TxnPayload("t1", writes={p1_key: b"1"}))
+        assert index.first_conflict(TxnPayload("x", writes={p1_key: b"2"})) is None
 
     def test_clear(self, partitioner):
         keys = keys_for(partitioner, 0, 1)
         index = KeyConflictIndex(0, partitioner)
-        index.add(make_transaction("t1", writes={keys[0]: b"1"}))
+        index.add(TxnPayload("t1", writes={keys[0]: b"1"}))
         index.clear()
         assert "t1" not in index
 
@@ -201,7 +173,7 @@ class TestConflictChecker:
         keys = keys_for(partitioner, 0, 2)
         store = MultiVersionStore({k: b"v" for k in keys})
         checker = ConflictChecker(0, partitioner, store)
-        txn = make_transaction("t", reads={keys[0]: NO_BATCH}, writes={keys[1]: b"x"})
+        txn = TxnPayload("t", reads={keys[0]: NO_BATCH}, writes={keys[1]: b"x"})
         assert checker.check(txn).ok
 
     def test_rejects_stale_read(self, partitioner):
@@ -209,7 +181,7 @@ class TestConflictChecker:
         store = MultiVersionStore({keys[0]: b"v"})
         store.apply({keys[0]: b"w"}, batch=2)
         checker = ConflictChecker(0, partitioner, store)
-        txn = make_transaction("t", reads={keys[0]: NO_BATCH}, writes={keys[0]: b"x"})
+        txn = TxnPayload("t", reads={keys[0]: NO_BATCH}, writes={keys[0]: b"x"})
         report = checker.check(txn)
         assert not report.ok
         assert "stale" in report.reason
@@ -219,34 +191,24 @@ class TestConflictChecker:
         store = MultiVersionStore({k: b"v" for k in keys})
         checker = ConflictChecker(0, partitioner, store)
         index = KeyConflictIndex(0, partitioner)
-        index.add(make_transaction("pending", writes={keys[0]: b"1"}))
-        txn = make_transaction("t", reads={keys[0]: NO_BATCH}, writes={keys[1]: b"x"})
+        index.add(TxnPayload("pending", writes={keys[0]: b"1"}))
+        txn = TxnPayload("t", reads={keys[0]: NO_BATCH}, writes={keys[1]: b"x"})
         report = checker.check(txn, indexes=[index])
         assert not report.ok
         assert report.conflicting_txn == "pending"
-
-    def test_explicit_pending_pairs_supported(self, partitioner):
-        keys = keys_for(partitioner, 0, 1)
-        store = MultiVersionStore({keys[0]: b"v"})
-        checker = ConflictChecker(0, partitioner, store)
-        pending_txn = make_transaction("p", writes={keys[0]: b"1"})
-        txn = make_transaction("t", writes={keys[0]: b"2"})
-        report = checker.check(txn, pending=[("prepared", pending_txn)])
-        assert not report.ok
-        assert "prepared" in report.reason
 
     def test_transaction_with_empty_local_footprint_is_accepted(self, partitioner):
         p1_key = keys_for(partitioner, 1, 1)[0]
         store = MultiVersionStore()
         checker = ConflictChecker(0, partitioner, store)
-        txn = make_transaction("t", writes={p1_key: b"x"})
+        txn = TxnPayload("t", writes={p1_key: b"x"})
         assert checker.check(txn).ok
 
     def test_does_not_conflict_with_itself(self, partitioner):
         keys = keys_for(partitioner, 0, 1)
         store = MultiVersionStore({keys[0]: b"v"})
         checker = ConflictChecker(0, partitioner, store)
-        txn = make_transaction("t", writes={keys[0]: b"1"})
+        txn = TxnPayload("t", writes={keys[0]: b"1"})
         index = KeyConflictIndex(0, partitioner)
         index.add(txn)
         assert checker.check(txn, indexes=[index]).ok
@@ -263,16 +225,16 @@ class TestSharedFootprint:
     def _matrix(self, partitioner):
         a, b, c = keys_for(partitioner, 0, 3)
         remote = keys_for(partitioner, 1, 1)[0]
-        pending = make_transaction("pending", reads={a: NO_BATCH}, writes={b: b"1"})
+        pending = TxnPayload("pending", reads={a: NO_BATCH}, writes={b: b"1"})
         probes = [
-            make_transaction("ww", writes={b: b"2"}),
-            make_transaction("rw", reads={b: NO_BATCH}, writes={c: b"2"}),
-            make_transaction("wr", writes={a: b"2"}),
-            make_transaction("rr", reads={a: NO_BATCH}),
-            make_transaction("disjoint", reads={c: NO_BATCH}, writes={c: b"2"}),
-            make_transaction("elsewhere", writes={remote: b"2"}),
-            make_transaction("stale", reads={c: 7, a: 7}, writes={c: b"2"}),
-            make_transaction("stale-remote-read", reads={remote: 7}, writes={c: b"2"}),
+            TxnPayload("ww", writes={b: b"2"}),
+            TxnPayload("rw", reads={b: NO_BATCH}, writes={c: b"2"}),
+            TxnPayload("wr", writes={a: b"2"}),
+            TxnPayload("rr", reads={a: NO_BATCH}),
+            TxnPayload("disjoint", reads={c: NO_BATCH}, writes={c: b"2"}),
+            TxnPayload("elsewhere", writes={remote: b"2"}),
+            TxnPayload("stale", reads={c: 7, a: 7}, writes={c: b"2"}),
+            TxnPayload("stale-remote-read", reads={remote: 7}, writes={c: b"2"}),
         ]
         return pending, probes, MultiVersionStore({key: b"v" for key in (a, b, c)})
 
@@ -292,8 +254,6 @@ class TestSharedFootprint:
         for txn in probes:
             assert Footprint.of(txn, 0, partitioner) == self._closed_form(txn, 0, partitioner)
             report = checker.check(txn, [index])
-            indexed = [("pending", other) for other in (pending, *probes) if other.txn_id in index]
-            assert report == checker.check(txn, pending=indexed)  # the index-free path
             reports[txn.txn_id] = (report.ok, report.conflicting_txn)
             if report.ok:
                 index.add(txn)

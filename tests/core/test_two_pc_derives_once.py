@@ -58,7 +58,7 @@ def digests_of(system):
         replica = system.cluster_replicas(partition)[1]
         tip = replica.log.next_seq - 1
         pinned[partition] = (
-            [replica.log.get(seq).value.digest().hex()[:16] for seq in range(tip + 1)],
+            [entry.value.digest().hex()[:16] for entry in replica.log.entries_from(0)],
             replica.last_header.digest().hex(),
             SnapshotImage.capture(replica, tip).digest().hex(),
         )
@@ -89,7 +89,7 @@ def test_payload_canonicalised_once_and_key_sets_split_once(monkeypatch):
     monkeypatch.undo()
 
     leader = system.leader_replica(0)
-    committed = [record.txn for seq in range(leader.log.next_seq) for record in leader.log.get(seq).value.committed]
+    committed = [record.txn for entry in leader.log.entries_from(0) for record in entry.value.committed]
     assert len(committed) == 2
     for txn in committed:
         assert len(txn.partitions(system.partitioner)) == PARTITIONS

@@ -8,8 +8,10 @@ from hypothesis import given, settings, strategies as st
 from repro.common.errors import ProofError
 from repro.crypto.merkle import (
     EMPTY_ROOT,
+    MerkleProof,
     MerkleStore,
     MerkleTree,
+    ProofStep,
     verify_proof,
 )
 
@@ -72,6 +74,16 @@ class TestMerkleTree:
         proof = tree.prove("key-001")
         assert not verify_proof(tree.root, "key-002", items["key-002"], proof)
 
+    @pytest.mark.parametrize(
+        "steps",
+        [5, (3,), (ProofStep(sibling=None, sibling_is_left=False),), (ProofStep(sibling="s", sibling_is_left=True),)],
+        ids=["steps-an-int", "step-an-int", "sibling-none", "sibling-a-str"],
+    )
+    def test_malformed_proof_fails_instead_of_raising(self, steps):
+        tree = MerkleTree(make_items(4))
+        proof = MerkleProof(key="key-001", steps=steps)
+        assert verify_proof(tree.root, "key-001", b"value-1", proof) is False
+
     def test_proving_missing_key_raises(self):
         with pytest.raises(ProofError):
             MerkleTree(make_items(3)).prove("missing")
@@ -89,8 +101,8 @@ class TestMerkleStore:
         old_root = store.root
         new_root = store.apply({"key-001": b"updated", "new-key": b"fresh"})
         assert new_root != old_root
-        assert store.get("key-001") == b"updated"
-        assert store.get("new-key") == b"fresh"
+        assert verify_proof(new_root, "key-001", b"updated", store.tree.prove("key-001"))
+        assert verify_proof(new_root, "new-key", b"fresh", store.tree.prove("new-key"))
         assert len(store) == 5
 
     def test_apply_empty_update_keeps_root(self):
@@ -101,21 +113,13 @@ class TestMerkleStore:
     def test_proofs_track_current_state(self):
         store = MerkleStore(make_items(4))
         store.apply({"key-002": b"v2"})
-        proof = store.prove("key-002")
+        proof = store.tree.prove("key-002")
         assert verify_proof(store.root, "key-002", b"v2", proof)
 
     def test_store_matches_equivalent_tree(self):
         items = make_items(10)
         store = MerkleStore(items)
         assert store.root == MerkleTree(items).root
-
-    def test_items_is_a_live_read_only_view(self):
-        store = MerkleStore(make_items(3))
-        view = store.items()
-        with pytest.raises(TypeError):
-            view["key-000"] = b"nope"  # read-only proxy, not a copy
-        store.apply({"key-000": b"changed"})
-        assert view["key-000"] == b"changed"  # live view tracks the store
 
 
 class TestMerkleProperties:
@@ -184,7 +188,7 @@ class TestSharedGenesis:
         assert "zzz-new" in left and len(left) == 7
         # The sibling keeps its own tree object, still over the six shared leaves.
         assert right.tree is right_tree and right.root == prototype.root
-        assert "zzz-new" not in right and len(right) == 6 and right.get("zzz-new") is None
+        assert "zzz-new" not in right and len(right) == 6
         assert prototype.keys() == tuple(sorted(items))
         assert items == make_items(6)  # the shared base is never written through
 

@@ -18,7 +18,7 @@ from hypothesis.stateful import Bundle, RuleBasedStateMachine, invariant, precon
 from repro.common.errors import ProofError
 from repro.common.ids import NO_BATCH
 from repro.crypto.archive import MerkleTreeArchive
-from repro.crypto.merkle import MerkleStore, MerkleTree
+from repro.crypto.merkle import MerkleStore, MerkleTree, verify_proof
 
 
 def make_items(n: int) -> dict:
@@ -116,7 +116,7 @@ class TestPreparedUpdate:
         store.apply(self.U, batch=2)
         expected = MerkleTree({**make_items(8), "zzz-new": b"fresh", **self.U})
         assert store.root == expected.root
-        assert store.prove("key-005") == expected.prove("key-005")
+        assert store.tree.prove("key-005") == expected.prove("key-005")
 
     def test_live_tree_mutated_behind_the_stores_back(self):
         # ``MerkleStore.tree`` hands out the mutable live tree; the store
@@ -149,7 +149,8 @@ class TestPreparedUpdate:
         assert store.apply(updates, batch=1) == root
         assert len(builds) == 1  # previewed once, not rebuilt at delivery
         assert store.root == MerkleTree({**make_items(6), **updates}).root
-        assert store.tree_at(0) is retired and store.get("zzz-new") == b"fresh"
+        assert store.tree_at(0) is retired
+        assert verify_proof(root, "zzz-new", b"fresh", store.tree.prove("zzz-new"))
 
     def test_refused_batch_number_leaves_the_store_untouched(self):
         store = MerkleStore(make_items(4), archive=MerkleTreeArchive())
@@ -157,7 +158,8 @@ class TestPreparedUpdate:
         root = store.root
         with pytest.raises(ValueError):
             store.apply({"key-002": b"y"}, batch=5)
-        assert store.root == root and store.get("key-002") == b"value-2"
+        assert store.root == root
+        assert verify_proof(root, "key-002", b"value-2", store.tree.prove("key-002"))
 
 
 class ReferenceStore:
@@ -258,7 +260,7 @@ class PreparedUpdateMachine(RuleBasedStateMachine):
         assert store.root == reference.tree.root
         assert store.tree.keys() == reference.tree.keys()
         for key in reference.tree.keys():
-            assert store.prove(key) == reference.tree.prove(key)
+            assert store.tree.prove(key) == reference.tree.prove(key)
         records = [(r.batch, r.delta, r.tree and r.tree.root) for r in store.archive._records]
         assert records == [
             (r.batch, r.delta, r.tree and r.tree.root) for r in reference.archive._records

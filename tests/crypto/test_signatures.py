@@ -13,7 +13,6 @@ from repro.crypto.signatures import (
     KeyRegistry,
     RsaSigner,
     Signature,
-    build_registry,
     make_signer,
 )
 
@@ -52,13 +51,6 @@ class TestHmacSigner:
         byzantine = signers["P0/R3"]
         forged = Signature(signer="P0/R0", value=byzantine.sign("x").value, scheme="hmac")
         assert not registry.verify("x", forged)
-
-    def test_require_valid_raises(self, registry_with_nodes):
-        registry, signers = registry_with_nodes
-        signature = signers["P0/R1"].sign("payload")
-        registry.require_valid("payload", signature)
-        with pytest.raises(SignatureError):
-            registry.require_valid("other payload", signature)
 
     def test_signature_requires_signer_identity(self):
         with pytest.raises(SignatureError):
@@ -124,7 +116,6 @@ class TestVerifyCache:
         for _ in range(5):
             assert registry.verify(payload, signature)
         assert registry.cache_hits == before + 5
-        assert registry.cache_hit_rate() > 0
 
     def test_tampered_payload_fails_with_warm_cache(self, registry_with_nodes):
         registry, signers = registry_with_nodes
@@ -245,9 +236,3 @@ class TestFactories:
     def test_make_signer_rejects_unknown_backend(self):
         with pytest.raises(SignatureError):
             make_signer("dsa", "a")
-
-    def test_build_registry_registers_all(self):
-        signers = {"a": HmacSigner("a"), "b": HmacSigner("b")}
-        registry = build_registry(signers)
-        assert registry.knows("a") and registry.knows("b")
-        assert set(registry.identities()) == {"a", "b"}

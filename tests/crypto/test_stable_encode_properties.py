@@ -30,7 +30,7 @@ from typing import Any, Tuple
 import pytest
 
 from repro.bft.quorum import certificate_payload
-from repro.core.transaction import make_transaction
+from repro.core.transaction import TxnPayload
 from repro.crypto.hashing import Encoded, stable_encode
 
 
@@ -403,7 +403,7 @@ class TestFastPathMatchesTheLadder:
         assert digest(certificate_payload(3, 1234, bytes(range(32)))) == (
             "add855f7054f43243137d0c336759683b5f21d9d6f9c87e6bd189c1eb542ce76"
         )
-        txn = make_transaction(
+        txn = TxnPayload(
             "client-7#42",
             reads={"key-0001": 5, "key-0002": -1},
             writes={"key-0003": b"value", "clé-ø": b"\x00\xff"},

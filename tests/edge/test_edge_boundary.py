@@ -211,6 +211,46 @@ class TestMalformedProxyReplies:
             assert not reply.well_formed()
 
 
+class TestUnhashableReplyId:
+    """A reply whose ``request_id`` is a list used to raise ``TypeError:
+    unhashable type`` out of the reply correlation while any wait was
+    outstanding.  Now it is refused with one ``malformed-message`` event, and
+    the wait it cannot answer times out as if nothing had arrived."""
+
+    def test_the_client_refuses_it(self):
+        system = make_system(edge=False)
+        make_leader_byzantine(system, {"request_id": ["req-0"]})
+        client = system.create_client("reader")
+        keys = system.keys_of_partition(0)[:3]
+
+        result = read(system, client, keys)
+
+        assert_read_the_committed_values(system, result, keys)
+        (event,) = events(system, "malformed-message")
+        assert event.node == str(client.node_id)
+        assert event.detail == {
+            "type": "ReadOnlyReply", "from": str(system.topology.leader(0)),
+        }
+
+    def test_a_proxy_refuses_it(self):
+        system = make_system(edge=True)
+        make_leader_byzantine(system, {"request_id": ["req-0"]})
+        client = system.create_client("reader")
+        keys = system.keys_of_partition(0)[:3]
+
+        result = read(system, client, keys)
+
+        assert_read_the_committed_values(system, result, keys)
+        # The proxy's fetch times out, the client falls back to the core and
+        # meets the same leader there: one event on each node.
+        leader = str(system.topology.leader(0))
+        assert [(e.node, e.detail) for e in events(system, "malformed-message")] == [
+            (str(system.proxies[0].node_id), {"type": "ReadOnlyReply", "from": leader}),
+            (str(client.node_id), {"type": "ReadOnlyReply", "from": leader}),
+        ]
+        assert client.stats.edge_fallbacks == 1
+
+
 #: (id, a message nobody honest sends a proxy)
 MALFORMED_INPUTS = [
     ("read-keys-an-int", EdgeReadRequest(keys=5)),

@@ -59,6 +59,22 @@ class TestJsonSchema:
         assert exit_code == 0
         assert document["findings"] == []
 
+    def test_text_report_names_each_finding(self, capsys):
+        bad = os.path.join(CORPUS, "D105", "bad.py")
+        exit_code = main([bad, "--no-baseline", "--rule", "D105"])
+        lines = capsys.readouterr().out.splitlines()
+        assert exit_code == 1
+        findings = [line for line in lines if ": [D105] " in line]
+        assert len(findings) == 3 and all("D105/bad.py:" in line for line in findings)
+        assert lines[-1] == "1 files, 3 finding(s), 0 suppressed by baseline, 0 stale entries"
+
+    def test_list_rules_prints_the_catalog(self, capsys):
+        assert main(["--list-rules"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in lines] == [rule.id for rule in select_rules(None)]
+        assert any("[project]" in line for line in lines)
+        assert any("[   file]" in line for line in lines)
+
     def test_unknown_rule_is_a_usage_error(self, capsys):
         assert main(["--rule", "Z999"]) == 2
 

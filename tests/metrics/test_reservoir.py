@@ -88,6 +88,16 @@ class TestHistogramRegime:
         assert summary.min_ms == 0.0
         assert summary.p50_ms == 0.0
 
+    def test_iteration_yields_one_midpoint_per_sample(self):
+        reservoir = LatencyReservoir(cap=4)
+        reservoir.extend([0.0, 1.0, 10.0, 100.0, 1000.0])
+        assert reservoir.converted
+        samples = list(reservoir)
+        assert len(samples) == 5 and samples[0] == 0.0
+        for exact, midpoint in zip([1.0, 10.0, 100.0, 1000.0], samples[1:]):
+            assert midpoint == pytest.approx(exact, rel=0.025)
+            assert reservoir.min_ms <= midpoint <= reservoir.max_ms
+
 
 class TestCollectorIntegration:
     def test_operation_metrics_use_reservoirs(self):

@@ -11,9 +11,12 @@ the whole run down with it.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.common.config import BatchConfig, CheckpointConfig, LatencyConfig, SystemConfig
+from repro.common.ids import NO_BATCH
 from repro.core.system import TransEdgeSystem
 from repro.recovery.messages import StateTransferReply
 
@@ -121,4 +124,107 @@ class TestMalformedStateTransferReply:
         assert victim.counters.recoveries_completed == 1
         assert not victim.recovery.in_progress
         assert victim.log.last_seq == responder.log.last_seq
+        assert victim.merkle.root == responder.merkle.root
+
+
+def rejoin_by_hand(system):
+    """Crash partition 0's member 3, commit past it, restart it empty.
+
+    Returns ``(responder, victim, honest)``: ``honest`` are the fields of the
+    reply a member holding the stable checkpoint would send, so the reply
+    below is all the victim hears.
+    """
+    members = system.topology.members(0)
+    responder, victim = system.replicas[members[1]], system.replicas[members[3]]
+    system.crash_replica(victim.node_id)
+    write(system, 6, tag="during")
+    system.fault_injector.restart(victim.node_id)
+    victim.crashed = False
+    victim.reset_for_recovery()
+    victim.recovery.in_progress = True
+    stable = responder.checkpoints.stable_image
+    honest = dict(
+        partition=0,
+        image=stable,
+        certificate=responder.checkpoints.stable_certificate,
+        entries=responder.log.entries_from(stable.seq + 1),
+        view=responder.engine.view,
+        view_certificate=responder.engine.view_certificate,
+        responder_tip=responder.log.last_seq,
+    )
+    assert stable.seq >= 0 and len(honest["entries"]) >= 2
+    return responder, victim, honest
+
+
+def forged_signatures(signatures):
+    return tuple(dataclasses.replace(sig, value=b"\x00" * len(sig.value)) for sig in signatures)
+
+
+def first_entry(change):
+    """Forge the first log entry above the image with ``change(entries)``."""
+    def forge(fields):
+        entries = fields["entries"]
+        return {"entries": (change(entries),) + entries[1:]}
+    return forge
+
+
+#: (id, the fields a byzantine member changes in an otherwise honest reply)
+#: — one per refusal of ``_verify_image`` and ``_verify_entry``.
+FORGED = [
+    ("image-of-another-partition",
+     lambda f: {"image": dataclasses.replace(f["image"], partition=1)}),
+    ("no-image", lambda f: {"image": None}),
+    ("image-without-certificate", lambda f: {"certificate": None}),
+    ("image-without-certificate-or-header", lambda f: {
+        "certificate": None, "image": dataclasses.replace(f["image"], header=None, prepared=())}),
+    ("genesis-image-with-state",
+     lambda f: {"certificate": None, "image": dataclasses.replace(f["image"], seq=NO_BATCH)}),
+    ("certificate-not-covering-the-image",
+     lambda f: {"image": dataclasses.replace(
+         f["image"],
+         items=tuple((key, version, b"forged") for key, version, _ in f["image"].items),
+     )}),
+    ("certificate-not-covering-the-versions",
+     lambda f: {"image": dataclasses.replace(
+         f["image"],
+         items=tuple((key, version + 1, value) for key, version, value in f["image"].items),
+     )}),
+    ("checkpoint-signatures-forged",
+     lambda f: {"certificate": dataclasses.replace(
+         f["certificate"], signatures=forged_signatures(f["certificate"].signatures))}),
+    ("image-header-missing", lambda f: {"image": dataclasses.replace(f["image"], header=None)}),
+    ("image-header-uncertified",
+     lambda f: {"image": dataclasses.replace(
+         f["image"],
+         header=dataclasses.replace(f["image"].header, content_digest=b"\x00" * 32))}),
+    ("entry-not-a-batch", first_entry(lambda e: dataclasses.replace(e[0], value=7))),
+    ("entry-batch-of-another-seq",
+     first_entry(lambda e: dataclasses.replace(e[0], value=e[1].value))),
+    ("entry-certificate-of-another-seq",
+     first_entry(lambda e: dataclasses.replace(e[0], certificate=e[1].certificate))),
+    ("entry-signatures-forged",
+     first_entry(lambda e: dataclasses.replace(e[0], certificate=dataclasses.replace(
+         e[0].certificate, signatures=forged_signatures(e[0].certificate.signatures))))),
+]
+
+
+class TestForgedStateTransferReply:
+    @pytest.mark.parametrize("forge", [case[1] for case in FORGED], ids=[case[0] for case in FORGED])
+    def test_forged_reply_is_rejected_and_installs_nothing(self, forge):
+        system = make_system()
+        responder, victim, honest = rejoin_by_hand(system)
+        held = (victim.log.last_seq, victim.merkle.root, len(victim.store))
+
+        responder.send(victim.node_id, StateTransferReply(**{**honest, **forge(honest)}))
+        system.run_until_idle()
+
+        assert victim.counters.state_transfers_rejected == 1
+        assert (victim.log.last_seq, victim.merkle.root, len(victim.store)) == held
+        assert victim.recovery.in_progress
+        assert victim.counters.recoveries_completed == 0
+
+        # The honest reply from the same member still installs.
+        responder.send(victim.node_id, StateTransferReply(**honest))
+        system.run_until_idle()
+        assert victim.counters.recoveries_completed == 1
         assert victim.merkle.root == responder.merkle.root
