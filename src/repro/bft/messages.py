@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 from repro.bft.quorum import CommitCertificate, checkpoint_payload, view_change_payload
+from repro.common.types import NoneType
 from repro.crypto.signatures import Signature
 from repro.simnet.messages import Message
 
@@ -37,6 +38,18 @@ class BftMessage(Message):
         """Canonical payload covered by the sender's signature."""
         raise NotImplementedError
 
+    def well_formed(self) -> bool:
+        """Do the fields have the declared shape?  Asked before a handler reads one.
+
+        Any cluster member can send anything; what a well-formed message
+        *claims* is checked afterwards, against signatures and quorums.
+        """
+        return (
+            isinstance(self.view, int)
+            and isinstance(self.seq, int)
+            and isinstance(self.signature, (Signature, NoneType))
+        )
+
 
 @dataclass
 class PrePrepare(BftMessage):
@@ -48,6 +61,15 @@ class PrePrepare(BftMessage):
     def signing_payload(self) -> object:
         return ["pre-prepare", self.view, self.seq, self.digest]
 
+    def well_formed(self) -> bool:
+        # Every vote is asked this, so the common fields are checked inline.
+        return (
+            isinstance(self.view, int)
+            and isinstance(self.seq, int)
+            and isinstance(self.digest, bytes)
+            and isinstance(self.signature, (Signature, NoneType))
+        )
+
 
 @dataclass
 class Prepare(BftMessage):
@@ -58,6 +80,8 @@ class Prepare(BftMessage):
     def signing_payload(self) -> object:
         return ["prepare", self.view, self.seq, self.digest]
 
+    well_formed = PrePrepare.well_formed
+
 
 @dataclass
 class Commit(BftMessage):
@@ -67,6 +91,8 @@ class Commit(BftMessage):
 
     def signing_payload(self) -> object:
         return ["commit", self.view, self.seq, self.digest]
+
+    well_formed = PrePrepare.well_formed
 
 
 @dataclass
@@ -86,6 +112,8 @@ class CheckpointVote(BftMessage):
 
     def signing_payload(self) -> object:
         return checkpoint_payload(self.seq, self.digest)
+
+    well_formed = PrePrepare.well_formed
 
 
 @dataclass
@@ -113,6 +141,13 @@ class CertificateRebroadcast(BftMessage):
     def signing_payload(self) -> object:
         return ["cert-rebroadcast", self.view, self.seq, self.digest, self.last_delivered]
 
+    def well_formed(self) -> bool:
+        return (
+            PrePrepare.well_formed(self)
+            and isinstance(self.certificate, (CommitCertificate, NoneType))
+            and isinstance(self.last_delivered, int)
+        )
+
 
 @dataclass
 class ViewChange(BftMessage):
@@ -127,6 +162,9 @@ class ViewChange(BftMessage):
 
     def signing_payload(self) -> object:
         return view_change_payload(self.view, self.last_delivered)
+
+    def well_formed(self) -> bool:
+        return BftMessage.well_formed(self) and isinstance(self.last_delivered, int)
 
 
 @dataclass
@@ -147,3 +185,16 @@ class NewView(BftMessage):
 
     def signing_payload(self) -> object:
         return ["new-view", self.view]
+
+    def well_formed(self) -> bool:
+        return (
+            BftMessage.well_formed(self)
+            and isinstance(self.votes, tuple)
+            and all(
+                isinstance(vote, tuple)
+                and len(vote) == 2
+                and isinstance(vote[0], int)
+                and isinstance(vote[1], Signature)
+                for vote in self.votes
+            )
+        )

@@ -159,12 +159,7 @@ def _leader_dies_after_certify():
         )
         if self.is_leader and outcomes and not self.crashed:
             self.crashed = True
-            self.env.obs.event(
-                str(self.node_id),
-                "replica-crash",
-                "error",
-                {"partition": int(self.partition)},
-            )
+            self.obs_event("replica-crash", "error")
             return  # dies with the batch applied nowhere on this node
         original_deliver(self, seq, proposal, certificate)
 

@@ -40,8 +40,8 @@ recorded as authoritative aborts) and an elected-while-behind leader
 stall (a view change can elect a replica that missed decisions while
 crashed; it re-proposes an already-decided sequence and nothing in the
 partition can tell it so).  Both are fixed — see
-:mod:`repro.core.client`, :meth:`ViewProgressMonitor catch-up branches
-<repro.core.replica.ViewProgressMonitor>` and
+:mod:`repro.core.client`, the catch-up outcomes of
+:func:`~repro.core.progress.monitor_step` and
 :meth:`~repro.core.leader.LeaderRole.on_recovery_complete` — and the
 mutants that found them are pinned in ``tests/chaos/test_fleet.py``.
 """

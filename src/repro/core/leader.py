@@ -767,7 +767,7 @@ class LeaderRole:
             read_only=ReadOnlySegment(
                 cd_vector=cd,
                 lce=lce,
-                merkle_root=replica._preview_root(updates),
+                merkle_root=replica.merkle.preview_root(updates),
                 timestamp_ms=replica.now,
             ),
         )
@@ -780,17 +780,9 @@ class LeaderRole:
 
         self._consensus_in_flight = True
         self.sealed_batches += 1
-        replica.env.obs.event(
-            str(replica.node_id),
-            "batch-sealed",
-            "debug",
-            {
-                "partition": self._partition,
-                "batch": batch_number,
-                "local": len(local_txns),
-                "prepared": len(prepared_records),
-                "committed": len(committed_records),
-            },
+        replica.obs_event(
+            "batch-sealed", "debug", batch=batch_number, local=len(local_txns),
+            prepared=len(prepared_records), committed=len(committed_records),
         )
         replica.engine.propose(batch)
 

@@ -26,7 +26,6 @@ from repro.common.config import SystemConfig
 from repro.common.ids import NO_BATCH, BatchNumber, ClientId, NodeId, PartitionId, ReplicaId
 from repro.common.types import Key, TxnStatus, Value
 from repro.crypto.archive import MerkleTreeArchive
-from repro.crypto.hashing import Digest
 from repro.crypto.merkle import MerkleStore, MerkleTree
 from repro.core.batch import Batch, CertifiedHeader, CommitRecord
 from repro.core.cdvector import CDVector
@@ -54,6 +53,7 @@ from repro.core.messages import (
 )
 from repro.core.occ import ConflictChecker, KeyConflictIndex
 from repro.core.prepared import PreparedBatches
+from repro.core.progress import Complaint, ProbeAck, ViewChange, ViewProgressMonitor
 from repro.core.topology import ClusterTopology
 from repro.recovery.checkpoint import CheckpointCertificate, CheckpointManager
 from repro.recovery.messages import StateTransferReply, StateTransferRequest
@@ -117,206 +117,6 @@ _SHAPE_CHECKED = _READS + (CommitRequest, StateTransferReply) + _TWO_PC
 #: validating replica's clock: the leader's clock must be close to its own.
 _ACCEPTANCE_WINDOW_MS = 30_000.0
 
-#: Consecutive silent progress-timeout rounds after which a replica's
-#: :class:`ViewProgressMonitor` stands down until progress resumes.
-_MAX_SUSPECT_ROUNDS = 8
-
-
-class ViewProgressMonitor:
-    """Detects a dead or stalled leader and votes it out automatically.
-
-    Each replica arms a single lazy timer whenever there is *evidence of
-    pending work*: a started-but-undecided consensus instance (the engine's
-    :meth:`~repro.bft.engine.PbftEngine.has_pending_work`), a
-    prepared-but-undecided 2PC group, or a client complaint that the leader
-    stopped answering.  When the timer fires without any delivery progress
-    since it was armed, the replica casts a view-change vote
-    (``suspect_leader``) and re-arms; votes spread through the cluster (and
-    prepare/commit traffic spreads the evidence), so ``2f + 1`` suspicions
-    accumulate and the view rotates without any operator nudge.  Progress
-    resets the round counter; ``_MAX_SUSPECT_ROUNDS`` silent rounds make the
-    monitor stand down until progress resumes, which keeps the simulation
-    finite when a cluster has genuinely lost liveness (e.g. more than ``f``
-    members crashed).  A healthy or idle replica schedules nothing.
-    """
-
-    def __init__(self, replica: "PartitionReplica") -> None:
-        self._replica = replica
-        self._config = replica.config.failover
-        self._timer = None
-        # Snapshot taken when the timer was (last) armed: the stall test is
-        # "a full timeout elapsed with no delivery progress since arming",
-        # never "since the last event" — comparing against a baseline that
-        # every delivery refreshes would misread a briefly-quiet but healthy
-        # cluster as stalled.
-        self._armed_baseline = self._snapshot()
-        self._suspect_rounds = 0
-        self._gave_up = False
-        #: Transaction ids of forwarded-request probes (``ComplaintProbe``)
-        #: currently outstanding against the leader.  An ack is only honoured
-        #: for a transaction this replica actually probed, so a byzantine
-        #: node cannot pre-emptively "answer" complaints it never saw.
-        self._probes: set = set()
-        #: One catch-up recovery per stall: set when a stalled round chose
-        #: state transfer over suspicion, cleared by delivery progress.  If
-        #: the catch-up was futile (nothing newer to fetch — e.g. the
-        #: "behind" evidence was a byzantine leader's bogus future
-        #: pre-prepare), the next silent round falls through to the normal
-        #: view-change vote instead of withholding it forever.
-        self._catchup_attempted = False
-
-    def note_complaint(self, probe_txn_id: str) -> None:
-        """A client reported the leader unresponsive (``LeaderComplaint``).
-
-        A complaint is fresh external evidence: it revives a monitor that
-        stood down during an earlier stall (otherwise a leader crash on an
-        idle, previously-stalled cluster would never be detected).  Each
-        revival is driven by an actual client message, so a finite workload
-        still yields a finite number of monitoring rounds.
-
-        The caller corroborates first: the complaint must carry the
-        unanswered transaction, which the replica forwards to the leader as
-        a ``ComplaintProbe`` (``probe_txn_id`` records the probe).  The
-        leader's ack arrives as :meth:`note_probe_ack` and refutes the
-        complaint, so a byzantine
-        client fabricating complaints against a live leader cannot churn an
-        otherwise idle cluster's leadership; only a leader that leaves the
-        forwarded request unanswered is voted out.
-        """
-        self._probes.add(probe_txn_id)
-        if self._gave_up:
-            self._gave_up = False
-            self._suspect_rounds = 0
-        self.poke()
-
-    def note_probe_ack(self, txn_id: str) -> None:
-        """The leader answered a forwarded-request probe: it is alive.
-
-        Standing complaints allege an unresponsive leader, so one honoured
-        ack refutes them all for this window — exactly like a view change
-        "answers" them.  A client whose request is still genuinely unserved
-        will time out and complain again, re-arming the monitor (and its
-        retry machinery re-delivers the request itself).  Acks for
-        transactions this replica never probed are ignored.
-        """
-        if txn_id not in self._probes:
-            return
-        self._clear_complaints()
-
-    def note_view_change(self) -> None:
-        """The cluster rotated: pending complaints are considered answered.
-
-        A single complaint (even a spurious one from a lost request against a
-        healthy leader) buys at most one rotation; if the client still cannot
-        commit it will complain again, re-arming the monitor.
-        """
-        self._clear_complaints()
-
-    def _clear_complaints(self) -> None:
-        self._probes.clear()
-
-    def poke(self) -> None:
-        """Re-evaluate after any event that could create or resolve evidence."""
-        if self._replica.crashed:
-            return
-        if self._replica.progress_monitor is not self:
-            return  # replaced by a crash-reset; stale timers must not act
-        if self._timer is not None:
-            return
-        if self._gave_up:
-            if self._snapshot() == self._armed_baseline:
-                return  # still stalled; stay stood-down until progress
-            self._gave_up = False
-            self._suspect_rounds = 0
-            self._clear_complaints()
-        if not self._has_evidence():
-            return
-        self._arm()
-
-    def _arm(self) -> None:
-        self._armed_baseline = self._snapshot()
-        self._timer = self._replica.schedule(
-            self._config.progress_timeout_ms, self._fire
-        )
-
-    def _snapshot(self) -> Tuple[int, int]:
-        engine = self._replica.engine
-        return (engine.last_delivered_seq, engine.decided_count)
-
-    def _has_evidence(self) -> bool:
-        replica = self._replica
-        if self._probes:
-            return True
-        if replica.engine.has_pending_work():
-            return True
-        return replica.prepared_batches.has_undecided()
-
-    def _fire(self) -> None:
-        self._timer = None
-        replica = self._replica
-        if replica.crashed:
-            return
-        if replica.progress_monitor is not self:
-            return  # replaced by a crash-reset; stale timers must not act
-        if self._snapshot() != self._armed_baseline:
-            # The cluster delivered something during the window: healthy.
-            self._suspect_rounds = 0
-            self._clear_complaints()
-            self._catchup_attempted = False
-            if self._has_evidence():
-                self._arm()
-            return
-        if not self._has_evidence():
-            return
-        self._suspect_rounds += 1
-        if self._suspect_rounds > _MAX_SUSPECT_ROUNDS:
-            self._gave_up = True
-            return
-        # A replica mid-recovery cannot judge the leader (it is the one
-        # behind).  The current leader never votes against itself either —
-        # but it MAY catch up.
-        if not replica.recovery.in_progress:
-            if not self._catchup_attempted and (
-                replica.engine.is_behind()
-                or (
-                    replica.is_leader
-                    and self._suspect_rounds >= 2
-                    and replica.engine.has_pending_work()
-                )
-            ):
-                # This replica is the one behind: catch up through state
-                # transfer instead of voting anyone out.  Either the quorum
-                # demonstrably moved past it (instances decided while it was
-                # crashed or mid-recovery; with checkpointing off nothing
-                # else would ever re-sync it), or — the leader's
-                # last resort — its own proposal made zero progress for two
-                # full windows while the followers keep acking its probes: a
-                # view change can elect a replica that missed decisions, and
-                # its re-proposal of an already-delivered sequence is
-                # silently ignored as stale.  A leader cannot vote against
-                # itself, so without this path it would stand here forever —
-                # the "quorum ahead of its leader" stall the coverage fleet
-                # surfaced.  At most once per stall: if the fetch brings
-                # nothing (the evidence was fake — a byzantine leader's
-                # future pre-prepare), the next round votes normally rather
-                # than abstaining forever; state transfer only ever extends.
-                self._catchup_attempted = True
-                replica.counters.catchup_recoveries += 1
-                replica.begin_recovery()
-            elif not replica.is_leader:
-                replica.counters.leader_suspicions += 1
-                replica.env.obs.event(
-                    str(replica.node_id),
-                    "leader-suspected",
-                    "warn",
-                    {
-                        "partition": int(replica.partition),
-                        "suspect_rounds": self._suspect_rounds,
-                    },
-                )
-                replica.engine.suspect_leader()
-        self._arm()
-
 
 class PartitionReplica(SimNode):
     """One member of one partition's cluster."""
@@ -379,6 +179,12 @@ class PartitionReplica(SimNode):
     @property
     def cluster_members(self) -> Tuple[ReplicaId, ...]:
         return self.topology.members(self.partition)
+
+    def obs_event(self, kind: str, severity: str, **data: object) -> None:
+        """One observability event from this replica, tagged with its partition."""
+        self.env.obs.event(
+            str(self.node_id), kind, severity, {"partition": int(self.partition), **data}
+        )
 
     def conflict_checker(self) -> ConflictChecker:
         return ConflictChecker(self.partition, self.partitioner, self.store)
@@ -479,12 +285,7 @@ class PartitionReplica(SimNode):
         ok = self._validate_batch(seq, proposal)
         if not ok:
             self.counters.validation_failures += 1
-            self.env.obs.event(
-                str(self.node_id),
-                "validation-failure",
-                "warn",
-                {"partition": int(self.partition), "seq": seq},
-            )
+            self.obs_event("validation-failure", "warn", seq=seq)
         return ok
 
     def _validate_batch(self, seq: int, proposal: object) -> bool:
@@ -520,8 +321,7 @@ class PartitionReplica(SimNode):
         if batch.read_only.lce != expected_lce:
             return False
         updates = batch.visible_writes(self.partitioner)
-        expected_root = self._preview_root(updates)
-        if batch.read_only.merkle_root != expected_root:
+        if batch.read_only.merkle_root != self.merkle.preview_root(updates):
             return False
         self._expected_cache[batch.digest()] = (seq, updates)
         return True
@@ -619,9 +419,6 @@ class PartitionReplica(SimNode):
         # The self entry always reflects this batch.
         cd = cd.with_entry(self.partition, batch.number)
         return cd, lce
-
-    def _preview_root(self, updates: Dict[Key, Value]) -> Digest:
-        return self.merkle.preview_root(updates)
 
     def deliver(self, seq: int, proposal: object, certificate: CommitCertificate) -> None:
         batch: Batch = proposal  # validated by validate_proposal
@@ -746,19 +543,10 @@ class PartitionReplica(SimNode):
 
     def on_view_change(self, new_view: int, new_leader: ReplicaId) -> None:
         self.counters.view_changes += 1
-        self.env.obs.event(
-            str(self.node_id),
-            "view-change",
-            "warn",
-            {
-                "partition": int(self.partition),
-                "view": new_view,
-                "leader": str(new_leader),
-            },
-        )
+        self.obs_event("view-change", "warn", view=new_view, leader=str(new_leader))
         self.topology.set_leader(self.partition, new_leader)
         self.leader_role.on_view_change(new_view, new_leader)
-        self.progress_monitor.note_view_change()
+        self.progress_monitor.step(ViewChange())
 
     # ------------------------------------------------------------------
     # crash recovery (see repro.recovery)
@@ -826,7 +614,9 @@ class PartitionReplica(SimNode):
             members=self.topology.members(self.partition),
             fault_tolerance=self.config.fault_tolerance,
             application=self,
-            digest_fn=lambda batch: batch.digest(),
+            # A byzantine leader's non-batch proposal digests to nothing (and
+            # then fails validation) instead of raising out of the engine.
+            digest_fn=lambda batch: batch.digest() if isinstance(batch, Batch) else b"",
         )
         self.leader_role = LeaderRole(self)
         self.checkpoints = CheckpointManager(self)
@@ -837,12 +627,7 @@ class PartitionReplica(SimNode):
 
     def begin_recovery(self) -> None:
         """Start fetching the partition state from cluster peers."""
-        self.env.obs.event(
-            str(self.node_id),
-            "recovery-begin",
-            "info",
-            {"partition": int(self.partition)},
-        )
+        self.obs_event("recovery-begin", "info")
         self.recovery.begin()
 
     def install_snapshot(
@@ -912,6 +697,8 @@ class PartitionReplica(SimNode):
 
     def _on_bft_message(self, message: Message, src: NodeId) -> None:
         assert isinstance(message, BftMessage)
+        if self.rejects_malformed(message, src):
+            return
         self.engine.handle(message, src)
         # Consensus traffic both creates and resolves progress evidence
         # (a vote for an unseen instance arms the monitor; a delivery or a
@@ -920,7 +707,8 @@ class PartitionReplica(SimNode):
 
     def _on_checkpoint_vote(self, message: Message, src: NodeId) -> None:
         assert isinstance(message, CheckpointVote)
-        self.checkpoints.on_vote(message, src)
+        if not self.rejects_malformed(message, src):
+            self.checkpoints.on_vote(message, src)
 
     def _on_state_transfer_request(self, message: Message, src: NodeId) -> None:
         assert isinstance(message, StateTransferRequest)
@@ -1233,24 +1021,15 @@ class PartitionReplica(SimNode):
         txn = message.txn
         if txn is None:
             # Evidence-free complaint: nothing to corroborate, nothing to do.
-            self.env.obs.event(
-                str(self.node_id),
-                "complaint-dismissed",
-                "info",
-                {"partition": int(self.partition), "reason": "no forwarded request"},
-            )
+            self.obs_event("complaint-dismissed", "info", reason="no forwarded request")
             return
         if txn.txn_id in self.decided or txn.txn_id in self.local_decided:
             # The cluster already answered this transaction; the complaint is
             # stale (or lying).  The client's retry gets the decided answer.
-            self.env.obs.event(
-                str(self.node_id),
-                "complaint-dismissed",
-                "info",
-                {"partition": int(self.partition), "reason": "already decided"},
-            )
+            self.obs_event("complaint-dismissed", "info", reason="already decided")
             return
-        self.progress_monitor.note_complaint(probe_txn_id=txn.txn_id)
+        self.progress_monitor.step(Complaint(txn.txn_id))
+        self.progress_monitor.poke()
         self.send(
             self.engine.current_leader,
             ComplaintProbe(partition=self.partition, txn=txn),
@@ -1273,4 +1052,4 @@ class PartitionReplica(SimNode):
             return
         if src != self.engine.current_leader:
             return  # only the leader under suspicion can clear its complaints
-        self.progress_monitor.note_probe_ack(message.txn_id)
+        self.progress_monitor.step(ProbeAck(message.txn_id))

@@ -196,12 +196,7 @@ class TransEdgeSystem:
         replica = self.replicas[replica_id]
         if not replica.crashed:
             replica.crashed = True
-            self.env.obs.event(
-                str(replica_id),
-                "replica-crash",
-                "error",
-                {"partition": int(replica.partition)},
-            )
+            replica.obs_event("replica-crash", "error")
             self.fault_injector.crash(replica_id)
         return replica
 
@@ -215,12 +210,7 @@ class TransEdgeSystem:
         replica = self.replicas[replica_id]
         self.fault_injector.restart(replica_id)
         replica.crashed = False
-        self.env.obs.event(
-            str(replica_id),
-            "replica-restart",
-            "info",
-            {"partition": int(replica.partition)},
-        )
+        replica.obs_event("replica-restart", "info")
         replica.reset_for_recovery()
         replica.begin_recovery()
         return replica

@@ -5,9 +5,7 @@ carry a written justification — an unexplained suppression is a parse error,
 not a warning.  Entries that no longer match anything are reported as *stale*
 so the baseline shrinks as the code improves.
 
-The file format is a small TOML subset (``[[suppress]]`` array tables with
-string values), parsed by hand because the repo supports Python 3.9 and adds
-no dependencies (``tomllib`` is 3.11+)::
+The file is TOML with one array of tables, each of three strings::
 
     [[suppress]]
     rule = "D102"
@@ -17,8 +15,9 @@ no dependencies (``tomllib`` is 3.11+)::
 
 from __future__ import annotations
 
+import tomllib
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.lint.findings import Finding
 
@@ -34,99 +33,45 @@ class BaselineEntry:
     rule: str
     path: str
     justification: str
-    line: int = 0  # line in the baseline file, for error reporting
     matches: int = field(default=0, compare=False)
 
 
 _REQUIRED_KEYS = ("rule", "path", "justification")
 
 
-def _parse_value(raw: str, path: str, line_number: int) -> str:
-    raw = raw.strip()
-    if len(raw) >= 2 and raw[0] == '"' and raw[-1] == '"':
-        body = raw[1:-1]
-        out = []
-        index = 0
-        while index < len(body):
-            char = body[index]
-            if char == "\\" and index + 1 < len(body):
-                out.append(body[index + 1])
-                index += 2
-                continue
-            if char == '"':
-                raise BaselineError(
-                    f"{path}:{line_number}: unescaped quote inside string value"
-                )
-            out.append(char)
-            index += 1
-        return "".join(out)
-    raise BaselineError(
-        f"{path}:{line_number}: expected a double-quoted string value, got {raw!r}"
-    )
-
-
 def parse_baseline(path: str) -> List[BaselineEntry]:
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
+        with open(path, "rb") as handle:
+            document = tomllib.load(handle)
     except OSError as error:
         raise BaselineError(f"cannot read baseline {path}: {error}")
-
+    except tomllib.TOMLDecodeError as error:
+        raise BaselineError(f"{path}: not valid TOML: {error}")
+    for name, value in document.items():
+        if name == "suppress":
+            continue
+        if isinstance(value, (dict, list)):
+            raise BaselineError(
+                f"{path}: unknown table {name!r} (only [[suppress]] is supported)"
+            )
+        raise BaselineError(f"{path}: key {name!r} outside a [[suppress]] table")
+    tables = document.get("suppress", [])
+    if not isinstance(tables, list) or not all(isinstance(table, dict) for table in tables):
+        raise BaselineError(f"{path}: suppress must be an array of tables ([[suppress]])")
     entries: List[BaselineEntry] = []
-    current: Dict[str, str] = {}
-    current_line = 0
-    in_table = False
-
-    def flush() -> None:
-        if not in_table:
-            return
+    for number, table in enumerate(tables, start=1):
+        where = f"{path}: suppress entry {number}"
         for key in _REQUIRED_KEYS:
-            if key not in current:
-                raise BaselineError(
-                    f"{path}:{current_line}: suppress entry is missing {key!r}"
-                )
-        if not current["justification"].strip():
+            if key not in table:
+                raise BaselineError(f"{where} is missing {key!r}")
+            if not isinstance(table[key], str):
+                raise BaselineError(f"{where}: {key!r} must be a string")
+        if not table["justification"].strip():
             raise BaselineError(
-                f"{path}:{current_line}: suppress entry for {current['rule']} "
-                f"({current['path']}) has an empty justification — every vetted "
-                f"exception must say why it is acceptable"
+                f"{where} ({table['rule']} in {table['path']}) has an empty justification — "
+                f"every vetted exception must say why it is acceptable"
             )
-        entries.append(
-            BaselineEntry(
-                rule=current["rule"],
-                path=current["path"],
-                justification=current["justification"],
-                line=current_line,
-            )
-        )
-
-    for line_number, raw_line in enumerate(text.splitlines(), start=1):
-        line = raw_line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line == "[[suppress]]":
-            flush()
-            current = {}
-            current_line = line_number
-            in_table = True
-            continue
-        if line.startswith("["):
-            raise BaselineError(
-                f"{path}:{line_number}: unknown table {line!r} "
-                f"(only [[suppress]] is supported)"
-            )
-        key, separator, value = line.partition("=")
-        if not separator:
-            raise BaselineError(f"{path}:{line_number}: expected key = \"value\"")
-        if not in_table:
-            raise BaselineError(
-                f"{path}:{line_number}: key outside a [[suppress]] table"
-            )
-        key = key.strip()
-        if key in current:
-            raise BaselineError(f"{path}:{line_number}: duplicate key {key!r}")
-        current[key] = _parse_value(value, path, line_number)
-    flush()
+        entries.append(BaselineEntry(table["rule"], table["path"], table["justification"]))
     return entries
 
 

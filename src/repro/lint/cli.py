@@ -26,8 +26,9 @@ from repro.lint.engine import LintError, collect_files, run_rules
 from repro.lint.rules import all_rules, select_rules
 from repro.lint.selftest import run_selftest
 
-#: Bumped when a field is added/renamed in the --json document.
-JSON_SCHEMA_VERSION = 1
+#: Bumped when a field is added/renamed/removed in the --json document
+#: (2: a stale baseline entry is named by rule and path, with no line).
+JSON_SCHEMA_VERSION = 2
 
 DEFAULT_TARGET = os.path.join("src", "repro")
 DEFAULT_BASELINE = "lint-baseline.toml"
@@ -146,7 +147,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             ]
             + [dict(finding.to_dict(), suppressed=True) for finding in suppressed],
             "stale_baseline": [
-                {"rule": entry.rule, "path": entry.path, "line": entry.line}
+                {"rule": entry.rule, "path": entry.path}
                 for entry in stale
             ],
             "counts": {
@@ -162,7 +163,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(finding.render())
         for entry in stale:
             print(
-                f"{baseline_path}:{entry.line}: stale baseline entry "
+                f"{baseline_path}: stale baseline entry "
                 f"({entry.rule} in {entry.path}) matches nothing — remove it"
             )
         summary = (

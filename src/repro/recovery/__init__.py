@@ -24,11 +24,11 @@ BFT answer to both problems, layered on the existing building blocks:
 
 Around this package, the recovery overhaul (PR 3) adds automatic
 failure handling in the core layer: a per-replica progress monitor
-(:class:`~repro.core.replica.ViewProgressMonitor`) votes out a dead leader
-without operator action, 2PC decisions are durable replicated state served
-to stranded participants on ``DecisionQuery``, and a newly elected leader
-resumes its predecessor's unfinished vote collections from the replicated
-prepare groups.
+(:mod:`repro.core.progress`, one pure step function and its shell) votes
+out a dead leader without operator action, 2PC decisions are durable
+replicated state served to stranded participants on ``DecisionQuery``, and
+a newly elected leader resumes its predecessor's unfinished vote collections
+from the replicated prepare groups.
 
 Crash faults themselves are injected at the transport level through
 :meth:`repro.simnet.faults.FaultInjector.crash` and orchestrated by

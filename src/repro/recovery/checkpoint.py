@@ -171,12 +171,7 @@ class CheckpointManager:
         self.stable_seq = image.seq
         self.stable_certificate = certificate
         replica.counters.checkpoints_stable += 1
-        replica.env.obs.event(
-            str(replica.node_id),
-            "checkpoint-stable",
-            "info",
-            {"partition": int(replica.partition), "seq": image.seq},
-        )
+        replica.obs_event("checkpoint-stable", "info", seq=image.seq)
         self.snapshots.retain_only(image.seq)
         self._votes = {
             (seq, digest): tracker

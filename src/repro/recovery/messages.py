@@ -80,3 +80,8 @@ class StateTransferReply(Message):
                 for entry in self.entries
             )
         )
+
+    def highest_seq(self) -> BatchNumber:
+        """The highest sequence number this reply carries state for."""
+        highest = self.image.seq if self.image is not None else NO_BATCH
+        return max(highest, self.entries[-1].seq) if self.entries else highest

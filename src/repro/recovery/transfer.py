@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING
 
 from repro.bft.log import LogEntry
 from repro.common.errors import TransEdgeError
-from repro.common.ids import NO_BATCH
+from repro.common.ids import NO_BATCH, BatchNumber
 from repro.core.batch import Batch
 from repro.recovery.messages import StateTransferReply, StateTransferRequest
 
@@ -80,27 +80,23 @@ class RecoveryCoordinator:
             return
         if message.partition != replica.partition:
             return
-        if not self.in_progress and not self._extends(message):
+        held_before = replica.log.last_seq
+        if not self.in_progress and not self._extends(message.highest_seq(), held_before):
             # Recovery already completed, but a late reply that verifiably
             # extends our log is still worth applying: the completing reply
             # may have come from a peer that was itself behind.
             return
-        held_before = replica.log.last_seq
         try:
             self._install(message)
         except StateTransferError:
             replica.counters.state_transfers_rejected += 1
             return
-        if self.in_progress and self._completes(message, held_before):
+        tip = replica.log.last_seq
+        if self.in_progress and self._completes(held_before, tip, message.responder_tip):
             self.in_progress = False
             replica.counters.recoveries_completed += 1
-            replica.env.obs.event(
-                str(replica.node_id),
-                "recovery-complete",
-                "info",
-                {"partition": int(replica.partition), "log_tip": replica.log.last_seq},
-            )
-        if replica.log.last_seq > held_before:
+            replica.obs_event("recovery-complete", "info", log_tip=tip)
+        if tip > held_before:
             # An install that advanced the log may have fast-forwarded the
             # engine past a recovering *leader's* in-flight proposal; let it
             # re-arm sealing.  This runs for late extending replies too — a
@@ -108,8 +104,12 @@ class RecoveryCoordinator:
             # only a later reply brings the superseding decision.
             replica.leader_role.on_recovery_complete()
 
-    def _completes(self, reply: StateTransferReply, held_before) -> bool:
-        """Did this reply genuinely finish the recovery session?
+    @staticmethod
+    def _completes(
+        held_before: BatchNumber, tip: BatchNumber, responder_tip: BatchNumber
+    ) -> bool:
+        """Did an install that moved the log tip from ``held_before`` to ``tip``
+        finish the session, given the responder's certified ``responder_tip``?
 
         A reply from a peer that is itself *behind* the recoverer installs
         nothing, and must not count as completion — otherwise a lagging
@@ -120,18 +120,14 @@ class RecoveryCoordinator:
         (an up-to-date peer confirming there is nothing to fetch).  Anything
         else leaves the session in progress for the retry broadcast.
         """
-        tip = self._replica.log.last_seq
-        if tip < reply.responder_tip:
+        if tip < responder_tip:
             return False  # the responder certified more than it could send us
-        extended = tip > held_before
-        return extended or tip == reply.responder_tip
+        return tip > held_before or tip == responder_tip
 
-    def _extends(self, reply: StateTransferReply) -> bool:
-        """Does this reply carry anything above what the replica already holds?"""
-        tip = reply.image.seq if reply.image is not None else NO_BATCH
-        if reply.entries:
-            tip = max(tip, reply.entries[-1].seq)
-        return tip > self._replica.log.last_seq
+    @staticmethod
+    def _extends(highest: BatchNumber, tip: BatchNumber) -> bool:
+        """Does a reply carrying state up to ``highest`` hold anything above ``tip``?"""
+        return highest > tip
 
     # -- installation -------------------------------------------------------
 

@@ -75,7 +75,7 @@ class TestLyingClientCannotChurnLeadership:
         # probes were cleared by acks on every follower.
         for member in system.topology.members(0):
             monitor = system.replicas[member].progress_monitor
-            assert monitor._probes == set()
+            assert monitor.state.probes == set()
 
 class TestDismissedComplaints:
     def test_evidence_free_complaint_is_dismissed(self):
@@ -87,7 +87,7 @@ class TestDismissedComplaints:
         assert counters.leader_suspicions == 0
         assert counters.view_changes == 0
         for member in system.topology.members(0):
-            assert system.replicas[member].progress_monitor._probes == set()
+            assert system.replicas[member].progress_monitor.state.probes == set()
 
     def test_complaint_about_a_decided_txn_is_dismissed(self):
         system = make_system()

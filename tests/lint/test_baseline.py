@@ -40,8 +40,8 @@ class TestParse:
             ("D102", "src/repro/chaos/cli.py"),
             ("D103", "src/repro/crypto/merkle.py"),
         ]
+        assert entries[0].justification == "operator-facing timing only"
         assert entries[1].justification == 'int-keyed sets; "stable" iteration'
-        assert entries[0].line > 0
 
     def test_missing_justification_is_an_error(self, tmp_path):
         path = write(tmp_path, '[[suppress]]\nrule = "D102"\npath = "x.py"\n')
@@ -58,7 +58,7 @@ class TestParse:
 
     def test_unquoted_value_is_an_error(self, tmp_path):
         path = write(tmp_path, "[[suppress]]\nrule = D102\n")
-        with pytest.raises(BaselineError, match="double-quoted"):
+        with pytest.raises(BaselineError, match="not valid TOML"):
             parse_baseline(path)
 
     def test_unknown_table_is_an_error(self, tmp_path):
@@ -75,8 +75,20 @@ class TestParse:
         path = write(
             tmp_path, '[[suppress]]\nrule = "D102"\nrule = "D103"\n'
         )
-        with pytest.raises(BaselineError, match="duplicate"):
+        with pytest.raises(BaselineError, match="not valid TOML"):
             parse_baseline(path)
+
+    def test_non_string_value_is_an_error(self, tmp_path):
+        path = write(
+            tmp_path, '[[suppress]]\nrule = 102\npath = "x.py"\njustification = "j"\n'
+        )
+        with pytest.raises(BaselineError, match="'rule' must be a string"):
+            parse_baseline(path)
+
+    @pytest.mark.parametrize("text", ['[suppress]\nrule = "D102"\n', "suppress = [1]\n"])
+    def test_suppress_that_is_not_an_array_of_tables_is_an_error(self, tmp_path, text):
+        with pytest.raises(BaselineError, match="array of tables"):
+            parse_baseline(write(tmp_path, text))
 
     def test_missing_file_is_an_error(self, tmp_path):
         with pytest.raises(BaselineError, match="cannot read"):

@@ -78,6 +78,19 @@ class TestJsonSchema:
     def test_unknown_rule_is_a_usage_error(self, capsys):
         assert main(["--rule", "Z999"]) == 2
 
+    def test_stale_entry_is_named_by_rule_and_path(self, tmp_path, capsys):
+        baseline = tmp_path / "b.toml"
+        baseline.write_text(
+            '[[suppress]]\nrule = "D101"\npath = "gone.py"\njustification = "j"\n',
+            encoding="utf-8",
+        )
+        good = os.path.join(CORPUS, "D105", "good.py")
+        assert main([good, "--baseline", str(baseline), "--rule", "D105"]) == 0
+        assert f"{baseline}: stale baseline entry (D101 in gone.py)" in capsys.readouterr().out
+        main([good, "--baseline", str(baseline), "--rule", "D105", "--json"])
+        document = json.loads(capsys.readouterr().out)
+        assert document["stale_baseline"] == [{"rule": "D101", "path": "gone.py"}]
+
     def test_malformed_baseline_is_an_error(self, tmp_path, capsys):
         baseline = tmp_path / "b.toml"
         baseline.write_text('[[suppress]]\nrule = "D101"\n', encoding="utf-8")
