@@ -21,6 +21,17 @@ Protocol per instance (sequence number):
    :class:`~repro.bft.quorum.CommitCertificate` stored in the log and shared
    with other clusters and clients.
 
+Each instance is one :class:`_Instance` record: the proposal (``None``
+until a pre-prepare is accepted, so "pre-prepared" is ``proposal is not
+None``), its prepare and commit votes, and two flags.  One rule,
+:meth:`PbftEngine._maybe_advance`, runs after every change to a record: a
+pre-prepared instance with a prepare quorum sends its commit once
+(``commit_sent``), and one with a commit quorum is decided once
+(``decided``).  The flags are separate facts because the peers' commits can
+decide an instance before this replica's own prepare quorum forms; its
+commit still goes out when that quorum does.  Every decision, voted or
+adopted from a gossiped certificate, goes through :meth:`PbftEngine._decide`.
+
 A lightweight view change replaces a leader that stops making progress:
 replicas that suspect the leader broadcast ``ViewChange`` for view ``v + 1``
 and move to the new view once ``2f + 1`` replicas agree; in-flight instances
@@ -35,7 +46,7 @@ from typing import Callable, Dict, List, Optional, Protocol, Sequence, Tuple
 
 from repro.common.errors import ConsensusError, NotLeaderError
 from repro.common.ids import PartitionId, ReplicaId
-from repro.crypto.signatures import KeyRegistry
+from repro.crypto.signatures import Signature
 from repro.bft.messages import (
     BftMessage,
     CertificateRebroadcast,
@@ -81,11 +92,10 @@ class _Instance:
     seq: int
     view: int
     digest: bytes = b""
+    #: ``None`` until a pre-prepare is accepted or a certificate adopted.
     proposal: object = None
-    pre_prepared: bool = False
     prepares: VoteTracker = field(default_factory=VoteTracker)
     commits: VoteTracker = field(default_factory=VoteTracker)
-    prepare_sent: bool = False
     commit_sent: bool = False
     decided: bool = False
 
@@ -95,22 +105,21 @@ class PbftEngine:
 
     def __init__(
         self,
-        owner,  # SimNode providing .node_id, .send, .broadcast, .signer, .env
+        owner,  # SimNode providing .node_id, .send, .broadcast, .signer, .verifier, .env
         partition: PartitionId,
         members: Sequence[ReplicaId],
-        fault_tolerance: int,
         application: ConsensusApplication,
         digest_fn: Callable[[object], bytes],
     ) -> None:
+        config = owner.env.config
         self._owner = owner
         self._partition = partition
         self._members: Tuple[ReplicaId, ...] = tuple(members)
-        self._f = fault_tolerance
+        #: Votes that make a quorum (``2f + 1``).
+        self.quorum: int = config.quorum_size
         self._application = application
         self._digest_fn = digest_fn
-        # Verify through the owner's per-node cache when it has one (every
-        # SimNode does); the raw registry is the fallback for bare owners.
-        self._registry: KeyRegistry = getattr(owner, "verifier", None) or owner.env.registry
+        self._registry = owner.verifier
 
         self.view = 0
         self._instances: Dict[int, _Instance] = {}
@@ -118,11 +127,9 @@ class PbftEngine:
         self._next_deliver_seq = 0
         self._pending_deliveries: Dict[int, Tuple[object, CommitCertificate]] = {}
         self._buffered_pre_prepares: Dict[int, Tuple[PrePrepare, object]] = {}
-        self._view_change_votes: Dict[int, VoteTracker] = {}
-        # last_delivered advertised by each view-change vote, kept alongside
-        # the tracker so a quorum can be re-issued as a transferable
-        # :class:`ViewChangeCertificate`.
-        self._view_change_tips: Dict[int, Dict[str, int]] = {}
+        #: view -> voter -> (the voter's last_delivered, its signature): the
+        #: votes a :class:`ViewChangeCertificate` for that view is made of.
+        self._view_change_votes: Dict[int, Dict[str, Tuple[int, Signature]]] = {}
         #: Proof of how this replica reached its current view (None at view 0).
         self.view_certificate: Optional[ViewChangeCertificate] = None
         self.decided_count = 0
@@ -134,11 +141,11 @@ class PbftEngine:
         self._rebroadcast_timer = None
         self._rebroadcast_rounds = 0
         self._rebroadcast_marker = -1
-        self.certificates_rebroadcast = 0
 
-        if len(self._members) < 3 * self._f + 1:
+        if len(self._members) < config.cluster_size:
             raise ConsensusError(
-                f"cluster of {len(self._members)} members cannot tolerate f={self._f}"
+                f"cluster of {len(self._members)} members cannot tolerate "
+                f"f={config.fault_tolerance}"
             )
 
     # -- topology helpers ----------------------------------------------------
@@ -146,10 +153,6 @@ class PbftEngine:
     @property
     def members(self) -> Tuple[ReplicaId, ...]:
         return self._members
-
-    @property
-    def quorum(self) -> int:
-        return 2 * self._f + 1
 
     def leader_of_view(self, view: int) -> ReplicaId:
         return self._members[view % len(self._members)]
@@ -193,10 +196,8 @@ class PbftEngine:
         """Process a consensus message; returns False for non-consensus types."""
         if isinstance(message, PrePrepare):
             self._on_pre_prepare(message, src)
-        elif isinstance(message, Prepare):
-            self._on_prepare(message, src)
-        elif isinstance(message, Commit):
-            self._on_commit(message, src)
+        elif isinstance(message, (Prepare, Commit)):
+            self._on_vote(message, src)
         elif isinstance(message, CertificateRebroadcast):
             self._on_certificate_rebroadcast(message, src)
         elif isinstance(message, ViewChange):
@@ -208,14 +209,14 @@ class PbftEngine:
         self._maybe_arm_rebroadcast()
         return True
 
-    # -- pre-prepare -------------------------------------------------------------
+    # -- the instance steps -----------------------------------------------------
 
     def _on_pre_prepare(self, message: PrePrepare, src: ReplicaId) -> None:
         if message.view != self.view:
             return
         if src != self.leader_of_view(message.view):
             return  # only the leader of the view may propose
-        if not self._verify(message, src):
+        if not message.verify_sender(src, self._registry):
             return
         if message.digest != self._digest_fn(message.proposal):
             return  # digest does not match the carried proposal
@@ -229,83 +230,53 @@ class PbftEngine:
             self._buffered_pre_prepares[message.seq] = (message, src)
             return
         instance = self._instance(message.seq, message.view)
-        if instance.pre_prepared:
+        if instance.proposal is not None:
             return
         if not self._application.validate_proposal(message.seq, message.proposal):
             return
-        instance.pre_prepared = True
         instance.digest = message.digest
         instance.proposal = message.proposal
-        # The leader's pre-prepare doubles as its prepare vote.
-        leader_prepare = Prepare(view=message.view, seq=message.seq, digest=message.digest)
-        leader_signature = (
-            message.signature
-            if src != self._owner.node_id
-            else self._owner.signer.sign(leader_prepare.signing_payload())
-        )
-        instance.prepares.add(str(src), leader_signature)
-        self._send_prepare(instance)
-        self._maybe_advance(instance)
-
-    def _send_prepare(self, instance: _Instance) -> None:
-        if instance.prepare_sent:
-            return
-        instance.prepare_sent = True
-        if self._owner.node_id == self.leader_of_view(instance.view):
-            return  # leader's pre-prepare already counted as its prepare
-        prepare = Prepare(view=instance.view, seq=instance.seq, digest=instance.digest)
+        prepare = Prepare(view=message.view, seq=message.seq, digest=message.digest)
         prepare.signature = self._owner.signer.sign(prepare.signing_payload())
-        self._owner.broadcast(self._other_members(), prepare)
+        # ``src`` is this replica exactly when it leads the view: the leader's
+        # pre-prepare doubles as its prepare, so only a follower sends one.
+        if src != self._owner.node_id:
+            instance.prepares.add(str(src), message.signature)
+            self._owner.broadcast(self._other_members(), prepare)
         instance.prepares.add(str(self._owner.node_id), prepare.signature)
         self._maybe_advance(instance)
 
-    # -- prepare -----------------------------------------------------------------
-
-    def _on_prepare(self, message: Prepare, src: ReplicaId) -> None:
+    def _on_vote(self, message: Prepare | Commit, src: ReplicaId) -> None:
         if message.view != self.view or not self._is_member(src):
             return
-        if not self._verify(message, src):
+        if not message.verify_sender(src, self._registry):
             return
         instance = self._instance(message.seq, message.view)
         if instance.digest and message.digest != instance.digest:
             return
-        instance.prepares.add(str(src), message.signature)
-        self._maybe_advance(instance)
-
-    # -- commit ------------------------------------------------------------------
-
-    def _on_commit(self, message: Commit, src: ReplicaId) -> None:
-        if message.view != self.view or not self._is_member(src):
-            return
-        if not self._verify(message, src):
-            return
-        instance = self._instance(message.seq, message.view)
-        if instance.digest and message.digest != instance.digest:
-            return
-        instance.commits.add(str(src), message.signature)
+        votes = instance.prepares if isinstance(message, Prepare) else instance.commits
+        votes.add(str(src), message.signature)
         self._maybe_advance(instance)
 
     def _maybe_advance(self, instance: _Instance) -> None:
-        if (
-            instance.pre_prepared
-            and not instance.commit_sent
-            and instance.prepares.reached(self.quorum)
-        ):
+        """The one advance rule: commit on a prepare quorum, decide on a commit quorum."""
+        if instance.proposal is None:
+            return
+        if not instance.commit_sent and instance.prepares.reached(self.quorum):
             instance.commit_sent = True
             commit = Commit(view=instance.view, seq=instance.seq, digest=instance.digest)
             commit.signature = self._owner.signer.sign(commit.signing_payload())
             self._owner.broadcast(self._other_members(), commit)
             instance.commits.add(str(self._owner.node_id), commit.signature)
-        if (
-            instance.pre_prepared
-            and not instance.decided
-            and instance.commits.reached(self.quorum)
-        ):
-            instance.decided = True
-            self.decided_count += 1
-            certificate = self._build_certificate(instance)
-            self._pending_deliveries[instance.seq] = (instance.proposal, certificate)
-            self._deliver_ready()
+        if not instance.decided and instance.commits.reached(self.quorum):
+            self._decide(instance, self._build_certificate(instance))
+
+    def _decide(self, instance: _Instance, certificate: CommitCertificate) -> None:
+        """Record ``instance`` as decided and deliver whatever is now in order."""
+        instance.decided = True
+        self.decided_count += 1
+        self._pending_deliveries[instance.seq] = (instance.proposal, certificate)
+        self._deliver_ready()
 
     def _build_certificate(self, instance: _Instance) -> CommitCertificate:
         # The 2f + 1 commit votes collected while deciding are transferable
@@ -318,6 +289,15 @@ class PbftEngine:
             seq=instance.seq,
             digest=instance.digest,
             signatures=instance.commits.signatures(),
+        )
+
+    def _certified(self, instance: Optional[_Instance]) -> bool:
+        """Decided, with the commit quorum that certifies it in hand (an
+        adopted decision holds a gossiped certificate, not the votes)."""
+        return (
+            instance is not None
+            and instance.decided
+            and instance.commits.reached(self.quorum)
         )
 
     def _deliver_ready(self) -> None:
@@ -373,7 +353,7 @@ class PbftEngine:
             if instance.view != self.view:
                 continue
             if (
-                instance.pre_prepared
+                instance.proposal is not None
                 or instance.prepares.count() > 0
                 or instance.commits.count() > 0
             ):
@@ -388,10 +368,8 @@ class PbftEngine:
         delivered), a commit quorum collected for an instance whose
         proposal this replica never saw, or a decided certificate parked
         in ``_pending_deliveries`` waiting for an earlier instance this
-        replica missed (anything still parked is strictly beyond
-        ``_next_deliver_seq`` — consecutive entries deliver immediately —
-        and its certificate was quorum-verified on arrival, so it is
-        unforgeable proof the cluster decided past us).  All of these
+        replica missed (its certificate was quorum-verified on arrival, so
+        it is unforgeable proof the cluster decided past us).  All of these
         mean the quorum moved on without us — typically because instances
         were decided while this replica was crashed or mid-recovery — and
         no amount of suspecting the (healthy, progressing) leader will
@@ -402,13 +380,16 @@ class PbftEngine:
         while it was crashed): peers that delivered the missing instance
         may have no commit certificate left to re-serve, so certificate
         rebroadcast cannot close the gap and catch-up is the only exit.
+        (A re-proposal of an already-delivered sequence number can also be
+        decided again and parked *below* the delivery point, where nothing
+        delivers or clears it; ROADMAP A(2) owns that fix.)
         """
         if self._buffered_pre_prepares or self._pending_deliveries:
             return True
         for seq, instance in self._instances.items():
             if seq < self._next_deliver_seq or instance.decided:
                 continue
-            if not instance.pre_prepared and instance.commits.reached(self.quorum):
+            if instance.proposal is None and instance.commits.reached(self.quorum):
                 return True
         return False
 
@@ -445,44 +426,35 @@ class PbftEngine:
         if self._rebroadcast_rounds >= _REBROADCAST_ROUND_LIMIT:
             return  # stand down; view change / state transfer take over
         self._rebroadcast_rounds += 1
-        message = self._make_rebroadcast()
-        message.signature = self._owner.signer.sign(message.signing_payload())
-        self.certificates_rebroadcast += 1
-        self._owner.broadcast(self._other_members(), message)
+        # Gossip this replica's highest decided instance, parked or certified.
+        best = max(self._pending_deliveries, default=-1)
+        proposal, certificate = self._pending_deliveries.get(best, (None, None))
+        for seq, instance in self._instances.items():
+            if seq > best and self._certified(instance):
+                best, proposal = seq, instance.proposal
+                certificate = self._build_certificate(instance)
+        self._owner.broadcast(self._other_members(), self._gossip(best, proposal, certificate))
         self._maybe_arm_rebroadcast()
 
-    def _make_rebroadcast(self) -> CertificateRebroadcast:
-        """Build gossip around this replica's highest decided instance."""
-        best_seq = -1
-        proposal = None
-        certificate: Optional[CommitCertificate] = None
-        for seq in self._pending_deliveries:
-            if seq > best_seq:
-                best_seq = seq
-                proposal, certificate = self._pending_deliveries[seq]
-        for seq, instance in self._instances.items():
-            if (
-                seq > best_seq
-                and instance.decided
-                and instance.proposal is not None
-                and instance.commits.reached(self.quorum)
-            ):
-                best_seq = seq
-                proposal = instance.proposal
-                certificate = self._build_certificate(instance)
-        return CertificateRebroadcast(
+    def _gossip(
+        self, seq: int, proposal: object, certificate: Optional[CommitCertificate]
+    ) -> CertificateRebroadcast:
+        """A signed rebroadcast of decision ``seq`` and this replica's delivery tip."""
+        message = CertificateRebroadcast(
             view=self.view,
-            seq=best_seq,
+            seq=seq,
             digest=certificate.digest if certificate is not None else b"",
             proposal=proposal,
             certificate=certificate,
             last_delivered=self.last_delivered_seq,
         )
+        message.signature = self._owner.signer.sign(message.signing_payload())
+        return message
 
     def _on_certificate_rebroadcast(self, message: CertificateRebroadcast, src: ReplicaId) -> None:
         if not self._is_member(src):
             return
-        if not self._verify(message, src):
+        if not message.verify_sender(src, self._registry):
             return
         self._adopt_certificate(message.seq, message.proposal, message.certificate)
         if message.last_delivered >= self.last_delivered_seq:
@@ -492,24 +464,9 @@ class PbftEngine:
         # catch-up state transfer is the designed fallback).
         needed = message.last_delivered + 1
         instance = self._instances.get(needed)
-        if (
-            instance is None
-            or not instance.decided
-            or instance.proposal is None
-            or not instance.commits.reached(self.quorum)
-        ):
-            return
-        reply = CertificateRebroadcast(
-            view=self.view,
-            seq=needed,
-            digest=instance.digest,
-            proposal=instance.proposal,
-            certificate=self._build_certificate(instance),
-            last_delivered=self.last_delivered_seq,
-        )
-        reply.signature = self._owner.signer.sign(reply.signing_payload())
-        self.certificates_rebroadcast += 1
-        self._owner.send(src, reply)
+        if self._certified(instance):
+            certificate = self._build_certificate(instance)
+            self._owner.send(src, self._gossip(needed, instance.proposal, certificate))
 
     def _adopt_certificate(
         self,
@@ -536,73 +493,51 @@ class PbftEngine:
             self._instances[seq] = instance
         instance.digest = certificate.digest
         instance.proposal = proposal
-        instance.pre_prepared = True
-        instance.prepare_sent = True
         instance.commit_sent = True
-        instance.decided = True
-        self.decided_count += 1
-        self._pending_deliveries[seq] = (proposal, certificate)
-        self._deliver_ready()
+        self._decide(instance, certificate)
 
     # -- view change ---------------------------------------------------------------
 
     def suspect_leader(self) -> None:
         """Vote to replace the current leader (progress timeout expired)."""
-        new_view = self.view + 1
-        message = ViewChange(view=new_view, last_delivered=self.last_delivered_seq)
+        message = ViewChange(view=self.view + 1, last_delivered=self.last_delivered_seq)
         message.signature = self._owner.signer.sign(message.signing_payload())
         self._owner.broadcast(self._other_members(), message)
-        self._record_view_change_vote(
-            new_view, str(self._owner.node_id), message.signature, self.last_delivered_seq
-        )
+        self._record_view_change_vote(message, str(self._owner.node_id))
 
     def _on_view_change_msg(self, message: ViewChange, src: ReplicaId) -> None:
         if message.view <= self.view or not self._is_member(src):
             return
-        if not self._verify(message, src):
+        if not message.verify_sender(src, self._registry):
             return
-        self._record_view_change_vote(
-            message.view, str(src), message.signature, message.last_delivered
-        )
+        self._record_view_change_vote(message, str(src))
 
-    def _record_view_change_vote(
-        self, new_view: int, sender: str, signature, last_delivered: int
-    ) -> None:
-        tracker = self._view_change_votes.setdefault(new_view, VoteTracker())
-        if tracker.add(sender, signature):
-            self._view_change_tips.setdefault(new_view, {})[sender] = last_delivered
-        if tracker.reached(self.quorum) and new_view > self.view:
-            certificate = self._certificate_from_votes(new_view)
-            self.view_certificate = certificate
-            self._enter_view(new_view)
+    def _record_view_change_vote(self, vote: ViewChange, voter: str) -> None:
+        votes = self._view_change_votes.setdefault(vote.view, {})
+        votes.setdefault(voter, (vote.last_delivered, vote.signature))
+        if len(votes) >= self.quorum and vote.view > self.view:
+            certificate = ViewChangeCertificate(
+                view=vote.view, votes=tuple(votes[name] for name in sorted(votes))
+            )
+            self._enter_view(vote.view, certificate)
             if self.is_leader:
-                announce = NewView(view=new_view, votes=certificate.votes)
+                announce = NewView(view=vote.view, votes=certificate.votes)
                 announce.signature = self._owner.signer.sign(announce.signing_payload())
                 self._owner.broadcast(self._other_members(), announce)
-
-    def _certificate_from_votes(self, view: int) -> ViewChangeCertificate:
-        tracker = self._view_change_votes[view]
-        tips = self._view_change_tips.get(view, {})
-        votes = tuple(
-            (tips.get(sender, -1), signature)
-            for sender, signature in zip(tracker.voters(), tracker.signatures())
-        )
-        return ViewChangeCertificate(view=view, votes=votes)
 
     def _on_new_view(self, message: NewView, src: ReplicaId) -> None:
         if message.view <= self.view or not self._is_member(src):
             return
         if src != self.leader_of_view(message.view):
             return
-        if not self._verify(message, src):
+        if not message.verify_sender(src, self._registry):
             return
         # The announcement alone is not proof: the carried view-change votes
         # must form a real quorum certificate for this view.
         certificate = ViewChangeCertificate(view=message.view, votes=tuple(message.votes))
         if not certificate.verify(self._registry, self._members, self.quorum):
             return
-        self.view_certificate = certificate
-        self._enter_view(message.view)
+        self._enter_view(message.view, certificate)
 
     def adopt_view(
         self, view: int, certificate: Optional[ViewChangeCertificate]
@@ -625,11 +560,11 @@ class PbftEngine:
             return False
         if not certificate.verify(self._registry, self._members, self.quorum):
             return False
-        self.view_certificate = certificate
-        self._enter_view(view)
+        self._enter_view(view, certificate)
         return True
 
-    def _enter_view(self, new_view: int) -> None:
+    def _enter_view(self, new_view: int, certificate: ViewChangeCertificate) -> None:
+        self.view_certificate = certificate
         self.view = new_view
         # Abandon undecided instances of older views; the application
         # re-proposes whatever it still needs ordered.
@@ -642,7 +577,6 @@ class PbftEngine:
         # current view's certificate is retained in ``view_certificate``.
         for view in [v for v in self._view_change_votes if v <= new_view]:
             del self._view_change_votes[view]
-            self._view_change_tips.pop(view, None)
         self._application.on_view_change(new_view, self.current_leader)
 
     # -- helpers --------------------------------------------------------------------
@@ -659,13 +593,3 @@ class PbftEngine:
 
     def _is_member(self, node: ReplicaId) -> bool:
         return node in self._members
-
-    def _verify(self, message: BftMessage, src) -> bool:
-        if message.signature is None:
-            return False
-        if message.signature.signer != str(src):
-            return False
-        # The registry memoizes verification verdicts (keyed by a digest it
-        # computes itself from the received payload — never trusted from the
-        # message), so repeated checks of the same vote skip the MAC/RSA work.
-        return self._registry.verify(message.signing_payload(), message.signature)

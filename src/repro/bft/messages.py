@@ -15,7 +15,7 @@ from typing import Optional, Tuple
 
 from repro.bft.quorum import CommitCertificate, checkpoint_payload, view_change_payload
 from repro.common.types import NoneType
-from repro.crypto.signatures import Signature
+from repro.crypto.signatures import KeyRegistry, Signature
 from repro.simnet.messages import Message
 
 
@@ -37,6 +37,15 @@ class BftMessage(Message):
     def signing_payload(self) -> object:
         """Canonical payload covered by the sender's signature."""
         raise NotImplementedError
+
+    def verify_sender(self, src, verifier: KeyRegistry) -> bool:
+        """Is this message signed by ``src``, under a signature ``verifier`` accepts?"""
+        signature = self.signature
+        if signature is None or signature.signer != str(src):
+            return False
+        # The verifier memoizes verdicts under a digest it computes itself
+        # from the received payload (never one the message carries).
+        return verifier.verify(self.signing_payload(), signature)
 
     def well_formed(self) -> bool:
         """Do the fields have the declared shape?  Asked before a handler reads one.

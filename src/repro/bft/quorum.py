@@ -175,8 +175,5 @@ class VoteTracker:
     def voters(self) -> Tuple[str, ...]:
         return tuple(sorted(self._votes))
 
-    def signatures(self, limit: Optional[int] = None) -> Tuple[Signature, ...]:
-        ordered = [self._votes[name] for name in sorted(self._votes)]
-        if limit is not None:
-            ordered = ordered[:limit]
-        return tuple(ordered)
+    def signatures(self) -> Tuple[Signature, ...]:
+        return tuple(self._votes[name] for name in sorted(self._votes))

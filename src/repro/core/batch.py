@@ -320,13 +320,41 @@ class CertifiedHeader(MemoisedValue):
         # validation, read-only responses, state transfer).
         return self._digest
 
+    @cached_property
+    def _well_formed(self) -> bool:
+        """Do the fields have the declared shape, down to the primitives?
+
+        A header is outside input (any replica can answer a read), so
+        :meth:`verify` asks this before it reads a field; receivers re-verify
+        the same frozen header many times, so it is answered once.  As in
+        :attr:`CommitCertificate._verified_fields`, an integer is exactly an
+        ``int`` (``True`` would digest as ``1``).
+        """
+        segment = self.read_only
+        return (
+            type(self.partition) is int
+            and type(self.number) is int
+            and type(self.content_digest) is bytes
+            and isinstance(self.certificate, CommitCertificate)
+            and isinstance(segment, ReadOnlySegment)
+            and isinstance(segment.cd_vector, CDVector)
+            and isinstance(segment.cd_vector.entries, tuple)
+            and all(type(entry) is int for entry in segment.cd_vector.entries)
+            and type(segment.lce) is int
+            and type(segment.merkle_root) is bytes
+            and type(segment.timestamp_ms) in (int, float)
+        )
+
     def verify(
         self,
         registry: KeyRegistry,
         cluster_members,
         required: int,
     ) -> bool:
-        """Check the certificate matches this header and carries enough signatures."""
+        """Check the header is well formed, the certificate matches it and
+        carries enough signatures.  Total: a malformed header is ``False``."""
+        if not self._well_formed:
+            return False
         if self.certificate.digest != self.digest():
             return False
         if self.certificate.partition != self.partition:

@@ -612,7 +612,6 @@ class PartitionReplica(SimNode):
             owner=self,
             partition=self.partition,
             members=self.topology.members(self.partition),
-            fault_tolerance=self.config.fault_tolerance,
             application=self,
             # A byzantine leader's non-batch proposal digests to nothing (and
             # then fails validation) instead of raising out of the engine.
@@ -659,8 +658,6 @@ class PartitionReplica(SimNode):
             members = self.topology.members(self.partition)
             restored = [image.header]
             for header in image.prepared_headers:
-                if header.number >= image.seq:
-                    continue  # the checkpoint header already covers it
                 if not header.verify(
                     self.verifier, members, self.config.certificate_size
                 ):
@@ -668,7 +665,8 @@ class PartitionReplica(SimNode):
                         f"carried prepare-batch header {header.number} fails "
                         f"certificate verification"
                     )
-                restored.append(header)
+                if header.number < image.seq:  # else the checkpoint header covers it
+                    restored.append(header)
             restored.sort(key=lambda h: h.number)
             self.headers = restored
             self._header_lces = [h.lce for h in restored]

@@ -273,32 +273,31 @@ class EdgeProxy(ProcessNode):
         if not isinstance(reply, ReadOnlyReply) or reply.header is None:
             return None
         self.counters.core_fetches += 1
-        well_formed = reply.well_formed()
         # No staleness bound here (now_ms=None): freshness is the *client's*
         # policy; the proxy only refuses responses that are provably forged.
-        if well_formed and verify_snapshot(
+        # Nothing of a refused reply is read or relayed: the client falls
+        # back to the core for that partition.
+        if not reply.well_formed() or not verify_snapshot(
             PartitionSnapshot.of(partition, tuple(sorted(reply.values)), reply),
             self.verifier,
             self.topology,
             self.config,
         ):
-            self.cache.admit(
-                partition,
-                reply.header,
-                dict(reply.values),
-                dict(reply.versions),
-                dict(reply.proofs),
-                now_ms=self.now,
-            )
-        else:
             self.env.obs.event(
                 str(self.node_id),
                 "edge-reply-rejected",
                 "warn",
                 {"partition": int(partition)},
             )
-        if not well_formed:
-            return None  # no section can be cut from it
+            return None
+        self.cache.admit(
+            partition,
+            reply.header,
+            dict(reply.values),
+            dict(reply.versions),
+            dict(reply.proofs),
+            now_ms=self.now,
+        )
         return PartitionSection(
             partition=partition,
             values={key: reply.values[key] for key in requested if key in reply.values},

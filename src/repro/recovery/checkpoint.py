@@ -132,11 +132,7 @@ class CheckpointManager:
             return
         if src not in self._replica.cluster_members or message.seq <= self.stable_seq:
             return
-        if message.signature is None or message.signature.signer != str(src):
-            return
-        if not self._replica.verifier.verify(
-            message.signing_payload(), message.signature
-        ):
+        if not message.verify_sender(src, self._replica.verifier):
             return
         self._record_vote(message.seq, message.digest, str(src), message.signature)
 

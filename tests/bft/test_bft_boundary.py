@@ -155,7 +155,7 @@ class TestMalformedConsensusMessages:
         system.run_until_idle()
 
         assert malformed_events(system) == []
-        assert victim.engine._view_change_votes[1].voters() == (str(sender.node_id),)
+        assert tuple(victim.engine._view_change_votes[1]) == (str(sender.node_id),)
         assert victim.engine.view == 0  # one vote of the 2f + 1 needed
         assert commit(system, "after")
 

@@ -19,19 +19,19 @@ from repro.bft.byzantine import (
 )
 from repro.bft.engine import PbftEngine
 from repro.bft.log import ReplicatedLog
-from repro.bft.messages import BftMessage, CertificateRebroadcast
+from repro.bft.messages import BftMessage, CertificateRebroadcast, Commit, PrePrepare, Prepare
 from repro.common.config import LatencyConfig, SystemConfig
 from repro.common.errors import ConsensusError, NotLeaderError
 from repro.common.ids import ReplicaId
 from repro.crypto.hashing import digest_of
-from repro.simnet.faults import FaultInjector
+from repro.simnet.faults import FaultInjector, FaultRule
 from repro.simnet.node import SimEnvironment, SimNode
 
 
 class ListReplica(SimNode):
     """Minimal SMR application: replicates an ordered list of strings."""
 
-    def __init__(self, node_id, env, members, f, reject_proposals=False):
+    def __init__(self, node_id, env, members, reject_proposals=False):
         super().__init__(node_id, env)
         self.log = ReplicatedLog()
         self.delivered: List[str] = []
@@ -41,7 +41,6 @@ class ListReplica(SimNode):
             owner=self,
             partition=node_id.partition,
             members=members,
-            fault_tolerance=f,
             application=self,
             digest_fn=lambda proposal: digest_of(["list-entry", proposal]),
         )
@@ -68,7 +67,7 @@ def build_cluster(f=1, n_extra=0, env=None):
     )
     env = env or SimEnvironment(config)
     members = [ReplicaId(0, i) for i in range(3 * f + 1 + n_extra)]
-    replicas = [ListReplica(m, env, members, f) for m in members]
+    replicas = [ListReplica(m, env, members) for m in members]
     return env, replicas
 
 
@@ -128,7 +127,7 @@ class TestHappyPath:
         env, _ = build_cluster()
         members = [ReplicaId(0, i) for i in range(90, 93)]  # only 3 members
         with pytest.raises(ConsensusError):
-            ListReplica(members[0], env, members, f=1)
+            ListReplica(members[0], env, members)
 
 
 class TestFaultTolerance:
@@ -184,6 +183,39 @@ class TestFaultTolerance:
         replicas[0].engine.propose("rejected-by-app")
         env.simulator.run_until_idle()
         assert all(r.delivered == [] for r in replicas)
+
+
+class TestDecidedBeforeOwnPrepareQuorum:
+    """``commit_sent`` and ``decided`` are separate facts: the peers' commits
+    can decide an instance before this replica's own prepare quorum forms,
+    and the replica still sends its one commit when that quorum does."""
+
+    def test_a_replica_decided_by_its_peers_still_sends_its_commit(self):
+        env, replicas = build_cluster()
+        follower = replicas[3]
+        FaultInjector(env.network).delay(
+            FaultRule(dst=follower.node_id, message_type=Prepare), 5.0
+        )
+        timeline = []
+        deliver, broadcast = follower.deliver, follower.broadcast
+
+        def delivering(seq, proposal, certificate):
+            timeline.append(("deliver", env.now))
+            deliver(seq, proposal, certificate)
+
+        def broadcasting(destinations, message):
+            if isinstance(message, Commit):
+                timeline.append(("commit", env.now))
+            broadcast(destinations, message)
+
+        follower.deliver, follower.broadcast = delivering, broadcasting
+        replicas[0].engine.propose("value")
+        env.simulator.run_until_idle()
+
+        assert [kind for kind, _ in timeline] == ["deliver", "commit"]
+        (_, delivered_at), (_, committed_at) = timeline
+        assert delivered_at < 5.0 < committed_at  # the prepares were held 5 ms
+        assert all(r.delivered == ["value"] for r in replicas)
 
 
 class TestViewChange:
@@ -327,7 +359,7 @@ class TestForgedCertificateRebroadcast:
         victim = replicas[3]
         gossiper = replicas[1]
         if sender == "outsider":
-            gossiper = ListReplica(ReplicaId(0, 4), env, victim.engine.members, 1)
+            gossiper = ListReplica(ReplicaId(0, 4), env, victim.engine.members)
         decided = victim.engine.decided_count
 
         self._send(env, gossiper, victim, entry, forge)
@@ -351,3 +383,31 @@ class TestForgedCertificateRebroadcast:
         assert victim.delivered == ["value-0"]
         assert victim.engine.decided_count == decided
         assert victim.engine._pending_deliveries == {}
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP A(2): a re-proposal of a delivered seq is decided again and "
+    "parked below the delivery point, where nothing delivers or clears it",
+)
+def test_a_reproposal_of_a_delivered_seq_is_not_parked():
+    env, replicas = build_cluster()
+    replicas[0].engine.propose("v0")
+    env.simulator.run_until_idle()
+    for replica in replicas:
+        replica.engine.suspect_leader()
+    env.simulator.run_until_idle()
+    assert all(replica.engine.view == 1 for replica in replicas)
+
+    leader, followers = replicas[1], [r for r in replicas if r is not replicas[1]]
+    again = PrePrepare(
+        view=1, seq=0, digest=digest_of(["list-entry", "v0-again"]), proposal="v0-again"
+    )
+    again.signature = leader.signer.sign(again.signing_payload())
+    leader.broadcast([r.node_id for r in followers], again)
+    env.simulator.run_until_idle()
+
+    assert all(r.delivered == ["v0"] for r in replicas)
+    for follower in followers:
+        assert follower.engine._pending_deliveries == {}
+        assert not follower.engine.is_behind()

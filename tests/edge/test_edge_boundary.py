@@ -7,13 +7,18 @@ Each case below used to raise out of ``run_until_idle()``:
 * a replica answering round 1 with ``values=5`` or ``proofs=None``
   (``TypeError``) or ``header=3`` (``AttributeError``), on the client and on
   a proxy filling a cache miss;
+* the same with a header whose insides are not the declared shape: its
+  ``certificate`` or ``read_only`` an int, its ``number`` a string, or a
+  read-only segment with ``cd_vector=5``, ``lce="x"`` or ``timestamp_ms="x"``
+  (``CertifiedHeader.verify`` raised; now a malformed header verifies False);
 * a proxy whose reply carries a section that is not a ``PartitionSection``,
   or one with ``values=5``;
 * a proxy receiving ``EdgeReadRequest(keys=5)``, ``keys=(None,)`` or
   ``HeaderAnnouncement(header=3)``.
 
 Now a malformed reply counts as one failed verification (the client asks the
-next member, or blacklists the proxy and reads from the core) and a malformed
+next member, or blacklists the proxy and reads from the core; a proxy relays
+nothing of a core reply it refused, so the client falls back) and a malformed
 proxy input is charged the flat cost and leaves one ``malformed-message``
 event.  Every read still ends verified, with the committed values.
 """
@@ -72,12 +77,44 @@ def events(system: TransEdgeSystem, kind: str):
     return [e for e in system.env.obs.recorder.timeline() if e.kind == kind]
 
 
-#: (id, fields a byzantine replica puts in its round-1 reply)
+def header_with(segment=False, **fields):
+    """The honest header with ``fields`` replaced (in its read-only segment
+    when ``segment``)."""
+
+    def change(header):
+        if segment:
+            return dataclasses.replace(
+                header, read_only=dataclasses.replace(header.read_only, **fields)
+            )
+        return dataclasses.replace(header, **fields)
+
+    return change
+
+
+#: (id, fields a byzantine replica puts in its round-1 reply; a callable
+#: field is a function of the honest value)
 MALFORMED_REPLIES = [
     ("values-an-int", {"values": 5}),
     ("proofs-none", {"proofs": None}),
     ("header-an-int", {"header": 3}),
+    ("header-certificate-an-int", {"header": header_with(certificate=5)}),
+    ("header-read-only-an-int", {"header": header_with(read_only=5)}),
+    ("header-number-a-str", {"header": header_with(number="x")}),
+    ("segment-cd-vector-an-int", {"header": header_with(segment=True, cd_vector=5)}),
+    ("segment-lce-a-str", {"header": header_with(segment=True, lce="x")}),
+    ("segment-timestamp-a-str", {"header": header_with(segment=True, timestamp_ms="x")}),
 ]
+
+
+def malformed(honest, fields):
+    """``honest`` reply fields with ``fields`` applied."""
+    return {
+        **honest,
+        **{
+            name: value(honest[name]) if callable(value) else value
+            for name, value in fields.items()
+        },
+    }
 
 
 def make_leader_byzantine(system: TransEdgeSystem, fields) -> None:
@@ -85,14 +122,12 @@ def make_leader_byzantine(system: TransEdgeSystem, fields) -> None:
     leader = system.leader_replica(0)
 
     def answer(message, src):
-        reply = ReadOnlyReply(
-            request_id=message.request_id,
-            partition=leader.partition,
-            header=leader.last_header,
-        )
-        for name, value in fields.items():
-            setattr(reply, name, value)
-        leader.send(src, reply)
+        honest = {
+            "request_id": message.request_id,
+            "partition": leader.partition,
+            "header": leader.last_header,
+        }
+        leader.send(src, ReadOnlyReply(**malformed(honest, fields)))
 
     leader.register_handler(ReadOnlyRequest, answer)
 
@@ -139,8 +174,14 @@ class TestMalformedReplicaReplies:
         leader = system.leader_replica(0)
         honest = {"partition": 0, "header": leader.last_header}
         assert reply_type(request_id="r", **honest).well_formed()
+        quorum = system.config.certificate_size
+        assert leader.last_header.verify(leader.verifier, leader.cluster_members, quorum)
         for _, fields in MALFORMED_REPLIES:
-            assert not reply_type(request_id="r", **{**honest, **fields}).well_formed()
+            # Refused by shape, or (a header's insides) by verification.
+            reply = reply_type(request_id="r", **malformed(honest, fields))
+            assert not reply.well_formed() or not reply.header.verify(
+                leader.verifier, leader.cluster_members, quorum
+            )
         assert not reply_type(request_id="r", values={"k": "text"}).well_formed()
         assert not reply_type(request_id="r", versions={"k": None}).well_formed()
         assert not reply_type(request_id="r", proofs={"k": 5}).well_formed()
