@@ -97,7 +97,7 @@ class _Run:
                 if result.committed:
                     metrics.record_commit(label, result.latency_ms)
                 else:
-                    metrics.record_abort(label, result.latency_ms, reason=result.abort_reason)
+                    metrics.record_abort(label, result.latency_ms)
             self.executed += 1
             metrics.mark_end(client.now)
 

@@ -101,7 +101,12 @@ def read_write_latency(run: WorkloadRunResult) -> float:
 
 
 def lock_interference(run: WorkloadRunResult) -> float:
-    """% of read-write transactions aborted by a read-only transaction's locks."""
+    """% of read-write transactions aborted by a read-only transaction's locks.
+
+    A writer counts (``lock_interference_aborts``) when a shared lock on a
+    key it writes refused it and no Definition 3.1 conflict would have: a
+    writer refused for both, wherever the leader refuses it, is a conflict.
+    """
     writes = run.metrics.operation("distributed-read-write")
     aborted = min(run.counters.lock_interference_aborts, writes.aborted)
     return round(100.0 * aborted / max(1, writes.total), 2)

@@ -193,6 +193,18 @@ class ReadOnlySegment:
         }
 
 
+def _header_digest(
+    partition: PartitionId, number: BatchNumber, read_only: ReadOnlySegment, content: Digest
+) -> Digest:
+    """The digest consensus certifies: a batch header bound to its content digest.
+
+    A :class:`Batch` and the :class:`CertifiedHeader` cut from it digest alike,
+    which is what lets a header's certificate be checked without the batch.
+    """
+    header = {"partition": partition, "number": int(number), "read_only": read_only.payload()}
+    return digest_of({"header": header, "content": content})
+
+
 @dataclass(frozen=True)
 class Batch(MemoisedValue):
     """One entry of a partition's SMR log."""
@@ -225,16 +237,9 @@ class Batch(MemoisedValue):
         """Digest binding all transactions carried by this batch."""
         return self._content_digest
 
-    def header_payload(self) -> dict:
-        return {
-            "partition": self.partition,
-            "number": int(self.number),
-            "read_only": self.read_only.payload(),
-        }
-
     @cached_property
     def _digest(self) -> Digest:
-        return digest_of({"header": self.header_payload(), "content": self.content_digest()})
+        return _header_digest(self.partition, self.number, self.read_only, self.content_digest())
 
     def digest(self) -> Digest:
         """The digest agreed on by intra-cluster consensus."""
@@ -308,12 +313,7 @@ class CertifiedHeader(MemoisedValue):
 
     @cached_property
     def _digest(self) -> Digest:
-        header_payload = {
-            "partition": self.partition,
-            "number": int(self.number),
-            "read_only": self.read_only.payload(),
-        }
-        return digest_of({"header": header_payload, "content": self.content_digest})
+        return _header_digest(self.partition, self.number, self.read_only, self.content_digest)
 
     def digest(self) -> Digest:
         # Cached: headers are immutable and re-verified many times (2PC vote

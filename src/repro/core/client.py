@@ -22,7 +22,7 @@ shared locks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Generator, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.common.config import SystemConfig
@@ -111,6 +111,21 @@ class ClientStats:
     replica_quorum_commits: int = 0
 
 
+@dataclass
+class _CommitQuorum:
+    """The f+1 replica commit-reply quorum of one in-flight transaction.
+
+    ``request_id`` is the current attempt's; ``votes`` holds the reporting
+    replicas per (status, commit batch, abort reason); ``outcome`` is the one
+    whose quorum completed, kept until the commit loop consumes it.
+    """
+
+    coordinator: PartitionId
+    request_id: str = ""
+    votes: Dict[Tuple[TxnStatus, BatchNumber, str], set] = field(default_factory=dict)
+    outcome: Optional[Tuple[TxnStatus, BatchNumber, str]] = None
+
+
 class TransEdgeClient(ProcessNode):
     """A client process attached to the simulated edge network."""
 
@@ -156,15 +171,8 @@ class TransEdgeClient(ProcessNode):
         # of waiting out the request timeout).
         self._pending_leader_requests: Dict[str, Tuple[PartitionId, RequestMessage]] = {}
         topology.subscribe_leader_changes(self._on_leader_change)
-        # f+1 replica commit-reply quorum (classic PBFT client acceptance):
-        # per in-flight transaction, the coordinator partition and the
-        # current attempt's request id; per-outcome voter sets; and outcomes
-        # whose quorum completed (kept until the commit loop consumes them).
-        self._commit_quorum_waits: Dict[str, Tuple[PartitionId, str]] = {}
-        self._commit_quorum_votes: Dict[
-            str, Dict[Tuple[TxnStatus, BatchNumber, str], set]
-        ] = {}
-        self._commit_quorum_outcomes: Dict[str, Tuple[TxnStatus, BatchNumber, str]] = {}
+        # f+1 replica commit-reply quorum (classic PBFT client acceptance).
+        self._commit_quorums: Dict[str, _CommitQuorum] = {}
         self.register_handler(ReplicaCommitReply, self._on_replica_commit_reply)
 
     # ------------------------------------------------------------------
@@ -213,31 +221,28 @@ class TransEdgeClient(ProcessNode):
         attempt.  Reports for transactions this client is not waiting on
         (late duplicates, answered retries) are dropped.
         """
-        entry = self._commit_quorum_waits.get(message.txn_id)
-        if entry is None or message.txn_id in self._commit_quorum_outcomes:
+        quorum = self._commit_quorums.get(message.txn_id)
+        if quorum is None or quorum.outcome is not None:
             return
-        coordinator, request_id = entry
-        if message.partition != coordinator:
+        if message.partition != quorum.coordinator:
             return
-        if src not in self.topology.members(coordinator):
+        if src not in self.topology.members(quorum.coordinator):
             return
         outcome = (message.status, message.commit_batch, message.abort_reason)
-        voters = self._commit_quorum_votes.setdefault(message.txn_id, {}).setdefault(
-            outcome, set()
-        )
+        voters = quorum.votes.setdefault(outcome, set())
         voters.add(src)
         if len(voters) < self.config.certificate_size:
             return
-        self._commit_quorum_outcomes[message.txn_id] = outcome
+        quorum.outcome = outcome
         self.stats.replica_quorum_commits += 1
-        if request_id in self._waits_by_request:
-            self._on_reply(self._quorum_commit_reply(message.txn_id, request_id), src)
+        if quorum.request_id in self._waits_by_request:
+            self._on_reply(self._quorum_commit_reply(message.txn_id, quorum), src)
 
-    def _quorum_commit_reply(self, txn_id: str, request_id: str) -> CommitReply:
+    def _quorum_commit_reply(self, txn_id: str, quorum: _CommitQuorum) -> CommitReply:
         """The request-correlated reply a completed f+1 quorum stands for."""
-        status, commit_batch, abort_reason = self._commit_quorum_outcomes[txn_id]
+        status, commit_batch, abort_reason = quorum.outcome
         return CommitReply(
-            request_id=request_id,
+            request_id=quorum.request_id,
             txn_id=txn_id,
             status=status,
             commit_batch=commit_batch,
@@ -393,20 +398,18 @@ class TransEdgeClient(ProcessNode):
         strand this client until the timeout.
         """
         reply: Optional[CommitReply] = None
+        quorum = self._commit_quorums[txn.txn_id] = _CommitQuorum(coordinator)
         try:
             for attempt in range(COMMIT_RETRY_ATTEMPTS):
                 if attempt:
                     self.stats.commit_retries += 1
                     yield Sleep(COMMIT_RETRY_BACKOFF_MS * attempt)
                 request = CommitRequest(txn=txn)
-                self._commit_quorum_waits[txn.txn_id] = (
-                    coordinator,
-                    request.request_id,
-                )
-                if txn.txn_id in self._commit_quorum_outcomes:
+                quorum.request_id = request.request_id
+                if quorum.outcome is not None:
                     # The quorum completed while no attempt was waiting
                     # (e.g. during backoff): consume it, skip the send.
-                    reply = self._quorum_commit_reply(txn.txn_id, request.request_id)
+                    reply = self._quorum_commit_reply(txn.txn_id, quorum)
                     break
                 reply = yield self._leader_call(
                     coordinator, request, timeout_ms=self._commit_timeout_ms
@@ -426,17 +429,15 @@ class TransEdgeClient(ProcessNode):
                     continue
                 if reply is not None:
                     break
-                if txn.txn_id in self._commit_quorum_outcomes:
-                    reply = self._quorum_commit_reply(txn.txn_id, request.request_id)
+                if quorum.outcome is not None:
+                    reply = self._quorum_commit_reply(txn.txn_id, quorum)
                     break
                 if complain:
                     self.stats.timeouts += 1
                     for member in self.topology.members(coordinator):
                         self.send(member, LeaderComplaint(partition=coordinator, txn=txn))
         finally:
-            self._commit_quorum_waits.pop(txn.txn_id, None)
-            self._commit_quorum_votes.pop(txn.txn_id, None)
-            self._commit_quorum_outcomes.pop(txn.txn_id, None)
+            self._commit_quorums.pop(txn.txn_id, None)
         return reply
 
     # ------------------------------------------------------------------

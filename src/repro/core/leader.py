@@ -2,8 +2,8 @@
 
 The replica currently acting as its cluster's leader runs this role.  It
 owns the in-progress batch (Figure 2), admits transactions with the conflict
-rules of Definition 3.1, seals batches (deriving the committed segment, the
-CD vector, the LCE and the new Merkle root) and proposes them to the
+rules of Definition 3.1, seals batches (the committed segment, then the
+read-only segment every validator re-derives) and proposes them to the
 cluster's consensus, and drives the Two-Phase-Commit protocol with the
 leaders of other clusters — every 2PC step is only communicated after the
 batch recording it has been written to the SMR log, so a byzantine leader
@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Set
 
-from repro.common.ids import NO_BATCH, BatchNumber, NodeId, PartitionId, ReplicaId
+from repro.common.ids import BatchNumber, NodeId, PartitionId, ReplicaId
 from repro.common.types import TxnStatus
 from repro.core.batch import (
     Batch,
@@ -33,6 +33,7 @@ from repro.core.messages import (
     DecisionMessage,
     DecisionQuery,
     ParticipantPrepared,
+    outcome,
 )
 from repro.core.occ import KeyConflictIndex
 from repro.core.prepared import PrepareGroup
@@ -49,6 +50,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checking onl
 #: ``DecisionQuery`` — and the attempt budget per transaction.
 _TWO_PC_RETRY_MS = 40.0
 _TWO_PC_MAX_RETRIES = 10
+
+#: Why a writer is refused for a read-only transaction's shared lock (Augustus).
+LOCK_REFUSAL = "read-lock interference with a read-only transaction"
 
 
 @dataclass
@@ -91,7 +95,6 @@ class LeaderRole:
         #: ``two_pc_unresumable``) so the condition surfaces as a diagnostic
         #: instead of a silent stall.
         self.unresumable: Dict[str, str] = {}
-        self.sealed_batches = 0
         #: Causal tracing (repro.obs): the open leader-side span of each
         #: traced transaction, and the commit request's context — needed
         #: because replies and 2PC messages are sent from batch-delivery
@@ -117,17 +120,28 @@ class LeaderRole:
     def in_progress_size(self) -> int:
         return len(self._in_progress_local) + len(self._in_progress_prepared)
 
-    def _admission_indexes(self) -> Tuple[KeyConflictIndex, KeyConflictIndex]:
-        """Indexes for rules 2 and 3: the in-progress batch and prepared txns."""
-        return (self._in_progress_index, self._replica.prepared_index)
+    def _refusal(self, txn: TxnPayload, batch_index: KeyConflictIndex) -> str:
+        """Why ``txn`` may not join the batch ``batch_index`` indexes ("" if it may).
 
-    def _lock_interference(self, txn: TxnPayload) -> bool:
-        """Augustus-baseline interference: writes hitting shared read locks."""
-        locks = self._replica.locks
+        Definition 3.1 first, then the Augustus read locks: a writer is refused
+        for a read-only transaction's lock only when no conflict refuses it.
+        """
+        replica = self._replica
+        indexes = (batch_index, replica.prepared_batches.index)
+        report = replica.conflict_checker().check(txn, indexes)
+        if not report.ok:
+            return report.reason
         for key in txn.write_keys_in(self._partition, self._partitioner):
-            if locks.is_share_locked(key):
-                return True
-        return False
+            if replica.locks.is_share_locked(key):
+                return LOCK_REFUSAL
+        return ""
+
+    def _count_abort(self, reason: str) -> None:
+        """Charge one refusal to the counter its reason names."""
+        if reason == LOCK_REFUSAL:
+            self._replica.counters.lock_interference_aborts += 1
+        else:
+            self._replica.counters.conflict_aborts += 1
 
     def _acquire_write_locks(self, txn: TxnPayload) -> None:
         """Mark the transaction's local write keys as write-locked.
@@ -190,19 +204,12 @@ class LeaderRole:
         self._send_commit_reply(
             waiting.client,
             CommitReply(
-                request_id=waiting.request_id,
-                txn_id=txn_id,
-                status=TxnStatus.COMMITTED if committed else TxnStatus.ABORTED,
-                commit_batch=batch if committed else NO_BATCH,
-                abort_reason="" if committed else "a participant voted to abort",
+                request_id=waiting.request_id, txn_id=txn_id, **outcome(committed, batch)
             ),
         )
 
     def _reply_abort(self, txn: TxnPayload, waiting: _WaitingClient, reason: str) -> None:
-        if "read-lock" in reason:
-            self._replica.counters.lock_interference_aborts += 1
-        else:
-            self._replica.counters.conflict_aborts += 1
+        self._count_abort(reason)
         self._send_commit_reply(
             waiting.client,
             CommitReply(
@@ -323,13 +330,9 @@ class LeaderRole:
             self._reply_abort(txn, waiting, "coordinator partition not accessed by transaction")
             return
 
-        checker = self._replica.conflict_checker()
-        report = checker.check(txn, self._admission_indexes())
-        if not report.ok:
-            self._reply_abort(txn, waiting, report.reason)
-            return
-        if self._lock_interference(txn):
-            self._reply_abort(txn, waiting, "read-lock interference with a read-only transaction")
+        reason = self._refusal(txn, self._in_progress_index)
+        if reason:
+            self._reply_abort(txn, waiting, reason)
             return
 
         self._waiting_clients[txn.txn_id] = waiting
@@ -425,14 +428,9 @@ class LeaderRole:
         ):
             return
 
-        checker = self._replica.conflict_checker()
-        report = checker.check(txn, self._admission_indexes())
-        interference = self._lock_interference(txn)
-        if not report.ok or interference:
-            if interference:
-                self._replica.counters.lock_interference_aborts += 1
-            else:
-                self._replica.counters.conflict_aborts += 1
+        reason = self._refusal(txn, self._in_progress_index)
+        if reason:
+            self._count_abort(reason)
             self._replica.send(
                 self._leader_of(message.coordinator),
                 ParticipantPrepared(vote=self._abort_vote(txn.txn_id)),
@@ -656,19 +654,20 @@ class LeaderRole:
         replica = self._replica
         if not replica.is_leader or self._consensus_in_flight or replica.log.next_seq != 0:
             return
-        batch = Batch(
-            partition=self._partition,
-            number=0,
-            read_only=ReadOnlySegment(
-                cd_vector=replica.current_cd_vector().with_entry(self._partition, 0),
-                lce=replica.current_lce(),
-                merkle_root=replica.merkle.root,
-                timestamp_ms=replica.now,
-            ),
+        self._propose(Batch(partition=self._partition, number=0))
+
+    def _propose(self, batch: Batch) -> None:
+        """Seal ``batch`` with the read-only segment its validators derive; propose it."""
+        replica = self._replica
+        cd_vector, lce, updates = replica.derive_read_only(batch)
+        segment = ReadOnlySegment(
+            cd_vector=cd_vector,
+            lce=lce,
+            merkle_root=replica.merkle.preview_root(updates),
+            timestamp_ms=replica.now,
         )
         self._consensus_in_flight = True
-        self.sealed_batches += 1
-        replica.engine.propose(batch)
+        replica.engine.propose(dataclasses.replace(batch, read_only=segment))
 
     def has_sealable_work(self) -> bool:
         if self.in_progress_size() > 0:
@@ -701,19 +700,15 @@ class LeaderRole:
             return
         if replica.leader_role is not self:
             return  # a crash-reset replaced this role; stale timers must not seal
-        batch_number = replica.log.next_seq
 
         # Re-validate admitted transactions against the current state: batches
         # delivered since admission may have introduced conflicts.
         local_txns: List[TxnPayload] = []
         prepared_records: List[PreparedRecord] = []
         accepted_index = KeyConflictIndex(self._partition, self._partitioner)
-        seal_indexes = (accepted_index, replica.prepared_index)
-
-        checker = replica.conflict_checker()
         for txn in self._in_progress_local:
-            report = checker.check(txn, seal_indexes)
-            if report.ok and not self._lock_interference(txn):
+            reason = self._refusal(txn, accepted_index)
+            if not reason:
                 local_txns.append(txn)
                 accepted_index.add(txn)
                 self._obs_seal(txn.txn_id)
@@ -721,55 +716,31 @@ class LeaderRole:
                 self._release_write_locks(txn.txn_id)
                 waiting = self._waiting_clients.pop(txn.txn_id, None)
                 if waiting is not None:
-                    reason = report.reason or "read-lock interference with a read-only transaction"
                     self._reply_abort(txn, waiting, reason)
         for record in self._in_progress_prepared:
-            report = checker.check(record.txn, seal_indexes)
-            if report.ok and not self._lock_interference(record.txn):
+            reason = self._refusal(record.txn, accepted_index)
+            if not reason:
                 prepared_records.append(record)
                 accepted_index.add(record.txn)
                 self._obs_seal(record.txn.txn_id)
             else:
-                self._drop_prepared_record(record, report.reason)
+                self._drop_prepared_record(record, reason)
         self._in_progress_local = []
         self._in_progress_prepared = []
         self._in_progress_index.clear()
 
         # Committed segment: the ready prefix of prepare groups (Definition 4.1).
-        ready_groups = replica.prepared_batches.ready_prefix()
-        committed_records: List[CommitRecord] = []
-        for group in ready_groups:
-            committed_records.extend(group.ordered_decisions())
-
-        # Read-only segment: LCE, CD vector (Algorithm 1) and Merkle root.
-        lce = replica.current_lce()
-        if ready_groups:
-            lce = max(lce, max(group.batch_number for group in ready_groups))
-        cd = replica.current_cd_vector().with_entry(self._partition, batch_number)
-        for record in committed_records:
-            if record.decision and record.reported_max is not None:
-                cd = cd.pairwise_max(record.reported_max)
-        cd = cd.with_entry(self._partition, batch_number)
-
-        updates = {}
-        for txn in local_txns:
-            updates.update(txn.writes_in(self._partition, self._partitioner))
-        for record in committed_records:
-            if record.decision:
-                updates.update(record.txn.writes_in(self._partition, self._partitioner))
-
+        committed_records = [
+            record
+            for group in replica.prepared_batches.ready_prefix()
+            for record in group.ordered_decisions()
+        ]
         batch = Batch(
             partition=self._partition,
-            number=batch_number,
+            number=replica.log.next_seq,
             local_txns=tuple(local_txns),
             prepared=tuple(prepared_records),
             committed=tuple(committed_records),
-            read_only=ReadOnlySegment(
-                cd_vector=cd,
-                lce=lce,
-                merkle_root=replica.merkle.preview_root(updates),
-                timestamp_ms=replica.now,
-            ),
         )
         if batch.size() == 0:
             return
@@ -777,19 +748,15 @@ class LeaderRole:
         # Sealing occupies the leader for a cost proportional to the batch.
         costs = replica.config.costs
         replica.occupy(costs.batch_base_ms + batch.size() * (costs.hash_ms + costs.conflict_check_ms))
-
-        self._consensus_in_flight = True
-        self.sealed_batches += 1
         replica.obs_event(
-            "batch-sealed", "debug", batch=batch_number, local=len(local_txns),
+            "batch-sealed", "debug", batch=batch.number, local=len(local_txns),
             prepared=len(prepared_records), committed=len(committed_records),
         )
-        replica.engine.propose(batch)
+        self._propose(batch)
 
     def _drop_prepared_record(self, record: PreparedRecord, reason: str) -> None:
         """A prepared record turned invalid at seal time; undo its bookkeeping."""
         txn_id = record.txn.txn_id
-        reason = reason or "conflict discovered while sealing the batch"
         self._release_write_locks(txn_id)
         if record.coordinator == self._partition:
             self._votes.pop(txn_id, None)
@@ -802,7 +769,7 @@ class LeaderRole:
             self._obs_stamp(txn_id, prepared)
             self._obs_ctx.pop(txn_id, None)
             self._replica.send(self._leader_of(record.coordinator), prepared)
-            self._replica.counters.conflict_aborts += 1
+            self._count_abort(reason)
 
     # ------------------------------------------------------------------
     # post-delivery actions

@@ -88,6 +88,15 @@ class CommitRequest(RequestMessage):
         return isinstance(self.txn, (TxnPayload, NoneType))
 
 
+def outcome(committed: bool, batch: BatchNumber) -> Dict[str, object]:
+    """Status, commit batch and abort reason of a transaction ``batch`` decided:
+    the fields :class:`CommitReply` and :class:`ReplicaCommitReply` report."""
+    if committed:
+        return {"status": TxnStatus.COMMITTED, "commit_batch": batch, "abort_reason": ""}
+    reason = "a participant voted to abort"
+    return {"status": TxnStatus.ABORTED, "commit_batch": NO_BATCH, "abort_reason": reason}
+
+
 @dataclass
 class CommitReply(ReplyMessage):
     """Coordinator cluster → client: the transaction's fate."""

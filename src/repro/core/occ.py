@@ -28,7 +28,7 @@ number of pending transactions — essential for the paper's large batch sizes
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Set
+from typing import Dict, Optional, Sequence
 
 from repro.common.ids import PartitionId
 from repro.common.types import Key
@@ -72,14 +72,16 @@ class KeyConflictIndex:
 
     One index tracks one set of pending transactions (e.g. the in-progress
     batch, or the prepared-but-unwritten distributed transactions).  Lookups
-    touch only the candidate transaction's own keys.
+    touch only the candidate transaction's own keys.  A key's owners are kept
+    in indexing order (a dict used as an ordered set), so the transaction an
+    abort reason names does not depend on ``PYTHONHASHSEED``.
     """
 
     def __init__(self, partition: PartitionId, partitioner: HashPartitioner) -> None:
         self._partition = partition
         self._partitioner = partitioner
-        self._readers: Dict[Key, Set[str]] = {}
-        self._writers: Dict[Key, Set[str]] = {}
+        self._readers: Dict[Key, Dict[str, None]] = {}
+        self._writers: Dict[Key, Dict[str, None]] = {}
         self._footprints: Dict[str, Footprint] = {}
 
     def __len__(self) -> int:
@@ -100,9 +102,9 @@ class KeyConflictIndex:
         footprint = Footprint.of(txn, self._partition, self._partitioner)
         self._footprints[txn.txn_id] = footprint
         for key in footprint.reads:
-            self._readers.setdefault(key, set()).add(txn.txn_id)
+            self._readers.setdefault(key, {})[txn.txn_id] = None
         for key in footprint.writes:
-            self._writers.setdefault(key, set()).add(txn.txn_id)
+            self._writers.setdefault(key, {})[txn.txn_id] = None
 
     def remove(self, txn_id: str) -> None:
         footprint = self._footprints.pop(txn_id, None)
@@ -111,18 +113,22 @@ class KeyConflictIndex:
         for key in footprint.reads:
             owners = self._readers.get(key)
             if owners is not None:
-                owners.discard(txn_id)
+                owners.pop(txn_id, None)
                 if not owners:
                     del self._readers[key]
         for key in footprint.writes:
             owners = self._writers.get(key)
             if owners is not None:
-                owners.discard(txn_id)
+                owners.pop(txn_id, None)
                 if not owners:
                     del self._writers[key]
 
     def first_conflict(self, txn: TxnPayload) -> Optional[str]:
-        """Id of some indexed transaction conflicting with ``txn`` (or None)."""
+        """Id of the first-indexed transaction conflicting with ``txn`` (or None).
+
+        For each key ``txn`` writes, that key's writers then its readers are
+        searched, then the writers of each key it reads; each in indexing order.
+        """
         footprint = Footprint.of(txn, self._partition, self._partitioner)
         for key in footprint.writes:
             for owner in self._writers.get(key, ()):

@@ -21,6 +21,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 from repro.common.errors import TransactionError
 from repro.common.ids import BatchNumber
 from repro.core.batch import CommitRecord, PreparedRecord
+from repro.core.occ import KeyConflictIndex
 
 
 @dataclass
@@ -54,10 +55,15 @@ class PrepareGroup:
         return tuple(self.decisions[txn_id] for txn_id in sorted(self.decisions))
 
 class PreparedBatches:
-    """Ordered collection of in-flight prepare groups for one partition."""
+    """Ordered collection of in-flight prepare groups for one partition.
 
-    def __init__(self) -> None:
+    ``index`` holds the footprints of the grouped transactions: conflict
+    rule 3's prepared transactions (Definition 3.1).
+    """
+
+    def __init__(self, index: KeyConflictIndex) -> None:
         self._groups: Dict[BatchNumber, PrepareGroup] = {}
+        self.index = index
 
     # -- building ----------------------------------------------------------------
 
@@ -70,6 +76,7 @@ class PreparedBatches:
         group = PrepareGroup(batch_number=batch_number)
         for record in records:
             group.add_record(record)
+            self.index.add(record.txn)
         self._groups[batch_number] = group
 
     def record_decision(self, record: CommitRecord) -> None:
@@ -138,4 +145,7 @@ class PreparedBatches:
 
     def remove_group(self, batch_number: BatchNumber) -> None:
         """Drop a group wholesale (used by replicas mirroring a delivered batch)."""
-        self._groups.pop(batch_number, None)
+        group = self._groups.pop(batch_number, None)
+        if group is not None:
+            for txn_id in group.records:
+                self.index.remove(txn_id)

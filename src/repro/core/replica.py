@@ -24,7 +24,7 @@ from repro.bft.messages import BftMessage, CheckpointVote
 from repro.bft.quorum import CommitCertificate
 from repro.common.config import SystemConfig
 from repro.common.ids import NO_BATCH, BatchNumber, ClientId, NodeId, PartitionId, ReplicaId
-from repro.common.types import Key, TxnStatus, Value
+from repro.common.types import Key, Value
 from repro.crypto.archive import MerkleTreeArchive
 from repro.crypto.merkle import MerkleStore, MerkleTree
 from repro.core.batch import Batch, CertifiedHeader, CommitRecord
@@ -50,6 +50,7 @@ from repro.core.messages import (
     ReplicaCommitReply,
     SnapshotReply,
     SnapshotRequest,
+    outcome,
 )
 from repro.core.occ import ConflictChecker, KeyConflictIndex
 from repro.core.prepared import PreparedBatches
@@ -305,7 +306,7 @@ class PartitionReplica(SimNode):
         # admits, checked against this replica's own state.
         checker = self.conflict_checker()
         batch_index = KeyConflictIndex(self.partition, self.partitioner)
-        indexes = (batch_index, self.prepared_index)
+        indexes = (batch_index, self.prepared_batches.index)
         for txn in (*batch.local_txns, *(record.txn for record in batch.prepared)):
             if not checker.check(txn, indexes).ok:
                 return False
@@ -314,13 +315,11 @@ class PartitionReplica(SimNode):
         if not self._validate_committed_segment(batch):
             return False
 
-        # Read-only segment: recompute CD vector, LCE and Merkle root.
-        expected_cd, expected_lce = self._derive_read_only_metadata(batch)
-        if batch.read_only.cd_vector != expected_cd:
+        # Read-only segment: the leader sealed it with derive_read_only too.
+        # The Merkle root is checked last: a preview replaces the retained one.
+        cd_vector, lce, updates = self.derive_read_only(batch)
+        if (batch.read_only.cd_vector, batch.read_only.lce) != (cd_vector, lce):
             return False
-        if batch.read_only.lce != expected_lce:
-            return False
-        updates = batch.visible_writes(self.partitioner)
         if batch.read_only.merkle_root != self.merkle.preview_root(updates):
             return False
         self._expected_cache[batch.digest()] = (seq, updates)
@@ -403,22 +402,24 @@ class PartitionReplica(SimNode):
                     return False
         return True
 
-    def _derive_read_only_metadata(self, batch: Batch) -> Tuple[CDVector, BatchNumber]:
-        """Recompute the CD vector (Algorithm 1) and LCE for ``batch``."""
+    def derive_read_only(self, batch: Batch) -> Tuple[CDVector, BatchNumber, Dict[Key, Value]]:
+        """``batch``'s CD vector (Algorithm 1), LCE and the writes it makes visible.
+
+        The one derivation of a read-only segment: the leader seals a batch
+        with it and every replica validates the proposal against it.  The LCE
+        is the newest prepare group the committed segment retires.
+        """
         cd = self.current_cd_vector().with_entry(self.partition, batch.number)
         lce = self.current_lce()
-        committed_group_numbers = set()
         for record in batch.committed:
             group = self.prepared_batches.group_of_txn(record.txn.txn_id)
             if group is not None:
-                committed_group_numbers.add(group.batch_number)
+                lce = max(lce, group.batch_number)
             if record.decision and record.reported_max is not None:
                 cd = cd.pairwise_max(record.reported_max)
-        if committed_group_numbers:
-            lce = max(max(committed_group_numbers), lce)
         # The self entry always reflects this batch.
         cd = cd.with_entry(self.partition, batch.number)
-        return cd, lce
+        return cd, lce, batch.visible_writes(self.partitioner)
 
     def deliver(self, seq: int, proposal: object, certificate: CommitCertificate) -> None:
         batch: Batch = proposal  # validated by validate_proposal
@@ -458,11 +459,7 @@ class PartitionReplica(SimNode):
             self.send(
                 ClientId(txn.client),
                 ReplicaCommitReply(
-                    txn_id=txn.txn_id,
-                    partition=self.partition,
-                    status=TxnStatus.COMMITTED if committed else TxnStatus.ABORTED,
-                    commit_batch=seq if committed else NO_BATCH,
-                    abort_reason="" if committed else "a participant voted to abort",
+                    txn_id=txn.txn_id, partition=self.partition, **outcome(committed, seq)
                 ),
             )
 
@@ -510,22 +507,16 @@ class PartitionReplica(SimNode):
         # decisions stay queryable in ``self.decided`` (DecisionQuery) until
         # the checkpoint retention window passes them by.
         self.prepared_batches.add_group(seq, list(batch.prepared))
-        for record in batch.prepared:
-            self.prepared_index.add(record.txn)
         for txn in batch.local_txns:
             self.local_decided[txn.txn_id] = seq
         for record in batch.committed:
             self.decided[record.txn.txn_id] = (seq, record)
             group = self.prepared_batches.group_of_txn(record.txn.txn_id)
             if group is not None:
-                for txn_id in group.records:
-                    self.prepared_index.remove(txn_id)
                 self.prepared_batches.remove_group(group.batch_number)
 
         header = batch.certified_header(certificate)
         self.headers.append(header)
-        self._header_lces.append(header.lce)
-        self._header_numbers.append(header.number)
         self.last_header = header
 
         self.counters.batches_delivered += 1
@@ -578,18 +569,12 @@ class PartitionReplica(SimNode):
         """
         self.store = MultiVersionStore(data)
         self.merkle = self._make_merkle_store(data, tree=tree)
-        self.prepared_batches = PreparedBatches()
+        self.prepared_batches = PreparedBatches(KeyConflictIndex(self.partition, self.partitioner))
         self.log = ReplicatedLog()
-        # Footprints of every in-flight prepared transaction (rule 3 of
-        # Definition 3.1), maintained as batches are delivered.
-        self.prepared_index = KeyConflictIndex(self.partition, self.partitioner)
 
+        # Retained certified headers in batch order: numbers strictly and
+        # LCEs weakly increase, so both lookups below are bisects.
         self.headers: List[CertifiedHeader] = []
-        # LCEs and batch numbers of self.headers, kept parallel so both the
-        # round-2 header lookup and header_at() are bisects (LCEs are
-        # non-decreasing and numbers strictly increasing across batches).
-        self._header_lces: List[BatchNumber] = []
-        self._header_numbers: List[BatchNumber] = []
         self.last_header: Optional[CertifiedHeader] = None
         # Visible writes of every proposal validated and not yet delivered,
         # by batch digest, with the proposal's sequence number.
@@ -640,8 +625,6 @@ class PartitionReplica(SimNode):
         self.log.reset_base(image.seq + 1)
         for number, records in image.prepared:
             self.prepared_batches.add_group(number, list(records))
-            for record in records:
-                self.prepared_index.add(record.txn)
         for commit_batch, record in image.decisions:
             self.decided[record.txn.txn_id] = (commit_batch, record)
         if image.header is not None:
@@ -669,8 +652,6 @@ class PartitionReplica(SimNode):
                     restored.append(header)
             restored.sort(key=lambda h: h.number)
             self.headers = restored
-            self._header_lces = [h.lce for h in restored]
-            self._header_numbers = [h.number for h in restored]
             self.last_header = image.header
         self.engine.install_checkpoint(image.seq)
         if certificate is not None:
@@ -828,13 +809,13 @@ class PartitionReplica(SimNode):
     def _earliest_header_with_lce(self, required: BatchNumber) -> Optional[CertifiedHeader]:
         # LCEs are non-decreasing, so the earliest satisfying header is found
         # by bisection instead of a linear scan over the retained headers.
-        index = bisect.bisect_left(self._header_lces, required)
+        index = bisect.bisect_left(self.headers, required, key=lambda h: h.lce)
         if index >= len(self.headers):
             return None
         return self.headers[index]
 
     def prune_headers_below(self, retain_from: BatchNumber) -> None:
-        """Checkpoint GC: drop certified headers (and their parallel indexes) below the window.
+        """Checkpoint GC: drop certified headers below the retention window.
 
         Headers of still-undecided prepare batches are pinned past the
         window: a cluster's 2PC vote is derived from exactly that header
@@ -846,8 +827,6 @@ class PartitionReplica(SimNode):
         self.headers = [
             h for h in self.headers if h.number >= retain_from or h.number in pinned
         ]
-        self._header_lces = [h.lce for h in self.headers]
-        self._header_numbers = [h.number for h in self.headers]
 
     def prune_decisions_below(self, retain_from: BatchNumber) -> None:
         """Checkpoint GC: forget 2PC decisions committed below the window."""
@@ -881,12 +860,12 @@ class PartitionReplica(SimNode):
     def header_at(self, number: BatchNumber) -> Optional[CertifiedHeader]:
         """The retained certified header of batch ``number`` (None if pruned).
 
-        Headers are appended in batch order, so this is a bisect over the
-        parallel number index; the leader role derives 2PC votes from it
-        (the vote's proof is the header of the batch that wrote the prepare).
+        Headers are appended in batch order, so this is a bisect; the leader
+        role derives 2PC votes from it (the vote's proof is the header of the
+        batch that wrote the prepare).
         """
-        index = bisect.bisect_left(self._header_numbers, number)
-        if index < len(self.headers) and self._header_numbers[index] == number:
+        index = bisect.bisect_left(self.headers, number, key=lambda h: h.number)
+        if index < len(self.headers) and self.headers[index].number == number:
             return self.headers[index]
         return None
 

@@ -144,6 +144,10 @@ class BareSetIterationRule(FileRule):
 
     _SET_BUILTINS = {"set", "frozenset"}
     _SET_METHODS = {"union", "intersection", "difference", "symmetric_difference"}
+    _SET_TYPES = {"Set", "FrozenSet", "set", "frozenset"}
+    _MAPPING_TYPES = {"Dict", "dict", "DefaultDict", "defaultdict", "Mapping", "MutableMapping"}
+    #: Mapping methods that hand back one of the mapping's values.
+    _VALUE_LOOKUPS = {"get", "setdefault", "pop"}
     #: str()/repr() of a set print it in iteration order, like an f-string.
     _ITERATING_CALLS = {"list", "tuple", "iter", "enumerate", "str", "repr"}
 
@@ -152,13 +156,16 @@ class BareSetIterationRule(FileRule):
 
     # -- set-expression detection -------------------------------------------
 
-    def _is_set_expr(self, node: ast.AST, set_vars: Set[str]) -> bool:
+    def _is_set_expr(self, node: ast.AST, set_vars: Set[str], set_maps: Set[str]) -> bool:
         if isinstance(node, ast.Set):
             return True
         if isinstance(node, ast.SetComp):
             return True
         if isinstance(node, ast.Name):
             return node.id in set_vars
+        if isinstance(node, ast.Subscript):
+            # ``self.owners[key]`` of a ``Dict[..., Set[...]]`` attribute.
+            return dotted_name(node.value) in set_maps
         if isinstance(node, ast.Call):
             name = call_name(node)
             if name in self._SET_BUILTINS:
@@ -166,29 +173,51 @@ class BareSetIterationRule(FileRule):
             if isinstance(node.func, ast.Attribute) and node.func.attr in self._SET_METHODS:
                 # x.union(y) etc. return sets whatever x is; accept the rare
                 # false positive (str.union does not exist) for the coverage.
-                return self._is_set_expr(node.func.value, set_vars) or True
+                return True
+            if isinstance(node.func, ast.Attribute) and node.func.attr in self._VALUE_LOOKUPS:
+                return dotted_name(node.func.value) in set_maps
             return False
         if isinstance(node, ast.BinOp) and isinstance(
             node.op, (ast.BitOr, ast.BitAnd, ast.Sub, ast.BitXor)
         ):
-            return self._is_set_expr(node.left, set_vars) or self._is_set_expr(
-                node.right, set_vars
+            return self._is_set_expr(node.left, set_vars, set_maps) or self._is_set_expr(
+                node.right, set_vars, set_maps
             )
         return False
 
-    def _set_typed_locals(self, function: ast.AST) -> Set[str]:
+    def _set_valued_maps(self, tree: ast.AST) -> Set[str]:
+        """Names (``x``, ``self.x``) annotated as a mapping whose values are sets."""
+        names: Set[str] = set()
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.AnnAssign):
+                continue
+            annotation = node.annotation
+            if not isinstance(annotation, ast.Subscript) or not isinstance(annotation.slice, ast.Tuple):
+                continue
+            value_type = annotation.slice.elts[-1]
+            if isinstance(value_type, ast.Subscript):
+                value_type = value_type.value
+            if (
+                dotted_name(annotation.value).split(".")[-1] in self._MAPPING_TYPES
+                and dotted_name(value_type).split(".")[-1] in self._SET_TYPES
+            ):
+                names.add(dotted_name(node.target))
+        names.discard("")  # a target that is no name chain
+        return names
+
+    def _set_typed_locals(self, function: ast.AST, set_maps: Set[str]) -> Set[str]:
         """Names assigned a set expression anywhere in ``function`` (flow-free)."""
         names: Set[str] = set()
         for node in ast.walk(function):
-            if isinstance(node, ast.Assign) and self._is_set_expr(node.value, names):
+            if isinstance(node, ast.Assign) and self._is_set_expr(node.value, names, set_maps):
                 for target in node.targets:
                     if isinstance(target, ast.Name):
                         names.add(target.id)
             elif isinstance(node, ast.AnnAssign) and node.value is not None:
                 annotation = dotted_name(node.annotation) if node.annotation else ""
                 if (
-                    self._is_set_expr(node.value, names)
-                    or annotation.split("[")[0] in ("Set", "FrozenSet", "set", "frozenset")
+                    self._is_set_expr(node.value, names, set_maps)
+                    or annotation.split("[")[0] in self._SET_TYPES
                 ):
                     if isinstance(node.target, ast.Name):
                         names.add(node.target.id)
@@ -213,10 +242,11 @@ class BareSetIterationRule(FileRule):
 
     def check(self, file: SourceFile) -> Iterator[Finding]:
         scopes: List[ast.AST] = list(functions_in(file.tree))
+        set_maps = self._set_valued_maps(file.tree)
         # Module level too (rare, but set literals at import time happen).
         seen = set()
         for scope in scopes + [file.tree]:
-            set_vars = self._set_typed_locals(scope) if scope is not file.tree else set()
+            set_vars = self._set_typed_locals(scope, set_maps) if scope is not file.tree else set()
             for iterable, line, context in self._iteration_sites(scope):
                 if scope is file.tree and any(
                     # Module pass: skip sites inside functions (already done).
@@ -224,7 +254,7 @@ class BareSetIterationRule(FileRule):
                     for fn in scopes
                 ):
                     continue
-                if not self._is_set_expr(iterable, set_vars):
+                if not self._is_set_expr(iterable, set_vars, set_maps):
                     continue
                 key = (line, context)
                 if key in seen:

@@ -193,7 +193,6 @@ class OperationMetrics:
     latencies_ms: LatencyReservoir = field(default_factory=LatencyReservoir)
     committed: int = 0
     aborted: int = 0
-    abort_reasons: Dict[str, int] = field(default_factory=dict)
     round2_latencies_ms: LatencyReservoir = field(default_factory=LatencyReservoir)
     second_rounds: int = 0
     #: Read-only latency split by serving tier (repro.edge): reads whose
@@ -232,12 +231,10 @@ class MetricsCollector:
         metrics.committed += 1
         metrics.latencies_ms.append(latency_ms)
 
-    def record_abort(self, name: str, latency_ms: float, reason: str = "") -> None:
+    def record_abort(self, name: str, latency_ms: float) -> None:
         metrics = self.operation(name)
         metrics.aborted += 1
         metrics.latencies_ms.append(latency_ms)
-        label = reason or "unspecified"
-        metrics.abort_reasons[label] = metrics.abort_reasons.get(label, 0) + 1
 
     def record_read_only(
         self,

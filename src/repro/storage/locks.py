@@ -88,7 +88,7 @@ class LockTable:
 
     def release_all(self, owner: str) -> None:
         """Release every lock held by ``owner``."""
-        for key in self._holdings.pop(owner, set()):
+        for key in sorted(self._holdings.pop(owner, set())):
             state = self._locks.get(key)
             if state is None:
                 continue

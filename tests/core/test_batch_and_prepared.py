@@ -15,6 +15,7 @@ from repro.core.batch import (
     ReadOnlySegment,
 )
 from repro.core.cdvector import CDVector
+from repro.core.occ import KeyConflictIndex
 from repro.core.prepared import PreparedBatches
 from repro.core.transaction import TxnPayload
 from repro.crypto.hashing import sha256
@@ -29,6 +30,10 @@ def make_ro_segment(num_partitions=2, lce=NO_BATCH, root=b"", timestamp=0.0):
         merkle_root=root or sha256(b"root"),
         timestamp_ms=timestamp,
     )
+
+
+def _prepared():
+    return PreparedBatches(KeyConflictIndex(0, HashPartitioner(1)))
 
 
 def make_batch(partition=0, number=0, local=(), prepared=(), committed=(), ro=None):
@@ -193,7 +198,7 @@ class TestPreparedBatches:
         )
 
     def test_groups_track_records_and_decisions(self):
-        prepared = PreparedBatches()
+        prepared = _prepared()
         record, decision = self._record("t1")
         prepared.add_group(0, [record])
         assert 0 in prepared
@@ -203,25 +208,25 @@ class TestPreparedBatches:
         assert prepared.group(0).pending_txn_ids() == ()
 
     def test_empty_group_is_not_created(self):
-        prepared = PreparedBatches()
+        prepared = _prepared()
         prepared.add_group(0, [])
         assert len(prepared) == 0
 
     def test_duplicate_group_rejected(self):
-        prepared = PreparedBatches()
+        prepared = _prepared()
         record, _ = self._record("t1")
         prepared.add_group(0, [record])
         with pytest.raises(TransactionError):
             prepared.add_group(0, [record])
 
     def test_decision_for_unknown_txn_rejected(self):
-        prepared = PreparedBatches()
+        prepared = _prepared()
         _, decision = self._record("ghost")
         with pytest.raises(TransactionError):
             prepared.record_decision(decision)
 
     def test_ordering_constraint_prefix(self):
-        prepared = PreparedBatches()
+        prepared = _prepared()
         record_a, decision_a = self._record("a", keys=("ka",))
         record_b, decision_b = self._record("b", keys=("kb",))
         record_c, decision_c = self._record("c", keys=("kc",))
@@ -241,7 +246,7 @@ class TestPreparedBatches:
         assert [group.batch_number for group in prepared.ready_prefix()] == [0, 1, 2]
 
     def test_pending_transactions_lists_undecided_only(self):
-        prepared = PreparedBatches()
+        prepared = _prepared()
         record_a, decision_a = self._record("a")
         record_b, _ = self._record("b", keys=("kb",))
         prepared.add_group(0, [record_a, record_b])
@@ -250,17 +255,20 @@ class TestPreparedBatches:
         assert set(pending) == {"b"}
 
     def test_group_of_txn_and_remove(self):
-        prepared = PreparedBatches()
+        prepared = _prepared()
         record, _ = self._record("t1")
         prepared.add_group(3, [record])
         assert prepared.group_of_txn("t1").batch_number == 3
         assert prepared.group_of_txn("nope") is None
+        # The rule-3 footprint index follows the groups.
+        assert "t1" in prepared.index
         prepared.remove_group(3)
         assert prepared.group_of_txn("t1") is None
         assert prepared.group_numbers() == []
+        assert "t1" not in prepared.index
 
     def test_ordered_decisions_are_deterministic(self):
-        prepared = PreparedBatches()
+        prepared = _prepared()
         record_b, decision_b = self._record("b", keys=("kb",))
         record_a, decision_a = self._record("a", keys=("ka",))
         prepared.add_group(0, [record_b, record_a])

@@ -18,6 +18,7 @@ from repro.common.config import (
     SystemConfig,
 )
 from repro.common.types import TxnStatus
+from repro.core.client import _CommitQuorum
 
 
 def make_system(**overrides):
@@ -89,7 +90,7 @@ class TestCommitReplyQuorum:
         system = make_system()
         client = system.create_client("c")
         entry_txn = "t-foreign"
-        client._commit_quorum_waits[entry_txn] = (0, "req-1")
+        quorum = client._commit_quorums[entry_txn] = _CommitQuorum(coordinator=0, request_id="req-1")
 
         from repro.core.messages import ReplicaCommitReply
 
@@ -101,7 +102,7 @@ class TestCommitReplyQuorum:
         )
         members1 = system.topology.members(1)
         client._on_replica_commit_reply(wrong_partition, members1[0])
-        assert entry_txn not in client._commit_quorum_outcomes
+        assert quorum.outcome is None
 
         right = ReplicaCommitReply(
             txn_id=entry_txn,
@@ -113,13 +114,9 @@ class TestCommitReplyQuorum:
         # A repeat vote from the same replica is one voter, not two.
         client._on_replica_commit_reply(right, members0[0])
         client._on_replica_commit_reply(right, members0[0])
-        assert entry_txn not in client._commit_quorum_outcomes
+        assert quorum.outcome is None
         client._on_replica_commit_reply(right, members0[1])
-        assert client._commit_quorum_outcomes[entry_txn] == (
-            TxnStatus.COMMITTED,
-            3,
-            "",
-        )
+        assert quorum.outcome == (TxnStatus.COMMITTED, 3, "")
         assert client.stats.replica_quorum_commits == 1
 
     def test_distributed_commit_also_accepted_by_quorum(self):

@@ -130,6 +130,18 @@ class TestKeyConflictIndex:
         # read-write with t2's write
         assert index.first_conflict(TxnPayload("z", reads={keys[2]: 0}, writes={"other": b"1"})) == "t2"
 
+    @pytest.mark.parametrize("order", [("t-a", "t-b", "t-c"), ("t-c", "t-b", "t-a")])
+    def test_the_first_indexed_owner_is_named(self, partitioner, order):
+        # Which transaction an abort reason names must not depend on
+        # PYTHONHASHSEED: owners of a key are searched in indexing order.
+        key = keys_for(partitioner, 0, 1)[0]
+        index = KeyConflictIndex(0, partitioner)
+        for txn_id in order:
+            index.add(TxnPayload(txn_id, reads={key: 0}, writes={"other": b"1"}))
+        assert index.first_conflict(TxnPayload("w", writes={key: b"9"})) == order[0]
+        index.remove(order[0])
+        assert index.first_conflict(TxnPayload("w", writes={key: b"9"})) == order[1]
+
     def test_no_conflict_for_disjoint_or_read_read(self, partitioner):
         keys = keys_for(partitioner, 0, 3)
         index = KeyConflictIndex(0, partitioner)

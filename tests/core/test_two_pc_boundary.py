@@ -73,7 +73,6 @@ def plant_pending_coordination(system: TransEdgeSystem) -> None:
     for member in system.topology.members(0):
         replica = system.replicas[member]
         replica.prepared_batches.add_group(1, [record])
-        replica.prepared_index.add(txn)
     system.leader_replica(0).leader_role._votes[PENDING] = {}
 
 

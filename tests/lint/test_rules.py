@@ -74,6 +74,8 @@ class TestFindingContent:
         findings = findings_for("D103", os.path.join(CORPUS, "D103", "bad.py"))
         assert [finding.message.split(" iterates")[0] for finding in findings] == [
             "for loop", "comprehension", "f-string", "str()",
+            # A Dict[..., Set[...]] attribute's values: ``.get(k, ())`` and ``[k]``.
+            "for loop", "comprehension",
         ]
 
     def test_p301_reports_both_lifecycle_halves(self):

@@ -42,11 +42,10 @@ class TestMetricsCollector:
         collector = MetricsCollector()
         for latency in (1.0, 2.0, 3.0):
             collector.record_commit("rw", latency)
-        collector.record_abort("rw", 4.0, reason="conflict")
+        collector.record_abort("rw", 4.0)
         metrics = collector.operation("rw")
         assert metrics.total == 4
         assert metrics.abort_rate() == pytest.approx(0.25)
-        assert metrics.abort_reasons == {"conflict": 1}
         assert metrics.summary().count == 4
 
     def test_throughput_uses_marked_window(self):

@@ -76,7 +76,6 @@ def plant_pending_coordination(
     for member in system.topology.members(0):
         replica = system.replicas[member]
         replica.prepared_batches.add_group(batch_number, [record])
-        replica.prepared_index.add(record.txn)
     return record
 
 
