@@ -15,8 +15,29 @@ from typing import Optional, Tuple
 
 from repro.bft.quorum import CommitCertificate, checkpoint_payload, view_change_payload
 from repro.common.types import NoneType
-from repro.crypto.signatures import KeyRegistry, Signature
+from repro.crypto.signatures import KeyRegistry, Signature, signature_well_formed
 from repro.simnet.messages import Message
+
+
+def proposal_well_formed(proposal: object) -> bool:
+    """Does a proposal have its declared shape, as far as it can say?
+
+    The engine orders opaque proposals, so one answers for itself when it can
+    (a TransEdge batch does); anything else is refused later, by the digest
+    check or by the application's validation.
+    """
+    check = getattr(proposal, "well_formed", None)
+    return check is None or check()
+
+
+def _vote_well_formed(message: "BftMessage") -> bool:
+    """``well_formed()`` of a vote: every one is asked, so its fields are checked inline."""
+    return (
+        isinstance(message.view, int)
+        and isinstance(message.seq, int)
+        and isinstance(message.digest, bytes)
+        and (message.signature is None or signature_well_formed(message.signature))
+    )
 
 
 @dataclass
@@ -56,7 +77,7 @@ class BftMessage(Message):
         return (
             isinstance(self.view, int)
             and isinstance(self.seq, int)
-            and isinstance(self.signature, (Signature, NoneType))
+            and (self.signature is None or signature_well_formed(self.signature))
         )
 
 
@@ -71,13 +92,7 @@ class PrePrepare(BftMessage):
         return ["pre-prepare", self.view, self.seq, self.digest]
 
     def well_formed(self) -> bool:
-        # Every vote is asked this, so the common fields are checked inline.
-        return (
-            isinstance(self.view, int)
-            and isinstance(self.seq, int)
-            and isinstance(self.digest, bytes)
-            and isinstance(self.signature, (Signature, NoneType))
-        )
+        return _vote_well_formed(self) and proposal_well_formed(self.proposal)
 
 
 @dataclass
@@ -89,7 +104,7 @@ class Prepare(BftMessage):
     def signing_payload(self) -> object:
         return ["prepare", self.view, self.seq, self.digest]
 
-    well_formed = PrePrepare.well_formed
+    well_formed = _vote_well_formed
 
 
 @dataclass
@@ -101,7 +116,7 @@ class Commit(BftMessage):
     def signing_payload(self) -> object:
         return ["commit", self.view, self.seq, self.digest]
 
-    well_formed = PrePrepare.well_formed
+    well_formed = _vote_well_formed
 
 
 @dataclass
@@ -122,7 +137,7 @@ class CheckpointVote(BftMessage):
     def signing_payload(self) -> object:
         return checkpoint_payload(self.seq, self.digest)
 
-    well_formed = PrePrepare.well_formed
+    well_formed = _vote_well_formed
 
 
 @dataclass
@@ -203,7 +218,7 @@ class NewView(BftMessage):
                 isinstance(vote, tuple)
                 and len(vote) == 2
                 and isinstance(vote[0], int)
-                and isinstance(vote[1], Signature)
+                and signature_well_formed(vote[1])
                 for vote in self.votes
             )
         )

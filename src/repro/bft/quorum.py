@@ -17,7 +17,7 @@ from typing import Dict, Iterable, Optional, Tuple
 
 from repro.common.ids import PartitionId, ReplicaId
 from repro.common.types import MemoisedValue
-from repro.crypto.signatures import KeyRegistry, Signature
+from repro.crypto.signatures import KeyRegistry, Signature, signature_well_formed
 
 
 def certificate_payload(view: int, seq: int, digest: bytes) -> object:
@@ -77,7 +77,7 @@ class ViewChangeCertificate:
         allowed = {str(member) for member in cluster_members}
         valid_signers = set()
         for last_delivered, signature in self.votes:
-            if signature is None or signature.signer not in allowed:
+            if not signature_well_formed(signature) or signature.signer not in allowed:
                 continue
             if signature.signer in valid_signers:
                 continue

@@ -44,6 +44,13 @@ class MemoisedValue:
 NoneType = type(None)
 
 
+def keyed(mapping: object, kind: type) -> bool:
+    """Is ``mapping`` a dict from keys to ``kind``?  (A ``well_formed()`` check.)"""
+    return isinstance(mapping, dict) and all(
+        isinstance(key, Key) and isinstance(value, kind) for key, value in mapping.items()
+    )
+
+
 def as_value(data: "bytes | str") -> Value:
     """Coerce ``data`` to the canonical value representation (``bytes``)."""
     if isinstance(data, bytes):

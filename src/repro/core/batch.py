@@ -27,7 +27,7 @@ from repro.bft.quorum import CommitCertificate
 from repro.common.ids import NO_BATCH, BatchNumber, PartitionId
 from repro.common.types import Key, MemoisedValue, NoneType, Value
 from repro.crypto.hashing import Digest, Encoded, digest_of
-from repro.crypto.signatures import KeyRegistry, Signature
+from repro.crypto.signatures import KeyRegistry, Signature, signature_well_formed
 from repro.core.cdvector import CDVector, combine_all
 from repro.core.transaction import TxnPayload
 from repro.storage.partitioner import HashPartitioner
@@ -39,6 +39,13 @@ class PreparedRecord:
 
     txn: TxnPayload
     coordinator: PartitionId
+
+    def well_formed(self) -> bool:
+        return (
+            isinstance(self.txn, TxnPayload)
+            and self.txn.well_formed()
+            and isinstance(self.coordinator, int)
+        )
 
     def payload(self) -> dict:
         return {"txn": self.txn.payload(), "coordinator": self.coordinator}
@@ -97,7 +104,7 @@ class PreparedVote:
             and isinstance(self.prepare_batch, int)
             and isinstance(self.cd_vector, (CDVector, NoneType))
             and isinstance(self.header, (CertifiedHeader, NoneType))
-            and isinstance(self.signature, (Signature, NoneType))
+            and (self.signature is None or signature_well_formed(self.signature))
         )
 
 
@@ -131,6 +138,7 @@ class CommitRecord(MemoisedValue):
         # Asked by every cluster the record is sent to, answered once.
         return (
             isinstance(self.txn, TxnPayload)
+            and self.txn.well_formed()
             and isinstance(self.coordinator, int)
             and isinstance(self.decision, bool)
             and isinstance(self.prepare_batch, int)
@@ -193,6 +201,30 @@ class ReadOnlySegment:
         }
 
 
+def _segment_well_formed(segment: object) -> bool:
+    """Is ``segment`` a :class:`ReadOnlySegment`, down to the primitives?
+
+    As in :attr:`CommitCertificate._verified_fields`, an integer is exactly an
+    ``int`` (``True`` would digest as ``1``).
+    """
+    return (
+        isinstance(segment, ReadOnlySegment)
+        and isinstance(segment.cd_vector, CDVector)
+        and isinstance(segment.cd_vector.entries, tuple)
+        and all(type(entry) is int for entry in segment.cd_vector.entries)
+        and type(segment.lce) is int
+        and type(segment.merkle_root) is bytes
+        and type(segment.timestamp_ms) in (int, float)
+    )
+
+
+def _all_well_formed(values: object, kind: type) -> bool:
+    """Is ``values`` a tuple of well-formed ``kind``?"""
+    return isinstance(values, tuple) and all(
+        isinstance(value, kind) and value.well_formed() for value in values
+    )
+
+
 def _header_digest(
     partition: PartitionId, number: BatchNumber, read_only: ReadOnlySegment, content: Digest
 ) -> Digest:
@@ -244,6 +276,23 @@ class Batch(MemoisedValue):
     def digest(self) -> Digest:
         """The digest agreed on by intra-cluster consensus."""
         return self._digest
+
+    def well_formed(self) -> bool:
+        """Do the batch, its segments and their transactions have the declared
+        shape?  A proposal is outside input: any member may send one."""
+        return self._well_formed
+
+    @cached_property
+    def _well_formed(self) -> bool:
+        # Every member is sent the same proposal object: answered once.
+        return (
+            type(self.partition) is int
+            and type(self.number) is int
+            and _all_well_formed(self.local_txns, TxnPayload)
+            and _all_well_formed(self.prepared, PreparedRecord)
+            and _all_well_formed(self.committed, CommitRecord)
+            and _segment_well_formed(self.read_only)
+        )
 
     # -- derived views ----------------------------------------------------------
 
@@ -326,23 +375,14 @@ class CertifiedHeader(MemoisedValue):
 
         A header is outside input (any replica can answer a read), so
         :meth:`verify` asks this before it reads a field; receivers re-verify
-        the same frozen header many times, so it is answered once.  As in
-        :attr:`CommitCertificate._verified_fields`, an integer is exactly an
-        ``int`` (``True`` would digest as ``1``).
+        the same frozen header many times, so it is answered once.
         """
-        segment = self.read_only
         return (
             type(self.partition) is int
             and type(self.number) is int
             and type(self.content_digest) is bytes
             and isinstance(self.certificate, CommitCertificate)
-            and isinstance(segment, ReadOnlySegment)
-            and isinstance(segment.cd_vector, CDVector)
-            and isinstance(segment.cd_vector.entries, tuple)
-            and all(type(entry) is int for entry in segment.cd_vector.entries)
-            and type(segment.lce) is int
-            and type(segment.merkle_root) is bytes
-            and type(segment.timestamp_ms) in (int, float)
+            and _segment_well_formed(self.read_only)
         )
 
     def verify(

@@ -62,7 +62,7 @@ from repro.core.transaction import TxnPayload
 from repro.edge.messages import EdgeReadReply, EdgeReadRequest
 from repro.edge.routing import EdgeRouter
 from repro.simnet.latency import client_home_partition
-from repro.simnet.messages import RequestMessage
+from repro.simnet.messages import ReplyMessage, RequestMessage
 from repro.simnet.node import SimEnvironment
 from repro.simnet.proc import Call, Gather, ProcessNode, Sleep
 from repro.storage.partitioner import HashPartitioner
@@ -191,6 +191,15 @@ class TransEdgeClient(ProcessNode):
         """A :class:`Call` to ``partition``'s leader, tracked for failover."""
         self._pending_leader_requests[request.request_id] = (partition, request)
         return Call(self._leader_of(partition), request, timeout_ms=timeout_ms)
+
+    @staticmethod
+    def _answer(reply: object, kind: type) -> Optional[ReplyMessage]:
+        """``reply`` if it is a well-formed ``kind``, else ``None``.
+
+        Any node can answer anything.  Where no verification applies, a wrong
+        or malformed answer is treated exactly as no answer.
+        """
+        return reply if isinstance(reply, kind) and reply.well_formed() else None
 
     def on_request_settled(self, request_id: str) -> None:
         self._pending_leader_requests.pop(request_id, None)
@@ -326,6 +335,7 @@ class TransEdgeClient(ProcessNode):
             ]
             replies = yield Gather(calls, timeout_ms=self._request_timeout_ms)
             for reply in replies:
+                reply = self._answer(reply, ReadReply)
                 if reply is None:
                     self.stats.timeouts += 1
                     return CommitResult(
@@ -334,7 +344,6 @@ class TransEdgeClient(ProcessNode):
                         abort_reason="read phase timed out",
                         latency_ms=self.now - start,
                     )
-                assert isinstance(reply, ReadReply)
                 reads.update(reply.versions)
             for key in read_keys:
                 reads.setdefault(key, NO_BATCH)
@@ -350,7 +359,6 @@ class TransEdgeClient(ProcessNode):
                 abort_reason="commit reply timed out",
                 latency_ms=latency,
             )
-        assert isinstance(reply, CommitReply)
         return CommitResult(
             txn_id=txn_id,
             status=reply.status,
@@ -411,9 +419,10 @@ class TransEdgeClient(ProcessNode):
                     # (e.g. during backoff): consume it, skip the send.
                     reply = self._quorum_commit_reply(txn.txn_id, quorum)
                     break
-                reply = yield self._leader_call(
+                answer = yield self._leader_call(
                     coordinator, request, timeout_ms=self._commit_timeout_ms
                 )
+                reply = self._answer(answer, CommitReply)
                 if (
                     reply is not None
                     and reply.status is not TxnStatus.COMMITTED
@@ -743,9 +752,9 @@ class TransEdgeClient(ProcessNode):
         values: Dict[Key, Optional[Value]] = {key: None for key in keys}
         versions: Dict[Key, BatchNumber] = {key: NO_BATCH for key in keys}
         for reply in replies:
+            reply = self._answer(reply, ReadReply)
             if reply is None:
                 continue
-            assert isinstance(reply, ReadReply)
             values.update(reply.values)
             versions.update(reply.versions)
 
@@ -823,7 +832,8 @@ class TransEdgeClient(ProcessNode):
 
             granted_counts: Dict[PartitionId, int] = {}
             for partition, reply in zip(call_partitions, replies):
-                if reply is None or not isinstance(reply, LockReadReply):
+                reply = self._answer(reply, LockReadReply)
+                if reply is None:
                     continue
                 if reply.granted:
                     granted_counts[partition] = granted_counts.get(partition, 0) + 1

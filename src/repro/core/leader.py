@@ -312,7 +312,7 @@ class LeaderRole:
     def on_commit_request(self, message: CommitRequest, src: NodeId) -> None:
         txn = message.txn
         waiting = _WaitingClient(client=src, request_id=message.request_id)
-        if self._replica.rejects_malformed(message, src) or txn is None:
+        if txn is None:
             return
         if not self._replica.is_leader:
             self._reply_abort(txn, waiting, "not the current leader of this partition")
@@ -393,7 +393,7 @@ class LeaderRole:
 
     def on_coordinator_prepare(self, message: CoordinatorPrepare, src: NodeId) -> None:
         txn, replica = message.txn, self._replica
-        if replica.rejects_malformed(message, src) or txn is None or not replica.is_leader:
+        if txn is None or not replica.is_leader:
             return
         if message.coordinator not in txn.partitions(self._partitioner):
             return  # names no cluster that could be coordinating this transaction
@@ -452,7 +452,7 @@ class LeaderRole:
 
     def on_participant_prepared(self, message: ParticipantPrepared, src: NodeId) -> None:
         vote, replica = message.vote, self._replica
-        if replica.rejects_malformed(message, src) or vote is None or not replica.is_leader:
+        if vote is None or not replica.is_leader:
             return
         votes = self._votes.get(vote.txn_id)
         group = replica.prepared_batches.group_of_txn(vote.txn_id)
@@ -506,7 +506,7 @@ class LeaderRole:
 
     def on_decision(self, message: DecisionMessage, src: NodeId) -> None:
         record, replica = message.record, self._replica
-        if replica.rejects_malformed(message, src) or record is None or not replica.is_leader:
+        if record is None or not replica.is_leader:
             return
         group = replica.prepared_batches.group_of_txn(record.txn.txn_id)
         if group is None:

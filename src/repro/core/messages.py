@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 from repro.common.ids import NO_BATCH, BatchNumber, PartitionId
-from repro.common.types import Key, NoneType, TxnStatus, Value
+from repro.common.types import Key, NoneType, TxnStatus, Value, keyed
 from repro.crypto.merkle import MerkleProof
 from repro.core.batch import CertifiedHeader, CommitRecord, PreparedVote
 from repro.core.transaction import TxnPayload
@@ -30,23 +30,43 @@ def _keys_well_formed(request: "ReadRequest") -> bool:
     return isinstance(keys, tuple) and all(isinstance(key, Key) for key in keys)
 
 
-def _keyed(mapping: object, kind: type) -> bool:
-    """Is ``mapping`` a dict from keys to ``kind``?"""
-    return isinstance(mapping, dict) and all(
-        isinstance(key, Key) and isinstance(value, kind) for key, value in mapping.items()
+def _read_well_formed(reply: "ReadReply") -> bool:
+    """``well_formed()`` of a plain read's answer: keyed values and versions."""
+    return (
+        isinstance(reply.partition, int)
+        and keyed(reply.values, Value)
+        and keyed(reply.versions, int)
     )
 
 
 def _snapshot_well_formed(reply: "ReadOnlyReply") -> bool:
-    """``well_formed()`` of a snapshot read's answer: keyed values, versions and
+    """``well_formed()`` of a snapshot read's answer: a plain read's, plus keyed
     proofs under an optional header.  What they claim is verified after."""
     return (
-        isinstance(reply.partition, int)
+        _read_well_formed(reply)
         and isinstance(reply.header, (CertifiedHeader, NoneType))
-        and _keyed(reply.values, Value)
-        and _keyed(reply.versions, int)
-        and _keyed(reply.proofs, MerkleProof)
+        and keyed(reply.proofs, MerkleProof)
     )
+
+
+def _txn_well_formed(txn: object) -> bool:
+    """Is ``txn`` absent or a well-formed transaction?"""
+    return txn is None or (isinstance(txn, TxnPayload) and txn.well_formed())
+
+
+def _outcome_well_formed(reply: "CommitReply") -> bool:
+    """``well_formed()`` of a transaction's reported fate (see :func:`outcome`)."""
+    return (
+        isinstance(reply.txn_id, str)
+        and isinstance(reply.status, TxnStatus)
+        and isinstance(reply.commit_batch, int)
+        and isinstance(reply.abort_reason, str)
+    )
+
+
+def _txn_id_well_formed(message: "DecisionQuery") -> bool:
+    """``well_formed()`` of a message naming a transaction of a partition."""
+    return isinstance(message.txn_id, str) and isinstance(message.partition, int)
 
 
 # ---------------------------------------------------------------------------
@@ -71,6 +91,8 @@ class ReadReply(ReplyMessage):
     versions: Dict[Key, BatchNumber] = field(default_factory=dict)
     partition: PartitionId = 0
 
+    well_formed = _read_well_formed
+
 
 # ---------------------------------------------------------------------------
 # Commit path (read-write transactions)
@@ -84,8 +106,7 @@ class CommitRequest(RequestMessage):
     txn: Optional[TxnPayload] = None
 
     def well_formed(self) -> bool:
-        """Do the fields have the declared shape?  Asked before a handler reads one."""
-        return isinstance(self.txn, (TxnPayload, NoneType))
+        return _txn_well_formed(self.txn)
 
 
 def outcome(committed: bool, batch: BatchNumber) -> Dict[str, object]:
@@ -105,6 +126,8 @@ class CommitReply(ReplyMessage):
     status: TxnStatus = TxnStatus.ABORTED
     commit_batch: BatchNumber = NO_BATCH
     abort_reason: str = ""
+
+    well_formed = _outcome_well_formed
 
 
 @dataclass
@@ -128,6 +151,9 @@ class ReplicaCommitReply(Message):
     commit_batch: BatchNumber = NO_BATCH
     abort_reason: str = ""
 
+    def well_formed(self) -> bool:
+        return isinstance(self.partition, int) and _outcome_well_formed(self)
+
 
 # ---------------------------------------------------------------------------
 # 2PC over BFT (leader ↔ leader)
@@ -150,7 +176,7 @@ class CoordinatorPrepare(Message):
 
     def well_formed(self) -> bool:
         return (
-            isinstance(self.txn, (TxnPayload, NoneType))
+            _txn_well_formed(self.txn)
             and isinstance(self.coordinator, int)
             and isinstance(self.header, (CertifiedHeader, NoneType))
         )
@@ -195,6 +221,8 @@ class DecisionQuery(Message):
     txn_id: str = ""
     partition: PartitionId = 0
 
+    well_formed = _txn_id_well_formed
+
 
 @dataclass
 class DecisionReply(Message):
@@ -232,6 +260,9 @@ class LeaderComplaint(Message):
     partition: PartitionId = 0
     txn: Optional[TxnPayload] = None
 
+    def well_formed(self) -> bool:
+        return isinstance(self.partition, int) and _txn_well_formed(self.txn)
+
 
 @dataclass
 class ComplaintProbe(Message):
@@ -248,6 +279,8 @@ class ComplaintProbe(Message):
     partition: PartitionId = 0
     txn: Optional[TxnPayload] = None
 
+    well_formed = LeaderComplaint.well_formed
+
 
 @dataclass
 class ComplaintProbeAck(Message):
@@ -255,6 +288,8 @@ class ComplaintProbeAck(Message):
 
     partition: PartitionId = 0
     txn_id: str = ""
+
+    well_formed = _txn_id_well_formed
 
 
 # ---------------------------------------------------------------------------
@@ -339,9 +374,15 @@ class LockReadReply(ReplyMessage):
     values: Dict[Key, Value] = field(default_factory=dict)
     versions: Dict[Key, BatchNumber] = field(default_factory=dict)
 
+    def well_formed(self) -> bool:
+        return isinstance(self.granted, bool) and _read_well_formed(self)
+
 
 @dataclass
 class LockReleaseMessage(Message):
     """Augustus: release all shared locks held by ``txn_id`` (fire and forget)."""
 
     txn_id: str = ""
+
+    def well_formed(self) -> bool:
+        return isinstance(self.txn_id, str)

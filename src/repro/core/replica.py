@@ -108,11 +108,8 @@ class ReplicaCounters:
     replica_replies_sent: int = 0
 
 
-#: The 2PC messages (the cost model charges them alike), and every message
-#: whose ``well_formed()`` is asked before anything reads one of its fields.
+#: The 2PC messages: the cost model charges them alike.
 _TWO_PC = (CoordinatorPrepare, ParticipantPrepared, DecisionMessage, DecisionReply)
-_READS = (ReadRequest, ReadOnlyRequest, SnapshotRequest, LockReadRequest)
-_SHAPE_CHECKED = _READS + (CommitRequest, StateTransferReply) + _TWO_PC
 
 #: How far (simulated ms) a proposed batch's timestamp may drift from a
 #: validating replica's clock: the leader's clock must be close to its own.
@@ -226,10 +223,6 @@ class PartitionReplica(SimNode):
                     + costs.signature_verify_ms
                 )
             return costs.signature_verify_ms
-        if isinstance(message, _SHAPE_CHECKED) and not message.well_formed():
-            # Refused before a field is read (``SimNode.rejects_malformed``,
-            # ``RecoveryCoordinator.on_reply``): charge the flat cost only.
-            return costs.message_handling_ms
         if isinstance(message, ReadRequest):
             return costs.message_handling_ms + len(message.keys) * costs.read_op_ms
         # Merkle proof work scales with the tree depth, O(log K) in the
@@ -676,8 +669,6 @@ class PartitionReplica(SimNode):
 
     def _on_bft_message(self, message: Message, src: NodeId) -> None:
         assert isinstance(message, BftMessage)
-        if self.rejects_malformed(message, src):
-            return
         self.engine.handle(message, src)
         # Consensus traffic both creates and resolves progress evidence
         # (a vote for an unseen instance arms the monitor; a delivery or a
@@ -686,8 +677,7 @@ class PartitionReplica(SimNode):
 
     def _on_checkpoint_vote(self, message: Message, src: NodeId) -> None:
         assert isinstance(message, CheckpointVote)
-        if not self.rejects_malformed(message, src):
-            self.checkpoints.on_vote(message, src)
+        self.checkpoints.on_vote(message, src)
 
     def _on_state_transfer_request(self, message: Message, src: NodeId) -> None:
         assert isinstance(message, StateTransferRequest)
@@ -729,8 +719,6 @@ class PartitionReplica(SimNode):
 
     def _on_read_request(self, message: Message, src: NodeId) -> None:
         assert isinstance(message, ReadRequest)
-        if self.rejects_malformed(message, src):
-            return
         values, versions, _ = self._collect_reads(message.keys, (), as_of=None)
         self.send(
             src,
@@ -744,8 +732,6 @@ class PartitionReplica(SimNode):
 
     def _on_read_only_request(self, message: Message, src: NodeId) -> None:
         assert isinstance(message, ReadOnlyRequest)
-        if self.rejects_malformed(message, src):
-            return
         self.counters.read_only_served += 1
         values, versions, proofs = self._collect_reads(
             message.keys, self.merkle.tree, as_of=None
@@ -764,8 +750,6 @@ class PartitionReplica(SimNode):
 
     def _on_snapshot_request(self, message: Message, src: NodeId) -> None:
         assert isinstance(message, SnapshotRequest)
-        if self.rejects_malformed(message, src):
-            return
         header = self._earliest_header_with_lce(message.required_prepare_batch)
         if header is None:
             # The required dependency has not committed locally yet; park the
@@ -912,8 +896,6 @@ class PartitionReplica(SimNode):
 
     def _on_lock_read_request(self, message: Message, src: NodeId) -> None:
         assert isinstance(message, LockReadRequest)
-        if self.rejects_malformed(message, src):
-            return
         local_keys = [key for key in message.keys if key in self.store]
         granted = self.locks.try_acquire(message.txn_id, local_keys, LockMode.SHARED)
         values, versions, _ = self._collect_reads(local_keys if granted else (), (), as_of=None)
@@ -976,7 +958,7 @@ class PartitionReplica(SimNode):
     def _on_decision_reply(self, message: Message, src: NodeId) -> None:
         assert isinstance(message, DecisionReply)
         record = message.record
-        if self.rejects_malformed(message, src) or record is None or not self.is_leader:
+        if record is None or not self.is_leader:
             return
         group = self.prepared_batches.group_of_txn(record.txn.txn_id)
         if group is None or record.txn.txn_id in group.decisions:

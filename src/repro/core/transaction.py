@@ -17,7 +17,7 @@ from typing import Dict, FrozenSet, Mapping
 
 from repro.common.errors import InvalidTransactionError
 from repro.common.ids import BatchNumber, PartitionId
-from repro.common.types import Key, MemoisedValue, Value
+from repro.common.types import Key, MemoisedValue, Value, keyed
 from repro.crypto.hashing import Encoded
 from repro.storage.partitioner import HashPartitioner
 
@@ -105,6 +105,21 @@ class TxnPayload(MemoisedValue):
             raise InvalidTransactionError(
                 f"transaction {self.txn_id} has neither reads nor writes"
             )
+
+    def well_formed(self) -> bool:
+        """Do the fields have the declared shape?  A transaction is outside
+        input: a client's, or anyone's inside a 2PC message or a batch."""
+        return self._well_formed
+
+    @cached_property
+    def _well_formed(self) -> bool:
+        # One object rides every retry, 2PC message and batch: checked once.
+        return (
+            isinstance(self.txn_id, str)
+            and isinstance(self.client, str)
+            and keyed(self.reads, int)
+            and keyed(self.writes, Value)
+        )
 
     # -- footprint helpers ----------------------------------------------------
 

@@ -44,6 +44,16 @@ class Signature:
             raise SignatureError("signature must carry a signer identity")
 
 
+def signature_well_formed(signature: object) -> bool:
+    """Is ``signature`` a :class:`Signature` whose signer a registry can look
+    up and whose value a check can compare?  Signatures are outside input."""
+    return (
+        isinstance(signature, Signature)
+        and isinstance(signature.signer, str)
+        and isinstance(signature.value, bytes)
+    )
+
+
 class Signer:
     """Interface implemented by the per-node signing backends."""
 
@@ -252,7 +262,10 @@ class KeyRegistry:
         class docstring); it is only used as the memoization key, never as
         the verified bytes.  ``cache`` selects whose memo records the verdict
         (a node's private cache); the registry's own cache is the default.
+        A malformed signature is ``False``, before any cache key is built.
         """
+        if not signature_well_formed(signature):
+            return False
         return self._verify_encoded(payload, signature, payload_digest, None, cache)
 
     def _verify_encoded(
@@ -327,6 +340,8 @@ class KeyRegistry:
         payload_digest = sha256(message) if cache.enabled else None
         valid_signers = set()
         for signature in signatures:
+            if not signature_well_formed(signature):
+                continue
             if allowed is not None and signature.signer not in allowed:
                 continue
             if signature.signer in valid_signers:

@@ -54,9 +54,6 @@ from repro.storage.partitioner import HashPartitioner
 _CACHE_CAPACITY = 256
 #: How long (simulated ms) a proxy waits for a core replica on a cache miss.
 _FETCH_TIMEOUT_MS = 20_000.0
-#: Every message whose ``well_formed()`` is asked before anything reads one
-#: of its fields.
-_SHAPE_CHECKED = (EdgeReadRequest, HeaderAnnouncement, ReadOnlyReply)
 
 
 @dataclass
@@ -121,8 +118,6 @@ class EdgeProxy(ProcessNode):
 
     def processing_cost_ms(self, message: Message) -> float:
         costs = self.config.costs
-        if isinstance(message, _SHAPE_CHECKED) and not message.well_formed():
-            return costs.message_handling_ms
         if isinstance(message, EdgeReadRequest):
             # Serving from cache is a plain lookup per key; proofs are stored,
             # not recomputed, so no per-level Merkle charge applies.
@@ -139,14 +134,10 @@ class EdgeProxy(ProcessNode):
 
     def _on_edge_read(self, message: Message, src: NodeId) -> None:
         assert isinstance(message, EdgeReadRequest)
-        if self.rejects_malformed(message, src):
-            return
         self.spawn(self._serve(message, src), name=f"serve-{message.request_id}")
 
     def _on_announcement(self, message: Message, src: NodeId) -> None:
         assert isinstance(message, HeaderAnnouncement)
-        if self.rejects_malformed(message, src):
-            return
         header = message.header
         if header is None or header.partition != message.partition:
             return

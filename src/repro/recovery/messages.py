@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro.bft.log import LogEntry
+from repro.bft.messages import proposal_well_formed
 from repro.bft.quorum import CommitCertificate, ViewChangeCertificate
 from repro.common.ids import NO_BATCH, BatchNumber, PartitionId
 from repro.common.types import NoneType
@@ -30,6 +31,9 @@ class StateTransferRequest(Message):
 
     partition: PartitionId = 0
     have_seq: BatchNumber = NO_BATCH
+
+    def well_formed(self) -> bool:
+        return isinstance(self.partition, int) and isinstance(self.have_seq, int)
 
 
 @dataclass
@@ -77,6 +81,7 @@ class StateTransferReply(Message):
                 isinstance(entry, LogEntry)
                 and isinstance(entry.seq, int)
                 and isinstance(entry.certificate, CommitCertificate)
+                and proposal_well_formed(entry.value)
                 for entry in self.entries
             )
         )

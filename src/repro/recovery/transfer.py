@@ -73,11 +73,6 @@ class RecoveryCoordinator:
 
     def on_reply(self, message: StateTransferReply, src) -> None:
         replica = self._replica
-        if not message.well_formed():
-            # A byzantine member's reply need not even have the declared
-            # shape; refuse it before any field is read.
-            replica.counters.state_transfers_rejected += 1
-            return
         if message.partition != replica.partition:
             return
         held_before = replica.log.last_seq

@@ -20,7 +20,7 @@ from repro.crypto.signatures import KeyRegistry, NodeVerifier, Signer, make_sign
 from repro.obs.hub import Observability
 from repro.obs.phases import phase_for
 from repro.obs.trace import Span
-from repro.simnet.messages import Message
+from repro.simnet.messages import Message, ReplyMessage
 from repro.simnet.network import Network
 from repro.simnet.reliable import ReliableAck, ReliableEnvelope, ReliableTransport
 from repro.simnet.simulator import Simulator
@@ -199,7 +199,13 @@ class SimNode:
             message = payload
         arrival = self.env.simulator.now
         start = max(arrival, self._busy_until)
-        cost = self.processing_cost_ms(message)
+        # The one shape check of an arriving message: a malformed one is
+        # priced flat, so no cost model ever reads its fields.
+        well_formed = message.well_formed()
+        if well_formed:
+            cost = self.processing_cost_ms(message)
+        else:
+            cost = self.env.config.costs.message_handling_ms
         completion = start + cost
         self._busy_until = completion
         handle_span = None
@@ -223,32 +229,24 @@ class SimNode:
                 self.phase_of(message), start, completion,
             )
         if handle_span is None:
-            self.env.simulator.schedule_call(completion, self._dispatch, message, src)
+            self.env.simulator.schedule_call(
+                completion, self._dispatch, message, src, well_formed
+            )
         else:
             self.env.simulator.schedule_call(
-                completion, self._dispatch_in_span, message, src, handle_span
+                completion, self._dispatch_in_span, message, src, handle_span, well_formed
             )
 
-    def _dispatch_in_span(self, message: Message, src: NodeId, span: Span) -> None:
+    def _dispatch_in_span(
+        self, message: Message, src: NodeId, span: Span, well_formed: bool
+    ) -> None:
         """Run the handler with ``span`` current, so its sends are traced."""
         previous = self._current_span
         self._current_span = span
         try:
-            self._dispatch(message, src)
+            self._dispatch(message, src, well_formed)
         finally:
             self._current_span = previous
-
-    def rejects_malformed(self, message: Message, src: NodeId) -> bool:
-        """Fail closed at a handler boundary: is ``message`` not even well formed?
-
-        Any node can send any node anything; a handler asks this before it
-        reads a field, so a malformed message leaves one event and no trace
-        in protocol state instead of an exception out of the run.
-        """
-        if message.well_formed():
-            return False
-        self.report_malformed(message, src)
-        return True
 
     def report_malformed(self, message: Message, src: NodeId) -> None:
         """The one ``malformed-message`` event of a refused message."""
@@ -275,7 +273,13 @@ class SimNode:
 
     # -- dispatch ----------------------------------------------------------
 
-    def _dispatch(self, message: Message, src: NodeId) -> None:
+    def _dispatch(self, message: Message, src: NodeId, well_formed: bool) -> None:
+        """Hand ``message`` to its handler; ``well_formed`` is ``receive``'s verdict.
+
+        A malformed message leaves one event and reaches no handler.  A
+        malformed reply still goes to the process waiting on it: only the
+        waiter knows what a bad answer means.
+        """
         monitor = self.env.monitor
         if monitor is not None:
             # Lazy window sampling (repro.obs.monitor): dispatches are the
@@ -285,6 +289,9 @@ class SimNode:
         if self.crashed:
             return
         self.messages_handled += 1
+        if not (well_formed or isinstance(message, ReplyMessage)):
+            self.report_malformed(message, src)
+            return
         handler = self._handlers.get(type(message))
         if handler is None:
             handler = self._find_handler_by_mro(type(message))

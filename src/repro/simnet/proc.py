@@ -11,8 +11,8 @@ Supported operations:
 * :class:`Call` — send a request to one node and wait for the correlated
   reply (optionally bounded by a timeout, in which case ``None`` is
   returned).
-* :class:`Gather` — issue several calls in parallel and resume once a quorum
-  (or a custom predicate) is satisfied; the result is a list of replies
+* :class:`Gather` — issue several calls in parallel and resume once every
+  reply is in or the gather's timeout passes; the result is a list of replies
   aligned with the calls, with ``None`` for replies that never arrived.
 * :class:`Sleep` — advance simulated time.
 """
@@ -20,7 +20,7 @@ Supported operations:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Generator, List, Optional, Sequence
+from typing import Dict, Generator, List, Optional, Sequence
 
 from repro.common.errors import SimulationError
 from repro.common.ids import NodeId
@@ -39,16 +39,10 @@ class Call:
 
 @dataclass
 class Gather:
-    """Issue ``calls`` in parallel and wait for enough replies.
-
-    ``quorum`` is the number of replies to wait for (default: all).  When
-    ``done`` is provided it overrides ``quorum``: it receives the partially
-    filled reply list and returns True when the wait should end.
-    """
+    """Issue ``calls`` in parallel; wait until every reply is in or
+    ``timeout_ms`` passes (a call's own timeout applies only to a lone call)."""
 
     calls: Sequence[Call]
-    quorum: Optional[int] = None
-    done: Optional[Callable[[List[Optional[ReplyMessage]]], bool]] = None
     timeout_ms: Optional[float] = None
 
 
@@ -68,8 +62,6 @@ class _Wait:
     process: "Process"
     replies: List[Optional[ReplyMessage]]
     remaining_ids: Dict[str, int] = field(default_factory=dict)
-    needed: int = 0
-    done: Optional[Callable[[List[Optional[ReplyMessage]]], bool]] = None
     single: bool = False
     finished: bool = False
     timer = None
@@ -167,13 +159,7 @@ class ProcessNode(SimNode):
         if not calls:
             process._advance(None if single else [])
             return
-        wait = _Wait(
-            process=process,
-            replies=[None] * len(calls),
-            needed=gather.quorum if gather.quorum is not None else len(calls),
-            done=gather.done,
-            single=single,
-        )
+        wait = _Wait(process=process, replies=[None] * len(calls), single=single)
         stamp = (
             process.span is not None and self.env.obs.tracing
         )
@@ -188,10 +174,6 @@ class ProcessNode(SimNode):
             self.send(call.dst, call.request)
         if gather.timeout_ms is not None:
             wait.timer = self.schedule(gather.timeout_ms, self._finish_wait, wait)
-        # Per-call timeouts inside a Gather use the smallest timeout provided.
-        per_call_timeouts = [c.timeout_ms for c in calls if c.timeout_ms is not None]
-        if per_call_timeouts and gather.timeout_ms is None:
-            wait.timer = self.schedule(min(per_call_timeouts), self._finish_wait, wait)
 
     def _on_reply(self, message: Message, src: NodeId) -> None:
         assert isinstance(message, ReplyMessage)
@@ -206,14 +188,8 @@ class ProcessNode(SimNode):
         self.on_request_settled(message.request_id)
         index = wait.remaining_ids.pop(message.request_id)
         wait.replies[index] = message
-        if self._wait_satisfied(wait):
+        if not wait.remaining_ids:
             self._finish_wait(wait)
-
-    def _wait_satisfied(self, wait: _Wait) -> bool:
-        received = sum(1 for reply in wait.replies if reply is not None)
-        if wait.done is not None:
-            return wait.done(wait.replies)
-        return received >= wait.needed
 
     def _finish_wait(self, wait: _Wait) -> None:
         if wait.finished:

@@ -94,8 +94,6 @@ class TestMalformedReadRequests:
         assert event.detail == {"type": type(message).__name__, "from": str(client.node_id)}
         assert system.counters() == counters  # nothing served, nothing counted
         assert replica._deferred_snapshots == []
-        # The flat cost only: the replica was busy for one message-handling step.
-        assert replica.processing_cost_ms(message) == system.config.costs.message_handling_ms
 
         # A well-formed request of the same type, on the same replica, is answered.
         key = system.keys_of_partition(0)[0]
@@ -104,6 +102,10 @@ class TestMalformedReadRequests:
         assert isinstance(reply, reply_type)
         assert reply.values == {key: system.initial_data[key]}
         assert len(malformed_events(system)) == 1
+        # The flat cost only: ``receive`` never prices a malformed request.
+        start = max(replica.now, replica._busy_until)
+        replica.receive(message, client.node_id)
+        assert replica._busy_until - start == pytest.approx(system.config.costs.message_handling_ms)
 
     def test_well_formed_reads_are_charged_what_they_were(self):
         system = make_system()

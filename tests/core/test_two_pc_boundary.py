@@ -134,10 +134,12 @@ class TestMalformedTwoPcMessages:
         (event,) = malformed_events(system)
         assert event.node == str(leader.node_id)
         assert event.detail == {"type": type(message).__name__, "from": str(byzantine.node_id)}
-        # The flat cost only: the leader was busy for one message-handling step.
-        assert leader.processing_cost_ms(message) == system.config.costs.message_handling_ms
         # Both clusters keep committing afterwards.
         assert commit_across(system, "after").committed
+        # The flat cost only: ``receive`` never prices a malformed message.
+        start = max(leader.now, leader._busy_until)
+        leader.receive(message, byzantine.node_id)
+        assert leader._busy_until - start == pytest.approx(system.config.costs.message_handling_ms)
 
     def test_well_formed_vote_from_its_cluster_still_counts(self):
         # The control: a "no" signed by the participant's leader is a vote.

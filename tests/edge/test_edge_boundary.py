@@ -324,7 +324,10 @@ class TestMalformedProxyInputs:
         assert event.node == str(proxy.node_id)
         assert event.detail == {"type": type(message).__name__, "from": str(sender.node_id)}
         assert proxy.counters.reads_served == 0
-        assert proxy.processing_cost_ms(message) == system.config.costs.message_handling_ms
+        # The flat cost only: ``receive`` never prices a malformed input.
+        start = max(proxy.now, proxy._busy_until)
+        proxy.receive(message, sender.node_id)
+        assert proxy._busy_until - start == pytest.approx(system.config.costs.message_handling_ms)
 
         # The same proxy serves the next honest read.
         client = system.create_client("reader")

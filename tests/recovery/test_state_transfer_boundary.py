@@ -3,10 +3,10 @@
 Any cluster member can send a state-transfer reply to any peer at any time,
 so its fields cannot be trusted to even have the declared *shape*.  A reply
 whose fields do not is charged the flat message-handling cost, installs
-nothing and is counted in ``state_transfers_rejected`` — it must never raise
-out of ``SimNode.receive`` (the cost model runs before any handler) or out of
-the recovery coordinator, because either escapes ``run_until_idle`` and takes
-the whole run down with it.
+nothing and leaves one ``malformed-message`` event: ``SimNode.receive``
+refuses it before the cost model or the recovery coordinator reads a field,
+because a raise from either escapes ``run_until_idle`` and takes the whole
+run down with it.
 """
 
 from __future__ import annotations
@@ -83,7 +83,8 @@ class TestMalformedStateTransferReply:
         assert (victim.log.last_seq, victim.merkle.root, victim.engine.view) == (
             tip, root, view,
         )
-        assert victim.counters.state_transfers_rejected == rejected + 1
+        refused = [e.node for e in system.env.obs.recorder.events_of_kind("malformed-message")]
+        assert (victim.counters.state_transfers_rejected, refused) == (rejected, [str(victim.node_id)])
         assert victim.counters.recoveries_completed == 0
         assert victim.recovery.in_progress is recovering
         # The cluster, victim included, keeps committing afterwards.

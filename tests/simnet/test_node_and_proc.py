@@ -235,46 +235,6 @@ class TestProcesses:
         env.simulator.run_until_idle()
         assert results == [["M0", "M1", "M2"]]
 
-    def test_gather_quorum_resumes_early(self):
-        env = fast_env()
-        # One server never replies; quorum of 2 out of 3 should still resume.
-        servers = [
-            EchoServer(ReplicaId(0, 0), env),
-            EchoServer(ReplicaId(0, 1), env),
-            EchoServer(ReplicaId(0, 2), env, ignore_first=10),
-        ]
-        client = ProcessNode(ClientId("c1"), env)
-        results = []
-
-        def body():
-            replies = yield Gather(
-                [Call(s.node_id, Echo(text="q")) for s in servers], quorum=2
-            )
-            results.append(sum(1 for r in replies if r is not None))
-
-        client.spawn(body())
-        env.simulator.run_until_idle()
-        assert results == [2]
-
-    def test_gather_custom_done_predicate(self):
-        env = fast_env()
-        servers = [EchoServer(ReplicaId(0, i), env) for i in range(4)]
-        client = ProcessNode(ClientId("c1"), env)
-        results = []
-
-        def done(replies):
-            return sum(1 for r in replies if r is not None) >= 3
-
-        def body():
-            replies = yield Gather(
-                [Call(s.node_id, Echo(text="q")) for s in servers], done=done
-            )
-            results.append(sum(1 for r in replies if r is not None))
-
-        client.spawn(body())
-        env.simulator.run_until_idle()
-        assert results and results[0] >= 3
-
     def test_sleep_advances_time(self):
         env = fast_env()
         client = ProcessNode(ClientId("c1"), env)
