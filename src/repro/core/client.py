@@ -62,9 +62,9 @@ from repro.core.transaction import TxnPayload
 from repro.edge.messages import EdgeReadReply, EdgeReadRequest
 from repro.edge.routing import EdgeRouter
 from repro.simnet.latency import client_home_partition
-from repro.simnet.messages import ReplyMessage, RequestMessage
+from repro.simnet.messages import RequestMessage
 from repro.simnet.node import SimEnvironment
-from repro.simnet.proc import Call, Gather, ProcessNode, Sleep
+from repro.simnet.proc import REFUSED, Call, Gather, ProcessNode, Sleep
 from repro.storage.partitioner import HashPartitioner
 
 #: Abort reasons that *place* a commit request (wrong node, node
@@ -191,15 +191,6 @@ class TransEdgeClient(ProcessNode):
         """A :class:`Call` to ``partition``'s leader, tracked for failover."""
         self._pending_leader_requests[request.request_id] = (partition, request)
         return Call(self._leader_of(partition), request, timeout_ms=timeout_ms)
-
-    @staticmethod
-    def _answer(reply: object, kind: type) -> Optional[ReplyMessage]:
-        """``reply`` if it is a well-formed ``kind``, else ``None``.
-
-        Any node can answer anything.  Where no verification applies, a wrong
-        or malformed answer is treated exactly as no answer.
-        """
-        return reply if isinstance(reply, kind) and reply.well_formed() else None
 
     def on_request_settled(self, request_id: str) -> None:
         self._pending_leader_requests.pop(request_id, None)
@@ -335,8 +326,7 @@ class TransEdgeClient(ProcessNode):
             ]
             replies = yield Gather(calls, timeout_ms=self._request_timeout_ms)
             for reply in replies:
-                reply = self._answer(reply, ReadReply)
-                if reply is None:
+                if not isinstance(reply, ReadReply):
                     self.stats.timeouts += 1
                     return CommitResult(
                         txn_id=txn_id,
@@ -422,7 +412,7 @@ class TransEdgeClient(ProcessNode):
                 answer = yield self._leader_call(
                     coordinator, request, timeout_ms=self._commit_timeout_ms
                 )
-                reply = self._answer(answer, CommitReply)
+                reply = answer if isinstance(answer, CommitReply) else None
                 if (
                     reply is not None
                     and reply.status is not TxnStatus.COMMITTED
@@ -634,11 +624,11 @@ class TransEdgeClient(ProcessNode):
             EdgeReadRequest(keys=all_keys),
             timeout_ms=EDGE_READ_TIMEOUT_MS,
         )
-        if not isinstance(reply, EdgeReadReply):
-            return None, None
-        if not reply.well_formed():
+        if reply is REFUSED:
             self.stats.edge_verification_failures += 1
             self.edge_router.blacklist(proxy)
+            return None, None
+        if not isinstance(reply, EdgeReadReply):
             return None, None
         snapshots: Dict[PartitionId, PartitionSnapshot] = {}
         for partition in sorted(grouped):
@@ -709,13 +699,13 @@ class TransEdgeClient(ProcessNode):
         attempt = 0
         while True:
             if isinstance(reply, reply_type):
-                snapshot = (
-                    PartitionSnapshot.of(partition, keys, reply) if reply.well_formed() else None
-                )
-                if snapshot is not None and verify_snapshot(
+                snapshot = PartitionSnapshot.of(partition, keys, reply)
+                if verify_snapshot(
                     snapshot, self.verifier, self.topology, self.config, now_ms=self.now
                 ):
                     return snapshot
+                self.stats.read_only_verification_failures += 1
+            elif reply is REFUSED:
                 self.stats.read_only_verification_failures += 1
             if attempt >= len(candidates):
                 return None
@@ -752,8 +742,7 @@ class TransEdgeClient(ProcessNode):
         values: Dict[Key, Optional[Value]] = {key: None for key in keys}
         versions: Dict[Key, BatchNumber] = {key: NO_BATCH for key in keys}
         for reply in replies:
-            reply = self._answer(reply, ReadReply)
-            if reply is None:
+            if not isinstance(reply, ReadReply):
                 continue
             values.update(reply.values)
             versions.update(reply.versions)
@@ -832,8 +821,7 @@ class TransEdgeClient(ProcessNode):
 
             granted_counts: Dict[PartitionId, int] = {}
             for partition, reply in zip(call_partitions, replies):
-                reply = self._answer(reply, LockReadReply)
-                if reply is None:
+                if not isinstance(reply, LockReadReply):
                     continue
                 if reply.granted:
                     granted_counts[partition] = granted_counts.get(partition, 0) + 1

@@ -47,7 +47,7 @@ from repro.edge.messages import (
 from repro.edge.cache import EdgeCache
 from repro.simnet.messages import Message
 from repro.simnet.node import SimEnvironment
-from repro.simnet.proc import Call, Gather, ProcessNode
+from repro.simnet.proc import REFUSED, Call, Gather, ProcessNode
 from repro.storage.partitioner import HashPartitioner
 
 #: Cached entries per partition per proxy (LRU).
@@ -261,14 +261,15 @@ class EdgeProxy(ProcessNode):
         self, partition: PartitionId, requested: Tuple[Key, ...], reply: object
     ) -> Optional[PartitionSection]:
         """Verify a core reply, cache it, and cut the requested-keys section."""
-        if not isinstance(reply, ReadOnlyReply) or reply.header is None:
+        refused = reply is REFUSED  # malformed
+        if not (refused or isinstance(reply, ReadOnlyReply) and reply.header is not None):
             return None
         self.counters.core_fetches += 1
         # No staleness bound here (now_ms=None): freshness is the *client's*
         # policy; the proxy only refuses responses that are provably forged.
         # Nothing of a refused reply is read or relayed: the client falls
         # back to the core for that partition.
-        if not reply.well_formed() or not verify_snapshot(
+        if refused or not verify_snapshot(
             PartitionSnapshot.of(partition, tuple(sorted(reply.values)), reply),
             self.verifier,
             self.topology,

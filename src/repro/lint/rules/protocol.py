@@ -26,7 +26,7 @@ class MessageLifecycleRule(ProjectRule):
     rationale = (
         "a message class that is never constructed is dead protocol surface; "
         "one that is never dispatched (no register_handler / isinstance for "
-        "it or a base class) is silently dropped by on_unhandled at runtime"
+        "it or a base class) is refused by on_unhandled at runtime"
     )
 
     _ROOTS = {"Message"}
@@ -114,7 +114,7 @@ class MessageLifecycleRule(ProjectRule):
                     node.lineno,
                     f"message class {node.name} is never dispatched: no "
                     f"register_handler or isinstance mentions it or a base "
-                    f"class, so receivers raise on_unhandled",
+                    f"class, so every receiver refuses it",
                 )
 
 

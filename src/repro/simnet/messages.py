@@ -40,12 +40,8 @@ class Message:
         return type(self).__name__
 
     def well_formed(self) -> bool:
-        """Do the fields have the declared shape?  What they claim is checked after.
-
-        Any node can send any node anything, so ``SimNode.receive`` asks every
-        arriving message this once, before a cost model or handler reads a
-        field.  A type that declares fields answers for them.
-        """
+        """Do the fields have the declared shape?  ``SimNode.receive`` asks every
+        arriving message once; a type that declares fields answers for them."""
         return True
 
 

@@ -14,13 +14,12 @@ import random
 from typing import Callable, Dict, Optional, Type
 
 from repro.common.config import SystemConfig
-from repro.common.errors import SimulationError
 from repro.common.ids import NodeId
 from repro.crypto.signatures import KeyRegistry, NodeVerifier, Signer, make_signer
 from repro.obs.hub import Observability
 from repro.obs.phases import phase_for
 from repro.obs.trace import Span
-from repro.simnet.messages import Message, ReplyMessage
+from repro.simnet.messages import Message
 from repro.simnet.network import Network
 from repro.simnet.reliable import ReliableAck, ReliableEnvelope, ReliableTransport
 from repro.simnet.simulator import Simulator
@@ -229,9 +228,7 @@ class SimNode:
                 self.phase_of(message), start, completion,
             )
         if handle_span is None:
-            self.env.simulator.schedule_call(
-                completion, self._dispatch, message, src, well_formed
-            )
+            self.env.simulator.schedule_call(completion, self._dispatch, message, src, well_formed)
         else:
             self.env.simulator.schedule_call(
                 completion, self._dispatch_in_span, message, src, handle_span, well_formed
@@ -248,7 +245,7 @@ class SimNode:
         finally:
             self._current_span = previous
 
-    def report_malformed(self, message: Message, src: NodeId) -> None:
+    def refuse(self, message: Message, src: NodeId) -> None:
         """The one ``malformed-message`` event of a refused message."""
         self.env.obs.event(
             str(self.node_id), "malformed-message", "warn",
@@ -274,12 +271,7 @@ class SimNode:
     # -- dispatch ----------------------------------------------------------
 
     def _dispatch(self, message: Message, src: NodeId, well_formed: bool) -> None:
-        """Hand ``message`` to its handler; ``well_formed`` is ``receive``'s verdict.
-
-        A malformed message leaves one event and reaches no handler.  A
-        malformed reply still goes to the process waiting on it: only the
-        waiter knows what a bad answer means.
-        """
+        """Hand ``message`` to its handler, unless ``receive`` found it malformed."""
         monitor = self.env.monitor
         if monitor is not None:
             # Lazy window sampling (repro.obs.monitor): dispatches are the
@@ -289,8 +281,8 @@ class SimNode:
         if self.crashed:
             return
         self.messages_handled += 1
-        if not (well_formed or isinstance(message, ReplyMessage)):
-            self.report_malformed(message, src)
+        if not well_formed:
+            self.refuse(message, src)
             return
         handler = self._handlers.get(type(message))
         if handler is None:
@@ -307,7 +299,9 @@ class SimNode:
         return None
 
     def on_unhandled(self, message: Message, src: NodeId) -> None:
-        """Called for messages with no registered handler."""
-        raise SimulationError(
-            f"{self.node_id} has no handler for {message.type_name} from {src}"
-        )
+        """A message this node has no handler for: refused like a malformed one.
+
+        Every type has a handler on some node (lint rule P301), so this is
+        a message sent to a node of the wrong role.
+        """
+        self.refuse(message, src)

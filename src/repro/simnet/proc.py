@@ -13,7 +13,8 @@ Supported operations:
   returned).
 * :class:`Gather` — issue several calls in parallel and resume once every
   reply is in or the gather's timeout passes; the result is a list of replies
-  aligned with the calls, with ``None`` for replies that never arrived.
+  aligned with the calls, with ``None`` for replies that never arrived and
+  :data:`REFUSED` for malformed ones.
 * :class:`Sleep` — advance simulated time.
 """
 
@@ -57,10 +58,16 @@ class Sleep:
 ProcessBody = Generator[object, object, object]
 
 
+#: What a waiting process receives in place of a reply that
+#: ``SimNode.receive`` found malformed: an answer of no reply type, so no
+#: waiter asks a reply's shape again.
+REFUSED = object()
+
+
 @dataclass
 class _Wait:
     process: "Process"
-    replies: List[Optional[ReplyMessage]]
+    replies: List[object]
     remaining_ids: Dict[str, int] = field(default_factory=dict)
     single: bool = False
     finished: bool = False
@@ -177,17 +184,30 @@ class ProcessNode(SimNode):
 
     def _on_reply(self, message: Message, src: NodeId) -> None:
         assert isinstance(message, ReplyMessage)
+        self._settle(message, src, message)
+
+    def refuse(self, message: Message, src: NodeId) -> None:
+        """A malformed reply still settles its wait, as :data:`REFUSED`: only
+        the waiter knows what a bad answer means (ask the next member, count a
+        failed verification, blacklist a proxy)."""
+        if isinstance(message, ReplyMessage):
+            self._settle(message, src, REFUSED)
+        else:
+            super().refuse(message, src)
+
+    def _settle(self, message: ReplyMessage, src: NodeId, answer: object) -> None:
+        """Resume the wait on ``message.request_id`` with ``answer``."""
         if type(message.request_id) is not str:
             # Any node can send anything: an unhashable id would raise out of
             # the lookup below, and no wait is keyed by a non-string anyway.
-            self.report_malformed(message, src)
+            SimNode.refuse(self, message, src)
             return
         wait = self._waits_by_request.pop(message.request_id, None)
         if wait is None or wait.finished:
             return
         self.on_request_settled(message.request_id)
         index = wait.remaining_ids.pop(message.request_id)
-        wait.replies[index] = message
+        wait.replies[index] = answer
         if not wait.remaining_ids:
             self._finish_wait(wait)
 

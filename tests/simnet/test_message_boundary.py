@@ -3,13 +3,16 @@
 Any node can send any node anything.  ``SimNode.receive`` asks every
 protocol message ``well_formed()`` once: a malformed one is charged the flat
 ``message_handling_ms`` and, at dispatch, leaves one ``malformed-message``
-event and reaches no handler.  A malformed *reply* still goes to the process
-waiting on it, which treats a bad answer as no answer.
+event and reaches no handler.  A malformed *reply* still settles the wait of
+the process waiting on it, which receives ``REFUSED`` in its place and treats
+that bad answer as no answer.  A message the receiver has no handler for is
+refused the same way.
 
 * (a) every message type under ``repro`` with fields of its own answers
   ``well_formed()`` for them;
-* (b) 18 shapes that each raised out of ``run_until_idle()`` before the
-  boundary existed now fail closed, and the cluster commits afterwards;
+* (b) 18 shapes, and 3 misdirected messages, that each raised out of
+  ``run_until_idle()`` before the boundary existed now fail closed, and the
+  cluster commits afterwards;
 * (c) one junk field in a message, or in a transaction, batch or signature
   it carries, never raises out of the run.
 """
@@ -49,6 +52,7 @@ from repro.core.messages import (
 from repro.core.system import TransEdgeSystem
 from repro.core.transaction import TxnPayload
 from repro.crypto.signatures import Signature
+from repro.edge.messages import HeaderAnnouncement
 from repro.recovery.messages import StateTransferRequest
 from repro.simnet.messages import Message
 from repro.simnet.reliable import ReliableAck, ReliableEnvelope
@@ -262,6 +266,36 @@ def test_a_bad_answer_is_treated_as_no_answer(request_type, answer, outcome):
 
 def test_the_shapes_are_eighteen():
     assert len(MESSAGE_SHAPES) + len(REPLY_SHAPES) == 18
+
+
+#: (id, sender, receiver, a well-formed message of a type the receiver has
+#: no handler for); each raised ``SimulationError`` from ``on_unhandled``
+MISDIRECTED = [
+    ("read-reply-to-a-replica", client, leader(0), plain(ReadReply(request_id="x"))),
+    ("header-announcement-to-a-replica", client, follower(0),
+     plain(HeaderAnnouncement(partition=0))),
+    ("decision-query-to-a-client", leader(0), client,
+     plain(DecisionQuery(txn_id="t", partition=0))),
+]
+
+
+@pytest.mark.parametrize(
+    "sender_of, receiver_of, make",
+    [case[1:] for case in MISDIRECTED],
+    ids=[case[0] for case in MISDIRECTED],
+)
+def test_a_misdirected_message_is_refused_like_a_malformed_one(sender_of, receiver_of, make):
+    system = make_system()
+    sender, receiver = sender_of(system), receiver_of(system)
+    message = make(sender, system)
+
+    sender.send(receiver.node_id, message)
+    system.run_until_idle()  # nothing raises out of the run
+
+    (event,) = malformed_events(system)
+    assert event.node == str(receiver.node_id)
+    assert event.detail == {"type": type(message).__name__, "from": str(sender.node_id)}
+    assert commit(system, "after").committed
 
 
 # -- (c) ----------------------------------------------------------------------

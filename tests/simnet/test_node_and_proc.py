@@ -14,7 +14,7 @@ from repro.common.errors import SimulationError
 from repro.common.ids import ClientId, ReplicaId
 from repro.simnet.messages import Message, ReplyMessage, RequestMessage
 from repro.simnet.node import SimEnvironment, SimNode
-from repro.simnet.proc import Call, Gather, ProcessNode, Sleep
+from repro.simnet.proc import REFUSED, Call, Gather, ProcessNode, Sleep
 
 
 @dataclass
@@ -25,6 +25,14 @@ class Echo(RequestMessage):
 @dataclass
 class EchoReply(ReplyMessage):
     text: str = ""
+
+
+@dataclass
+class CheckedEchoReply(ReplyMessage):
+    text: str = ""
+
+    def well_formed(self) -> bool:
+        return isinstance(self.text, str)
 
 
 @dataclass
@@ -78,13 +86,17 @@ class TestSimNodeDispatch:
         env.simulator.run_until_idle()
         assert taker.notes == ["hello"]
 
-    def test_unhandled_message_raises(self):
+    def test_unhandled_message_is_refused(self):
+        # A message sent to a node of the wrong role: refused, never raised.
         env = fast_env()
         node = SimNode(ReplicaId(0, 0), env)
         other = SimNode(ReplicaId(0, 1), env)
         other.send(node.node_id, Note(text="x"))
-        with pytest.raises(SimulationError):
-            env.simulator.run_until_idle()
+        env.simulator.run_until_idle()
+        (event,) = env.obs.recorder.events_of_kind("malformed-message")
+        assert (event.node, event.detail) == (
+            str(node.node_id), {"type": "Note", "from": str(other.node_id)}
+        )
 
     def test_handler_lookup_falls_back_to_base_class(self):
         env = fast_env()
@@ -204,6 +216,29 @@ class TestProcesses:
         finally:
             gc.enable()
         assert seen[1] == (True, True)
+
+    @pytest.mark.parametrize("request_id, answer, events", [("ok", REFUSED, 0), (["x"], None, 1)])
+    def test_a_malformed_reply_settles_its_wait_as_refused(self, request_id, answer, events):
+        # The waiter gets REFUSED in the reply's place, so it never asks the
+        # reply's shape again; a reply that names no wait is only reported.
+        env = fast_env()
+        server = SimNode(ReplicaId(0, 0), env)
+        client = ProcessNode(ClientId("c1"), env)
+        request = Echo(text="hi")
+        if request_id == "ok":
+            request_id = request.request_id
+        server.register_handler(
+            Echo, lambda m, src: server.send(src, CheckedEchoReply(text=5, request_id=request_id))
+        )
+        results = []
+
+        def body():
+            results.append((yield Call(server.node_id, request, timeout_ms=20.0)))
+
+        client.spawn(body())
+        env.simulator.run_until_idle()
+        assert results == [answer]
+        assert len(env.obs.recorder.events_of_kind("malformed-message")) == events
 
     def test_call_timeout_returns_none(self):
         env = fast_env()
