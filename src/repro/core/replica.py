@@ -193,9 +193,15 @@ class PartitionReplica(SimNode):
         base_batch: BatchNumber = NO_BATCH,
         tree: Optional[MerkleTree] = None,
     ) -> MerkleStore:
-        """Build the per-partition Merkle store and its tree archive."""
+        """Build the per-partition Merkle store and its tree archive.
+
+        Every store shares the deployment's delta memo, so the members of a
+        cluster hash each batch's delta once between them.
+        """
         archive = MerkleTreeArchive(max_batches=self.config.perf.archive_max_batches)
-        return MerkleStore(initial, archive=archive, base_batch=base_batch, tree=tree)
+        return MerkleStore(
+            initial, archive=archive, base_batch=base_batch, tree=tree, deltas=self.env.merkle_deltas
+        )
 
     def current_cd_vector(self) -> CDVector:
         if self.last_header is not None:

@@ -18,14 +18,19 @@ without touching the tree (the root a replica checks before voting),
 delta the store's archive keeps to answer for the tree of any recent batch
 when a read-only client asks for an older snapshot in round two.  A brand-new
 key shifts leaf positions and rebuilds the tree.
+
+The members of a cluster hold equal trees, so they would hash the same delta
+once each.  A deployment gives all its stores one :class:`DeltaMemo`: the
+first member to prepare ``(root, write-set)`` hashes it, the others copy the
+result.
 """
 
 from __future__ import annotations
 
 import hashlib
-from collections import ChainMap
+from collections import ChainMap, OrderedDict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.common.errors import ProofError
 from repro.common.ids import NO_BATCH, BatchNumber
@@ -264,6 +269,72 @@ def verify_proof(root: Digest, key: Key, value: Value, proof: MerkleProof) -> bo
 
 
 @dataclass(frozen=True)
+class _Delta:
+    """What hashing a write-set against one tree produced.
+
+    Exactly one field is set: the path cells to install (every key was
+    already a leaf) or the tree that replaces the old one (some key is new).
+    """
+
+    overlay: Optional[PathCells] = None
+    rebuilt: Optional[MerkleTree] = None
+
+    @property
+    def root(self) -> Digest:
+        """Root the tree has once this delta is in."""
+        if self.rebuilt is None:
+            return self.overlay[-1][0]
+        return self.rebuilt.root
+
+    def copy(self) -> "_Delta":
+        """A copy a store may own: fresh cell dicts or a tree clone.
+
+        :meth:`MerkleTree.install` swaps cells into the dicts it is handed
+        and a live tree is updated in place, so a shared delta is never
+        handed out itself.  The digests are immutable and stay shared.
+        """
+        if self.rebuilt is None:
+            return _Delta(overlay=[dict(cells) for cells in self.overlay])
+        return _Delta(rebuilt=self.rebuilt.clone())
+
+
+#: Entries a :class:`DeltaMemo` keeps.  A perfbench deployment re-asks at
+#: most 5 recent keys; a chaos plan, with members crashing, catching up and
+#: replaying, needs about 64 to hash no key twice.
+DELTA_MEMO_SIZE = 64
+
+
+class DeltaMemo:
+    """Deltas by ``(base root, write-set)``, shared by a deployment's stores.
+
+    Sound for the reason verification verdicts are: a root binds every leaf,
+    so two stores at equal roots hold equal trees and the same write-set
+    hashes to the same delta.  A store whose state differs keys differently
+    and hashes for itself.  Entries stay pristine: a store installs a
+    :meth:`_Delta.copy`, never the entry.  One memo belongs to one
+    deployment, so one run never reuses another's hashing.
+    """
+
+    def __init__(self, size: int = DELTA_MEMO_SIZE) -> None:
+        self._size = size
+        self._entries: "OrderedDict[Hashable, _Delta]" = OrderedDict()
+
+    def lookup(self, key: Hashable) -> Optional[_Delta]:
+        entry = self._entries.get(key)
+        if entry is not None:
+            self._entries.move_to_end(key)
+        return entry
+
+    def store(self, key: Hashable, entry: _Delta) -> None:
+        self._entries[key] = entry
+        if len(self._entries) > self._size:
+            self._entries.popitem(last=False)
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+
+@dataclass(frozen=True)
 class _PreparedUpdate:
     """What :meth:`MerkleStore.preview_root` computed, kept for the matching apply."""
 
@@ -272,12 +343,8 @@ class _PreparedUpdate:
     #: (an in-place update keeps the object and moves the root).
     base: "MerkleTree"
     base_root: Digest
-    #: Root the store will have once ``updates`` are applied.
-    root: Digest
-    #: Existing keys only: the path cells to install into ``base``.
-    overlay: Optional[PathCells] = None
-    #: Some key is new: the rebuilt tree that replaces ``base``.
-    rebuilt: Optional["MerkleTree"] = None
+    #: This store's own copy of the delta to install.
+    delta: _Delta
 
 
 class MerkleStore:
@@ -300,6 +367,11 @@ class MerkleStore:
     otherwise, and drops it either way (a recovery reset or snapshot install
     replaces the whole store), so at most one batch's overlay is ever held.
 
+    Stores built with the same ``deltas`` memo hash each ``(root,
+    write-set)`` once between them.  A store whose tree was written behind
+    its back (through :attr:`tree`) no longer holds a tree over its items,
+    and from then on hashes for itself.
+
     When constructed with a :class:`~repro.crypto.archive.MerkleTreeArchive`,
     every batch-tagged ``apply`` archives the superseded tree state, so
     :meth:`tree_at`/:meth:`prove_at` can answer round-2 snapshot reads for
@@ -312,13 +384,18 @@ class MerkleStore:
         archive: Optional["MerkleTreeArchive"] = None,
         base_batch: BatchNumber = NO_BATCH,
         tree: Optional[MerkleTree] = None,
+        deltas: Optional[DeltaMemo] = None,
     ) -> None:
         base = initial if initial is not None else {}
         # Writes land in ``_written``; reads fall through to the shared base.
         self._written: Dict[Key, Value] = {}
         self._items: Mapping[Key, Value] = ChainMap(self._written, base)
         self._tree = tree if tree is not None else MerkleTree(base)
+        # The root this store last left its tree at: any other root means a
+        # write behind its back.
+        self._root = self._tree.root
         self._prepared: Optional[_PreparedUpdate] = None
+        self._deltas = deltas
         self._archive = archive
         if archive is not None:
             archive.reset(base_batch)
@@ -351,12 +428,25 @@ class MerkleStore:
             and kept.updates == updates
         ):
             return kept
+        root = tree.root
+        if root != self._root:  # written behind: the tree is not over ``_items``
+            self._deltas = None
+        if self._deltas is None:
+            delta = self._hash(updates)
+        else:
+            key = (root, tuple(updates.items()))
+            delta = self._deltas.lookup(key)
+            if delta is None:
+                delta = self._hash(updates)
+                self._deltas.store(key, delta)
+            delta = delta.copy()  # the memo's entry stays pristine
         # ``updates`` is copied: the caller's mapping may change before the apply.
-        if tree.covers(updates):
-            overlay = tree.path_overlay(updates)
-            return _PreparedUpdate(dict(updates), tree, tree.root, overlay[-1][0], overlay=overlay)
-        rebuilt = MerkleTree({**self._items, **updates})
-        return _PreparedUpdate(dict(updates), tree, tree.root, rebuilt.root, rebuilt=rebuilt)
+        return _PreparedUpdate(dict(updates), tree, root, delta)
+
+    def _hash(self, updates: Mapping[Key, Value]) -> _Delta:
+        if self._tree.covers(updates):
+            return _Delta(overlay=self._tree.path_overlay(updates))
+        return _Delta(rebuilt=MerkleTree({**self._items, **updates}))
 
     def preview_root(self, updates: Mapping[Key, Value]) -> Digest:
         """Root the store would have after ``updates``, without applying them.
@@ -368,7 +458,7 @@ class MerkleStore:
         if not updates:
             return self._tree.root
         self._prepared = self._prepare(updates)
-        return self._prepared.root
+        return self._prepared.delta.root
 
     def apply(self, updates: Mapping[Key, Value], batch: Optional[BatchNumber] = None) -> Digest:
         """Apply ``updates`` and return the new root.
@@ -382,7 +472,7 @@ class MerkleStore:
         """
         if not updates:
             return self._tree.root
-        prepared = self._prepare(updates)
+        delta = self._prepare(updates).delta
         self._prepared = None
         archive = self._archive
         if archive is not None:
@@ -391,16 +481,17 @@ class MerkleStore:
             # install() below turns those very cells into the reverse delta.
             if batch is None:
                 archive.invalidate()
-            elif prepared.rebuilt is None:
-                archive.record_delta(batch, prepared.overlay)
+            elif delta.rebuilt is None:
+                archive.record_delta(batch, delta.overlay)
             else:
                 archive.record_tree(batch, self._tree)
         self._written.update(updates)
-        if prepared.rebuilt is None:
-            self._tree.install(prepared.overlay)
+        if delta.rebuilt is None:
+            self._tree.install(delta.overlay)
         else:
-            self._tree = prepared.rebuilt
-        return self._tree.root
+            self._tree = delta.rebuilt
+        self._root = self._tree.root
+        return self._root
 
     def tree_at(
         self, batch: BatchNumber

@@ -15,6 +15,7 @@ from typing import Callable, Dict, Optional, Type
 
 from repro.common.config import SystemConfig
 from repro.common.ids import NodeId
+from repro.crypto.merkle import DeltaMemo
 from repro.crypto.signatures import KeyRegistry, NodeVerifier, Signer, make_signer
 from repro.obs.hub import Observability
 from repro.obs.phases import phase_for
@@ -34,8 +35,9 @@ class SimEnvironment:
     """Everything a node needs to participate in the simulation.
 
     One environment is shared by all nodes of a deployment: the event loop,
-    the network, the system configuration, the PKI registry and a seeded
-    random generator (so whole-system runs are reproducible).
+    the network, the system configuration, the PKI registry, the Merkle
+    delta memo and a seeded random generator (so whole-system runs are
+    reproducible).
     """
 
     def __init__(self, config: SystemConfig) -> None:
@@ -47,6 +49,9 @@ class SimEnvironment:
         latency_model = build_latency_model(config.latency, config.num_partitions)
         self.network = Network(self.simulator, latency_model, random.Random(config.seed + 1))
         self.registry = KeyRegistry(VERIFY_CACHE_SIZE)
+        #: Merkle deltas by ``(root, write-set)``, shared by every replica's
+        #: store (repro.crypto.merkle): a cluster hashes each batch once.
+        self.merkle_deltas = DeltaMemo()
         #: Shared observability hub (repro.obs): tracer + flight recorder.
         #: The network gets a handle so deliveries can record ``net`` spans.
         self.obs = Observability(self.config.obs, lambda: self.simulator.now)

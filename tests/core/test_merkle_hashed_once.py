@@ -1,16 +1,21 @@
-"""A replica hashes each batch's Merkle delta once: what it computed to
-validate the proposal is what it installs when the batch is delivered."""
+"""A cluster hashes each batch's Merkle delta once: the leader's seal hashes
+it, and every other member — validating, delivering, or replaying the batch
+through state transfer — copies the result from the deployment's memo."""
 
 from __future__ import annotations
 
+import gc
+import sys
+import weakref
+
 from repro.common.config import BatchConfig, LatencyConfig, SystemConfig
 from repro.core.system import TransEdgeSystem
-from repro.crypto.merkle import MerkleTree
+from repro.crypto.merkle import DELTA_MEMO_SIZE, DeltaMemo, MerkleTree, _Delta
 
 WRITES = 50
 
 
-def test_one_batch_hashes_its_dirty_paths_once_per_replica(monkeypatch):
+def make_system() -> TransEdgeSystem:
     system = TransEdgeSystem(
         SystemConfig(
             num_partitions=1,
@@ -21,46 +26,91 @@ def test_one_batch_hashes_its_dirty_paths_once_per_replica(monkeypatch):
         )
     )
     system.run_until_idle()  # the empty genesis batch (number 0)
-    leader, *followers = system.cluster_replicas(0)
-    assert leader.is_leader
-    # One member sits the batch out and replays it through state transfer:
-    # ``_apply_batch`` without a validation (so without a preview) before it.
-    absent = followers[-1]
-    system.crash_replica(absent.node_id)
+    return system
 
-    hashed = {}  # id(tree) -> number of keys, one entry per kernel call
+
+def count_kernel(monkeypatch) -> list:
+    """One ``(id(tree), number of keys, sealing?)`` entry per kernel call."""
+    calls = []
     real_kernel = MerkleTree.path_overlay
 
     def counting_kernel(self, updates):
-        hashed.setdefault(id(self), []).append(len(updates))
+        frame, sealing = sys._getframe(1), False
+        while frame is not None and not sealing:
+            sealing = frame.f_code.co_name == "_propose"
+            frame = frame.f_back
+        calls.append((id(self), len(updates), sealing))
         return real_kernel(self, updates)
 
     monkeypatch.setattr(MerkleTree, "path_overlay", counting_kernel)
+    return calls
 
-    client = system.create_client("writer")
-    keys = system.keys_of_partition(0)[:WRITES]
+
+def write_one_batch(system: TransEdgeSystem, name: str) -> list:
+    client = system.create_client(name)
     outcomes = []
 
     def body(key):
         result = yield from client.read_write_txn([], {key: b"written"})
         outcomes.append(result.committed)
 
-    for key in keys:
+    for key in system.keys_of_partition(0)[:WRITES]:
         client.spawn(body(key))
     system.run_until_idle()
+    return outcomes
 
-    assert outcomes == [True] * WRITES
+
+def test_one_batch_hashes_its_dirty_paths_once_per_cluster(monkeypatch):
+    system = make_system()
+    leader, *followers = system.cluster_replicas(0)
+    assert leader.is_leader
+    # One member sits the batch out and replays it through state transfer:
+    # ``_apply_batch`` without a validation (so without a preview) before it.
+    absent = followers[-1]
+    system.crash_replica(absent.node_id)
+    calls = count_kernel(monkeypatch)
+
+    assert write_one_batch(system, "writer") == [True] * WRITES
     live = [leader, *followers[:-1]]
     assert [replica.log.last_seq for replica in live] == [1, 1, 1]
     assert len(leader.log.entries_from(1)[0].value.local_txns) == WRITES  # all in one batch
-    # Seal + self-validation + delivery on the leader, validation + delivery
-    # on a follower: one kernel call each, over the whole 50-key delta.
-    assert [hashed.get(id(replica.merkle.tree)) for replica in live] == [[WRITES]] * 3
-    assert id(absent.merkle.tree) not in hashed
+    # The leader's seal is the batch's only kernel call, over the whole
+    # 50-key delta; its self-validation and delivery, and every follower's
+    # validation and delivery, copy what the seal hashed.
+    assert calls == [(id(leader.merkle.tree), WRITES, True)]
 
     system.restart_replica(absent.node_id)
     system.run_until_idle()
     assert absent.log.last_seq == 1
-    assert hashed[id(absent.merkle.tree)] == [WRITES]  # replayed, never previewed
+    assert len(calls) == 1  # the replay hashed nothing either
     assert {replica.merkle.root for replica in system.cluster_replicas(0)} == {leader.merkle.root}
     assert all(replica.merkle._prepared is None for replica in system.cluster_replicas(0))
+
+    # Another deployment in the same process has its own memo: the same
+    # batch over the same genesis is hashed again, once.
+    second = make_system()
+    assert second.env.merkle_deltas is not system.env.merkle_deltas
+    assert write_one_batch(second, "writer") == [True] * WRITES
+    assert calls[1:] == [(id(second.leader_replica(0).merkle.tree), WRITES, True)]
+    assert second.leader_replica(0).merkle.root == leader.merkle.root
+
+
+def test_the_memo_holds_at_most_its_bound():
+    memo = DeltaMemo()
+    tree = MerkleTree({"k": b"v"})
+    for value in range(DELTA_MEMO_SIZE + 10):
+        memo.store((tree.root, (("k", bytes([value])),)), _Delta(rebuilt=tree))
+        assert len(memo) <= DELTA_MEMO_SIZE
+    assert len(memo) == DELTA_MEMO_SIZE
+    assert memo.lookup((tree.root, (("k", bytes([0])),))) is None  # the oldest went first
+    assert memo.lookup((tree.root, (("k", bytes([DELTA_MEMO_SIZE + 9])),))) is not None
+
+
+def test_the_memo_is_freed_with_its_system():
+    system = make_system()
+    assert write_one_batch(system, "writer") == [True] * WRITES
+    memo = weakref.ref(system.env.merkle_deltas)
+    assert 0 < len(memo()) <= DELTA_MEMO_SIZE
+    del system
+    gc.collect()
+    assert memo() is None

@@ -18,7 +18,7 @@ from hypothesis.stateful import Bundle, RuleBasedStateMachine, invariant, precon
 from repro.common.errors import ProofError
 from repro.common.ids import NO_BATCH
 from repro.crypto.archive import MerkleTreeArchive
-from repro.crypto.merkle import MerkleStore, MerkleTree, verify_proof
+from repro.crypto.merkle import DeltaMemo, MerkleStore, MerkleTree, verify_proof
 
 
 def make_items(n: int) -> dict:
@@ -152,6 +152,22 @@ class TestPreparedUpdate:
         assert store.tree_at(0) is retired
         assert verify_proof(root, "zzz-new", b"fresh", store.tree.prove("zzz-new"))
 
+    @pytest.mark.parametrize("behind_first", [True, False])
+    def test_a_store_written_behind_its_back_shares_nothing(self, behind_first):
+        # Equal roots, unequal items: a rebuild over the items must not be shared.
+        memo, items, insert = DeltaMemo(), make_items(8), {"zzz-new": b"fresh"}
+        behind = MerkleStore(items, deltas=memo)
+        honest = MerkleStore(items, deltas=memo)
+        behind.tree.update_values(self.U)  # the tree moves, the items do not
+        honest.apply(self.U)
+        assert behind.root == honest.root
+        expected = {
+            behind: MerkleTree({**items, **insert}).root,
+            honest: MerkleTree({**items, **self.U, **insert}).root,
+        }
+        for store in (behind, honest) if behind_first else (honest, behind):
+            assert store.preview_root(insert) == expected[store]
+
     def test_refused_batch_number_leaves_the_store_untouched(self):
         store = MerkleStore(make_items(4), archive=MerkleTreeArchive())
         store.apply({"key-001": b"x"}, batch=5)
@@ -213,25 +229,44 @@ class PreparedUpdateMachine(RuleBasedStateMachine):
 
     Update sets come from a bundle, so the same set is previewed, applied and
     applied again in every order — *preview U, apply V, apply U* and
-    *preview U, insert, apply U* included.
+    *preview U, insert, apply U* included.  Three stores share one small
+    delta memo, as the members of a cluster do: every step is taken by all
+    of them (a preview by some of them), so the first to prepare a write-set
+    hashes it and the others copy it — or, once the memo evicted it, hash it
+    again.
     """
 
     update_sets = Bundle("update_sets")
 
     def __init__(self) -> None:
         super().__init__()
-        self.store = MerkleStore(make_items(11), archive=MerkleTreeArchive())
+        self.memo = DeltaMemo(size=3)
+        self.stores = [
+            MerkleStore(make_items(11), archive=MerkleTreeArchive(), deltas=self.memo)
+            for _ in range(3)
+        ]
         self.reference = ReferenceStore(make_items(11))
         self.batch = 0
         self.previewed = None
+        # Root -> (tree, items) of every state the stores held with a tree
+        # over their items: what each memo entry must have been hashed from.
+        self.states = {}
+        self.record_state()
+
+    def record_state(self) -> None:
+        reference = self.reference
+        if reference.leaves == reference.items:
+            self.states[reference.tree.root] = (reference.tree, dict(reference.items))
 
     @rule(target=update_sets, updates=updates_strategy)
     def new_update_set(self, updates):
         return updates
 
-    @rule(updates=update_sets)
-    def preview(self, updates):
-        assert self.store.preview_root(dict(updates)) == self.reference.preview_root(updates)
+    @rule(updates=update_sets, which=st.sets(st.integers(0, 2), min_size=1))
+    def preview(self, updates, which):
+        expected = self.reference.preview_root(updates)
+        for index in sorted(which):
+            assert self.stores[index].preview_root(dict(updates)) == expected
         self.previewed = updates
 
     @precondition(lambda self: self.previewed is not None)
@@ -244,30 +279,60 @@ class PreparedUpdateMachine(RuleBasedStateMachine):
     def apply(self, updates, tagged):
         self.batch += 1
         batch = self.batch if tagged else None
-        assert self.store.apply(dict(updates), batch=batch) == self.reference.apply(updates, batch)
-        assert self.store._prepared is None
+        expected = self.reference.apply(updates, batch)
+        for store in self.stores:
+            assert store.apply(dict(updates), batch=batch) == expected
+            assert store._prepared is None
+        self.record_state()
 
     @rule(updates=update_sets)
     def write_behind_the_stores_back(self, updates):
-        existing = {key: value for key, value in updates.items() if key in self.store}
+        existing = {key: value for key, value in updates.items() if key in self.reference.tree}
         if existing:
-            self.store.tree.update_values(existing)
+            for store in self.stores:
+                store.tree.update_values(existing)
             self.reference.write_behind(existing)
+            self.record_state()
 
     @invariant()
     def indistinguishable_from_the_reference(self):
-        store, reference = self.store, self.reference
-        assert store.root == reference.tree.root
-        assert store.tree.keys() == reference.tree.keys()
-        for key in reference.tree.keys():
-            assert store.tree.prove(key) == reference.tree.prove(key)
-        records = [(r.batch, r.delta, r.tree and r.tree.root) for r in store.archive._records]
-        assert records == [
+        reference = self.reference
+        expected_records = [
             (r.batch, r.delta, r.tree and r.tree.root) for r in reference.archive._records
         ]
+        for store in self.stores:
+            assert store.root == reference.tree.root
+            assert store.tree.keys() == reference.tree.keys()
+            for key in reference.tree.keys():
+                assert store.tree.prove(key) == reference.tree.prove(key)
+            records = [(r.batch, r.delta, r.tree and r.tree.root) for r in store.archive._records]
+            assert records == expected_records
         for batch in range(NO_BATCH, self.batch + 1):
             for key in ("key-000", "key-010", "new-a"):
-                assert self._prove_at(store, key, batch) == reference_prove_at(reference, key, batch)
+                expected = reference_prove_at(reference, key, batch)
+                for store in self.stores:
+                    assert self._prove_at(store, key, batch) == expected
+
+    @invariant()
+    def memo_entries_are_pristine_and_never_owned(self):
+        shared = set()
+        for (root, items), entry in self.memo._entries.items():
+            tree, state = self.states[root]
+            updates = dict(items)
+            if entry.rebuilt is None:
+                assert entry.overlay == tree.path_overlay(updates)
+                shared.update(map(id, entry.overlay))
+            else:
+                assert entry.rebuilt._levels == MerkleTree({**state, **updates})._levels
+                shared.update(map(id, [entry.rebuilt, *entry.rebuilt._levels]))
+        for store in self.stores:
+            owned = [store.tree, *store.tree._levels]
+            if store._prepared is not None:
+                delta = store._prepared.delta
+                owned += delta.overlay or [delta.rebuilt, *delta.rebuilt._levels]
+            for record in store.archive._records:
+                owned += record.delta or [record.tree, *record.tree._levels]
+            assert not shared.intersection(map(id, owned))
 
     @staticmethod
     def _prove_at(store, key, batch):
