@@ -612,7 +612,7 @@ def perf_snapshot_hotpaths(harness: Harness) -> FigureResult:
         items = {f"key-{i:06d}": b"value-" + bytes(26) for i in range(key_count)}
         keys = sorted(items)
         store = MultiVersionStore(items)
-        merkle = MerkleStore(items, archive=MerkleTreeArchive(max_batches=2 * batches))
+        merkle = MerkleStore(MerkleTree(items), MerkleTreeArchive(max_batches=2 * batches))
         for batch in range(1, batches + 1):
             updates = {
                 rng.choice(keys): f"batch-{batch}-{i}".encode()

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from types import MappingProxyType
 from typing import Dict, Mapping, Optional, Tuple
 
 from repro.bft.quorum import CommitCertificate
@@ -300,23 +301,32 @@ class Batch(MemoisedValue):
         """Number of transactions carried by the batch (all segments)."""
         return len(self.local_txns) + len(self.prepared) + len(self.committed)
 
-    def visible_writes(self, partitioner: HashPartitioner) -> Dict[Key, Value]:
-        """Write-sets made visible by this batch on this partition.
+    @cached_property
+    def _visible_writes(self) -> Dict[int, Mapping[Key, Value]]:
+        return {}
+
+    def visible_writes(self, partitioner: HashPartitioner) -> Mapping[Key, Value]:
+        """Write-sets made visible by this batch on this partition (read-only).
 
         Local transactions become visible in their own batch; distributed
         transactions become visible in the batch carrying their (positive)
         commit record.  Prepared-but-undecided writes are *not* visible: the
         Merkle root a batch certifies then covers exactly the values a
         read-only client can be served at that batch, so a proof against the
-        root never vouches for a write that may still abort.
+        root never vouches for a write that may still abort.  Every member
+        is sent the same proposal object: derived once per cluster.
         """
-        updates: Dict[Key, Value] = {}
-        for txn in self.local_txns:
-            updates.update(txn.writes_in(self.partition, partitioner))
-        for record in self.committed:
-            if record.decision:
-                updates.update(record.txn.writes_in(self.partition, partitioner))
-        return updates
+        memo, size = self._visible_writes, partitioner.num_partitions
+        writes = memo.get(size)
+        if writes is None:
+            updates: Dict[Key, Value] = {}
+            for txn in self.local_txns:
+                updates.update(txn.writes_in(self.partition, partitioner))
+            for record in self.committed:
+                if record.decision:
+                    updates.update(record.txn.writes_in(self.partition, partitioner))
+            writes = memo[size] = MappingProxyType(updates)
+        return writes
 
     def certified_header(self, certificate: CommitCertificate) -> "CertifiedHeader":
         """Bundle the read-only segment with its consensus certificate."""

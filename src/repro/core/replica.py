@@ -187,21 +187,14 @@ class PartitionReplica(SimNode):
     def conflict_checker(self) -> ConflictChecker:
         return ConflictChecker(self.partition, self.partitioner, self.store)
 
-    def _make_merkle_store(
-        self,
-        initial: Mapping[Key, Value],
-        base_batch: BatchNumber = NO_BATCH,
-        tree: Optional[MerkleTree] = None,
-    ) -> MerkleStore:
-        """Build the per-partition Merkle store and its tree archive.
+    def _make_merkle_store(self, tree: MerkleTree, base_batch: BatchNumber = NO_BATCH) -> MerkleStore:
+        """Build the per-partition Merkle store over ``tree``, with its archive.
 
         Every store shares the deployment's delta memo, so the members of a
         cluster hash each batch's delta once between them.
         """
         archive = MerkleTreeArchive(max_batches=self.config.perf.archive_max_batches)
-        return MerkleStore(
-            initial, archive=archive, base_batch=base_batch, tree=tree, deltas=self.env.merkle_deltas
-        )
+        return MerkleStore(tree, archive, base_batch=base_batch, deltas=self.env.merkle_deltas)
 
     def current_cd_vector(self) -> CDVector:
         if self.last_header is not None:
@@ -315,14 +308,10 @@ class PartitionReplica(SimNode):
             return False
 
         # Read-only segment: the leader sealed it with derive_read_only too.
-        # The Merkle root is checked last: a preview replaces the retained one.
         cd_vector, lce, updates = self.derive_read_only(batch)
         if (batch.read_only.cd_vector, batch.read_only.lce) != (cd_vector, lce):
             return False
-        if batch.read_only.merkle_root != self.merkle.preview_root(updates):
-            return False
-        self._expected_cache[batch.digest()] = (seq, updates)
-        return True
+        return batch.read_only.merkle_root == self.merkle.preview_root(updates)
 
     def _validate_committed_segment(self, batch: Batch) -> bool:
         """Check commit records respect the ordering constraint and carry valid votes."""
@@ -401,7 +390,7 @@ class PartitionReplica(SimNode):
                     return False
         return True
 
-    def derive_read_only(self, batch: Batch) -> Tuple[CDVector, BatchNumber, Dict[Key, Value]]:
+    def derive_read_only(self, batch: Batch) -> Tuple[CDVector, BatchNumber, Mapping[Key, Value]]:
         """``batch``'s CD vector (Algorithm 1), LCE and the writes it makes visible.
 
         The one derivation of a read-only segment: the leader seals a batch
@@ -491,13 +480,7 @@ class PartitionReplica(SimNode):
         leader-role and deferred-snapshot reactions differ between the two.
         """
         self.log.append(seq, batch, certificate)
-        validated = self._expected_cache.pop(batch.digest(), None)
-        updates = validated[1] if validated else batch.visible_writes(self.partitioner)
-        if self._expected_cache:
-            # Proposals a view change or re-proposal superseded never arrive.
-            self._expected_cache = {
-                digest: entry for digest, entry in self._expected_cache.items() if entry[0] > seq
-            }
+        updates = batch.visible_writes(self.partitioner)
         if updates:
             self.store.apply(updates, batch=seq)
         self.merkle.apply(updates, batch=seq)
@@ -553,12 +536,12 @@ class PartitionReplica(SimNode):
         ``preserve_recovery`` keeps the in-flight recovery coordinator so a
         mid-transfer wipe does not lose the recovery session itself.
         """
-        self._start_volatile_state({}, None, self.checkpoints.snapshots.genesis)
+        self._start_volatile_state({}, MerkleTree({}), self.checkpoints.snapshots.genesis)
         if not preserve_recovery:
             self.recovery = RecoveryCoordinator(self)
 
     def _start_volatile_state(
-        self, data: Mapping[Key, Value], tree: Optional[MerkleTree], genesis: SnapshotImage
+        self, data: Mapping[Key, Value], tree: MerkleTree, genesis: SnapshotImage
     ) -> None:
         """Build everything a crash loses, over the items ``data`` (with their ``tree``).
 
@@ -567,7 +550,7 @@ class PartitionReplica(SimNode):
         replica and a wiped one cannot differ in what they hold.
         """
         self.store = MultiVersionStore(data)
-        self.merkle = self._make_merkle_store(data, tree=tree)
+        self.merkle = self._make_merkle_store(tree)
         self.prepared_batches = PreparedBatches(KeyConflictIndex(self.partition, self.partitioner))
         self.log = ReplicatedLog()
 
@@ -575,9 +558,6 @@ class PartitionReplica(SimNode):
         # LCEs weakly increase, so both lookups below are bisects.
         self.headers: List[CertifiedHeader] = []
         self.last_header: Optional[CertifiedHeader] = None
-        # Visible writes of every proposal validated and not yet delivered,
-        # by batch digest, with the proposal's sequence number.
-        self._expected_cache: Dict[bytes, Tuple[int, Dict[Key, Value]]] = {}
         self._deferred_snapshots: List[Tuple[SnapshotRequest, NodeId]] = []
         # Durable 2PC outcomes: every commit/abort record this replica has
         # delivered, keyed by transaction id (pruned with the checkpoint
@@ -620,7 +600,7 @@ class PartitionReplica(SimNode):
     ) -> None:
         """Replace this (empty) replica's state with a verified checkpoint image."""
         self.store.restore_image(image.store_image())
-        self.merkle = self._make_merkle_store(image.values(), base_batch=image.seq)
+        self.merkle = self._make_merkle_store(MerkleTree(image.values()), base_batch=image.seq)
         self.log.reset_base(image.seq + 1)
         for number, records in image.prepared:
             self.prepared_batches.add_group(number, list(records))

@@ -6,13 +6,15 @@ materialised historical snapshot costs O(K) in the partition size — the
 paper's cheapest operation would scale with the database, not the read.
 
 The archive exploits the fact that consecutive committed trees differ only
-along the root paths of the batch's dirty keys.  Whenever the current tree is
-about to absorb a batch's updates in place, the archive records a *reverse
-delta*: the digests currently stored on those root paths, O(dirty · log K)
-space and time.  A batch that inserts brand-new keys shifts leaf positions
-and forces :class:`~repro.crypto.merkle.MerkleStore` to rebuild; the
-superseded tree object is then retired into the archive wholesale (it is
-immutable from that point on, so this is a reference, not a copy).
+along the root paths of the batch's dirty keys.  Every
+:meth:`~repro.crypto.merkle.MerkleStore.apply` names its batch, and whenever
+the current tree is about to absorb a batch's updates in place, the archive
+records a *reverse delta*: the digests currently stored on those root paths,
+O(dirty · log K) space and time.  A batch that inserts brand-new keys shifts
+leaf positions, and the store swaps in a new tree
+(:meth:`~repro.crypto.merkle.MerkleTree.inserted`); the superseded tree
+object is then retired into the archive wholesale (it is immutable from that
+point on, so this is a reference, not a copy).
 
 ``tree_at(batch)`` resolves a historical tree as a read-only
 :class:`HistoricalTreeView`: digest lookups fall through the reverse deltas
@@ -145,10 +147,6 @@ class MerkleTreeArchive:
         self._records: List[_Record] = []
         self._batches: List[BatchNumber] = []  # parallel to _records, ascending
         self._current_batch: BatchNumber = NO_BATCH
-        # Set when the live tree mutated without a batch tag: its batch
-        # position is unknown, so no historical (or current) answer is safe
-        # until the next tagged apply re-bases the archive.
-        self._invalid = False
         # Bumped whenever the live tree is about to mutate (or history is
         # dropped); views based on the live tree check it to fail loudly
         # instead of reading half-updated digests.
@@ -178,8 +176,6 @@ class MerkleTreeArchive:
         answer for ``batch >= current_batch`` and as the fall-through base for
         delta resolution.
         """
-        if self._invalid:
-            return None
         if batch >= self._current_batch:
             return current_tree
         position = bisect.bisect_right(self._batches, batch) - 1
@@ -209,8 +205,6 @@ class MerkleTreeArchive:
         Cheap (two bisect-level checks, no view construction) so the
         processing-cost model can ask it per request.
         """
-        if self._invalid:
-            return False
         if batch >= self._current_batch:
             return True
         position = bisect.bisect_right(self._batches, batch) - 1
@@ -241,21 +235,16 @@ class MerkleTreeArchive:
         :meth:`MerkleTree.install` swaps its cells for the superseded ones in
         place, and nothing reads a record between the two calls.
         """
-        if self._append(_Record(batch=self._current_batch, delta=delta), new_batch):
-            self.deltas_recorded += 1
+        self._append(_Record(batch=self._current_batch, delta=delta), new_batch)
+        self.deltas_recorded += 1
 
     def record_tree(self, new_batch: BatchNumber, tree: MerkleTree) -> None:
         """Retire the current tree wholesale (a rebuild is about to replace it)."""
-        if self._append(_Record(batch=self._current_batch, tree=tree), new_batch):
-            self.trees_retired += 1
+        self._append(_Record(batch=self._current_batch, tree=tree), new_batch)
+        self.trees_retired += 1
 
-    def _append(self, record: _Record, new_batch: BatchNumber) -> bool:
+    def _append(self, record: _Record, new_batch: BatchNumber) -> None:
         self._generation += 1  # the live tree is about to mutate
-        if self._invalid:
-            # The pre-state is unusable; re-base on the new batch instead of
-            # archiving a delta against an unknown position.
-            self.reset(base_batch=new_batch)
-            return False
         if new_batch <= self._current_batch:
             raise ValueError(
                 f"archive batches must increase: {new_batch} after {self._current_batch}"
@@ -267,7 +256,6 @@ class MerkleTreeArchive:
         if overflow > 0:
             del self._records[:overflow]
             del self._batches[:overflow]
-        return True
 
     def reset(self, base_batch: BatchNumber = NO_BATCH) -> None:
         """Drop all history and re-base (state was replaced out of band)."""
@@ -275,14 +263,6 @@ class MerkleTreeArchive:
         self._records = []
         self._batches = []
         self._current_batch = base_batch
-        self._invalid = False
-
-    def invalidate(self) -> None:
-        """Stop answering entirely: the live tree's batch position is unknown."""
-        self._generation += 1
-        self._records = []
-        self._batches = []
-        self._invalid = True
 
     # -- retention -----------------------------------------------------------
 

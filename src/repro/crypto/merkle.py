@@ -10,25 +10,25 @@ The tree is built over the partition's key/value map: leaves are
 ``H(key || H(value))`` in sorted key order, internal nodes are
 ``H(left || right)``.  An odd node at any level is promoted unchanged.  A
 partition's genesis tree is built once and every replica starts from a
-:meth:`MerkleTree.clone` of it.  A batch's write-sets change only the root
+:meth:`MerkleTree.clone` of it.  A batch's write-set changes only the root
 paths of the written keys: :meth:`MerkleTree.path_overlay` hashes those paths
-without touching the tree (the root a replica checks before voting),
-:class:`MerkleStore` keeps that one result until the batch is delivered, and
-:meth:`MerkleTree.install` swaps it in; the cells swapped out are the reverse
-delta the store's archive keeps to answer for the tree of any recent batch
-when a read-only client asks for an older snapshot in round two.  A brand-new
-key shifts leaf positions and rebuilds the tree.
+without touching the tree and :meth:`MerkleTree.install` swaps them in; the
+cells swapped out are the reverse delta the store's archive keeps to answer
+for the tree of any recent batch when a read-only client asks for an older
+snapshot in round two.  A brand-new key shifts leaf positions:
+:meth:`MerkleTree.inserted` builds the new tree from the old one's leaves.
 
-The members of a cluster hold equal trees, so they would hash the same delta
-once each.  A deployment gives all its stores one :class:`DeltaMemo`: the
-first member to prepare ``(root, write-set)`` hashes it, the others copy the
-result.
+A delta depends only on the tree, which its root binds, and the write-set.
+The members of a cluster hold equal trees, so a deployment gives all its
+stores one :class:`DeltaMemo`: the first member to preview or apply
+``(root, write-set)`` hashes it, and every other lookup — the leader's own
+validation, each member's delivery — finds it there.
 """
 
 from __future__ import annotations
 
 import hashlib
-from collections import ChainMap, OrderedDict
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -114,18 +114,19 @@ class MerkleTree:
     Updates to keys that are *already present* go through one kernel,
     :meth:`path_overlay`, which hashes the affected root paths without
     mutating anything, and one mutation, :meth:`install`.
-    :meth:`root_with_updates` is the kernel alone — how replicas validate the
-    Merkle root a leader proposes before voting for it — and
-    :meth:`update_values` is kernel plus install.  Inserting new keys changes
-    leaf positions and requires a rebuild.
+    :meth:`root_with_updates` is the kernel alone and :meth:`update_values`
+    is kernel plus install.  Inserting new keys changes leaf positions:
+    :meth:`inserted` builds a new tree, hashing only the updated leaves.
     """
 
     def __init__(self, items: Mapping[Key, Value]) -> None:
         self._keys: List[Key] = sorted(items)
         self._index: Dict[Key, int] = {key: i for i, key in enumerate(self._keys)}
-        self._levels: List[List[Digest]] = []
-        leaves = [leaf_digest(key, items[key]) for key in self._keys]
-        self._levels.append(leaves)
+        self._grow([leaf_digest(key, items[key]) for key in self._keys])
+
+    def _grow(self, leaves: List[Digest]) -> None:
+        """Hash the internal levels above ``leaves``, in ``_keys`` order."""
+        self._levels: List[List[Digest]] = [leaves]
         current = leaves
         while len(current) > 1:
             nxt: List[Digest] = []
@@ -140,8 +141,8 @@ class MerkleTree:
         """An independent tree over the same leaves, without hashing anything.
 
         The sorted key list and its index are shared (no method mutates them:
-        inserting a key replaces the whole tree object); only the digest
-        levels, which :meth:`update_values` overwrites in place, are copied.
+        inserting a key builds a new tree object); only the digest levels,
+        which :meth:`install` overwrites in place, are copied.
         """
         twin = MerkleTree.__new__(MerkleTree)
         twin._keys = self._keys
@@ -209,6 +210,22 @@ class MerkleTree:
                 level[index] = digest
         return overlay
 
+    def inserted(self, updates: Mapping[Key, Value]) -> "MerkleTree":
+        """A new tree over this tree's leaves with ``updates`` (some keys new).
+
+        Leaf positions shift, so every internal node is hashed again; the
+        leaves are this tree's own digests, and only the updated ones are
+        hashed.  This tree is left as it was.
+        """
+        digests = dict(zip(self._keys, self._levels[0]))
+        for key, value in updates.items():
+            digests[key] = leaf_digest(key, value)
+        tree = MerkleTree.__new__(MerkleTree)
+        tree._keys = sorted(digests)
+        tree._index = {key: i for i, key in enumerate(tree._keys)}
+        tree._grow([digests[key] for key in tree._keys])
+        return tree
+
     def update_values(self, updates: Mapping[Key, Value]) -> Digest:
         """Update the values of existing keys in place and return the new root."""
         if updates:
@@ -274,6 +291,8 @@ class _Delta:
 
     Exactly one field is set: the path cells to install (every key was
     already a leaf) or the tree that replaces the old one (some key is new).
+    A delta is a fact of its ``(root, write-set)``: it lives in a
+    :class:`DeltaMemo`, and a store installs a :meth:`copy` of it.
     """
 
     overlay: Optional[PathCells] = None
@@ -334,71 +353,36 @@ class DeltaMemo:
         return len(self._entries)
 
 
-@dataclass(frozen=True)
-class _PreparedUpdate:
-    """What :meth:`MerkleStore.preview_root` computed, kept for the matching apply."""
-
-    updates: Dict[Key, Value]
-    #: The tree it was computed against and that tree's root at the time
-    #: (an in-place update keeps the object and moves the root).
-    base: "MerkleTree"
-    base_root: Digest
-    #: This store's own copy of the delta to install.
-    delta: _Delta
-
-
 class MerkleStore:
-    """A key/value map together with its current Merkle tree.
+    """A partition's Merkle tree, the archive of its recent states, and a
+    :class:`DeltaMemo` to find each batch's delta in.
 
     Replicas keep one ``MerkleStore`` per partition; ``apply`` folds in a
-    batch's visible write-sets and updates the tree, returning the new root
-    that is then agreed on through consensus.  ``initial`` is only ever read
-    (writes land in an overlay in front of it), so the replicas of a cluster
-    can share one genesis mapping; ``tree`` is a prebuilt tree over exactly
-    ``initial`` for this store to own (a genesis :meth:`MerkleTree.clone`),
-    built here when omitted.
+    batch's visible write-set and returns the new root that is then agreed
+    on through consensus.  ``tree`` is the tree for this store to own (a
+    genesis :meth:`MerkleTree.clone`, say); ``archive`` is re-based at
+    ``base_batch``.
 
-    A replica previews a batch's root to validate it and applies the same
-    updates at delivery, so the store retains exactly one prepared update:
-    the last :meth:`preview_root`'s updates, its path overlay (or rebuilt
-    tree), and the tree object and root it was computed against.
-    :meth:`apply` installs it instead of hashing again when the updates are
-    equal and the live tree is still that object at that root, recomputes
-    otherwise, and drops it either way (a recovery reset or snapshot install
-    replaces the whole store), so at most one batch's overlay is ever held.
-
-    Stores built with the same ``deltas`` memo hash each ``(root,
-    write-set)`` once between them.  A store whose tree was written behind
-    its back (through :attr:`tree`) no longer holds a tree over its items,
-    and from then on hashes for itself.
-
-    When constructed with a :class:`~repro.crypto.archive.MerkleTreeArchive`,
-    every batch-tagged ``apply`` archives the superseded tree state, so
-    :meth:`tree_at`/:meth:`prove_at` can answer round-2 snapshot reads for
-    recent batches without materialising or rebuilding anything.
+    :meth:`preview_root` and :meth:`apply` look the delta up in ``deltas``
+    and hash it only on a miss, so stores sharing one memo — the members of
+    a cluster — hash each ``(root, write-set)`` once between them.  A store
+    built without one gets a private memo.  Every ``apply`` names its batch
+    and archives the superseded tree state, so :meth:`tree_at`/:meth:`prove_at`
+    can answer round-2 snapshot reads for recent batches without
+    materialising or rebuilding anything.
     """
 
     def __init__(
         self,
-        initial: Optional[Mapping[Key, Value]] = None,
-        archive: Optional["MerkleTreeArchive"] = None,
+        tree: MerkleTree,
+        archive: "MerkleTreeArchive",
         base_batch: BatchNumber = NO_BATCH,
-        tree: Optional[MerkleTree] = None,
         deltas: Optional[DeltaMemo] = None,
     ) -> None:
-        base = initial if initial is not None else {}
-        # Writes land in ``_written``; reads fall through to the shared base.
-        self._written: Dict[Key, Value] = {}
-        self._items: Mapping[Key, Value] = ChainMap(self._written, base)
-        self._tree = tree if tree is not None else MerkleTree(base)
-        # The root this store last left its tree at: any other root means a
-        # write behind its back.
-        self._root = self._tree.root
-        self._prepared: Optional[_PreparedUpdate] = None
-        self._deltas = deltas
+        self._tree = tree
+        self._deltas = deltas if deltas is not None else DeltaMemo()
         self._archive = archive
-        if archive is not None:
-            archive.reset(base_batch)
+        archive.reset(base_batch)
 
     @property
     def root(self) -> Digest:
@@ -409,7 +393,7 @@ class MerkleStore:
         return self._tree
 
     @property
-    def archive(self) -> Optional["MerkleTreeArchive"]:
+    def archive(self) -> "MerkleTreeArchive":
         return self._archive
 
     def __len__(self) -> int:
@@ -418,109 +402,64 @@ class MerkleStore:
     def __contains__(self, key: Key) -> bool:
         return key in self._tree
 
-    def _prepare(self, updates: Mapping[Key, Value]) -> _PreparedUpdate:
-        """Non-empty ``updates`` hashed against the live tree — the retained
-        result when that is for equal updates on this tree at this root."""
-        tree, kept = self._tree, self._prepared
-        if (
-            kept is not None
-            and (kept.base is tree and kept.base_root == tree.root)  # still that tree, unmoved
-            and kept.updates == updates
-        ):
-            return kept
-        root = tree.root
-        if root != self._root:  # written behind: the tree is not over ``_items``
-            self._deltas = None
-        if self._deltas is None:
-            delta = self._hash(updates)
-        else:
-            key = (root, tuple(updates.items()))
-            delta = self._deltas.lookup(key)
-            if delta is None:
-                delta = self._hash(updates)
-                self._deltas.store(key, delta)
-            delta = delta.copy()  # the memo's entry stays pristine
-        # ``updates`` is copied: the caller's mapping may change before the apply.
-        return _PreparedUpdate(dict(updates), tree, root, delta)
-
-    def _hash(self, updates: Mapping[Key, Value]) -> _Delta:
-        if self._tree.covers(updates):
-            return _Delta(overlay=self._tree.path_overlay(updates))
-        return _Delta(rebuilt=MerkleTree({**self._items, **updates}))
+    def _delta(self, updates: Mapping[Key, Value]) -> _Delta:
+        """The memo's delta of non-empty ``updates`` on the live tree, hashed on a miss."""
+        tree = self._tree
+        key = (tree.root, tuple(updates.items()))
+        delta = self._deltas.lookup(key)
+        if delta is None:
+            if tree.covers(updates):
+                delta = _Delta(overlay=tree.path_overlay(updates))
+            else:
+                delta = _Delta(rebuilt=tree.inserted(updates))
+            self._deltas.store(key, delta)
+        return delta
 
     def preview_root(self, updates: Mapping[Key, Value]) -> Digest:
-        """Root the store would have after ``updates``, without applying them.
+        """Root the store would have after ``updates``, without applying them."""
+        if not updates:
+            return self._tree.root
+        return self._delta(updates).root
 
-        The result is retained (replacing any earlier preview's) for the
-        :meth:`apply` of equal updates; asking again for equal updates on an
-        unchanged tree — a leader validating its own proposal — hashes nothing.
+    def apply(self, updates: Mapping[Key, Value], batch: BatchNumber) -> Digest:
+        """Apply ``updates`` as batch ``batch`` and return the new root.
+
+        Updates to existing keys install the delta's path cells; a brand-new
+        key swaps in the delta's rebuilt tree.  Either way the store installs
+        its own :meth:`_Delta.copy`, and the memo's entry stays pristine.
         """
         if not updates:
             return self._tree.root
-        self._prepared = self._prepare(updates)
-        return self._prepared.delta.root
-
-    def apply(self, updates: Mapping[Key, Value], batch: Optional[BatchNumber] = None) -> Digest:
-        """Apply ``updates`` and return the new root.
-
-        Updates to existing keys take the incremental path (only the affected
-        tree paths change); introducing a brand-new key rebuilds the tree,
-        since leaf positions shift.  A matching :meth:`preview_root`'s work
-        is installed rather than repeated.  ``batch`` tags the update for the
-        archive; an untagged mutating apply clears the archive, since its
-        deltas would no longer describe the live tree.
-        """
-        if not updates:
-            return self._tree.root
-        delta = self._prepare(updates).delta
-        self._prepared = None
-        archive = self._archive
-        if archive is not None:
-            # The archive hears of a mutation before it happens (it may
-            # refuse the batch number).  It is handed the overlay itself:
-            # install() below turns those very cells into the reverse delta.
-            if batch is None:
-                archive.invalidate()
-            elif delta.rebuilt is None:
-                archive.record_delta(batch, delta.overlay)
-            else:
-                archive.record_tree(batch, self._tree)
-        self._written.update(updates)
+        delta = self._delta(updates).copy()
+        # The archive hears of a mutation before it happens (it may refuse
+        # the batch number).  It is handed the overlay itself: install()
+        # below turns those very cells into the reverse delta.
         if delta.rebuilt is None:
+            self._archive.record_delta(batch, delta.overlay)
             self._tree.install(delta.overlay)
         else:
+            self._archive.record_tree(batch, self._tree)
             self._tree = delta.rebuilt
-        self._root = self._tree.root
-        return self._root
+        return self._tree.root
 
     def tree_at(
         self, batch: BatchNumber
     ) -> Optional["MerkleTree | HistoricalTreeView"]:
-        """The tree as of ``batch``, or None without an archive / past retention."""
-        if self._archive is None:
-            return None
+        """The tree as of ``batch``, or None past the archive's retention."""
         return self._archive.tree_at(batch, self._tree)
 
     def prove_at(self, key: Key, batch: BatchNumber) -> MerkleProof:
         """Proof for ``key`` against the archived tree as of ``batch``."""
-        if self._archive is None:
-            raise ProofError("store has no Merkle tree archive")
         return self._archive.prove_at(key, batch, self._tree)
 
     def archive_covers(self, batch: BatchNumber) -> bool:
         """True when :meth:`tree_at` can answer for ``batch`` from the archive."""
-        if self._archive is None:
-            return False
         return self._archive.covers(batch)
 
     def prune_archive(self, upto: BatchNumber) -> int:
         """Retention hook: drop archived states below ``upto`` (checkpoint GC)."""
-        if self._archive is None:
-            return 0
         return self._archive.prune(upto)
 
     def compact_archive(self, keep) -> int:
         """Checkpoint hook: merge archive deltas for batches outside ``keep``."""
-        if self._archive is None:
-            return 0
         return self._archive.compact(keep)

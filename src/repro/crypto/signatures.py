@@ -231,7 +231,7 @@ class KeyRegistry:
         return self._cache.misses
 
     def attach_cache(self, cache: VerifyCache) -> None:
-        """Track a per-node cache so key rotation can invalidate it too."""
+        """Track a per-node cache so key rotation can clear it too."""
         self._attached_caches.append(cache)
 
     def register(self, signer: Signer) -> None:

@@ -1,9 +1,9 @@
 """The shared Merkle delta memo changes how much a run hashes, never what it does.
 
 A chaos seed run normally and run with the memo forced to miss (every member
-hashing every delta itself, as before the memo existed) must agree on every
-fingerprinted field, on the trace digest, on the number of events and on
-every counter.  Seeds 5 and 10 each have a view change and state transfers,
+hashing every delta itself, once to preview it and again to apply it) must
+agree on every fingerprinted field, on the trace digest, on the number of
+events and on every counter.  Seeds 5 and 10 each have a view change and state transfers,
 so crashed members replay batches the memo answers for.
 """
 

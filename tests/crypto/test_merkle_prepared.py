@@ -1,12 +1,13 @@
-"""The Merkle path kernel and the store's retained prepared update.
+"""The Merkle path kernel, the insert path, and the store's one path.
 
-Two contracts.  The kernel (:meth:`MerkleTree.path_overlay` +
+Three contracts.  The kernel (:meth:`MerkleTree.path_overlay` +
 :meth:`MerkleTree.install`) is equivalent to a rebuild, and the cells install
 swaps out are exactly the reverse delta the parent commit's separate
-``capture_paths`` walk produced.  And :class:`MerkleStore` may reuse what
-``preview_root`` computed only while that is still true of the live tree: a
-store that reuses must be indistinguishable — root, proofs, archived proofs,
-recorded deltas — from one that never does.
+``capture_paths`` walk produced.  :meth:`MerkleTree.inserted` equals a
+from-scratch build and hashes only the updated leaves.  And
+:class:`MerkleStore`, which finds every delta in a :class:`DeltaMemo`
+(hashing it only on a miss), must be indistinguishable — root, proofs,
+archived proofs, recorded deltas — from a store that rebuilds everything.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from hypothesis.stateful import Bundle, RuleBasedStateMachine, invariant, precon
 
 from repro.common.errors import ProofError
 from repro.common.ids import NO_BATCH
+from repro.crypto import merkle
 from repro.crypto.archive import MerkleTreeArchive
 from repro.crypto.merkle import DeltaMemo, MerkleStore, MerkleTree, verify_proof
 
@@ -52,6 +54,36 @@ class TestKernelEqualsRebuild:
             assert tree.install(overlay) == expected_delta
             assert tree._levels == rebuilt._levels
 
+    @pytest.mark.parametrize(
+        "updates",
+        [
+            {"aaa-new": b"first"},
+            {"zzz-new": b"last"},
+            {"key-000x": b"between"},
+            {"key-000": b"changed", "zzz-new": b"last"},
+            {"aaa": b"a", "key-000x": b"m", "zzz": b"z"},
+        ],
+    )
+    @pytest.mark.parametrize("size", range(1, 10))
+    def test_inserted_equals_rebuild_and_hashes_only_the_updated_leaves(
+        self, size, updates, monkeypatch
+    ):
+        items = make_items(size)
+        tree = MerkleTree(items)
+        keys, before = tree.keys(), [list(level) for level in tree._levels]
+        rebuilt = MerkleTree({**items, **updates})
+        hashed = []
+        real_leaf_digest = merkle.leaf_digest
+        monkeypatch.setattr(
+            merkle, "leaf_digest", lambda key, value: (hashed.append(key), real_leaf_digest(key, value))[1]
+        )
+        grown = tree.inserted(updates)
+        assert sorted(hashed) == sorted(updates)
+        assert (grown.keys(), grown._index, grown._levels) == (
+            rebuilt.keys(), rebuilt._index, rebuilt._levels
+        )
+        assert (tree.keys(), tree._levels) == (keys, before)  # the receiving tree is untouched
+
     def test_installed_cells_are_the_parent_commits_reverse_delta(self):
         # Pinned from ``capture_paths`` at the parent commit: five leaves, the
         # last one an odd node promoted unchanged through two levels.
@@ -85,32 +117,34 @@ def count_kernel(monkeypatch) -> list:
     return calls
 
 
+def make_store(items: dict, deltas=None) -> MerkleStore:
+    return MerkleStore(MerkleTree(items), MerkleTreeArchive(), deltas=deltas)
+
+
 class TestPreparedUpdate:
     U = {"key-001": b"u1", "key-005": b"u5"}
     V = {"key-001": b"v1", "key-002": b"v2"}
 
     def test_validated_preview_is_installed_not_rehashed(self, monkeypatch):
-        store = MerkleStore(make_items(8), archive=MerkleTreeArchive())
+        store = make_store(make_items(8))
         calls = count_kernel(monkeypatch)
         root = store.preview_root(self.U)
         assert store.preview_root(dict(self.U)) == root  # a leader's own proposal
         assert store.apply(dict(self.U), batch=1) == root
         assert len(calls) == 1
         assert store.root == MerkleTree({**make_items(8), **self.U}).root
-        assert store._prepared is None  # never kept past the apply
         assert store.tree_at(0).root == MerkleTree(make_items(8)).root
 
     def test_preview_u_apply_v_apply_u(self):
-        store = MerkleStore(make_items(8), archive=MerkleTreeArchive())
+        store = make_store(make_items(8))
         store.preview_root(self.U)
         store.apply(self.V, batch=1)
-        assert store._prepared is None
         store.apply(self.U, batch=2)
         assert store.root == MerkleTree({**make_items(8), **self.V, **self.U}).root
         assert store.tree_at(1).root == MerkleTree({**make_items(8), **self.V}).root
 
     def test_preview_u_rebuild_apply_u(self):
-        store = MerkleStore(make_items(8), archive=MerkleTreeArchive())
+        store = make_store(make_items(8))
         store.preview_root(self.U)
         store.apply({"zzz-new": b"fresh"}, batch=1)  # leaf positions shift
         store.apply(self.U, batch=2)
@@ -120,56 +154,53 @@ class TestPreparedUpdate:
 
     def test_live_tree_mutated_behind_the_stores_back(self):
         # ``MerkleStore.tree`` hands out the mutable live tree; the store
-        # cannot see such a write, only that the root it prepared against is gone.
-        store = MerkleStore(make_items(8))
+        # looks deltas up by the root the tree has now.
+        store = make_store(make_items(8))
         store.preview_root(self.U)
         store.tree.update_values(self.V)
-        store.apply(self.U)
+        store.apply(self.U, batch=1)
         assert store.root == MerkleTree({**make_items(8), **self.V, **self.U}).root
 
     def test_callers_mapping_changed_between_preview_and_apply(self):
-        store = MerkleStore(make_items(8))
+        store = make_store(make_items(8))
         updates = dict(self.U)
         store.preview_root(updates)
         updates["key-006"] = b"late"
-        store.apply(updates)
+        store.apply(updates, batch=1)
         assert store.root == MerkleTree({**make_items(8), **updates}).root
 
-    def test_previewed_rebuild_is_adopted_for_new_keys(self, monkeypatch):
-        store = MerkleStore(make_items(6), archive=MerkleTreeArchive())
+    def test_previewed_insert_is_adopted_at_the_apply(self, monkeypatch):
+        store = make_store(make_items(6))
         retired = store.tree
-        builds = []
-        real_init = MerkleTree.__init__
+        inserts = []
+        real_inserted = MerkleTree.inserted
         monkeypatch.setattr(
-            MerkleTree, "__init__", lambda self, items: (builds.append(1), real_init(self, items))[1]
+            MerkleTree, "inserted", lambda self, updates: (inserts.append(1), real_inserted(self, updates))[1]
         )
         updates = {"key-001": b"x", "zzz-new": b"fresh"}
         root = store.preview_root(updates)
         assert store.tree is retired and "zzz-new" not in store
         assert store.apply(updates, batch=1) == root
-        assert len(builds) == 1  # previewed once, not rebuilt at delivery
+        assert len(inserts) == 1  # previewed once, not rebuilt at delivery
         assert store.root == MerkleTree({**make_items(6), **updates}).root
         assert store.tree_at(0) is retired
         assert verify_proof(root, "zzz-new", b"fresh", store.tree.prove("zzz-new"))
 
     @pytest.mark.parametrize("behind_first", [True, False])
-    def test_a_store_written_behind_its_back_shares_nothing(self, behind_first):
-        # Equal roots, unequal items: a rebuild over the items must not be shared.
+    def test_a_write_behind_the_stores_back_is_kept_by_a_later_insert(self, behind_first):
+        # Equal roots are equal trees: the insert is hashed once and shared.
         memo, items, insert = DeltaMemo(), make_items(8), {"zzz-new": b"fresh"}
-        behind = MerkleStore(items, deltas=memo)
-        honest = MerkleStore(items, deltas=memo)
-        behind.tree.update_values(self.U)  # the tree moves, the items do not
-        honest.apply(self.U)
+        behind, honest = make_store(items, memo), make_store(items, memo)
+        behind.tree.update_values(self.U)
+        honest.apply(self.U, batch=1)
         assert behind.root == honest.root
-        expected = {
-            behind: MerkleTree({**items, **insert}).root,
-            honest: MerkleTree({**items, **self.U, **insert}).root,
-        }
+        expected = MerkleTree({**items, **self.U, **insert}).root
         for store in (behind, honest) if behind_first else (honest, behind):
-            assert store.preview_root(insert) == expected[store]
+            assert store.preview_root(insert) == expected
+        assert len(memo) == 2  # the update and the insert
 
     def test_refused_batch_number_leaves_the_store_untouched(self):
-        store = MerkleStore(make_items(4), archive=MerkleTreeArchive())
+        store = make_store(make_items(4))
         store.apply({"key-001": b"x"}, batch=5)
         root = store.root
         with pytest.raises(ValueError):
@@ -179,41 +210,30 @@ class TestPreparedUpdate:
 
 
 class ReferenceStore:
-    """The parent commit's ``MerkleStore`` semantics with nothing reused.
+    """``MerkleStore`` semantics with nothing reused.
 
-    ``leaves`` is what the tree is over (it differs from ``items`` only after
-    a write behind the store's back); the tree is rebuilt from scratch after
-    every step and reverse deltas come from the reference walk above.
+    The tree is rebuilt from scratch over ``leaves`` after every step, and
+    reverse deltas come from the reference walk above.
     """
 
     def __init__(self, items: dict) -> None:
-        self.items = dict(items)
         self.leaves = dict(items)
         self.tree = MerkleTree(self.leaves)
         self.archive = MerkleTreeArchive()
         self.archive.reset(NO_BATCH)
 
     def preview_root(self, updates: dict) -> bytes:
-        base = self.leaves if self.tree.covers(updates) else self.items
-        return MerkleTree({**base, **updates}).root
+        return MerkleTree({**self.leaves, **updates}).root
 
-    def apply(self, updates: dict, batch=None) -> bytes:
-        covered = self.tree.covers(updates)
-        if batch is None:
-            self.archive.invalidate()
-        elif covered:
+    def apply(self, updates: dict, batch: int) -> bytes:
+        if self.tree.covers(updates):
             self.archive.record_delta(batch, capture_paths(self.tree, updates))
         else:
             self.archive.record_tree(batch, self.tree)
-        self.items.update(updates)
-        if covered:
-            self.leaves.update(updates)
-        else:
-            self.leaves = dict(self.items)
-        self.tree = MerkleTree(self.leaves)
+        self.write(updates)
         return self.tree.root
 
-    def write_behind(self, updates: dict) -> None:
+    def write(self, updates: dict) -> None:
         self.leaves.update(updates)
         self.tree = MerkleTree(self.leaves)
 
@@ -225,15 +245,16 @@ updates_strategy = st.dictionaries(
 
 
 class PreparedUpdateMachine(RuleBasedStateMachine):
-    """Random preview / apply / untagged apply / insert / write-behind runs.
+    """Random preview / apply / insert / write-behind runs.
 
     Update sets come from a bundle, so the same set is previewed, applied and
     applied again in every order — *preview U, apply V, apply U* and
     *preview U, insert, apply U* included.  Three stores share one small
     delta memo, as the members of a cluster do: every step is taken by all
-    of them (a preview by some of them), so the first to prepare a write-set
-    hashes it and the others copy it — or, once the memo evicted it, hash it
-    again.
+    of them (a preview by some of them), so the first to look a write-set up
+    hashes it and the others find it — or, once the memo evicted it, hash it
+    again.  A write behind the stores' back is one more write to the tree,
+    which a later insert keeps.
     """
 
     update_sets = Bundle("update_sets")
@@ -241,22 +262,18 @@ class PreparedUpdateMachine(RuleBasedStateMachine):
     def __init__(self) -> None:
         super().__init__()
         self.memo = DeltaMemo(size=3)
-        self.stores = [
-            MerkleStore(make_items(11), archive=MerkleTreeArchive(), deltas=self.memo)
-            for _ in range(3)
-        ]
+        self.stores = [make_store(make_items(11), self.memo) for _ in range(3)]
         self.reference = ReferenceStore(make_items(11))
         self.batch = 0
         self.previewed = None
-        # Root -> (tree, items) of every state the stores held with a tree
-        # over their items: what each memo entry must have been hashed from.
+        # Root -> (tree, leaves) of every state the stores held: what each
+        # memo entry must have been hashed from.
         self.states = {}
         self.record_state()
 
     def record_state(self) -> None:
         reference = self.reference
-        if reference.leaves == reference.items:
-            self.states[reference.tree.root] = (reference.tree, dict(reference.items))
+        self.states[reference.tree.root] = (reference.tree, dict(reference.leaves))
 
     @rule(target=update_sets, updates=updates_strategy)
     def new_update_set(self, updates):
@@ -270,19 +287,17 @@ class PreparedUpdateMachine(RuleBasedStateMachine):
         self.previewed = updates
 
     @precondition(lambda self: self.previewed is not None)
-    @rule(tagged=st.booleans())
-    def apply_what_was_previewed(self, tagged):
+    @rule()
+    def apply_what_was_previewed(self):
         # What a replica does at delivery — after anything else has happened.
-        self.apply(self.previewed, tagged)
+        self.apply(self.previewed)
 
-    @rule(updates=update_sets, tagged=st.booleans())
-    def apply(self, updates, tagged):
+    @rule(updates=update_sets)
+    def apply(self, updates):
         self.batch += 1
-        batch = self.batch if tagged else None
-        expected = self.reference.apply(updates, batch)
+        expected = self.reference.apply(updates, self.batch)
         for store in self.stores:
-            assert store.apply(dict(updates), batch=batch) == expected
-            assert store._prepared is None
+            assert store.apply(dict(updates), batch=self.batch) == expected
         self.record_state()
 
     @rule(updates=update_sets)
@@ -291,7 +306,7 @@ class PreparedUpdateMachine(RuleBasedStateMachine):
         if existing:
             for store in self.stores:
                 store.tree.update_values(existing)
-            self.reference.write_behind(existing)
+            self.reference.write(existing)
             self.record_state()
 
     @invariant()
@@ -317,19 +332,17 @@ class PreparedUpdateMachine(RuleBasedStateMachine):
     def memo_entries_are_pristine_and_never_owned(self):
         shared = set()
         for (root, items), entry in self.memo._entries.items():
-            tree, state = self.states[root]
+            tree, leaves = self.states[root]
             updates = dict(items)
             if entry.rebuilt is None:
                 assert entry.overlay == tree.path_overlay(updates)
                 shared.update(map(id, entry.overlay))
             else:
-                assert entry.rebuilt._levels == MerkleTree({**state, **updates})._levels
+                rebuilt = MerkleTree({**leaves, **updates})
+                assert (entry.rebuilt.keys(), entry.rebuilt._levels) == (rebuilt.keys(), rebuilt._levels)
                 shared.update(map(id, [entry.rebuilt, *entry.rebuilt._levels]))
         for store in self.stores:
             owned = [store.tree, *store.tree._levels]
-            if store._prepared is not None:
-                delta = store._prepared.delta
-                owned += delta.overlay or [delta.rebuilt, *delta.rebuilt._levels]
             for record in store.archive._records:
                 owned += record.delta or [record.tree, *record.tree._levels]
             assert not shared.intersection(map(id, owned))
