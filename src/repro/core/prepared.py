@@ -47,9 +47,6 @@ class PrepareGroup:
         """True when every prepared transaction has a commit/abort decision."""
         return set(self.decisions) == set(self.records)
 
-    def pending_txn_ids(self) -> Tuple[str, ...]:
-        return tuple(sorted(set(self.records) - set(self.decisions)))
-
     def ordered_decisions(self) -> Tuple[CommitRecord, ...]:
         """Decisions in a deterministic order (by transaction id)."""
         return tuple(self.decisions[txn_id] for txn_id in sorted(self.decisions))
@@ -81,18 +78,12 @@ class PreparedBatches:
 
     def record_decision(self, record: CommitRecord) -> None:
         """Attach a commit/abort decision to the group that prepared the txn."""
-        group = self._find_group_of(record.txn.txn_id)
+        group = self.group_of_txn(record.txn.txn_id)
         if group is None:
             raise TransactionError(
                 f"no prepare group contains transaction {record.txn.txn_id}"
             )
         group.add_decision(record)
-
-    def _find_group_of(self, txn_id: str) -> Optional[PrepareGroup]:
-        for group in self._groups.values():
-            if txn_id in group.records:
-                return group
-        return None
 
     # -- queries -----------------------------------------------------------------
 
@@ -108,7 +99,10 @@ class PreparedBatches:
         return self._groups[batch_number]
 
     def group_of_txn(self, txn_id: str) -> Optional[PrepareGroup]:
-        return self._find_group_of(txn_id)
+        for group in self._groups.values():
+            if txn_id in group.records:
+                return group
+        return None
 
     def pending_transactions(self) -> Iterator[Tuple[str, PreparedRecord]]:
         """Every prepared-but-undecided transaction (for conflict rule 3)."""

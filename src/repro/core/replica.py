@@ -161,7 +161,7 @@ class PartitionReplica(SimNode):
         self.register_handler(ParticipantPrepared, self._on_participant_prepared)
         self.register_handler(DecisionMessage, self._on_decision)
         self.register_handler(DecisionQuery, self._on_decision_query)
-        self.register_handler(DecisionReply, self._on_decision_reply)
+        self.register_handler(DecisionReply, self._on_decision)
         self.register_handler(LeaderComplaint, self._on_leader_complaint)
         self.register_handler(ComplaintProbe, self._on_complaint_probe)
         self.register_handler(ComplaintProbeAck, self._on_complaint_probe_ack)
@@ -917,9 +917,10 @@ class PartitionReplica(SimNode):
         self.leader_role.on_participant_prepared(message, src)
 
     def _on_decision(self, message: Message, src: NodeId) -> None:
-        assert isinstance(message, DecisionMessage)
+        assert isinstance(message, (DecisionMessage, DecisionReply))
         self.leader_role.on_decision(message, src)
-        self.progress_monitor.poke()
+        if isinstance(message, DecisionMessage):
+            self.progress_monitor.poke()  # a reply pokes once the leader takes its record
 
     # ------------------------------------------------------------------
     # decision resolution and leader-failure evidence (repro.recovery PR 3)
@@ -934,30 +935,11 @@ class PartitionReplica(SimNode):
             # Not decided here (yet).  If this replica is the cluster's
             # current leader and still coordinates the transaction, the query
             # doubles as a nudge to re-drive the vote collection.
-            if self.is_leader:
-                self.leader_role.nudge_two_pc()
+            self.leader_role.nudge_two_pc()
             return
         commit_batch, record = entry
         self.counters.decision_queries_served += 1
         self.send(src, DecisionReply(record=record, commit_batch=commit_batch))
-
-    def _on_decision_reply(self, message: Message, src: NodeId) -> None:
-        assert isinstance(message, DecisionReply)
-        record = message.record
-        if record is None or not self.is_leader:
-            return
-        group = self.prepared_batches.group_of_txn(record.txn.txn_id)
-        if group is None or record.txn.txn_id in group.decisions:
-            return  # never prepared here, or already resolved
-        # The responder is a single (possibly byzantine) replica: accept the
-        # record only on the same proof a committed-segment entry would need.
-        if not self._validate_commit_record(record):
-            return
-        self.counters.decisions_resolved_remotely += 1
-        self.leader_role.on_decision(
-            DecisionMessage(record=record, commit_batch=message.commit_batch), src
-        )
-        self.progress_monitor.poke()
 
     def _on_leader_complaint(self, message: Message, src: NodeId) -> None:
         assert isinstance(message, LeaderComplaint)

@@ -205,7 +205,7 @@ class TestPreparedBatches:
         assert not prepared.group(0).is_ready()
         prepared.record_decision(decision)
         assert prepared.group(0).is_ready()
-        assert prepared.group(0).pending_txn_ids() == ()
+        assert list(prepared.pending_transactions()) == []  # nothing left undecided
 
     def test_empty_group_is_not_created(self):
         prepared = _prepared()

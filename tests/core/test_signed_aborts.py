@@ -24,6 +24,7 @@ from repro.core.batch import CommitRecord, PreparedRecord, PreparedVote
 from repro.core.messages import ParticipantPrepared
 from repro.core.system import TransEdgeSystem
 from repro.core.transaction import TxnPayload
+from repro.core.twopc import TxnRecord
 from repro.storage.locks import LockMode
 
 
@@ -137,8 +138,8 @@ class TestUnverifiablePositiveVotes:
         leader = system.leader_replica(0)
         txn = cross_partition_txn(system, "pending-txn")
         leader.prepared_batches.add_group(1, [PreparedRecord(txn=txn, coordinator=0)])
-        votes = leader.leader_role._votes["pending-txn"] = {}
-        return leader, votes
+        leader.leader_role._txns["pending-txn"] = TxnRecord(votes={})
+        return leader, lambda: leader.leader_role._txns["pending-txn"].votes
 
     def test_unverifiable_positive_vote_is_ignored_not_downgraded(self):
         # The coordinator cannot sign a negative vote on the participant's
@@ -150,7 +151,7 @@ class TestUnverifiablePositiveVotes:
             vote=PreparedVote(txn_id="pending-txn", partition=1, vote=True)
         )
         leader.leader_role.on_participant_prepared(bogus, src=None)
-        assert votes == {}
+        assert votes() == {}
 
     def test_signed_negative_vote_is_recorded(self):
         # The control: the same planted coordination does record a vote that
@@ -161,7 +162,7 @@ class TestUnverifiablePositiveVotes:
         leader.leader_role.on_participant_prepared(
             ParticipantPrepared(vote=signed), src=None
         )
-        assert votes == {1: signed}
+        assert votes() == {1: signed}
 
 
 def certified_votes(system: TransEdgeSystem, txn_id: str):

@@ -25,6 +25,7 @@ from repro.core.messages import (
 )
 from repro.core.system import TransEdgeSystem
 from repro.core.transaction import TxnPayload
+from repro.core.twopc import TxnRecord
 
 PENDING = "pending-txn"
 
@@ -73,7 +74,7 @@ def plant_pending_coordination(system: TransEdgeSystem) -> None:
     for member in system.topology.members(0):
         replica = system.replicas[member]
         replica.prepared_batches.add_group(1, [record])
-    system.leader_replica(0).leader_role._votes[PENDING] = {}
+    system.leader_replica(0).leader_role._txns[PENDING] = TxnRecord(votes={})
 
 
 #: (id, message) — each used to raise out of ``run_until_idle`` when one
@@ -103,12 +104,17 @@ def two_pc_state(system: TransEdgeSystem):
     group = leader.prepared_batches.group_of_txn(PENDING)
     return (
         leader.log.last_seq,
-        dict(role._votes[PENDING]),
+        dict(role._txns[PENDING].votes),
         sorted(group.decisions),
-        sorted(role._participating),
+        participating(role),
         role.in_progress_size(),
         sorted(leader.decided),
     )
+
+
+def participating(role):
+    """The prepares the leader admitted as a participant, not yet decided."""
+    return sorted(txn_id for txn_id, record in role._txns.items() if record.participating)
 
 
 def malformed_events(system: TransEdgeSystem):
@@ -173,7 +179,7 @@ class TestMalformedTwoPcMessages:
         )
         system.run_until_idle()
 
-        assert leader.leader_role._participating == set()
+        assert participating(leader.leader_role) == []
         assert leader.leader_role.in_progress_size() == 0
 
 
@@ -196,7 +202,7 @@ class TestForgedAbortVote:
         assert system.topology.leader(0) == leader.node_id
         # Still undecided, the vote collection still open and empty.
         assert leader.prepared_batches.group_of_txn(PENDING).decisions == {}
-        assert leader.leader_role._votes[PENDING] == {}
+        assert leader.leader_role._txns[PENDING].votes == {}
 
     @pytest.mark.parametrize("partition", [0, 7])
     def test_vote_naming_no_participant_is_no_vote(self, partition):
@@ -210,5 +216,5 @@ class TestForgedAbortVote:
         participant.send(leader.node_id, ParticipantPrepared(vote=vote))
         system.run_until_idle()
 
-        assert leader.leader_role._votes[PENDING] == {}
+        assert leader.leader_role._txns[PENDING].votes == {}
         assert system.counters().view_changes == 0

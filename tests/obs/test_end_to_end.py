@@ -14,6 +14,7 @@ import pytest
 
 from repro.bench.drivers import execute_workload
 from repro.common.config import BatchConfig, SystemConfig
+from repro.core.messages import CoordinatorPrepare, ParticipantPrepared
 from repro.core.system import TransEdgeSystem
 from repro.obs.cli import traced_workload
 from repro.obs.phases import PHASES
@@ -41,6 +42,12 @@ def run_mixed(system: TransEdgeSystem, txns: int = 15, seed: int = 8):
     )
     specs = list(generator.mixed_stream(txns))
     return execute_workload(system, specs, concurrency=8, num_clients=2)
+
+
+def _txn_of(message) -> str:
+    if isinstance(message, CoordinatorPrepare):
+        return message.txn.txn_id
+    return message.vote.txn_id
 
 
 def assert_well_formed(trace) -> None:
@@ -131,8 +138,51 @@ class TestWellFormedness:
         assert "leader:batch-wait" in names
         assert "leader:consensus" in names
         assert "net:CoordinatorPrepare" in names
+        assert "net:ParticipantPrepared" in names
+        assert "net:DecisionMessage" in names
         assert "net:CommitReply" in names
         assert trace.find("leader:consensus").phase == "consensus"
+
+    def test_retry_timer_resends_carry_no_trace(self):
+        # Only the first solicitation and the first vote join the
+        # transaction's trace: a prepare or vote the 2PC retry timer re-sends
+        # is untraced protocol traffic.  The coordinator swallows the first
+        # vote, so both leaders' retry timers re-drive the coordination.
+        system = build_traced_system()
+        coordinator, participant = system.leader_replica(0), system.leader_replica(1)
+        writes = {system.keys_of_partition(p)[0]: b"x" * 8 for p in (0, 1)}
+        sent = []
+        for leader in (coordinator, participant):
+            def recording(dst, message, original=leader.send):
+                original(dst, message)  # stamps the message's trace, if any
+                sent.append(message)
+            leader.send = recording
+        count = coordinator.leader_role.on_participant_prepared
+        swallowed = []
+
+        def lose_first_vote(message, src):
+            if swallowed:
+                count(message, src)
+            else:
+                swallowed.append(message)
+
+        coordinator.leader_role.on_participant_prepared = lose_first_vote
+        client = system.create_client("retry")
+        outcome = {}
+
+        def body():
+            outcome["result"] = yield from client.read_write_txn([], writes)
+
+        client.spawn(body(), name="retry")
+        system.run_until_idle()
+        assert outcome["result"].committed
+        assert system.counters().two_pc_retries >= 1
+        txn_id = outcome["result"].txn_id
+        for kind in (CoordinatorPrepare, ParticipantPrepared):
+            traces = [m.trace for m in sent if isinstance(m, kind) and _txn_of(m) == txn_id]
+            assert len(traces) >= 2, kind.__name__  # the first send, then re-sends
+            assert traces[0] is not None and traces[0].trace_id == txn_id
+            assert traces[1:] == [None] * (len(traces) - 1), kind.__name__
 
     def test_spans_well_formed_under_crash_and_failover(self):
         system = build_traced_system(seed=11)

@@ -28,6 +28,7 @@ from repro.common.config import (
 from repro.core.batch import PreparedRecord
 from repro.core.system import TransEdgeSystem
 from repro.core.transaction import TxnPayload
+from repro.core.twopc import Retry, own_vote
 from repro.recovery.snapshot import SnapshotImage
 from repro.recovery.transfer import StateTransferError
 
@@ -94,6 +95,12 @@ def plant_stale_coordination(system: TransEdgeSystem, txn_id: str) -> PreparedRe
     return record
 
 
+def resume(leader, txn_id: str) -> None:
+    """Re-drive a written prepare as a newly elected leader does."""
+    role = leader.leader_role
+    role._step(txn_id, Retry(role._prepare(txn_id), timer=False))
+
+
 def run_writes(system: TransEdgeSystem, client, keys, count: int, tag: str) -> list:
     results = []
 
@@ -113,9 +120,9 @@ class TestRetentionGapDiagnostic:
     def test_unresumable_coordination_is_reported_once(self):
         system = make_system()
         leader = system.leader_replica(0)
-        record = plant_stale_coordination(system, "stale-txn")
+        plant_stale_coordination(system, "stale-txn")
 
-        leader.leader_role._redrive_coordinated("stale-txn", record)
+        resume(leader, "stale-txn")
         assert leader.counters.two_pc_unresumable == 1
         diagnostic = leader.leader_role.unresumable["stale-txn"]
         assert "retention" in diagnostic
@@ -125,7 +132,7 @@ class TestRetentionGapDiagnostic:
         assert "checkpoint image" in diagnostic
 
         # Re-driving again does not double-count the same coordination.
-        leader.leader_role._redrive_coordinated("stale-txn", record)
+        resume(leader, "stale-txn")
         assert leader.counters.two_pc_unresumable == 1
         assert system.counters().two_pc_unresumable == 1
 
@@ -209,7 +216,7 @@ class TestRetentionGapClosed:
         keys = system.keys_of_partition(0)[:4]
         run_writes(system, client, keys, 2, "a")
         leader = system.leader_replica(0)
-        record = plant_pending_coordination(system, "carried-txn", 1)
+        plant_pending_coordination(system, "carried-txn", 1)
 
         image = SnapshotImage.capture(leader, leader.log.last_seq)
         assert [h.number for h in image.prepared_headers] == [1]
@@ -219,15 +226,14 @@ class TestRetentionGapClosed:
         assert leader.header_at(1) is not None
         assert leader.prepared_batches.group_of_txn("carried-txn") is not None
 
-        leader.leader_role._redrive_coordinated("carried-txn", record)
+        resume(leader, "carried-txn")
         assert leader.counters.two_pc_unresumable == 0
         assert leader.leader_role.unresumable == {}
         # Resumed: vote collection open, and the own vote — derived from the
         # carried header, never stored — is positive.
-        assert leader.leader_role._votes["carried-txn"] == {}
-        group = leader.prepared_batches.group_of_txn("carried-txn")
-        own_vote = leader.leader_role._own_vote("carried-txn", group)
-        assert own_vote is not None and own_vote.vote
+        assert leader.leader_role._txns["carried-txn"].votes == {}
+        vote = own_vote(leader.leader_role._prepare("carried-txn"))
+        assert vote is not None and vote.vote
 
     def test_tampered_carried_header_is_rejected(self):
         # The carried headers are digest-excluded, so install must verify
