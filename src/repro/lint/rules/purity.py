@@ -5,7 +5,9 @@ discrete-event loop: its only legitimate effects are messages, timers and
 in-memory state.  Filesystem, subprocess, threading or blocking-I/O access
 from event handlers would couple simulated time to host behaviour (and break
 the determinism the chaos engine depends on).  Real I/O belongs in the
-bench/CLI/obs-export layers.
+bench/CLI/obs-export layers.  The cyclic collector's policy has one owner,
+the run loop in ``simnet/simulator.py``; no other simulation module imports
+``gc``.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ class SimFilesystemRule(FileRule):
     rationale = (
         "simnet/bft/core handlers run inside the deterministic event loop; "
         "file, process or thread effects belong in bench/CLI layers, never "
-        "in protocol code"
+        "in protocol code, and only the run loop sets the collector policy"
     )
 
     _FORBIDDEN_IMPORTS = {
@@ -43,6 +45,9 @@ class SimFilesystemRule(FileRule):
         "tempfile",
         "asyncio",
     }
+    #: The one simulation module that may import ``gc``: its run loop sets
+    #: the collector policy every run shares.
+    _GC_OWNER = "repro/simnet/simulator.py"
     _FORBIDDEN_CALLS = {
         "os.remove",
         "os.unlink",
@@ -60,7 +65,16 @@ class SimFilesystemRule(FileRule):
     def applies_to(self, path: str) -> bool:
         return _in_sim_layer(path)
 
+    def _gc_finding(self, file: SourceFile, node: ast.stmt) -> Finding:
+        return self.finding(
+            file,
+            node.lineno,
+            f"gc imported outside {self._GC_OWNER}; the run loop owns the "
+            f"collector policy",
+        )
+
     def check(self, file: SourceFile) -> Iterator[Finding]:
+        gc_owner = file.path.endswith(self._GC_OWNER)
         for node in ast.walk(file.tree):
             if isinstance(node, ast.Import):
                 for alias in node.names:
@@ -72,6 +86,8 @@ class SimFilesystemRule(FileRule):
                             f"import of {alias.name} in the simulation layer; "
                             f"process/thread/socket effects are not simulatable",
                         )
+                    elif root == "gc" and not gc_owner:
+                        yield self._gc_finding(file, node)
             elif isinstance(node, ast.ImportFrom):
                 root = (node.module or "").split(".")[0]
                 if root in self._FORBIDDEN_IMPORTS:
@@ -80,6 +96,8 @@ class SimFilesystemRule(FileRule):
                         node.lineno,
                         f"import from {node.module} in the simulation layer",
                     )
+                elif root == "gc" and not gc_owner:
+                    yield self._gc_finding(file, node)
             elif isinstance(node, ast.Call):
                 name = call_name(node)
                 if name == "open":

@@ -13,15 +13,33 @@ Most events are never cancelled (message deliveries and dispatches), so
 :meth:`Simulator.schedule` / :meth:`Simulator.schedule_at` also allocate the
 one :class:`EventHandle` a timer needs to be withdrawn.  Cancellation is
 lazy: the entry stays in the heap and is skipped, uncounted, when popped.
+
+:meth:`Simulator.run` runs its loop under one cyclic-collector policy, the
+gen-0 threshold raised to :data:`RUN_GC_THRESHOLD`.  A run allocates
+events, messages and replies by the hundred thousand, and reference
+counting frees nearly all of them: a fault-free run leaves no cyclic
+garbage at all, so each collection it triggers only walks the live
+deployment and frees nothing.  The collector stays on, because a run with
+faults can abandon cycles; the wider window only collects them later.  The
+caller's thresholds come back when the run returns or raises, so nothing is
+set at import, a nested run hands its caller's policy back, and a caller
+that disabled the collector finds it still disabled.
 """
 
 from __future__ import annotations
 
+import gc
 import heapq
 import itertools
 from typing import Callable, List, Optional, Tuple
 
 from repro.common.errors import SimulationError
+
+#: Collector thresholds while :meth:`Simulator.run` runs: a young collection
+#: every 50 000 net allocations instead of 700, and an older generation
+#: after 20 collections of the one below instead of 10.  A cycle a run
+#: abandons is still found within a bounded number of allocations.
+RUN_GC_THRESHOLD = (50_000, 20, 20)
 
 
 class EventHandle:
@@ -117,11 +135,15 @@ class Simulator:
         Returns the number of events processed by this call.  When
         ``until_ms`` is given, the clock is advanced to ``until_ms`` even if
         the queue drained earlier, so back-to-back ``run`` calls observe a
-        monotonically advancing clock.
+        monotonically advancing clock.  The loop runs under
+        :data:`RUN_GC_THRESHOLD`; the caller's thresholds are restored on
+        the way out.
         """
         if self._running:
             raise SimulationError("Simulator.run is not re-entrant")
         self._running = True
+        caller_threshold = gc.get_threshold()
+        gc.set_threshold(*RUN_GC_THRESHOLD)
         processed = 0
         queue, heappop = self._queue, heapq.heappop
         try:
@@ -146,6 +168,7 @@ class Simulator:
                 self._events_processed += 1
         finally:
             self._running = False
+            gc.set_threshold(*caller_threshold)
         if until_ms is not None and until_ms > self._now:
             self._now = until_ms
         return processed

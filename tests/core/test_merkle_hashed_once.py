@@ -11,7 +11,7 @@ import weakref
 
 from repro.common.config import BatchConfig, LatencyConfig, SystemConfig
 from repro.core.system import TransEdgeSystem
-from repro.crypto.merkle import DELTA_MEMO_SIZE, DeltaMemo, MerkleTree, _Delta
+from repro.crypto.merkle import DELTA_MEMO_BUDGET, DeltaMemo, MerkleTree, _Delta
 
 WRITES = 50
 
@@ -131,22 +131,41 @@ def test_a_batch_inserting_a_key_builds_its_tree_once_per_cluster(monkeypatch):
     assert all(key in replica.merkle for replica in members)
 
 
-def test_the_memo_holds_at_most_its_bound():
+def test_the_memo_holds_at_most_its_budget_of_leaves():
+    # Each entry of a batch that inserts a key holds a whole tree: the memo
+    # keeps as many as its budget of leaves allows, the newest ones.
     memo = DeltaMemo()
-    tree = MerkleTree({"k": b"v"})
-    for value in range(DELTA_MEMO_SIZE + 10):
-        memo.store((tree.root, (("k", bytes([value])),)), _Delta(rebuilt=tree))
-        assert len(memo) <= DELTA_MEMO_SIZE
-    assert len(memo) == DELTA_MEMO_SIZE
-    assert memo.lookup((tree.root, (("k", bytes([0])),))) is None  # the oldest went first
-    assert memo.lookup((tree.root, (("k", bytes([DELTA_MEMO_SIZE + 9])),))) is not None
+    tree = MerkleTree({f"key-{index:04d}": b"v" for index in range(1000)})
+    keys = [(tree.root, (("new", index.to_bytes(2, "big")),)) for index in range(200)]
+    for key in keys:
+        memo.store(key, _Delta(rebuilt=tree))
+        assert memo.held <= DELTA_MEMO_BUDGET
+    kept = [key for key in keys if memo.lookup(key) is not None]
+    assert kept == keys[-(DELTA_MEMO_BUDGET // len(tree)):]  # the oldest went first
+    assert memo.held == len(kept) * len(tree) == len(memo) * len(tree)
+
+
+def test_the_memo_weighs_overlays_by_their_cells_and_keeps_its_newest_entry():
+    tree = MerkleTree({f"key-{index:04d}": b"v" for index in range(1000)})
+    overlay = _Delta(overlay=tree.path_overlay({"key-0001": b"w", "key-0500": b"w"}))
+    memo = DeltaMemo(budget=overlay.weight)
+    memo.store("overlay", overlay)
+    assert memo.held == overlay.weight == sum(len(cells) for cells in overlay.overlay)
+    memo.store("overlay", overlay)  # stored again (a forced miss): counted once
+    assert memo.held == overlay.weight and len(memo) == 1
+    # One tree wider than the whole budget is kept, alone, until the next entry.
+    memo.store("tree", _Delta(rebuilt=tree))
+    assert memo.lookup("overlay") is None and memo.lookup("tree") is not None
+    assert memo.held == len(tree) > overlay.weight
+    memo.store("overlay", overlay)
+    assert memo.lookup("tree") is None and memo.held == overlay.weight
 
 
 def test_the_memo_is_freed_with_its_system():
     system = make_system()
     assert write_one_batch(system, "writer") == [True] * WRITES
     memo = weakref.ref(system.env.merkle_deltas)
-    assert 0 < len(memo()) <= DELTA_MEMO_SIZE
+    assert 0 < memo().held <= DELTA_MEMO_BUDGET
     del system
     gc.collect()
     assert memo() is None

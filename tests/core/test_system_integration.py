@@ -400,18 +400,41 @@ class TestReadOnlyTransactions:
         assert results[0].values[keys[0]] == system.initial_data[keys[0]]
 
 
-class TestNoCyclicGarbage:
-    def test_a_run_to_idle_leaves_nothing_for_the_cyclic_collector(self):
-        """Finished waits, fired and cancelled timers release what they hold.
+def unreachable_repro_types(drive):
+    """Types of the unreachable ``repro`` objects ``drive()`` leaves behind.
 
-        Snapshot reads beside 2PC commits (the ``ro_snapshot`` shape): every
-        reply, proof and process the run is done with must die by reference
-        counting, so a collection over the idle deployment finds no
-        unreachable ``repro`` object.
-        """
+    ``drive`` builds a deployment, runs it to idle and returns it, so the
+    deployment stays reachable while everything its run is done with is
+    garbage.  The cyclic collector is off meanwhile: what reference counting
+    does not free, the collection after the run finds.
+    """
+    gc.collect()
+    gc.disable()
+    try:
+        system = drive()
+        gc.set_debug(gc.DEBUG_SAVEALL)
         gc.collect()
-        gc.disable()
-        try:
+        assert system is not None
+        return sorted(
+            {type(found).__qualname__ for found in gc.garbage if type(found).__module__.startswith("repro.")}
+        )
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+
+
+class TestNoCyclicGarbage:
+    """A fault-free run to idle leaves nothing for the cyclic collector.
+
+    Finished waits, fired and cancelled timers release what they hold: every
+    reply, proof and process the run is done with dies by reference counting.
+    This is what lets ``Simulator.run`` collect rarely (``RUN_GC_THRESHOLD``).
+    """
+
+    def test_a_run_to_idle_leaves_nothing_for_the_cyclic_collector(self):
+        # Snapshot reads beside 2PC commits: the ``ro_snapshot`` shape.
+        def drive():
             system = make_system(num_partitions=3)
             client = system.create_client("c1")
             keys = [system.keys_of_partition(partition)[:4] for partition in range(3)]
@@ -428,17 +451,52 @@ class TestNoCyclicGarbage:
                 system, client, [body(i) for i in range(4) for body in (reader, writer)]
             )
             assert len(results) == 8
-            del results
-            gc.set_debug(gc.DEBUG_SAVEALL)
-            gc.collect()
-            unreachable = sorted(
-                {type(found).__qualname__ for found in gc.garbage if type(found).__module__.startswith("repro.")}
-            )
-        finally:
-            gc.set_debug(0)
-            gc.garbage.clear()
-            gc.enable()
-        assert unreachable == []
+            return system
+
+        assert unreachable_repro_types(drive) == []
+
+    def test_a_stream_of_local_write_only_transactions(self):
+        # The ``local_write`` shape: batches of blind writes to one cluster.
+        def drive():
+            system = make_system(num_partitions=1)
+            clients = [system.create_client(f"c{i}") for i in range(4)]
+            keys = system.keys_of_partition(0)
+            statuses = []
+
+            def writer(client, index):
+                for round_ in range(3):
+                    result = yield from client.read_write_txn(
+                        [], {keys[4 * round_ + index]: b"w%d" % round_}
+                    )
+                    statuses.append(result.status)
+
+            for index, client in enumerate(clients):
+                client.spawn(writer(client, index))
+            system.run_until_idle()
+            assert statuses == [TxnStatus.COMMITTED] * 12
+            return system
+
+        assert unreachable_repro_types(drive) == []
+
+    def test_conflicting_writers_of_which_one_aborts(self):
+        # Two read-modify-writes of one key: OCC commits one and aborts the other.
+        def drive():
+            system = make_system()
+            key = system.keys_of_partition(0)[0]
+            statuses = []
+
+            def writer(client):
+                result = yield from client.read_write_txn([key], {key: client.name.encode()})
+                statuses.append(result.status)
+
+            for name in ("a", "b"):
+                client = system.create_client(name)
+                client.spawn(writer(client))
+            system.run_until_idle()
+            assert sorted(status.value for status in statuses) == ["aborted", "committed"]
+            return system
+
+        assert unreachable_repro_types(drive) == []
 
 
 class TestBaselineProtocols:

@@ -261,7 +261,7 @@ class PreparedUpdateMachine(RuleBasedStateMachine):
 
     def __init__(self) -> None:
         super().__init__()
-        self.memo = DeltaMemo(size=3)
+        self.memo = DeltaMemo(budget=32)
         self.stores = [make_store(make_items(11), self.memo) for _ in range(3)]
         self.reference = ReferenceStore(make_items(11))
         self.batch = 0

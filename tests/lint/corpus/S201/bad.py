@@ -1,5 +1,6 @@
 """S201 bad: filesystem and OS escape hatches inside simulation code."""
 
+import gc
 import subprocess
 import threading
 
@@ -15,3 +16,7 @@ def compact(path):
 
 def background(fn):
     threading.Thread(target=fn).start()
+
+
+def quiet_collector():
+    gc.disable()  # only the run loop sets the collector policy

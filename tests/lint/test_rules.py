@@ -94,6 +94,16 @@ class TestFindingContent:
         findings = findings_for("P304", os.path.join(CORPUS, "P304", "good"))
         assert findings == []
 
+    def test_s201_leaves_the_collector_to_the_run_loop(self, tmp_path):
+        for module in ("simnet/simulator.py", "simnet/network.py", "core/replica.py", "bench/run.py"):
+            path = tmp_path / "repro" / module
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text("import gc\nfrom gc import collect\n")
+        findings = findings_for("S201", str(tmp_path), ignore_scopes=False)
+        flagged = sorted({finding.path.split("/repro/")[1] for finding in findings})
+        assert flagged == ["core/replica.py", "simnet/network.py"]
+        assert len(findings) == 4 and all("collector policy" in f.message for f in findings)
+
     def test_k601_names_the_dead_field_and_spares_helper_read_ones(self, k601_bad):
         dead = [f for f in k601_bad if "read by no module" in f.message]
         assert len(dead) == 1

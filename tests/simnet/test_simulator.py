@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import SimulationError
-from repro.simnet.simulator import Simulator
+from repro.simnet.simulator import RUN_GC_THRESHOLD, Simulator
 
 
 class TestScheduling:
@@ -236,6 +238,82 @@ class TestRunLimits:
         sim.schedule(1.0, forever)
         with pytest.raises(SimulationError):
             sim.run_until_idle(max_events=100)
+
+
+#: Thresholds a caller set before running: neither the interpreter's nor the run's.
+CALLER_THRESHOLD = (1234, 5, 6)
+
+
+@pytest.fixture
+def caller_threshold():
+    saved = gc.get_threshold()
+    gc.set_threshold(*CALLER_THRESHOLD)
+    yield CALLER_THRESHOLD
+    gc.set_threshold(*saved)
+
+
+class TestCollectorPolicy:
+    """A run's loop has the run's collector thresholds; its caller keeps its own."""
+
+    def test_callbacks_run_under_the_run_threshold(self, caller_threshold):
+        sim = Simulator()
+        seen = []
+        sim.schedule(1.0, lambda: seen.append(gc.get_threshold()))
+        sim.run_until_idle()
+        assert seen == [RUN_GC_THRESHOLD]
+        assert gc.get_threshold() == caller_threshold
+
+    @pytest.mark.parametrize(
+        "limits", [{}, {"until_ms": 2.0}, {"max_events": 1}], ids=["drained", "until_ms", "max_events"]
+    )
+    def test_the_caller_threshold_comes_back_however_the_run_stops(self, caller_threshold, limits):
+        sim = Simulator()
+        seen = []
+        sim.schedule(1.0, lambda: seen.append(gc.get_threshold()))
+        sim.schedule(5.0, lambda: None)
+        sim.run(**limits)
+        assert seen == [RUN_GC_THRESHOLD]
+        assert gc.get_threshold() == caller_threshold
+        sim.run()  # a second run sets and restores again
+        assert gc.get_threshold() == caller_threshold
+
+    def test_the_caller_threshold_comes_back_when_a_callback_raises(self, caller_threshold):
+        sim = Simulator()
+
+        def fail():
+            assert gc.get_threshold() == RUN_GC_THRESHOLD
+            raise RuntimeError("callback failed")
+
+        sim.schedule(1.0, fail)
+        with pytest.raises(RuntimeError):
+            sim.run()
+        assert gc.get_threshold() == caller_threshold
+
+    def test_a_nested_run_hands_back_the_outer_runs_policy(self, caller_threshold):
+        outer, inner = Simulator(), Simulator()
+        seen = []
+        inner.schedule(1.0, lambda: seen.append(("inner", gc.get_threshold())))
+
+        def drive_inner():
+            inner.run_until_idle()
+            seen.append(("outer after inner", gc.get_threshold()))
+
+        outer.schedule(1.0, drive_inner)
+        outer.run_until_idle()
+        assert seen == [("inner", RUN_GC_THRESHOLD), ("outer after inner", RUN_GC_THRESHOLD)]
+        assert gc.get_threshold() == caller_threshold
+
+    def test_a_disabled_collector_stays_disabled(self, caller_threshold):
+        sim = Simulator()
+        seen = []
+        sim.schedule(1.0, lambda: seen.append(gc.isenabled()))
+        gc.disable()
+        try:
+            sim.run_until_idle()
+            assert seen == [False] and not gc.isenabled()
+        finally:
+            gc.enable()
+        assert gc.get_threshold() == caller_threshold
 
 
 # One scheduler operation: (kind, number).  ``number`` is a delay or time
