@@ -13,7 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
-from repro.bft.quorum import CommitCertificate, checkpoint_payload, view_change_payload
+from repro.bft.quorum import (
+    CommitCertificate,
+    checkpoint_payload,
+    view_change_payload,
+    view_votes_well_formed,
+)
 from repro.common.types import NoneType
 from repro.crypto.signatures import KeyRegistry, Signature, signature_well_formed
 from repro.simnet.messages import Message
@@ -211,14 +216,4 @@ class NewView(BftMessage):
         return ["new-view", self.view]
 
     def well_formed(self) -> bool:
-        return (
-            BftMessage.well_formed(self)
-            and isinstance(self.votes, tuple)
-            and all(
-                isinstance(vote, tuple)
-                and len(vote) == 2
-                and isinstance(vote[0], int)
-                and signature_well_formed(vote[1])
-                for vote in self.votes
-            )
-        )
+        return BftMessage.well_formed(self) and view_votes_well_formed(self.votes)

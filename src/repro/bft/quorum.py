@@ -51,6 +51,21 @@ def view_change_payload(view: int, last_delivered: int) -> object:
     return ["view-change", view, last_delivered]
 
 
+def view_votes_well_formed(votes: object) -> bool:
+    """Are ``votes`` a tuple of ``(last_delivered, signature)`` pairs?
+
+    The one shape check of view-change votes, whether they travel bare (in a
+    ``NewView``) or as a :class:`ViewChangeCertificate`.
+    """
+    return isinstance(votes, tuple) and all(
+        isinstance(vote, tuple)
+        and len(vote) == 2
+        and isinstance(vote[0], int)
+        and signature_well_formed(vote[1])
+        for vote in votes
+    )
+
+
 @dataclass(frozen=True)
 class ViewChangeCertificate:
     """Transferable proof that ``2f + 1`` cluster members voted for ``view``.
@@ -66,6 +81,10 @@ class ViewChangeCertificate:
 
     view: int
     votes: Tuple[Tuple[int, Signature], ...]
+
+    def well_formed(self) -> bool:
+        """Do the fields have the declared shape?  (Outside input, checked before :meth:`verify`.)"""
+        return isinstance(self.view, int) and view_votes_well_formed(self.votes)
 
     def verify(
         self,
@@ -146,7 +165,7 @@ class CommitCertificate(MemoisedValue):
         valid = registry.verify_quorum(
             self.payload(), self.signatures, required=required, allowed_signers=allowed
         )
-        if valid and cache.enabled:
+        if valid:
             cache.store(key, True)
         return valid
 

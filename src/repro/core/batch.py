@@ -219,7 +219,7 @@ def _segment_well_formed(segment: object) -> bool:
     )
 
 
-def _all_well_formed(values: object, kind: type) -> bool:
+def all_well_formed(values: object, kind: type) -> bool:
     """Is ``values`` a tuple of well-formed ``kind``?"""
     return isinstance(values, tuple) and all(
         isinstance(value, kind) and value.well_formed() for value in values
@@ -289,9 +289,9 @@ class Batch(MemoisedValue):
         return (
             type(self.partition) is int
             and type(self.number) is int
-            and _all_well_formed(self.local_txns, TxnPayload)
-            and _all_well_formed(self.prepared, PreparedRecord)
-            and _all_well_formed(self.committed, CommitRecord)
+            and all_well_formed(self.local_txns, TxnPayload)
+            and all_well_formed(self.prepared, PreparedRecord)
+            and all_well_formed(self.committed, CommitRecord)
             and _segment_well_formed(self.read_only)
         )
 

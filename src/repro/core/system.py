@@ -254,11 +254,11 @@ class TransEdgeSystem:
             }
 
         verify_replicas = section(
-            (str(replica.node_id), (replica.verifier.cache_hits, replica.verifier.cache_misses))
+            (str(replica.node_id), (replica.verifier.cache.hits, replica.verifier.cache.misses))
             for replica in self.replicas.values()
         )
         verify_clients = section(
-            (str(client.node_id), (client.verifier.cache_hits, client.verifier.cache_misses))
+            (str(client.node_id), (client.verifier.cache.hits, client.verifier.cache.misses))
             for client in self.clients
         )
         edge = section(

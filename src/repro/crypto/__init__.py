@@ -22,7 +22,6 @@ from repro.crypto.rsa import RsaKeyPair, RsaPrivateKey, RsaPublicKey, generate_k
 from repro.crypto.signatures import (
     HmacSigner,
     KeyRegistry,
-    NodeVerifier,
     RsaSigner,
     Signature,
     Signer,
@@ -36,7 +35,6 @@ __all__ = [
     "HistoricalTreeView",
     "HmacSigner",
     "KeyRegistry",
-    "NodeVerifier",
     "MerkleProof",
     "MerkleStore",
     "MerkleTree",

@@ -15,6 +15,11 @@ two interchangeable backends behind one interface:
 
 Signatures always cover ``stable_encode``-canonicalised payloads so that
 independently computed digests agree across replicas.
+
+Verification has one type, :class:`KeyRegistry`: the deployment's registry
+holds every identity's material, and each node verifies through a registry
+of its own (:meth:`KeyRegistry.for_node`) that shares those identities and
+memoizes its verdicts in a private :class:`VerifyCache`.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ import hmac
 import random
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Dict, Hashable, Iterable, List, Optional
+from typing import Callable, Dict, Hashable, Iterable, Optional
 
 from repro.common.errors import SignatureError
 from repro.crypto import rsa
@@ -126,26 +131,18 @@ class VerifyCache:
     -> bool`` and *certificate entries* (written by
     :meth:`repro.bft.quorum.CommitCertificate.verify`, only ever ``True``);
     :class:`KeyRegistry` gives the soundness argument for each.  Both share
-    the one LRU bound and :meth:`clear`, and are written only through
+    the one LRU bound of ``size >= 1`` entries and are written only through
     :meth:`store`.  ``hits``/``misses`` count signature :meth:`lookup` calls
     — checks the node actually ran; a certificate :meth:`probe` is neither.
-
-    Each simulated node owns its *own* cache so that simulated memory and
-    hit rates are modeled per replica rather than pooled deployment-wide
-    (``repro.simnet.node.VERIFY_CACHE_SIZE`` entries each); the registry
-    keeps one more for callers that verify outside any node (offline
-    auditors, unit tests).  ``size=0`` disables the cache.
     """
 
     def __init__(self, size: int) -> None:
-        self._size = size
+        if size < 1:
+            raise SignatureError(f"a verify cache holds at least one entry, not {size}")
+        self.size = size
         self._entries: "OrderedDict[Hashable, bool]" = OrderedDict()
         self.hits = 0
         self.misses = 0
-
-    @property
-    def enabled(self) -> bool:
-        return self._size > 0
 
     def lookup(self, key: Hashable) -> Optional[bool]:
         cached = self._entries.get(key)
@@ -165,37 +162,39 @@ class VerifyCache:
 
     def store(self, key: Hashable, valid: bool) -> None:
         self._entries[key] = valid
-        if len(self._entries) > self._size:
+        if len(self._entries) > self.size:
             self._entries.popitem(last=False)
-
-    def clear(self) -> None:
-        self._entries.clear()
 
     def __len__(self) -> int:
         return len(self._entries)
 
 
 class KeyRegistry:
-    """Directory of verification material for every node in the deployment.
+    """Directory of verification material for every node in the deployment,
+    and one verifier's memo of the verdicts it reached with it.
 
     The registry plays the role of the permissioned deployment's PKI: it is
     populated once during system setup, before any byzantine behaviour can
-    occur, and is consulted by verifiers.  It never holds RSA private keys.
+    occur, and is consulted by verifiers.  It never holds RSA private keys,
+    and it refuses to register an identity twice, so the material behind a
+    memoized verdict never changes.
 
-    Verdicts are memoized in a :class:`VerifyCache`, in two kinds of entry.
+    Every simulated node verifies through its own registry,
+    :meth:`for_node`, which shares this one's identity tables but owns its
+    :class:`VerifyCache` (and the ``on_miss`` hook), so each node pays for
+    — and benefits from — exactly its own verification history.  Calling
+    :meth:`verify` on the deployment's registry itself uses its own cache
+    (offline verification, tests).
+
+    Verdicts are memoized in two kinds of entry.
 
     *Signature entries*, keyed ``(signer, scheme, payload digest, signature
     bytes)``: every one of the ``3f + 1`` cluster members verifies the
     signatures a quorum exchanges, but the expensive work (the MAC/RSA
-    check) only depends on the key.  A tampered payload, signature or
-    claimed signer changes the key and misses the cache, so memoization can
-    never turn an invalid signature valid — *provided the key is computed
-    from the verified payload itself*.  ``payload_digest`` exists so a caller
-    verifying many signatures over one payload (:meth:`verify_quorum`)
-    canonicalises it once; it MUST be ``digest_of(payload)`` computed locally
-    from the very payload passed in, never a value carried inside a network
-    message (a byzantine sender could alias it to another payload and poison
-    the cache).
+    check) only depends on the key.  The digest is always computed here from
+    the very payload being verified, never taken from a network message, so
+    a tampered payload, signature or claimed signer changes the key and
+    misses the cache: memoization can never turn an invalid signature valid.
 
     *Certificate entries*, one per commit certificate that passed
     :meth:`verify_quorum`: the same certificate rides on every 2PC vote and
@@ -203,105 +202,73 @@ class KeyRegistry:
     every certificate field the check reads, the member identities and the
     threshold, never anything a message says *about* the certificate — and
     of the registered material.  Only ``True`` is kept: registering a further
-    identity can only add valid signers and replacing one clears the cache,
-    so it cannot go stale, whereas a ``False`` may rest on a signer not known
-    *yet* (which is also why unknown signers get no signature entry).
-    ``verify_cache_size=0`` disables caching.
-
-    Verification is usually performed *through a node*: each
-    :class:`~repro.simnet.node.SimNode` owns a :class:`NodeVerifier` bound to
-    this registry with a private cache, so per-node memory and hit rates are
-    honest.  Calling :meth:`verify` on the registry directly uses the
-    registry's own cache instead (offline verification, tests).
+    identity can only add valid signers, whereas a ``False`` may rest on a
+    signer not known *yet* (which is also why unknown signers get no
+    signature entry).
     """
 
     def __init__(self, verify_cache_size: int = 4096) -> None:
         self._materials: Dict[str, object] = {}
         self._schemes: Dict[str, str] = {}
-        #: Public like ``NodeVerifier.cache``; ``_cache`` is the older name.
+        #: ``_cache`` is a second name perfbench's verify-cache fidelity check reads.
         self.cache = self._cache = VerifyCache(verify_cache_size)
-        self._attached_caches: List[VerifyCache] = []
+        #: Optional miss hook: called with the number of cache misses a
+        #: ``verify``/``verify_quorum`` call incurred.  The simulation layer
+        #: uses it to charge per-miss occupancy
+        #: (``CostConfig.verify_cache_miss_penalty_ms``); ``None`` (default)
+        #: keeps verification side-effect free.
+        self.on_miss: "Optional[Callable[[int], None]]" = None
 
-    @property
-    def cache_hits(self) -> int:
-        return self._cache.hits
-
-    @property
-    def cache_misses(self) -> int:
-        return self._cache.misses
-
-    def attach_cache(self, cache: VerifyCache) -> None:
-        """Track a per-node cache so key rotation can clear it too."""
-        self._attached_caches.append(cache)
+    def for_node(self) -> "KeyRegistry":
+        """A registry over the same identities with a cache of its own."""
+        node = KeyRegistry(self.cache.size)
+        node._materials = self._materials
+        node._schemes = self._schemes
+        return node
 
     def register(self, signer: Signer) -> None:
-        """Record the verification material for ``signer``.
-
-        Re-registering an identity (key rotation) drops every verify cache
-        attached to this registry: verdicts computed under the replaced
-        material are stale.
-        """
+        """Record the verification material for ``signer``, once."""
         if signer.identity in self._materials:
-            self._cache.clear()
-            for cache in self._attached_caches:
-                cache.clear()
+            raise SignatureError(f"identity {signer.identity!r} is already registered")
         self._materials[signer.identity] = signer.verification_material()
         self._schemes[signer.identity] = signer.scheme
 
-    def verify(
-        self,
-        payload: Encodable,
-        signature: Signature,
-        payload_digest: Optional[Digest] = None,
-        cache: Optional[VerifyCache] = None,
-    ) -> bool:
+    def verify(self, payload: Encodable, signature: Signature) -> bool:
         """Return True when ``signature`` is a valid signature of ``payload``.
 
-        ``payload_digest``, when given, must be ``digest_of(payload)``
-        computed by the caller from this very ``payload`` object (see the
-        class docstring); it is only used as the memoization key, never as
-        the verified bytes.  ``cache`` selects whose memo records the verdict
-        (a node's private cache); the registry's own cache is the default.
         A malformed signature is ``False``, before any cache key is built.
         """
         if not signature_well_formed(signature):
             return False
-        return self._verify_encoded(payload, signature, payload_digest, None, cache)
+        misses = self.cache.misses
+        valid = self._verify_encoded(payload, signature, None, None)
+        self._charge_misses(misses)
+        return valid
 
     def _verify_encoded(
         self,
         payload: Encodable,
         signature: Signature,
-        payload_digest: Optional[Digest],
         message: Optional[bytes],
-        cache: Optional[VerifyCache] = None,
+        digest: Optional[Digest],
     ) -> bool:
-        """Shared verify core; ``message`` carries pre-encoded payload bytes
-        (from :meth:`verify_quorum`) so the payload is canonicalised at most
-        once per call chain."""
+        """Shared verify core; ``message`` and ``digest`` carry the
+        payload's encoding and its digest (from :meth:`verify_quorum`) so the
+        payload is canonicalised at most once per call chain."""
         material = self._materials.get(signature.signer)
         scheme = self._schemes.get(signature.signer)
         if material is None or scheme != signature.scheme:
             return False
-        if cache is None:
-            cache = self._cache
-        if not cache.enabled:
-            if message is None:
-                message = stable_encode(payload)
-            return self._check(material, scheme, message, signature)
-        if payload_digest is None:
+        if message is None:
             # Encode once: the same bytes key the cache and feed the check.
-            if message is None:
-                message = stable_encode(payload)
-            payload_digest = sha256(message)
-        cache_key = (signature.signer, scheme, payload_digest, signature.value)
-        cached = cache.lookup(cache_key)
+            message = stable_encode(payload)
+            digest = sha256(message)
+        cache_key = (signature.signer, scheme, digest, signature.value)
+        cached = self.cache.lookup(cache_key)
         if cached is not None:
             return cached
-        if message is None:
-            message = stable_encode(payload)
         valid = self._check(material, scheme, message, signature)
-        cache.store(cache_key, valid)
+        self.cache.store(cache_key, valid)
         return valid
 
     def _check(
@@ -322,7 +289,6 @@ class KeyRegistry:
         signatures: Iterable[Signature],
         required: int,
         allowed_signers: Optional[Iterable[str]] = None,
-        cache: Optional[VerifyCache] = None,
     ) -> bool:
         """Verify that at least ``required`` distinct valid signers signed ``payload``.
 
@@ -332,12 +298,11 @@ class KeyRegistry:
         cares whether enough honest-looking signatures are present.
         """
         allowed = set(allowed_signers) if allowed_signers is not None else None
-        if cache is None:
-            cache = self._cache
+        misses = self.cache.misses
         # One canonical encoding covers the whole quorum: every per-signature
         # check (hit or miss) reuses these bytes and their digest.
         message = stable_encode(payload)
-        payload_digest = sha256(message) if cache.enabled else None
+        digest = sha256(message)
         valid_signers = set()
         for signature in signatures:
             if not signature_well_formed(signature):
@@ -346,76 +311,16 @@ class KeyRegistry:
                 continue
             if signature.signer in valid_signers:
                 continue
-            if self._verify_encoded(payload, signature, payload_digest, message, cache):
+            if self._verify_encoded(payload, signature, message, digest):
                 valid_signers.add(signature.signer)
+        self._charge_misses(misses)
         return len(valid_signers) >= required
 
-
-class NodeVerifier:
-    """One node's view of the PKI: the shared registry plus a private cache.
-
-    Drop-in for :class:`KeyRegistry` everywhere verification happens (it
-    exposes the same ``verify`` / ``verify_quorum`` surface), but memoizes
-    verdicts in a cache owned by the node, so each simulated replica pays
-    for — and benefits from — exactly its own verification history.  Certificates and headers accept either object.
-    """
-
-    def __init__(self, registry: KeyRegistry, cache_size: int) -> None:
-        self._registry = registry
-        self.cache = VerifyCache(cache_size)
-        #: Optional miss hook: called with the number of cache misses a
-        #: ``verify``/``verify_quorum`` call incurred.  The simulation layer
-        #: uses it to charge per-miss occupancy
-        #: (``CostConfig.verify_cache_miss_penalty_ms``); ``None`` (default)
-        #: keeps verification side-effect free.
-        self.on_miss: "Optional[Callable[[int], None]]" = None
-        registry.attach_cache(self.cache)
-
-    @property
-    def cache_hits(self) -> int:
-        return self.cache.hits
-
-    @property
-    def cache_misses(self) -> int:
-        return self.cache.misses
-
-    def verify(
-        self,
-        payload: Encodable,
-        signature: Signature,
-        payload_digest: Optional[Digest] = None,
-    ) -> bool:
-        before = self.cache.misses
-        result = self._registry.verify(
-            payload, signature, payload_digest, cache=self.cache
-        )
-        self._charge_misses(before)
-        return result
-
-    def verify_quorum(
-        self,
-        payload: Encodable,
-        signatures: Iterable[Signature],
-        required: int,
-        allowed_signers: Optional[Iterable[str]] = None,
-    ) -> bool:
-        before = self.cache.misses
-        result = self._registry.verify_quorum(
-            payload,
-            signatures,
-            required,
-            allowed_signers=allowed_signers,
-            cache=self.cache,
-        )
-        self._charge_misses(before)
-        return result
-
     def _charge_misses(self, misses_before: int) -> None:
-        if self.on_miss is None:
-            return
-        delta = self.cache.misses - misses_before
-        if delta > 0:
-            self.on_miss(delta)
+        misses = self.cache.misses - misses_before
+        if self.on_miss is not None and misses > 0:
+            self.on_miss(misses)
+
 
 def make_signer(
     backend: str,

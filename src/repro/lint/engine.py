@@ -19,6 +19,7 @@ from __future__ import annotations
 import ast
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, List, Sequence
 
 from repro.lint.findings import Finding
@@ -36,6 +37,11 @@ class SourceFile:
     source: str
     tree: ast.Module
     lines: List[str]
+
+    @cached_property
+    def nodes(self) -> List[ast.AST]:
+        """Every node of :attr:`tree`, in ``ast.walk`` order, walked once for all rules."""
+        return list(ast.walk(self.tree))
 
     def snippet(self, line: int) -> str:
         if 1 <= line <= len(self.lines):
@@ -188,7 +194,8 @@ def is_dataclass(node: ast.ClassDef) -> bool:
     )
 
 
-def functions_in(tree: ast.AST) -> Iterator[ast.AST]:
-    for node in ast.walk(tree):
+def functions_in(nodes: Iterable[ast.AST]) -> Iterator[ast.AST]:
+    """The function definitions among ``nodes`` (a :attr:`SourceFile.nodes`)."""
+    for node in nodes:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             yield node

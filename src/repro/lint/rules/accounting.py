@@ -25,7 +25,7 @@ def _counter_fields(
     """(file, field, line) for every annotated field of ``class_name``."""
     fields: List[Tuple[SourceFile, str, int]] = []
     for file in files:
-        for node in ast.walk(file.tree):
+        for node in file.nodes:
             if isinstance(node, ast.ClassDef) and node.name == class_name:
                 for statement in node.body:
                     if isinstance(statement, ast.AnnAssign) and isinstance(
@@ -51,7 +51,7 @@ class CounterIncrementRule(ProjectRule):
         # anywhere (x.field += 1, total.field = ...), outside class bodies.
         stored: Set[str] = set()
         for file in files:
-            for node in ast.walk(file.tree):
+            for node in file.nodes:
                 targets: List[ast.AST] = []
                 if isinstance(node, ast.AugAssign):
                     targets = [node.target]

@@ -36,7 +36,7 @@ def _registrations(
     """Every ``InjectedBug(name="...")`` construction in the scanned tree."""
     found: List[Tuple[SourceFile, int, str]] = []
     for file in files:
-        for node in ast.walk(file.tree):
+        for node in file.nodes:
             if not isinstance(node, ast.Call):
                 continue
             if call_name(node).split(".")[-1] != "InjectedBug":
@@ -133,7 +133,7 @@ class BugSelfTestCoverageRule(ProjectRule):
         for file in files:
             if file.path in registry_paths or not _is_test_path(file.path):
                 continue
-            for node in ast.walk(file.tree):
+            for node in file.nodes:
                 if isinstance(node, ast.Constant) and isinstance(node.value, str):
                     in_scan.add(node.value)
         workflow_bugs = self._workflow_bugs()

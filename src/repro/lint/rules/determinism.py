@@ -10,7 +10,7 @@ RNG, the host clock or hash-randomised iteration order breaks that silently
 from __future__ import annotations
 
 import ast
-from typing import Iterator, List, Set
+from typing import Iterable, Iterator, List, Set
 
 from repro.lint.engine import FileRule, SourceFile, call_name, dotted_name, functions_in
 from repro.lint.findings import Finding
@@ -52,7 +52,7 @@ class UnseededRandomRule(FileRule):
         return not _in_repro_lint(path)
 
     def check(self, file: SourceFile) -> Iterator[Finding]:
-        for node in ast.walk(file.tree):
+        for node in file.nodes:
             if not isinstance(node, ast.Call):
                 continue
             name = call_name(node)
@@ -104,7 +104,7 @@ class WallClockRule(FileRule):
         return not _in_repro_lint(path) and "repro/bench" not in path
 
     def check(self, file: SourceFile) -> Iterator[Finding]:
-        for node in ast.walk(file.tree):
+        for node in file.nodes:
             if not isinstance(node, ast.Call):
                 continue
             name = call_name(node)
@@ -185,10 +185,10 @@ class BareSetIterationRule(FileRule):
             )
         return False
 
-    def _set_valued_maps(self, tree: ast.AST) -> Set[str]:
+    def _set_valued_maps(self, nodes: Iterable[ast.AST]) -> Set[str]:
         """Names (``x``, ``self.x``) annotated as a mapping whose values are sets."""
         names: Set[str] = set()
-        for node in ast.walk(tree):
+        for node in nodes:
             if not isinstance(node, ast.AnnAssign):
                 continue
             annotation = node.annotation
@@ -241,8 +241,8 @@ class BareSetIterationRule(FileRule):
                 yield node.value, getattr(node, "lineno", 0), "unpacking"
 
     def check(self, file: SourceFile) -> Iterator[Finding]:
-        scopes: List[ast.AST] = list(functions_in(file.tree))
-        set_maps = self._set_valued_maps(file.tree)
+        scopes: List[ast.AST] = list(functions_in(file.nodes))
+        set_maps = self._set_valued_maps(file.nodes)
         # Module level too (rare, but set literals at import time happen).
         seen = set()
         for scope in scopes + [file.tree]:
@@ -284,7 +284,7 @@ class HashOrderingRule(FileRule):
         return not _in_repro_lint(path)
 
     def check(self, file: SourceFile) -> Iterator[Finding]:
-        for node in ast.walk(file.tree):
+        for node in file.nodes:
             if isinstance(node, ast.Call) and call_name(node) == "hash":
                 yield self.finding(
                     file,
@@ -313,7 +313,7 @@ class MutableDefaultRule(FileRule):
     )
 
     def check(self, file: SourceFile) -> Iterator[Finding]:
-        for function in functions_in(file.tree):
+        for function in functions_in(file.nodes):
             defaults = list(function.args.defaults) + [
                 default for default in function.args.kw_defaults if default is not None
             ]

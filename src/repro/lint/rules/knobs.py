@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import ast
 import os
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.lint.engine import (
     ProjectRule,
@@ -32,10 +32,10 @@ _CONFIG_MODULE = "common/config.py"
 _COPY_CALLS = frozenset({"replace", "with_updates", "with_tracing"})
 
 
-def _loaded_attributes(tree: ast.AST) -> Set[str]:
+def _loaded_attributes(nodes: Iterable[ast.AST]) -> Set[str]:
     return {
         node.attr
-        for node in ast.walk(tree)
+        for node in nodes
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
     }
 
@@ -45,7 +45,7 @@ def _callee(node: ast.Call) -> str:
 
 
 def _keywords_passed(
-    trees: Sequence[ast.AST], config_classes: Set[str]
+    walks: Sequence[List[ast.AST]], config_classes: Set[str]
 ) -> Set[Tuple[Optional[str], str]]:
     """``(class or None, field)`` for every keyword given to a config call.
 
@@ -54,8 +54,8 @@ def _keywords_passed(
     call, such as ``section51_config``.
     """
     splats: Dict[str, Set[str]] = {}  # function -> callees it ``**``-splats into
-    for tree in trees:
-        for function in functions_in(tree):
+    for nodes in walks:
+        for function in functions_in(nodes):
             splats.setdefault(function.name, set()).update(
                 _callee(call)
                 for call in ast.walk(function)
@@ -71,8 +71,8 @@ def _keywords_passed(
         forwarders |= found
     return {
         (callee if callee in config_classes else None, keyword.arg)
-        for tree in trees
-        for call in ast.walk(tree)
+        for nodes in walks
+        for call in nodes
         if isinstance(call, ast.Call)
         for callee in [_callee(call)]
         if callee in config_classes or callee in forwarders
@@ -103,11 +103,11 @@ class DeadConfigKnobRule(ProjectRule):
     #: capability (a deployment on real RSA signatures), not an estimate.
     test_only = frozenset({"crypto_backend"})
 
-    def _setter_trees(self, scanned: Sequence[SourceFile]) -> List[ast.AST]:
+    def _setter_walks(self, scanned: Sequence[SourceFile]) -> List[List[ast.AST]]:
         roots = [root for root in self.external_dirs if os.path.isdir(root)]
         by_path = {file.path: file for file in [*collect_files(roots), *scanned]}
         return [
-            file.tree
+            file.nodes
             for path, file in by_path.items()
             if not os.path.basename(path).startswith("test_")
         ]
@@ -117,7 +117,7 @@ class DeadConfigKnobRule(ProjectRule):
         others = [file for file in files if file not in config_files]
         read: Set[str] = set()
         for file in others:
-            read |= _loaded_attributes(file.tree)
+            read |= _loaded_attributes(file.nodes)
         # A field read only by a helper of the config module itself
         # (``cluster_size``, ``merkle_proof_cost_ms``) is live when that
         # helper is read outside; ``validate`` proves nothing — checking a
@@ -125,29 +125,29 @@ class DeadConfigKnobRule(ProjectRule):
         helpers = [
             node
             for file in config_files
-            for node in ast.walk(file.tree)
+            for node in file.nodes
             if isinstance(node, ast.FunctionDef) and node.name != "validate"
         ]
         grew = True
         while grew:
             grew = False
             for helper in helpers:
-                loaded = _loaded_attributes(helper)
+                loaded = _loaded_attributes(ast.walk(helper))
                 if helper.name in read and not loaded <= read:
                     read |= loaded
                     grew = True
         config_classes = [
             (file, node)
             for file in config_files
-            for node in ast.walk(file.tree)
+            for node in file.nodes
             if isinstance(node, ast.ClassDef) and is_dataclass(node)
         ]
         class_names = {node.name for _file, node in config_classes}
         passed = _keywords_passed(
-            self._setter_trees(others)
+            self._setter_walks(others)
             # Like reads: what a config helper sets is set when the helper
             # itself is used outside (``with_tracing`` sets ``obs``).
-            + [helper for helper in helpers if helper.name in read],
+            + [list(ast.walk(helper)) for helper in helpers if helper.name in read],
             class_names,
         )
         for file, node in config_classes:

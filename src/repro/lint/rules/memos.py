@@ -62,7 +62,7 @@ class CopyUnsafeMemoRule(FileRule):
         return any(package in path for package in _VALUE_PACKAGES)
 
     def check(self, file: SourceFile) -> Iterator[Finding]:
-        for node in ast.walk(file.tree):
+        for node in file.nodes:
             if not (isinstance(node, ast.ClassDef) and is_dataclass(node)):
                 continue
             if any(dotted_name(base).endswith(_COPY_SAFE_BASE) for base in node.bases):

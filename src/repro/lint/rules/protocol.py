@@ -39,7 +39,7 @@ class MessageLifecycleRule(ProjectRule):
             in_messages_module = file.path.endswith("/messages.py") or file.path.endswith(
                 "messages.py"
             )
-            for node in ast.walk(file.tree):
+            for node in file.nodes:
                 if not isinstance(node, ast.ClassDef):
                     continue
                 base_names = [dotted_name(base).split(".")[-1] for base in node.bases]
@@ -67,7 +67,7 @@ class MessageLifecycleRule(ProjectRule):
         constructed: Set[str] = set()
         dispatched: Set[str] = set()
         for file in files:
-            for node in ast.walk(file.tree):
+            for node in file.nodes:
                 if not isinstance(node, ast.Call):
                     continue
                 name = call_name(node).split(".")[-1]
@@ -140,7 +140,7 @@ class HandlerTargetRule(ProjectRule):
         registrations: List[Tuple[SourceFile, str, ast.Call, str]] = []
 
         for file in files:
-            for klass in ast.walk(file.tree):
+            for klass in file.nodes:
                 if not isinstance(klass, ast.ClassDef):
                     continue
                 # Same-named classes across files (common in test corpora)
@@ -245,7 +245,7 @@ class VerifyBeforeReadRule(FileRule):
         return False
 
     def check(self, file: SourceFile) -> Iterator[Finding]:
-        for function in [n for n in ast.walk(file.tree) if self._is_handler(n)]:
+        for function in [n for n in file.nodes if self._is_handler(n)]:
             if self._verifies(function):
                 continue
             for node in ast.walk(function):
@@ -283,7 +283,7 @@ class TransportBypassRule(FileRule):
         return "repro/simnet/" not in path
 
     def check(self, file: SourceFile) -> Iterator[Finding]:
-        for node in ast.walk(file.tree):
+        for node in file.nodes:
             if not isinstance(node, ast.Call):
                 continue
             name = call_name(node)

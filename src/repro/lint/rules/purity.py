@@ -75,7 +75,7 @@ class SimFilesystemRule(FileRule):
 
     def check(self, file: SourceFile) -> Iterator[Finding]:
         gc_owner = file.path.endswith(self._GC_OWNER)
-        for node in ast.walk(file.tree):
+        for node in file.nodes:
             if isinstance(node, ast.Import):
                 for alias in node.names:
                     root = alias.name.split(".")[0]
@@ -138,7 +138,7 @@ class SimBlockingRule(FileRule):
         return _in_sim_layer(path) or "repro/workload" in path or "repro/edge" in path
 
     def check(self, file: SourceFile) -> Iterator[Finding]:
-        for node in ast.walk(file.tree):
+        for node in file.nodes:
             if not isinstance(node, ast.Call):
                 continue
             name = call_name(node)

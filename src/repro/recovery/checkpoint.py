@@ -27,7 +27,7 @@ from repro.bft.messages import CheckpointVote
 from repro.bft.quorum import VoteTracker, checkpoint_payload
 from repro.common.ids import NO_BATCH, BatchNumber, PartitionId, ReplicaId
 from repro.crypto.hashing import Digest
-from repro.crypto.signatures import KeyRegistry, Signature
+from repro.crypto.signatures import KeyRegistry, Signature, signature_well_formed
 from repro.recovery.snapshot import SnapshotImage, SnapshotStore
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checking only
@@ -55,6 +55,16 @@ class CheckpointCertificate:
 
     def payload(self) -> object:
         return checkpoint_payload(self.seq, self.digest)
+
+    def well_formed(self) -> bool:
+        """Do the fields have the declared shape?  (Outside input, checked before :meth:`verify`.)"""
+        return (
+            isinstance(self.partition, int)
+            and isinstance(self.seq, int)
+            and isinstance(self.digest, bytes)
+            and isinstance(self.signatures, tuple)
+            and all(signature_well_formed(signature) for signature in self.signatures)
+        )
 
     def verify(
         self,

@@ -19,10 +19,14 @@ from repro.bft.log import LogEntry
 from repro.bft.messages import proposal_well_formed
 from repro.bft.quorum import CommitCertificate, ViewChangeCertificate
 from repro.common.ids import NO_BATCH, BatchNumber, PartitionId
-from repro.common.types import NoneType
 from repro.recovery.checkpoint import CheckpointCertificate
 from repro.recovery.snapshot import SnapshotImage
 from repro.simnet.messages import Message
+
+
+def _absent_or_well_formed(value: object, kind: type) -> bool:
+    """Is ``value`` absent or a ``kind`` of the declared shape, all the way down?"""
+    return value is None or (isinstance(value, kind) and value.well_formed())
 
 
 @dataclass
@@ -73,9 +77,9 @@ class StateTransferReply(Message):
         return (
             isinstance(self.view, int)
             and isinstance(self.responder_tip, int)
-            and isinstance(self.image, (SnapshotImage, NoneType))
-            and isinstance(self.certificate, (CheckpointCertificate, NoneType))
-            and isinstance(self.view_certificate, (ViewChangeCertificate, NoneType))
+            and _absent_or_well_formed(self.image, SnapshotImage)
+            and _absent_or_well_formed(self.certificate, CheckpointCertificate)
+            and _absent_or_well_formed(self.view_certificate, ViewChangeCertificate)
             and isinstance(self.entries, tuple)
             and all(
                 isinstance(entry, LogEntry)

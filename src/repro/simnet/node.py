@@ -16,7 +16,7 @@ from typing import Callable, Dict, Optional, Type
 from repro.common.config import SystemConfig
 from repro.common.ids import NodeId
 from repro.crypto.merkle import DeltaMemo
-from repro.crypto.signatures import KeyRegistry, NodeVerifier, Signer, make_signer
+from repro.crypto.signatures import KeyRegistry, Signer, make_signer
 from repro.obs.hub import Observability
 from repro.obs.phases import phase_for
 from repro.obs.trace import Span
@@ -25,9 +25,9 @@ from repro.simnet.network import Network
 from repro.simnet.reliable import ReliableAck, ReliableEnvelope, ReliableTransport
 from repro.simnet.simulator import Simulator
 
-#: Entries in each signature verify cache (one per node, plus the shared
-#: registry's), so a quorum of identical votes is canonicalised and verified
-#: once per node, not ``3f + 1`` times.
+#: Entries in each signature verify cache (the deployment registry's, and
+#: through ``KeyRegistry.for_node`` every node's), so a quorum of identical
+#: votes is canonicalised and verified once per node, not ``3f + 1`` times.
 VERIFY_CACHE_SIZE = 4096
 
 
@@ -35,9 +35,9 @@ class SimEnvironment:
     """Everything a node needs to participate in the simulation.
 
     One environment is shared by all nodes of a deployment: the event loop,
-    the network, the system configuration, the PKI registry, the Merkle
-    delta memo and a seeded random generator (so whole-system runs are
-    reproducible).
+    the network, the system configuration, the PKI registry (each node
+    verifies through its own ``registry.for_node()``), the Merkle delta memo
+    and a seeded random generator (so whole-system runs are reproducible).
     """
 
     def __init__(self, config: SystemConfig) -> None:
@@ -94,10 +94,10 @@ class SimNode:
         self.node_id = node_id
         self.env = env
         self.signer = env.new_signer(str(node_id))
-        #: Per-node signature verification: the shared PKI registry behind a
-        #: cache private to this node, so verify-memo memory and hit rates
-        #: are modeled per replica.
-        self.verifier = NodeVerifier(env.registry, VERIFY_CACHE_SIZE)
+        #: Per-node signature verification: a registry sharing the
+        #: deployment's identities with a cache private to this node, so
+        #: verify-memo memory and hit rates are modeled per replica.
+        self.verifier = env.registry.for_node()
         if env.config.costs.verify_cache_miss_penalty_ms > 0.0:
             self.verifier.on_miss = self._on_verify_cache_miss
         self._handlers: Dict[Type[Message], MessageHandler] = {}

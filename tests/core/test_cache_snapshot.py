@@ -66,8 +66,8 @@ class TestCacheSnapshot:
         # Every section reports the nodes' own counters, by node name.
         assert snapshot["verify_replicas"] == {
             str(replica.node_id): {
-                "hits": replica.verifier.cache_hits,
-                "misses": replica.verifier.cache_misses,
+                "hits": replica.verifier.cache.hits,
+                "misses": replica.verifier.cache.misses,
             }
             for replica in system.replicas.values()
         }

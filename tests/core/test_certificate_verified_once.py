@@ -25,14 +25,12 @@ def test_one_quorum_check_per_distinct_vote_header_per_replica(monkeypatch):
     )
     system.run_until_idle()  # the empty genesis batches
 
-    checked = Counter()  # (id(node cache), certificate payload) -> quorum checks
+    checked = Counter()  # (id(node verifier), certificate payload) -> quorum checks
     real_verify_quorum = KeyRegistry.verify_quorum
 
-    def counting(self, payload, signatures, required, allowed_signers=None, cache=None):
-        checked[id(cache), tuple(payload)] += 1
-        return real_verify_quorum(
-            self, payload, signatures, required, allowed_signers=allowed_signers, cache=cache
-        )
+    def counting(self, payload, signatures, required, allowed_signers=None):
+        checked[id(self), tuple(payload)] += 1
+        return real_verify_quorum(self, payload, signatures, required, allowed_signers)
 
     monkeypatch.setattr(KeyRegistry, "verify_quorum", counting)
 
@@ -64,4 +62,4 @@ def test_one_quorum_check_per_distinct_vote_header_per_replica(monkeypatch):
             assert len(headers) == 2  # 80 votes, two distinct certificates
             for certificate in headers:
                 payload = tuple(certificate.payload())
-                assert checked[id(replica.verifier.cache), payload] == 1
+                assert checked[id(replica.verifier), payload] == 1

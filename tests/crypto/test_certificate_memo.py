@@ -4,10 +4,10 @@
 certificate already passed against these members and this threshold before
 it pays for ``KeyRegistry.verify_quorum``.  These tests pin what makes that
 sound and invisible: the key covers every verified field, a negative verdict
-never answers for anything, the entries share the cache's LRU bound, its
-``clear()`` and its ``store()`` (so the ``verify-cache-wedged`` bug still
-wedges everything), a probe is neither a hit nor a miss, and a malformed
-certificate fails closed without raising.
+never answers for anything, the entries share the cache's LRU bound and its
+``store()`` (so the ``verify-cache-wedged`` bug still wedges everything), a
+probe is neither a hit nor a miss, and a malformed certificate fails closed
+without raising.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import pytest
 from repro.bft.quorum import CommitCertificate, certificate_payload
 from repro.chaos.bugs import get_bug
 from repro.common.ids import ReplicaId
-from repro.crypto.signatures import HmacSigner, KeyRegistry, NodeVerifier, Signature
+from repro.crypto.signatures import HmacSigner, KeyRegistry, Signature
 
 MEMBERS = tuple(ReplicaId(0, index) for index in range(4))
 DIGEST = b"\x07" * 32
@@ -48,9 +48,9 @@ def count_quorum_calls(monkeypatch):
     calls = []
     real = KeyRegistry.verify_quorum
 
-    def counting(self, payload, signatures, required, allowed_signers=None, cache=None):
+    def counting(self, payload, signatures, required, allowed_signers=None):
         calls.append(payload)
-        return real(self, payload, signatures, required, allowed_signers=allowed_signers, cache=cache)
+        return real(self, payload, signatures, required, allowed_signers)
 
     monkeypatch.setattr(KeyRegistry, "verify_quorum", counting)
     return calls
@@ -77,7 +77,7 @@ def tampered_copies(certificate):
 class TestMemoSoundness:
     def test_repeat_is_answered_without_a_quorum_check(self, monkeypatch):
         registry, signers = make_registry()
-        verifier = NodeVerifier(registry, cache_size=64)
+        verifier = registry.for_node()
         certificate = certify(signers)
         calls = count_quorum_calls(monkeypatch)
         assert all(certificate.verify(verifier, MEMBERS, 3) for _ in range(5))
@@ -87,7 +87,7 @@ class TestMemoSoundness:
         assert certify(signers).verify(verifier, MEMBERS, 3)
         assert len(calls) == 1
         # Another node has its own memo.
-        assert certificate.verify(NodeVerifier(registry, cache_size=64), MEMBERS, 3)
+        assert certificate.verify(registry.for_node(), MEMBERS, 3)
         assert len(calls) == 2
 
     @pytest.mark.parametrize(
@@ -95,7 +95,7 @@ class TestMemoSoundness:
     )
     def test_a_copy_differing_in_one_field_is_evaluated_afresh(self, monkeypatch, field):
         registry, signers = make_registry()
-        verifier = NodeVerifier(registry, cache_size=64)
+        verifier = registry.for_node()
         certificate = certify(signers, count=2)
         assert certificate.verify(verifier, MEMBERS, 2)
         calls = count_quorum_calls(monkeypatch)
@@ -111,7 +111,7 @@ class TestMemoSoundness:
 
     def test_members_and_threshold_are_part_of_the_key(self, monkeypatch):
         registry, signers = make_registry()
-        verifier = NodeVerifier(registry, cache_size=64)
+        verifier = registry.for_node()
         certificate = certify(signers, count=2)
         assert certificate.verify(verifier, MEMBERS, 2)
         calls = count_quorum_calls(monkeypatch)
@@ -133,7 +133,7 @@ class TestMemoSoundness:
             signatures=(signers[0].sign(payload), late.sign(payload)),
         )
         assert not certificate.verify(registry, members, 2)
-        registry.register(late)  # a new identity: no cache is cleared
+        registry.register(late)  # a new identity, so the memo cannot be stale
         assert certificate.verify(registry, members, 2)
 
     def test_members_may_be_a_generator(self):
@@ -145,33 +145,9 @@ class TestMemoSoundness:
 
 
 class TestMemoLivesInTheVerifyCache:
-    def test_key_rotation_drops_memo_entries_with_the_rest(self, monkeypatch):
-        registry, signers = make_registry()
-        verifier = NodeVerifier(registry, cache_size=64)
-        certificate = certify(signers)
-        assert certificate.verify(verifier, MEMBERS, 3)
-        assert len(verifier.cache) == 4  # three signatures + the certificate
-        registry.register(HmacSigner(str(MEMBERS[0]), secret=b"rotated"))
-        assert len(verifier.cache) == 0
-        calls = count_quorum_calls(monkeypatch)
-        assert not certificate.verify(verifier, MEMBERS, 3)
-        assert certificate.verify(verifier, MEMBERS, 2)
-        assert len(calls) == 2
-
-    def test_zero_size_disables_the_memo(self, monkeypatch):
-        registry, signers = make_registry()
-        verifier = NodeVerifier(registry, cache_size=0)
-        certificate = certify(signers)
-        calls = count_quorum_calls(monkeypatch)
-        for _ in range(3):
-            assert certificate.verify(verifier, MEMBERS, 3)
-        assert len(calls) == 3
-        assert len(verifier.cache) == 0
-        assert (verifier.cache_hits, verifier.cache_misses) == (0, 0)
-
     def test_memo_entries_count_against_the_lru_bound(self, monkeypatch):
-        registry, signers = make_registry()
-        verifier = NodeVerifier(registry, cache_size=6)
+        registry, signers = make_registry(cache_size=6)
+        verifier = registry.for_node()
         first, second = certify(signers, seq=1), certify(signers, seq=2)
         assert first.verify(verifier, MEMBERS, 3)
         assert len(verifier.cache) == 4
@@ -195,50 +171,49 @@ class TestMemoLivesInTheVerifyCache:
 
     def test_wedged_cache_wedges_the_memo_too(self):
         registry, signers = make_registry()
-        verifier = NodeVerifier(registry, cache_size=64)
+        verifier = registry.for_node()
         certificate = certify(signers)
         with get_bug("verify-cache-wedged").patch():
             assert certificate.verify(verifier, MEMBERS, 3)
-            one = verifier.cache_misses
+            one = verifier.cache.misses
             assert one == 3
             for _ in range(2):
                 assert certificate.verify(verifier, MEMBERS, 3)
-            assert verifier.cache_misses == 3 * one
-            assert verifier.cache_hits == 0
+            assert verifier.cache.misses == 3 * one
+            assert verifier.cache.hits == 0
             assert len(verifier.cache) == 0
 
     def test_a_probe_is_neither_a_hit_nor_a_miss(self):
         registry, signers = make_registry()
-        verifier = NodeVerifier(registry, cache_size=64)
+        verifier = registry.for_node()
         charged = []
         verifier.on_miss = charged.append
         certificate = certify(signers)
         assert certificate.verify(verifier, MEMBERS, 3)
-        first = (verifier.cache_hits, verifier.cache_misses)
+        first = (verifier.cache.hits, verifier.cache.misses)
         assert first == (0, 3) and charged == [3]
         for _ in range(10):
             assert certificate.verify(verifier, MEMBERS, 3)
-        assert (verifier.cache_hits, verifier.cache_misses) == first
+        assert (verifier.cache.hits, verifier.cache.misses) == first
         assert charged == [3]
         # A first-seen certificate over already-seen signatures costs hits,
         # exactly as before the memo.
         assert certificate.verify(verifier, MEMBERS, 2)
-        assert (verifier.cache_hits, verifier.cache_misses) == (3, 3)
+        assert (verifier.cache.hits, verifier.cache.misses) == (3, 3)
 
 
 class TestMalformedCertificatesFailClosed:
-    @pytest.mark.parametrize("cache_size", [64, 0], ids=["memo-on", "memo-off"])
     @pytest.mark.parametrize(
         "signatures",
         [(None,), None, [Signature("P0/R0", b"\x00" * 32, "hmac")]],
         ids=["none-entry", "none", "list"],
     )
-    def test_malformed_signatures_return_false(self, cache_size, signatures):
-        registry, signers = make_registry(cache_size)
+    def test_malformed_signatures_return_false(self, signatures):
+        registry, signers = make_registry()
         certificate = CommitCertificate(
             partition=0, view=0, seq=5, digest=DIGEST, signatures=signatures
         )
-        for verifier in (registry, NodeVerifier(registry, cache_size=cache_size)):
+        for verifier in (registry, registry.for_node()):
             assert certificate.verify(verifier, MEMBERS, 1) is False
             assert certificate.verify(verifier, MEMBERS, 0) is False
             assert len(verifier.cache) == 0

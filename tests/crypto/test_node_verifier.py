@@ -1,13 +1,13 @@
-"""Per-node verify caches (``NodeVerifier``) and their metrics exposure.
+"""Per-node verify caches (``KeyRegistry.for_node``) and their metrics exposure.
 
 PR 2 shipped the signature verify cache *shared through the env-wide
 registry* — one pooled memo for all simulated nodes, which modeled neither
-per-node memory nor per-node hit rates.  PR 3 gives every node its own
-:class:`~repro.crypto.signatures.VerifyCache` behind a
-:class:`~repro.crypto.signatures.NodeVerifier`; these tests pin the
+per-node memory nor per-node hit rates.  Every node now verifies through a
+registry of its own that shares the deployment's identities and owns a
+private :class:`~repro.crypto.signatures.VerifyCache`; these tests pin the
 independence of those caches, their soundness (a verdict can never leak
-between tampered payloads), key-rotation invalidation across all attached
-caches, and the per-node counters surfaced through the system counters and
+between tampered payloads), the shared identity tables, the miss hook, and
+the per-node counters surfaced through the system counters and
 ``cache_snapshot()``.
 """
 
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from repro.common.config import BatchConfig, LatencyConfig, SystemConfig
 from repro.core.system import TransEdgeSystem
-from repro.crypto.signatures import HmacSigner, KeyRegistry, NodeVerifier
+from repro.crypto.signatures import HmacSigner, KeyRegistry
 
 
 def make_registry():
@@ -25,64 +25,69 @@ def make_registry():
     return registry, signer
 
 
-class TestNodeVerifier:
+class TestNodeRegistry:
     def test_caches_are_independent_per_node(self):
         registry, signer = make_registry()
-        verifier_one = NodeVerifier(registry, cache_size=64)
-        verifier_two = NodeVerifier(registry, cache_size=64)
+        verifier_one = registry.for_node()
+        verifier_two = registry.for_node()
         payload = ["prepare", 1, 2, b"\x03" * 32]
         signature = signer.sign(payload)
 
         assert verifier_one.verify(payload, signature)
-        assert verifier_one.cache_misses == 1 and verifier_one.cache_hits == 0
+        assert verifier_one.cache.misses == 1 and verifier_one.cache.hits == 0
         # The second node has not verified this yet: its own cache misses,
         # regardless of what the first node's cache holds.
         assert verifier_two.verify(payload, signature)
-        assert verifier_two.cache_misses == 1 and verifier_two.cache_hits == 0
+        assert verifier_two.cache.misses == 1 and verifier_two.cache.hits == 0
         assert verifier_one.verify(payload, signature)
-        assert verifier_one.cache_hits == 1
+        assert verifier_one.cache.hits == 1
         # The registry's own cache was never involved.
-        assert registry.cache_hits == 0 and registry.cache_misses == 0
+        assert registry.cache.hits == 0 and registry.cache.misses == 0
+
+    def test_node_cache_has_the_registry_bound(self):
+        registry, _ = make_registry()
+        assert registry.for_node().cache.size == registry.cache.size == 64
+
+    def test_identities_registered_later_are_shared(self):
+        registry, _ = make_registry()
+        verifier = registry.for_node()
+        late = HmacSigner("node-b")
+        registry.register(late)
+        assert verifier.verify("hello", late.sign("hello"))
 
     def test_tampered_payload_fails_with_warm_node_cache(self):
         registry, signer = make_registry()
-        verifier = NodeVerifier(registry, cache_size=64)
+        verifier = registry.for_node()
         payload = ["commit", 0, 7, b"\x01" * 32]
         signature = signer.sign(payload)
         assert verifier.verify(payload, signature)
         assert not verifier.verify(["commit", 0, 7, b"\x02" * 32], signature)
 
-    def test_key_rotation_clears_attached_caches(self):
-        registry, signer = make_registry()
-        verifier = NodeVerifier(registry, cache_size=64)
-        payload = ["vote", 9]
-        signature = signer.sign(payload)
-        assert verifier.verify(payload, signature)
-        assert len(verifier.cache) == 1
-        # Rotating the identity's key must drop every attached cache: the
-        # memoized verdict was computed under the replaced material.
-        registry.register(HmacSigner("node-a", secret=b"rotated-secret"))
-        assert len(verifier.cache) == 0
-        assert not verifier.verify(payload, signature)
-
     def test_quorum_verification_uses_the_node_cache(self):
         registry, signer = make_registry()
-        verifier = NodeVerifier(registry, cache_size=64)
+        verifier = registry.for_node()
         payload = ["checkpoint", 5, b"\x04" * 32]
         signatures = [signer.sign(payload)]
         assert verifier.verify_quorum(payload, signatures, required=1)
-        before = verifier.cache_hits
+        before = verifier.cache.hits
         assert verifier.verify_quorum(payload, signatures, required=1)
-        assert verifier.cache_hits == before + 1
+        assert verifier.cache.hits == before + 1
 
-    def test_zero_size_disables_the_node_cache(self):
+    def test_on_miss_is_charged_once_per_call_with_misses(self):
         registry, signer = make_registry()
-        verifier = NodeVerifier(registry, cache_size=0)
-        payload = ["x"]
-        signature = signer.sign(payload)
-        for _ in range(3):
-            assert verifier.verify(payload, signature)
-        assert verifier.cache_hits == 0 and verifier.cache_misses == 0
+        verifier = registry.for_node()
+        charged = []
+        verifier.on_miss = charged.append
+        other = HmacSigner("node-b")
+        registry.register(other)
+        payload = ["vote", 3]
+        signatures = [signer.sign(payload), other.sign(payload)]
+        assert verifier.verify_quorum(payload, signatures, required=2)
+        assert verifier.verify(payload, signatures[0])
+        assert verifier.verify(["vote", 4], signatures[0]) is False
+        assert charged == [2, 1]
+        # The deployment's registry charges nobody.
+        assert registry.on_miss is None
 
 
 class TestPerNodeCacheMetrics:

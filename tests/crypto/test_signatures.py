@@ -7,12 +7,12 @@ import random
 import pytest
 
 from repro.common.errors import SignatureError
-from repro.crypto.hashing import digest_of
 from repro.crypto.signatures import (
     HmacSigner,
     KeyRegistry,
     RsaSigner,
     Signature,
+    VerifyCache,
     make_signer,
 )
 
@@ -112,10 +112,10 @@ class TestVerifyCache:
         payload = ["commit", 0, 7, b"\x01" * 32]
         signature = signers["P0/R0"].sign(payload)
         assert registry.verify(payload, signature)
-        before = registry.cache_hits
+        before = registry.cache.hits
         for _ in range(5):
             assert registry.verify(payload, signature)
-        assert registry.cache_hits == before + 5
+        assert registry.cache.hits == before + 5
 
     def test_tampered_payload_fails_with_warm_cache(self, registry_with_nodes):
         registry, signers = registry_with_nodes
@@ -149,27 +149,6 @@ class TestVerifyCache:
             signer="P0/R1", value=signature.value, scheme=signature.scheme
         )
         assert not registry.verify(payload, impersonation)
-
-    def test_explicit_payload_digest_matches_implicit(self, registry_with_nodes):
-        registry, signers = registry_with_nodes
-        payload = ["prepare", 1, 2, b"d"]
-        signature = signers["P0/R2"].sign(payload)
-        assert registry.verify(payload, signature, payload_digest=digest_of(payload))
-        # The explicit-digest call shares cache entries with the implicit one.
-        before = registry.cache_hits
-        assert registry.verify(payload, signature)
-        assert registry.cache_hits == before + 1
-
-    def test_cache_disabled_still_verifies(self):
-        registry = KeyRegistry(verify_cache_size=0)
-        signer = HmacSigner("solo")
-        registry.register(signer)
-        payload = {"x": 1}
-        signature = signer.sign(payload)
-        assert registry.verify(payload, signature)
-        assert registry.verify(payload, signature)
-        assert registry.cache_hits == 0 and registry.cache_misses == 0
-        assert not registry.verify({"x": 2}, signature)
 
     def test_cache_eviction_keeps_correctness(self):
         registry = KeyRegistry(verify_cache_size=2)
@@ -222,10 +201,28 @@ class TestVerifyCache:
         payload = {"seq": 3, "digest": b"q"}
         sigs = [s.sign(payload) for s in signers.values()]
         assert registry.verify_quorum(payload, sigs, required=3)
-        before_hits = registry.cache_hits
+        before_hits = registry.cache.hits
         # Re-verifying the same certificate is answered fully from the cache.
         assert registry.verify_quorum(payload, sigs, required=3)
-        assert registry.cache_hits >= before_hits + 3
+        assert registry.cache.hits >= before_hits + 3
+
+
+class TestRegistration:
+    def test_an_identity_registers_once(self, registry_with_nodes):
+        # A replaced key would leave verdicts memoized under the old one.
+        registry, signers = registry_with_nodes
+        with pytest.raises(SignatureError):
+            registry.register(HmacSigner("P0/R0", secret=b"rotated"))
+        with pytest.raises(SignatureError):
+            registry.for_node().register(signers["P0/R1"])
+        assert registry.verify("x", signers["P0/R0"].sign("x"))
+
+    @pytest.mark.parametrize("size", [0, -1])
+    def test_a_cache_holds_at_least_one_entry(self, size):
+        with pytest.raises(SignatureError):
+            VerifyCache(size)
+        with pytest.raises(SignatureError):
+            KeyRegistry(verify_cache_size=size)
 
 
 class TestFactories:

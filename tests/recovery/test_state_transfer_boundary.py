@@ -16,6 +16,7 @@ import dataclasses
 import pytest
 
 from repro.common.config import BatchConfig, CheckpointConfig, LatencyConfig, SystemConfig
+from repro.bft.quorum import ViewChangeCertificate
 from repro.common.ids import NO_BATCH
 from repro.core.system import TransEdgeSystem
 from repro.recovery.messages import StateTransferReply
@@ -221,6 +222,57 @@ class TestForgedStateTransferReply:
 
         assert victim.counters.state_transfers_rejected == 1
         assert (victim.log.last_seq, victim.merkle.root, len(victim.store)) == held
+        assert victim.recovery.in_progress
+        assert victim.counters.recoveries_completed == 0
+
+        # The honest reply from the same member still installs.
+        responder.send(victim.node_id, StateTransferReply(**honest))
+        system.run_until_idle()
+        assert victim.counters.recoveries_completed == 1
+        assert victim.merkle.root == responder.merkle.root
+
+
+def view_above(votes):
+    """Advertise the view above the responder's, "certified" by ``votes``."""
+    def forge(fields):
+        view = fields["view"] + 1
+        return {"view": view, "view_certificate": ViewChangeCertificate(view, votes)}
+    return forge
+
+
+def image_with(**changes):
+    return lambda fields: {"image": dataclasses.replace(fields["image"], **changes)}
+
+
+#: (id, one junk value nested inside an otherwise honest reply) — each used to
+#: raise out of the run from the recovery session or the install.
+NESTED = [
+    ("checkpoint-signatures-none",
+     lambda f: {"certificate": dataclasses.replace(f["certificate"], signatures=None)}),
+    ("view-votes-none", view_above(None)),
+    ("view-vote-not-a-pair", view_above(((1,),))),
+    ("image-items-none", image_with(items=None)),
+    ("image-prepared-none", image_with(prepared=None)),
+    ("image-decisions-none", image_with(decisions=None)),
+    ("image-prepared-headers-none", image_with(prepared_headers=None)),
+    ("image-seq-not-an-int", image_with(seq="x")),
+]
+
+
+class TestNestedJunkInStateTransferReply:
+    @pytest.mark.parametrize("forge", [case[1] for case in NESTED], ids=[case[0] for case in NESTED])
+    def test_refused_at_the_boundary_and_installs_nothing(self, forge):
+        system = make_system()
+        responder, victim, honest = rejoin_by_hand(system)
+        held = (victim.log.last_seq, victim.merkle.root, len(victim.store), victim.engine.view)
+
+        responder.send(victim.node_id, StateTransferReply(**{**honest, **forge(honest)}))
+        system.run_until_idle()  # nothing raises out of the run
+
+        refused = [e.node for e in system.env.obs.recorder.events_of_kind("malformed-message")]
+        assert refused == [str(victim.node_id)]
+        assert victim.counters.state_transfers_rejected == 0
+        assert (victim.log.last_seq, victim.merkle.root, len(victim.store), victim.engine.view) == held
         assert victim.recovery.in_progress
         assert victim.counters.recoveries_completed == 0
 

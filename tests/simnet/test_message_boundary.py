@@ -13,7 +13,8 @@ refused the same way.
 * (b) 18 shapes, and 3 misdirected messages, that each raised out of
   ``run_until_idle()`` before the boundary existed now fail closed, and the
   cluster commits afterwards;
-* (c) one junk field in a message, or in a transaction, batch or signature
+* (c) one junk field in a message, or in a transaction, batch, signature,
+  certified header, snapshot image or checkpoint or view-change certificate
   it carries, never raises out of the run.
 """
 
@@ -30,8 +31,9 @@ from hypothesis import strategies as st
 
 import repro
 from repro.bft.messages import CertificateRebroadcast, CheckpointVote, PrePrepare, Prepare, ViewChange
+from repro.bft.quorum import ViewChangeCertificate, checkpoint_payload, view_change_payload
 from repro.common.config import BatchConfig, LatencyConfig, SystemConfig
-from repro.core.batch import Batch
+from repro.core.batch import Batch, CertifiedHeader
 from repro.core.messages import (
     CommitReply,
     CommitRequest,
@@ -53,7 +55,9 @@ from repro.core.system import TransEdgeSystem
 from repro.core.transaction import TxnPayload
 from repro.crypto.signatures import Signature
 from repro.edge.messages import HeaderAnnouncement
-from repro.recovery.messages import StateTransferRequest
+from repro.recovery.checkpoint import CheckpointCertificate
+from repro.recovery.messages import StateTransferReply, StateTransferRequest
+from repro.recovery.snapshot import SnapshotImage
 from repro.simnet.messages import Message
 from repro.simnet.reliable import ReliableAck, ReliableEnvelope
 
@@ -328,6 +332,24 @@ def templates(system: TransEdgeSystem):
         message.signature = leader0.signer.sign(message.signing_payload())
         return message
 
+    def state_transfer_reply():
+        """What a member holding a checkpoint at its tip would send."""
+        image = SnapshotImage.capture(leader0, leader0.log.last_seq)
+        signers = [system.replicas[member].signer for member in system.topology.members(0)]
+        view = leader0.engine.view
+        return StateTransferReply(
+            partition=0,
+            image=image,
+            certificate=CheckpointCertificate(
+                partition=0, seq=image.seq, digest=image.digest(),
+                signatures=tuple(s.sign(checkpoint_payload(image.seq, image.digest()))
+                                 for s in signers)),
+            view=view,
+            view_certificate=ViewChangeCertificate(view, tuple(
+                (image.seq, s.sign(view_change_payload(view, image.seq))) for s in signers)),
+            responder_tip=image.seq,
+        )
+
     return [
         (leader0, follower0, lambda: signed(PrePrepare(
             view=0, seq=batch.number, digest=batch.digest(), proposal=batch))),
@@ -347,10 +369,18 @@ def templates(system: TransEdgeSystem):
             txn=txn, coordinator=1, prepare_batch=1, header=leader1.last_header)),
         (leader1, follower0, lambda: DecisionQuery(txn_id="fuzz", partition=0)),
         (follower0, leader0, lambda: StateTransferRequest(partition=0, have_seq=0)),
+        (leader0, follower0, state_transfer_reply),
         (follower0, reader, lambda: ReplicaCommitReply(txn_id="fuzz", partition=0)),
         (leader0, reader, lambda: ReadReply(request_id="r", values={key: b"v"})),
         (leader0, reader, lambda: CommitReply(request_id="r")),
     ]
+
+
+#: Values a message carries whose own fields the property also fuzzes.
+CARRIED = (
+    TxnPayload, Batch, Signature, CertifiedHeader,
+    SnapshotImage, CheckpointCertificate, ViewChangeCertificate,
+)
 
 
 def fuzzable(value) -> list:
@@ -368,7 +398,7 @@ def test_one_junk_field_never_raises_out_of_the_run(data):
     junk = data.draw(st.sampled_from(JUNK))
     carried = [
         name for name in fuzzable(message)
-        if isinstance(getattr(message, name), (TxnPayload, Batch, Signature))
+        if isinstance(getattr(message, name), CARRIED)
     ]
     if carried and data.draw(st.booleans()):
         name = data.draw(st.sampled_from(carried))
