@@ -127,6 +127,9 @@ class PbftEngine:
         self._next_deliver_seq = 0
         self._pending_deliveries: Dict[int, Tuple[object, CommitCertificate]] = {}
         self._buffered_pre_prepares: Dict[int, Tuple[PrePrepare, object]] = {}
+        #: Seqs whose commit votes arrived before their proposal, in arrival
+        #: order: the only instances that can make :meth:`is_behind` true.
+        self._early_commits: Dict[int, None] = {}
         #: view -> voter -> (the voter's last_delivered, its signature): the
         #: votes a :class:`ViewChangeCertificate` for that view is made of.
         self._view_change_votes: Dict[int, Dict[str, Tuple[int, Signature]]] = {}
@@ -254,8 +257,10 @@ class PbftEngine:
         instance = self._instance(message.seq, message.view)
         if instance.digest and message.digest != instance.digest:
             return
-        votes = instance.prepares if isinstance(message, Prepare) else instance.commits
-        votes.add(str(src), message.signature)
+        if isinstance(message, Prepare):
+            instance.prepares.add(str(src), message.signature)
+        elif instance.commits.add(str(src), message.signature) and instance.proposal is None:
+            self._early_commits[message.seq] = None
         self._maybe_advance(instance)
 
     def _maybe_advance(self, instance: _Instance) -> None:
@@ -386,10 +391,19 @@ class PbftEngine:
         """
         if self._buffered_pre_prepares or self._pending_deliveries:
             return True
-        for seq, instance in self._instances.items():
-            if seq < self._next_deliver_seq or instance.decided:
-                continue
-            if instance.proposal is None and instance.commits.reached(self.quorum):
+        # Commits without a proposal: re-checked, and pruned once the seq is
+        # delivered or its instance decided, proposed, dropped or replaced.
+        # A replacing instance is listed again by its own early commit.
+        for seq in list(self._early_commits):
+            instance = self._instances.get(seq)
+            if (
+                instance is None
+                or seq < self._next_deliver_seq
+                or instance.decided
+                or instance.proposal is not None
+            ):
+                del self._early_commits[seq]
+            elif instance.commits.reached(self.quorum):
                 return True
         return False
 

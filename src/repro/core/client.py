@@ -691,11 +691,7 @@ class TransEdgeClient(ProcessNode):
         another member of the same cluster.
         """
         reply_type = ReadOnlyReply if required is None else SnapshotReply
-        candidates = [
-            member
-            for member in self.topology.members(partition)
-            if member != self._leader_of(partition)
-        ]
+        candidates = None  # the other members, listed at the first failure
         attempt = 0
         while True:
             if isinstance(reply, reply_type):
@@ -707,6 +703,11 @@ class TransEdgeClient(ProcessNode):
                 self.stats.read_only_verification_failures += 1
             elif reply is REFUSED:
                 self.stats.read_only_verification_failures += 1
+            if candidates is None:
+                leader = self._leader_of(partition)
+                candidates = [
+                    member for member in self.topology.members(partition) if member != leader
+                ]
             if attempt >= len(candidates):
                 return None
             replica = candidates[attempt]

@@ -95,18 +95,14 @@ class HistoricalTreeView:
         """Membership proof for ``key`` against this historical root.
 
         Byte-identical to ``MerkleTree(historical_items).prove(key)``: the
-        walk is the shared :func:`~repro.crypto.merkle.proof_steps` over this
-        view's digest accessor, and the level structure is the base tree's.
+        walk is the shared :func:`~repro.crypto.merkle.proof_steps` over the
+        base tree's levels and this view's reverse deltas.
         """
         self._ensure_fresh()
-        if key not in self._base._index:
+        index = self._base._index.get(key)
+        if index is None:
             raise ProofError(f"key {key!r} is not in the Merkle tree")
-        steps = proof_steps(
-            [len(level) for level in self._base._levels],
-            self._base._index[key],
-            self._digest_at,
-        )
-        return MerkleProof(key=key, steps=steps)
+        return MerkleProof(key=key, steps=proof_steps(self._base._levels, index, self._deltas))
 
 
 @dataclass

@@ -18,6 +18,11 @@ for the tree of any recent batch when a read-only client asks for an older
 snapshot in round two.  A brand-new key shifts leaf positions:
 :meth:`MerkleTree.inserted` builds the new tree from the old one's leaves.
 
+A membership proof is one walk, :func:`proof_steps`, over a tree's digest
+levels and, for an archived tree, the reverse deltas that lie on top of them;
+its steps are plain :class:`ProofStep` pairs that :func:`verify_proof`
+hashes inline, one ``sha256`` per step.
+
 A delta depends only on the tree, which its root binds, and the write-set.
 The members of a cluster hold equal trees, so a deployment gives all its
 stores one :class:`DeltaMemo`: the first member to preview or apply
@@ -30,7 +35,9 @@ from __future__ import annotations
 import hashlib
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, Dict, Hashable, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple,
+)
 
 from repro.common.errors import ProofError
 from repro.common.ids import NO_BATCH, BatchNumber
@@ -60,8 +67,7 @@ def _parent_digest(left: Digest, right: Digest) -> Digest:
     return _sha256(b"I" + left + right).digest()
 
 
-@dataclass(frozen=True)
-class ProofStep:
+class ProofStep(NamedTuple):
     """One step of a membership proof: a sibling digest and its side."""
 
     sibling: Digest
@@ -79,32 +85,37 @@ class MerkleProof:
         return len(self.steps)
 
 
-def proof_steps(level_sizes, leaf_index, digest_at) -> Tuple[ProofStep, ...]:
+#: Builds a :class:`ProofStep` without the Python frame of its ``__new__``.
+_new_step = tuple.__new__
+
+
+def proof_steps(
+    levels: Sequence[Sequence[Digest]],
+    leaf_index: int,
+    deltas: Sequence[PathCells] = (),
+) -> Tuple[ProofStep, ...]:
     """The sibling walk shared by live trees and archived historical views.
 
-    ``level_sizes`` are the per-level node counts (leaves first),
-    ``digest_at(level, index)`` resolves one node digest.  Keeping the walk —
-    including the odd-node-promotion rule (an odd node contributes no sibling
-    at its level) — in one place is what makes archive proofs byte-identical
-    to live-tree proofs by construction.
+    ``levels`` are a tree's digest levels (leaves first).  ``deltas`` are
+    the reverse deltas of a historical view, oldest first: a node's digest
+    is the first delta cell that holds it, else the level's.  Keeping the
+    walk — including the odd-node-promotion rule (an odd node contributes no
+    sibling at its level; neither does the root) — in one place is what
+    makes archive proofs byte-identical to live-tree proofs by construction.
     """
     index = leaf_index
     steps: List[ProofStep] = []
-    for level_number, size in enumerate(level_sizes[:-1]):
-        if index % 2 == 0:
-            sibling_index = index + 1
-            sibling_is_left = False
-        else:
-            sibling_index = index - 1
-            sibling_is_left = True
-        if sibling_index < size:
-            steps.append(
-                ProofStep(
-                    sibling=digest_at(level_number, sibling_index),
-                    sibling_is_left=sibling_is_left,
-                )
-            )
-        index //= 2
+    for level_number, level in enumerate(levels):
+        sibling = index ^ 1
+        if sibling < len(level):
+            digest = level[sibling]
+            for delta in deltas:
+                cells = delta[level_number]
+                if sibling in cells:
+                    digest = cells[sibling]
+                    break
+            steps.append(_new_step(ProofStep, (digest, sibling < index)))
+        index >>= 1
     return tuple(steps)
 
 
@@ -252,14 +263,10 @@ class MerkleTree:
 
         Raises :class:`ProofError` when the key is not part of the tree.
         """
-        if key not in self._index:
+        index = self._index.get(key)
+        if index is None:
             raise ProofError(f"key {key!r} is not in the Merkle tree")
-        steps = proof_steps(
-            [len(level) for level in self._levels],
-            self._index[key],
-            lambda level, index: self._levels[level][index],
-        )
-        return MerkleProof(key=key, steps=steps)
+        return MerkleProof(key=key, steps=proof_steps(self._levels, index))
 
 
 def verify_proof(root: Digest, key: Key, value: Value, proof: MerkleProof) -> bool:
@@ -273,13 +280,15 @@ def verify_proof(root: Digest, key: Key, value: Value, proof: MerkleProof) -> bo
     """
     if proof.key != key:
         return False
+    sha256 = _sha256
     digest = leaf_digest(key, value)
     try:
         for step in proof.steps:
+            # _parent_digest, inlined: one frame per step
             if step.sibling_is_left:
-                digest = _parent_digest(step.sibling, digest)
+                digest = sha256(b"I" + step.sibling + digest).digest()
             else:
-                digest = _parent_digest(digest, step.sibling)
+                digest = sha256(b"I" + digest + step.sibling).digest()
     except (TypeError, AttributeError):
         return False
     return digest == root

@@ -18,9 +18,10 @@ from __future__ import annotations
 
 import ast
 import os
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, List, Sequence
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from repro.lint.findings import Finding
 
@@ -41,7 +42,32 @@ class SourceFile:
     @cached_property
     def nodes(self) -> List[ast.AST]:
         """Every node of :attr:`tree`, in ``ast.walk`` order, walked once for all rules."""
-        return list(ast.walk(self.tree))
+        return self._walk[0]
+
+    @cached_property
+    def function_walks(self) -> Dict[ast.AST, List[ast.AST]]:
+        """Every function definition, in ``ast.walk`` order, with the nodes
+        ``ast.walk`` yields for it, in that order, from the same one walk.
+
+        A breadth-first walk keeps the relative order of a subtree's nodes,
+        so a function's own walk is the file walk's nodes under it.
+        """
+        return self._walk[1]
+
+    @cached_property
+    def _walk(self) -> Tuple[List[ast.AST], Dict[ast.AST, List[ast.AST]]]:
+        nodes: List[ast.AST] = []
+        functions: Dict[ast.AST, List[ast.AST]] = {}
+        queue = deque([(self.tree, ())])
+        while queue:
+            node, enclosing = queue.popleft()
+            nodes.append(node)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                enclosing += (functions.setdefault(node, []),)
+            for walk in enclosing:
+                walk.append(node)
+            queue.extend((child, enclosing) for child in ast.iter_child_nodes(node))
+        return nodes, functions
 
     def snippet(self, line: int) -> str:
         if 1 <= line <= len(self.lines):

@@ -205,10 +205,10 @@ class BareSetIterationRule(FileRule):
         names.discard("")  # a target that is no name chain
         return names
 
-    def _set_typed_locals(self, function: ast.AST, set_maps: Set[str]) -> Set[str]:
-        """Names assigned a set expression anywhere in ``function`` (flow-free)."""
+    def _set_typed_locals(self, walk: List[ast.AST], set_maps: Set[str]) -> Set[str]:
+        """Names assigned a set expression anywhere in a function's ``walk`` (flow-free)."""
         names: Set[str] = set()
-        for node in ast.walk(function):
+        for node in walk:
             if isinstance(node, ast.Assign) and self._is_set_expr(node.value, names, set_maps):
                 for target in node.targets:
                     if isinstance(target, ast.Name):
@@ -225,8 +225,8 @@ class BareSetIterationRule(FileRule):
 
     # -- iteration contexts --------------------------------------------------
 
-    def _iteration_sites(self, scope: ast.AST):
-        for node in ast.walk(scope):
+    def _iteration_sites(self, walk: List[ast.AST]):
+        for node in walk:
             if isinstance(node, (ast.For, ast.AsyncFor)):
                 yield node.iter, node.lineno, "for loop"
             elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)):
@@ -241,18 +241,19 @@ class BareSetIterationRule(FileRule):
                 yield node.value, getattr(node, "lineno", 0), "unpacking"
 
     def check(self, file: SourceFile) -> Iterator[Finding]:
-        scopes: List[ast.AST] = list(functions_in(file.nodes))
+        walks = file.function_walks  # one walk of the file, shared with every rule
         set_maps = self._set_valued_maps(file.nodes)
-        # Module level too (rare, but set literals at import time happen).
+        # Module level too (rare, but set literals at import time happen):
+        # the sites on no function's lines.
+        in_functions: Set[int] = set()
+        for function in walks:
+            in_functions.update(range(function.lineno, (function.end_lineno or function.lineno) + 1))
+        passes = [(walk, self._set_typed_locals(walk, set_maps)) for walk in walks.values()]
+        passes.append((file.nodes, set()))
         seen = set()
-        for scope in scopes + [file.tree]:
-            set_vars = self._set_typed_locals(scope, set_maps) if scope is not file.tree else set()
-            for iterable, line, context in self._iteration_sites(scope):
-                if scope is file.tree and any(
-                    # Module pass: skip sites inside functions (already done).
-                    line >= fn.lineno and line <= (fn.end_lineno or fn.lineno)
-                    for fn in scopes
-                ):
+        for walk, set_vars in passes:
+            for iterable, line, context in self._iteration_sites(walk):
+                if walk is file.nodes and line in in_functions:
                     continue
                 if not self._is_set_expr(iterable, set_vars, set_maps):
                     continue

@@ -78,7 +78,10 @@ class SimEnvironment:
 
     def new_signer(self, identity: str) -> Signer:
         """Create and register a signer for ``identity`` (setup-time PKI)."""
-        signer = make_signer(self.config.crypto_backend, identity, rng=self.rng)
+        signer = make_signer(
+            self.config.crypto_backend, identity, rng=self.rng,
+            encodings=self.registry.encodings,
+        )
         self.registry.register(signer)
         return signer
 

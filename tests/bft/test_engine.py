@@ -385,6 +385,78 @@ class TestForgedCertificateRebroadcast:
         assert victim.engine._pending_deliveries == {}
 
 
+def _rescanned_is_behind(engine):
+    """``is_behind`` as a scan of every retained instance (the reference)."""
+    if engine._buffered_pre_prepares or engine._pending_deliveries:
+        return True
+    return any(
+        seq >= engine._next_deliver_seq
+        and not instance.decided
+        and instance.proposal is None
+        and instance.commits.reached(engine.quorum)
+        for seq, instance in engine._instances.items()
+    )
+
+
+class TestIsBehind:
+    """``is_behind`` re-checks only the seqs whose commits came before their
+    proposal; through each transition of such an instance it answers what a
+    scan of every retained instance answers."""
+
+    def _feed(self, replica, message, sender):
+        message.signature = sender.signer.sign(message.signing_payload())
+        replica.engine.handle(message, sender.node_id)
+        answer = replica.engine.is_behind()
+        assert answer == _rescanned_is_behind(replica.engine)
+        return answer
+
+    def _commit_quorum_first(self, view=0):
+        """Replica 3 receives seq 0's commit quorum and no proposal."""
+        env, replicas = build_cluster()
+        follower = replicas[3]
+        digest = digest_of(["list-entry", "v"])
+        answers = [
+            self._feed(follower, Commit(view=view, seq=0, digest=digest), sender)
+            for sender in replicas[:3]
+        ]
+        return env, replicas, follower, answers
+
+    def test_commits_reach_quorum_before_the_proposal(self):
+        _, _, follower, answers = self._commit_quorum_first()
+        assert answers == [False, False, True]
+        assert list(follower.engine._early_commits) == [0]
+
+    def test_the_proposal_arrives(self):
+        _, replicas, follower, _ = self._commit_quorum_first()
+        proposal = PrePrepare(view=0, seq=0, digest=digest_of(["list-entry", "v"]), proposal="v")
+        assert not self._feed(follower, proposal, replicas[0])
+        assert follower.delivered == ["v"]  # the commits it held decide it at once
+        assert follower.engine._early_commits == {}
+
+    def test_the_instance_is_delivered(self):
+        _, _, follower, _ = self._commit_quorum_first()
+        follower.engine.install_checkpoint(0)  # delivered out of band
+        assert not follower.engine.is_behind()
+        assert not _rescanned_is_behind(follower.engine)
+        assert follower.engine._early_commits == {}
+
+    def test_a_view_change_replaces_it(self):
+        env, replicas, follower, _ = self._commit_quorum_first()
+        for replica in replicas:
+            replica.engine.suspect_leader()
+        env.simulator.run_until_idle()
+        assert follower.engine.view == 1
+        assert not follower.engine.is_behind()
+        assert not _rescanned_is_behind(follower.engine)
+        # The new view's instance at seq 0 is listed by its own early commits.
+        digest = digest_of(["list-entry", "w"])
+        answers = [
+            self._feed(follower, Commit(view=1, seq=0, digest=digest), sender)
+            for sender in replicas[:3]
+        ]
+        assert answers == [False, False, True]
+
+
 @pytest.mark.xfail(
     strict=True,
     reason="ROADMAP A(2): a re-proposal of a delivered seq is decided again and "

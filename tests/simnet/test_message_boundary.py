@@ -26,8 +26,6 @@ import importlib
 import pkgutil
 
 import pytest
-from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
 import repro
 from repro.bft.messages import CertificateRebroadcast, CheckpointVote, PrePrepare, Prepare, ViewChange
@@ -306,9 +304,12 @@ def test_a_misdirected_message_is_refused_like_a_malformed_one(sender_of, receiv
 
 JUNK = (5, "x", None, [1], {}, object())
 
+#: Cases of :func:`junk_cases`: a new template or field adds ``len(JUNK)`` each.
+EXPECTED_JUNK_CASES = 702
+
 
 class Fuzzed:
-    """One deployment shared by every example: junk must not wedge it."""
+    """One deployment shared by every case: junk must not wedge it."""
 
     system = None
 
@@ -388,25 +389,36 @@ def fuzzable(value) -> list:
     return [f.name for f in dataclasses.fields(value) if f.name != "trace"]
 
 
-@settings(max_examples=60, deadline=None, derandomize=True,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(data=st.data())
-def test_one_junk_field_never_raises_out_of_the_run(data):
-    system = Fuzzed.get()
-    sender, receiver, make = data.draw(st.sampled_from(templates(system)))
-    message = make()
-    junk = data.draw(st.sampled_from(JUNK))
-    carried = [
-        name for name in fuzzable(message)
-        if isinstance(getattr(message, name), CARRIED)
-    ]
-    if carried and data.draw(st.booleans()):
-        name = data.draw(st.sampled_from(carried))
-        value = copy.copy(getattr(message, name))  # a copy drops every memo
-        object.__setattr__(value, data.draw(st.sampled_from(fuzzable(value))), junk)
-        setattr(message, name, value)
-    else:
-        setattr(message, data.draw(st.sampled_from(fuzzable(message))), junk)
+def junk_cases(system: TransEdgeSystem):
+    """Every template × every field, and every field of every value it
+    carries, × every ``JUNK`` value: ``(name, sender, receiver, message)``."""
+    for index, (sender, receiver, make) in enumerate(templates(system)):
+        kind = type(make()).__name__
+        for name in fuzzable(make()):
+            for junk_index, junk in enumerate(JUNK):
+                message = make()
+                setattr(message, name, junk)
+                yield f"{index}:{kind}.{name}={junk_index}", sender, receiver, message
+            carried = getattr(make(), name)
+            if not isinstance(carried, CARRIED):
+                continue
+            for inner in fuzzable(carried):
+                for junk_index, junk in enumerate(JUNK):
+                    message = make()
+                    value = copy.copy(getattr(message, name))  # a copy drops every memo
+                    object.__setattr__(value, inner, junk)
+                    setattr(message, name, value)
+                    yield f"{index}:{kind}.{name}.{inner}={junk_index}", sender, receiver, message
 
-    sender.send(receiver.node_id, message)
-    system.run_until_idle()  # the property: nothing raises out of the run
+
+def test_one_junk_field_never_raises_out_of_the_run():
+    system = Fuzzed.get()
+    cases = 0
+    for case, sender, receiver, message in junk_cases(system):
+        sender.send(receiver.node_id, message)
+        try:
+            system.run_until_idle()  # the property: nothing raises out of the run
+        except Exception as error:
+            raise AssertionError(f"junk case {case} raised {error!r}") from error
+        cases += 1
+    assert cases == EXPECTED_JUNK_CASES
