@@ -5,7 +5,10 @@ pattern that BFT-SMaRt also implements: the leader broadcasts a signed
 ``PrePrepare`` carrying the proposal (a TransEdge batch), replicas exchange
 ``Prepare`` and ``Commit`` votes on the proposal digest, and an instance is
 decided once a ``2f + 1`` commit quorum exists.  All messages are signed by
-their sender; votes only ever reference the proposal digest.
+their sender; votes only ever reference the proposal digest.  Any member
+can send anything: every field has the shape its annotation declares
+(:mod:`repro.common.shapes`) before a handler reads it, and an opaque
+``proposal`` answers through its own annotations.
 """
 
 from __future__ import annotations
@@ -13,36 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
-from repro.bft.quorum import (
-    CommitCertificate,
-    checkpoint_payload,
-    view_change_payload,
-    view_votes_well_formed,
-)
-from repro.common.types import NoneType
-from repro.crypto.signatures import KeyRegistry, Signature, signature_well_formed
+from repro.bft.quorum import CommitCertificate, checkpoint_payload, view_change_payload
+from repro.crypto.signatures import KeyRegistry, Signature
 from repro.simnet.messages import Message
-
-
-def proposal_well_formed(proposal: object) -> bool:
-    """Does a proposal have its declared shape, as far as it can say?
-
-    The engine orders opaque proposals, so one answers for itself when it can
-    (a TransEdge batch does); anything else is refused later, by the digest
-    check or by the application's validation.
-    """
-    check = getattr(proposal, "well_formed", None)
-    return check is None or check()
-
-
-def _vote_well_formed(message: "BftMessage") -> bool:
-    """``well_formed()`` of a vote: every one is asked, so its fields are checked inline."""
-    return (
-        isinstance(message.view, int)
-        and isinstance(message.seq, int)
-        and isinstance(message.digest, bytes)
-        and (message.signature is None or signature_well_formed(message.signature))
-    )
 
 
 @dataclass
@@ -73,18 +49,6 @@ class BftMessage(Message):
         # from the received payload (never one the message carries).
         return verifier.verify(self.signing_payload(), signature)
 
-    def well_formed(self) -> bool:
-        """Do the fields have the declared shape?  Asked before a handler reads one.
-
-        Any cluster member can send anything; what a well-formed message
-        *claims* is checked afterwards, against signatures and quorums.
-        """
-        return (
-            isinstance(self.view, int)
-            and isinstance(self.seq, int)
-            and (self.signature is None or signature_well_formed(self.signature))
-        )
-
 
 @dataclass
 class PrePrepare(BftMessage):
@@ -96,9 +60,6 @@ class PrePrepare(BftMessage):
     def signing_payload(self) -> object:
         return ["pre-prepare", self.view, self.seq, self.digest]
 
-    def well_formed(self) -> bool:
-        return _vote_well_formed(self) and proposal_well_formed(self.proposal)
-
 
 @dataclass
 class Prepare(BftMessage):
@@ -109,8 +70,6 @@ class Prepare(BftMessage):
     def signing_payload(self) -> object:
         return ["prepare", self.view, self.seq, self.digest]
 
-    well_formed = _vote_well_formed
-
 
 @dataclass
 class Commit(BftMessage):
@@ -120,8 +79,6 @@ class Commit(BftMessage):
 
     def signing_payload(self) -> object:
         return ["commit", self.view, self.seq, self.digest]
-
-    well_formed = _vote_well_formed
 
 
 @dataclass
@@ -141,8 +98,6 @@ class CheckpointVote(BftMessage):
 
     def signing_payload(self) -> object:
         return checkpoint_payload(self.seq, self.digest)
-
-    well_formed = _vote_well_formed
 
 
 @dataclass
@@ -170,13 +125,6 @@ class CertificateRebroadcast(BftMessage):
     def signing_payload(self) -> object:
         return ["cert-rebroadcast", self.view, self.seq, self.digest, self.last_delivered]
 
-    def well_formed(self) -> bool:
-        return (
-            PrePrepare.well_formed(self)
-            and isinstance(self.certificate, (CommitCertificate, NoneType))
-            and isinstance(self.last_delivered, int)
-        )
-
 
 @dataclass
 class ViewChange(BftMessage):
@@ -191,9 +139,6 @@ class ViewChange(BftMessage):
 
     def signing_payload(self) -> object:
         return view_change_payload(self.view, self.last_delivered)
-
-    def well_formed(self) -> bool:
-        return BftMessage.well_formed(self) and isinstance(self.last_delivered, int)
 
 
 @dataclass
@@ -214,6 +159,3 @@ class NewView(BftMessage):
 
     def signing_payload(self) -> object:
         return ["new-view", self.view]
-
-    def well_formed(self) -> bool:
-        return BftMessage.well_formed(self) and view_votes_well_formed(self.votes)

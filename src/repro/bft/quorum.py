@@ -6,7 +6,9 @@ distinct cluster members over the decided ``(view, seq, digest)``.  TransEdge
 attaches these certificates to batches, to 2PC prepare/commit messages sent
 across clusters, and to read-only responses so that a single node can prove
 to a client that the data it returns was agreed on by its cluster
-(Sections 3.3 and 4.2 of the paper).
+(Sections 3.3 and 4.2 of the paper).  A certificate that arrives in a
+message is shape-checked from its annotations with that message
+(:mod:`repro.common.shapes`); what it claims is checked by ``verify``.
 """
 
 from __future__ import annotations
@@ -51,21 +53,6 @@ def view_change_payload(view: int, last_delivered: int) -> object:
     return ["view-change", view, last_delivered]
 
 
-def view_votes_well_formed(votes: object) -> bool:
-    """Are ``votes`` a tuple of ``(last_delivered, signature)`` pairs?
-
-    The one shape check of view-change votes, whether they travel bare (in a
-    ``NewView``) or as a :class:`ViewChangeCertificate`.
-    """
-    return isinstance(votes, tuple) and all(
-        isinstance(vote, tuple)
-        and len(vote) == 2
-        and isinstance(vote[0], int)
-        and signature_well_formed(vote[1])
-        for vote in votes
-    )
-
-
 @dataclass(frozen=True)
 class ViewChangeCertificate:
     """Transferable proof that ``2f + 1`` cluster members voted for ``view``.
@@ -81,10 +68,6 @@ class ViewChangeCertificate:
 
     view: int
     votes: Tuple[Tuple[int, Signature], ...]
-
-    def well_formed(self) -> bool:
-        """Do the fields have the declared shape?  (Outside input, checked before :meth:`verify`.)"""
-        return isinstance(self.view, int) and view_votes_well_formed(self.votes)
 
     def verify(
         self,

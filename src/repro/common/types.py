@@ -40,17 +40,6 @@ class MemoisedValue:
         return {name: state[name] for name in self.__dataclass_fields__}
 
 
-#: For ``isinstance(field, (Kind, NoneType))`` in the ``well_formed()`` checks.
-NoneType = type(None)
-
-
-def keyed(mapping: object, kind: type) -> bool:
-    """Is ``mapping`` a dict from keys to ``kind``?  (A ``well_formed()`` check.)"""
-    return isinstance(mapping, dict) and all(
-        isinstance(key, Key) and isinstance(value, kind) for key, value in mapping.items()
-    )
-
-
 def as_value(data: "bytes | str") -> Value:
     """Coerce ``data`` to the canonical value representation (``bytes``)."""
     if isinstance(data, bytes):

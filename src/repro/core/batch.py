@@ -15,6 +15,11 @@ The batch digest (header payload + content digest) is what intra-cluster
 consensus agrees on, so the certificate produced by the BFT layer
 simultaneously certifies the read-only segment — this is how a single node
 can later prove the authenticity of its read-only responses.
+
+Batches, records and headers are outside input (any member may propose,
+any replica may answer a read); their shapes are their annotations
+(:mod:`repro.common.shapes`), and the memoised ones keep the verdict, so
+the receivers of one shared object check it once.
 """
 
 from __future__ import annotations
@@ -26,9 +31,10 @@ from typing import Dict, Mapping, Optional, Tuple
 
 from repro.bft.quorum import CommitCertificate
 from repro.common.ids import NO_BATCH, BatchNumber, PartitionId
-from repro.common.types import Key, MemoisedValue, NoneType, Value
+from repro.common.shapes import conforms
+from repro.common.types import Key, MemoisedValue, Value
 from repro.crypto.hashing import Digest, Encoded, digest_of
-from repro.crypto.signatures import KeyRegistry, Signature, signature_well_formed
+from repro.crypto.signatures import KeyRegistry, Signature
 from repro.core.cdvector import CDVector, combine_all
 from repro.core.transaction import TxnPayload
 from repro.storage.partitioner import HashPartitioner
@@ -40,13 +46,6 @@ class PreparedRecord:
 
     txn: TxnPayload
     coordinator: PartitionId
-
-    def well_formed(self) -> bool:
-        return (
-            isinstance(self.txn, TxnPayload)
-            and self.txn.well_formed()
-            and isinstance(self.coordinator, int)
-        )
 
     def payload(self) -> dict:
         return {"txn": self.txn.payload(), "coordinator": self.coordinator}
@@ -96,18 +95,6 @@ class PreparedVote:
         """Canonical payload a negative vote's signature covers."""
         return ["abort-vote", self.txn_id, int(self.partition)]
 
-    def well_formed(self) -> bool:
-        """Do the fields have the declared shape?  (What they claim is verified after.)"""
-        return (
-            isinstance(self.txn_id, str)
-            and isinstance(self.partition, int)
-            and isinstance(self.vote, bool)
-            and isinstance(self.prepare_batch, int)
-            and isinstance(self.cd_vector, (CDVector, NoneType))
-            and isinstance(self.header, (CertifiedHeader, NoneType))
-            and (self.signature is None or signature_well_formed(self.signature))
-        )
-
 
 @dataclass(frozen=True)
 class CommitRecord(MemoisedValue):
@@ -129,26 +116,6 @@ class CommitRecord(MemoisedValue):
     @property
     def committed(self) -> bool:
         return self.decision
-
-    def well_formed(self) -> bool:
-        """Do the record and every vote in it have the declared shape?"""
-        return self._well_formed
-
-    @cached_property
-    def _well_formed(self) -> bool:
-        # Asked by every cluster the record is sent to, answered once.
-        return (
-            isinstance(self.txn, TxnPayload)
-            and self.txn.well_formed()
-            and isinstance(self.coordinator, int)
-            and isinstance(self.decision, bool)
-            and isinstance(self.prepare_batch, int)
-            and isinstance(self.votes, Mapping)
-            and all(
-                isinstance(partition, int) and isinstance(vote, PreparedVote) and vote.well_formed()
-                for partition, vote in self.votes.items()
-            )
-        )
 
     def payload(self) -> dict:
         return {
@@ -202,30 +169,6 @@ class ReadOnlySegment:
         }
 
 
-def _segment_well_formed(segment: object) -> bool:
-    """Is ``segment`` a :class:`ReadOnlySegment`, down to the primitives?
-
-    As in :attr:`CommitCertificate._verified_fields`, an integer is exactly an
-    ``int`` (``True`` would digest as ``1``).
-    """
-    return (
-        isinstance(segment, ReadOnlySegment)
-        and isinstance(segment.cd_vector, CDVector)
-        and isinstance(segment.cd_vector.entries, tuple)
-        and all(type(entry) is int for entry in segment.cd_vector.entries)
-        and type(segment.lce) is int
-        and type(segment.merkle_root) is bytes
-        and type(segment.timestamp_ms) in (int, float)
-    )
-
-
-def all_well_formed(values: object, kind: type) -> bool:
-    """Is ``values`` a tuple of well-formed ``kind``?"""
-    return isinstance(values, tuple) and all(
-        isinstance(value, kind) and value.well_formed() for value in values
-    )
-
-
 def _header_digest(
     partition: PartitionId, number: BatchNumber, read_only: ReadOnlySegment, content: Digest
 ) -> Digest:
@@ -277,23 +220,6 @@ class Batch(MemoisedValue):
     def digest(self) -> Digest:
         """The digest agreed on by intra-cluster consensus."""
         return self._digest
-
-    def well_formed(self) -> bool:
-        """Do the batch, its segments and their transactions have the declared
-        shape?  A proposal is outside input: any member may send one."""
-        return self._well_formed
-
-    @cached_property
-    def _well_formed(self) -> bool:
-        # Every member is sent the same proposal object: answered once.
-        return (
-            type(self.partition) is int
-            and type(self.number) is int
-            and all_well_formed(self.local_txns, TxnPayload)
-            and all_well_formed(self.prepared, PreparedRecord)
-            and all_well_formed(self.committed, CommitRecord)
-            and _segment_well_formed(self.read_only)
-        )
 
     # -- derived views ----------------------------------------------------------
 
@@ -379,22 +305,6 @@ class CertifiedHeader(MemoisedValue):
         # validation, read-only responses, state transfer).
         return self._digest
 
-    @cached_property
-    def _well_formed(self) -> bool:
-        """Do the fields have the declared shape, down to the primitives?
-
-        A header is outside input (any replica can answer a read), so
-        :meth:`verify` asks this before it reads a field; receivers re-verify
-        the same frozen header many times, so it is answered once.
-        """
-        return (
-            type(self.partition) is int
-            and type(self.number) is int
-            and type(self.content_digest) is bytes
-            and isinstance(self.certificate, CommitCertificate)
-            and _segment_well_formed(self.read_only)
-        )
-
     def verify(
         self,
         registry: KeyRegistry,
@@ -403,7 +313,7 @@ class CertifiedHeader(MemoisedValue):
     ) -> bool:
         """Check the header is well formed, the certificate matches it and
         carries enough signatures.  Total: a malformed header is ``False``."""
-        if not self._well_formed:
+        if not conforms(self, CertifiedHeader):
             return False
         if self.certificate.digest != self.digest():
             return False

@@ -9,6 +9,10 @@ Three groups of messages:
   participants' prepared votes and the final decision, each carrying the
   certificates produced by the sending cluster's consensus;
 * replies, all correlated to their requests via ``request_id``.
+
+A message's shape is its annotations: ``well_formed()`` is derived from
+them (:mod:`repro.common.shapes`), down to the transactions, records and
+headers a message carries, so a field declared here is a field checked.
 """
 
 from __future__ import annotations
@@ -17,56 +21,11 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 from repro.common.ids import NO_BATCH, BatchNumber, PartitionId
-from repro.common.types import Key, NoneType, TxnStatus, Value, keyed
+from repro.common.types import Key, TxnStatus, Value
 from repro.crypto.merkle import MerkleProof
 from repro.core.batch import CertifiedHeader, CommitRecord, PreparedVote
 from repro.core.transaction import TxnPayload
 from repro.simnet.messages import Message, ReplyMessage, RequestMessage
-
-
-def _keys_well_formed(request: "ReadRequest") -> bool:
-    """``well_formed()`` of the read-side requests: is ``keys`` a tuple of keys?"""
-    keys = request.keys
-    return isinstance(keys, tuple) and all(isinstance(key, Key) for key in keys)
-
-
-def _read_well_formed(reply: "ReadReply") -> bool:
-    """``well_formed()`` of a plain read's answer: keyed values and versions."""
-    return (
-        isinstance(reply.partition, int)
-        and keyed(reply.values, Value)
-        and keyed(reply.versions, int)
-    )
-
-
-def _snapshot_well_formed(reply: "ReadOnlyReply") -> bool:
-    """``well_formed()`` of a snapshot read's answer: a plain read's, plus keyed
-    proofs under an optional header.  What they claim is verified after."""
-    return (
-        _read_well_formed(reply)
-        and isinstance(reply.header, (CertifiedHeader, NoneType))
-        and keyed(reply.proofs, MerkleProof)
-    )
-
-
-def _txn_well_formed(txn: object) -> bool:
-    """Is ``txn`` absent or a well-formed transaction?"""
-    return txn is None or (isinstance(txn, TxnPayload) and txn.well_formed())
-
-
-def _outcome_well_formed(reply: "CommitReply") -> bool:
-    """``well_formed()`` of a transaction's reported fate (see :func:`outcome`)."""
-    return (
-        isinstance(reply.txn_id, str)
-        and isinstance(reply.status, TxnStatus)
-        and isinstance(reply.commit_batch, int)
-        and isinstance(reply.abort_reason, str)
-    )
-
-
-def _txn_id_well_formed(message: "DecisionQuery") -> bool:
-    """``well_formed()`` of a message naming a transaction of a partition."""
-    return isinstance(message.txn_id, str) and isinstance(message.partition, int)
 
 
 # ---------------------------------------------------------------------------
@@ -80,8 +39,6 @@ class ReadRequest(RequestMessage):
 
     keys: Tuple[Key, ...] = ()
 
-    well_formed = _keys_well_formed
-
 
 @dataclass
 class ReadReply(ReplyMessage):
@@ -90,8 +47,6 @@ class ReadReply(ReplyMessage):
     values: Dict[Key, Value] = field(default_factory=dict)
     versions: Dict[Key, BatchNumber] = field(default_factory=dict)
     partition: PartitionId = 0
-
-    well_formed = _read_well_formed
 
 
 # ---------------------------------------------------------------------------
@@ -104,9 +59,6 @@ class CommitRequest(RequestMessage):
     """Client → coordinator cluster: please commit this transaction."""
 
     txn: Optional[TxnPayload] = None
-
-    def well_formed(self) -> bool:
-        return _txn_well_formed(self.txn)
 
 
 def outcome(committed: bool, batch: BatchNumber) -> Dict[str, object]:
@@ -126,8 +78,6 @@ class CommitReply(ReplyMessage):
     status: TxnStatus = TxnStatus.ABORTED
     commit_batch: BatchNumber = NO_BATCH
     abort_reason: str = ""
-
-    well_formed = _outcome_well_formed
 
 
 @dataclass
@@ -151,9 +101,6 @@ class ReplicaCommitReply(Message):
     commit_batch: BatchNumber = NO_BATCH
     abort_reason: str = ""
 
-    def well_formed(self) -> bool:
-        return isinstance(self.partition, int) and _outcome_well_formed(self)
-
 
 # ---------------------------------------------------------------------------
 # 2PC over BFT (leader ↔ leader)
@@ -174,13 +121,6 @@ class CoordinatorPrepare(Message):
     prepare_batch: BatchNumber = NO_BATCH
     header: Optional[CertifiedHeader] = None
 
-    def well_formed(self) -> bool:
-        return (
-            _txn_well_formed(self.txn)
-            and isinstance(self.coordinator, int)
-            and isinstance(self.header, (CertifiedHeader, NoneType))
-        )
-
 
 @dataclass
 class ParticipantPrepared(Message):
@@ -188,9 +128,6 @@ class ParticipantPrepared(Message):
 
     vote: Optional[PreparedVote] = None
     header: Optional[CertifiedHeader] = None
-
-    def well_formed(self) -> bool:
-        return self.vote is None or (isinstance(self.vote, PreparedVote) and self.vote.well_formed())
 
 
 @dataclass
@@ -200,10 +137,6 @@ class DecisionMessage(Message):
     record: Optional[CommitRecord] = None
     commit_batch: BatchNumber = NO_BATCH
     header: Optional[CertifiedHeader] = None
-
-    def well_formed(self) -> bool:
-        record = self.record
-        return record is None or (isinstance(record, CommitRecord) and record.well_formed())
 
 
 @dataclass
@@ -221,8 +154,6 @@ class DecisionQuery(Message):
     txn_id: str = ""
     partition: PartitionId = 0
 
-    well_formed = _txn_id_well_formed
-
 
 @dataclass
 class DecisionReply(Message):
@@ -235,8 +166,6 @@ class DecisionReply(Message):
 
     record: Optional[CommitRecord] = None
     commit_batch: BatchNumber = NO_BATCH
-
-    well_formed = DecisionMessage.well_formed
 
 
 @dataclass
@@ -260,9 +189,6 @@ class LeaderComplaint(Message):
     partition: PartitionId = 0
     txn: Optional[TxnPayload] = None
 
-    def well_formed(self) -> bool:
-        return isinstance(self.partition, int) and _txn_well_formed(self.txn)
-
 
 @dataclass
 class ComplaintProbe(Message):
@@ -279,8 +205,6 @@ class ComplaintProbe(Message):
     partition: PartitionId = 0
     txn: Optional[TxnPayload] = None
 
-    well_formed = LeaderComplaint.well_formed
-
 
 @dataclass
 class ComplaintProbeAck(Message):
@@ -288,8 +212,6 @@ class ComplaintProbeAck(Message):
 
     partition: PartitionId = 0
     txn_id: str = ""
-
-    well_formed = _txn_id_well_formed
 
 
 # ---------------------------------------------------------------------------
@@ -303,8 +225,6 @@ class ReadOnlyRequest(RequestMessage):
 
     keys: Tuple[Key, ...] = ()
 
-    well_formed = _keys_well_formed
-
 
 @dataclass
 class ReadOnlyReply(ReplyMessage):
@@ -315,8 +235,6 @@ class ReadOnlyReply(ReplyMessage):
     versions: Dict[Key, BatchNumber] = field(default_factory=dict)
     proofs: Dict[Key, MerkleProof] = field(default_factory=dict)
     header: Optional[CertifiedHeader] = None
-
-    well_formed = _snapshot_well_formed
 
 
 @dataclass
@@ -332,9 +250,6 @@ class SnapshotRequest(RequestMessage):
     keys: Tuple[Key, ...] = ()
     required_prepare_batch: BatchNumber = NO_BATCH
 
-    def well_formed(self) -> bool:
-        return isinstance(self.required_prepare_batch, int) and _keys_well_formed(self)
-
 
 @dataclass
 class SnapshotReply(ReplyMessage):
@@ -345,8 +260,6 @@ class SnapshotReply(ReplyMessage):
     versions: Dict[Key, BatchNumber] = field(default_factory=dict)
     proofs: Dict[Key, MerkleProof] = field(default_factory=dict)
     header: Optional[CertifiedHeader] = None
-
-    well_formed = _snapshot_well_formed
 
 
 # ---------------------------------------------------------------------------
@@ -361,9 +274,6 @@ class LockReadRequest(RequestMessage):
     txn_id: str = ""
     keys: Tuple[Key, ...] = ()
 
-    def well_formed(self) -> bool:
-        return isinstance(self.txn_id, str) and _keys_well_formed(self)
-
 
 @dataclass
 class LockReadReply(ReplyMessage):
@@ -374,15 +284,9 @@ class LockReadReply(ReplyMessage):
     values: Dict[Key, Value] = field(default_factory=dict)
     versions: Dict[Key, BatchNumber] = field(default_factory=dict)
 
-    def well_formed(self) -> bool:
-        return isinstance(self.granted, bool) and _read_well_formed(self)
-
 
 @dataclass
 class LockReleaseMessage(Message):
     """Augustus: release all shared locks held by ``txn_id`` (fire and forget)."""
 
     txn_id: str = ""
-
-    def well_formed(self) -> bool:
-        return isinstance(self.txn_id, str)

@@ -5,7 +5,8 @@ transaction that a client ships to the coordinator cluster when it asks to
 commit (Section 2, "Interface"): the read set with the versions that were
 observed, and the buffered write set.  The same payload travels inside 2PC
 messages and batch segments, so it must be canonically encodable for
-signing.
+signing.  Any client or leader may send one, so its annotations are its
+shape check (:mod:`repro.common.shapes`).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Dict, FrozenSet, Mapping
 
 from repro.common.errors import InvalidTransactionError
 from repro.common.ids import BatchNumber, PartitionId
-from repro.common.types import Key, MemoisedValue, Value, keyed
+from repro.common.types import Key, MemoisedValue, Value
 from repro.crypto.hashing import Encoded
 from repro.storage.partitioner import HashPartitioner
 
@@ -94,8 +95,8 @@ class TxnPayload(MemoisedValue):
     """
 
     txn_id: str
-    reads: Mapping[Key, BatchNumber] = field(default_factory=dict)
-    writes: Mapping[Key, Value] = field(default_factory=dict)
+    reads: Dict[Key, BatchNumber] = field(default_factory=dict)
+    writes: Dict[Key, Value] = field(default_factory=dict)
     client: str = ""
 
     def __post_init__(self) -> None:
@@ -105,21 +106,6 @@ class TxnPayload(MemoisedValue):
             raise InvalidTransactionError(
                 f"transaction {self.txn_id} has neither reads nor writes"
             )
-
-    def well_formed(self) -> bool:
-        """Do the fields have the declared shape?  A transaction is outside
-        input: a client's, or anyone's inside a 2PC message or a batch."""
-        return self._well_formed
-
-    @cached_property
-    def _well_formed(self) -> bool:
-        # One object rides every retry, 2PC message and batch: checked once.
-        return (
-            isinstance(self.txn_id, str)
-            and isinstance(self.client, str)
-            and keyed(self.reads, int)
-            and keyed(self.writes, Value)
-        )
 
     # -- footprint helpers ----------------------------------------------------
 

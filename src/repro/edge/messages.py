@@ -12,6 +12,9 @@ Two small protocols:
   certified batch header so the proxy knows how stale its cached contexts
   are; announcements carry no data and are verified against the cluster's
   signatures before adoption.
+
+As for every message, a field's annotation is its shape check
+(:mod:`repro.common.shapes`), down to each section's proofs and header.
 """
 
 from __future__ import annotations
@@ -20,9 +23,8 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 from repro.common.ids import BatchNumber, PartitionId
-from repro.common.types import Key, NoneType, Value
+from repro.common.types import Key, Value
 from repro.core.batch import CertifiedHeader
-from repro.core.messages import ReadOnlyReply, ReadOnlyRequest
 from repro.crypto.merkle import MerkleProof
 from repro.simnet.messages import Message, ReplyMessage, RequestMessage
 
@@ -37,16 +39,12 @@ class PartitionSection:
     proofs: Dict[Key, MerkleProof] = field(default_factory=dict)
     header: Optional[CertifiedHeader] = None
 
-    well_formed = ReadOnlyReply.well_formed
-
 
 @dataclass
 class EdgeReadRequest(RequestMessage):
     """Client → proxy: serve a snapshot read over ``keys`` from your cache."""
 
     keys: Tuple[Key, ...] = ()
-
-    well_formed = ReadOnlyRequest.well_formed
 
 
 @dataclass
@@ -61,17 +59,6 @@ class EdgeReadReply(ReplyMessage):
     sections: Dict[PartitionId, PartitionSection] = field(default_factory=dict)
     from_cache: Tuple[PartitionId, ...] = ()
 
-    def well_formed(self) -> bool:
-        return (
-            isinstance(self.sections, dict)
-            and all(
-                isinstance(section, PartitionSection) and section.well_formed()
-                for section in self.sections.values()
-            )
-            and isinstance(self.from_cache, tuple)
-            and all(isinstance(partition, int) for partition in self.from_cache)
-        )
-
 
 @dataclass
 class HeaderAnnouncement(Message):
@@ -79,8 +66,3 @@ class HeaderAnnouncement(Message):
 
     partition: PartitionId = 0
     header: Optional[CertifiedHeader] = None
-
-    def well_formed(self) -> bool:
-        return isinstance(self.partition, int) and isinstance(
-            self.header, (CertifiedHeader, NoneType)
-        )

@@ -31,22 +31,26 @@ class UnseededRandomRule(FileRule):
         "randomness must flow through seeded random.Random streams"
     )
 
-    _MODULE_FUNCS = {
-        "betavariate",
-        "choice",
-        "choices",
-        "expovariate",
-        "gauss",
-        "getrandbits",
-        "randint",
-        "random",
-        "randrange",
-        "sample",
-        "seed",
-        "shuffle",
-        "triangular",
-        "uniform",
-    }
+    #: Calls of the module-level functions that draw from the global RNG.
+    _GLOBAL_RNG_CALLS = frozenset(
+        f"random.{func}"
+        for func in (
+            "betavariate",
+            "choice",
+            "choices",
+            "expovariate",
+            "gauss",
+            "getrandbits",
+            "randint",
+            "random",
+            "randrange",
+            "sample",
+            "seed",
+            "shuffle",
+            "triangular",
+            "uniform",
+        )
+    )
 
     def applies_to(self, path: str) -> bool:
         return not _in_repro_lint(path)
@@ -56,7 +60,7 @@ class UnseededRandomRule(FileRule):
             if not isinstance(node, ast.Call):
                 continue
             name = call_name(node)
-            if name in {f"random.{func}" for func in self._MODULE_FUNCS}:
+            if name in self._GLOBAL_RNG_CALLS:
                 yield self.finding(
                     file,
                     node.lineno,

@@ -16,6 +16,10 @@ and the replica garbage-collects everything the checkpoint covers —
 A replica that sees a quorum certify a checkpoint it never reached knows it
 is lagging and asks :class:`~repro.recovery.transfer.RecoveryCoordinator` to
 fetch the state instead of waiting for consensus traffic it already missed.
+
+A :class:`CheckpointCertificate` carried by a state-transfer reply is
+shape-checked from its annotations with the reply
+(:mod:`repro.common.shapes`) before :meth:`CheckpointCertificate.verify`.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from repro.bft.messages import CheckpointVote
 from repro.bft.quorum import VoteTracker, checkpoint_payload
 from repro.common.ids import NO_BATCH, BatchNumber, PartitionId, ReplicaId
 from repro.crypto.hashing import Digest
-from repro.crypto.signatures import KeyRegistry, Signature, signature_well_formed
+from repro.crypto.signatures import KeyRegistry, Signature
 from repro.recovery.snapshot import SnapshotImage, SnapshotStore
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checking only
@@ -55,16 +59,6 @@ class CheckpointCertificate:
 
     def payload(self) -> object:
         return checkpoint_payload(self.seq, self.digest)
-
-    def well_formed(self) -> bool:
-        """Do the fields have the declared shape?  (Outside input, checked before :meth:`verify`.)"""
-        return (
-            isinstance(self.partition, int)
-            and isinstance(self.seq, int)
-            and isinstance(self.digest, bytes)
-            and isinstance(self.signatures, tuple)
-            and all(signature_well_formed(signature) for signature in self.signatures)
-        )
 
     def verify(
         self,

@@ -8,6 +8,9 @@ above it.  Nothing in a reply is taken on trust: the requester verifies the
 checkpoint certificate against the image digest, every log entry's commit
 certificate, and the certified Merkle root after each replayed batch — so a
 single honest responder suffices and a lying one is simply discarded.
+Before any of that, every field of a reply (image, certificates, log
+entries and the proposals in them) has the shape its annotation declares
+(:mod:`repro.common.shapes`).
 """
 
 from __future__ import annotations
@@ -16,17 +19,11 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro.bft.log import LogEntry
-from repro.bft.messages import proposal_well_formed
-from repro.bft.quorum import CommitCertificate, ViewChangeCertificate
+from repro.bft.quorum import ViewChangeCertificate
 from repro.common.ids import NO_BATCH, BatchNumber, PartitionId
 from repro.recovery.checkpoint import CheckpointCertificate
 from repro.recovery.snapshot import SnapshotImage
 from repro.simnet.messages import Message
-
-
-def _absent_or_well_formed(value: object, kind: type) -> bool:
-    """Is ``value`` absent or a ``kind`` of the declared shape, all the way down?"""
-    return value is None or (isinstance(value, kind) and value.well_formed())
 
 
 @dataclass
@@ -35,9 +32,6 @@ class StateTransferRequest(Message):
 
     partition: PartitionId = 0
     have_seq: BatchNumber = NO_BATCH
-
-    def well_formed(self) -> bool:
-        return isinstance(self.partition, int) and isinstance(self.have_seq, int)
 
 
 @dataclass
@@ -66,29 +60,6 @@ class StateTransferReply(Message):
     view: int = 0
     view_certificate: Optional[ViewChangeCertificate] = None
     responder_tip: BatchNumber = NO_BATCH
-
-    def well_formed(self) -> bool:
-        """Do the fields have the declared shape?
-
-        Any cluster member can send a reply, so the receiver checks this
-        before its cost model or recovery session reads a field; what the
-        fields *claim* is verified afterwards, against certificates.
-        """
-        return (
-            isinstance(self.view, int)
-            and isinstance(self.responder_tip, int)
-            and _absent_or_well_formed(self.image, SnapshotImage)
-            and _absent_or_well_formed(self.certificate, CheckpointCertificate)
-            and _absent_or_well_formed(self.view_certificate, ViewChangeCertificate)
-            and isinstance(self.entries, tuple)
-            and all(
-                isinstance(entry, LogEntry)
-                and isinstance(entry.seq, int)
-                and isinstance(entry.certificate, CommitCertificate)
-                and proposal_well_formed(entry.value)
-                for entry in self.entries
-            )
-        )
 
     def highest_seq(self) -> BatchNumber:
         """The highest sequence number this reply carries state for."""

@@ -11,7 +11,8 @@ Images are digested with the canonical encoding from
 :mod:`repro.crypto.hashing`; the digest is what checkpoint votes sign, which
 makes a quorum-certified image transferable: a recovering replica can accept
 an image from a single (possibly byzantine) peer and check it against the
-checkpoint certificate.
+checkpoint certificate.  Its shape, headers included, is its annotations
+(:mod:`repro.common.shapes`), checked once per image object.
 """
 
 from __future__ import annotations
@@ -19,24 +20,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.common.ids import NO_BATCH, BatchNumber, PartitionId
-from repro.common.types import Key, MemoisedValue, NoneType, Value
-from repro.core.batch import CertifiedHeader, CommitRecord, PreparedRecord, all_well_formed
+from repro.common.types import Key, MemoisedValue, Value
+from repro.core.batch import CertifiedHeader, CommitRecord, PreparedRecord
 from repro.crypto.hashing import Digest, digest_of
 from repro.crypto.merkle import MerkleTree
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checking only
     from repro.core.replica import PartitionReplica
-
-
-def _numbered(values: object, check: Callable[[object], bool]) -> bool:
-    """Is ``values`` a tuple of ``(batch number, value)`` pairs whose values pass ``check``?"""
-    return isinstance(values, tuple) and all(
-        isinstance(pair, tuple) and len(pair) == 2 and isinstance(pair[0], int) and check(pair[1])
-        for pair in values
-    )
 
 
 @dataclass(frozen=True)
@@ -95,37 +88,6 @@ class SnapshotImage(MemoisedValue):
     def digest(self) -> Digest:
         """Digest covered by checkpoint votes (header excluded, see class doc)."""
         return self._digest
-
-    def well_formed(self) -> bool:
-        """Do the fields have the declared shape?  (What they claim is verified after.)"""
-        return self._well_formed
-
-    @cached_property
-    def _well_formed(self) -> bool:
-        # Any member can send an image; a responder's one stable image
-        # answers every recoverer, so this is answered once.  The headers
-        # check their own shape when they are verified.
-        return (
-            isinstance(self.partition, int)
-            and isinstance(self.seq, int)
-            and isinstance(self.items, tuple)
-            and all(
-                isinstance(item, tuple)
-                and len(item) == 3
-                and isinstance(item[0], Key)
-                and isinstance(item[1], int)
-                and isinstance(item[2], Value)
-                for item in self.items
-            )
-            and _numbered(self.prepared, lambda records: all_well_formed(records, PreparedRecord))
-            and isinstance(self.header, (CertifiedHeader, NoneType))
-            and _numbered(
-                self.decisions,
-                lambda record: isinstance(record, CommitRecord) and record.well_formed(),
-            )
-            and isinstance(self.prepared_headers, tuple)
-            and all(isinstance(header, CertifiedHeader) for header in self.prepared_headers)
-        )
 
     def values(self) -> Dict[Key, Value]:
         """The plain key/value map of the image (drops versions)."""

@@ -245,7 +245,7 @@ class FaultInjector:
             "src": str(src),
             "dst": str(dst),
             "type": message.type_name,
-            "trace_id": message.trace.trace_id if message.trace is not None else None,
+            "trace_id": getattr(message.trace_context(), "trace_id", None),
         }
         if extra_ms is not None:
             detail["extra_ms"] = extra_ms

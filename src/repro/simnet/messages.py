@@ -6,16 +6,20 @@ Client-side workflows use the request/reply pair: a :class:`RequestMessage`
 carries a unique ``request_id`` that the responder copies into its
 :class:`ReplyMessage`, which is how the process framework in
 :mod:`repro.simnet.proc` resumes a waiting client coroutine.
+
+A message's shape is its annotations: :meth:`Message.well_formed` derives
+the one check ``SimNode.receive`` asks of every arriving message from the
+resolved field types (:mod:`repro.common.shapes`); no type writes its own.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.obs.trace import TraceContext
+from repro.common.shapes import conforms, fields_check
+from repro.obs.trace import TraceContext
 
 
 @dataclass
@@ -30,7 +34,7 @@ class Message:
     trace.
     """
 
-    trace: "Optional[TraceContext]" = field(
+    trace: Optional[TraceContext] = field(
         default=None, kw_only=True, compare=False, repr=False
     )
 
@@ -40,9 +44,17 @@ class Message:
         return type(self).__name__
 
     def well_formed(self) -> bool:
-        """Do the fields have the declared shape?  ``SimNode.receive`` asks every
-        arriving message once; a type that declares fields answers for them."""
-        return True
+        """Does every field have its declared shape, down to the primitives?
+        ``SimNode.receive`` asks every arriving message once; the answer is
+        derived from the annotations (:mod:`repro.common.shapes`)."""
+        return fields_check(type(self))(self)
+
+    def trace_context(self) -> Optional[TraceContext]:
+        """``trace`` when it is a well-formed context, else ``None``.  Spans and
+        network events read it before (or without) the shape check, and any
+        sender can put anything there."""
+        trace = self.trace
+        return trace if conforms(trace, TraceContext) else None
 
 
 _request_counter = itertools.count()

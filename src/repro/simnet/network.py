@@ -132,14 +132,15 @@ class Network:
 
         net_span = None
         obs = self.obs
-        if obs is not None and obs.tracing and message.trace is not None:
+        trace = message.trace_context() if obs is not None and obs.tracing else None
+        if trace is not None:
             # The link delay is drawn here, so the span's extent is already
             # known.  One span per *delivery*: a broadcast shares the message
             # object but each destination gets its own net span.
             now = self._simulator.now
             net_span = obs.tracer.add_span(
-                message.trace.trace_id,
-                message.trace.span_id,
+                trace.trace_id,
+                trace.span_id,
                 f"net:{message.type_name}",
                 f"{src}->{dst}",
                 "net",

@@ -216,14 +216,15 @@ class SimNode:
         completion = start + cost
         self._busy_until = completion
         handle_span = None
-        if self.env.obs.tracing and message.trace is not None:
+        trace = message.trace_context() if self.env.obs.tracing else None
+        if trace is not None:
             # Queue and handle extents are fully determined here (single-
             # server FIFO), so both spans are recorded already closed; the
             # handle span becomes current again when the handler runs, so
             # replies sent from inside it chain correctly.
             tracer = self.env.obs.tracer
-            trace_id = message.trace.trace_id
-            parent = net_span.span_id if net_span is not None else message.trace.span_id
+            trace_id = trace.trace_id
+            parent = net_span.span_id if net_span is not None else trace.span_id
             node = str(self.node_id)
             if start - arrival > 1e-9:
                 queue_span = tracer.add_span(

@@ -167,17 +167,12 @@ class ProcessNode(SimNode):
             process._advance(None if single else [])
             return
         wait = _Wait(process=process, replies=[None] * len(calls), single=single)
-        stamp = (
-            process.span is not None and self.env.obs.tracing
-        )
         for index, call in enumerate(calls):
             request_id = call.request.request_id
             if request_id in self._waits_by_request:
                 raise SimulationError(f"duplicate request id {request_id}")
             wait.remaining_ids[request_id] = index
             self._waits_by_request[request_id] = wait
-            if stamp and call.request.trace is None:
-                call.request.trace = process.span.context()
             self.send(call.dst, call.request)
         if gather.timeout_ms is not None:
             wait.timer = self.schedule(gather.timeout_ms, self._finish_wait, wait)

@@ -396,6 +396,6 @@ class ReliableTransport:
                 "src": str(src),
                 "dst": str(dst),
                 "type": payload.type_name,
-                "trace_id": payload.trace.trace_id if payload.trace is not None else None,
+                "trace_id": getattr(payload.trace_context(), "trace_id", None),
             },
         )

@@ -8,14 +8,18 @@ the process waiting on it, which receives ``REFUSED`` in its place and treats
 that bad answer as no answer.  A message the receiver has no handler for is
 refused the same way.
 
-* (a) every message type under ``repro`` with fields of its own answers
-  ``well_formed()`` for them;
-* (b) 18 shapes, and 3 misdirected messages, that each raised out of
+* (a) no type under ``repro`` writes a shape check by hand: the check is
+  derived from the annotations (:mod:`repro.common.shapes`), and every
+  concrete message type's annotations compile;
+* (b) 19 shapes, and 3 misdirected messages, that each raised out of
   ``run_until_idle()`` before the boundary existed now fail closed, and the
   cluster commits afterwards;
-* (c) one junk field in a message, or in a transaction, batch, signature,
-  certified header, snapshot image or checkpoint or view-change certificate
-  it carries, never raises out of the run.
+* (c) every concrete message type has a template, captured from a live
+  cross-partition write and edge snapshot read or built by hand; one junk
+  field in any of them, or in a transaction, batch, signature, certified
+  header, commit certificate or record, vote, snapshot image, checkpoint or
+  view-change certificate or trace context it carries, never raises out of
+  a traced run, and the boundary refuses exactly the pinned number of cases.
 """
 
 from __future__ import annotations
@@ -28,31 +32,48 @@ import pkgutil
 import pytest
 
 import repro
-from repro.bft.messages import CertificateRebroadcast, CheckpointVote, PrePrepare, Prepare, ViewChange
-from repro.bft.quorum import ViewChangeCertificate, checkpoint_payload, view_change_payload
-from repro.common.config import BatchConfig, LatencyConfig, SystemConfig
-from repro.core.batch import Batch, CertifiedHeader
+from repro.bft.messages import (
+    CertificateRebroadcast,
+    CheckpointVote,
+    NewView,
+    PrePrepare,
+    Prepare,
+    ViewChange,
+)
+from repro.bft.quorum import (
+    CommitCertificate,
+    ViewChangeCertificate,
+    checkpoint_payload,
+    view_change_payload,
+)
+from repro.common.config import BatchConfig, EdgeConfig, LatencyConfig, SystemConfig
+from repro.common.shapes import fields_check
+from repro.core.batch import Batch, CertifiedHeader, CommitRecord, PreparedVote
 from repro.core.messages import (
     CommitReply,
     CommitRequest,
     ComplaintProbe,
     ComplaintProbeAck,
     CoordinatorPrepare,
+    DecisionMessage,
     DecisionQuery,
+    DecisionReply,
     LeaderComplaint,
     LockReadReply,
     LockReadRequest,
     LockReleaseMessage,
-    ReadOnlyRequest,
+    ReadOnlyReply,
     ReadReply,
     ReadRequest,
     ReplicaCommitReply,
+    SnapshotReply,
     SnapshotRequest,
 )
 from repro.core.system import TransEdgeSystem
 from repro.core.transaction import TxnPayload
 from repro.crypto.signatures import Signature
 from repro.edge.messages import HeaderAnnouncement
+from repro.obs.trace import TraceContext
 from repro.recovery.checkpoint import CheckpointCertificate
 from repro.recovery.messages import StateTransferReply, StateTransferRequest
 from repro.recovery.snapshot import SnapshotImage
@@ -99,10 +120,16 @@ def malformed_events(system: TransEdgeSystem):
 CHECKED_BY_THE_TRANSPORT = {ReliableEnvelope, ReliableAck}
 
 
-def repro_message_types():
+def repro_modules():
+    modules = [importlib.import_module("repro")]
     for module in pkgutil.walk_packages(repro.__path__, "repro."):
         if not module.name.endswith("__main__"):
-            importlib.import_module(module.name)
+            modules.append(importlib.import_module(module.name))
+    return modules
+
+
+def repro_message_types():
+    repro_modules()
     found, stack = [], [Message]
     while stack:
         for subclass in stack.pop().__subclasses__():
@@ -112,30 +139,31 @@ def repro_message_types():
     return found
 
 
-def own_fields(kind) -> set:
-    inherited = {
-        f.name
-        for base in kind.__mro__[1:]
-        if dataclasses.is_dataclass(base)
-        for f in dataclasses.fields(base)
-    }
-    return {f.name for f in dataclasses.fields(kind)} - inherited
-
-
-def test_every_message_type_with_fields_answers_for_them():
+def concrete_message_types():
+    """Every type a node may be sent; a base another type derives from is
+    abstract, as in lint rule P301."""
     kinds = repro_message_types()
-    assert len(kinds) >= 30
-    # A base another type derives from is abstract and exempt, as in P301.
     abstract = {base for kind in kinds for base in kind.__mro__[1:]}
-    missing = sorted(
-        kind.__name__
-        for kind in kinds
-        if kind not in abstract
-        and kind not in CHECKED_BY_THE_TRANSPORT
-        and own_fields(kind)
-        and "well_formed" not in vars(kind)
+    return [
+        kind for kind in kinds if kind not in abstract and kind not in CHECKED_BY_THE_TRANSPORT
+    ]
+
+
+def test_every_shape_is_derived_from_the_annotations():
+    hand_written = sorted(
+        f"{kind.__module__}.{kind.__qualname__}"
+        for module in repro_modules()
+        for kind in vars(module).values()
+        if isinstance(kind, type)
+        and kind.__module__ == module.__name__
+        and kind is not Message
+        and {"well_formed", "_well_formed"} & set(vars(kind))
     )
-    assert missing == []
+    assert hand_written == []
+    kinds = concrete_message_types()
+    assert len(kinds) == 32
+    for kind in kinds + list(CARRIED):
+        fields_check(kind)  # every annotation compiles
 
 
 # -- (b) ----------------------------------------------------------------------
@@ -167,6 +195,12 @@ def signed_with_an_int(message):
     return make
 
 
+def proposing_itself(sender, system):
+    message = PrePrepare(view=0, seq=9, digest=b"d")
+    message.proposal = message  # used to recurse until RecursionError
+    return message
+
+
 def write_an_int(sender, system):
     key = system.keys_of_partition(0)[0]
     return CommitRequest(txn=TxnPayload(txn_id="t", writes={key: 5}, client="c"))
@@ -193,6 +227,7 @@ MESSAGE_SHAPES = [
      plain(CoordinatorPrepare(txn=TxnPayload(txn_id="t", reads=5), coordinator=1))),
     ("pre-prepare-batch-txns-an-int", client, follower(0),
      plain(PrePrepare(seq=9, proposal=Batch(partition=0, number=9, local_txns=5)))),
+    ("pre-prepare-proposing-itself", leader(0), follower(0), proposing_itself),
     ("rebroadcast-batch-prepared-an-int", follower(0), follower(0, 1),
      plain(CertificateRebroadcast(seq=9, proposal=Batch(partition=0, number=9, prepared=5)))),
     ("prepare-signature-value-an-int", follower(0), follower(0, 1),
@@ -266,8 +301,8 @@ def test_a_bad_answer_is_treated_as_no_answer(request_type, answer, outcome):
     assert commit(system, "after").committed
 
 
-def test_the_shapes_are_eighteen():
-    assert len(MESSAGE_SHAPES) + len(REPLY_SHAPES) == 18
+def test_the_shapes_are_nineteen():
+    assert len(MESSAGE_SHAPES) + len(REPLY_SHAPES) == 19
 
 
 #: (id, sender, receiver, a well-formed message of a type the receiver has
@@ -304,40 +339,101 @@ def test_a_misdirected_message_is_refused_like_a_malformed_one(sender_of, receiv
 
 JUNK = (5, "x", None, [1], {}, object())
 
-#: Cases of :func:`junk_cases`: a new template or field adds ``len(JUNK)`` each.
-EXPECTED_JUNK_CASES = 702
+#: Cases of :func:`junk_cases` (a new template or field adds ``len(JUNK)``
+#: each) and how many of them fail ``well_formed()``: a rule that weakens
+#: lowers the second.
+EXPECTED_JUNK_CASES = 1674
+EXPECTED_REFUSED_CASES = 1448
 
 
 class Fuzzed:
-    """One deployment shared by every case: junk must not wedge it."""
+    """One traced deployment shared by every case: junk must not wedge it.
+
+    ``captured`` holds the first message of each type delivered while a
+    client wrote to both partitions and then read both keys back through
+    the edge proxy, with the sender and receiver it went between."""
 
     system = None
+    captured = None
 
     @classmethod
-    def get(cls) -> TransEdgeSystem:
+    def get(cls):
         if cls.system is None:
-            cls.system = make_system()
-        return cls.system
+            cls.system, cls.captured = capture()
+        return cls.system, cls.captured
 
 
-def templates(system: TransEdgeSystem):
-    """(sender, receiver, honest-looking message factory) per message type."""
+def capture():
+    system = TransEdgeSystem(
+        SystemConfig(
+            num_partitions=2,
+            fault_tolerance=1,
+            initial_keys=32,
+            batch=BatchConfig(max_size=4, timeout_ms=2.0),
+            latency=LatencyConfig(jitter_fraction=0.0),
+            edge=EdgeConfig(enabled=True, num_proxies=1),
+        ).with_tracing(True)
+    )
+    client = system.create_client("fuzz")
+    nodes = {
+        node.node_id: node
+        for node in [*system.replicas.values(), *system.clients, *system.proxies]
+    }
+    captured = {}
+
+    def capturing(node):
+        receive = node.receive
+
+        def record(message, src):
+            payload = message.payload if type(message) is ReliableEnvelope else message
+            if type(payload) not in CHECKED_BY_THE_TRANSPORT:
+                captured.setdefault(type(payload), (nodes[src], node, payload))
+            receive(message, src)
+
+        return record
+
+    for node in nodes.values():
+        node.receive = capturing(node)
+    keys = [system.keys_of_partition(0)[0], system.keys_of_partition(1)[0]]
+    results = []
+
+    def body():
+        results.append((yield from client.read_write_txn(keys, {key: b"v" for key in keys})))
+        results.append((yield from client.read_only_txn(keys)))
+
+    client.spawn(body())
+    system.run_until_idle()
+    for node in nodes.values():
+        del node.receive
+    assert results[0].committed and results[1].verified
+    return system, captured
+
+
+def templates(system: TransEdgeSystem, captured):
+    """(sender, receiver, honest-looking message factory) per message type:
+    a copy of the captured message, else one built by hand."""
     leader0, leader1 = system.leader_replica(0), system.leader_replica(1)
     follower0 = follower(0)(system)
     reader = system.clients[0]
     key = system.keys_of_partition(0)[0]
-    batch = leader0.log.entries_from(1)[0].value
+    entry = leader0.log.entries_from(1)[0]
+    batch = entry.value
     txn = TxnPayload(txn_id="fuzz", writes={key: b"v"}, client="fuzz")
+    record = captured[DecisionMessage][2].record
+    answer = captured[ReadOnlyReply][2]
+    signers = [system.replicas[member].signer for member in system.topology.members(0)]
+    view = leader0.engine.view
 
     def signed(message):
         message.signature = leader0.signer.sign(message.signing_payload())
         return message
 
+    def view_votes(seq):
+        return tuple((seq, s.sign(view_change_payload(view, seq))) for s in signers)
+
     def state_transfer_reply():
         """What a member holding a checkpoint at its tip would send."""
         image = SnapshotImage.capture(leader0, leader0.log.last_seq)
-        signers = [system.replicas[member].signer for member in system.topology.members(0)]
-        view = leader0.engine.view
         return StateTransferReply(
             partition=0,
             image=image,
@@ -345,56 +441,61 @@ def templates(system: TransEdgeSystem):
                 partition=0, seq=image.seq, digest=image.digest(),
                 signatures=tuple(s.sign(checkpoint_payload(image.seq, image.digest()))
                                  for s in signers)),
+            entries=leader0.log.entries_from(image.seq),
             view=view,
-            view_certificate=ViewChangeCertificate(view, tuple(
-                (image.seq, s.sign(view_change_payload(view, image.seq))) for s in signers)),
+            view_certificate=ViewChangeCertificate(view, view_votes(image.seq)),
             responder_tip=image.seq,
         )
 
-    return [
-        (leader0, follower0, lambda: signed(PrePrepare(
-            view=0, seq=batch.number, digest=batch.digest(), proposal=batch))),
-        (leader0, follower0, lambda: signed(Prepare(view=0, seq=1, digest=b"d"))),
+    by_hand = [
         (leader0, follower0, lambda: signed(CheckpointVote(seq=1000, digest=b"d"))),
         (leader0, follower0, lambda: signed(ViewChange(view=1, last_delivered=0))),
-        (reader, leader0, lambda: ReadRequest(keys=(key,))),
-        (reader, leader0, lambda: ReadOnlyRequest(keys=(key,))),
+        (leader0, follower0, lambda: signed(NewView(view=view, votes=view_votes(0)))),
+        (leader0, follower0, lambda: signed(CertificateRebroadcast(
+            view=view, seq=entry.seq, digest=batch.digest(), proposal=batch,
+            certificate=entry.certificate, last_delivered=entry.seq))),
         (reader, leader0, lambda: SnapshotRequest(keys=(key,), required_prepare_batch=0)),
+        (leader0, reader, lambda: SnapshotReply(
+            request_id="r", partition=0, values=answer.values, versions=answer.versions,
+            proofs=answer.proofs, header=answer.header)),
         (reader, leader0, lambda: LockReadRequest(txn_id="fuzz", keys=(key,))),
+        (leader0, reader, lambda: LockReadReply(
+            request_id="r", partition=0, granted=True, values={key: b"v"}, versions={key: 1})),
         (reader, leader0, lambda: LockReleaseMessage(txn_id="fuzz")),
-        (reader, leader0, lambda: CommitRequest(txn=txn)),
         (reader, follower0, lambda: LeaderComplaint(partition=0, txn=txn)),
         (follower0, leader0, lambda: ComplaintProbe(partition=0, txn=txn)),
         (leader0, follower0, lambda: ComplaintProbeAck(partition=0, txn_id="fuzz")),
-        (leader1, leader0, lambda: CoordinatorPrepare(
-            txn=txn, coordinator=1, prepare_batch=1, header=leader1.last_header)),
         (leader1, follower0, lambda: DecisionQuery(txn_id="fuzz", partition=0)),
+        (follower0, leader1, lambda: DecisionReply(record=record, commit_batch=1)),
         (follower0, leader0, lambda: StateTransferRequest(partition=0, have_seq=0)),
         (leader0, follower0, state_transfer_reply),
-        (follower0, reader, lambda: ReplicaCommitReply(txn_id="fuzz", partition=0)),
-        (leader0, reader, lambda: ReadReply(request_id="r", values={key: b"v"})),
-        (leader0, reader, lambda: CommitReply(request_id="r")),
     ]
+    live = [
+        (sender, receiver, lambda message=message: copy.copy(message))
+        for _, (sender, receiver, message) in sorted(
+            captured.items(), key=lambda item: item[0].__name__
+        )
+    ]
+    return live + by_hand
 
 
-#: Values a message carries whose own fields the property also fuzzes.
+#: Values a message carries whose own fields the enumeration also junks.
 CARRIED = (
-    TxnPayload, Batch, Signature, CertifiedHeader,
-    SnapshotImage, CheckpointCertificate, ViewChangeCertificate,
+    TxnPayload, Batch, Signature, CertifiedHeader, CommitCertificate, CommitRecord,
+    PreparedVote, SnapshotImage, CheckpointCertificate, ViewChangeCertificate, TraceContext,
 )
 
 
-def fuzzable(value) -> list:
-    # ``trace`` is tracing metadata, read only when tracing is on (off here).
-    return [f.name for f in dataclasses.fields(value) if f.name != "trace"]
+def fields_of(value) -> list:
+    return [f.name for f in dataclasses.fields(value)]
 
 
-def junk_cases(system: TransEdgeSystem):
+def junk_cases(system: TransEdgeSystem, captured):
     """Every template × every field, and every field of every value it
     carries, × every ``JUNK`` value: ``(name, sender, receiver, message)``."""
-    for index, (sender, receiver, make) in enumerate(templates(system)):
+    for index, (sender, receiver, make) in enumerate(templates(system, captured)):
         kind = type(make()).__name__
-        for name in fuzzable(make()):
+        for name in fields_of(make()):
             for junk_index, junk in enumerate(JUNK):
                 message = make()
                 setattr(message, name, junk)
@@ -402,7 +503,7 @@ def junk_cases(system: TransEdgeSystem):
             carried = getattr(make(), name)
             if not isinstance(carried, CARRIED):
                 continue
-            for inner in fuzzable(carried):
+            for inner in fields_of(carried):
                 for junk_index, junk in enumerate(JUNK):
                     message = make()
                     value = copy.copy(getattr(message, name))  # a copy drops every memo
@@ -411,14 +512,21 @@ def junk_cases(system: TransEdgeSystem):
                     yield f"{index}:{kind}.{name}.{inner}={junk_index}", sender, receiver, message
 
 
+def test_every_message_type_has_a_template():
+    system, captured = Fuzzed.get()
+    covered = {type(make()) for _, _, make in templates(system, captured)}
+    assert sorted(kind.__name__ for kind in set(concrete_message_types()) - covered) == []
+
+
 def test_one_junk_field_never_raises_out_of_the_run():
-    system = Fuzzed.get()
-    cases = 0
-    for case, sender, receiver, message in junk_cases(system):
+    system, captured = Fuzzed.get()
+    cases = refused = 0
+    for case, sender, receiver, message in junk_cases(system, captured):
+        refused += not message.well_formed()
         sender.send(receiver.node_id, message)
         try:
             system.run_until_idle()  # the property: nothing raises out of the run
         except Exception as error:
             raise AssertionError(f"junk case {case} raised {error!r}") from error
         cases += 1
-    assert cases == EXPECTED_JUNK_CASES
+    assert (cases, refused) == (EXPECTED_JUNK_CASES, EXPECTED_REFUSED_CASES)
