@@ -10,8 +10,11 @@ exactly ``int`` (``True`` would digest as ``1``), ``float`` also takes an
 own predicate, and a :class:`~repro.common.types.MemoisedValue` keeps its
 verdict, so the receivers of one shared batch or header check it once and
 a copy (how tampering is modelled) afresh.  The annotation rules over a
-disagreeing default; a predicate never raises (a missing field or a cyclic
-object graph is malformed).
+disagreeing default.  A check never raises: a missing field, a cyclic or
+too deep object graph, or a record whose annotations have no shape (a
+sender may propose any type) is malformed.  Stack depth is no property of
+a value, so ``RecursionError`` is caught only by the entry points and
+never kept as a verdict.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from __future__ import annotations
 import collections.abc
 import dataclasses
 import enum
+import keyword
 import typing
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -42,8 +46,18 @@ class _Checks(Dict[type, Check]):
     """Each class's derived predicate, compiled the first time it is asked."""
 
     def __missing__(self, kind: type) -> Check:
-        check = self[kind] = _compile_fields(kind)
+        try:
+            check = compile_fields(kind)
+        except RecursionError:  # too deep a stack here, not a property of the type
+            raise
+        except Exception:  # whatever breaks the derivation: no value of ``kind`` passes
+            check = _refuse
+        self[kind] = check
         return check
+
+
+def _refuse(value: object) -> bool:
+    return False
 
 
 #: ``fields_check(kind)(value)``: do the fields of ``value``, an instance of
@@ -53,6 +67,13 @@ fields_check: Callable[[type], Check] = _Checks().__getitem__
 
 def conforms(value: object, kind: type) -> bool:
     """Is ``value`` a ``kind`` whose every field has its declared shape?"""
+    try:
+        return isinstance(value, kind) and fields_check(type(value))(value)
+    except RecursionError:
+        return False
+
+
+def _conforms(value: object, kind: type) -> bool:
     return isinstance(value, kind) and fields_check(type(value))(value)
 
 
@@ -78,7 +99,7 @@ class _Source:
     """The source of one class's predicate and the objects it names."""
 
     def __init__(self, kind: type) -> None:
-        self.names: Dict[str, object] = {"_conforms": conforms, "_opaque": _opaque}
+        self.names: Dict[str, object] = {"_conforms": _conforms, "_opaque": _opaque}
         self.inlined: List[type] = [kind]
 
     def bind(self, value: object) -> str:
@@ -90,7 +111,10 @@ class _Source:
         """An expression true when every field of ``x``, a ``kind``, has its shape."""
         hints = typing.get_type_hints(kind)
         if dataclasses.is_dataclass(kind):
-            tests = [self.test(hints[f.name], f"{x}.{f.name}", depth) for f in dataclasses.fields(kind)]
+            names = [f.name for f in dataclasses.fields(kind)]
+            if not all(name.isidentifier() and not keyword.iskeyword(name) for name in names):
+                raise TypeError(f"{kind!r} has a field that is no identifier")
+            tests = [self.test(hints[name], f"{x}.{name}", depth) for name in names]
         else:  # a tuple built around the constructor may be short
             tests = [f"len({x}) == {len(kind._fields)}"]
             tests += [self.test(hints[name], f"{x}[{i}]", depth) for i, name in enumerate(kind._fields)]
@@ -133,13 +157,15 @@ class _Source:
         raise TypeError(f"no shape can be derived from the annotation {hint!r}")
 
 
-def _compile_fields(kind: type) -> Check:
+def compile_fields(kind: type) -> Check:
+    """Compile the predicate of ``kind``'s fields; raises when an annotation
+    has no shape (:data:`fields_check` refuses such a type's values)."""
     source = _Source(kind)
     body = source.fields(kind, "value", 0)
     # The source names nothing but the objects bound above: no input reaches it.
     exec(
         f"def check(value):\n    try:\n        return {body}\n"
-        "    except (AttributeError, RecursionError):\n        return False\n",
+        "    except AttributeError:\n        return False\n",
         source.names,
     )
     check: Check = source.names["check"]  # type: ignore[assignment]

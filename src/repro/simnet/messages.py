@@ -47,7 +47,10 @@ class Message:
         """Does every field have its declared shape, down to the primitives?
         ``SimNode.receive`` asks every arriving message once; the answer is
         derived from the annotations (:mod:`repro.common.shapes`)."""
-        return fields_check(type(self))(self)
+        try:
+            return fields_check(type(self))(self)
+        except RecursionError:  # a cyclic or too deep object graph
+            return False
 
     def trace_context(self) -> Optional[TraceContext]:
         """``trace`` when it is a well-formed context, else ``None``.  Spans and

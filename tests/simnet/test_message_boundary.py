@@ -11,7 +11,7 @@ refused the same way.
 * (a) no type under ``repro`` writes a shape check by hand: the check is
   derived from the annotations (:mod:`repro.common.shapes`), and every
   concrete message type's annotations compile;
-* (b) 19 shapes, and 3 misdirected messages, that each raised out of
+* (b) 20 shapes, and 3 misdirected messages, that each raised out of
   ``run_until_idle()`` before the boundary existed now fail closed, and the
   cluster commits afterwards;
 * (c) every concrete message type has a template, captured from a live
@@ -28,6 +28,7 @@ import copy
 import dataclasses
 import importlib
 import pkgutil
+import sys
 
 import pytest
 
@@ -47,7 +48,7 @@ from repro.bft.quorum import (
     view_change_payload,
 )
 from repro.common.config import BatchConfig, EdgeConfig, LatencyConfig, SystemConfig
-from repro.common.shapes import fields_check
+from repro.common.shapes import compile_fields, conforms
 from repro.core.batch import Batch, CertifiedHeader, CommitRecord, PreparedVote
 from repro.core.messages import (
     CommitReply,
@@ -70,7 +71,7 @@ from repro.core.messages import (
     SnapshotRequest,
 )
 from repro.core.system import TransEdgeSystem
-from repro.core.transaction import TxnPayload
+from repro.core.transaction import Footprint, TxnPayload
 from repro.crypto.signatures import Signature
 from repro.edge.messages import HeaderAnnouncement
 from repro.obs.trace import TraceContext
@@ -163,7 +164,7 @@ def test_every_shape_is_derived_from_the_annotations():
     kinds = concrete_message_types()
     assert len(kinds) == 32
     for kind in kinds + list(CARRIED):
-        fields_check(kind)  # every annotation compiles
+        compile_fields(kind)  # every annotation compiles
 
 
 # -- (b) ----------------------------------------------------------------------
@@ -228,6 +229,8 @@ MESSAGE_SHAPES = [
     ("pre-prepare-batch-txns-an-int", client, follower(0),
      plain(PrePrepare(seq=9, proposal=Batch(partition=0, number=9, local_txns=5)))),
     ("pre-prepare-proposing-itself", leader(0), follower(0), proposing_itself),
+    ("pre-prepare-proposing-a-footprint", client, follower(0),  # FrozenSet has no shape
+     plain(PrePrepare(view=0, seq=9, digest=b"d", proposal=Footprint(frozenset(), frozenset())))),
     ("rebroadcast-batch-prepared-an-int", follower(0), follower(0, 1),
      plain(CertificateRebroadcast(seq=9, proposal=Batch(partition=0, number=9, prepared=5)))),
     ("prepare-signature-value-an-int", follower(0), follower(0, 1),
@@ -301,8 +304,8 @@ def test_a_bad_answer_is_treated_as_no_answer(request_type, answer, outcome):
     assert commit(system, "after").committed
 
 
-def test_the_shapes_are_nineteen():
-    assert len(MESSAGE_SHAPES) + len(REPLY_SHAPES) == 19
+def test_the_shapes_are_twenty():
+    assert len(MESSAGE_SHAPES) + len(REPLY_SHAPES) == 20
 
 
 #: (id, sender, receiver, a well-formed message of a type the receiver has
@@ -530,3 +533,28 @@ def test_one_junk_field_never_raises_out_of_the_run():
             raise AssertionError(f"junk case {case} raised {error!r}") from error
         cases += 1
     assert (cases, refused) == (EXPECTED_JUNK_CASES, EXPECTED_REFUSED_CASES)
+
+
+def test_a_stack_too_deep_is_never_kept_as_a_verdict():
+    """A batch is shared by reference among its receivers, and its verdict is
+    kept on it.  An unchecked honest batch, checked first inside a forged
+    chain at a stack depth where the recursion limit falls inside its own
+    check, is still accepted afterwards: every depth is tried."""
+    system, captured = Fuzzed.get()
+    honest = captured[PrePrepare][2]
+
+    def at_depth(frames, message):
+        return message.well_formed() if frames == 0 else at_depth(frames - 1, message)
+
+    verdicts = []
+    for frames in range(sys.getrecursionlimit()):
+        batch = copy.copy(honest.proposal)  # unchecked: a copy drops every memo
+        forged = PrePrepare(view=0, seq=9, digest=b"d", proposal=PrePrepare(
+            view=0, seq=9, digest=b"d", proposal=batch))
+        try:
+            at_depth(frames, forged)
+        except RecursionError:  # ``at_depth`` itself ran out of stack
+            break
+        verdicts.append(conforms(batch, Batch)
+                        and dataclasses.replace(honest, proposal=batch).well_formed())
+    assert len(verdicts) > 100 and all(verdicts)
